@@ -1,8 +1,11 @@
 """Exact spectra of the Rumin Laplacian, block by block.
 
-Functions on the model 3-sphere split into invariant weight blocks of
-dimension (m+1)^2 on which every differential operator is a finite matrix, so
-each truncated spectrum below the cutoff is exact, not approximate.  The
+Functions on the model 3-sphere split into invariant weight blocks: the
+weight-m block is the (m+1)-dimensional irreducible slot repeated
+`ctx.block.multiplicity` times (m+1 times on the sphere), and every
+differential operator is a finite matrix on the slot, so each truncated
+spectrum below the cutoff is exact, not approximate.  Multiplicities printed
+below count all copies.  The
 tables show the simultaneous eigenvalues (lambda10, lambda01) of the two half
 Laplacians in degree 0 and the Reeb eigenvalue nu everywhere; in degree 0 the
 eigenvalue always equals (lambda10 + lambda01)^2.
@@ -27,7 +30,7 @@ for ctx in asm.contexts:
         ray = float(np.real(np.mean(np.diag(cpt.basis.conj().T @ lap @ cpt.basis))))
         print(
             f"{ctx.block.label:>6} {cpt.lambda10:8.3f} {cpt.lambda01:8.3f}"
-            f" {(cpt.lambda10 + cpt.lambda01) ** 2:9.3f} {ray:11.6f} {cpt.dim:5d}"
+            f" {(cpt.lambda10 + cpt.lambda01) ** 2:9.3f} {ray:11.6f} {ctx.block.multiplicity * cpt.dim:5d}"
         )
 
 print()
@@ -37,7 +40,7 @@ for ctx in asm.contexts:
     lap = hermitize(ctx.laplacian_rn(1).matrix, 1e-9)
     ilt = hermitize(1j * ctx.lie_reeb_rumin(1).matrix, 1e-9)
     for delta, tau, basis in _sequential_joint_eigenspaces(lap, ilt, 1e-9):
-        print(f"{ctx.block.label:>6} {max(delta, 0.0):11.6f} {-tau:7.2f} {basis.shape[1]:5d}")
+        print(f"{ctx.block.label:>6} {max(delta, 0.0):11.6f} {-tau:7.2f} {ctx.block.multiplicity * basis.shape[1]:5d}")
 
 print()
 print("mirror symmetry: the star operator pairs degrees k and 3-k")
@@ -54,5 +57,5 @@ for character in (0, 1):
     zero_modes = 0
     for ctx in tasm.contexts:
         w = np.linalg.eigvalsh(hermitize(ctx.laplacian_rn(0).matrix, 1e-9))
-        zero_modes += int(np.sum(np.abs(w) < 1e-9))
+        zero_modes += ctx.block.multiplicity * int(np.sum(np.abs(w) < 1e-9))
     print(f"  order-2 quotient, character {character}: {zero_modes} zero mode(s) in degree 0")

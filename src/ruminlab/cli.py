@@ -2,8 +2,7 @@
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage or
 configuration error.  Output is byte-stable for a fixed configuration (sorted
-reductions, floats printed with 17 significant digits).  The environment
-variable RUMIN_THREADS caps worker threads used across blocks.
+reductions, floats printed with 17 significant digits).
 """
 
 from __future__ import annotations
@@ -43,6 +42,14 @@ class UsageError(ValueError):
     pass
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
 @dataclass
 class RunConfig:
     model: str = "s3"
@@ -59,6 +66,14 @@ class RunConfig:
     out: Optional[str] = None
 
     def validate(self):
+        for name in ("max_weight", "p", "character", "degree"):
+            value = getattr(self, name)
+            if not (_is_int(value) or (name == "degree" and value is None)):
+                raise UsageError(f"{name.replace('_', '-')} must be an integer, not {value!r}")
+        for name in ("t_samples", "s_grid"):
+            value = getattr(self, name)
+            if not (isinstance(value, (list, tuple)) and all(_is_number(x) for x in value)):
+                raise UsageError(f"{name.replace('_', '-')} must be a list of numbers, not {value!r}")
         if self.model not in ("s3", "lens"):
             raise UsageError(f"unknown model {self.model!r}")
         if self.max_weight < 0:
@@ -130,7 +145,7 @@ def _bidegree_tag(ctx, degree: int, embed, basis, tol: float = 1e-9) -> Optional
     total = float(np.sum(np.abs(full) ** 2))
     if total <= tol:
         return None
-    d = ctx.block.dim
+    d = ctx.block.slot_dim
     for vert in (False, True):
         for i in range(0, degree - int(vert) + 1):
             j = degree - int(vert) - i
@@ -166,7 +181,7 @@ def _spectrum_entries(asm: Assembly, op: str, degree: int, t: float) -> List[Spe
                         degree,
                         lbl,
                         ray,
-                        cpt.dim,
+                        ctx.block.multiplicity * cpt.dim,
                         nu=cpt.lambda10 - cpt.lambda01,
                         lambda10=cpt.lambda10,
                         lambda01=cpt.lambda01,
@@ -201,7 +216,7 @@ def _spectrum_entries(asm: Assembly, op: str, degree: int, t: float) -> List[Spe
                     degree,
                     lbl,
                     max(delta, 0.0),
-                    basis.shape[1],
+                    ctx.block.multiplicity * basis.shape[1],
                     nu=-tau,
                     bidegree=_bidegree_tag(ctx, degree, embed, basis),
                 )

@@ -6,14 +6,17 @@ The frame {T, X, Y} is normalized so that
 
 which makes the contact-metric frame orthonormal for g = dtheta(., J.) + theta x theta
 and the Reeb flow a rotation of weight 2 on the complex coframe.  Invariant
-function spaces are weight blocks: the block of weight m has dimension
-(m+1)^2 and carries the frame fields as exact matrices built from the standard
-raising/lowering recurrences of the spin-(m/2) representation (half-integer
-arithmetic is exact, only the square roots are floating point).
+function spaces are weight blocks: the block of weight m is the spin-(m/2)
+representation W_m tensored with a multiplicity space C^r, and the frame
+fields act on the first factor only.  A block therefore stores the (m+1)x(m+1)
+actions on W_m, exact matrices built from the standard raising/lowering
+recurrences (half-integer arithmetic is exact, only the square roots are
+floating point), plus the integer multiplicity r; its total dimension is
+(m+1)*r.
 
-Lens quotients act on the opposite tensor slot from the frame fields, so their
-blocks are plain column selections: the weight-slot rows with 2*mu = l (mod p)
-for the order-p quotient twisted by the character indexed by l.
+On the sphere r = m+1.  Lens quotients act on the multiplicity factor, so they
+only shrink r: the order-p quotient twisted by the character indexed by l
+keeps the weight slots with 2*mu = l (mod p).
 """
 
 from __future__ import annotations
@@ -180,14 +183,25 @@ def deck_generator_matrix(m: int, p: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FunctionBlock:
-    """A finite invariant function space with exact matrix frame-field actions."""
+    """An invariant function space W (x) C^multiplicity, with exact frame-field
+    actions on the irreducible slot W and the identity on C^multiplicity."""
 
     label: str
     weight: int
-    dim: int
     actions: Dict[str, np.ndarray]
+    multiplicity: int = 1
     character: int = 0
     group_order: int = 1
+
+    @property
+    def slot_dim(self) -> int:
+        """Dimension of the irreducible slot W."""
+        return self.actions["T"].shape[0]
+
+    @property
+    def dim(self) -> int:
+        """Total dimension, slot dimension times multiplicity."""
+        return self.slot_dim * self.multiplicity
 
     def action(self, name: str) -> np.ndarray:
         return self.actions[name]
@@ -207,16 +221,11 @@ class FunctionBlock:
 
 def su2_block(m: int, p: int = 1, character: int = 0) -> FunctionBlock:
     """Weight-m block of the sphere or of the order-p lens quotient."""
-    slots = allowed_weight_slots(m, p, character) if p > 1 else list(range(m + 1))
-    r = len(slots)
-    acts = {}
-    for name, a in su2_weight_actions(m).items():
-        acts[name] = np.kron(a, np.eye(r, dtype=complex))
     return FunctionBlock(
         label=f"m{m}",
         weight=m,
-        dim=(m + 1) * r,
-        actions=acts,
+        actions=su2_weight_actions(m),
+        multiplicity=len(allowed_weight_slots(m, p, character)),
         character=character,
         group_order=p,
     )

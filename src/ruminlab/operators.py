@@ -1,14 +1,17 @@
 """Exact assembly of the invariant differential operators on one function block.
 
 Every operator is a dense complex matrix between orthonormal bases, so the
-adjoint is always the conjugate transpose.  The orthonormal basis of the full
-degree-k space over a block of dimension d is
+adjoint is always the conjugate transpose.  A block is W (x) C^r with the
+frame fields acting on the irreducible slot W of dimension d alone, so every
+operator has the form A (x) I_r and is assembled as A on the slot.  The
+orthonormal basis of the full degree-k space over the slot is
 
-    (monomial / |monomial|)  (x)  (block basis vector),
+    (monomial / |monomial|)  (x)  (slot basis vector),
 
-with basis index  i * d + b  for monomial slot i and function slot b; matrices
+with basis index  i * d + b  for monomial slot i and weight slot b; matrices
 built on the coframe factor alone are lifted with kron(fiber, I_d) and the
-frame-field derivations enter as kron(wedge fiber, action matrix).
+frame-field derivations enter as kron(wedge fiber, action matrix).  Dimensions
+and eigenvalue counts of the block are those on the slot times r.
 
 Graded subspaces (horizontal forms, bidegree components, the primitive and
 theta ^ ker L spaces of the Rumin complex) are carried as isometric embedding
@@ -273,13 +276,13 @@ class BlockContext:
     # -- graded spaces -----------------------------------------------------------
 
     def full_dim(self, k: int) -> int:
-        return len(self.mons(k)) * self.block.dim
+        return len(self.mons(k)) * self.block.slot_dim
 
     def space(self, k: int, flavor="full") -> GradedSpace:
         key = ("space", k, flavor)
         if key in self._cache:
             return self._cache[key]
-        d = self.block.dim
+        d = self.block.slot_dim
         if flavor == "full":
             fib = np.eye(len(self.mons(k)), dtype=complex)
         elif flavor == "horizontal":
@@ -309,7 +312,7 @@ class BlockContext:
     # -- full-space operators (plain matrices in full coordinates) ----------------
 
     def _lift(self, fib: np.ndarray) -> np.ndarray:
-        return np.kron(fib, np.eye(self.block.dim, dtype=complex))
+        return np.kron(fib, np.eye(self.block.slot_dim, dtype=complex))
 
     def d_full(self, k: int) -> np.ndarray:
         key = ("d", k)

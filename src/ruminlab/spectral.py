@@ -14,7 +14,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -382,7 +382,7 @@ def rumin_cohomology_dims(asm: Assembly) -> List[int]:
             dim_k = ctx.rumin_space(k).dim
             r_up = _rank(ctx.rumin_d(k).matrix) if k < ctx.Dmax else 0
             r_dn = _rank(ctx.rumin_d(k - 1).matrix) if k > 0 else 0
-            total += dim_k - r_up - r_dn
+            total += ctx.block.multiplicity * (dim_k - r_up - r_dn)
         dims.append(total)
     return dims
 
@@ -395,16 +395,12 @@ def de_rham_cohomology_dims(asm: Assembly) -> List[int]:
             dim_k = ctx.full_dim(k)
             r_up = _rank(ctx.d_full(k)) if k < ctx.Dmax else 0
             r_dn = _rank(ctx.d_full(k - 1)) if k > 0 else 0
-            total += dim_k - r_up - r_dn
+            total += ctx.block.multiplicity * (dim_k - r_up - r_dn)
         dims.append(total)
     return dims
 
 
 # -- verification drivers ----------------------------------------------------------
-
-
-def _per_block(asm: Assembly, fn: Callable[[BlockContext], VerificationReport]) -> List[VerificationReport]:
-    return util.parallel_map(fn, asm.contexts)
 
 
 def verify_complex_property(
@@ -416,13 +412,12 @@ def verify_complex_property(
         {"model": asm.model.describe(), "max_weight": asm.max_weight, "tol": tol, "t_samples": list(t_samples)},
     )
 
-    def run(ctx: BlockContext) -> VerificationReport:
-        sub = VerificationReport("block")
+    for ctx in asm.contexts:
         lbl = ctx.block.label
         for k in range(ctx.Dmax):
-            sub.add(f"d.d[{lbl}]k={k}", max_abs(ctx.d_full(k + 1) @ ctx.d_full(k)), tol)
+            report.add(f"d.d[{lbl}]k={k}", max_abs(ctx.d_full(k + 1) @ ctx.d_full(k)), tol)
             for t in t_samples:
-                sub.add(
+                report.add(
                     f"dt.dt[{lbl}]k={k},t={t}",
                     max_abs(ctx.dt_full(k + 1, t) @ ctx.dt_full(k, t)),
                     tol,
@@ -430,11 +425,7 @@ def verify_complex_property(
             up = ctx.rumin_d(k + 1).matrix if k + 1 < ctx.Dmax else None
             dn = ctx.rumin_d(k).matrix
             if up is not None:
-                sub.add(f"dN.dN[{lbl}]k={k}", max_abs(up @ dn), tol)
-        return sub
-
-    for sub in _per_block(asm, run):
-        report.extend(sub)
+                report.add(f"dN.dN[{lbl}]k={k}", max_abs(up @ dn), tol)
     report.checks.sort(key=lambda c: c.name)
     return report
 
@@ -476,8 +467,7 @@ def verify_sasakian_identities(asm: Assembly, tol: float = 1e-11) -> Verificatio
     )
     n = asm.n
 
-    def run(ctx: BlockContext) -> VerificationReport:
-        sub = VerificationReport("block")
+    for ctx in asm.contexts:
         lbl = ctx.block.label
         dl = lambda q: _horizontal_del(ctx, q, False)
         dlb = lambda q: _horizontal_del(ctx, q, True)
@@ -487,18 +477,18 @@ def verify_sasakian_identities(asm: Assembly, tol: float = 1e-11) -> Verificatio
         for q in range(0, 2 * n + 1):
             # metric adjoints of the split halves via Lefschetz commutators
             r1 = dl(q - 1).conj().T - 1j * (lam(q + 1) @ dlb(q) - dlb(q - 2) @ lam(q))
-            sub.add(f"adjoint_del[{lbl}]q={q}", max_abs(r1), tol)
+            report.add(f"adjoint_del[{lbl}]q={q}", max_abs(r1), tol)
             r2 = dlb(q - 1).conj().T + 1j * (lam(q + 1) @ dl(q) - dl(q - 2) @ lam(q))
-            sub.add(f"adjoint_delbar[{lbl}]q={q}", max_abs(r2), tol)
+            report.add(f"adjoint_delbar[{lbl}]q={q}", max_abs(r2), tol)
             r3 = dl(q) - 1j * (lef(q - 1) @ dlb(q - 1).conj().T - dlb(q + 1).conj().T @ lef(q))
-            sub.add(f"del_from_lefschetz[{lbl}]q={q}", max_abs(r3), tol)
+            report.add(f"del_from_lefschetz[{lbl}]q={q}", max_abs(r3), tol)
             r4 = dlb(q) + 1j * (lef(q - 1) @ dl(q - 1).conj().T - dl(q + 1).conj().T @ lef(q))
-            sub.add(f"delbar_from_lefschetz[{lbl}]q={q}", max_abs(r4), tol)
+            report.add(f"delbar_from_lefschetz[{lbl}]q={q}", max_abs(r4), tol)
             # graded commutators of the split halves vanish
             anti1 = dl(q - 1) @ dlb(q - 1).conj().T + dlb(q).conj().T @ dl(q)
             anti2 = dlb(q - 1) @ dl(q - 1).conj().T + dl(q).conj().T @ dlb(q)
-            sub.add(f"graded_del_delbar[{lbl}]q={q}", max_abs(anti1), tol)
-            sub.add(f"graded_delbar_del[{lbl}]q={q}", max_abs(anti2), tol)
+            report.add(f"graded_del_delbar[{lbl}]q={q}", max_abs(anti1), tol)
+            report.add(f"graded_delbar_del[{lbl}]q={q}", max_abs(anti2), tol)
         # projected halves on the Rumin spaces, degrees <= n
         for k in range(0, n + 1):
             up = ctx.rumin_del(k).matrix
@@ -508,22 +498,18 @@ def verify_sasakian_identities(asm: Assembly, tol: float = 1e-11) -> Verificatio
             anti = upb.conj().T @ up
             if dn_ is not None:
                 anti = anti + dn_ @ dnb.conj().T
-            sub.add(f"graded_rumin_halves[{lbl}]k={k}", max_abs(anti), tol)
+            report.add(f"graded_rumin_halves[{lbl}]k={k}", max_abs(anti), tol)
         for k in range(0, n):
             lap10 = ctx.rumin_del_laplacian(k).matrix
             lap01 = ctx.rumin_del_laplacian(k, anti=True).matrix
             root = sqrtm_psd(ctx.laplacian_rn(k).matrix)
-            sub.add(f"sqrt_splits[{lbl}]k={k}", max_abs(root - lap10 - lap01), tol)
+            report.add(f"sqrt_splits[{lbl}]k={k}", max_abs(root - lap10 - lap01), tol)
             ilt = 1j * ctx.lie_reeb_rumin(k).matrix
-            sub.add(f"reeb_is_half_difference[{lbl}]k={k}", max_abs(ilt - (lap01 - lap10)), tol)
-            sub.add(f"half_laplacians_commute[{lbl}]k={k}", max_abs(lap10 @ lap01 - lap01 @ lap10), tol)
+            report.add(f"reeb_is_half_difference[{lbl}]k={k}", max_abs(ilt - (lap01 - lap10)), tol)
+            report.add(f"half_laplacians_commute[{lbl}]k={k}", max_abs(lap10 @ lap01 - lap01 @ lap10), tol)
         d0m = ctx.middle_operator("factored").matrix
         d1m = ctx.middle_operator("kahler").matrix
-        sub.add(f"middle_operator_two_forms[{lbl}]", max_abs(d0m - d1m), tol)
-        return sub
-
-    for sub in _per_block(asm, run):
-        report.extend(sub)
+        report.add(f"middle_operator_two_forms[{lbl}]", max_abs(d0m - d1m), tol)
     report.checks.sort(key=lambda c: c.name)
     return report
 
@@ -535,8 +521,7 @@ def verify_hodge_block_matrix(asm: Assembly, tol: float = 1e-12) -> Verification
         {"model": asm.model.describe(), "max_weight": asm.max_weight, "tol": tol},
     )
 
-    def run(ctx: BlockContext) -> VerificationReport:
-        sub = VerificationReport("block")
+    for ctx in asm.contexts:
         lbl = ctx.block.label
         for k in range(ctx.Dmax + 1):
             full = ctx.laplacian_de_rham(k).matrix
@@ -564,11 +549,7 @@ def verify_hodge_block_matrix(asm: Assembly, tol: float = 1e-12) -> Verification
                     dlb = _horizontal_del(ctx, k - 1, True)
                     approx += eh @ (1j * dl - 1j * dlb) @ ev.conj().T
                     approx += ev @ (-1j * dl.conj().T + 1j * dlb.conj().T) @ eh.conj().T
-            sub.add(f"hodge_block_matrix[{lbl}]k={k}", max_abs(full - approx), tol)
-        return sub
-
-    for sub in _per_block(asm, run):
-        report.extend(sub)
+            report.add(f"hodge_block_matrix[{lbl}]k={k}", max_abs(full - approx), tol)
     report.checks.sort(key=lambda c: c.name)
     return report
 
@@ -594,17 +575,18 @@ def verify_kernel_coincidence(asm: Assembly, angle_tol: float = 1e-8, tol: float
     dr_dims = [0] * (asm.model.frame.dim + 1)
     for ctx in asm.contexts:
         lbl = ctx.block.label
+        r = ctx.block.multiplicity
         for k in range(ctx.Dmax + 1):
             ker_dr = kernel(ctx.laplacian_de_rham(k))
             ker_rn = kernel(ctx.laplacian_rn(k))
-            rn_dims[k] += ker_rn.dim
-            dr_dims[k] += ker_dr.dim
+            rn_dims[k] += r * ker_rn.dim
+            dr_dims[k] += r * ker_dr.dim
             emb = ctx.rumin_space(k).embed @ ker_rn.vectors
             report.add(
                 f"kernel_dims_match[{lbl}]k={k}",
-                abs(ker_dr.dim - ker_rn.dim),
+                r * abs(ker_dr.dim - ker_rn.dim),
                 0.0,
-                f"de_rham={ker_dr.dim} rumin={ker_rn.dim}",
+                f"de_rham={r * ker_dr.dim} rumin={r * ker_rn.dim}",
             )
             report.add(
                 f"kernel_subspace_angle[{lbl}]k={k}",
@@ -660,9 +642,10 @@ def verify_primitivity(asm: Assembly, tol: float = 1e-10) -> VerificationReport:
             jphi = ctx._lift(ctx._fiber("jact", k)) @ phi
             lap = ctx.laplacian_de_rham(k).matrix
             report.add(f"j_preserves_harmonics[{lbl}]k={k}", max_abs(lap @ jphi), tol)
+            # Frobenius norms over the r copies of the slot carry a factor sqrt(r)
             report.add(
                 f"j_is_isometry_on_harmonics[{lbl}]k={k}",
-                abs(np.linalg.norm(jphi) - np.linalg.norm(phi)),
+                math.sqrt(ctx.block.multiplicity) * abs(np.linalg.norm(jphi) - np.linalg.norm(phi)),
                 tol,
             )
     report.checks.sort(key=lambda c: c.name)
@@ -679,6 +662,7 @@ def verify_deformation_family(asm: Assembly, t_samples=(0.1, 1.0, 10.0), tol: fl
     )
     for ctx in asm.contexts:
         lbl = ctx.block.label
+        r = ctx.block.multiplicity
         for k in range(ctx.Dmax + 1):
             ker = kernel(ctx.laplacian_de_rham(k))
             pieces_up = {
@@ -708,9 +692,9 @@ def verify_deformation_family(asm: Assembly, t_samples=(0.1, 1.0, 10.0), tol: fl
             inter = joint_kernel([ctx.laplacian_t(k, t).matrix for t in t_samples])
             report.add(
                 f"intersection_dim[{lbl}]k={k}",
-                abs(inter.shape[1] - ker.dim),
+                r * abs(inter.shape[1] - ker.dim),
                 0.0,
-                f"intersection={inter.shape[1]} harmonic={ker.dim}",
+                f"intersection={r * inter.shape[1]} harmonic={r * ker.dim}",
             )
     report.checks.sort(key=lambda c: c.name)
     return report
@@ -751,6 +735,7 @@ def verify_eigenvalue_identity(asm: Assembly, tol_rel: float = 1e-9, tol: float 
     n = asm.n
     for ctx in asm.contexts:
         lbl = ctx.block.label
+        r = ctx.block.multiplicity
         comps = q_decomposition(ctx, n - 1)
         lap_low = ctx.laplacian_rn(n - 1).matrix
         # law below middle degree: Delta = (l10+l01)^2 on each component
@@ -779,9 +764,9 @@ def verify_eigenvalue_identity(asm: Assembly, tol_rel: float = 1e-9, tol: float 
             if predicted.size != w.size:
                 report.add(
                     f"law_middle_multiplicity[{lbl}]",
-                    abs(predicted.size - w.size),
+                    r * abs(predicted.size - w.size),
                     0.0,
-                    f"predicted={predicted.size} actual={w.size}",
+                    f"predicted={r * predicted.size} actual={r * w.size}",
                 )
             else:
                 rel = np.max(np.abs(predicted - w) / np.maximum(1.0, np.abs(predicted)))
@@ -809,44 +794,24 @@ def verify_eigenvalue_identity(asm: Assembly, tol_rel: float = 1e-9, tol: float 
                     f"corner_bijective_one_sided[{lbl}]l=({l10:.6g},{l01:.6g})",
                     0.0 if ok else 1.0,
                     0.5,
-                    f"rank={int(np.sum(s > tol))} dim={cpt.dim}",
+                    f"rank={r * int(np.sum(s > tol))} dim={r * cpt.dim}",
                 )
                 continue
             wspace = _subspace_intersection([cpt.basis, im_up_star, im_upb_star])
             report.add(
                 f"w_corner_dim[{lbl}]l=({l10:.6g},{l01:.6g})",
-                abs(wspace.shape[1] - cpt.dim),
+                r * abs(wspace.shape[1] - cpt.dim),
                 0.0,
-                f"w={wspace.shape[1]} q={cpt.dim}",
+                f"w={r * wspace.shape[1]} q={r * cpt.dim}",
             )
             for s_idx in range(wspace.shape[1]):
                 psi = wspace[:, s_idx : s_idx + 1]
                 dpsi, dbpsi = up @ psi, upb @ psi
                 n10, n01 = np.linalg.norm(dpsi), np.linalg.norm(dbpsi)
-                report.add(
-                    f"norm_sq_is_lambda10[{lbl}]l=({l10:.6g},{l01:.6g})v={s_idx}",
-                    abs(n10**2 - l10) / max(1.0, l10),
-                    tol_rel,
-                )
-                report.add(
-                    f"norm_sq_is_lambda01[{lbl}]l=({l10:.6g},{l01:.6g})v={s_idx}",
-                    abs(n01**2 - l01) / max(1.0, l01),
-                    tol_rel,
-                )
                 psi10, psi01 = dpsi / n10, dbpsi / n01
                 vplus = math.sqrt(l10) * psi10 + math.sqrt(l01) * psi01
                 vminus = math.sqrt(l01) * psi10 - math.sqrt(l10) * psi01
                 lam = (l10 + l01) ** 2
-                report.add(
-                    f"image_eigenvalue[{lbl}]l=({l10:.6g},{l01:.6g})v={s_idx}",
-                    max_abs(lap_mid @ vplus - lam * vplus) / max(1.0, lam),
-                    tol_rel,
-                )
-                report.add(
-                    f"complement_eigenvalue[{lbl}]l=({l10:.6g},{l01:.6g})v={s_idx}",
-                    max_abs(lap_mid @ vminus - lam * vminus) / max(1.0, lam),
-                    tol_rel,
-                )
                 # second-order formula on the orthogonal complement;
                 # lambda_T is the eigenvalue of -i L_T there
                 nrm2 = float(np.real((vminus.conj().T @ vminus).item()))
@@ -855,21 +820,22 @@ def verify_eigenvalue_identity(asm: Assembly, tol_rel: float = 1e-9, tol: float 
                 b_const = lam_t + 2 * l01
                 target = (a_const**2 * l01 + b_const**2 * l10) / (l10 + l01)
                 dd = dmid.conj().T @ dmid
-                report.add(
-                    f"middle_formula[{lbl}]l=({l10:.6g},{l01:.6g})v={s_idx}",
-                    max_abs(dd @ vminus - target * vminus) / max(1.0, abs(target)),
-                    tol_rel,
+                residuals = (
+                    ("norm_sq_is_lambda10", abs(n10**2 - l10) / max(1.0, l10)),
+                    ("norm_sq_is_lambda01", abs(n01**2 - l01) / max(1.0, l01)),
+                    ("image_eigenvalue", max_abs(lap_mid @ vplus - lam * vplus) / max(1.0, lam)),
+                    ("complement_eigenvalue", max_abs(lap_mid @ vminus - lam * vminus) / max(1.0, lam)),
+                    ("middle_formula", max_abs(dd @ vminus - target * vminus) / max(1.0, abs(target))),
+                    (
+                        "middle_formula_value",
+                        abs(target - (lam_t**2 + 4 * l10 * l01)) / max(1.0, abs(target)),
+                    ),
+                    ("reeb_tag", abs(lam_t - (l10 - l01)) / max(1.0, abs(lam_t))),
                 )
-                report.add(
-                    f"middle_formula_value[{lbl}]l=({l10:.6g},{l01:.6g})v={s_idx}",
-                    abs(target - (lam_t**2 + 4 * l10 * l01)) / max(1.0, abs(target)),
-                    tol_rel,
-                )
-                report.add(
-                    f"reeb_tag[{lbl}]l=({l10:.6g},{l01:.6g})v={s_idx}",
-                    abs(lam_t - (l10 - l01)) / max(1.0, abs(lam_t)),
-                    tol_rel,
-                )
+                # {w_i (x) e_j} is an orthonormal basis of W (x) C^r and (A (x) I)(w (x) e_j) = (Aw) (x) e_j: v=i*r+j
+                for copy in range(r):
+                    for check, resid in residuals:
+                        report.add(f"{check}[{lbl}]l=({l10:.6g},{l01:.6g})v={s_idx * r + copy}", resid, tol_rel)
             # corner bijections out of the W corner
             for mat, nm in ((up, "del"), (upb, "delbar")):
                 block = mat @ wspace
@@ -879,7 +845,7 @@ def verify_eigenvalue_identity(asm: Assembly, tol_rel: float = 1e-9, tol: float 
                     f"corner_bijective_{nm}[{lbl}]l=({l10:.6g},{l01:.6g})",
                     0.0 if ok else 1.0,
                     0.5,
-                    f"rank={int(np.sum(s > tol))} dim={wspace.shape[1]}",
+                    f"rank={r * int(np.sum(s > tol))} dim={r * wspace.shape[1]}",
                 )
     report.checks.sort(key=lambda c: c.name)
     return report

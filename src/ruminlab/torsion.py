@@ -117,7 +117,7 @@ def _classify_block_degree(ctx: BlockContext, k: int, tol: float = PAIR_TOL) -> 
             piece = "reeb_minus"  # im box ∩ ker boxbar
         else:
             piece = "bi_positive"
-        out.append(ReebSlice(ctx.block.label, k, delta, nu, basis.shape[1], piece))
+        out.append(ReebSlice(ctx.block.label, k, delta, nu, ctx.block.multiplicity * basis.shape[1], piece))
     return out
 
 
@@ -346,7 +346,7 @@ def kappa_partial(asm: Assembly, s: float) -> float:
             w = np.linalg.eigvalsh(hermitize(ctx.laplacian_rn(k).matrix, 1e-9))
             scale = max(1.0, float(w[-1]) if w.size else 1.0)
             pos = w[w > PAIR_TOL * scale]
-            total += weights[k] * float(np.sum(pos ** (-s)))
+            total += weights[k] * ctx.block.multiplicity * float(np.sum(pos ** (-s)))
     return total
 
 
@@ -356,7 +356,7 @@ def block_zeta_series(asm: Assembly, degree: int) -> ZetaSeries:
     for ctx in asm.contexts:
         w = np.linalg.eigvalsh(hermitize(ctx.laplacian_rn(degree).matrix, 1e-9))
         scale = max(1.0, float(w[-1]) if w.size else 1.0)
-        pairs += [(float(v), 1) for v in w if v > PAIR_TOL * scale]
+        pairs += [(float(v), ctx.block.multiplicity) for v in w if v > PAIR_TOL * scale]
     return ZetaSeries(
         label=f"delta_rn_k{degree}", eigenvalues=_cluster_multiset(pairs, PAIR_TOL),
         cutoff=asm.spectral_cutoff(),

@@ -1,14 +1,9 @@
-"""Small shared helpers: deterministic formatting, clustering, worker pools."""
+"""Small shared helpers: deterministic formatting and clustering."""
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, List, Sequence, TypeVar
-
-T = TypeVar("T")
-R = TypeVar("R")
+from typing import List, Sequence
 
 
 def fmt_float(x: float) -> str:
@@ -34,21 +29,3 @@ def cluster_values(values: Sequence[float], tol: float) -> List[tuple]:
             out.append((v, 1, v))
     return [(total / cnt, cnt) for rep, cnt, total in out]
 
-
-def worker_count(n_items: int) -> int:
-    raw = os.environ.get("RUMIN_THREADS", "1")
-    try:
-        cap = max(1, int(raw))
-    except ValueError:
-        cap = 1
-    return max(1, min(cap, n_items))
-
-
-def parallel_map(fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
-    """Map preserving order; uses threads only when RUMIN_THREADS > 1."""
-    items = list(items)
-    workers = worker_count(len(items))
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))

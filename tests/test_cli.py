@@ -164,14 +164,6 @@ def test_byte_identical_output(capsys):
     assert out1 == out2
 
 
-def test_threads_do_not_change_output(capsys, monkeypatch):
-    args = ["verify", "--suite", "cor2", "--model", "s3", "--max-weight", "2"]
-    _, serial, _ = run_cli(capsys, *args)
-    monkeypatch.setenv("RUMIN_THREADS", "4")
-    _, threaded, _ = run_cli(capsys, *args)
-    assert serial == threaded
-
-
 def test_config_file_precedence(tmp_path, capsys):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps({"model": "lens", "p": 2, "character": 1, "max_weight": 3}))
@@ -201,6 +193,19 @@ def test_config_rejects_unknown_keys(tmp_path):
 
     with pytest.raises(UsageError):
         load_config(Args())
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"max_weight": "3"}, {"t_samples": 0.5}, {"model": "lens", "p": 2.5}],
+    ids=["string-weight", "scalar-t-samples", "fractional-order"],
+)
+def test_config_values_of_wrong_type_exit_2(tmp_path, capsys, doc):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "spectrum", "--config", str(cfg_path))
+    assert code == 2
+    assert out == "" and err.startswith("error:")
 
 
 def test_run_config_validation():

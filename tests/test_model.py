@@ -83,7 +83,8 @@ def test_weight_two_reeb_spectrum():
     assert blk.dim == 9
     w = np.linalg.eigvals(blk.action("T"))
     assert np.max(np.abs(w.real)) < 1e-13
-    imag = np.sort(w.imag)
+    # the slot action repeats once per copy of the slot
+    imag = np.sort(np.repeat(w.imag, blk.multiplicity))
     assert np.allclose(imag, [-2, -2, -2, 0, 0, 0, 2, 2, 2])
 
 
@@ -102,20 +103,25 @@ def test_two_blocks_assemble_block_diagonally(s3):
     from ruminlab.operators import BlockContext
 
     b0, b1 = su2_block(0), su2_block(1)
+
+    def full(b, nm):
+        # the block's action on all of its copies
+        return np.kron(b.actions[nm], np.eye(b.multiplicity))
+
     stacked = FunctionBlock(
         label="m0+m1",
         weight=-1,
-        dim=b0.dim + b1.dim,
         actions={
             nm: np.block(
                 [
-                    [b0.actions[nm], np.zeros((b0.dim, b1.dim))],
-                    [np.zeros((b1.dim, b0.dim)), b1.actions[nm]],
+                    [full(b0, nm), np.zeros((b0.dim, b1.dim))],
+                    [np.zeros((b1.dim, b0.dim)), full(b1, nm)],
                 ]
             )
             for nm in ("T", "X", "Y")
         },
     )
+    assert stacked.dim == b0.dim + b1.dim
     ctx = BlockContext(s3.frame, stacked)
     d = ctx.d_full(1)
     dim = stacked.dim

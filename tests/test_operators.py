@@ -100,7 +100,7 @@ def test_d0_kills_horizontal_and_reproduces_levi(s3_contexts):
     # d0(theta) = dtheta
     mons = ctx.mons(1)
     col = mons.index(ext.CoframeIndex(True, (), ()))
-    d = ctx.block.dim
+    d = ctx.block.slot_dim
     vec = np.zeros(ctx.full_dim(1), dtype=complex)
     vec[col * d] = 1.0
     out = ctx.d0_full(1) @ vec
@@ -123,7 +123,7 @@ def test_dT_on_functions_is_theta_tensor_reeb(s3_contexts):
 
 def test_del_bidegree_structure(s3_contexts):
     ctx = s3_contexts[2]
-    d = ctx.block.dim
+    d = ctx.block.slot_dim
     del0 = ctx.del_full(0)
     # outputs of the (1,0) half on functions live only on eps-monomial rows
     for i, jx in enumerate(ctx.mons(1)):
@@ -133,12 +133,11 @@ def test_del_bidegree_structure(s3_contexts):
 
 
 def test_delbar_kills_extremal_vector(s3_contexts):
-    # CR-holomorphic vectors: the top-weight slot of the representation factor
+    # CR-holomorphic vectors: the top-weight vector of the irreducible slot
     ctx = s3_contexts[2]
     m = 2
-    d = ctx.block.dim
     vec = np.zeros(ctx.full_dim(0), dtype=complex)
-    vec[(m + 1 - 1) * (m + 1)] = 1.0  # v-slot top weight, first w-slot
+    vec[m] = 1.0  # top weight; every copy of the slot behaves alike
     out = ctx.del_full(0, anti=True) @ vec
     assert max_abs(out) <= 1e-14
 
@@ -258,7 +257,8 @@ def test_rescaled_complex_property(s3_contexts, m):
 def test_rumin_spaces_have_expected_dims(s3_contexts):
     ctx = s3_contexts[2]
     d = ctx.block.dim
-    assert [ctx.rumin_space(k).dim for k in range(4)] == [d, 2 * d, 2 * d, d]
+    r = ctx.block.multiplicity
+    assert [r * ctx.rumin_space(k).dim for k in range(4)] == [d, 2 * d, 2 * d, d]
 
 
 def test_full_d_preserves_upper_rumin_spaces(s3_contexts):

@@ -70,6 +70,7 @@ def expected_rumin_spectrum(m, degree):
 def test_rumin_spectra_match_ladder_oracle(s3_contexts, m, degree):
     ctx = s3_contexts[m]
     w = np.linalg.eigvalsh(hermitize(ctx.laplacian_rn(degree).matrix, 1e-9))
+    w = np.repeat(w, ctx.block.multiplicity)
     expected = expected_rumin_spectrum(m, degree)
     assert w.shape == expected.shape
     assert np.max(np.abs(np.sort(w) - expected)) < 1e-9
@@ -88,7 +89,7 @@ def test_block_spectrum_de_rham_weight_one(s3_contexts):
     clusters = block_spectrum(s3_contexts[1].laplacian_de_rham(0))
     assert len(clusters) == 1
     val, mult = clusters[0]
-    assert mult == 4 and val == pytest.approx(2.0, abs=1e-12)
+    assert mult * s3_contexts[1].block.multiplicity == 4 and val == pytest.approx(2.0, abs=1e-12)
 
 
 def test_block_spectrum_rejects_non_hermitian(s3_contexts):
@@ -132,9 +133,10 @@ def test_kernel_vectors_are_orthonormal_and_flat(s3_contexts):
 
 def test_q_decomposition_weight_one(s3_contexts):
     comps = q_decomposition(s3_contexts[1], 0)
-    labels = sorted((c.lambda10, c.lambda01, c.dim) for c in comps)
+    r = s3_contexts[1].block.multiplicity
+    labels = sorted((c.lambda10, c.lambda01, r * c.dim) for c in comps)
     assert labels == [(0.0, 1.0, 2), (1.0, 0.0, 2)]
-    assert sum(c.dim for c in comps) == 4
+    assert sum(r * c.dim for c in comps) == 4
 
 
 def test_q_decomposition_zero_component_is_kernel(s3_contexts):
