@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field, fields
 from typing import List, Optional
@@ -74,6 +75,12 @@ class RunConfig:
             value = getattr(self, name)
             if not (isinstance(value, (list, tuple)) and all(_is_number(x) for x in value)):
                 raise UsageError(f"{name.replace('_', '-')} must be a list of numbers, not {value!r}")
+            if not all(math.isfinite(x) for x in value):
+                raise UsageError(f"{name.replace('_', '-')} must be finite, not {value!r}")
+        if not self.t_samples:
+            raise UsageError("t-samples must not be empty")
+        if self.tol is not None and not (_is_number(self.tol) and math.isfinite(self.tol) and self.tol >= 0):
+            raise UsageError(f"tol must be a finite number >= 0, not {self.tol!r}")
         if self.model not in ("s3", "lens"):
             raise UsageError(f"unknown model {self.model!r}")
         if self.max_weight < 0:
@@ -235,7 +242,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     for k in degrees:
         if not 0 <= k <= max_degree:
             raise UsageError(f"degree {k} out of range for {cfg.op}")
-    t = cfg.t_samples[0] if cfg.t_samples else 1.0
+    t = cfg.t_samples[0]
     table = SpectrumTable(
         operator=cfg.op,
         model=model.describe(),

@@ -259,10 +259,16 @@ class ModelManifold:
         # so vol = sqrt(det) * 2 pi^2 = 4 pi^2, divided by the quotient order
         return 4.0 * math.pi ** 2 / self.p
 
+    def block(self, weight: int) -> FunctionBlock:
+        """The block of the given weight alone."""
+        if weight < 0:
+            raise ParameterError("weight must be >= 0")
+        return su2_block(weight, self.p, self.character)
+
     def blocks(self, max_weight: int) -> List[FunctionBlock]:
         if max_weight < 0:
             raise ParameterError("max_weight must be >= 0")
-        return [su2_block(m, self.p, self.character) for m in range(max_weight + 1)]
+        return [self.block(m) for m in range(max_weight + 1)]
 
     def nonempty_blocks(self, max_weight: int) -> List[FunctionBlock]:
         return [b for b in self.blocks(max_weight) if b.dim > 0]

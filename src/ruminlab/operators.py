@@ -9,9 +9,20 @@ orthonormal basis of the full degree-k space over the slot is
     (monomial / |monomial|)  (x)  (slot basis vector),
 
 with basis index  i * d + b  for monomial slot i and weight slot b; matrices
-built on the coframe factor alone are lifted with kron(fiber, I_d) and the
+built on the coframe factor alone are lifted to fiber (x) I_d by writing the
+fiber into the d diagonal slots of a zero (rows, d, cols, d) array, and the
 frame-field derivations enter as kron(wedge fiber, action matrix).  Dimensions
 and eigenvalue counts of the block are those on the slot times r.
+
+Set-up is cached at the level it depends on.  Fiber tables (monomial lists,
+Gram norms, the named fiber matrices and the per-field wedge fibers) depend on
+the frame alone and live in one table dict; an `Assembly` owns that dict and
+hands it to every block context it builds, so each table is computed once per
+assembly.  Full-space matrices (lifted fibers, d, d_0, d_T, d_b, L_T, ...)
+depend on the block and live in the context's own cache.  Every cached array
+is read-only: a caller that writes into one gets a ValueError instead of
+silently changing every later block that shares it.  Nothing is cached beyond
+the lifetime of the assembly or context that owns it.
 
 Graded subspaces (horizontal forms, bidegree components, the primitive and
 theta ^ ker L spaces of the Rumin complex) are carried as isometric embedding
@@ -25,7 +36,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -39,6 +50,12 @@ class StructuralError(RuntimeError):
 
 class InternalConsistencyError(RuntimeError):
     """An exact identity failed beyond rounding; indicates an assembly bug."""
+
+
+def _frozen(m: np.ndarray) -> np.ndarray:
+    """Mark a cached array read-only and return it."""
+    m.setflags(write=False)
+    return m
 
 
 def max_abs(m: np.ndarray) -> float:
@@ -159,9 +176,15 @@ def _range_basis_of_projector(p: np.ndarray, tol: float = 1e-10) -> np.ndarray:
 
 
 class BlockContext:
-    """Caches every operator of the calculus on one (frame, block) pair."""
+    """Caches every operator of the calculus on one (frame, block) pair.
 
-    def __init__(self, frame: FrameStructure, block: FunctionBlock):
+    `tables` is the dict of per-frame fiber tables; contexts that share one
+    (all contexts of an `Assembly`) compute each table once.  Without it the
+    context keeps private tables.  Block-dependent matrices are cached in the
+    context itself.
+    """
+
+    def __init__(self, frame: FrameStructure, block: FunctionBlock, tables: Optional[Dict] = None):
         if frame.n != 1:
             # the block models exist only for n = 1; the fiber layer is generic
             raise StructuralError("function blocks are only defined for n = 1 frames")
@@ -169,33 +192,41 @@ class BlockContext:
         self.block = block
         self.n = frame.n
         self.Dmax = frame.dim
+        self._tables: Dict = {} if tables is None else tables
+        if self._tables.setdefault("frame", frame) is not frame:
+            raise ValueError("fiber tables belong to another frame")
         self._cache: Dict = {}
-        # differentials of the complex coframe generators, from bracket constants
-        real_diffs = [frame.coframe_differential(a) for a in range(self.Dmax)]
-        self._dgen = {(0, 0): real_diffs[0]}
-        for i in range(1, self.n + 1):
-            de, df = real_diffs[2 * i - 1], real_diffs[2 * i]
-            self._dgen[(1, i)] = de + 1j * df
-            self._dgen[(2, i)] = de + (-1j) * df
-        self._rotgen = {g: ext.interior_reeb(dg) for g, dg in self._dgen.items()}
 
-    # -- fiber layer -----------------------------------------------------------
+    # -- fiber layer (per-frame tables) -------------------------------------------
+
+    def _generator_maps(self):
+        """d and i_T L_T on the complex coframe generators, from bracket constants."""
+        if "generators" not in self._tables:
+            real_diffs = [self.frame.coframe_differential(a) for a in range(self.Dmax)]
+            dgen = {(0, 0): real_diffs[0]}
+            for i in range(1, self.n + 1):
+                de, df = real_diffs[2 * i - 1], real_diffs[2 * i]
+                dgen[(1, i)] = de + 1j * df
+                dgen[(2, i)] = de + (-1j) * df
+            rotgen = {g: ext.interior_reeb(dg) for g, dg in dgen.items()}
+            self._tables["generators"] = (dgen, rotgen)
+        return self._tables["generators"]
 
     def mons(self, k: int) -> List[ext.CoframeIndex]:
         if k < 0 or k > self.Dmax:
             return []
         key = ("mons", k)
-        if key not in self._cache:
-            self._cache[key] = ext.monomials(self.n, k)
-        return self._cache[key]
+        if key not in self._tables:
+            self._tables[key] = ext.monomials(self.n, k)
+        return self._tables[key]
 
     def _norms(self, k: int) -> np.ndarray:
         key = ("norms", k)
-        if key not in self._cache:
-            self._cache[key] = np.array(
-                [math.sqrt(ext.gram_weight(ix)) for ix in self.mons(k)]
+        if key not in self._tables:
+            self._tables[key] = _frozen(
+                np.array([math.sqrt(ext.gram_weight(ix)) for ix in self.mons(k)])
             )
-        return self._cache[key]
+        return self._tables[key]
 
     def _monomial_from_gens(self, gens) -> ext.PointwiseForm:
         return ext.monomial(self.n, ext._index_from_generators(gens))
@@ -231,8 +262,8 @@ class BlockContext:
 
     def _fiber(self, name: str, k: int) -> np.ndarray:
         key = ("fiber", name, k)
-        if key in self._cache:
-            return self._cache[key]
+        if key in self._tables:
+            return self._tables[key]
         if name == "theta":
             m = self.fiber_matrix(ext.theta_wedge, k, k + 1)
         elif name == "iota":
@@ -250,21 +281,33 @@ class BlockContext:
         elif name == "horiz":
             m = np.diag([0.0 if ix.theta else 1.0 for ix in self.mons(k)]).astype(complex)
         elif name == "dmon":
+            dgen, _ = self._generator_maps()
             imgs = [
-                self._derivation_on_monomial(ix.generators(), self._dgen, parity=1)
+                self._derivation_on_monomial(ix.generators(), dgen, parity=1)
                 for ix in self.mons(k)
             ]
             m = self.fiber_matrix_from_images(imgs, k, k + 1)
         elif name == "rot":
+            _, rotgen = self._generator_maps()
             imgs = [
-                self._derivation_on_monomial(ix.generators(), self._rotgen, parity=0)
+                self._derivation_on_monomial(ix.generators(), rotgen, parity=0)
                 for ix in self.mons(k)
             ]
             m = self.fiber_matrix_from_images(imgs, k, k)
         else:
             raise KeyError(name)
-        self._cache[key] = m
+        self._tables[key] = _frozen(m)
         return m
+
+    def _wedge_fiber(self, a: int, k: int) -> np.ndarray:
+        """Fiber of wedging with the coframe form dual to frame field a."""
+        key = ("wedge", a, k)
+        if key not in self._tables:
+            alpha = ext.from_real(self.n, {(a,): 1})
+            self._tables[key] = _frozen(
+                self.fiber_matrix(lambda x: ext.wedge(alpha, x), k, k + 1)
+            )
+        return self._tables[key]
 
     def _fiber_selection(self, k: int, keep) -> np.ndarray:
         cols = [i for i, ix in enumerate(self.mons(k)) if keep(ix)]
@@ -282,7 +325,6 @@ class BlockContext:
         key = ("space", k, flavor)
         if key in self._cache:
             return self._cache[key]
-        d = self.block.slot_dim
         if flavor == "full":
             fib = np.eye(len(self.mons(k)), dtype=complex)
         elif flavor == "horizontal":
@@ -302,7 +344,7 @@ class BlockContext:
                 fib = self._fiber("theta", k - 1) @ kerl
         else:
             raise KeyError(f"unknown flavor {flavor!r}")
-        sp = GradedSpace(self.block.label, k, str(flavor), np.kron(fib, np.eye(d, dtype=complex)))
+        sp = GradedSpace(self.block.label, k, str(flavor), _frozen(self._lift(fib)))
         self._cache[key] = sp
         return sp
 
@@ -312,18 +354,29 @@ class BlockContext:
     # -- full-space operators (plain matrices in full coordinates) ----------------
 
     def _lift(self, fib: np.ndarray) -> np.ndarray:
-        return np.kron(fib, np.eye(self.block.slot_dim, dtype=complex))
+        """fib (x) I_d: fib written into the d diagonal slots of a zero array."""
+        d = self.block.slot_dim
+        rows, cols = fib.shape
+        out = np.zeros((rows, d, cols, d), dtype=complex)
+        diag = np.arange(d)
+        out[:, diag, :, diag] = fib
+        return out.reshape(rows * d, cols * d)
+
+    def lifted_fiber(self, name: str, k: int) -> np.ndarray:
+        """The fiber table `name` in degree k lifted to full coordinates."""
+        key = ("lift", name, k)
+        if key not in self._cache:
+            self._cache[key] = _frozen(self._lift(self._fiber(name, k)))
+        return self._cache[key]
 
     def d_full(self, k: int) -> np.ndarray:
         key = ("d", k)
         if key in self._cache:
             return self._cache[key]
-        d = self._lift(self._fiber("dmon", k))
+        d = self.lifted_fiber("dmon", k)
         for a, name in enumerate(self.frame.field_names):
-            alpha = ext.from_real(self.n, {(a,): 1})
-            wf = self.fiber_matrix(lambda x, al=alpha: ext.wedge(al, x), k, k + 1)
-            d = d + np.kron(wf, self.block.action(name))
-        self._cache[key] = d
+            d = d + np.kron(self._wedge_fiber(a, k), self.block.action(name))
+        self._cache[key] = _frozen(d)
         return d
 
     def lie_reeb_full(self, k: int) -> np.ndarray:
@@ -331,26 +384,36 @@ class BlockContext:
         if key in self._cache:
             return self._cache[key]
         m = np.kron(np.eye(len(self.mons(k)), dtype=complex), self.block.action("T"))
-        m = m + self._lift(self._fiber("rot", k))
-        self._cache[key] = m
+        m = m + self.lifted_fiber("rot", k)
+        self._cache[key] = _frozen(m)
         return m
 
     def d0_full(self, k: int) -> np.ndarray:
-        if k == 0:
-            return np.zeros((self.full_dim(1), self.full_dim(0)), dtype=complex)
-        return self._lift(self._fiber("lef", k - 1) @ self._fiber("iota", k))
+        key = ("d0", k)
+        if key not in self._cache:
+            if k == 0:
+                m = np.zeros((self.full_dim(1), self.full_dim(0)), dtype=complex)
+            else:
+                m = self._lift(self._fiber("lef", k - 1) @ self._fiber("iota", k))
+            self._cache[key] = _frozen(m)
+        return self._cache[key]
 
     def dT_full(self, k: int) -> np.ndarray:
-        return self._lift(self._fiber("theta", k)) @ self.lie_reeb_full(k) @ self._lift(
-            self._fiber("horiz", k)
-        )
+        key = ("dT", k)
+        if key not in self._cache:
+            m = self.lifted_fiber("theta", k) @ self.lie_reeb_full(k) @ self.lifted_fiber("horiz", k)
+            self._cache[key] = _frozen(m)
+        return self._cache[key]
 
     def db_full(self, k: int) -> np.ndarray:
-        return self.d_full(k) - self.d0_full(k) - self.dT_full(k)
+        key = ("db", k)
+        if key not in self._cache:
+            self._cache[key] = _frozen(self.d_full(k) - self.d0_full(k) - self.dT_full(k))
+        return self._cache[key]
 
     def db_direct_full(self, k: int) -> np.ndarray:
         """d_b from its definition, for cross-checking d = d_0 + d_b + d_T."""
-        ph = self._lift(self._fiber("horiz", k))
+        ph = self.lifted_fiber("horiz", k)
         strip = np.eye(self.full_dim(k + 1), dtype=complex) - self._lift(
             self._fiber("theta", k) @ self._fiber("iota", k + 1)
         )
@@ -360,10 +423,8 @@ class BlockContext:
             strip_lo = np.eye(self.full_dim(k), dtype=complex) - self._lift(
                 self._fiber("theta", k - 1) @ self._fiber("iota", k)
             )
-            db_lower = strip_lo @ self.d_full(k - 1) @ self._lift(self._fiber("horiz", k - 1))
-            out = out - self._lift(self._fiber("theta", k)) @ db_lower @ self._lift(
-                self._fiber("iota", k)
-            )
+            db_lower = strip_lo @ self.d_full(k - 1) @ self.lifted_fiber("horiz", k - 1)
+            out = out - self.lifted_fiber("theta", k) @ db_lower @ self.lifted_fiber("iota", k)
         return out
 
     def dt_full(self, k: int, t: float) -> np.ndarray:
@@ -382,7 +443,7 @@ class BlockContext:
         key = ("del", k, anti)
         if key in self._cache:
             return self._cache[key]
-        db = self.db_full(k) @ self._lift(self._fiber("horiz", k))
+        db = self.db_full(k) @ self.lifted_fiber("horiz", k)
         out = np.zeros_like(db)
         covered = np.zeros_like(db)
         for i in range(0, k + 1):
@@ -396,7 +457,7 @@ class BlockContext:
             covered = covered + (tgt + other) @ db @ src
         if max_abs(covered - db) > tol:
             raise StructuralError("d_b has bidegree components beyond (1,0)+(0,1); frame is not Sasakian")
-        self._cache[key] = out
+        self._cache[key] = _frozen(out)
         return out
 
     # -- public operators between graded spaces -----------------------------------
@@ -417,19 +478,19 @@ class BlockContext:
         if name == "lie_reeb":
             return BlockOperator(full(k), full(k), self.lie_reeb_full(k))
         if name == "theta_wedge":
-            return BlockOperator(full(k), full(k + 1), self._lift(self._fiber("theta", k)))
+            return BlockOperator(full(k), full(k + 1), self.lifted_fiber("theta", k))
         if name == "interior_reeb":
-            return BlockOperator(full(k), full(k - 1), self._lift(self._fiber("iota", k)))
+            return BlockOperator(full(k), full(k - 1), self.lifted_fiber("iota", k))
         if name == "lefschetz":
-            return BlockOperator(full(k), full(k + 2), self._lift(self._fiber("lef", k)))
+            return BlockOperator(full(k), full(k + 2), self.lifted_fiber("lef", k))
         if name == "lefschetz_trace":
-            return BlockOperator(full(k), full(k - 2), self._lift(self._fiber("lam", k)))
+            return BlockOperator(full(k), full(k - 2), self.lifted_fiber("lam", k))
         if name == "star":
-            return BlockOperator(full(k), full(self.Dmax - k), self._lift(self._fiber("star", k)))
+            return BlockOperator(full(k), full(self.Dmax - k), self.lifted_fiber("star", k))
         if name == "complex_structure":
-            return BlockOperator(full(k), full(k), self._lift(self._fiber("jact", k)))
+            return BlockOperator(full(k), full(k), self.lifted_fiber("jact", k))
         if name == "primitive_projection":
-            return BlockOperator(full(k), full(k), self._lift(self._fiber("prim", k)))
+            return BlockOperator(full(k), full(k), self.lifted_fiber("prim", k))
         raise KeyError(name)
 
     def rumin_space(self, k: int) -> GradedSpace:
@@ -448,7 +509,7 @@ class BlockContext:
         key = ("D", variant)
         if key in self._cache:
             return self._cache[key]
-        th = self._lift(self._fiber("theta", n))
+        th = self.lifted_fiber("theta", n)
         if variant == "factored":
             hsel_lo = self._fiber_selection(n - 1, lambda ix: not ix.theta)
             hsel_hi = self._fiber_selection(n + 1, lambda ix: not ix.theta)
@@ -468,6 +529,7 @@ class BlockContext:
         if resid > 1e-10:
             raise InternalConsistencyError(f"middle operator leaves its target space ({resid:.2e})")
         op = self.compress(mat, src, tgt)
+        _frozen(op.matrix)
         self._cache[key] = op
         return op
 
@@ -483,6 +545,7 @@ class BlockContext:
             op = self.compress(self.d_full(k), self.rumin_space(k), self.rumin_space(k + 1))
             if rescaled:
                 op = rescale_coefficient(n, k) * op
+        _frozen(op.matrix)
         self._cache[key] = op
         return op
 
@@ -505,6 +568,7 @@ class BlockContext:
             op = self.compress(mat, self.rumin_space(n), self.horizontal_space(n + 1))
         else:
             raise KeyError("holomorphic splitting lives in degrees <= n")
+        _frozen(op.matrix)
         self._cache[key] = op
         return op
 
@@ -539,6 +603,7 @@ class BlockContext:
             dmid = self.middle_operator().matrix
             mat = mat + dmid @ dmid.conj().T
         op = BlockOperator(sp, sp, hermitize(mat, 1e-9, "Rumin Laplacian"))
+        _frozen(op.matrix)
         self._cache[key] = op
         return op
 
@@ -555,6 +620,7 @@ class BlockContext:
             down = self.d_full(k - 1)
             mat = mat + down @ down.conj().T
         op = BlockOperator(sp, sp, hermitize(mat, 1e-9, "Hodge-de Rham Laplacian"))
+        _frozen(op.matrix)
         self._cache[key] = op
         return op
 
@@ -603,7 +669,7 @@ class BlockContext:
     def rumin_star(self, k: int) -> BlockOperator:
         """Hodge star between complementary Rumin spaces."""
         src, tgt = self.rumin_space(k), self.rumin_space(self.Dmax - k)
-        mat = self._lift(self._fiber("star", k))
+        mat = self.lifted_fiber("star", k)
         resid = max_abs(mat @ src.embed - tgt.embed @ (tgt.embed.conj().T @ mat @ src.embed))
         if resid > 1e-10:
             raise InternalConsistencyError("star does not map the Rumin space to its mirror")

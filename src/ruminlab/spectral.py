@@ -38,13 +38,18 @@ KERNEL_RELATIVE_TOL = 1e-9
 
 
 class Assembly:
-    """All nonempty block contexts of a model up to a weight cutoff."""
+    """All nonempty block contexts of a model up to a weight cutoff.
+
+    The assembly owns the per-frame fiber tables and shares them with every
+    context it builds, the cutoff probe's contexts included.
+    """
 
     def __init__(self, model: ModelManifold, max_weight: int):
         self.model = model
         self.max_weight = max_weight
+        self._tables: Dict = {}
         self.contexts: List[BlockContext] = [
-            BlockContext(model.frame, b)
+            BlockContext(model.frame, b, self._tables)
             for b in model.blocks(max_weight)
             if b.dim > 0
         ]
@@ -67,9 +72,9 @@ class Assembly:
         found = 0
         m = self.max_weight + 1
         while found < probe and m <= self.max_weight + 2 * self.model.p + probe:
-            blocks = [b for b in self.model.blocks(m) if b.weight == m and b.dim > 0]
-            for b in blocks:
-                ctx = BlockContext(self.model.frame, b)
+            b = self.model.block(m)
+            if b.dim > 0:
+                ctx = BlockContext(self.model.frame, b, self._tables)
                 for k in self.degrees:
                     w = np.linalg.eigvalsh(ctx.laplacian_rn(k).matrix)
                     pos = w[w > 1e-9]
@@ -449,7 +454,7 @@ def _horizontal_lefschetz(ctx: BlockContext, k: int) -> np.ndarray:
     if k < 0 or k + 2 > 2 * ctx.n:
         return np.zeros((_hdim(ctx, k + 2), _hdim(ctx, k)), dtype=complex)
     return ctx.compress(
-        ctx._lift(ctx._fiber("lef", k)), ctx.horizontal_space(k), ctx.horizontal_space(k + 2)
+        ctx.lifted_fiber("lef", k), ctx.horizontal_space(k), ctx.horizontal_space(k + 2)
     ).matrix
 
 
@@ -536,7 +541,7 @@ def verify_hodge_block_matrix(asm: Assembly, tol: float = 1e-12) -> Verification
                 top = ctx.laplacian_b(k).matrix - lt @ lt + lam @ lam.conj().T
                 approx += eh @ top @ eh.conj().T
             if k >= 1:
-                ev = ctx._lift(ctx._fiber("theta", k - 1)) @ ctx.horizontal_space(k - 1).embed
+                ev = ctx.lifted_fiber("theta", k - 1) @ ctx.horizontal_space(k - 1).embed
                 if ev.shape[1]:
                     lt = ctx.compress(
                         ctx.lie_reeb_full(k - 1), ctx.horizontal_space(k - 1), ctx.horizontal_space(k - 1)
@@ -598,7 +603,7 @@ def verify_kernel_coincidence(asm: Assembly, angle_tol: float = 1e-8, tol: float
                 db = ctx.db_full(k)
                 db_dn = ctx.db_full(k - 1) if k >= 1 else None
                 report.add(f"step_db_adjoint[{lbl}]k={k}", max_abs(db_dn.conj().T @ phi) if db_dn is not None else 0.0, tol)
-                lam_next = ctx._lift(ctx._fiber("lam", k + 1))
+                lam_next = ctx.lifted_fiber("lam", k + 1)
                 report.add(f"step_trace_db[{lbl}]k={k}", max_abs(lam_next @ db @ phi), tol)
                 lap_b = ctx.laplacian_b(k).matrix
                 hcoords = ctx.horizontal_space(k).embed.conj().T @ phi
@@ -634,12 +639,12 @@ def verify_primitivity(asm: Assembly, tol: float = 1e-10) -> VerificationReport:
                 continue
             phi = ker.vectors
             if k <= n:
-                report.add(f"interior_reeb_vanishes[{lbl}]k={k}", max_abs(ctx._lift(ctx._fiber("iota", k)) @ phi), tol)
-                report.add(f"trace_vanishes[{lbl}]k={k}", max_abs(ctx._lift(ctx._fiber("lam", k)) @ phi), tol)
+                report.add(f"interior_reeb_vanishes[{lbl}]k={k}", max_abs(ctx.lifted_fiber("iota", k) @ phi), tol)
+                report.add(f"trace_vanishes[{lbl}]k={k}", max_abs(ctx.lifted_fiber("lam", k) @ phi), tol)
             if k >= n + 1:
-                report.add(f"theta_wedge_vanishes[{lbl}]k={k}", max_abs(ctx._lift(ctx._fiber("theta", k)) @ phi), tol)
-                report.add(f"lefschetz_vanishes[{lbl}]k={k}", max_abs(ctx._lift(ctx._fiber("lef", k)) @ phi), tol)
-            jphi = ctx._lift(ctx._fiber("jact", k)) @ phi
+                report.add(f"theta_wedge_vanishes[{lbl}]k={k}", max_abs(ctx.lifted_fiber("theta", k) @ phi), tol)
+                report.add(f"lefschetz_vanishes[{lbl}]k={k}", max_abs(ctx.lifted_fiber("lef", k) @ phi), tol)
+            jphi = ctx.lifted_fiber("jact", k) @ phi
             lap = ctx.laplacian_de_rham(k).matrix
             report.add(f"j_preserves_harmonics[{lbl}]k={k}", max_abs(lap @ jphi), tol)
             # Frobenius norms over the r copies of the slot carry a factor sqrt(r)

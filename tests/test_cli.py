@@ -208,6 +208,26 @@ def test_config_values_of_wrong_type_exit_2(tmp_path, capsys, doc):
     assert out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--suite", "cor3", "--t-samples", ","),
+        ("verify", "--suite", "cor3", "--t-samples", "nan"),
+        ("spectrum", "--op", "delta-t", "--t-samples", "inf"),
+        ("verify", "--suite", "thm5", "--s-grid", "2,inf"),
+        ("verify", "--suite", "sec4", "--tol", "nan"),
+        ("verify", "--suite", "sec4", "--tol", "inf"),
+        ("verify", "--suite", "sec4", "--tol=-1e-10"),
+    ],
+    ids=["empty-t-samples", "nan-t-samples", "inf-t-samples", "inf-s-grid", "nan-tol", "inf-tol",
+         "negative-tol"],
+)
+def test_non_finite_or_empty_inputs_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--model", "s3", "--max-weight", "1")
+    assert code == 2
+    assert out == "" and err.startswith("error:")
+
+
 def test_run_config_validation():
     with pytest.raises(UsageError):
         RunConfig(model="torus").validate()
