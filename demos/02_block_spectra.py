@@ -9,6 +9,12 @@ below count all copies.  The
 tables show the simultaneous eigenvalues (lambda10, lambda01) of the two half
 Laplacians in degree 0 and the Reeb eigenvalue nu everywhere; in degree 0 the
 eigenvalue always equals (lambda10 + lambda01)^2.
+
+The degree-1 rows come from `_sequential_joint_eigenspaces(lap, i L_T, tol)`,
+the one routine behind every joint (Delta, i L_T) eigenspace: i L_T is
+diagonal in the block basis, so the routine diagonalizes the Laplacian inside
+each Reeb sector (basis vectors sharing one Reeb eigenvalue tau = -nu), and nu
+is an exact integer.
 """
 
 import numpy as np
@@ -40,7 +46,8 @@ for ctx in asm.contexts:
     lap = hermitize(ctx.laplacian_rn(1).matrix, 1e-9)
     ilt = hermitize(1j * ctx.lie_reeb_rumin(1).matrix, 1e-9)
     for delta, tau, basis in _sequential_joint_eigenspaces(lap, ilt, 1e-9):
-        print(f"{ctx.block.label:>6} {max(delta, 0.0):11.6f} {-tau:7.2f} {ctx.block.multiplicity * basis.shape[1]:5d}")
+        nu = 0.0 - tau  # never -0.0
+        print(f"{ctx.block.label:>6} {max(delta, 0.0):11.6f} {nu:7.2f} {ctx.block.multiplicity * basis.shape[1]:5d}")
 
 print()
 print("mirror symmetry: the star operator pairs degrees k and 3-k")

@@ -21,7 +21,6 @@ from .spectral import (
     SpectrumEntry,
     SpectrumTable,
     VerificationReport,
-    q_decomposition,
     verify_complex_property,
     verify_eigenvalue_identity,
     verify_deformation_family,
@@ -31,6 +30,7 @@ from .spectral import (
     verify_primitivity,
     verify_sasakian_identities,
     verify_star_symmetry,
+    _half_laplacian_pairs,
     _sequential_joint_eigenspaces,
 )
 from .operators import hermitize
@@ -79,6 +79,10 @@ class RunConfig:
                 raise UsageError(f"{name.replace('_', '-')} must be finite, not {value!r}")
         if not self.t_samples:
             raise UsageError("t-samples must not be empty")
+        if not self.s_grid:
+            raise UsageError("s-grid must not be empty")
+        if not all(2.0 <= s <= 6.0 for s in self.s_grid):
+            raise UsageError("s-grid values must lie in [2, 6]")
         if self.tol is not None and not (_is_number(self.tol) and math.isfinite(self.tol) and self.tol >= 0):
             raise UsageError(f"tol must be a finite number >= 0, not {self.tol!r}")
         if self.model not in ("s3", "lens"):
@@ -175,27 +179,7 @@ def _bidegree_tag(ctx, degree: int, embed, basis, tol: float = 1e-9) -> Optional
 
 def _spectrum_entries(asm: Assembly, op: str, degree: int, t: float) -> List[SpectrumEntry]:
     entries: List[SpectrumEntry] = []
-    n = asm.n
     for ctx in asm.contexts:
-        lbl = ctx.block.label
-        if op == "delta-rn" and degree <= n - 1:
-            lap = ctx.laplacian_rn(degree).matrix
-            embed = ctx.rumin_space(degree).embed
-            for cpt in q_decomposition(ctx, degree):
-                ray = float(np.real(np.mean(np.diag(cpt.basis.conj().T @ lap @ cpt.basis))))
-                entries.append(
-                    SpectrumEntry(
-                        degree,
-                        lbl,
-                        ray,
-                        ctx.block.multiplicity * cpt.dim,
-                        nu=cpt.lambda10 - cpt.lambda01,
-                        lambda10=cpt.lambda10,
-                        lambda01=cpt.lambda01,
-                        bidegree=_bidegree_tag(ctx, degree, embed, cpt.basis),
-                    )
-                )
-            continue
         if op == "delta-rn":
             lap = ctx.laplacian_rn(degree).matrix
             ilt = 1j * ctx.lie_reeb_rumin(degree).matrix
@@ -215,16 +199,19 @@ def _spectrum_entries(asm: Assembly, op: str, degree: int, t: float) -> List[Spe
             embed = sp.embed
         else:
             raise UsageError(f"unknown operator {op!r}")
-        for delta, tau, basis in _sequential_joint_eigenspaces(
-            hermitize(lap, 1e-9), hermitize(ilt, 1e-9), 1e-9
-        ):
+        comps = _sequential_joint_eigenspaces(hermitize(lap, 1e-9), hermitize(ilt, 1e-9), 1e-9)
+        below = op == "delta-rn" and degree <= asm.n - 1  # Rumin rows there carry the half-Laplacian pair
+        tags = _half_laplacian_pairs(ctx, degree, [b for *_, b in comps]) if below else [(None, None)] * len(comps)
+        for (delta, tau, basis), (l10, l01) in zip(comps, tags):
             entries.append(
                 SpectrumEntry(
                     degree,
-                    lbl,
+                    ctx.block.label,
                     max(delta, 0.0),
                     ctx.block.multiplicity * basis.shape[1],
-                    nu=-tau,
+                    nu=0.0 - tau,  # L_T acts by i*nu; never -0.0
+                    lambda10=l10,
+                    lambda01=l01,
                     bidegree=_bidegree_tag(ctx, degree, embed, basis),
                 )
             )
@@ -283,8 +270,7 @@ def run_suite(asm: Assembly, suite: str, cfg: RunConfig) -> VerificationReport:
         report.extend(verify_hodge_block_matrix(asm, tol=residual_tol(1e-12)))
         report.extend(verify_star_symmetry(asm, tol=residual_tol(1e-10)))
     if suite in ("thm5", "all"):
-        grid = [s for s in cfg.s_grid if s >= 2.0] or [2.0, 3.0, 4.0]
-        report.extend(torsion_mod.reeb_decomposition(asm, s_grid=grid).checks)
+        report.extend(torsion_mod.reeb_decomposition(asm, s_grid=cfg.s_grid).checks)
     report.checks.sort(key=lambda c: c.name)
     return report
 
@@ -310,9 +296,6 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_torsion(cfg: RunConfig) -> int:
-    for s in cfg.s_grid:
-        if not 2.0 <= s <= 6.0:
-            raise UsageError("s-grid values must lie in [2, 6]")
     model = cfg.build_model()
     asm = Assembly(model, cfg.max_weight)
     report = torsion_mod.reeb_decomposition(asm, s_grid=cfg.s_grid)

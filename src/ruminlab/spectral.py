@@ -5,6 +5,11 @@ is the exact spectrum below the smallest eigenvalue of the omitted blocks
 (the cutoff is reported alongside every table).  All verifications reduce to
 residual norms of matrix identities and to subspace comparisons through
 principal angles, with one report entry per named check.
+
+Joint (Delta, i L_T) eigenspaces come from one routine,
+`_sequential_joint_eigenspaces`: i L_T is diagonal with integer entries in the
+block basis, so a Laplacian, which commutes with it, is diagonalized inside
+each Reeb sector (basis vectors sharing one Reeb eigenvalue).
 """
 
 from __future__ import annotations
@@ -295,36 +300,55 @@ class QComponent:
 
 
 def _sequential_joint_eigenspaces(a: np.ndarray, b: np.ndarray, tol: float):
-    comps = []
-    wa, qa = np.linalg.eigh(a)
-    scale_a = max(1.0, float(np.max(np.abs(wa))) if wa.size else 1.0)
-    i = 0
-    while i < wa.size:
-        j = i
-        while j + 1 < wa.size and wa[j + 1] - wa[i] <= tol * scale_a:
-            j += 1
-        qa_block = qa[:, i : j + 1]
-        m = hermitize(qa_block.conj().T @ b @ qa_block, 1e-9)
-        wb, qb = np.linalg.eigh(m)
-        scale_b = max(1.0, float(np.max(np.abs(wb))) if wb.size else 1.0)
-        p = 0
-        while p < wb.size:
-            q = p
-            while q + 1 < wb.size and wb[q + 1] - wb[p] <= tol * scale_b:
-                q += 1
-            comps.append(
-                (float(np.mean(wa[i : j + 1])), float(np.mean(wb[p : q + 1])), qa_block @ qb[:, p : q + 1])
-            )
-            p = q + 1
-        i = j + 1
-    return comps
+    """Joint eigenspaces of a Hermitian `a` and the Reeb operator `b` = i L_T.
+
+    `b` is diagonal in the block basis.  A Reeb sector is the set of basis
+    vectors sharing one diagonal value tau; `a` commutes with `b`, so it is
+    block diagonal over the sectors and is diagonalized sector by sector, with
+    one stacked `eigh` per sector size.  Returns (Delta, tau, basis) ordered by
+    Delta cluster (Delta is the cluster mean over all sectors), then by tau.
+    """
+    dim = a.shape[0]
+    tau = np.real(np.diag(b))
+    off = max_abs(b - np.diag(np.diag(b)))
+    if off > tol:
+        raise InternalConsistencyError(f"Reeb operator is not diagonal (off-diagonal {off:.3e})")
+    comm = max_abs(a * (tau[None, :] - tau[:, None]))  # entrywise [a, diag(tau)]
+    if comm > 1e-9 * max(1.0, max_abs(a)):
+        raise InternalConsistencyError(f"operator does not commute with the Reeb derivative ({comm:.3e})")
+    if dim == 0:
+        return []
+    by_tau = np.argsort(tau, kind="stable")
+    ascending = tau[by_tau]
+    starts = np.flatnonzero(np.append(True, ascending[1:] - ascending[:-1] > tol * max(1.0, max_abs(tau))))
+    sizes = np.append(starts[1:], dim) - starts  # sector i is by_tau[starts[i]:][:sizes[i]]
+    # column c of vecs is an eigenvector of `a` in one sector, with eigenvalue vals[c]
+    vals, taus = np.empty(dim), np.empty(dim)
+    vecs = np.zeros((dim, dim), dtype=np.result_type(a, complex))
+    col = 0
+    for size in sorted(set(sizes.tolist())):
+        idx = by_tau[starts[sizes == size][:, None] + np.arange(size)]  # (sectors, size)
+        w, q = np.linalg.eigh(a[idx[:, :, None], idx[:, None, :]])
+        cols = np.arange(col, col + idx.size).reshape(idx.shape)
+        vecs[idx[:, :, None], cols[:, None, :]] = q
+        vals[cols], taus[cols] = w, np.mean(tau[idx], axis=1)[:, None]
+        col += idx.size
+    by_val = np.argsort(vals, kind="stable")
+    clusters = util.cluster_values(vals[by_val], tol * max(1.0, max_abs(vals)))
+    cluster = np.empty(dim, dtype=int)
+    cluster[by_val] = np.repeat(np.arange(len(clusters)), [count for _, count in clusters])
+    # one component per (Delta cluster, sector) pair, as a run of columns
+    order = np.lexsort((taus, cluster))
+    c, t, vecs = cluster[order], taus[order], vecs[:, order]
+    bounds = [0, *(np.flatnonzero((c[1:] != c[:-1]) | (t[1:] != t[:-1])) + 1).tolist(), dim]
+    return [(float(clusters[c[lo]][0]), float(t[lo]), vecs[:, lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def q_decomposition(ctx: BlockContext, k: int, tol: float = 1e-9) -> List[QComponent]:
-    """Simultaneous eigenspaces of the two half Laplacians on the degree-k Rumin space.
+def _half_laplacian_pairs(ctx: BlockContext, k: int, bases: Sequence[np.ndarray], tol: float = 1e-9):
+    """(lambda10, lambda01) on each joint (Delta, i L_T) eigenspace below the middle degree.
 
-    Diagonalizes the generic combination A + sqrt(2) B and falls back to
-    sequential block diagonalization if an eigenvalue collision is detected.
+    There sqrt(Delta) and i L_T are the sum and difference of the two half
+    Laplacians, which must act on each space as their Rayleigh quotients.
     """
     if k > ctx.n - 1:
         raise ValueError("the simultaneous decomposition is defined below middle degree")
@@ -336,36 +360,28 @@ def q_decomposition(ctx: BlockContext, k: int, tol: float = 1e-9) -> List[QCompo
         raise InternalConsistencyError(
             f"half Laplacians do not commute (residual {comm:.3e}); cannot decompose"
         )
-    c = math.sqrt(2.0)
-    w, q = np.linalg.eigh(a + c * b)
-    comps = []
-    ok = True
-    i = 0
-    while i < w.size:
-        j = i
-        while j + 1 < w.size and w[j + 1] - w[i] <= tol * scale:
-            j += 1
-        basis = q[:, i : j + 1]
-        l10 = float(np.mean(np.real(np.diag(basis.conj().T @ a @ basis))))
-        l01 = float(np.mean(np.real(np.diag(basis.conj().T @ b @ basis))))
-        if (
-            max_abs(a @ basis - l10 * basis) > 10 * tol * scale
-            or max_abs(b @ basis - l01 * basis) > 10 * tol * scale
-        ):
-            ok = False
-            break
-        comps.append((l10, l01, basis))
-        i = j + 1
-    if not ok:
-        comps = _sequential_joint_eigenspaces(a, b, tol)
-    out = [
-        QComponent(util.round_sig(max(l10, 0.0)), util.round_sig(max(l01, 0.0)), basis)
-        for l10, l01, basis in comps
-    ]
-    total = sum(cpt.dim for cpt in out)
-    if total != ctx.rumin_space(k).dim:
+    counts = [basis.shape[1] for basis in bases]
+    if sum(counts) != ctx.rumin_space(k).dim:
         raise InternalConsistencyError("simultaneous eigenspaces do not exhaust the space")
-    return out
+    basis = np.hstack(bases)
+    starts = np.cumsum([0] + counts[:-1])
+    pairs = []
+    for m in (a, b):
+        image = m @ basis
+        ray = np.add.reduceat(np.real(np.sum(basis.conj() * image, axis=0)), starts) / counts
+        if max_abs(image - basis * np.repeat(ray, counts)) > 10 * tol * scale:
+            raise InternalConsistencyError("half Laplacians are not scalar on a joint eigenspace")
+        pairs.append(ray)
+    return [(util.round_sig(max(l10, 0.0)), util.round_sig(max(l01, 0.0))) for l10, l01 in zip(*pairs)]
+
+
+def q_decomposition(ctx: BlockContext, k: int, tol: float = 1e-9) -> List[QComponent]:
+    """Simultaneous eigenspaces of the two half Laplacians on the degree-k Rumin space."""
+    lap = hermitize(ctx.laplacian_rn(k).matrix, 1e-9)
+    ilt = hermitize(1j * ctx.lie_reeb_rumin(k).matrix, 1e-9)
+    bases = [basis for _, _, basis in _sequential_joint_eigenspaces(lap, ilt, tol)]
+    pairs = _half_laplacian_pairs(ctx, k, bases, tol)
+    return [QComponent(l10, l01, basis) for (l10, l01), basis in zip(pairs, bases)]
 
 
 # -- cohomology rank oracles ----------------------------------------------------

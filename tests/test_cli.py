@@ -119,6 +119,22 @@ def test_verify_unknown_suite_rejected(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "model", [("--model", "s3"), ("--model", "lens", "--p", "3", "--character", "1")], ids=["s3", "lens3-1"]
+)
+def test_reeb_eigenvalues_print_as_exact_integers(capsys, model):
+    printed = []
+    for op in ("delta-rn", "delta-dr", "delta-t", "delta-b"):
+        code, out, _ = run_cli(capsys, "spectrum", "--op", op, "--max-weight", "6", "--format", "json", *model)
+        assert code == 0
+        printed += [e["nu"] for e in json.loads(out)["entries"]]
+    code, out, _ = run_cli(capsys, "torsion", "--max-weight", "6", "--format", "csv", *model)
+    assert code == 0
+    printed += [row[4] for row in list(csv.reader(io.StringIO(out)))[1:]]
+    # exact integers, and zero never prints as -0
+    assert printed and all(v == str(int(float(v))) for v in printed)
+
+
 # -- torsion ----------------------------------------------------------------------
 
 
@@ -218,9 +234,12 @@ def test_config_values_of_wrong_type_exit_2(tmp_path, capsys, doc):
         ("verify", "--suite", "sec4", "--tol", "nan"),
         ("verify", "--suite", "sec4", "--tol", "inf"),
         ("verify", "--suite", "sec4", "--tol=-1e-10"),
+        ("verify", "--suite", "thm5", "--s-grid", "1.5,9"),
+        ("verify", "--suite", "thm5", "--s-grid", ","),
+        ("torsion", "--s-grid", ","),
     ],
     ids=["empty-t-samples", "nan-t-samples", "inf-t-samples", "inf-s-grid", "nan-tol", "inf-tol",
-         "negative-tol"],
+         "negative-tol", "out-of-range-s-grid-verify", "empty-s-grid-verify", "empty-s-grid-torsion"],
 )
 def test_non_finite_or_empty_inputs_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv, "--model", "s3", "--max-weight", "1")

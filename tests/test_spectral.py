@@ -148,15 +148,63 @@ def test_q_decomposition_zero_component_is_kernel(s3_contexts):
     assert principal_sines(c.basis, ker.vectors) <= 1e-10
 
 
-def test_q_decomposition_matches_sequential_fallback(s3_contexts):
-    ctx = s3_contexts[3]
-    a = hermitize(ctx.rumin_del_laplacian(0).matrix, 1e-9)
-    b = hermitize(ctx.rumin_del_laplacian(0, anti=True).matrix, 1e-9)
-    comps = q_decomposition(ctx, 0)
-    seq = _sequential_joint_eigenspaces(a, b, 1e-9)
-    got = sorted((round(c.lambda10, 9), round(c.lambda01, 9), c.dim) for c in comps)
-    want = sorted((round(l10, 9), round(l01, 9), basis.shape[1]) for l10, l01, basis in seq)
-    assert got == want
+def test_q_decomposition_degree_zero_is_kohn_spectrum(s3):
+    # Folland's Kohn spectrum: on weight m the slot (p, q), p + q = m, carries
+    # (lambda10, lambda01) = (q(p+1), p(q+1)) and Delta = (2pq + m)^2
+    for ctx in Assembly(s3, 8).contexts:
+        m = ctx.block.weight
+        lap = ctx.laplacian_rn(0).matrix
+        expected = {
+            (float((m - p) * (p + 1)), float(p * (m - p + 1))): (2 * p * (m - p) + m) ** 2
+            for p in range(m + 1)
+        }
+        comps = q_decomposition(ctx, 0)
+        assert sorted((c.lambda10, c.lambda01) for c in comps) == sorted(expected)
+        for c in comps:
+            delta = expected[(c.lambda10, c.lambda01)]
+            assert c.dim == 1
+            assert max_abs(lap @ c.basis - delta * c.basis) <= 1e-12 * max(1.0, delta)
+
+
+def _reeb_pair(ctx, k):
+    lap = hermitize(ctx.laplacian_rn(k).matrix, 1e-9)
+    ilt = hermitize(1j * ctx.lie_reeb_rumin(k).matrix, 1e-9)
+    return lap, ilt
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_joint_eigenspaces_split_reeb_sectors(s3_contexts, k):
+    lap, ilt = _reeb_pair(s3_contexts[3], k)
+    comps = _sequential_joint_eigenspaces(lap, ilt, 1e-9)
+    basis = np.hstack([b for _, _, b in comps])
+    assert np.allclose(basis.conj().T @ basis, np.eye(lap.shape[0]), atol=1e-12)
+    for delta, tau, b in comps:
+        assert tau == round(tau)  # Reeb eigenvalues are exact integers
+        assert max_abs(lap @ b - delta * b) <= 1e-9 * max(1.0, delta)
+        assert max_abs(ilt @ b - tau * b) == 0.0
+    # ordered by Delta cluster, then by tau
+    keys = [(delta, tau) for delta, tau, _ in comps]
+    assert keys == sorted(keys)
+
+
+def test_joint_eigenspaces_reject_non_diagonal_reeb_operator(s3_contexts):
+    lap, ilt = _reeb_pair(s3_contexts[3], 1)
+    ilt = ilt.copy()
+    ilt[0, 1] = ilt[1, 0] = 1e-6
+    with pytest.raises(InternalConsistencyError, match="not diagonal"):
+        _sequential_joint_eigenspaces(lap, ilt, 1e-9)
+
+
+def test_joint_eigenspaces_reject_cross_sector_entry(s3_contexts):
+    lap, ilt = _reeb_pair(s3_contexts[3], 1)
+    tau = np.real(np.diag(ilt))
+    i, j = next((i, j) for i in range(tau.size) for j in range(tau.size) if tau[i] != tau[j])
+    lap = lap.copy()
+    eps = 1e-6 * max(1.0, max_abs(lap))
+    lap[i, j] += eps
+    lap[j, i] += eps
+    with pytest.raises(InternalConsistencyError, match="commute"):
+        _sequential_joint_eigenspaces(lap, ilt, 1e-9)
 
 
 def test_q_decomposition_rejects_middle_degree(s3_contexts):
