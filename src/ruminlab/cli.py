@@ -30,7 +30,8 @@ from .spectral import (
     verify_primitivity,
     verify_sasakian_identities,
     verify_star_symmetry,
-    _half_laplacian_pairs,
+    q_decomposition,
+    rumin_joint_eigenspaces,
     _sequential_joint_eigenspaces,
 )
 from .operators import hermitize
@@ -152,26 +153,14 @@ def _emit(text: str, out: Optional[str]):
 
 def _bidegree_tag(ctx, degree: int, embed, basis, tol: float = 1e-9) -> Optional[str]:
     """Label of the bidegree component containing the eigenspace, if any."""
-    full = embed @ basis
-    total = float(np.sum(np.abs(full) ** 2))
+    weight = np.abs(embed @ basis) ** 2
+    total = float(np.sum(weight))
     if total <= tol:
         return None
-    d = ctx.block.slot_dim
     for vert in (False, True):
         for i in range(0, degree - int(vert) + 1):
             j = degree - int(vert) - i
-            if j < 0:
-                continue
-            mask = np.repeat(
-                np.array(
-                    [
-                        1.0 if (ix.theta == vert and len(ix.holo) == i and len(ix.anti) == j) else 0.0
-                        for ix in ctx.mons(degree)
-                    ]
-                ),
-                d,
-            )
-            mass = float(np.sum((np.abs(full) ** 2) * mask[:, None]))
+            mass = float(np.sum(weight * ctx.bidegree_mask(degree, i, j, vert)[:, None]))
             if mass >= (1.0 - tol) * total:
                 return f"theta^({i},{j})" if vert else f"({i},{j})"
     return None
@@ -180,10 +169,12 @@ def _bidegree_tag(ctx, degree: int, embed, basis, tol: float = 1e-9) -> Optional
 def _spectrum_entries(asm: Assembly, op: str, degree: int, t: float) -> List[SpectrumEntry]:
     entries: List[SpectrumEntry] = []
     for ctx in asm.contexts:
+        tags = None
         if op == "delta-rn":
-            lap = ctx.laplacian_rn(degree).matrix
-            ilt = 1j * ctx.lie_reeb_rumin(degree).matrix
+            comps = rumin_joint_eigenspaces(ctx, degree)
             embed = ctx.rumin_space(degree).embed
+            if degree <= asm.n - 1:  # Rumin rows there carry the half-Laplacian pair
+                tags = [(c.lambda10, c.lambda01) for c in q_decomposition(ctx, degree)]
         elif op == "delta-dr":
             lap = ctx.laplacian_de_rham(degree).matrix
             ilt = 1j * ctx.lie_reeb_full(degree)
@@ -199,10 +190,9 @@ def _spectrum_entries(asm: Assembly, op: str, degree: int, t: float) -> List[Spe
             embed = sp.embed
         else:
             raise UsageError(f"unknown operator {op!r}")
-        comps = _sequential_joint_eigenspaces(hermitize(lap, 1e-9), hermitize(ilt, 1e-9), 1e-9)
-        below = op == "delta-rn" and degree <= asm.n - 1  # Rumin rows there carry the half-Laplacian pair
-        tags = _half_laplacian_pairs(ctx, degree, [b for *_, b in comps]) if below else [(None, None)] * len(comps)
-        for (delta, tau, basis), (l10, l01) in zip(comps, tags):
+        if op != "delta-rn":
+            comps = _sequential_joint_eigenspaces(hermitize(lap, 1e-9), hermitize(ilt, 1e-9), 1e-9)
+        for (delta, tau, basis), (l10, l01) in zip(comps, tags or [(None, None)] * len(comps)):
             entries.append(
                 SpectrumEntry(
                     degree,
@@ -238,6 +228,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     )
     for k in degrees:
         table.entries.extend(_spectrum_entries(asm, cfg.op, k, t))
+    del asm  # the assembly and its per-block memo are freed before the table is serialized
     _emit(table.to_csv() if cfg.format == "csv" else table.to_json(), cfg.out)
     return 0
 
@@ -278,9 +269,8 @@ def run_suite(asm: Assembly, suite: str, cfg: RunConfig) -> VerificationReport:
 def cmd_verify(cfg: RunConfig) -> int:
     if cfg.suite not in ("all", "thm1", "cor2", "cor3", "sec4", "thm5"):
         raise UsageError(f"unknown suite {cfg.suite!r}")
-    model = cfg.build_model()
-    asm = Assembly(model, cfg.max_weight)
-    report = run_suite(asm, cfg.suite, cfg)
+    # the assembly and its per-block memo are freed before the report is serialized
+    report = run_suite(Assembly(cfg.build_model(), cfg.max_weight), cfg.suite, cfg)
     _emit(report.to_json(), cfg.out)
     if not report.passed:
         for c in report.failures():
@@ -296,9 +286,8 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_torsion(cfg: RunConfig) -> int:
-    model = cfg.build_model()
-    asm = Assembly(model, cfg.max_weight)
-    report = torsion_mod.reeb_decomposition(asm, s_grid=cfg.s_grid)
+    # the assembly and its per-block memo are freed before the report is serialized
+    report = torsion_mod.reeb_decomposition(Assembly(cfg.build_model(), cfg.max_weight), s_grid=cfg.s_grid)
     _emit(report.pairs_csv() if cfg.format == "csv" else report.to_json(), cfg.out)
     if not report.passed:
         for c in report.checks.failures():

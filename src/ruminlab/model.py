@@ -10,9 +10,8 @@ function spaces are weight blocks: the block of weight m is the spin-(m/2)
 representation W_m tensored with a multiplicity space C^r, and the frame
 fields act on the first factor only.  A block therefore stores the (m+1)x(m+1)
 actions on W_m, exact matrices built from the standard raising/lowering
-recurrences (half-integer arithmetic is exact, only the square roots are
-floating point), plus the integer multiplicity r; its total dimension is
-(m+1)*r.
+recurrences (integer radicands, only the square roots are floating point),
+plus the integer multiplicity r; its total dimension is (m+1)*r.
 
 On the sphere r = m+1.  Lens quotients act on the multiplicity factor, so they
 only shrink r: the order-p quotient twisted by the character indexed by l
@@ -24,7 +23,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -144,17 +142,20 @@ def su2_frame() -> FrameStructure:
 
 
 def _ladder_matrices(m: int):
-    """Spin-(m/2) J_z, J_plus, J_minus in the ascending-weight basis, exact radicands."""
-    j = Fraction(m, 2)
-    mus = [Fraction(-m, 2) + k for k in range(m + 1)]
-    jz = np.diag([float(mu) for mu in mus])
+    """Spin-(m/2) J_z, J_plus, J_minus in the ascending-weight basis, exact radicands.
+
+    Slot k has weight mu = (2k - m)/2 and j = m/2, so the radicands
+    j(j+1) - mu(mu +- 1) = (m(m+2) - (2k-m)(2k-m +- 2))/4 are integers.
+    """
+    jz = np.diag([(2 * k - m) / 2 for k in range(m + 1)])
     jp = np.zeros((m + 1, m + 1))
     jm = np.zeros((m + 1, m + 1))
-    for k, mu in enumerate(mus):
+    for k in range(m + 1):
+        a = 2 * k - m
         if k + 1 <= m:
-            jp[k + 1, k] = math.sqrt(float(j * (j + 1) - mu * (mu + 1)))
+            jp[k + 1, k] = math.sqrt((m * (m + 2) - a * (a + 2)) // 4)
         if k - 1 >= 0:
-            jm[k - 1, k] = math.sqrt(float(j * (j + 1) - mu * (mu - 1)))
+            jm[k - 1, k] = math.sqrt((m * (m + 2) - a * (a - 2)) // 4)
     return jz, jp, jm
 
 

@@ -11,18 +11,29 @@ orthonormal basis of the full degree-k space over the slot is
 with basis index  i * d + b  for monomial slot i and weight slot b; matrices
 built on the coframe factor alone are lifted to fiber (x) I_d by writing the
 fiber into the d diagonal slots of a zero (rows, d, cols, d) array, and the
-frame-field derivations enter as kron(wedge fiber, action matrix).  Dimensions
-and eigenvalue counts of the block are those on the slot times r.
+frame-field derivations enter as wedge fiber (x) action matrix, written as a
+broadcast product.  Dimensions and eigenvalue counts of the block are those
+on the slot times r.
 
-Set-up is cached at the level it depends on.  Fiber tables (monomial lists,
-Gram norms, the named fiber matrices and the per-field wedge fibers) depend on
-the frame alone and live in one table dict; an `Assembly` owns that dict and
-hands it to every block context it builds, so each table is computed once per
-assembly.  Full-space matrices (lifted fibers, d, d_0, d_T, d_b, L_T, ...)
-depend on the block and live in the context's own cache.  Every cached array
-is read-only: a caller that writes into one gets a ValueError instead of
-silently changing every later block that shares it.  Nothing is cached beyond
-the lifetime of the assembly or context that owns it.
+Set-up is cached at the level it depends on, through one memo mechanism: a
+method decorated with `_frame_memo` or `_block_memo` stores its result under
+its qualified name and arguments (defaults filled in), and a miss computes it
+once.  Fiber tables (monomial lists, Gram norms, the named fiber matrices and
+the per-field wedge fibers) depend on the frame alone and live in one table
+dict; an `Assembly` owns that dict and hands it to every block context it
+builds, so each table is computed once per assembly.  Block quantities live in
+the context's own memo: every quantity that more than one suite or call site
+needs (full-space matrices, the Rumin and horizontal operators and Laplacians,
+the Rumin square root, and through `_block_memo` in the spectral layer the
+joint eigenspaces, harmonic bases and differential ranks), so a check that
+validates such a quantity runs once, when it is built.  A value reused only
+within one suite (the deformed Laplacians of the sampled t, the middle square
+D^* D) is hoisted into a local there instead, and a value read once per block
+(the Rumin star, the box operators) is not kept at all: caching either would
+keep it alive for the whole run and raise peak memory for no second reader.
+Every memoized array is read-only: a caller that writes into one gets a
+ValueError instead of silently changing every later reader.  Nothing is
+cached beyond the lifetime of the assembly or context that owns it.
 
 Graded subspaces (horizontal forms, bidegree components, the primitive and
 theta ^ ker L spaces of the Rumin complex) are carried as isometric embedding
@@ -33,10 +44,12 @@ which is exactly how the projected differentials are defined.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import json
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -52,14 +65,89 @@ class InternalConsistencyError(RuntimeError):
     """An exact identity failed beyond rounding; indicates an assembly bug."""
 
 
-def _frozen(m: np.ndarray) -> np.ndarray:
-    """Mark a cached array read-only and return it."""
-    m.setflags(write=False)
-    return m
+_SCALARS = (bool, int, float, complex, str, type(None))
+
+
+def _frozen(value):
+    """Make a memoized value read-only and return it.
+
+    Arrays are marked read-only, also inside tuples, lists, block operators
+    and other dataclasses; a list becomes a tuple, so a caller cannot append
+    to a shared result.
+    """
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    elif isinstance(value, BlockOperator):
+        value.matrix.setflags(write=False)  # its graded spaces are read-only from creation
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            if not isinstance(item, _SCALARS):
+                _frozen(item)
+        if isinstance(value, list):
+            value = tuple(value)
+    else:
+        for name in getattr(type(value), "__dataclass_fields__", ()):
+            _frozen(getattr(value, name))
+    return value
+
+
+def _memo_in(store: str):
+    """Decorator factory: memoize fn(ctx, *args) in the dict `ctx.<store>`.
+
+    The key is fn's qualified name and its arguments with defaults filled in,
+    so `f(ctx, k)`, `f(ctx, k, False)` and `f(ctx, k, anti=False)` share one
+    entry; arguments must be hashable.  The stored value is `_frozen`.  A miss
+    calls `wrapper.__wrapped__`, so a test can spy on the uncached computation.
+    """
+
+    def decorate(fn):
+        params = list(inspect.signature(fn).parameters.values())[1:]
+        name = fn.__qualname__
+
+        @functools.wraps(fn)
+        def wrapper(ctx, *args, **kwargs):
+            if kwargs or len(args) != len(params):
+                args = _bind(params, args, kwargs)
+            cache = getattr(ctx, store)
+            try:
+                return cache[name, args]
+            except KeyError:
+                pass
+            value = cache[name, args] = _frozen(wrapper.__wrapped__(ctx, *args))
+            return value
+
+        return wrapper
+
+    return decorate
+
+
+def _bind(params, args: tuple, kwargs: dict) -> tuple:
+    """Positional arguments of a call, with keywords and defaults filled in."""
+    out = list(args)
+    for p in params[len(args):]:
+        if p.name in kwargs:
+            out.append(kwargs.pop(p.name))
+        elif p.default is not p.empty:
+            out.append(p.default)
+        else:
+            raise TypeError(f"missing argument {p.name!r}")
+    if kwargs:
+        raise TypeError(f"unexpected arguments {sorted(kwargs)}")
+    return tuple(out)
+
+
+_frame_memo = _memo_in("_tables")  # per-frame tables, shared by the contexts of one assembly
+_block_memo = _memo_in("_cache")  # per-block quantities, private to one context
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a (x) b for 2-d arrays as one broadcast product (the arithmetic of np.kron)."""
+    (rows, cols), (br, bc) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(rows * br, cols * bc)
 
 
 def max_abs(m: np.ndarray) -> float:
-    return 0.0 if m.size == 0 else float(np.max(np.abs(m)))
+    return 0.0 if m.size == 0 else float(np.abs(m).max())
 
 
 def assert_hermitian(m: np.ndarray, tol: float = 1e-12, what: str = "operator"):
@@ -92,7 +180,10 @@ class GradedSpace:
     block_label: str
     degree: int
     flavor: str
-    embed: np.ndarray  # (full_dim, dim) isometry
+    embed: np.ndarray  # (full_dim, dim) isometry, read-only
+
+    def __post_init__(self):
+        self.embed.setflags(write=False)
 
     @property
     def dim(self) -> int:
@@ -180,8 +271,8 @@ class BlockContext:
 
     `tables` is the dict of per-frame fiber tables; contexts that share one
     (all contexts of an `Assembly`) compute each table once.  Without it the
-    context keeps private tables.  Block-dependent matrices are cached in the
-    context itself.
+    context keeps private tables.  Block-dependent quantities are memoized in
+    the context itself.
     """
 
     def __init__(self, frame: FrameStructure, block: FunctionBlock, tables: Optional[Dict] = None):
@@ -199,34 +290,27 @@ class BlockContext:
 
     # -- fiber layer (per-frame tables) -------------------------------------------
 
+    @_frame_memo
     def _generator_maps(self):
         """d and i_T L_T on the complex coframe generators, from bracket constants."""
-        if "generators" not in self._tables:
-            real_diffs = [self.frame.coframe_differential(a) for a in range(self.Dmax)]
-            dgen = {(0, 0): real_diffs[0]}
-            for i in range(1, self.n + 1):
-                de, df = real_diffs[2 * i - 1], real_diffs[2 * i]
-                dgen[(1, i)] = de + 1j * df
-                dgen[(2, i)] = de + (-1j) * df
-            rotgen = {g: ext.interior_reeb(dg) for g, dg in dgen.items()}
-            self._tables["generators"] = (dgen, rotgen)
-        return self._tables["generators"]
+        real_diffs = [self.frame.coframe_differential(a) for a in range(self.Dmax)]
+        dgen = {(0, 0): real_diffs[0]}
+        for i in range(1, self.n + 1):
+            de, df = real_diffs[2 * i - 1], real_diffs[2 * i]
+            dgen[(1, i)] = de + 1j * df
+            dgen[(2, i)] = de + (-1j) * df
+        rotgen = {g: ext.interior_reeb(dg) for g, dg in dgen.items()}
+        return dgen, rotgen
 
-    def mons(self, k: int) -> List[ext.CoframeIndex]:
+    @_frame_memo
+    def mons(self, k: int) -> Tuple[ext.CoframeIndex, ...]:
         if k < 0 or k > self.Dmax:
-            return []
-        key = ("mons", k)
-        if key not in self._tables:
-            self._tables[key] = ext.monomials(self.n, k)
-        return self._tables[key]
+            return ()
+        return ext.monomials(self.n, k)
 
+    @_frame_memo
     def _norms(self, k: int) -> np.ndarray:
-        key = ("norms", k)
-        if key not in self._tables:
-            self._tables[key] = _frozen(
-                np.array([math.sqrt(ext.gram_weight(ix)) for ix in self.mons(k)])
-            )
-        return self._tables[key]
+        return np.array([math.sqrt(ext.gram_weight(ix)) for ix in self.mons(k)])
 
     def _monomial_from_gens(self, gens) -> ext.PointwiseForm:
         return ext.monomial(self.n, ext._index_from_generators(gens))
@@ -260,10 +344,8 @@ class BlockContext:
             [op(ext.monomial(self.n, ix)) for ix in self.mons(k_in)], k_in, k_out
         )
 
+    @_frame_memo
     def _fiber(self, name: str, k: int) -> np.ndarray:
-        key = ("fiber", name, k)
-        if key in self._tables:
-            return self._tables[key]
         if name == "theta":
             m = self.fiber_matrix(ext.theta_wedge, k, k + 1)
         elif name == "iota":
@@ -296,18 +378,13 @@ class BlockContext:
             m = self.fiber_matrix_from_images(imgs, k, k)
         else:
             raise KeyError(name)
-        self._tables[key] = _frozen(m)
         return m
 
+    @_frame_memo
     def _wedge_fiber(self, a: int, k: int) -> np.ndarray:
         """Fiber of wedging with the coframe form dual to frame field a."""
-        key = ("wedge", a, k)
-        if key not in self._tables:
-            alpha = ext.from_real(self.n, {(a,): 1})
-            self._tables[key] = _frozen(
-                self.fiber_matrix(lambda x: ext.wedge(alpha, x), k, k + 1)
-            )
-        return self._tables[key]
+        alpha = ext.from_real(self.n, {(a,): 1})
+        return self.fiber_matrix(lambda x: ext.wedge(alpha, x), k, k + 1)
 
     def _fiber_selection(self, k: int, keep) -> np.ndarray:
         cols = [i for i, ix in enumerate(self.mons(k)) if keep(ix)]
@@ -321,10 +398,8 @@ class BlockContext:
     def full_dim(self, k: int) -> int:
         return len(self.mons(k)) * self.block.slot_dim
 
+    @_block_memo
     def space(self, k: int, flavor="full") -> GradedSpace:
-        key = ("space", k, flavor)
-        if key in self._cache:
-            return self._cache[key]
         if flavor == "full":
             fib = np.eye(len(self.mons(k)), dtype=complex)
         elif flavor == "horizontal":
@@ -344,9 +419,12 @@ class BlockContext:
                 fib = self._fiber("theta", k - 1) @ kerl
         else:
             raise KeyError(f"unknown flavor {flavor!r}")
-        sp = GradedSpace(self.block.label, k, str(flavor), _frozen(self._lift(fib)))
-        self._cache[key] = sp
-        return sp
+        return GradedSpace(self.block.label, k, str(flavor), self._lift(fib))
+
+    @_block_memo
+    def bidegree_mask(self, k: int, i: int, j: int, vert: bool = False) -> np.ndarray:
+        """`_bidegree_fiber_projector` lifted to the diagonal in full coordinates."""
+        return np.repeat(self._bidegree_fiber_projector(k, i, j, vert), self.block.slot_dim)
 
     def compress(self, matrix: np.ndarray, src: GradedSpace, tgt: GradedSpace) -> BlockOperator:
         return BlockOperator(src, tgt, tgt.embed.conj().T @ matrix @ src.embed)
@@ -362,54 +440,36 @@ class BlockContext:
         out[:, diag, :, diag] = fib
         return out.reshape(rows * d, cols * d)
 
+    @_block_memo
     def lifted_fiber(self, name: str, k: int) -> np.ndarray:
         """The fiber table `name` in degree k lifted to full coordinates."""
-        key = ("lift", name, k)
-        if key not in self._cache:
-            self._cache[key] = _frozen(self._lift(self._fiber(name, k)))
-        return self._cache[key]
+        return self._lift(self._fiber(name, k))
 
+    @_block_memo
     def d_full(self, k: int) -> np.ndarray:
-        key = ("d", k)
-        if key in self._cache:
-            return self._cache[key]
         d = self.lifted_fiber("dmon", k)
         for a, name in enumerate(self.frame.field_names):
-            d = d + np.kron(self._wedge_fiber(a, k), self.block.action(name))
-        self._cache[key] = _frozen(d)
+            d = d + _kron(self._wedge_fiber(a, k), self.block.action(name))
         return d
 
+    @_block_memo
     def lie_reeb_full(self, k: int) -> np.ndarray:
-        key = ("lt", k)
-        if key in self._cache:
-            return self._cache[key]
-        m = np.kron(np.eye(len(self.mons(k)), dtype=complex), self.block.action("T"))
-        m = m + self.lifted_fiber("rot", k)
-        self._cache[key] = _frozen(m)
-        return m
+        eye = np.eye(len(self.mons(k)), dtype=complex)
+        return _kron(eye, self.block.action("T")) + self.lifted_fiber("rot", k)
 
+    @_block_memo
     def d0_full(self, k: int) -> np.ndarray:
-        key = ("d0", k)
-        if key not in self._cache:
-            if k == 0:
-                m = np.zeros((self.full_dim(1), self.full_dim(0)), dtype=complex)
-            else:
-                m = self._lift(self._fiber("lef", k - 1) @ self._fiber("iota", k))
-            self._cache[key] = _frozen(m)
-        return self._cache[key]
+        if k == 0:
+            return np.zeros((self.full_dim(1), self.full_dim(0)), dtype=complex)
+        return self._lift(self._fiber("lef", k - 1) @ self._fiber("iota", k))
 
+    @_block_memo
     def dT_full(self, k: int) -> np.ndarray:
-        key = ("dT", k)
-        if key not in self._cache:
-            m = self.lifted_fiber("theta", k) @ self.lie_reeb_full(k) @ self.lifted_fiber("horiz", k)
-            self._cache[key] = _frozen(m)
-        return self._cache[key]
+        return self.lifted_fiber("theta", k) @ self.lie_reeb_full(k) @ self.lifted_fiber("horiz", k)
 
+    @_block_memo
     def db_full(self, k: int) -> np.ndarray:
-        key = ("db", k)
-        if key not in self._cache:
-            self._cache[key] = _frozen(self.d_full(k) - self.d0_full(k) - self.dT_full(k))
-        return self._cache[key]
+        return self.d_full(k) - self.d0_full(k) - self.dT_full(k)
 
     def db_direct_full(self, k: int) -> np.ndarray:
         """d_b from its definition, for cross-checking d = d_0 + d_b + d_T."""
@@ -430,34 +490,36 @@ class BlockContext:
     def dt_full(self, k: int, t: float) -> np.ndarray:
         return self.d0_full(k) + t * self.db_full(k) + t * t * self.dT_full(k)
 
-    def _bidegree_fiber_projector(self, k: int, i: int, j: int) -> np.ndarray:
-        return np.diag(
+    def _bidegree_fiber_projector(self, k: int, i: int, j: int, vert: bool = False) -> np.ndarray:
+        """0/1 diagonal of the projector onto the degree-k monomials of bidegree
+        (i, j), with a theta factor when `vert`."""
+        return np.array(
             [
-                1.0 if (not ix.theta and len(ix.holo) == i and len(ix.anti) == j) else 0.0
+                1.0 if (ix.theta == vert and len(ix.holo) == i and len(ix.anti) == j) else 0.0
                 for ix in self.mons(k)
             ]
-        ).astype(complex)
+        )
 
+    @_block_memo
     def del_full(self, k: int, anti: bool = False, tol: float = 1e-12) -> np.ndarray:
-        """(1,0) or (0,1) part of d_b on horizontal forms, in full coordinates."""
-        key = ("del", k, anti)
-        if key in self._cache:
-            return self._cache[key]
-        db = self.db_full(k) @ self.lifted_fiber("horiz", k)
+        """(1,0) or (0,1) part of d_b on horizontal forms, in full coordinates.
+
+        Each horizontal bidegree (i, j) of the source keeps the rows of bidegree
+        (i+1, j), or (i, j+1) when `anti`; d_b must vanish on every other row.
+        """
+        db = self.db_full(k)
         out = np.zeros_like(db)
-        covered = np.zeros_like(db)
+        leak = 0.0
         for i in range(0, k + 1):
             j = k - i
-            src = self._lift(self._bidegree_fiber_projector(k, i, j))
-            ti, tj = (i, j + 1) if anti else (i + 1, j)
-            tgt = self._lift(self._bidegree_fiber_projector(k + 1, ti, tj))
-            out = out + tgt @ db @ src
-            oti, otj = (i + 1, j) if anti else (i, j + 1)
-            other = self._lift(self._bidegree_fiber_projector(k + 1, oti, otj))
-            covered = covered + (tgt + other) @ db @ src
-        if max_abs(covered - db) > tol:
+            cols = self.bidegree_mask(k, i, j) > 0
+            rows_10 = self.bidegree_mask(k + 1, i + 1, j) > 0
+            rows_01 = self.bidegree_mask(k + 1, i, j + 1) > 0
+            rows = rows_01 if anti else rows_10
+            out[np.ix_(rows, cols)] = db[np.ix_(rows, cols)]
+            leak = max(leak, max_abs(db[np.ix_(~(rows_10 | rows_01), cols)]))
+        if leak > tol:
             raise StructuralError("d_b has bidegree components beyond (1,0)+(0,1); frame is not Sasakian")
-        self._cache[key] = _frozen(out)
         return out
 
     # -- public operators between graded spaces -----------------------------------
@@ -499,6 +561,15 @@ class BlockContext:
     def horizontal_space(self, k: int) -> GradedSpace:
         return self.space(k, "horizontal")
 
+    def _compress_invariant(self, mat: np.ndarray, src: GradedSpace, tgt: GradedSpace, what: str) -> BlockOperator:
+        """`mat` compressed to src -> tgt, after checking that it maps src into tgt."""
+        op = self.compress(mat, src, tgt)
+        resid = max_abs(mat @ src.embed - tgt.embed @ op.matrix)
+        if resid > 1e-10:
+            raise InternalConsistencyError(f"{what} ({resid:.2e})")
+        return op
+
+    @_block_memo
     def middle_operator(self, variant: str = "factored") -> BlockOperator:
         """Second-order middle differential on the middle Rumin space.
 
@@ -506,9 +577,6 @@ class BlockContext:
         variant "kahler":   theta ^ (L_T - i (del + delbar)(del* - delbar*)).
         """
         n = self.n
-        key = ("D", variant)
-        if key in self._cache:
-            return self._cache[key]
         th = self.lifted_fiber("theta", n)
         if variant == "factored":
             hsel_lo = self._fiber_selection(n - 1, lambda ix: not ix.theta)
@@ -522,33 +590,21 @@ class BlockContext:
             core = self.lie_reeb_full(n) - 1j * (dn + dbn) @ (dn.conj().T - dbn.conj().T)
         else:
             raise KeyError(variant)
-        mat = th @ core
-        src, tgt = self.rumin_space(n), self.rumin_space(n + 1)
         # the image must lie in the middle target space exactly
-        resid = max_abs(mat @ src.embed - tgt.embed @ (tgt.embed.conj().T @ mat @ src.embed))
-        if resid > 1e-10:
-            raise InternalConsistencyError(f"middle operator leaves its target space ({resid:.2e})")
-        op = self.compress(mat, src, tgt)
-        _frozen(op.matrix)
-        self._cache[key] = op
-        return op
+        return self._compress_invariant(
+            th @ core, self.rumin_space(n), self.rumin_space(n + 1), "middle operator leaves its target space"
+        )
 
+    @_block_memo
     def rumin_d(self, k: int, rescaled: bool = True) -> BlockOperator:
         """The complex differential on the degree-k Rumin space."""
-        key = ("dR", k, rescaled)
-        if key in self._cache:
-            return self._cache[key]
         n = self.n
         if k == n:
-            op = self.middle_operator("factored")
-        else:
-            op = self.compress(self.d_full(k), self.rumin_space(k), self.rumin_space(k + 1))
-            if rescaled:
-                op = rescale_coefficient(n, k) * op
-        _frozen(op.matrix)
-        self._cache[key] = op
-        return op
+            return self.middle_operator("factored")
+        op = self.compress(self.d_full(k), self.rumin_space(k), self.rumin_space(k + 1))
+        return rescale_coefficient(n, k) * op if rescaled else op
 
+    @_block_memo
     def rumin_del(self, k: int, anti: bool = False, rescaled: bool = True) -> BlockOperator:
         """Holomorphic / antiholomorphic halves of the Rumin differential.
 
@@ -556,22 +612,15 @@ class BlockContext:
         target is the full horizontal (n+1)-form space.
         """
         n = self.n
-        key = ("rdel", k, anti, rescaled)
-        if key in self._cache:
-            return self._cache[key]
         mat = self.del_full(k, anti=anti)
         if k <= n - 1:
             op = self.compress(mat, self.rumin_space(k), self.rumin_space(k + 1))
-            if rescaled:
-                op = rescale_coefficient(n, k) * op
-        elif k == n:
-            op = self.compress(mat, self.rumin_space(n), self.horizontal_space(n + 1))
-        else:
-            raise KeyError("holomorphic splitting lives in degrees <= n")
-        _frozen(op.matrix)
-        self._cache[key] = op
-        return op
+            return rescale_coefficient(n, k) * op if rescaled else op
+        if k == n:
+            return self.compress(mat, self.rumin_space(n), self.horizontal_space(n + 1))
+        raise KeyError("holomorphic splitting lives in degrees <= n")
 
+    @_block_memo
     def rumin_del_laplacian(self, k: int, anti: bool = False) -> BlockOperator:
         """Delta_del / Delta_delbar on the degree-k Rumin space (k <= n)."""
         up = self.rumin_del(k, anti=anti)
@@ -582,10 +631,8 @@ class BlockContext:
         sp = self.rumin_space(k)
         return BlockOperator(sp, sp, mat)
 
+    @_block_memo
     def laplacian_rn(self, k: int) -> BlockOperator:
-        key = ("lap_rn", k)
-        if key in self._cache:
-            return self._cache[key]
         n = self.n
         sp = self.rumin_space(k)
         mat = np.zeros((sp.dim, sp.dim), dtype=complex)
@@ -602,15 +649,15 @@ class BlockContext:
         if k == n + 1:
             dmid = self.middle_operator().matrix
             mat = mat + dmid @ dmid.conj().T
-        op = BlockOperator(sp, sp, hermitize(mat, 1e-9, "Rumin Laplacian"))
-        _frozen(op.matrix)
-        self._cache[key] = op
-        return op
+        return BlockOperator(sp, sp, hermitize(mat, 1e-9, "Rumin Laplacian"))
 
+    @_block_memo
+    def sqrt_laplacian_rn(self, k: int, tol: float = 1e-10) -> np.ndarray:
+        """Hermitian psd square root of the degree-k Rumin Laplacian."""
+        return sqrtm_psd(self.laplacian_rn(k).matrix, tol)
+
+    @_block_memo
     def laplacian_de_rham(self, k: int) -> BlockOperator:
-        key = ("lap_dr", k)
-        if key in self._cache:
-            return self._cache[key]
         sp = self.space(k, "full")
         mat = np.zeros((sp.dim, sp.dim), dtype=complex)
         if k < self.Dmax:
@@ -619,10 +666,7 @@ class BlockContext:
         if k > 0:
             down = self.d_full(k - 1)
             mat = mat + down @ down.conj().T
-        op = BlockOperator(sp, sp, hermitize(mat, 1e-9, "Hodge-de Rham Laplacian"))
-        _frozen(op.matrix)
-        self._cache[key] = op
-        return op
+        return BlockOperator(sp, sp, hermitize(mat, 1e-9, "Hodge-de Rham Laplacian"))
 
     def laplacian_t(self, k: int, t: float) -> BlockOperator:
         sp = self.space(k, "full")
@@ -635,6 +679,7 @@ class BlockContext:
             mat = mat + down @ down.conj().T
         return BlockOperator(sp, sp, hermitize(mat, 1e-9, "deformed Laplacian"))
 
+    @_block_memo
     def laplacian_b(self, k: int) -> BlockOperator:
         """Laplacian of d_b on horizontal k-forms."""
         sp = self.horizontal_space(k)
@@ -647,18 +692,17 @@ class BlockContext:
             mat = mat + down @ down.conj().T
         return BlockOperator(sp, sp, hermitize(mat, 1e-9, "horizontal Laplacian"))
 
+    @_block_memo
     def lie_reeb_rumin(self, k: int) -> BlockOperator:
         sp = self.rumin_space(k)
-        full = self.lie_reeb_full(k)
-        resid = max_abs(full @ sp.embed - sp.embed @ (sp.embed.conj().T @ full @ sp.embed))
-        if resid > 1e-10:
-            raise InternalConsistencyError("Reeb derivative does not preserve the Rumin space")
-        return self.compress(full, sp, sp)
+        return self._compress_invariant(
+            self.lie_reeb_full(k), sp, sp, "Reeb derivative does not preserve the Rumin space"
+        )
 
     def box_operators(self, k: int, tol: float = 1e-10) -> Tuple[BlockOperator, BlockOperator]:
         """Half-Laplacians (sqrt(Delta) +- i L_T)/2 on the degree-k Rumin space."""
         sp = self.rumin_space(k)
-        root = sqrtm_psd(self.laplacian_rn(k).matrix, tol)
+        root = self.sqrt_laplacian_rn(k, tol)
         ilt = 1j * self.lie_reeb_rumin(k).matrix
         box = 0.5 * (root + ilt)
         boxbar = 0.5 * (root - ilt)
@@ -669,8 +713,6 @@ class BlockContext:
     def rumin_star(self, k: int) -> BlockOperator:
         """Hodge star between complementary Rumin spaces."""
         src, tgt = self.rumin_space(k), self.rumin_space(self.Dmax - k)
-        mat = self.lifted_fiber("star", k)
-        resid = max_abs(mat @ src.embed - tgt.embed @ (tgt.embed.conj().T @ mat @ src.embed))
-        if resid > 1e-10:
-            raise InternalConsistencyError("star does not map the Rumin space to its mirror")
-        return self.compress(mat, src, tgt)
+        return self._compress_invariant(
+            self.lifted_fiber("star", k), src, tgt, "star does not map the Rumin space to its mirror"
+        )

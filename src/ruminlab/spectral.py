@@ -10,6 +10,11 @@ Joint (Delta, i L_T) eigenspaces come from one routine,
 `_sequential_joint_eigenspaces`: i L_T is diagonal with integer entries in the
 block basis, so a Laplacian, which commutes with it, is diagonalized inside
 each Reeb sector (basis vectors sharing one Reeb eigenvalue).
+
+Quantities that several suites share (the Rumin joint eigenspaces and their
+half-Laplacian pairs, harmonic bases, differential ranks, the split halves of
+d_b on horizontal forms) are memoized per block context with `_block_memo`,
+so `verify --suite all` builds each of them once per block.
 """
 
 from __future__ import annotations
@@ -29,10 +34,10 @@ from .operators import (
     BlockContext,
     BlockOperator,
     InternalConsistencyError,
+    _block_memo,
     assert_hermitian,
     hermitize,
     max_abs,
-    sqrtm_psd,
     _null_basis,
 )
 
@@ -172,7 +177,7 @@ def block_spectrum(op: BlockOperator, tol: float = 1e-12):
     return util.cluster_values(list(w), 1e-9 * scale)
 
 
-@dataclass
+@dataclass(frozen=True)
 class KernelBasis:
     degree: int
     block: str
@@ -288,7 +293,7 @@ class VerificationReport:
 # -- simultaneous diagonalization -------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class QComponent:
     lambda10: float
     lambda01: float
@@ -375,13 +380,21 @@ def _half_laplacian_pairs(ctx: BlockContext, k: int, bases: Sequence[np.ndarray]
     return [(util.round_sig(max(l10, 0.0)), util.round_sig(max(l01, 0.0))) for l10, l01 in zip(*pairs)]
 
 
-def q_decomposition(ctx: BlockContext, k: int, tol: float = 1e-9) -> List[QComponent]:
-    """Simultaneous eigenspaces of the two half Laplacians on the degree-k Rumin space."""
+@_block_memo
+def rumin_joint_eigenspaces(ctx: BlockContext, k: int, tol: float = 1e-9) -> Tuple[tuple, ...]:
+    """(Delta, tau, basis) of the degree-k Rumin Laplacian and i L_T, once per block."""
     lap = hermitize(ctx.laplacian_rn(k).matrix, 1e-9)
     ilt = hermitize(1j * ctx.lie_reeb_rumin(k).matrix, 1e-9)
-    bases = [basis for _, _, basis in _sequential_joint_eigenspaces(lap, ilt, tol)]
+    return _sequential_joint_eigenspaces(lap, ilt, tol)
+
+
+@_block_memo
+def q_decomposition(ctx: BlockContext, k: int, tol: float = 1e-9) -> Tuple[QComponent, ...]:
+    """Simultaneous eigenspaces of the two half Laplacians on the degree-k Rumin space,
+    in the order of `rumin_joint_eigenspaces`."""
+    bases = [basis for _, _, basis in rumin_joint_eigenspaces(ctx, k, tol)]
     pairs = _half_laplacian_pairs(ctx, k, bases, tol)
-    return [QComponent(l10, l01, basis) for (l10, l01), basis in zip(pairs, bases)]
+    return tuple(QComponent(l10, l01, basis) for (l10, l01), basis in zip(pairs, bases))
 
 
 # -- cohomology rank oracles ----------------------------------------------------
@@ -394,31 +407,33 @@ def _rank(m: np.ndarray, tol: float = 1e-8) -> int:
     return int(np.sum(s > tol * max(1.0, s[0])))
 
 
-def rumin_cohomology_dims(asm: Assembly) -> List[int]:
-    """dim H^k from ranks of the assembled complex differentials (independent oracle)."""
+@_block_memo
+def _differential_rank(ctx: BlockContext, complex_name: str, k: int) -> int:
+    """Rank of the degree-k differential of the "rumin" or "de_rham" complex; 0 out of range."""
+    if k < 0 or k >= ctx.Dmax:
+        return 0
+    return _rank(ctx.rumin_d(k).matrix if complex_name == "rumin" else ctx.d_full(k))
+
+
+def _cohomology_dims(asm: Assembly, complex_name: str) -> List[int]:
     dims = []
     for k in asm.degrees:
         total = 0
         for ctx in asm.contexts:
-            dim_k = ctx.rumin_space(k).dim
-            r_up = _rank(ctx.rumin_d(k).matrix) if k < ctx.Dmax else 0
-            r_dn = _rank(ctx.rumin_d(k - 1).matrix) if k > 0 else 0
-            total += ctx.block.multiplicity * (dim_k - r_up - r_dn)
+            dim_k = ctx.rumin_space(k).dim if complex_name == "rumin" else ctx.full_dim(k)
+            ranks = _differential_rank(ctx, complex_name, k) + _differential_rank(ctx, complex_name, k - 1)
+            total += ctx.block.multiplicity * (dim_k - ranks)
         dims.append(total)
     return dims
+
+
+def rumin_cohomology_dims(asm: Assembly) -> List[int]:
+    """dim H^k from ranks of the assembled complex differentials (independent oracle)."""
+    return _cohomology_dims(asm, "rumin")
 
 
 def de_rham_cohomology_dims(asm: Assembly) -> List[int]:
-    dims = []
-    for k in asm.degrees:
-        total = 0
-        for ctx in asm.contexts:
-            dim_k = ctx.full_dim(k)
-            r_up = _rank(ctx.d_full(k)) if k < ctx.Dmax else 0
-            r_dn = _rank(ctx.d_full(k - 1)) if k > 0 else 0
-            total += ctx.block.multiplicity * (dim_k - r_up - r_dn)
-        dims.append(total)
-    return dims
+    return _cohomology_dims(asm, "de_rham")
 
 
 # -- verification drivers ----------------------------------------------------------
@@ -457,6 +472,7 @@ def _hdim(ctx: BlockContext, d: int) -> int:
     return ctx.horizontal_space(d).dim
 
 
+@_block_memo
 def _horizontal_del(ctx: BlockContext, k: int, anti: bool) -> np.ndarray:
     """Split half of d_b as a map of horizontal spaces; zero out of range."""
     if k < 0 or k > 2 * ctx.n - 1:
@@ -465,6 +481,7 @@ def _horizontal_del(ctx: BlockContext, k: int, anti: bool) -> np.ndarray:
     return ctx.compress(ctx.del_full(k, anti=anti), src, tgt).matrix
 
 
+@_block_memo
 def _horizontal_lefschetz(ctx: BlockContext, k: int) -> np.ndarray:
     """Lefschetz wedge H^k -> H^{k+2}; zero out of range."""
     if k < 0 or k + 2 > 2 * ctx.n:
@@ -523,7 +540,7 @@ def verify_sasakian_identities(asm: Assembly, tol: float = 1e-11) -> Verificatio
         for k in range(0, n):
             lap10 = ctx.rumin_del_laplacian(k).matrix
             lap01 = ctx.rumin_del_laplacian(k, anti=True).matrix
-            root = sqrtm_psd(ctx.laplacian_rn(k).matrix)
+            root = ctx.sqrt_laplacian_rn(k)
             report.add(f"sqrt_splits[{lbl}]k={k}", max_abs(root - lap10 - lap01), tol)
             ilt = 1j * ctx.lie_reeb_rumin(k).matrix
             report.add(f"reeb_is_half_difference[{lbl}]k={k}", max_abs(ilt - (lap01 - lap10)), tol)
@@ -575,14 +592,21 @@ def verify_hodge_block_matrix(asm: Assembly, tol: float = 1e-12) -> Verification
     return report
 
 
+@_block_memo
+def _harmonic_basis(ctx: BlockContext, k: int, operator: str) -> KernelBasis:
+    """Kernel basis of the degree-k "de_rham" or "rumin" Laplacian."""
+    return kernel(ctx.laplacian_de_rham(k) if operator == "de_rham" else ctx.laplacian_rn(k))
+
+
 def harmonic_bases(asm: Assembly, operator: str = "de_rham") -> Dict[Tuple[str, int], KernelBasis]:
-    """Kernel bases per (block, degree) of the chosen Laplacian."""
-    out: Dict[Tuple[str, int], KernelBasis] = {}
-    for ctx in asm.contexts:
-        for k in range(ctx.Dmax + 1):
-            op = ctx.laplacian_de_rham(k) if operator == "de_rham" else ctx.laplacian_rn(k)
-            out[(ctx.block.label, k)] = kernel(op)
-    return out
+    """Kernel bases per (block, degree) of the chosen Laplacian, "de_rham" or "rumin"."""
+    if operator not in ("de_rham", "rumin"):
+        raise ValueError(f"unknown operator {operator!r}; choose de_rham or rumin")
+    return {
+        (ctx.block.label, k): _harmonic_basis(ctx, k, operator)
+        for ctx in asm.contexts
+        for k in range(ctx.Dmax + 1)
+    }
 
 
 def verify_kernel_coincidence(asm: Assembly, angle_tol: float = 1e-8, tol: float = 1e-10) -> VerificationReport:
@@ -598,8 +622,8 @@ def verify_kernel_coincidence(asm: Assembly, angle_tol: float = 1e-8, tol: float
         lbl = ctx.block.label
         r = ctx.block.multiplicity
         for k in range(ctx.Dmax + 1):
-            ker_dr = kernel(ctx.laplacian_de_rham(k))
-            ker_rn = kernel(ctx.laplacian_rn(k))
+            ker_dr = _harmonic_basis(ctx, k, "de_rham")
+            ker_rn = _harmonic_basis(ctx, k, "rumin")
             rn_dims[k] += r * ker_rn.dim
             dr_dims[k] += r * ker_dr.dim
             emb = ctx.rumin_space(k).embed @ ker_rn.vectors
@@ -650,7 +674,7 @@ def verify_primitivity(asm: Assembly, tol: float = 1e-10) -> VerificationReport:
     for ctx in asm.contexts:
         lbl = ctx.block.label
         for k in range(ctx.Dmax + 1):
-            ker = kernel(ctx.laplacian_de_rham(k))
+            ker = _harmonic_basis(ctx, k, "de_rham")
             if ker.dim == 0:
                 continue
             phi = ker.vectors
@@ -685,7 +709,8 @@ def verify_deformation_family(asm: Assembly, t_samples=(0.1, 1.0, 10.0), tol: fl
         lbl = ctx.block.label
         r = ctx.block.multiplicity
         for k in range(ctx.Dmax + 1):
-            ker = kernel(ctx.laplacian_de_rham(k))
+            ker = _harmonic_basis(ctx, k, "de_rham")
+            laps = [ctx.laplacian_t(k, t).matrix for t in t_samples]
             pieces_up = {
                 "d0": ctx.d0_full(k) if k < ctx.Dmax else None,
                 "db": ctx.db_full(k) if k < ctx.Dmax else None,
@@ -704,13 +729,9 @@ def verify_deformation_family(asm: Assembly, t_samples=(0.1, 1.0, 10.0), tol: fl
                 for nm, mat in pieces_dn.items():
                     if mat is not None:
                         report.add(f"piecewise_{nm}_adjoint[{lbl}]k={k}", max_abs(mat.conj().T @ phi), tol)
-                for t in t_samples:
-                    report.add(
-                        f"deformed_kills_harmonic[{lbl}]k={k},t={t}",
-                        max_abs(ctx.laplacian_t(k, t).matrix @ phi),
-                        tol,
-                    )
-            inter = joint_kernel([ctx.laplacian_t(k, t).matrix for t in t_samples])
+                for t, lap in zip(t_samples, laps):
+                    report.add(f"deformed_kills_harmonic[{lbl}]k={k},t={t}", max_abs(lap @ phi), tol)
+            inter = joint_kernel(laps)
             report.add(
                 f"intersection_dim[{lbl}]k={k}",
                 r * abs(inter.shape[1] - ker.dim),
@@ -771,6 +792,7 @@ def verify_eigenvalue_identity(asm: Assembly, tol_rel: float = 1e-9, tol: float 
         upb = ctx.rumin_del(n - 1, anti=True).matrix
         lap_mid = ctx.laplacian_rn(n).matrix
         dmid = ctx.middle_operator().matrix
+        dd = dmid.conj().T @ dmid
         ilt_mid = 1j * ctx.lie_reeb_rumin(n).matrix
         img = _image_basis(np.hstack([up, upb]))
         if img.shape[1]:
@@ -840,7 +862,6 @@ def verify_eigenvalue_identity(asm: Assembly, tol_rel: float = 1e-9, tol: float 
                 a_const = lam_t - 2 * l10
                 b_const = lam_t + 2 * l01
                 target = (a_const**2 * l01 + b_const**2 * l10) / (l10 + l01)
-                dd = dmid.conj().T @ dmid
                 residuals = (
                     ("norm_sq_is_lambda10", abs(n10**2 - l10) / max(1.0, l10)),
                     ("norm_sq_is_lambda01", abs(n01**2 - l01) / max(1.0, l01)),

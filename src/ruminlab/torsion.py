@@ -30,12 +30,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import util
-from .operators import BlockContext, hermitize, max_abs, sqrtm_psd
+from .operators import BlockContext, hermitize, max_abs
 from .spectral import (
     Assembly,
     VerificationReport,
-    _sequential_joint_eigenspaces,
     rumin_cohomology_dims,
+    rumin_joint_eigenspaces,
 )
 
 PAIR_TOL = 1e-9
@@ -96,10 +96,9 @@ class ReebSlice:
 
 def _classify_block_degree(ctx: BlockContext, k: int, tol: float = PAIR_TOL) -> List[ReebSlice]:
     lap = hermitize(ctx.laplacian_rn(k).matrix, 1e-9)
-    ilt = hermitize(1j * ctx.lie_reeb_rumin(k).matrix, 1e-9)
     zero = tol * max(1.0, max_abs(lap))
     out: List[ReebSlice] = []
-    for delta, tau, basis in _sequential_joint_eigenspaces(lap, ilt, tol):
+    for delta, tau, basis in rumin_joint_eigenspaces(ctx, k, tol):
         delta = max(delta, 0.0)
         nu = 0.0 - tau  # L_T acts by i*nu; never -0.0
         root = math.sqrt(delta)
@@ -247,7 +246,7 @@ def reeb_decomposition(
         # half-Laplacian structure checks
         for k in range(n + 1):
             box, boxbar = ctx.box_operators(k)
-            root = sqrtm_psd(ctx.laplacian_rn(k).matrix)
+            root = ctx.sqrt_laplacian_rn(k)
             ilt = 1j * ctx.lie_reeb_rumin(k).matrix
             checks.add(f"boxes_sum_to_root[{lbl}]k={k}", max_abs(box.matrix + boxbar.matrix - root), 1e-10)
             checks.add(f"boxes_differ_by_reeb[{lbl}]k={k}", max_abs(box.matrix - boxbar.matrix - ilt), 1e-10)

@@ -1,15 +1,18 @@
 """Shared fiber tables and per-block caches against freshly built operators.
 
 An `Assembly` hands one dict of per-frame fiber tables to all of its block
-contexts, and each context caches its full-space matrices.  These tests check
-that the sharing and the caching change no matrix and no report, that cached
-arrays cannot be written, and that the lift fib (x) I_d equals np.kron.
+contexts, and each context memoizes its block quantities.  These tests check
+that the sharing and the memo change no matrix and no report, that memoized
+arrays cannot be written, that a full run computes each shared quantity once,
+and that the kron-free assembly equals its np.kron / projector reference.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from ruminlab import cli, spectral
+from ruminlab import cli, operators, spectral, torsion
 from ruminlab.model import ModelManifold, lens_space, su2_model
 from ruminlab.operators import BlockContext
 from ruminlab.spectral import Assembly
@@ -103,28 +106,34 @@ def test_reports_byte_equal_with_private_tables(capsys, monkeypatch, command):
     assert shared == private
 
 
-@pytest.mark.parametrize(
-    "getter",
-    [
-        lambda c: c._fiber("theta", 1),
-        lambda c: c._wedge_fiber(0, 1),
-        lambda c: c._norms(1),
-        lambda c: c.lifted_fiber("horiz", 1),
-        lambda c: c.space(1, "rumin").embed,
-        lambda c: c.d_full(1),
-        lambda c: c.d0_full(1),
-        lambda c: c.dT_full(1),
-        lambda c: c.db_full(1),
-        lambda c: c.lie_reeb_full(1),
-        lambda c: c.del_full(0),
-        lambda c: c.laplacian_rn(1).matrix,
-        lambda c: c.laplacian_de_rham(1).matrix,
-    ],
-    ids=[
-        "fiber", "wedge_fiber", "norms", "lifted_fiber", "embed", "d", "d0", "dT", "db", "lie_reeb", "del",
-        "laplacian_rn", "laplacian_de_rham",
-    ],
-)
+MEMOIZED = {
+    "fiber": lambda c: c._fiber("theta", 1),
+    "wedge_fiber": lambda c: c._wedge_fiber(0, 1),
+    "norms": lambda c: c._norms(1),
+    "lifted_fiber": lambda c: c.lifted_fiber("horiz", 1),
+    "embed": lambda c: c.space(1, "rumin").embed,
+    "d": lambda c: c.d_full(1),
+    "d0": lambda c: c.d0_full(1),
+    "dT": lambda c: c.dT_full(1),
+    "db": lambda c: c.db_full(1),
+    "lie_reeb": lambda c: c.lie_reeb_full(1),
+    "del": lambda c: c.del_full(0),
+    "laplacian_rn": lambda c: c.laplacian_rn(1).matrix,
+    "laplacian_de_rham": lambda c: c.laplacian_de_rham(1).matrix,
+    "bidegree_mask": lambda c: c.bidegree_mask(1, 0, 1),
+    "lie_reeb_rumin": lambda c: c.lie_reeb_rumin(1).matrix,
+    "laplacian_b": lambda c: c.laplacian_b(1).matrix,
+    "rumin_del_laplacian": lambda c: c.rumin_del_laplacian(1, anti=True).matrix,
+    "sqrt_laplacian_rn": lambda c: c.sqrt_laplacian_rn(1),
+    "horizontal_del": lambda c: spectral._horizontal_del(c, 1, True),
+    "horizontal_lefschetz": lambda c: spectral._horizontal_lefschetz(c, 0),
+    "joint_eigenspaces": lambda c: spectral.rumin_joint_eigenspaces(c, 1)[-1][2],
+    "q_decomposition": lambda c: spectral.q_decomposition(c, 0)[-1].basis,
+    "harmonic_basis": lambda c: spectral._harmonic_basis(c, 0, "rumin").vectors,
+}
+
+
+@pytest.mark.parametrize("getter", list(MEMOIZED.values()), ids=list(MEMOIZED))
 def test_cached_arrays_are_read_only(s3, getter):
     ctx = BlockContext(s3.frame, s3.block(2))
     cached = getter(ctx)
@@ -132,3 +141,105 @@ def test_cached_arrays_are_read_only(s3, getter):
     with pytest.raises(ValueError):
         cached[(0,) * cached.ndim] = 1  # for "db": ctx.db_full(1)[0, 0] = 1
     assert np.array_equal(getter(ctx), before)
+
+
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: f"{m.name}{m.p}")
+def test_memoized_values_equal_a_fresh_context_after_a_full_run(model):
+    """Every suite reads the memo in its own order; no value may depend on it."""
+    asm = Assembly(model, 4)
+    cli.run_suite(asm, "all", cli.RunConfig())
+    for ctx in asm.contexts:
+        fresh = BlockContext(model.frame, ctx.block)
+        for name, getter in MEMOIZED.items():
+            memoized = getter(ctx)
+            assert not memoized.flags.writeable, (ctx.block.label, name)
+            assert np.array_equal(memoized, getter(fresh)), (ctx.block.label, name)
+
+
+def test_memo_key_fills_in_keywords_and_defaults(s3):
+    ctx = BlockContext(s3.frame, s3.block(2))
+    assert ctx.del_full(0) is ctx.del_full(0, False) is ctx.del_full(0, anti=False)
+    assert ctx.del_full(0, anti=True) is not ctx.del_full(0)
+    assert ctx.space(1) is ctx.space(1, "full") is ctx.space(k=1)
+    comps = spectral.q_decomposition(ctx, 0)
+    assert comps is spectral.q_decomposition(ctx, 0, tol=1e-9)
+    assert isinstance(comps, tuple)  # a memoized list would let one caller append for all
+    with pytest.raises(TypeError):
+        ctx.del_full(0, False, anti=False)
+    with pytest.raises(TypeError):
+        ctx.del_full()
+
+
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: f"{m.name}{m.p}")
+def test_broadcast_and_mask_assembly_equal_dense_reference(model):
+    """d and L_T without np.kron, and del without projector products, are exact."""
+    asm = Assembly(model, 4)
+    for ctx in asm.contexts:
+        for k in asm.degrees:
+            d = ctx.lifted_fiber("dmon", k)
+            for a, name in enumerate(model.frame.field_names):
+                d = d + np.kron(ctx._wedge_fiber(a, k), ctx.block.action(name))
+            assert np.array_equal(ctx.d_full(k), d), k
+            eye = np.eye(len(ctx.mons(k)), dtype=complex)
+            lt = np.kron(eye, ctx.block.action("T")) + ctx.lifted_fiber("rot", k)
+            assert np.array_equal(ctx.lie_reeb_full(k), lt), k
+        for k in range(2 * ctx.n):
+            db = ctx.db_full(k) @ ctx.lifted_fiber("horiz", k)
+            proj = lambda deg, i, j: ctx._lift(np.diag(ctx._bidegree_fiber_projector(deg, i, j)).astype(complex))
+            for anti in (False, True):
+                ref = np.zeros_like(db)
+                for i in range(k + 1):
+                    j = k - i
+                    tgt = proj(k + 1, i, j + 1) if anti else proj(k + 1, i + 1, j)
+                    ref = ref + tgt @ db @ proj(k, i, j)
+                assert np.array_equal(ctx.del_full(k, anti), ref), (k, anti)
+
+
+def test_verify_all_computes_each_shared_quantity_once(capsys, monkeypatch):
+    """One `verify --suite all` runs each uncached computation once per (block, arguments).
+
+    The spies sit on the computations behind the memo: the joint-eigenspace
+    routine, the Rumin square root and the rank (keyed by their exact input,
+    which differs between blocks and degrees here) and the body of
+    `lie_reeb_rumin`, whose invariance residual is checked when it is built.
+    """
+    calls = {}
+
+    def spy(kind, fn, key):
+        counts = calls.setdefault(kind, Counter())
+
+        def wrapper(*args, **kwargs):
+            counts[key(*args, **kwargs)] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def exact(*arrays):
+        return tuple((a.shape, a.tobytes()) for a in arrays)
+
+    def patch_everywhere(name, wrapper):
+        for mod in (operators, spectral, torsion, cli):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, wrapper)
+
+    patch_everywhere(
+        "_sequential_joint_eigenspaces",
+        spy("joint eigenspaces", spectral._sequential_joint_eigenspaces, lambda a, b, tol: exact(a, b) + (tol,)),
+    )
+    patch_everywhere("sqrtm_psd", spy("Rumin square root", operators.sqrtm_psd, lambda m, tol=1e-10: exact(m)))
+    monkeypatch.setattr(spectral, "_rank", spy("differential rank", spectral._rank, lambda m, tol=1e-8: exact(m)))
+    body = getattr(BlockContext.lie_reeb_rumin, "__wrapped__", None)  # None: not memoized, nothing to spy on
+    if body is not None:
+        monkeypatch.setattr(
+            BlockContext.lie_reeb_rumin,
+            "__wrapped__",
+            spy("lie_reeb_rumin residual", body, lambda ctx, k: (ctx.block.label, k)),
+        )
+    argv = ["verify", "--suite", "all", "--model", "lens", "--p", "3", "--character", "1", "--max-weight", "4"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    for kind, counts in calls.items():
+        assert counts, kind
+        repeated = {key: n for key, n in counts.items() if n > 1}
+        assert not repeated, f"{kind}: {len(repeated)} of {len(counts)} computations repeated"
+    assert len(calls) == 4

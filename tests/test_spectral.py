@@ -364,6 +364,14 @@ def test_harmonic_bases_collects_kernels(s3_asm_small):
     assert total == 1
 
 
+@pytest.mark.parametrize("operator", ["de-rham", "Rumin", "delta-rn", ""])
+def test_harmonic_bases_rejects_unknown_operator(s3_asm_small, operator):
+    from ruminlab.spectral import harmonic_bases
+
+    with pytest.raises(ValueError, match="unknown operator"):
+        harmonic_bases(s3_asm_small, operator=operator)
+
+
 @pytest.mark.parametrize("m", range(4))
 def test_heat_supertrace_de_rham(s3_contexts, m):
     # the alternating heat trace over one block is t-independent and equals
