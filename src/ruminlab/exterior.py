@@ -371,10 +371,6 @@ def hodge_star(a: PointwiseForm) -> PointwiseForm:
     return from_real(n, out)
 
 
-def volume_form(n: int) -> PointwiseForm:
-    return hodge_star(scalar(n, 1))
-
-
 # -- Lefschetz decomposition ----------------------------------------------------
 
 

@@ -251,10 +251,6 @@ class ModelManifold:
     name: str = "s3"
 
     @property
-    def fundamental_group_order(self) -> int:
-        return self.p
-
-    @property
     def volume(self) -> float:
         # orthonormal-frame metric doubles the horizontal round metric,
         # so vol = sqrt(det) * 2 pi^2 = 4 pi^2, divided by the quotient order

@@ -226,9 +226,6 @@ class BlockOperator:
     def __rmul__(self, c) -> "BlockOperator":
         return BlockOperator(self.source, self.target, c * self.matrix)
 
-    def norm_max(self) -> float:
-        return max_abs(self.matrix)
-
     def to_json(self) -> str:
         pairs = [[float(z.real), float(z.imag)] for z in self.matrix.ravel()]
         return json.dumps(
@@ -255,6 +252,16 @@ def _null_basis(m: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     u, s, vh = np.linalg.svd(m)
     rank = int(np.sum(s > tol * max(1.0, s[0] if s.size else 1.0)))
     return vh[rank:].conj().T
+
+
+def _hodge_sum(space: GradedSpace, up: Optional[np.ndarray], down: Optional[np.ndarray], what: str) -> BlockOperator:
+    """up^* up + down down^* on `space`, hermitized; None leaves a term out."""
+    mat = np.zeros((space.dim, space.dim), dtype=complex)
+    if up is not None:
+        mat = mat + up.conj().T @ up
+    if down is not None:
+        mat = mat + down @ down.conj().T
+    return BlockOperator(space, space, hermitize(mat, 1e-9, what))
 
 
 def _range_basis_of_projector(p: np.ndarray, tol: float = 1e-10) -> np.ndarray:
@@ -501,7 +508,7 @@ class BlockContext:
         )
 
     @_block_memo
-    def del_full(self, k: int, anti: bool = False, tol: float = 1e-12) -> np.ndarray:
+    def del_full(self, k: int, anti: bool = False) -> np.ndarray:
         """(1,0) or (0,1) part of d_b on horizontal forms, in full coordinates.
 
         Each horizontal bidegree (i, j) of the source keeps the rows of bidegree
@@ -518,7 +525,7 @@ class BlockContext:
             rows = rows_01 if anti else rows_10
             out[np.ix_(rows, cols)] = db[np.ix_(rows, cols)]
             leak = max(leak, max_abs(db[np.ix_(~(rows_10 | rows_01), cols)]))
-        if leak > tol:
+        if leak > 1e-12:
             raise StructuralError("d_b has bidegree components beyond (1,0)+(0,1); frame is not Sasakian")
         return out
 
@@ -596,16 +603,16 @@ class BlockContext:
         )
 
     @_block_memo
-    def rumin_d(self, k: int, rescaled: bool = True) -> BlockOperator:
-        """The complex differential on the degree-k Rumin space."""
+    def rumin_d(self, k: int) -> BlockOperator:
+        """The rescaled complex differential on the degree-k Rumin space."""
         n = self.n
         if k == n:
             return self.middle_operator("factored")
         op = self.compress(self.d_full(k), self.rumin_space(k), self.rumin_space(k + 1))
-        return rescale_coefficient(n, k) * op if rescaled else op
+        return rescale_coefficient(n, k) * op
 
     @_block_memo
-    def rumin_del(self, k: int, anti: bool = False, rescaled: bool = True) -> BlockOperator:
+    def rumin_del(self, k: int, anti: bool = False) -> BlockOperator:
         """Holomorphic / antiholomorphic halves of the Rumin differential.
 
         For k <= n-1 the target is the next Rumin space; in middle degree the
@@ -615,7 +622,7 @@ class BlockContext:
         mat = self.del_full(k, anti=anti)
         if k <= n - 1:
             op = self.compress(mat, self.rumin_space(k), self.rumin_space(k + 1))
-            return rescale_coefficient(n, k) * op if rescaled else op
+            return rescale_coefficient(n, k) * op
         if k == n:
             return self.compress(mat, self.rumin_space(n), self.horizontal_space(n + 1))
         raise KeyError("holomorphic splitting lives in degrees <= n")
@@ -652,45 +659,28 @@ class BlockContext:
         return BlockOperator(sp, sp, hermitize(mat, 1e-9, "Rumin Laplacian"))
 
     @_block_memo
-    def sqrt_laplacian_rn(self, k: int, tol: float = 1e-10) -> np.ndarray:
+    def sqrt_laplacian_rn(self, k: int) -> np.ndarray:
         """Hermitian psd square root of the degree-k Rumin Laplacian."""
-        return sqrtm_psd(self.laplacian_rn(k).matrix, tol)
+        return sqrtm_psd(self.laplacian_rn(k).matrix, 1e-10)
 
     @_block_memo
     def laplacian_de_rham(self, k: int) -> BlockOperator:
-        sp = self.space(k, "full")
-        mat = np.zeros((sp.dim, sp.dim), dtype=complex)
-        if k < self.Dmax:
-            up = self.d_full(k)
-            mat = mat + up.conj().T @ up
-        if k > 0:
-            down = self.d_full(k - 1)
-            mat = mat + down @ down.conj().T
-        return BlockOperator(sp, sp, hermitize(mat, 1e-9, "Hodge-de Rham Laplacian"))
+        up = self.d_full(k) if k < self.Dmax else None
+        down = self.d_full(k - 1) if k > 0 else None
+        return _hodge_sum(self.space(k, "full"), up, down, "Hodge-de Rham Laplacian")
 
     def laplacian_t(self, k: int, t: float) -> BlockOperator:
-        sp = self.space(k, "full")
-        mat = np.zeros((sp.dim, sp.dim), dtype=complex)
-        if k < self.Dmax:
-            up = self.dt_full(k, t)
-            mat = mat + up.conj().T @ up
-        if k > 0:
-            down = self.dt_full(k - 1, t)
-            mat = mat + down @ down.conj().T
-        return BlockOperator(sp, sp, hermitize(mat, 1e-9, "deformed Laplacian"))
+        up = self.dt_full(k, t) if k < self.Dmax else None
+        down = self.dt_full(k - 1, t) if k > 0 else None
+        return _hodge_sum(self.space(k, "full"), up, down, "deformed Laplacian")
 
     @_block_memo
     def laplacian_b(self, k: int) -> BlockOperator:
         """Laplacian of d_b on horizontal k-forms."""
         sp = self.horizontal_space(k)
-        mat = np.zeros((sp.dim, sp.dim), dtype=complex)
-        if k < 2 * self.n:
-            up = self.compress(self.db_full(k), sp, self.horizontal_space(k + 1)).matrix
-            mat = mat + up.conj().T @ up
-        if k > 0:
-            down = self.compress(self.db_full(k - 1), self.horizontal_space(k - 1), sp).matrix
-            mat = mat + down @ down.conj().T
-        return BlockOperator(sp, sp, hermitize(mat, 1e-9, "horizontal Laplacian"))
+        up = self.compress(self.db_full(k), sp, self.horizontal_space(k + 1)).matrix if k < 2 * self.n else None
+        down = self.compress(self.db_full(k - 1), self.horizontal_space(k - 1), sp).matrix if k > 0 else None
+        return _hodge_sum(sp, up, down, "horizontal Laplacian")
 
     @_block_memo
     def lie_reeb_rumin(self, k: int) -> BlockOperator:
@@ -699,10 +689,10 @@ class BlockContext:
             self.lie_reeb_full(k), sp, sp, "Reeb derivative does not preserve the Rumin space"
         )
 
-    def box_operators(self, k: int, tol: float = 1e-10) -> Tuple[BlockOperator, BlockOperator]:
+    def box_operators(self, k: int) -> Tuple[BlockOperator, BlockOperator]:
         """Half-Laplacians (sqrt(Delta) +- i L_T)/2 on the degree-k Rumin space."""
         sp = self.rumin_space(k)
-        root = self.sqrt_laplacian_rn(k, tol)
+        root = self.sqrt_laplacian_rn(k)
         ilt = 1j * self.lie_reeb_rumin(k).matrix
         box = 0.5 * (root + ilt)
         boxbar = 0.5 * (root - ilt)

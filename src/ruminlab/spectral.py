@@ -1,8 +1,10 @@
 """Per-block eigenanalysis and the executable theorem suite.
 
-Operators on a fixed block are exact finite matrices, so a truncated spectrum
-is the exact spectrum below the smallest eigenvalue of the omitted blocks
-(the cutoff is reported alongside every table).  All verifications reduce to
+Operators on a fixed block are exact finite matrices, so a truncated Rumin
+spectrum is the exact spectrum below the smallest positive eigenvalue of the
+omitted blocks.  That cutoff is known in closed form, m1^2 for the first
+omitted weight m1 with a nonempty block, and is reported alongside every
+table; it bounds the Rumin spectrum only.  All verifications reduce to
 residual norms of matrix identities and to subspace comparisons through
 principal angles, with one report entry per named check.
 
@@ -29,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import util
-from .model import ModelManifold
+from .model import ModelManifold, allowed_weight_slots
 from .operators import (
     BlockContext,
     BlockOperator,
@@ -51,7 +53,7 @@ class Assembly:
     """All nonempty block contexts of a model up to a weight cutoff.
 
     The assembly owns the per-frame fiber tables and shares them with every
-    context it builds, the cutoff probe's contexts included.
+    context it builds.
     """
 
     def __init__(self, model: ModelManifold, max_weight: int):
@@ -63,7 +65,6 @@ class Assembly:
             for b in model.blocks(max_weight)
             if b.dim > 0
         ]
-        self._cutoff: Optional[float] = None
 
     @property
     def n(self) -> int:
@@ -73,27 +74,20 @@ class Assembly:
     def degrees(self) -> range:
         return range(self.model.frame.dim + 1)
 
-    def spectral_cutoff(self, probe: int = 2) -> float:
-        """Smallest Rumin eigenvalue of the first omitted blocks; the truncated
-        spectrum is exact strictly below this value."""
-        if self._cutoff is not None:
-            return self._cutoff
-        lo = math.inf
-        found = 0
+    def spectral_cutoff(self) -> float:
+        """Smallest positive Rumin eigenvalue of the omitted blocks; the truncated
+        spectrum is exact strictly below this value.
+
+        On weight m >= 1 the smallest positive Rumin eigenvalue is m^2 in every
+        degree (the end slots of the closed-form spectrum), so the cutoff is
+        m1^2 for the first omitted weight m1 with a nonempty block.  Once
+        m >= p - 1 the slots cover a full residue class, so the search ends
+        within p + 1 steps.
+        """
         m = self.max_weight + 1
-        while found < probe and m <= self.max_weight + 2 * self.model.p + probe:
-            b = self.model.block(m)
-            if b.dim > 0:
-                ctx = BlockContext(self.model.frame, b, self._tables)
-                for k in self.degrees:
-                    w = np.linalg.eigvalsh(ctx.laplacian_rn(k).matrix)
-                    pos = w[w > 1e-9]
-                    if pos.size:
-                        lo = min(lo, float(pos[0]))
-                found += 1
+        while not allowed_weight_slots(m, self.model.p, self.model.character):
             m += 1
-        self._cutoff = lo
-        return lo
+        return float(m * m)
 
 
 # -- spectra -------------------------------------------------------------------
@@ -452,16 +446,16 @@ def verify_complex_property(
         lbl = ctx.block.label
         for k in range(ctx.Dmax):
             report.add(f"d.d[{lbl}]k={k}", max_abs(ctx.d_full(k + 1) @ ctx.d_full(k)), tol)
-            for t in t_samples:
-                report.add(
-                    f"dt.dt[{lbl}]k={k},t={t}",
-                    max_abs(ctx.dt_full(k + 1, t) @ ctx.dt_full(k, t)),
-                    tol,
-                )
             up = ctx.rumin_d(k + 1).matrix if k + 1 < ctx.Dmax else None
             dn = ctx.rumin_d(k).matrix
             if up is not None:
                 report.add(f"dN.dN[{lbl}]k={k}", max_abs(up @ dn), tol)
+        for t in t_samples:
+            # each d_t is a left and a right factor: build it once, drop it before the next t
+            dt = [ctx.dt_full(j, t) for j in range(ctx.Dmax + 1)]
+            for k in range(ctx.Dmax):
+                report.add(f"dt.dt[{lbl}]k={k},t={t}", max_abs(dt[k + 1] @ dt[k]), tol)
+            del dt
     report.checks.sort(key=lambda c: c.name)
     return report
 

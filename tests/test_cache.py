@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from ruminlab import cli, operators, spectral, torsion
-from ruminlab.model import ModelManifold, lens_space, su2_model
+from ruminlab.model import lens_space, su2_model
 from ruminlab.operators import BlockContext
 from ruminlab.spectral import Assembly
 
@@ -57,24 +57,6 @@ def test_tables_of_another_frame_rejected(s3):
     BlockContext(s3.frame, s3.block(1), tables)
     with pytest.raises(ValueError):
         BlockContext(su2_model().frame, s3.block(1), tables)
-
-
-def test_cutoff_probe_shares_tables_and_builds_only_probed_weights(monkeypatch):
-    model = lens_space(3, character=1)
-    asm = Assembly(model, 3)
-    seen, built = [], []
-
-    def spy_context(frame, block, tables=None):
-        seen.append(tables)
-        return BlockContext(frame, block, tables)
-
-    original_block = ModelManifold.block
-    monkeypatch.setattr(spectral, "BlockContext", spy_context)
-    monkeypatch.setattr(ModelManifold, "blocks", lambda self, mw: pytest.fail("probe built every block"))
-    monkeypatch.setattr(ModelManifold, "block", lambda self, w: built.append(w) or original_block(self, w))
-    asm.spectral_cutoff()
-    assert seen and all(t is asm._tables for t in seen)
-    assert built == list(range(asm.max_weight + 1, asm.max_weight + 1 + len(built)))
 
 
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: f"{m.name}{m.p}")
@@ -243,3 +225,22 @@ def test_verify_all_computes_each_shared_quantity_once(capsys, monkeypatch):
         repeated = {key: n for key, n in counts.items() if n > 1}
         assert not repeated, f"{kind}: {len(repeated)} of {len(counts)} computations repeated"
     assert len(calls) == 4
+
+
+def test_complex_property_builds_each_deformed_differential_once(monkeypatch):
+    """`verify_complex_property` builds each d_t once per (block, degree, t)."""
+    counts = Counter()
+    original = BlockContext.dt_full
+
+    def spy(ctx, k, t):
+        counts[ctx.block.label, k, t] += 1
+        return original(ctx, k, t)
+
+    monkeypatch.setattr(BlockContext, "dt_full", spy)
+    asm = Assembly(lens_space(3, character=1), 4)
+    t_samples = (0.0, 0.37, 1.0, 2.0)
+    assert spectral.verify_complex_property(asm, t_samples).passed
+    expected = {(ctx.block.label, k, t) for ctx in asm.contexts for k in range(ctx.Dmax + 1) for t in t_samples}
+    assert set(counts) == expected
+    repeated = {key: n for key, n in counts.items() if n > 1}
+    assert not repeated, f"{len(repeated)} of {len(counts)} d_t built more than once"
