@@ -64,7 +64,7 @@ class RunConfig:
     t_samples: List[float] = field(default_factory=lambda: [0.1, 1.0, 10.0])
     s_grid: List[float] = field(default_factory=lambda: [2.0, 3.0, 4.0])
     tol: Optional[float] = None
-    format: str = "csv"
+    format: Optional[str] = None  # csv or json; None picks the command's default
     out: Optional[str] = None
 
     def validate(self):
@@ -96,7 +96,7 @@ class RunConfig:
             raise UsageError(f"character must lie in [0, {self.p})")
         if any(t <= 0 for t in self.t_samples):
             raise UsageError("t-samples must be positive")
-        if self.format not in ("csv", "json"):
+        if self.format not in (None, "csv", "json"):
             raise UsageError(f"unknown format {self.format!r}")
 
     def build_model(self) -> ModelManifold:
@@ -229,7 +229,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     for k in degrees:
         table.entries.extend(_spectrum_entries(asm, cfg.op, k, t))
     del asm  # the assembly and its per-block memo are freed before the table is serialized
-    _emit(table.to_csv() if cfg.format == "csv" else table.to_json(), cfg.out)
+    _emit(table.to_json() if cfg.format == "json" else table.to_csv(), cfg.out)
     return 0
 
 
@@ -262,7 +262,6 @@ def run_suite(asm: Assembly, suite: str, cfg: RunConfig) -> VerificationReport:
         report.extend(verify_star_symmetry(asm, tol=residual_tol(1e-10)))
     if suite in ("thm5", "all"):
         report.extend(torsion_mod.reeb_decomposition(asm, s_grid=cfg.s_grid).checks)
-    report.checks.sort(key=lambda c: c.name)
     return report
 
 
@@ -271,7 +270,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         raise UsageError(f"unknown suite {cfg.suite!r}")
     # the assembly and its per-block memo are freed before the report is serialized
     report = run_suite(Assembly(cfg.build_model(), cfg.max_weight), cfg.suite, cfg)
-    _emit(report.to_json(), cfg.out)
+    _emit(report.to_csv() if cfg.format == "csv" else report.to_json(), cfg.out)
     if not report.passed:
         for c in report.failures():
             sys.stderr.write(
@@ -288,7 +287,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 def cmd_torsion(cfg: RunConfig) -> int:
     # the assembly and its per-block memo are freed before the report is serialized
     report = torsion_mod.reeb_decomposition(Assembly(cfg.build_model(), cfg.max_weight), s_grid=cfg.s_grid)
-    _emit(report.pairs_csv() if cfg.format == "csv" else report.to_json(), cfg.out)
+    _emit(report.to_json() if cfg.format == "json" else report.pairs_csv(), cfg.out)
     if not report.passed:
         for c in report.checks.failures():
             sys.stderr.write(f"FAIL {c.name}: residual {util.fmt_float(c.residual)}\n")

@@ -190,7 +190,7 @@ class TorsionReport:
             "passed": self.passed,
             "estimate_only": self.estimate_only,
             "caveat": self.caveat,
-            "checks": json.loads(self.checks.to_json())["checks"],
+            "checks": self.checks.check_rows(),
         }
         return json.dumps(doc, sort_keys=True)
 
@@ -325,7 +325,6 @@ def reeb_decomposition(
         report.kappa_from_spectrum[float(s)] = lhs
         report.kappa_from_reeb[float(s)] = rhs
         checks.add(f"kappa_two_routes_s={util.fmt_float(s)}", abs(lhs - rhs), 1e-9)
-    checks.checks.sort(key=lambda c: c.name)
     return report
 
 

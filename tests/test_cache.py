@@ -227,8 +227,8 @@ def test_verify_all_computes_each_shared_quantity_once(capsys, monkeypatch):
     assert len(calls) == 4
 
 
-def test_complex_property_builds_each_deformed_differential_once(monkeypatch):
-    """`verify_complex_property` builds each d_t once per (block, degree, t)."""
+def _assert_each_dt_built_once(monkeypatch, suite, t_samples, degrees):
+    """`suite` on lens(3, 1) at M=4 builds d_t once for each block, t and k in `degrees(ctx)`."""
     counts = Counter()
     original = BlockContext.dt_full
 
@@ -238,9 +238,22 @@ def test_complex_property_builds_each_deformed_differential_once(monkeypatch):
 
     monkeypatch.setattr(BlockContext, "dt_full", spy)
     asm = Assembly(lens_space(3, character=1), 4)
-    t_samples = (0.0, 0.37, 1.0, 2.0)
-    assert spectral.verify_complex_property(asm, t_samples).passed
-    expected = {(ctx.block.label, k, t) for ctx in asm.contexts for k in range(ctx.Dmax + 1) for t in t_samples}
+    assert suite(asm, t_samples).passed
+    expected = {(ctx.block.label, k, t) for ctx in asm.contexts for k in degrees(ctx) for t in t_samples}
     assert set(counts) == expected
     repeated = {key: n for key, n in counts.items() if n > 1}
     assert not repeated, f"{len(repeated)} of {len(counts)} d_t built more than once"
+
+
+def test_complex_property_builds_each_deformed_differential_once(monkeypatch):
+    """`verify_complex_property` builds each d_t once per (block, degree, t)."""
+    _assert_each_dt_built_once(
+        monkeypatch, spectral.verify_complex_property, (0.0, 0.37, 1.0, 2.0), lambda ctx: range(ctx.Dmax + 1)
+    )
+
+
+def test_deformation_family_builds_each_deformed_differential_once(monkeypatch):
+    """`verify_deformation_family` builds each d_t once per (block, degree, t); d_t(Dmax) is never a factor."""
+    _assert_each_dt_built_once(
+        monkeypatch, spectral.verify_deformation_family, (0.1, 1.0, 10.0), lambda ctx: range(ctx.Dmax)
+    )

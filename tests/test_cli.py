@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+from collections import Counter
 
 import pytest
 
@@ -117,6 +118,34 @@ def test_verify_unknown_suite_rejected(capsys):
     code = main(["verify", "--suite", "all", "--model", "s3", "--max-weight", "2", "--format", "xml"])
     capsys.readouterr()
     assert code == 2
+
+
+VERIFY_MODELS = [("--model", "s3"), ("--model", "lens", "--p", "3", "--character", "1")]
+
+
+@pytest.mark.parametrize("model", VERIFY_MODELS, ids=["s3", "lens3-1"])
+def test_verify_check_names_are_distinct(capsys, model):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--format", "json", "--max-weight", "4", *model)
+    assert code == 0
+    counts = Counter(c["name"] for c in json.loads(out)["checks"])
+    assert counts and not [name for name, n in counts.items() if n > 1]
+
+
+@pytest.mark.parametrize("model", VERIFY_MODELS, ids=["s3", "lens3-1"])
+def test_verify_csv_lists_the_json_checks(capsys, model):
+    argv = ("verify", "--suite", "all", "--max-weight", "3", *model)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert run_cli(capsys, *argv, "--format", "json")[1] == out
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["check", "status", "residual", "tolerance", "detail"]
+    assert [row[0] for row in rows[1:]] == [c["name"] for c in checks]
+    assert rows[1:] == [
+        [c["name"], "pass" if c["passed"] else "fail", c["residual"], c["tolerance"], c["detail"]] for c in checks
+    ]
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,13 @@
 """Eigenanalysis, simultaneous decomposition, and the theorem suites."""
 
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ruminlab.model import lens_space
+from ruminlab.model import lens_space, su2_model
 from ruminlab.operators import InternalConsistencyError, hermitize, max_abs
 from ruminlab.spectral import (
     Assembly,
@@ -301,6 +302,35 @@ def test_verify_deformation_family_passes(s3_asm_small):
 def test_deformation_family_rejects_nonpositive_samples(s3_asm_small):
     with pytest.raises(ValueError):
         verify_deformation_family(s3_asm_small, (0.0, 1.0))
+
+
+W_CORNER_FAMILIES = (
+    "norm_sq_is_lambda10", "norm_sq_is_lambda01", "image_eigenvalue", "complement_eigenvalue",
+    "middle_formula", "middle_formula_value", "reeb_tag",
+)
+
+
+@pytest.mark.parametrize("model", [su2_model(), lens_space(3, character=1)], ids=["s3", "lens3-1"])
+def test_w_corner_families_list_each_slot_vector_once(model):
+    """Each W-corner family has one entry per slot vector, v = 0..w/r-1, carrying the multiplicity r."""
+    asm = Assembly(model, 6)
+    rep = verify_eigenvalue_identity(asm)
+    mult = {ctx.block.label: ctx.block.multiplicity for ctx in asm.contexts}
+    per_vector = [c for c in rep.checks if c.name.split("[")[0] in W_CORNER_FAMILIES]
+    expected = 0
+    for corner in (c for c in rep.checks if c.name.startswith("w_corner_dim[")):
+        key = corner.name[len("w_corner_dim"):]  # "[block]l=(lambda10,lambda01)"
+        r = mult[key[1 : key.index("]")]]
+        w = int(re.match(r"w=(\d+) ", corner.detail).group(1))  # dimension of W (x) C^r
+        assert w % r == 0
+        expected += len(W_CORNER_FAMILIES) * (w // r)
+        for family in W_CORNER_FAMILIES:
+            prefix = f"{family}{key}v="
+            entries = [c for c in per_vector if c.name.startswith(prefix)]
+            assert sorted(int(c.name[len(prefix):]) for c in entries) == list(range(w // r)), prefix
+            assert all(c.detail == f"multiplicity={r}" for c in entries), prefix
+    assert len(per_vector) == expected
+    assert any(c.detail != "multiplicity=1" for c in per_vector)  # some corner has r > 1
 
 
 def test_joint_kernel_matches_single_kernel(s3_contexts):
