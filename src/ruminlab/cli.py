@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from typing import List, Optional
 
@@ -21,16 +22,17 @@ from .spectral import (
     SpectrumEntry,
     SpectrumTable,
     VerificationReport,
-    verify_complex_property,
-    verify_eigenvalue_identity,
-    verify_deformation_family,
-    verify_hodge_block_matrix,
-    verify_kernel_coincidence,
-    verify_middle_degree,
-    verify_primitivity,
-    verify_sasakian_identities,
-    verify_star_symmetry,
+    check_complex_property,
+    check_eigenvalue_identity,
+    check_deformation_family,
+    check_hodge_block_matrix,
+    check_kernel_coincidence,
+    check_middle_degree,
+    check_primitivity,
+    check_sasakian_identities,
+    check_star_symmetry,
     q_decomposition,
+    rank_oracle_checks,
     rumin_joint_eigenspaces,
     _sequential_joint_eigenspaces,
 )
@@ -166,46 +168,43 @@ def _bidegree_tag(ctx, degree: int, embed, basis, tol: float = 1e-9) -> Optional
     return None
 
 
-def _spectrum_entries(asm: Assembly, op: str, degree: int, t: float) -> List[SpectrumEntry]:
-    entries: List[SpectrumEntry] = []
-    for ctx in asm.contexts:
-        tags = None
-        if op == "delta-rn":
-            comps = rumin_joint_eigenspaces(ctx, degree)
-            embed = ctx.rumin_space(degree).embed
-            if degree <= asm.n - 1:  # Rumin rows there carry the half-Laplacian pair
-                tags = [(c.lambda10, c.lambda01) for c in q_decomposition(ctx, degree)]
-        elif op == "delta-dr":
-            lap = ctx.laplacian_de_rham(degree).matrix
-            ilt = 1j * ctx.lie_reeb_full(degree)
-            embed = ctx.space(degree).embed
-        elif op == "delta-t":
-            lap = ctx.laplacian_t(degree, t).matrix
-            ilt = 1j * ctx.lie_reeb_full(degree)
-            embed = ctx.space(degree).embed
-        elif op == "delta-b":
-            lap = ctx.laplacian_b(degree).matrix
-            sp = ctx.horizontal_space(degree)
-            ilt = 1j * ctx.compress(ctx.lie_reeb_full(degree), sp, sp).matrix
-            embed = sp.embed
-        else:
-            raise UsageError(f"unknown operator {op!r}")
-        if op != "delta-rn":
-            comps = _sequential_joint_eigenspaces(hermitize(lap, 1e-9), hermitize(ilt, 1e-9), 1e-9)
-        for (delta, tau, basis), (l10, l01) in zip(comps, tags or [(None, None)] * len(comps)):
-            entries.append(
-                SpectrumEntry(
-                    degree,
-                    ctx.block.label,
-                    max(delta, 0.0),
-                    ctx.block.multiplicity * basis.shape[1],
-                    nu=0.0 - tau,  # L_T acts by i*nu; never -0.0
-                    lambda10=l10,
-                    lambda01=l01,
-                    bidegree=_bidegree_tag(ctx, degree, embed, basis),
-                )
-            )
-    return entries
+def _spectrum_entries(ctx, op: str, degree: int, t: float) -> List[SpectrumEntry]:
+    tags = None
+    if op == "delta-rn":
+        comps = rumin_joint_eigenspaces(ctx, degree)
+        embed = ctx.rumin_space(degree).embed
+        if degree <= ctx.n - 1:  # Rumin rows there carry the half-Laplacian pair
+            tags = [(c.lambda10, c.lambda01) for c in q_decomposition(ctx, degree)]
+    elif op == "delta-dr":
+        lap = ctx.laplacian_de_rham(degree).matrix
+        ilt = 1j * ctx.lie_reeb_full(degree)
+        embed = ctx.space(degree).embed
+    elif op == "delta-t":
+        lap = ctx.laplacian_t(degree, t).matrix
+        ilt = 1j * ctx.lie_reeb_full(degree)
+        embed = ctx.space(degree).embed
+    elif op == "delta-b":
+        lap = ctx.laplacian_b(degree).matrix
+        sp = ctx.horizontal_space(degree)
+        ilt = 1j * ctx.compress(ctx.lie_reeb_full(degree), sp, sp).matrix
+        embed = sp.embed
+    else:
+        raise UsageError(f"unknown operator {op!r}")
+    if op != "delta-rn":
+        comps = _sequential_joint_eigenspaces(hermitize(lap, 1e-9), hermitize(ilt, 1e-9), 1e-9)
+    return [
+        SpectrumEntry(
+            degree,
+            ctx.block.label,
+            max(delta, 0.0),
+            ctx.block.multiplicity * basis.shape[1],
+            nu=0.0 - tau,  # L_T acts by i*nu; never -0.0
+            lambda10=l10,
+            lambda01=l01,
+            bidegree=_bidegree_tag(ctx, degree, embed, basis),
+        )
+        for (delta, tau, basis), (l10, l01) in zip(comps, tags or [(None, None)] * len(comps))
+    ]
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
@@ -226,9 +225,12 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         max_weight=cfg.max_weight,
         cutoff=asm.spectral_cutoff(),
     )
-    for k in degrees:
-        table.entries.extend(_spectrum_entries(asm, cfg.op, k, t))
-    del asm  # the assembly and its per-block memo are freed before the table is serialized
+    # a block memo lives for one block visit here, not for the assembly's lifetime as on the
+    # library path; sorted_entries orders by degree first, so block-major order changes no row
+    for ctx in asm.visit():
+        for k in degrees:
+            table.entries.extend(_spectrum_entries(ctx, cfg.op, k, t))
+    del asm  # its fiber tables are freed before the table is serialized
     _emit(table.to_json() if cfg.format == "json" else table.to_csv(), cfg.out)
     return 0
 
@@ -237,6 +239,9 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
 
 def run_suite(asm: Assembly, suite: str, cfg: RunConfig) -> VerificationReport:
+    """The selected suites, one block at a time: every selected per-block body runs on a
+    context of `asm.visit()`, whose memo is cleared before the next block; the rank-oracle
+    and torsion aggregates fold the per-block partials at the end."""
     tol = cfg.tol
     report = VerificationReport(
         f"suite:{suite}",
@@ -246,29 +251,40 @@ def run_suite(asm: Assembly, suite: str, cfg: RunConfig) -> VerificationReport:
     def residual_tol(default: float) -> float:
         return default if tol is None else tol
 
-    if suite in ("thm1", "all"):
-        report.extend(verify_kernel_coincidence(asm, tol=residual_tol(1e-10)))
-    if suite in ("cor2", "all"):
-        report.extend(verify_primitivity(asm, tol=residual_tol(1e-10)))
-    if suite in ("cor3", "all"):
-        report.extend(verify_deformation_family(asm, tuple(cfg.t_samples), tol=residual_tol(1e-10)))
-    if suite in ("sec4", "all"):
-        report.extend(verify_sasakian_identities(asm, tol=residual_tol(1e-11)))
-        report.extend(verify_eigenvalue_identity(asm, tol_rel=residual_tol(1e-9)))
-        report.extend(verify_middle_degree(asm, tol=residual_tol(1e-10)))
-    if suite == "all":
-        report.extend(verify_complex_property(asm, tol=residual_tol(1e-12)))
-        report.extend(verify_hodge_block_matrix(asm, tol=residual_tol(1e-12)))
-        report.extend(verify_star_symmetry(asm, tol=residual_tol(1e-10)))
-    if suite in ("thm5", "all"):
-        report.extend(torsion_mod.reeb_decomposition(asm, s_grid=cfg.s_grid).checks)
+    def selected(name: str) -> bool:
+        return suite in (name, "all")
+
+    dims = Counter()  # rank-oracle partials of thm1
+    reeb = torsion_mod.open_reeb_report(asm, s_grid=cfg.s_grid) if selected("thm5") else None
+    for ctx in asm.visit():
+        if selected("thm1"):
+            check_kernel_coincidence(ctx, report, dims, tol=residual_tol(1e-10))
+        if selected("cor2"):
+            check_primitivity(ctx, report, tol=residual_tol(1e-10))
+        if selected("cor3"):
+            check_deformation_family(ctx, report, tuple(cfg.t_samples), tol=residual_tol(1e-10))
+        if selected("sec4"):
+            check_sasakian_identities(ctx, report, tol=residual_tol(1e-11))
+            check_eigenvalue_identity(ctx, report, tol_rel=residual_tol(1e-9))
+            check_middle_degree(ctx, report, tol=residual_tol(1e-10))
+        if suite == "all":
+            check_complex_property(ctx, report, tol=residual_tol(1e-12))
+            check_hodge_block_matrix(ctx, report, tol=residual_tol(1e-12))
+            check_star_symmetry(ctx, report, tol=residual_tol(1e-10))
+        if reeb is not None:
+            torsion_mod.add_reeb_block(ctx, reeb)
+    if selected("thm1"):
+        rank_oracle_checks(report, dims, asm.degrees)
+    if reeb is not None:
+        torsion_mod.close_reeb_report(reeb)
+        report.extend(reeb.checks)
     return report
 
 
 def cmd_verify(cfg: RunConfig) -> int:
     if cfg.suite not in ("all", "thm1", "cor2", "cor3", "sec4", "thm5"):
         raise UsageError(f"unknown suite {cfg.suite!r}")
-    # the assembly and its per-block memo are freed before the report is serialized
+    # run_suite keeps one block memo alive at a time; the assembly is freed before the report is serialized
     report = run_suite(Assembly(cfg.build_model(), cfg.max_weight), cfg.suite, cfg)
     _emit(report.to_csv() if cfg.format == "csv" else report.to_json(), cfg.out)
     if not report.passed:
@@ -285,8 +301,12 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_torsion(cfg: RunConfig) -> int:
-    # the assembly and its per-block memo are freed before the report is serialized
-    report = torsion_mod.reeb_decomposition(Assembly(cfg.build_model(), cfg.max_weight), s_grid=cfg.s_grid)
+    asm = Assembly(cfg.build_model(), cfg.max_weight)
+    report = torsion_mod.open_reeb_report(asm, s_grid=cfg.s_grid)
+    for ctx in asm.visit():  # a block memo lives for one block visit, not for the assembly's lifetime
+        torsion_mod.add_reeb_block(ctx, report)
+    torsion_mod.close_reeb_report(report)
+    del asm  # its fiber tables are freed before the report is serialized
     _emit(report.to_json() if cfg.format == "json" else report.pairs_csv(), cfg.out)
     if not report.passed:
         for c in report.checks.failures():

@@ -30,10 +30,12 @@ validates such a quantity runs once, when it is built.  A value reused only
 within one suite (the deformed Laplacians of the sampled t, the middle square
 D^* D) is hoisted into a local there instead, and a value read once per block
 (the Rumin star, the box operators) is not kept at all: caching either would
-keep it alive for the whole run and raise peak memory for no second reader.
-Every memoized array is read-only: a caller that writes into one gets a
-ValueError instead of silently changing every later reader.  Nothing is
-cached beyond the lifetime of the assembly or context that owns it.
+keep it alive for the rest of its block's visit and raise peak memory for no
+second reader.  Every memoized array is read-only: a caller that writes into
+one gets a ValueError instead of silently changing every later reader.  A
+block memo lives for one block visit on the CLI path (`Assembly.visit` clears
+it when the caller moves on to the next block), and for the assembly's
+lifetime on the library path; the fiber tables live as long as the assembly.
 
 Graded subspaces (horizontal forms, bidegree components, the primitive and
 theta ^ ker L spaces of the Rumin complex) are carried as isometric embedding

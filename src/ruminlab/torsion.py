@@ -34,7 +34,7 @@ from .operators import BlockContext, hermitize, max_abs
 from .spectral import (
     Assembly,
     VerificationReport,
-    rumin_cohomology_dims,
+    block_cohomology_dims,
     rumin_joint_eigenspaces,
 )
 
@@ -152,6 +152,7 @@ class TorsionReport:
     checks: VerificationReport = field(default_factory=lambda: VerificationReport("reeb_decomposition"))
     estimate_only: bool = False
     caveat: str = ""
+    pair_tol: float = PAIR_TOL
 
     @property
     def per_degree_match(self) -> bool:
@@ -224,8 +225,18 @@ def reeb_decomposition(
     gated), the kernel-dimension bookkeeping against the rank oracle, and the
     torsion-function partial sums computed from both sides.
     """
+    report = open_reeb_report(asm, s_grid, pair_tol)
+    for ctx in asm.contexts:
+        add_reeb_block(ctx, report)
+    close_reeb_report(report)
+    return report
+
+
+def open_reeb_report(
+    asm: Assembly, s_grid: Sequence[float] = (2.0, 3.0, 4.0), pair_tol: float = PAIR_TOL
+) -> TorsionReport:
+    """The `reeb_decomposition` report of `asm` before any block is added."""
     n = asm.n
-    weights = kappa_weights(n)
     for s in s_grid:
         if s < 2.0:
             raise ValueError("partial sums are only reported for s >= 2")
@@ -233,56 +244,74 @@ def reeb_decomposition(
         model=asm.model.describe(),
         max_weight=asm.max_weight,
         s_grid=list(s_grid),
-        weights=weights,
+        weights=kappa_weights(n),
         cutoff=asm.spectral_cutoff(),
+        cohomology_dims=[0] * (n + 1),
+        pair_tol=pair_tol,
     )
-    checks = report.checks
-    checks.parameters = {"model": asm.model.describe(), "max_weight": asm.max_weight, "pair_tol": pair_tol}
+    report.checks.parameters = {"model": asm.model.describe(), "max_weight": asm.max_weight, "pair_tol": pair_tol}
+    return report
 
-    kernel_dims = [0] * (n + 1)
+
+def add_reeb_block(ctx: BlockContext, report: TorsionReport):
+    """One block of `reeb_decomposition`: its half-Laplacian checks, Reeb slices and rank-oracle share."""
+    checks, pair_tol = report.checks, report.pair_tol
+    n = ctx.n
+    lbl = ctx.block.label
+    # half-Laplacian structure checks
+    for k in range(n + 1):
+        box, boxbar = ctx.box_operators(k)
+        root = ctx.sqrt_laplacian_rn(k)
+        ilt = 1j * ctx.lie_reeb_rumin(k).matrix
+        checks.add(f"boxes_sum_to_root[{lbl}]k={k}", max_abs(box.matrix + boxbar.matrix - root), 1e-10)
+        checks.add(f"boxes_differ_by_reeb[{lbl}]k={k}", max_abs(box.matrix - boxbar.matrix - ilt), 1e-10)
+        checks.add(
+            f"boxes_commute[{lbl}]k={k}",
+            max_abs(box.matrix @ boxbar.matrix - boxbar.matrix @ box.matrix),
+            1e-9,
+        )
+        wmin = float(np.min(np.linalg.eigvalsh(box.matrix))) if box.matrix.size else 0.0
+        wbmin = float(np.min(np.linalg.eigvalsh(boxbar.matrix))) if boxbar.matrix.size else 0.0
+        checks.add(f"boxes_psd[{lbl}]k={k}", max(0.0, -min(wmin, wbmin)), 1e-9)
+    for k in range(n + 1):
+        slices = _classify_block_degree(ctx, k, pair_tol)
+        report.slices.extend(slices)
+        spectrum = [(sl.delta, sl.mult) for sl in slices if sl.piece != "harmonic"]
+        one_sided = [
+            (sl.nu ** 2, sl.mult) for sl in slices if sl.piece in ("reeb_plus", "reeb_minus")
+        ]
+        # Delta = -L_T^2 exactly on the one-sided pieces
+        worst = max(
+            (
+                abs(sl.delta - sl.nu ** 2) / max(1.0, sl.delta)
+                for sl in slices
+                if sl.piece in ("reeb_plus", "reeb_minus")
+            ),
+            default=0.0,
+        )
+        checks.add(f"one_sided_reeb_square[{lbl}]k={k}", worst, pair_tol)
+        ok, _gap = _multisets_match(
+            _cluster_multiset(spectrum, pair_tol), _cluster_multiset(one_sided, pair_tol), pair_tol
+        )
+        report.per_degree_outcomes[(lbl, k)] = ok
+    report.cohomology_dims = [a + b for a, b in zip(report.cohomology_dims, block_cohomology_dims(ctx, "rumin"))]
+
+
+def close_reeb_report(report: TorsionReport):
+    """The checks and sums of `reeb_decomposition` over the slices of every block added."""
+    checks, pair_tol, weights = report.checks, report.pair_tol, report.weights
+    n = len(weights) - 1
+    # the spectrum with weight w_k against the one-sided Reeb squares with weight -w_k
     weighted_entries: List[Tuple[float, float]] = []
-    for ctx in asm.contexts:
-        lbl = ctx.block.label
-        # half-Laplacian structure checks
-        for k in range(n + 1):
-            box, boxbar = ctx.box_operators(k)
-            root = ctx.sqrt_laplacian_rn(k)
-            ilt = 1j * ctx.lie_reeb_rumin(k).matrix
-            checks.add(f"boxes_sum_to_root[{lbl}]k={k}", max_abs(box.matrix + boxbar.matrix - root), 1e-10)
-            checks.add(f"boxes_differ_by_reeb[{lbl}]k={k}", max_abs(box.matrix - boxbar.matrix - ilt), 1e-10)
-            checks.add(
-                f"boxes_commute[{lbl}]k={k}",
-                max_abs(box.matrix @ boxbar.matrix - boxbar.matrix @ box.matrix),
-                1e-9,
-            )
-            wmin = float(np.min(np.linalg.eigvalsh(box.matrix))) if box.matrix.size else 0.0
-            wbmin = float(np.min(np.linalg.eigvalsh(boxbar.matrix))) if boxbar.matrix.size else 0.0
-            checks.add(f"boxes_psd[{lbl}]k={k}", max(0.0, -min(wmin, wbmin)), 1e-9)
-        for k in range(n + 1):
-            slices = _classify_block_degree(ctx, k, pair_tol)
-            report.slices.extend(slices)
-            spectrum = [(sl.delta, sl.mult) for sl in slices if sl.piece != "harmonic"]
-            one_sided = [
-                (sl.nu ** 2, sl.mult) for sl in slices if sl.piece in ("reeb_plus", "reeb_minus")
-            ]
-            kernel_dims[k] += sum(sl.mult for sl in slices if sl.piece == "harmonic")
-            # Delta = -L_T^2 exactly on the one-sided pieces
-            worst = max(
-                (
-                    abs(sl.delta - sl.nu ** 2) / max(1.0, sl.delta)
-                    for sl in slices
-                    if sl.piece in ("reeb_plus", "reeb_minus")
-                ),
-                default=0.0,
-            )
-            checks.add(f"one_sided_reeb_square[{lbl}]k={k}", worst, pair_tol)
-            ok, _gap = _multisets_match(
-                _cluster_multiset(spectrum, pair_tol), _cluster_multiset(one_sided, pair_tol), pair_tol
-            )
-            report.per_degree_outcomes[(lbl, k)] = ok
-            w = weights[k]
-            weighted_entries += [(v, w * c) for v, c in spectrum]
-            weighted_entries += [(v, -w * c) for v, c in one_sided]
+    report.kernel_dims = [0] * (n + 1)
+    for sl in report.slices:
+        w = weights[sl.degree]
+        if sl.piece == "harmonic":
+            report.kernel_dims[sl.degree] += sl.mult
+            continue
+        weighted_entries.append((sl.delta, w * sl.mult))
+        if sl.piece in ("reeb_plus", "reeb_minus"):
+            weighted_entries.append((sl.nu ** 2, -w * sl.mult))
 
     merged = _cluster_multiset(weighted_entries, pair_tol)
     worst_net = max((abs(c) for _, c in merged), default=0.0)
@@ -295,18 +324,16 @@ def reeb_decomposition(
     )
 
     # kernel dimensions against the rank oracle
-    report.kernel_dims = kernel_dims
-    report.cohomology_dims = rumin_cohomology_dims(asm)[: n + 1]
     for k in range(n + 1):
         checks.add(
             f"kernel_dim_is_cohomology_k={k}",
-            abs(kernel_dims[k] - report.cohomology_dims[k]),
+            abs(report.kernel_dims[k] - report.cohomology_dims[k]),
             0.0,
-            f"kernel={kernel_dims[k]} rank_oracle={report.cohomology_dims[k]}",
+            f"kernel={report.kernel_dims[k]} rank_oracle={report.cohomology_dims[k]}",
         )
 
     # torsion-function partial sums from both sides
-    for s in s_grid:
+    for s in report.s_grid:
         lhs = 0.0
         rhs = 0.0
         for k in range(n + 1):
@@ -325,7 +352,6 @@ def reeb_decomposition(
         report.kappa_from_spectrum[float(s)] = lhs
         report.kappa_from_reeb[float(s)] = rhs
         checks.add(f"kappa_two_routes_s={util.fmt_float(s)}", abs(lhs - rhs), 1e-9)
-    return report
 
 
 def kappa_partial(asm: Assembly, s: float) -> float:

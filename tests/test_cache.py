@@ -126,11 +126,27 @@ def test_cached_arrays_are_read_only(s3, getter):
 
 
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: f"{m.name}{m.p}")
-def test_memoized_values_equal_a_fresh_context_after_a_full_run(model):
-    """Every suite reads the memo in its own order; no value may depend on it."""
+def test_memoized_values_equal_a_fresh_context_after_a_full_run(monkeypatch, model):
+    """Every suite reads the memo in its own order; no value may depend on it.
+
+    `run_suite` clears each block memo when it moves on to the next block, so
+    each memo is captured as its visit ends and put back for the comparison.
+    """
+    released = {}
+    visit = Assembly.visit
+
+    def capturing_visit(asm):
+        for ctx in visit(asm):
+            yield ctx
+            released[ctx] = dict(ctx._cache)
+
+    monkeypatch.setattr(Assembly, "visit", capturing_visit)
     asm = Assembly(model, 4)
     cli.run_suite(asm, "all", cli.RunConfig())
+    assert set(released) == set(asm.contexts)
     for ctx in asm.contexts:
+        assert not ctx._cache and released[ctx]
+        ctx._cache.update(released[ctx])
         fresh = BlockContext(model.frame, ctx.block)
         for name, getter in MEMOIZED.items():
             memoized = getter(ctx)
@@ -257,3 +273,71 @@ def test_deformation_family_builds_each_deformed_differential_once(monkeypatch):
     _assert_each_dt_built_once(
         monkeypatch, spectral.verify_deformation_family, (0.1, 1.0, 10.0), lambda ctx: range(ctx.Dmax)
     )
+
+
+LENS31 = ["--model", "lens", "--p", "3", "--character", "1"]
+
+
+@pytest.mark.parametrize("model", [["--model", "s3"], LENS31], ids=["s3", "lens3-1"])
+@pytest.mark.parametrize(
+    "command",
+    [["verify", "--suite", "all"], ["torsion"], ["spectrum", "--op", "delta-rn"], ["spectrum", "--op", "delta-dr"]],
+    ids=["verify", "torsion", "delta-rn", "delta-dr"],
+)
+def test_cli_holds_one_block_memo_at_a_time(capsys, monkeypatch, command, model):
+    """Whenever a block memo gains an entry, no other context of the run holds one; at the end none does."""
+    memos = []
+    crowded = Counter()  # memoized function -> insertions made while another memo was nonempty
+
+    class WatchedMemo(dict):
+        def __setitem__(self, key, value):
+            if any(memo for memo in memos if memo is not self):
+                crowded[key[0]] += 1
+            super().__setitem__(key, value)
+
+    init = BlockContext.__init__
+
+    def watched_init(ctx, *args, **kwargs):
+        init(ctx, *args, **kwargs)
+        ctx._cache = WatchedMemo()
+        memos.append(ctx._cache)
+
+    monkeypatch.setattr(BlockContext, "__init__", watched_init)
+    assert cli.main(command + model + ["--max-weight", "6"]) == 0
+    capsys.readouterr()
+    assert len(memos) > 1
+    assert not crowded, dict(crowded)
+    assert not any(memos)
+
+
+SUITES = (
+    spectral.verify_kernel_coincidence,
+    spectral.verify_primitivity,
+    spectral.verify_deformation_family,
+    spectral.verify_sasakian_identities,
+    spectral.verify_eigenvalue_identity,
+    spectral.verify_middle_degree,
+    spectral.verify_complex_property,
+    spectral.verify_hodge_block_matrix,
+    spectral.verify_star_symmetry,
+)
+
+
+@pytest.mark.parametrize(
+    "model, max_weight",
+    [(su2_model(), 5), (lens_space(3, character=1), 5), (lens_space(3, character=1), 0)],
+    ids=["s3-m5", "lens3-1-m5", "lens3-1-m0"],
+)
+def test_block_at_a_time_suite_equals_the_library_suites(model, max_weight):
+    """`run_suite` visits blocks one at a time; its checks are those of the whole-assembly library calls."""
+    asm = Assembly(model, max_weight)
+    library = spectral.VerificationReport("library")
+    for suite in SUITES:
+        library.extend(suite(asm))
+    library.extend(torsion.reeb_decomposition(asm).checks)
+    assert all(ctx._cache for ctx in asm.contexts)  # the library path keeps every memo
+    streamed = cli.run_suite(Assembly(model, max_weight), "all", cli.RunConfig())
+    assert streamed.check_rows() == library.check_rows()
+    names = {row["name"] for row in streamed.check_rows()}
+    assert {"rank_oracle_rumin_k=0", "weighted_multiset_identity", "kappa_two_routes_s=2"} <= names
+    assert bool(asm.contexts) == (max_weight > 0)

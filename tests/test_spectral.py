@@ -18,6 +18,7 @@ from ruminlab.spectral import (
     block_spectrum,
     de_rham_cohomology_dims,
     joint_kernel,
+    joint_kernel_dim,
     kernel,
     principal_sines,
     q_decomposition,
@@ -338,6 +339,28 @@ def test_joint_kernel_matches_single_kernel(s3_contexts):
     lap = ctx.laplacian_de_rham(0).matrix
     basis = joint_kernel([lap, lap.copy()])
     assert basis.shape[1] == 1
+    lap = s3_contexts[2].laplacian_rn(1).matrix
+    ilt = 1j * s3_contexts[2].lie_reeb_rumin(1).matrix
+    for mats in ([lap], [lap, lap.copy()], [lap, ilt], [np.zeros((0, 4))], [np.zeros((3, 0))]):
+        assert joint_kernel_dim(mats) == joint_kernel(mats).shape[1]
+    assert joint_kernel_dim([np.zeros((0, 4))]) == 4
+
+
+def test_deformation_family_asks_svd_for_no_singular_vectors(monkeypatch):
+    """`intersection_dim` needs the joint kernel's dimension only, so no SVD of the suite builds vectors."""
+    asm = Assembly(lens_space(3, character=1), 4)
+    first = verify_deformation_family(asm)  # builds the memoized inputs, so only the suite's own solves remain
+    compute_uv = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        compute_uv.append(args[1] if len(args) > 1 else kwargs.get("compute_uv", True))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    second = verify_deformation_family(asm)
+    assert second.check_rows() == first.check_rows()
+    assert compute_uv and not any(compute_uv)
 
 
 # -- principal angles -------------------------------------------------------------------
