@@ -10,11 +10,12 @@ tables show the simultaneous eigenvalues (lambda10, lambda01) of the two half
 Laplacians in degree 0 and the Reeb eigenvalue nu everywhere; in degree 0 the
 eigenvalue always equals (lambda10 + lambda01)^2.
 
-The degree-1 rows come from `_sequential_joint_eigenspaces(lap, i L_T, tol)`,
-the one routine behind every joint (Delta, i L_T) eigenspace: i L_T is
-diagonal in the block basis, so the routine diagonalizes the Laplacian inside
-each Reeb sector (basis vectors sharing one Reeb eigenvalue tau = -nu), and nu
-is an exact integer.
+The degree-1 rows come from one call `_sequential_joint_eigenspaces(pairs, tol)`
+with the (Laplacian, i L_T) pair of every block.  It is the one routine behind
+every joint (Delta, i L_T) eigenspace: i L_T is diagonal in the block basis,
+so the routine diagonalizes each Laplacian inside each Reeb sector (basis
+vectors sharing one Reeb eigenvalue tau = -nu), with one stacked eigensolve
+per sector size across all pairs, and nu is an exact integer.
 """
 
 import numpy as np
@@ -42,10 +43,12 @@ for ctx in asm.contexts:
 print()
 print("degree 1 (middle degree), with Reeb eigenvalues")
 print(f"{'block':>6} {'eigenvalue':>11} {'nu':>7} {'mult':>5}")
-for ctx in asm.contexts:
-    lap = hermitize(ctx.laplacian_rn(1).matrix, 1e-9)
-    ilt = hermitize(1j * ctx.lie_reeb_rumin(1).matrix, 1e-9)
-    for delta, tau, basis in _sequential_joint_eigenspaces(lap, ilt, 1e-9):
+pairs = [
+    (hermitize(ctx.laplacian_rn(1).matrix, 1e-9), hermitize(1j * ctx.lie_reeb_rumin(1).matrix, 1e-9))
+    for ctx in asm.contexts
+]
+for ctx, comps in zip(asm.contexts, _sequential_joint_eigenspaces(pairs, 1e-9)):
+    for delta, tau, basis in comps:
         nu = 0.0 - tau  # never -0.0
         print(f"{ctx.block.label:>6} {max(delta, 0.0):11.6f} {nu:7.2f} {ctx.block.multiplicity * basis.shape[1]:5d}")
 

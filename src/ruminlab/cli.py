@@ -31,12 +31,14 @@ from .spectral import (
     check_primitivity,
     check_sasakian_identities,
     check_star_symmetry,
-    q_decomposition,
+    half_laplacian_sectors,
     rank_oracle_checks,
-    rumin_joint_eigenspaces,
-    _sequential_joint_eigenspaces,
+    sector_half_laplacian_pairs,
+    ReebSectors,
+    _reeb_sectors,
+    _solve_reeb_sectors,
 )
-from .operators import hermitize
+from .operators import InternalConsistencyError, hermitize
 from . import util
 
 import numpy as np
@@ -153,28 +155,13 @@ def _emit(text: str, out: Optional[str]):
 # -- spectrum ---------------------------------------------------------------------
 
 
-def _bidegree_tag(ctx, degree: int, embed, basis, tol: float = 1e-9) -> Optional[str]:
-    """Label of the bidegree component containing the eigenspace, if any."""
-    weight = np.abs(embed @ basis) ** 2
-    total = float(np.sum(weight))
-    if total <= tol:
-        return None
-    for vert in (False, True):
-        for i in range(0, degree - int(vert) + 1):
-            j = degree - int(vert) - i
-            mass = float(np.sum(weight * ctx.bidegree_mask(degree, i, j, vert)[:, None]))
-            if mass >= (1.0 - tol) * total:
-                return f"theta^({i},{j})" if vert else f"({i},{j})"
-    return None
-
-
-def _spectrum_entries(ctx, op: str, degree: int, t: float) -> List[SpectrumEntry]:
-    tags = None
+def _operator_pair(ctx, op: str, degree: int, t: float):
+    """Hermitized (Laplacian, i L_T) of the `spectrum` operator `op` in one degree, and the
+    embedding of its space into full coordinates."""
     if op == "delta-rn":
-        comps = rumin_joint_eigenspaces(ctx, degree)
+        lap = ctx.laplacian_rn(degree).matrix
+        ilt = 1j * ctx.lie_reeb_rumin(degree).matrix
         embed = ctx.rumin_space(degree).embed
-        if degree <= ctx.n - 1:  # Rumin rows there carry the half-Laplacian pair
-            tags = [(c.lambda10, c.lambda01) for c in q_decomposition(ctx, degree)]
     elif op == "delta-dr":
         lap = ctx.laplacian_de_rham(degree).matrix
         ilt = 1j * ctx.lie_reeb_full(degree)
@@ -190,21 +177,93 @@ def _spectrum_entries(ctx, op: str, degree: int, t: float) -> List[SpectrumEntry
         embed = sp.embed
     else:
         raise UsageError(f"unknown operator {op!r}")
-    if op != "delta-rn":
-        comps = _sequential_joint_eigenspaces(hermitize(lap, 1e-9), hermitize(ilt, 1e-9), 1e-9)
-    return [
-        SpectrumEntry(
-            degree,
-            ctx.block.label,
-            max(delta, 0.0),
-            ctx.block.multiplicity * basis.shape[1],
-            nu=0.0 - tau,  # L_T acts by i*nu; never -0.0
-            lambda10=l10,
-            lambda01=l01,
-            bidegree=_bidegree_tag(ctx, degree, embed, basis),
-        )
-        for (delta, tau, basis), (l10, l01) in zip(comps, tags or [(None, None)] * len(comps))
-    ]
+    return hermitize(lap, 1e-9), hermitize(ilt, 1e-9), embed
+
+
+def _bidegree_labels(ctx, degree: int, embed, names: dict, tol: float = 1e-9):
+    """Per basis column of `embed`, the index in `names` of its bidegree label ("(i,j)" or
+    "theta^(i,j)"); new labels are added to `names`.  Every column must be homogeneous."""
+    bidegrees = [(i, degree - int(vert) - i, vert) for vert in (False, True) for i in range(degree - int(vert) + 1)]
+    weight = np.abs(embed) ** 2
+    mass = np.array([ctx.bidegree_mask(degree, *b) for b in bidegrees]) @ weight  # (bidegree, column)
+    best = np.argmax(mass, axis=0)
+    if np.any(mass[best, np.arange(embed.shape[1])] < (1.0 - tol) * np.sum(weight, axis=0)):
+        raise InternalConsistencyError(f"a degree-{degree} basis column is not bidegree-homogeneous")
+    ids = [names.setdefault(f"theta^({i},{j})" if vert else f"({i},{j})", len(names)) for i, j, vert in bidegrees]
+    return np.array(ids)[best]
+
+
+@dataclass
+class _SectorRow:
+    """What one (block, degree) of a spectrum table keeps once its block visit ends."""
+
+    degree: int
+    block: str
+    multiplicity: int
+    sectors: ReebSectors
+    labels: np.ndarray  # label index per basis column
+    halves: Optional[tuple] = None  # half-Laplacian sector blocks and scale, below the middle degree
+
+
+def _sector_row(ctx, op: str, degree: int, t: float, names: dict) -> _SectorRow:
+    lap, ilt, embed = _operator_pair(ctx, op, degree, t)
+    sectors = _reeb_sectors(lap, ilt, 1e-9)
+    halves = None
+    if op == "delta-rn" and degree <= ctx.n - 1:  # Rumin rows there carry the half-Laplacian pair
+        halves = half_laplacian_sectors(ctx, degree, sectors)
+    labels = _bidegree_labels(ctx, degree, embed, names)
+    return _SectorRow(degree, ctx.block.label, ctx.block.multiplicity, sectors, labels, halves)
+
+
+def _bidegree_tags(rows: List[_SectorRow], joints, n_labels: int, tol: float = 1e-9) -> List[int]:
+    """Label index of every component of every row (in row order), or -1 where the eigenspace
+    is not bidegree-homogeneous: one weighted count over all eigenvector entries."""
+    keys, weights, first = [], [], 0
+    for row, joint in zip(rows, joints):
+        index = joint.basis_index()
+        entry = index >= 0
+        component = np.repeat(np.arange(first, first + len(joint.delta)), joint.counts)
+        keys.append((component * n_labels + row.labels[index])[entry])
+        weights.append((np.abs(joint.columns(joint.vectors)) ** 2)[entry])
+        first += len(joint.delta)
+    if not first:
+        return []
+    mass = np.bincount(np.concatenate(keys), np.concatenate(weights), first * n_labels).reshape(first, n_labels)
+    best = np.argmax(mass, axis=1)
+    homogeneous = mass[np.arange(first), best] >= (1.0 - tol) * np.sum(mass, axis=1)
+    return np.where(homogeneous, best, -1).tolist()
+
+
+def _spectrum_entries(contexts, op: str, degrees: List[int], t: float) -> List[SpectrumEntry]:
+    """The entries of a spectrum table over the block contexts of `contexts`, visited in turn.
+
+    A block visit keeps only sector-local data per degree, so the dense matrices and the
+    block memo are gone before the next block; one solve per sector size then covers every
+    row.  The rows are block-major, as the visit goes, and `sorted_entries` orders by degree
+    first, so no row moves.
+    """
+    names: dict = {}
+    rows = [_sector_row(ctx, op, k, t, names) for ctx in contexts for k in degrees]
+    joints = _solve_reeb_sectors([row.sectors for row in rows], 1e-9)
+    tags = iter(_bidegree_tags(rows, joints, len(names)))
+    label = {index: name for name, index in names.items()}
+    entries = []
+    for row, joint in zip(rows, joints):
+        pairs = sector_half_laplacian_pairs(joint, row.halves) if row.halves else [(None, None)] * len(joint.delta)
+        for delta, tau, count, (l10, l01) in zip(joint.delta, joint.tau, joint.counts, pairs):
+            entries.append(
+                SpectrumEntry(
+                    row.degree,
+                    row.block,
+                    max(delta, 0.0),
+                    row.multiplicity * count,
+                    nu=0.0 - tau,  # L_T acts by i*nu; never -0.0
+                    lambda10=l10,
+                    lambda01=l01,
+                    bidegree=label.get(next(tags)),
+                )
+            )
+    return entries
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
@@ -218,18 +277,13 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     for k in degrees:
         if not 0 <= k <= max_degree:
             raise UsageError(f"degree {k} out of range for {cfg.op}")
-    t = cfg.t_samples[0]
     table = SpectrumTable(
         operator=cfg.op,
         model=model.describe(),
         max_weight=cfg.max_weight,
         cutoff=asm.spectral_cutoff(),
     )
-    # a block memo lives for one block visit here, not for the assembly's lifetime as on the
-    # library path; sorted_entries orders by degree first, so block-major order changes no row
-    for ctx in asm.visit():
-        for k in degrees:
-            table.entries.extend(_spectrum_entries(ctx, cfg.op, k, t))
+    table.entries = _spectrum_entries(asm.visit(), cfg.op, degrees, cfg.t_samples[0])
     del asm  # its fiber tables are freed before the table is serialized
     _emit(table.to_json() if cfg.format == "json" else table.to_csv(), cfg.out)
     return 0

@@ -499,6 +499,7 @@ class BlockContext:
     def dt_full(self, k: int, t: float) -> np.ndarray:
         return self.d0_full(k) + t * self.db_full(k) + t * t * self.dT_full(k)
 
+    @_frame_memo
     def _bidegree_fiber_projector(self, k: int, i: int, j: int, vert: bool = False) -> np.ndarray:
         """0/1 diagonal of the projector onto the degree-k monomials of bidegree
         (i, j), with a theta factor when `vert`."""

@@ -8,10 +8,19 @@ table; it bounds the Rumin spectrum only.  All verifications reduce to
 residual norms of matrix identities and to subspace comparisons through
 principal angles, with one report entry per named check.
 
-Joint (Delta, i L_T) eigenspaces come from one routine,
-`_sequential_joint_eigenspaces`: i L_T is diagonal with integer entries in the
-block basis, so a Laplacian, which commutes with it, is diagonalized inside
-each Reeb sector (basis vectors sharing one Reeb eigenvalue).
+Joint (Delta, i L_T) eigenspaces come from one routine in two steps: i L_T is
+diagonal with integer entries in the block basis, so a Laplacian, which
+commutes with it, is block diagonal over the Reeb sectors (basis vectors
+sharing one Reeb eigenvalue).  `_reeb_sectors` checks that structure and cuts
+the Laplacian into its sector submatrices; `_solve_reeb_sectors` diagonalizes
+the sectors of many operators with one stacked `eigh` per sector size and
+clusters Delta per operator.  `_sequential_joint_eigenspaces` runs both on
+(Laplacian, i L_T) pairs and returns dense bases; the per-block callers pass
+it one pair.  `rumin spectrum` keeps only the sector data of each (block,
+degree) while it visits the blocks, and solves every sector after the last
+block; below the middle degree it also keeps the sector blocks of the two
+half Laplacians (`half_laplacian_sectors`), whose Rayleigh quotients on the
+sector eigenvectors give (lambda10, lambda01) (`sector_half_laplacian_pairs`).
 
 Quantities that several suites share (the Rumin joint eigenspaces and their
 half-Laplacian pairs, harmonic bases, differential ranks, the split halves of
@@ -332,39 +341,136 @@ class QComponent:
         return self.basis.shape[1]
 
 
-def _sequential_joint_eigenspaces(a: np.ndarray, b: np.ndarray, tol: float):
-    """Joint eigenspaces of a Hermitian `a` and the Reeb operator `b` = i L_T.
+@dataclass
+class ReebSectors:
+    """A Hermitian operator cut into the Reeb sectors of its basis, without the dense matrix.
 
-    `b` is diagonal in the block basis.  A Reeb sector is the set of basis
-    vectors sharing one diagonal value tau; `a` commutes with `b`, so it is
-    block diagonal over the sectors and is diagonalized sector by sector, with
-    one stacked `eigh` per sector size.  Returns (Delta, tau, basis) ordered by
-    Delta cluster (Delta is the cluster mean over all sectors), then by tau.
+    `tau` is the diagonal of the Reeb operator.  `index[g]` lists the basis
+    vectors of every sector of one size s as a (sectors, s) array, in
+    ascending tau, with sizes ascending over g; `blocks[g]` holds the
+    (sectors, s, s) sector submatrices of the operator.
     """
-    dim = a.shape[0]
-    tau = np.real(np.diag(b))
+
+    tau: np.ndarray
+    index: Tuple[np.ndarray, ...]
+    blocks: Tuple[np.ndarray, ...]
+
+    @property
+    def dim(self) -> int:
+        return self.tau.size
+
+
+def _reeb_sectors(a: np.ndarray, b: np.ndarray, tol: float) -> ReebSectors:
+    """The Reeb sectors of a Hermitian `a` that commutes with the Reeb operator `b` = i L_T.
+
+    `b` must be diagonal in the block basis; a Reeb sector is the set of basis
+    vectors sharing one diagonal value tau.
+    """
+    tau = np.real(np.diag(b)).copy()  # a view of the diagonal would keep the dense `b` alive
     off = max_abs(b - np.diag(np.diag(b)))
     if off > tol:
         raise InternalConsistencyError(f"Reeb operator is not diagonal (off-diagonal {off:.3e})")
+    index = ()
+    if tau.size:
+        by_tau = np.argsort(tau, kind="stable")
+        ascending = tau[by_tau]
+        starts = np.flatnonzero(np.append(True, ascending[1:] - ascending[:-1] > tol * max(1.0, max_abs(tau))))
+        sizes = np.append(starts[1:], tau.size) - starts  # sector i is by_tau[starts[i]:][:sizes[i]]
+        index = tuple(by_tau[starts[sizes == s][:, None] + np.arange(s)] for s in sorted(set(sizes.tolist())))
+    return ReebSectors(tau, index, _sector_blocks(a, tau, index))
+
+
+def _sector_blocks(a: np.ndarray, tau: np.ndarray, index: Sequence[np.ndarray]) -> Tuple[np.ndarray, ...]:
+    """The sector submatrices of `a`, after checking that `a` commutes with diag(tau)."""
     comm = max_abs(a * (tau[None, :] - tau[:, None]))  # entrywise [a, diag(tau)]
     if comm > 1e-9 * max(1.0, max_abs(a)):
         raise InternalConsistencyError(f"operator does not commute with the Reeb derivative ({comm:.3e})")
-    if dim == 0:
-        return []
-    by_tau = np.argsort(tau, kind="stable")
-    ascending = tau[by_tau]
-    starts = np.flatnonzero(np.append(True, ascending[1:] - ascending[:-1] > tol * max(1.0, max_abs(tau))))
-    sizes = np.append(starts[1:], dim) - starts  # sector i is by_tau[starts[i]:][:sizes[i]]
-    # column c of vecs is an eigenvector of `a` in one sector, with eigenvalue vals[c]
+    return tuple(a[idx[:, :, None], idx[:, None, :]] for idx in index)
+
+
+@dataclass
+class JointEigenspaces:
+    """Joint (Delta, i L_T) eigenspaces of one `ReebSectors`, kept sector-local.
+
+    `vectors[g]` is the (sectors, s, s) stack of sector eigenvectors of size
+    group g.  Their columns, taken group by group, sector by sector, are put
+    in component order by `order`; component i is the run of columns
+    `bounds[i]:bounds[i + 1]`, with Delta cluster mean `delta[i]` and Reeb
+    value `tau[i]`.
+    """
+
+    sectors: ReebSectors
+    vectors: Tuple[np.ndarray, ...]
+    order: np.ndarray
+    bounds: List[int]
+    delta: List[float]
+    tau: List[float]
+
+    @property
+    def counts(self) -> List[int]:
+        return [hi - lo for lo, hi in zip(self.bounds, self.bounds[1:])]
+
+    def components(self) -> List[tuple]:
+        """(Delta, tau, basis) per component, each basis a run of columns of one dense matrix."""
+        dim = self.sectors.dim
+        vecs = np.zeros((dim, dim), dtype=complex)
+        col = 0
+        for idx, q in zip(self.sectors.index, self.vectors):
+            cols = np.arange(col, col + idx.size).reshape(idx.shape)
+            vecs[idx[:, :, None], cols[:, None, :]] = q
+            col += idx.size
+        vecs = vecs[:, self.order]
+        return [(d, t, vecs[:, lo:hi]) for d, t, lo, hi in zip(self.delta, self.tau, self.bounds, self.bounds[1:])]
+
+    def columns(self, stacks: Sequence[np.ndarray], fill=0) -> np.ndarray:
+        """Per-group (sectors, s, s) stacks whose columns follow the eigenvectors, as one
+        (s_max, dim) array in component order; shorter sectors are padded with `fill`."""
+        width = max((idx.shape[1] for idx in self.sectors.index), default=0)
+        out = np.full((width, self.sectors.dim), fill, dtype=np.result_type(fill, *stacks))
+        col = 0
+        for stack in stacks:
+            sectors, size, _ = stack.shape
+            out[:size, col : col + sectors * size] = stack.transpose(1, 0, 2).reshape(size, -1)
+            col += sectors * size
+        return out[:, self.order]
+
+    def basis_index(self) -> np.ndarray:
+        """`columns` of the basis-vector index of every eigenvector entry, -1 as padding."""
+        return self.columns([np.repeat(idx[:, :, None], idx.shape[1], axis=2) for idx in self.sectors.index], -1)
+
+
+def _solve_reeb_sectors(sectors: Sequence[ReebSectors], tol: float) -> List[JointEigenspaces]:
+    """Joint eigenspaces of every operator in `sectors`, from one stacked `eigh` per sector size.
+
+    Each sector is diagonalized on its own, so the eigenpairs of one operator
+    do not depend on the others in the stack.  Delta is clustered per
+    operator; the cluster mean is taken over all of its sectors.
+    """
+    groups: Dict[int, list] = {}  # sector size -> (operator, size group) of every stack of that size
+    for i, sec in enumerate(sectors):
+        for g, idx in enumerate(sec.index):
+            groups.setdefault(idx.shape[1], []).append((i, g))
+    solved = [[None] * len(sec.index) for sec in sectors]  # per operator and size group: (w, q)
+    for parts in groups.values():
+        stacks = [sectors[i].blocks[g] for i, g in parts]
+        w, q = np.linalg.eigh(stacks[0] if len(stacks) == 1 else np.concatenate(stacks))
+        lo = 0
+        for (i, g), stack in zip(parts, stacks):
+            solved[i][g] = (w[lo : lo + len(stack)], q[lo : lo + len(stack)])
+            lo += len(stack)
+    return [_cluster_joint(sec, pairs, tol) for sec, pairs in zip(sectors, solved)]
+
+
+def _cluster_joint(sectors: ReebSectors, solved: Sequence[tuple], tol: float) -> JointEigenspaces:
+    """Components of one operator from its per-group sector eigenpairs, ordered by Delta
+    cluster, then by tau."""
+    dim = sectors.dim
+    # column c is an eigenvector of one sector, with eigenvalue vals[c]
     vals, taus = np.empty(dim), np.empty(dim)
-    vecs = np.zeros((dim, dim), dtype=np.result_type(a, complex))
     col = 0
-    for size in sorted(set(sizes.tolist())):
-        idx = by_tau[starts[sizes == size][:, None] + np.arange(size)]  # (sectors, size)
-        w, q = np.linalg.eigh(a[idx[:, :, None], idx[:, None, :]])
-        cols = np.arange(col, col + idx.size).reshape(idx.shape)
-        vecs[idx[:, :, None], cols[:, None, :]] = q
-        vals[cols], taus[cols] = w, np.mean(tau[idx], axis=1)[:, None]
+    for idx, (w, _) in zip(sectors.index, solved):
+        vals[col : col + idx.size] = w.ravel()
+        taus[col : col + idx.size] = np.repeat(sectors.tau[idx].sum(axis=1) / idx.shape[1], idx.shape[1])  # sector mean
         col += idx.size
     by_val = np.argsort(vals, kind="stable")
     clusters = util.cluster_values(vals[by_val], tol * max(1.0, max_abs(vals)))
@@ -372,17 +478,33 @@ def _sequential_joint_eigenspaces(a: np.ndarray, b: np.ndarray, tol: float):
     cluster[by_val] = np.repeat(np.arange(len(clusters)), [count for _, count in clusters])
     # one component per (Delta cluster, sector) pair, as a run of columns
     order = np.lexsort((taus, cluster))
-    c, t, vecs = cluster[order], taus[order], vecs[:, order]
-    bounds = [0, *(np.flatnonzero((c[1:] != c[:-1]) | (t[1:] != t[:-1])) + 1).tolist(), dim]
-    return [(float(clusters[c[lo]][0]), float(t[lo]), vecs[:, lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    c, t = cluster[order], taus[order]
+    bounds = [0, *(np.flatnonzero((c[1:] != c[:-1]) | (t[1:] != t[:-1])) + 1).tolist(), dim] if dim else [0]
+    return JointEigenspaces(
+        sectors,
+        tuple(q for _, q in solved),
+        order,
+        bounds,
+        [float(clusters[c[lo]][0]) for lo in bounds[:-1]],
+        [float(t[lo]) for lo in bounds[:-1]],
+    )
 
 
-def _half_laplacian_pairs(ctx: BlockContext, k: int, bases: Sequence[np.ndarray], tol: float = 1e-9):
-    """(lambda10, lambda01) on each joint (Delta, i L_T) eigenspace below the middle degree.
+def _sequential_joint_eigenspaces(pairs: Sequence[Tuple[np.ndarray, np.ndarray]], tol: float) -> List[List[tuple]]:
+    """Joint eigenspaces of many pairs of a Hermitian `a` and the Reeb operator `b` = i L_T.
 
-    There sqrt(Delta) and i L_T are the sum and difference of the two half
-    Laplacians, which must act on each space as their Rayleigh quotients.
+    `b` is diagonal in the block basis, and `a` commutes with it, so `a` is
+    block diagonal over the Reeb sectors and is diagonalized sector by sector;
+    the sectors of every pair share one stacked `eigh` per sector size.
+    Returns, per pair, (Delta, tau, basis) ordered by Delta cluster (Delta is
+    the cluster mean over the pair's sectors), then by tau.
     """
+    return [joint.components() for joint in _solve_reeb_sectors([_reeb_sectors(a, b, tol) for a, b in pairs], tol)]
+
+
+def _half_laplacians(ctx: BlockContext, k: int) -> Tuple[np.ndarray, np.ndarray, float]:
+    """The hermitized half Laplacians (Delta_del, Delta_delbar) of degree k below the middle
+    degree, after checking that they commute, and their common scale."""
     if k > ctx.n - 1:
         raise ValueError("the simultaneous decomposition is defined below middle degree")
     a = hermitize(ctx.rumin_del_laplacian(k).matrix, 1e-9)
@@ -393,19 +515,54 @@ def _half_laplacian_pairs(ctx: BlockContext, k: int, bases: Sequence[np.ndarray]
         raise InternalConsistencyError(
             f"half Laplacians do not commute (residual {comm:.3e}); cannot decompose"
         )
-    counts = [basis.shape[1] for basis in bases]
-    if sum(counts) != ctx.rumin_space(k).dim:
+    return a, b, scale
+
+
+def _check_exhausted(ctx: BlockContext, k: int, dim: int):
+    if dim != ctx.rumin_space(k).dim:
         raise InternalConsistencyError("simultaneous eigenspaces do not exhaust the space")
-    basis = np.hstack(bases)
-    starts = np.cumsum([0] + counts[:-1])
+
+
+def _rayleigh_pairs(vectors: np.ndarray, images: Sequence[np.ndarray], counts: Sequence[int], scale: float, tol: float):
+    """(lambda10, lambda01) per run of `counts` columns of `vectors`, from the two half-Laplacian
+    `images` of those columns; each half Laplacian must act on a run as its Rayleigh quotient.
+
+    There sqrt(Delta) and i L_T are the sum and difference of the two half
+    Laplacians.
+    """
+    starts = np.cumsum([0] + list(counts[:-1]))
     pairs = []
-    for m in (a, b):
-        image = m @ basis
-        ray = np.add.reduceat(np.real(np.sum(basis.conj() * image, axis=0)), starts) / counts
-        if max_abs(image - basis * np.repeat(ray, counts)) > 10 * tol * scale:
+    for image in images:
+        ray = np.add.reduceat(np.real(np.sum(vectors.conj() * image, axis=0)), starts) / counts
+        if max_abs(image - vectors * np.repeat(ray, counts)) > 10 * tol * scale:
             raise InternalConsistencyError("half Laplacians are not scalar on a joint eigenspace")
         pairs.append(ray)
     return [(util.round_sig(max(l10, 0.0)), util.round_sig(max(l01, 0.0))) for l10, l01 in zip(*pairs)]
+
+
+def _half_laplacian_pairs(ctx: BlockContext, k: int, bases: Sequence[np.ndarray], tol: float = 1e-9):
+    """(lambda10, lambda01) on each joint (Delta, i L_T) eigenspace below the middle degree."""
+    a, b, scale = _half_laplacians(ctx, k)
+    counts = [basis.shape[1] for basis in bases]
+    _check_exhausted(ctx, k, sum(counts))
+    basis = np.hstack(bases)
+    return _rayleigh_pairs(basis, [a @ basis, b @ basis], counts, scale, tol)
+
+
+def half_laplacian_sectors(ctx: BlockContext, k: int, sectors: ReebSectors):
+    """The half Laplacians of degree k on the Reeb sectors of the degree-k Rumin Laplacian:
+    (their sector blocks, their scale), for `sector_half_laplacian_pairs` once solved."""
+    a, b, scale = _half_laplacians(ctx, k)
+    _check_exhausted(ctx, k, sectors.dim)
+    return tuple(_sector_blocks(m, sectors.tau, sectors.index) for m in (a, b)), scale
+
+
+def sector_half_laplacian_pairs(joint: JointEigenspaces, halves, tol: float = 1e-9):
+    """`_half_laplacian_pairs` on the components of `joint`, from the sector blocks
+    `halves` = `half_laplacian_sectors(...)` of the same operator."""
+    blocks, scale = halves
+    images = [joint.columns([m @ q for m, q in zip(half, joint.vectors)]) for half in blocks]
+    return _rayleigh_pairs(joint.columns(joint.vectors), images, joint.counts, scale, tol)
 
 
 @_block_memo
@@ -413,7 +570,7 @@ def rumin_joint_eigenspaces(ctx: BlockContext, k: int, tol: float = 1e-9) -> Tup
     """(Delta, tau, basis) of the degree-k Rumin Laplacian and i L_T, once per block."""
     lap = hermitize(ctx.laplacian_rn(k).matrix, 1e-9)
     ilt = hermitize(1j * ctx.lie_reeb_rumin(k).matrix, 1e-9)
-    return _sequential_joint_eigenspaces(lap, ilt, tol)
+    return _sequential_joint_eigenspaces([(lap, ilt)], tol)[0]
 
 
 @_block_memo

@@ -39,6 +39,15 @@ from .spectral import (
 )
 
 PAIR_TOL = 1e-9
+# Equal eigenvalues from different blocks and degrees agree only up to the
+# backward error of a dense Hermitian solve, about eps * ||Delta||, and the
+# Rumin eigenvalues of weight m grow like m^4: at m = 40 the measured gap is
+# 7e-10 at Delta ~ 7e5, already close to PAIR_TOL, and at m = 60 it is 2.8e-9
+# at Delta ~ 3e6.  Clustering therefore also merges within
+# RELATIVE_PAIR_TOL * |Delta|, which leaves about 100x headroom at both
+# weights; distinct eigenvalues are integers, so they never merge.  The bound
+# is PAIR_TOL itself up to |Delta| = 1e4, which covers every weight <= 12.
+RELATIVE_PAIR_TOL = 1e-13
 ESTIMATE_CAVEAT = (
     "partial sums only: the derivative at s = 0 requires analytic continuation "
     "and is not computed"
@@ -117,10 +126,10 @@ def _classify_block_degree(ctx: BlockContext, k: int, tol: float = PAIR_TOL) -> 
 
 
 def _cluster_multiset(pairs: Sequence[Tuple[float, float]], tol: float) -> List[Tuple[float, float]]:
-    """Merge (value, count) pairs whose values agree within tol."""
+    """Merge (value, count) pairs whose values agree within max(tol, RELATIVE_PAIR_TOL |value|)."""
     out: List[List[float]] = []
     for v, c in sorted(pairs):
-        if out and abs(v - out[-1][0]) <= tol:
+        if out and abs(v - out[-1][0]) <= max(tol, RELATIVE_PAIR_TOL * abs(v)):
             out[-1][1] += c
         else:
             out.append([v, c])

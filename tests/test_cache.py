@@ -222,7 +222,11 @@ def test_verify_all_computes_each_shared_quantity_once(capsys, monkeypatch):
 
     patch_everywhere(
         "_sequential_joint_eigenspaces",
-        spy("joint eigenspaces", spectral._sequential_joint_eigenspaces, lambda a, b, tol: exact(a, b) + (tol,)),
+        spy(
+            "joint eigenspaces",
+            spectral._sequential_joint_eigenspaces,
+            lambda pairs, tol: tuple(exact(a, b) for a, b in pairs) + (tol,),
+        ),
     )
     patch_everywhere("sqrtm_psd", spy("Rumin square root", operators.sqrtm_psd, lambda m, tol=1e-10: exact(m)))
     monkeypatch.setattr(spectral, "_rank", spy("differential rank", spectral._rank, lambda m, tol=1e-8: exact(m)))
@@ -276,13 +280,14 @@ def test_deformation_family_builds_each_deformed_differential_once(monkeypatch):
 
 
 LENS31 = ["--model", "lens", "--p", "3", "--character", "1"]
+SPECTRUM_OPS = ("delta-rn", "delta-dr", "delta-t", "delta-b")
 
 
 @pytest.mark.parametrize("model", [["--model", "s3"], LENS31], ids=["s3", "lens3-1"])
 @pytest.mark.parametrize(
     "command",
-    [["verify", "--suite", "all"], ["torsion"], ["spectrum", "--op", "delta-rn"], ["spectrum", "--op", "delta-dr"]],
-    ids=["verify", "torsion", "delta-rn", "delta-dr"],
+    [["verify", "--suite", "all"], ["torsion"], *(["spectrum", "--op", op] for op in SPECTRUM_OPS)],
+    ids=["verify", "torsion", *SPECTRUM_OPS],
 )
 def test_cli_holds_one_block_memo_at_a_time(capsys, monkeypatch, command, model):
     """Whenever a block memo gains an entry, no other context of the run holds one; at the end none does."""

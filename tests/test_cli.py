@@ -5,6 +5,7 @@ import io
 import json
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from ruminlab.cli import RunConfig, UsageError, load_config, main
@@ -296,3 +297,19 @@ def test_spectrum_json_carries_bidegree_tags(capsys):
     # constants and the coexact middle eigenvectors are bidegree-homogeneous
     assert "(0,0)" in tags
     assert "(1,0)" in tags and "(0,1)" in tags
+
+
+def test_spectrum_makes_one_eigensolve_per_degree_and_sector_size(capsys, monkeypatch):
+    """The sectors of every block share one stacked `eigh` per sector size, not one per block."""
+    sizes = Counter()
+    eigh = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        sizes[a.shape[-1]] += 1
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    code, out, _ = run_cli(capsys, "spectrum", "--op", "delta-dr", "--model", "s3", "--max-weight", "8")
+    assert code == 0 and out
+    degrees = 4
+    assert sizes and max(sizes.values()) <= degrees, dict(sizes)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ruminlab import cli
 from ruminlab.model import lens_space, su2_model
 from ruminlab.operators import InternalConsistencyError, hermitize, max_abs
 from ruminlab.spectral import (
@@ -177,7 +178,7 @@ def _reeb_pair(ctx, k):
 @pytest.mark.parametrize("k", range(4))
 def test_joint_eigenspaces_split_reeb_sectors(s3_contexts, k):
     lap, ilt = _reeb_pair(s3_contexts[3], k)
-    comps = _sequential_joint_eigenspaces(lap, ilt, 1e-9)
+    [comps] = _sequential_joint_eigenspaces([(lap, ilt)], 1e-9)
     basis = np.hstack([b for _, _, b in comps])
     assert np.allclose(basis.conj().T @ basis, np.eye(lap.shape[0]), atol=1e-12)
     for delta, tau, b in comps:
@@ -189,24 +190,69 @@ def test_joint_eigenspaces_split_reeb_sectors(s3_contexts, k):
     assert keys == sorted(keys)
 
 
+SPECTRUM_OPS = ("delta-rn", "delta-dr", "delta-t", "delta-b")
+
+
+def _spectrum_pairs(model, op, max_weight=8):
+    """(Laplacian, i L_T) of the `spectrum` operator `op` on every block and degree."""
+    degrees = range(3) if op == "delta-b" else range(4)
+    return [
+        cli._operator_pair(ctx, op, k, 0.1)[:2]
+        for ctx in Assembly(model, max_weight).contexts
+        for k in degrees
+    ]
+
+
+@pytest.mark.parametrize("op", SPECTRUM_OPS)
+@pytest.mark.parametrize(
+    "model", [su2_model(), lens_space(3, character=1), lens_space(4, character=2)], ids=["s3", "lens3-1", "lens4-2"]
+)
+def test_many_pair_joint_eigenspaces_equal_single_pair_calls(model, op):
+    """One stacked solve over every block and degree gives, bit for bit, what one call per pair gives."""
+    pairs = _spectrum_pairs(model, op)
+    assert len(pairs) > 8
+    many = _sequential_joint_eigenspaces(pairs, 1e-9)
+    assert len(many) == len(pairs)
+    for pair, comps in zip(pairs, many):
+        [single] = _sequential_joint_eigenspaces([pair], 1e-9)
+        assert [(d, t) for d, t, _ in comps] == [(d, t) for d, t, _ in single]
+        assert [(b.shape, b.tobytes()) for _, _, b in comps] == [(b.shape, b.tobytes()) for _, _, b in single]
+
+
+def _many_pairs_with_one_bad(s3_contexts, spoil):
+    """Every (Laplacian, i L_T) pair of two blocks, with `spoil` applied to the degree-1 pair of block m3."""
+    pairs = [_reeb_pair(s3_contexts[m], k) for m in (2, 3) for k in range(4)]
+    pairs[5] = spoil(*pairs[5])
+    return pairs
+
+
 def test_joint_eigenspaces_reject_non_diagonal_reeb_operator(s3_contexts):
-    lap, ilt = _reeb_pair(s3_contexts[3], 1)
-    ilt = ilt.copy()
-    ilt[0, 1] = ilt[1, 0] = 1e-6
+    def spoil(lap, ilt):
+        ilt = ilt.copy()
+        ilt[0, 1] = ilt[1, 0] = 1e-6
+        return lap, ilt
+
     with pytest.raises(InternalConsistencyError, match="not diagonal"):
-        _sequential_joint_eigenspaces(lap, ilt, 1e-9)
+        _sequential_joint_eigenspaces([spoil(*_reeb_pair(s3_contexts[3], 1))], 1e-9)
+    with pytest.raises(InternalConsistencyError, match="not diagonal"):
+        _sequential_joint_eigenspaces(_many_pairs_with_one_bad(s3_contexts, spoil), 1e-9)
+    assert len(_sequential_joint_eigenspaces(_many_pairs_with_one_bad(s3_contexts, lambda a, b: (a, b)), 1e-9)) == 8
 
 
 def test_joint_eigenspaces_reject_cross_sector_entry(s3_contexts):
-    lap, ilt = _reeb_pair(s3_contexts[3], 1)
-    tau = np.real(np.diag(ilt))
-    i, j = next((i, j) for i in range(tau.size) for j in range(tau.size) if tau[i] != tau[j])
-    lap = lap.copy()
-    eps = 1e-6 * max(1.0, max_abs(lap))
-    lap[i, j] += eps
-    lap[j, i] += eps
+    def spoil(lap, ilt):
+        tau = np.real(np.diag(ilt))
+        i, j = next((i, j) for i in range(tau.size) for j in range(tau.size) if tau[i] != tau[j])
+        lap = lap.copy()
+        eps = 1e-6 * max(1.0, max_abs(lap))
+        lap[i, j] += eps
+        lap[j, i] += eps
+        return lap, ilt
+
     with pytest.raises(InternalConsistencyError, match="commute"):
-        _sequential_joint_eigenspaces(lap, ilt, 1e-9)
+        _sequential_joint_eigenspaces([spoil(*_reeb_pair(s3_contexts[3], 1))], 1e-9)
+    with pytest.raises(InternalConsistencyError, match="commute"):
+        _sequential_joint_eigenspaces(_many_pairs_with_one_bad(s3_contexts, spoil), 1e-9)
 
 
 def test_q_decomposition_rejects_middle_degree(s3_contexts):

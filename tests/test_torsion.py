@@ -1,5 +1,6 @@
 """Zeta bookkeeping and the Reeb decomposition of the torsion function."""
 
+import copy
 import csv
 import io
 import json
@@ -7,11 +8,16 @@ import json
 import numpy as np
 import pytest
 
-from ruminlab.model import lens_space
+from ruminlab.model import lens_space, su2_model
 from ruminlab.spectral import Assembly
 from ruminlab.torsion import (
     ESTIMATE_CAVEAT,
+    PAIR_TOL,
     ZetaSeries,
+    _cluster_multiset,
+    add_reeb_block,
+    close_reeb_report,
+    open_reeb_report,
     block_zeta_series,
     kappa_partial,
     kappa_weights,
@@ -196,3 +202,31 @@ def test_kappa_consistent_with_direct_sum(s3_asm_small, s3_reeb):
 def test_cutoff_reported(s3_reeb):
     # the smallest eigenvalue of the first omitted block bounds exactness
     assert s3_reeb.cutoff == pytest.approx(16.0, abs=1e-6)
+
+
+def test_cluster_multiset_bound_is_absolute_up_to_1e4():
+    """Values merge within max(PAIR_TOL, 1e-13 |value|): PAIR_TOL up to |value| = 1e4, relative above."""
+    assert len(_cluster_multiset([(1e4, 1), (1e4 + 2 * PAIR_TOL, 1)], PAIR_TOL)) == 2
+    assert _cluster_multiset([(1e4, 1), (1e4 + 0.5 * PAIR_TOL, 1)], PAIR_TOL) == [(1e4, 2)]
+    assert _cluster_multiset([(1e6, 1), (1e6 + 5e-8, 1)], PAIR_TOL) == [(1e6, 2)]
+    assert len(_cluster_multiset([(1e6, 1), (1e6 * (1 + 1e-12), 1)], PAIR_TOL)) == 2
+
+
+def _reeb_slices(model, max_weight):
+    report = open_reeb_report(Assembly(model, max_weight))
+    for ctx in Assembly(model, max_weight).visit():
+        add_reeb_block(ctx, report)
+    return report
+
+
+def test_weighted_identity_holds_at_weight_50_and_catches_a_relative_shift():
+    """At M=50 rounding alone no longer splits equal eigenvalues; a 1e-8 relative shift of one still fails."""
+    report = _reeb_slices(su2_model(), 50)
+    shifted = copy.deepcopy(report)
+    max(shifted.slices, key=lambda sl: sl.delta).delta *= 1 + 1e-8
+    close_reeb_report(report)
+    close_reeb_report(shifted)
+    assert report.passed and report.weighted_match
+    assert not shifted.weighted_match
+    [check] = [c for c in shifted.checks.failures() if c.name == "weighted_multiset_identity"]
+    assert check.residual >= 1
