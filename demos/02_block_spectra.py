@@ -15,7 +15,9 @@ with the (Laplacian, i L_T) pair of every block.  It is the one routine behind
 every joint (Delta, i L_T) eigenspace: i L_T is diagonal in the block basis,
 so the routine diagonalizes each Laplacian inside each Reeb sector (basis
 vectors sharing one Reeb eigenvalue tau = -nu), with one stacked eigensolve
-per sector size across all pairs, and nu is an exact integer.
+per sector size across all pairs, and nu is an exact integer.  The rows need
+only the eigenvalue, the Reeb value and the dimension of each joint
+eigenspace, so no eigenvector basis is built for them.
 """
 
 import numpy as np
@@ -47,10 +49,10 @@ pairs = [
     (hermitize(ctx.laplacian_rn(1).matrix, 1e-9), hermitize(1j * ctx.lie_reeb_rumin(1).matrix, 1e-9))
     for ctx in asm.contexts
 ]
-for ctx, comps in zip(asm.contexts, _sequential_joint_eigenspaces(pairs, 1e-9)):
-    for delta, tau, basis in comps:
+for ctx, joint in zip(asm.contexts, _sequential_joint_eigenspaces(pairs, 1e-9)):
+    for delta, tau, count in zip(joint.delta, joint.tau, joint.counts):
         nu = 0.0 - tau  # never -0.0
-        print(f"{ctx.block.label:>6} {max(delta, 0.0):11.6f} {nu:7.2f} {ctx.block.multiplicity * basis.shape[1]:5d}")
+        print(f"{ctx.block.label:>6} {max(delta, 0.0):11.6f} {nu:7.2f} {ctx.block.multiplicity * count:5d}")
 
 print()
 print("mirror symmetry: the star operator pairs degrees k and 3-k")

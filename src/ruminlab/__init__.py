@@ -58,12 +58,9 @@ from .spectral import (
 )
 from .torsion import (
     TorsionReport,
-    ZetaSeries,
-    kappa_partial,
     kappa_weights,
     reeb_decomposition,
     torsion_estimate,
-    zeta_partial,
 )
 
 __version__ = "0.1.0"

@@ -8,6 +8,7 @@ reductions, floats printed with 17 significant digits).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -372,7 +373,9 @@ def cmd_torsion(cfg: RunConfig) -> int:
 # -- entry point --------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `rumin` argument parser, built once per process; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="rumin",
         description="Spectra and verification suites for the Rumin complex on model Sasakian 3-manifolds.",

@@ -8,19 +8,22 @@ table; it bounds the Rumin spectrum only.  All verifications reduce to
 residual norms of matrix identities and to subspace comparisons through
 principal angles, with one report entry per named check.
 
-Joint (Delta, i L_T) eigenspaces come from one routine in two steps: i L_T is
-diagonal with integer entries in the block basis, so a Laplacian, which
-commutes with it, is block diagonal over the Reeb sectors (basis vectors
-sharing one Reeb eigenvalue).  `_reeb_sectors` checks that structure and cuts
-the Laplacian into its sector submatrices; `_solve_reeb_sectors` diagonalizes
-the sectors of many operators with one stacked `eigh` per sector size and
-clusters Delta per operator.  `_sequential_joint_eigenspaces` runs both on
-(Laplacian, i L_T) pairs and returns dense bases; the per-block callers pass
-it one pair.  `rumin spectrum` keeps only the sector data of each (block,
-degree) while it visits the blocks, and solves every sector after the last
-block; below the middle degree it also keeps the sector blocks of the two
-half Laplacians (`half_laplacian_sectors`), whose Rayleigh quotients on the
-sector eigenvectors give (lambda10, lambda01) (`sector_half_laplacian_pairs`).
+Joint (Delta, i L_T) eigenspaces come from one routine, and its one result
+type is the sector-local `JointEigenspaces`.  i L_T is diagonal with integer
+entries in the block basis, so a Laplacian, which commutes with it, is block
+diagonal over the Reeb sectors (basis vectors sharing one Reeb eigenvalue).
+`_reeb_sectors` checks that structure and cuts the Laplacian into its sector
+submatrices; `_solve_reeb_sectors` diagonalizes the sectors of many operators
+with one stacked `eigh` per sector size and clusters Delta per operator.
+`_sequential_joint_eigenspaces` runs both on (Laplacian, i L_T) pairs, and
+`rumin_joint_eigenspaces` memoizes its result for the Rumin Laplacian of one
+(block, degree).  Below the middle degree the sector blocks of the two half
+Laplacians (`half_laplacian_sectors`) have Rayleigh quotients on the sector
+eigenvectors that give (lambda10, lambda01) (`sector_half_laplacian_pairs`).
+`q_decomposition` reads both from the memo; it is the one caller that needs a
+dense basis per component (`JointEigenspaces.components`).  `rumin spectrum`
+keeps only the sector data of each (block, degree) while it visits the
+blocks, and solves every sector after the last block.
 
 Quantities that several suites share (the Rumin joint eigenspaces and their
 half-Laplacian pairs, harmonic bases, differential ranks, the split halves of
@@ -402,9 +405,9 @@ class JointEigenspaces:
     sectors: ReebSectors
     vectors: Tuple[np.ndarray, ...]
     order: np.ndarray
-    bounds: List[int]
-    delta: List[float]
-    tau: List[float]
+    bounds: Tuple[int, ...]
+    delta: Tuple[float, ...]
+    tau: Tuple[float, ...]
 
     @property
     def counts(self) -> List[int]:
@@ -479,32 +482,36 @@ def _cluster_joint(sectors: ReebSectors, solved: Sequence[tuple], tol: float) ->
     # one component per (Delta cluster, sector) pair, as a run of columns
     order = np.lexsort((taus, cluster))
     c, t = cluster[order], taus[order]
-    bounds = [0, *(np.flatnonzero((c[1:] != c[:-1]) | (t[1:] != t[:-1])) + 1).tolist(), dim] if dim else [0]
+    bounds = (0, *(np.flatnonzero((c[1:] != c[:-1]) | (t[1:] != t[:-1])) + 1).tolist(), dim) if dim else (0,)
     return JointEigenspaces(
         sectors,
         tuple(q for _, q in solved),
         order,
         bounds,
-        [float(clusters[c[lo]][0]) for lo in bounds[:-1]],
-        [float(t[lo]) for lo in bounds[:-1]],
+        tuple(float(clusters[c[lo]][0]) for lo in bounds[:-1]),
+        tuple(float(t[lo]) for lo in bounds[:-1]),
     )
 
 
-def _sequential_joint_eigenspaces(pairs: Sequence[Tuple[np.ndarray, np.ndarray]], tol: float) -> List[List[tuple]]:
+def _sequential_joint_eigenspaces(
+    pairs: Sequence[Tuple[np.ndarray, np.ndarray]], tol: float
+) -> List[JointEigenspaces]:
     """Joint eigenspaces of many pairs of a Hermitian `a` and the Reeb operator `b` = i L_T.
 
     `b` is diagonal in the block basis, and `a` commutes with it, so `a` is
     block diagonal over the Reeb sectors and is diagonalized sector by sector;
     the sectors of every pair share one stacked `eigh` per sector size.
-    Returns, per pair, (Delta, tau, basis) ordered by Delta cluster (Delta is
-    the cluster mean over the pair's sectors), then by tau.
+    Returns, per pair, its components ordered by Delta cluster (Delta is the
+    cluster mean over the pair's sectors), then by tau.
     """
-    return [joint.components() for joint in _solve_reeb_sectors([_reeb_sectors(a, b, tol) for a, b in pairs], tol)]
+    return _solve_reeb_sectors([_reeb_sectors(a, b, tol) for a, b in pairs], tol)
 
 
-def _half_laplacians(ctx: BlockContext, k: int) -> Tuple[np.ndarray, np.ndarray, float]:
+def half_laplacian_sectors(ctx: BlockContext, k: int, sectors: ReebSectors):
     """The hermitized half Laplacians (Delta_del, Delta_delbar) of degree k below the middle
-    degree, after checking that they commute, and their common scale."""
+    degree, after checking that they commute, on the Reeb sectors of the degree-k Rumin
+    Laplacian: (their sector blocks, their common scale), for `sector_half_laplacian_pairs`
+    once solved."""
     if k > ctx.n - 1:
         raise ValueError("the simultaneous decomposition is defined below middle degree")
     a = hermitize(ctx.rumin_del_laplacian(k).matrix, 1e-9)
@@ -515,24 +522,25 @@ def _half_laplacians(ctx: BlockContext, k: int) -> Tuple[np.ndarray, np.ndarray,
         raise InternalConsistencyError(
             f"half Laplacians do not commute (residual {comm:.3e}); cannot decompose"
         )
-    return a, b, scale
-
-
-def _check_exhausted(ctx: BlockContext, k: int, dim: int):
-    if dim != ctx.rumin_space(k).dim:
+    if sectors.dim != ctx.rumin_space(k).dim:
         raise InternalConsistencyError("simultaneous eigenspaces do not exhaust the space")
+    return tuple(_sector_blocks(m, sectors.tau, sectors.index) for m in (a, b)), scale
 
 
-def _rayleigh_pairs(vectors: np.ndarray, images: Sequence[np.ndarray], counts: Sequence[int], scale: float, tol: float):
-    """(lambda10, lambda01) per run of `counts` columns of `vectors`, from the two half-Laplacian
-    `images` of those columns; each half Laplacian must act on a run as its Rayleigh quotient.
+def sector_half_laplacian_pairs(joint: JointEigenspaces, halves, tol: float = 1e-9):
+    """(lambda10, lambda01) on each component of `joint`, a joint (Delta, i L_T) eigenspace
+    below the middle degree, from the sector blocks `halves` = `half_laplacian_sectors(...)`
+    of the same operator.
 
-    There sqrt(Delta) and i L_T are the sum and difference of the two half
-    Laplacians.
+    Each half Laplacian must act on a component as its Rayleigh quotient; there
+    sqrt(Delta) and i L_T are the sum and difference of the two half Laplacians.
     """
-    starts = np.cumsum([0] + list(counts[:-1]))
+    blocks, scale = halves
+    vectors, counts = joint.columns(joint.vectors), joint.counts
+    starts = np.cumsum([0] + counts[:-1])
     pairs = []
-    for image in images:
+    for half in blocks:
+        image = joint.columns([m @ q for m, q in zip(half, joint.vectors)])
         ray = np.add.reduceat(np.real(np.sum(vectors.conj() * image, axis=0)), starts) / counts
         if max_abs(image - vectors * np.repeat(ray, counts)) > 10 * tol * scale:
             raise InternalConsistencyError("half Laplacians are not scalar on a joint eigenspace")
@@ -540,34 +548,9 @@ def _rayleigh_pairs(vectors: np.ndarray, images: Sequence[np.ndarray], counts: S
     return [(util.round_sig(max(l10, 0.0)), util.round_sig(max(l01, 0.0))) for l10, l01 in zip(*pairs)]
 
 
-def _half_laplacian_pairs(ctx: BlockContext, k: int, bases: Sequence[np.ndarray], tol: float = 1e-9):
-    """(lambda10, lambda01) on each joint (Delta, i L_T) eigenspace below the middle degree."""
-    a, b, scale = _half_laplacians(ctx, k)
-    counts = [basis.shape[1] for basis in bases]
-    _check_exhausted(ctx, k, sum(counts))
-    basis = np.hstack(bases)
-    return _rayleigh_pairs(basis, [a @ basis, b @ basis], counts, scale, tol)
-
-
-def half_laplacian_sectors(ctx: BlockContext, k: int, sectors: ReebSectors):
-    """The half Laplacians of degree k on the Reeb sectors of the degree-k Rumin Laplacian:
-    (their sector blocks, their scale), for `sector_half_laplacian_pairs` once solved."""
-    a, b, scale = _half_laplacians(ctx, k)
-    _check_exhausted(ctx, k, sectors.dim)
-    return tuple(_sector_blocks(m, sectors.tau, sectors.index) for m in (a, b)), scale
-
-
-def sector_half_laplacian_pairs(joint: JointEigenspaces, halves, tol: float = 1e-9):
-    """`_half_laplacian_pairs` on the components of `joint`, from the sector blocks
-    `halves` = `half_laplacian_sectors(...)` of the same operator."""
-    blocks, scale = halves
-    images = [joint.columns([m @ q for m, q in zip(half, joint.vectors)]) for half in blocks]
-    return _rayleigh_pairs(joint.columns(joint.vectors), images, joint.counts, scale, tol)
-
-
 @_block_memo
-def rumin_joint_eigenspaces(ctx: BlockContext, k: int, tol: float = 1e-9) -> Tuple[tuple, ...]:
-    """(Delta, tau, basis) of the degree-k Rumin Laplacian and i L_T, once per block."""
+def rumin_joint_eigenspaces(ctx: BlockContext, k: int, tol: float = 1e-9) -> JointEigenspaces:
+    """Joint eigenspaces of the degree-k Rumin Laplacian and i L_T, once per block."""
     lap = hermitize(ctx.laplacian_rn(k).matrix, 1e-9)
     ilt = hermitize(1j * ctx.lie_reeb_rumin(k).matrix, 1e-9)
     return _sequential_joint_eigenspaces([(lap, ilt)], tol)[0]
@@ -577,9 +560,9 @@ def rumin_joint_eigenspaces(ctx: BlockContext, k: int, tol: float = 1e-9) -> Tup
 def q_decomposition(ctx: BlockContext, k: int, tol: float = 1e-9) -> Tuple[QComponent, ...]:
     """Simultaneous eigenspaces of the two half Laplacians on the degree-k Rumin space,
     in the order of `rumin_joint_eigenspaces`."""
-    bases = [basis for _, _, basis in rumin_joint_eigenspaces(ctx, k, tol)]
-    pairs = _half_laplacian_pairs(ctx, k, bases, tol)
-    return tuple(QComponent(l10, l01, basis) for (l10, l01), basis in zip(pairs, bases))
+    joint = rumin_joint_eigenspaces(ctx, k, tol)
+    pairs = sector_half_laplacian_pairs(joint, half_laplacian_sectors(ctx, k, joint.sectors), tol)
+    return tuple(QComponent(l10, l01, basis) for (l10, l01), (_, _, basis) in zip(pairs, joint.components()))
 
 
 # -- cohomology rank oracles ----------------------------------------------------

@@ -1,4 +1,4 @@
-"""Spectral zeta bookkeeping and the Reeb decomposition of the torsion function.
+"""The Reeb decomposition of the torsion function and its zeta partial sums.
 
 The torsion function is the weighted alternating sum
 
@@ -14,6 +14,13 @@ below the middle degree meet 2q copies in it for n = 1), so the theorem-level
 statement is the weighted multiset identity, which this module checks exactly,
 alongside the literal per-degree comparison, which it reports honestly.
 
+Each piece needs only Delta and the Reeb value tau of a joint (Delta, i L_T)
+eigenspace, and its dimension: `add_reeb_block` reads them from the memoized
+sector-local solve `rumin_joint_eigenspaces` and builds no eigenvector basis.
+`close_reeb_report` folds the classified pieces of every block into the
+per-degree zeta partial sums (`TorsionReport.zetas`) and the two routes to
+kappa (`kappa_from_spectrum`, `kappa_from_reeb`).
+
 Only partial zeta sums at s >= 2 are produced; analytic continuation to s = 0
 is out of scope and the derivative at 0 is never claimed.
 """
@@ -25,12 +32,12 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from . import util
-from .operators import BlockContext, hermitize, max_abs
+from .operators import BlockContext, max_abs
 from .spectral import (
     Assembly,
     VerificationReport,
@@ -54,33 +61,6 @@ ESTIMATE_CAVEAT = (
 )
 
 
-# -- zeta series -----------------------------------------------------------------
-
-
-@dataclass
-class ZetaSeries:
-    """Positive eigenvalue multiset of one operator, exact below the cutoff."""
-
-    label: str
-    eigenvalues: List[Tuple[float, int]] = field(default_factory=list)
-    cutoff: Optional[float] = None
-
-    def partial(self, s: float) -> float:
-        return zeta_partial(self, s)
-
-
-def zeta_partial(series: ZetaSeries, s: float) -> float:
-    """Partial zeta sum over the stored multiset; 0 on an empty multiset."""
-    if s <= 0:
-        raise ValueError("partial zeta sums require s > 0")
-    total = 0.0
-    for lam, mult in series.eigenvalues:
-        if lam <= 0:
-            raise ValueError("zeta multisets contain positive eigenvalues only")
-        total += mult * lam ** (-s)
-    return total
-
-
 def kappa_weights(n: int) -> List[int]:
     """Alternating degree weights of the torsion function, degrees 0..n."""
     return [(-1) ** (k + 1) * (n + 1 - k) for k in range(n + 1)]
@@ -101,28 +81,6 @@ class ReebSlice:
     nu: float
     mult: int
     piece: str
-
-
-def _classify_block_degree(ctx: BlockContext, k: int, tol: float = PAIR_TOL) -> List[ReebSlice]:
-    lap = hermitize(ctx.laplacian_rn(k).matrix, 1e-9)
-    zero = tol * max(1.0, max_abs(lap))
-    out: List[ReebSlice] = []
-    for delta, tau, basis in rumin_joint_eigenspaces(ctx, k, tol):
-        delta = max(delta, 0.0)
-        nu = 0.0 - tau  # L_T acts by i*nu; never -0.0
-        root = math.sqrt(delta)
-        box = 0.5 * (root + tau)
-        boxbar = 0.5 * (root - tau)
-        if delta <= zero:
-            piece = "harmonic"
-        elif box <= zero:
-            piece = "reeb_plus"  # ker box ∩ im boxbar
-        elif boxbar <= zero:
-            piece = "reeb_minus"  # im box ∩ ker boxbar
-        else:
-            piece = "bi_positive"
-        out.append(ReebSlice(ctx.block.label, k, delta, nu, ctx.block.multiplicity * basis.shape[1], piece))
-    return out
 
 
 def _cluster_multiset(pairs: Sequence[Tuple[float, float]], tol: float) -> List[Tuple[float, float]]:
@@ -283,7 +241,25 @@ def add_reeb_block(ctx: BlockContext, report: TorsionReport):
         wbmin = float(np.min(np.linalg.eigvalsh(boxbar.matrix))) if boxbar.matrix.size else 0.0
         checks.add(f"boxes_psd[{lbl}]k={k}", max(0.0, -min(wmin, wbmin)), 1e-9)
     for k in range(n + 1):
-        slices = _classify_block_degree(ctx, k, pair_tol)
+        joint = rumin_joint_eigenspaces(ctx, k, pair_tol)
+        # the largest |entry| of the Laplacian, which is block diagonal over the Reeb sectors
+        zero = pair_tol * max(1.0, max((max_abs(b) for b in joint.sectors.blocks), default=0.0))
+        slices = []
+        for delta, tau, count in zip(joint.delta, joint.tau, joint.counts):
+            delta = max(delta, 0.0)
+            root = math.sqrt(delta)
+            box = 0.5 * (root + tau)
+            boxbar = 0.5 * (root - tau)
+            if delta <= zero:
+                piece = "harmonic"
+            elif box <= zero:
+                piece = "reeb_plus"  # ker box ∩ im boxbar
+            elif boxbar <= zero:
+                piece = "reeb_minus"  # im box ∩ ker boxbar
+            else:
+                piece = "bi_positive"
+            # L_T acts by i*nu; never -0.0
+            slices.append(ReebSlice(lbl, k, delta, 0.0 - tau, ctx.block.multiplicity * count, piece))
         report.slices.extend(slices)
         spectrum = [(sl.delta, sl.mult) for sl in slices if sl.piece != "harmonic"]
         one_sided = [
@@ -361,35 +337,6 @@ def close_reeb_report(report: TorsionReport):
         report.kappa_from_spectrum[float(s)] = lhs
         report.kappa_from_reeb[float(s)] = rhs
         checks.add(f"kappa_two_routes_s={util.fmt_float(s)}", abs(lhs - rhs), 1e-9)
-
-
-def kappa_partial(asm: Assembly, s: float) -> float:
-    """Weighted alternating partial sum of the low-degree zeta functions."""
-    if s < 2.0:
-        raise ValueError("partial sums are only reported for s >= 2")
-    n = asm.n
-    weights = kappa_weights(n)
-    total = 0.0
-    for ctx in asm.contexts:
-        for k in range(n + 1):
-            w = np.linalg.eigvalsh(hermitize(ctx.laplacian_rn(k).matrix, 1e-9))
-            scale = max(1.0, float(w[-1]) if w.size else 1.0)
-            pos = w[w > PAIR_TOL * scale]
-            total += weights[k] * ctx.block.multiplicity * float(np.sum(pos ** (-s)))
-    return total
-
-
-def block_zeta_series(asm: Assembly, degree: int) -> ZetaSeries:
-    """Positive Rumin spectrum of one degree over all retained blocks."""
-    pairs: List[Tuple[float, int]] = []
-    for ctx in asm.contexts:
-        w = np.linalg.eigvalsh(hermitize(ctx.laplacian_rn(degree).matrix, 1e-9))
-        scale = max(1.0, float(w[-1]) if w.size else 1.0)
-        pairs += [(float(v), ctx.block.multiplicity) for v in w if v > PAIR_TOL * scale]
-    return ZetaSeries(
-        label=f"delta_rn_k{degree}", eigenvalues=_cluster_multiset(pairs, PAIR_TOL),
-        cutoff=asm.spectral_cutoff(),
-    )
 
 
 def torsion_estimate(asm: Assembly, s_grid: Sequence[float] = (2.0, 3.0, 4.0)) -> TorsionReport:

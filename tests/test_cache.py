@@ -109,7 +109,7 @@ MEMOIZED = {
     "sqrt_laplacian_rn": lambda c: c.sqrt_laplacian_rn(1),
     "horizontal_del": lambda c: spectral._horizontal_del(c, 1, True),
     "horizontal_lefschetz": lambda c: spectral._horizontal_lefschetz(c, 0),
-    "joint_eigenspaces": lambda c: spectral.rumin_joint_eigenspaces(c, 1)[-1][2],
+    "joint_eigenspaces": lambda c: spectral.rumin_joint_eigenspaces(c, 1).vectors[-1],
     "q_decomposition": lambda c: spectral.q_decomposition(c, 0)[-1].basis,
     "harmonic_basis": lambda c: spectral._harmonic_basis(c, 0, "rumin").vectors,
 }
@@ -162,6 +162,8 @@ def test_memo_key_fills_in_keywords_and_defaults(s3):
     comps = spectral.q_decomposition(ctx, 0)
     assert comps is spectral.q_decomposition(ctx, 0, tol=1e-9)
     assert isinstance(comps, tuple)  # a memoized list would let one caller append for all
+    joint = spectral.rumin_joint_eigenspaces(ctx, 0)
+    assert all(isinstance(v, tuple) for v in (joint.bounds, joint.delta, joint.tau))
     with pytest.raises(TypeError):
         ctx.del_full(0, False, anti=False)
     with pytest.raises(TypeError):
@@ -245,6 +247,24 @@ def test_verify_all_computes_each_shared_quantity_once(capsys, monkeypatch):
         repeated = {key: n for key, n in counts.items() if n > 1}
         assert not repeated, f"{kind}: {len(repeated)} of {len(counts)} computations repeated"
     assert len(calls) == 4
+
+
+@pytest.mark.parametrize("command", [["torsion"], ["verify", "--suite", "thm5"]], ids=["torsion", "thm5"])
+def test_torsion_builds_no_dense_eigenbasis(capsys, monkeypatch, command):
+    """The Reeb pieces need only Delta, tau and the dimension of each joint eigenspace."""
+    calls = Counter()
+    components = spectral.JointEigenspaces.components
+
+    def spy(joint):
+        calls["components"] += 1
+        return components(joint)
+
+    monkeypatch.setattr(spectral.JointEigenspaces, "components", spy)
+    assert cli.main(command + ["--model", "lens", "--p", "3", "--character", "1", "--max-weight", "4"]) == 0
+    capsys.readouterr()
+    assert calls["components"] == 0
+    spectral.q_decomposition(Assembly(lens_space(3, character=1), 4).contexts[-1], 0)  # the one dense caller
+    assert calls["components"] == 1
 
 
 def _assert_each_dt_built_once(monkeypatch, suite, t_samples, degrees):

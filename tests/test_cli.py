@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from ruminlab.cli import RunConfig, UsageError, load_config, main
+from ruminlab.cli import RunConfig, UsageError, build_parser, load_config, main
 
 
 def run_cli(capsys, *argv):
@@ -208,6 +208,18 @@ def test_byte_identical_output(capsys):
     _, out1, _ = run_cli(capsys, *args)
     _, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
+
+
+def test_parser_built_once_and_unchanged_by_a_usage_error(capsys):
+    """Every `main` call of a process parses with one parser; a rejected command line leaves it as it was."""
+    build_parser.cache_clear()
+    args = ["torsion", "--model", "lens", "--p", "3", "--character", "1", "--max-weight", "2", "--format", "json"]
+    alone = run_cli(capsys, *args)
+    for bad in (["torsion", "--max-weight", "two"], ["spectrum", "--op", "delta-x"], []):
+        assert run_cli(capsys, *bad)[0] == 2
+    assert run_cli(capsys, *args) == alone
+    assert alone[0] == 0 and alone[1].startswith("{")
+    assert build_parser.cache_info().misses == 1
 
 
 def test_config_file_precedence(tmp_path, capsys):

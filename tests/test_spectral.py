@@ -178,7 +178,8 @@ def _reeb_pair(ctx, k):
 @pytest.mark.parametrize("k", range(4))
 def test_joint_eigenspaces_split_reeb_sectors(s3_contexts, k):
     lap, ilt = _reeb_pair(s3_contexts[3], k)
-    [comps] = _sequential_joint_eigenspaces([(lap, ilt)], 1e-9)
+    [joint] = _sequential_joint_eigenspaces([(lap, ilt)], 1e-9)
+    comps = joint.components()
     basis = np.hstack([b for _, _, b in comps])
     assert np.allclose(basis.conj().T @ basis, np.eye(lap.shape[0]), atol=1e-12)
     for delta, tau, b in comps:
@@ -213,8 +214,9 @@ def test_many_pair_joint_eigenspaces_equal_single_pair_calls(model, op):
     assert len(pairs) > 8
     many = _sequential_joint_eigenspaces(pairs, 1e-9)
     assert len(many) == len(pairs)
-    for pair, comps in zip(pairs, many):
-        [single] = _sequential_joint_eigenspaces([pair], 1e-9)
+    for pair, joint in zip(pairs, many):
+        [alone] = _sequential_joint_eigenspaces([pair], 1e-9)
+        comps, single = joint.components(), alone.components()
         assert [(d, t) for d, t, _ in comps] == [(d, t) for d, t, _ in single]
         assert [(b.shape, b.tobytes()) for _, _, b in comps] == [(b.shape, b.tobytes()) for _, _, b in single]
 

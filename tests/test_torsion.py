@@ -1,61 +1,58 @@
-"""Zeta bookkeeping and the Reeb decomposition of the torsion function."""
+"""Zeta partial sums and the Reeb decomposition of the torsion function."""
 
 import copy
 import csv
 import io
 import json
+import math
 
 import numpy as np
 import pytest
 
-from ruminlab.model import lens_space, su2_model
+from ruminlab.model import allowed_weight_slots, lens_space, su2_model
 from ruminlab.spectral import Assembly
 from ruminlab.torsion import (
     ESTIMATE_CAVEAT,
     PAIR_TOL,
-    ZetaSeries,
+    ReebSlice,
+    TorsionReport,
     _cluster_multiset,
     add_reeb_block,
     close_reeb_report,
     open_reeb_report,
-    block_zeta_series,
-    kappa_partial,
     kappa_weights,
     reeb_decomposition,
     torsion_estimate,
-    zeta_partial,
 )
 
 
-# -- zeta series -----------------------------------------------------------------
+# -- zeta partial sums -------------------------------------------------------------
+
+
+def _degree_zero_zeta(entries, s):
+    """The degree-0 zeta partial sum of a report whose slices are the positive (Delta, mult) `entries`."""
+    report = TorsionReport(
+        model={}, max_weight=0, s_grid=[s], weights=kappa_weights(1), cutoff=0.0, cohomology_dims=[0, 0]
+    )
+    report.slices = [ReebSlice("m0", 0, delta, 0.0, mult, "bi_positive") for delta, mult in entries]
+    close_reeb_report(report)
+    return report.zetas[(0, s)]
 
 
 def test_zeta_partial_single_term():
-    z = ZetaSeries("demo", [(4.0, 1)])
-    assert zeta_partial(z, 1.0) == pytest.approx(0.25)
+    assert _degree_zero_zeta([(4.0, 1)], 2.0) == pytest.approx(0.0625)
 
 
 def test_zeta_partial_small_multiset():
-    z = ZetaSeries("demo", [(1.0, 2), (4.0, 1)])
-    assert zeta_partial(z, 2.0) == pytest.approx(2.0625)
+    assert _degree_zero_zeta([(1.0, 2), (4.0, 1)], 2.0) == pytest.approx(2.0625)
 
 
 def test_zeta_partial_empty_is_zero():
-    assert zeta_partial(ZetaSeries("empty"), 3.0) == 0.0
-
-
-def test_zeta_partial_validates():
-    with pytest.raises(ValueError):
-        zeta_partial(ZetaSeries("demo", [(1.0, 1)]), 0.0)
-    with pytest.raises(ValueError):
-        zeta_partial(ZetaSeries("demo", [(-1.0, 1)]), 2.0)
+    assert _degree_zero_zeta([], 3.0) == 0.0
 
 
 def test_zeta_partial_cauchy_in_cutoff(s3):
-    values = []
-    for mw in (2, 4, 6):
-        series = block_zeta_series(Assembly(s3, mw), 0)
-        values.append(zeta_partial(series, 3.0))
+    values = [reeb_decomposition(Assembly(s3, mw), s_grid=(3.0,)).zetas[(0, 3.0)] for mw in (2, 4, 6)]
     assert values[0] < values[1] < values[2]
     assert values[2] - values[1] < values[1] - values[0]
 
@@ -69,17 +66,19 @@ def test_kappa_on_empty_truncation_is_zero():
     # the twisted quotient has no weight-0 block, so nothing survives the cutoff
     asm = Assembly(lens_space(2, character=1), 0)
     assert asm.contexts == []
-    assert kappa_partial(asm, 2.0) == 0.0
+    report = reeb_decomposition(asm)
+    assert report.kappa_from_spectrum[2.0] == 0.0
+    assert set(report.zetas.values()) == {0.0}
 
 
 def test_kappa_requires_safe_exponent(s3_asm_small):
     with pytest.raises(ValueError):
-        kappa_partial(s3_asm_small, 1.5)
+        reeb_decomposition(s3_asm_small, s_grid=(1.5,))
 
 
 def test_kappa_partial_decreases_with_cutoff(s3):
     # every added block contributes a negative increment on these models
-    vals = [kappa_partial(Assembly(s3, mw), 2.0) for mw in (1, 2, 3)]
+    vals = [reeb_decomposition(Assembly(s3, mw), s_grid=(2.0,)).kappa_from_spectrum[2.0] for mw in (1, 2, 3)]
     assert vals[0] > vals[1] > vals[2]
 
 
@@ -195,8 +194,42 @@ def test_torsion_estimate_flags_partiality(s3_asm_small):
         assert np.isfinite(v)
 
 
-def test_kappa_consistent_with_direct_sum(s3_asm_small, s3_reeb):
-    assert s3_reeb.kappa_from_spectrum[2.0] == pytest.approx(kappa_partial(s3_asm_small, 2.0), abs=1e-12)
+def _closed_form_kappa(model, max_weight, s):
+    """kappa_M(s) = sum_{m=1..M} r(m) (-2 m^(-2s)) + sum_{m=0..M} 2 r(m) (m+2)^(-2s), r(m) the
+    number of allowed weight slots, and the sum of the absolute values of its terms.
+
+    The one-sided Reeb values are +-m in degree 0 and +-m, +-(m+2) in degree 1, the
+    degree weights are (-2, 1), and the bi-positive parts cancel.
+    """
+    terms = []
+    for m in range(max_weight + 1):
+        r = len(allowed_weight_slots(m, model.p, model.character))
+        if m >= 1:
+            terms.append(-2 * r * m ** (-2 * s))
+        terms.append(2 * r * (m + 2) ** (-2 * s))
+    return math.fsum(terms), sum(abs(t) for t in terms)
+
+
+def test_kappa_consistent_with_direct_sum():
+    """The torsion partial sums equal the closed form to 1e-12 of the sum of |terms|;
+    a 1e-8 relative shift of the smallest positive eigenvalue does not."""
+    models = [su2_model()] + [lens_space(p, character=l) for p in range(2, 6) for l in range(p)]
+    for model in models:
+        for max_weight in (0, 3, 12, 20):
+            report = _reeb_slices(model, max_weight)
+            shifted = copy.deepcopy(report)
+            positive = [sl for sl in shifted.slices if sl.piece != "harmonic"]
+            if positive:
+                min(positive, key=lambda sl: sl.delta).delta *= 1 + 1e-8
+            close_reeb_report(report)
+            close_reeb_report(shifted)
+            assert report.s_grid == [2.0, 3.0, 4.0]
+            for s in report.s_grid:
+                closed, scale = _closed_form_kappa(model, max_weight, s)
+                case = (model.p, model.character, max_weight, s)
+                assert abs(report.kappa_from_spectrum[s] - closed) <= 1e-12 * scale, case
+                if positive:
+                    assert abs(shifted.kappa_from_spectrum[s] - closed) > 1e-12 * scale, case
 
 
 def test_cutoff_reported(s3_reeb):
