@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 from typing import List, Optional
 
 from . import torsion as torsion_mod
-from .model import ModelManifold, ParameterError, lens_space, su2_model
+from .model import ModelManifold, ParameterError, block_label, lens_space, su2_model
 from .spectral import (
     Assembly,
     SpectrumEntry,
@@ -32,14 +32,12 @@ from .spectral import (
     check_primitivity,
     check_sasakian_identities,
     check_star_symmetry,
-    half_laplacian_sectors,
     rank_oracle_checks,
     sector_half_laplacian_pairs,
+    spectral_cutoff,
     ReebSectors,
-    _reeb_sectors,
     _solve_reeb_sectors,
 )
-from .operators import InternalConsistencyError, hermitize
 from . import util
 
 import numpy as np
@@ -156,64 +154,16 @@ def _emit(text: str, out: Optional[str]):
 # -- spectrum ---------------------------------------------------------------------
 
 
-def _operator_pair(ctx, op: str, degree: int, t: float):
-    """Hermitized (Laplacian, i L_T) of the `spectrum` operator `op` in one degree, and the
-    embedding of its space into full coordinates."""
-    if op == "delta-rn":
-        lap = ctx.laplacian_rn(degree).matrix
-        ilt = 1j * ctx.lie_reeb_rumin(degree).matrix
-        embed = ctx.rumin_space(degree).embed
-    elif op == "delta-dr":
-        lap = ctx.laplacian_de_rham(degree).matrix
-        ilt = 1j * ctx.lie_reeb_full(degree)
-        embed = ctx.space(degree).embed
-    elif op == "delta-t":
-        lap = ctx.laplacian_t(degree, t).matrix
-        ilt = 1j * ctx.lie_reeb_full(degree)
-        embed = ctx.space(degree).embed
-    elif op == "delta-b":
-        lap = ctx.laplacian_b(degree).matrix
-        sp = ctx.horizontal_space(degree)
-        ilt = 1j * ctx.compress(ctx.lie_reeb_full(degree), sp, sp).matrix
-        embed = sp.embed
-    else:
-        raise UsageError(f"unknown operator {op!r}")
-    return hermitize(lap, 1e-9), hermitize(ilt, 1e-9), embed
-
-
-def _bidegree_labels(ctx, degree: int, embed, names: dict, tol: float = 1e-9):
-    """Per basis column of `embed`, the index in `names` of its bidegree label ("(i,j)" or
-    "theta^(i,j)"); new labels are added to `names`.  Every column must be homogeneous."""
-    bidegrees = [(i, degree - int(vert) - i, vert) for vert in (False, True) for i in range(degree - int(vert) + 1)]
-    weight = np.abs(embed) ** 2
-    mass = np.array([ctx.bidegree_mask(degree, *b) for b in bidegrees]) @ weight  # (bidegree, column)
-    best = np.argmax(mass, axis=0)
-    if np.any(mass[best, np.arange(embed.shape[1])] < (1.0 - tol) * np.sum(weight, axis=0)):
-        raise InternalConsistencyError(f"a degree-{degree} basis column is not bidegree-homogeneous")
-    ids = [names.setdefault(f"theta^({i},{j})" if vert else f"({i},{j})", len(names)) for i, j, vert in bidegrees]
-    return np.array(ids)[best]
-
-
 @dataclass
 class _SectorRow:
-    """What one (block, degree) of a spectrum table keeps once its block visit ends."""
+    """What one (block, degree) of a spectrum table keeps until the stacked solve."""
 
     degree: int
     block: str
     multiplicity: int
     sectors: ReebSectors
-    labels: np.ndarray  # label index per basis column
+    labels: np.ndarray  # label index per basis position
     halves: Optional[tuple] = None  # half-Laplacian sector blocks and scale, below the middle degree
-
-
-def _sector_row(ctx, op: str, degree: int, t: float, names: dict) -> _SectorRow:
-    lap, ilt, embed = _operator_pair(ctx, op, degree, t)
-    sectors = _reeb_sectors(lap, ilt, 1e-9)
-    halves = None
-    if op == "delta-rn" and degree <= ctx.n - 1:  # Rumin rows there carry the half-Laplacian pair
-        halves = half_laplacian_sectors(ctx, degree, sectors)
-    labels = _bidegree_labels(ctx, degree, embed, names)
-    return _SectorRow(degree, ctx.block.label, ctx.block.multiplicity, sectors, labels, halves)
 
 
 def _bidegree_tags(rows: List[_SectorRow], joints, n_labels: int, tol: float = 1e-9) -> List[int]:
@@ -235,41 +185,53 @@ def _bidegree_tags(rows: List[_SectorRow], joints, n_labels: int, tol: float = 1
     return np.where(homogeneous, best, -1).tolist()
 
 
-def _spectrum_entries(contexts, op: str, degrees: List[int], t: float) -> List[SpectrumEntry]:
-    """The entries of a spectrum table over the block contexts of `contexts`, visited in turn.
+def _spectrum_entries(model: ModelManifold, max_weight: int, op: str, degrees: List[int], t: float) -> List[SpectrumEntry]:
+    """The entries of a spectrum table over every nonempty block up to `max_weight`.
 
-    A block visit keeps only sector-local data per degree, so the dense matrices and the
-    block memo are gone before the next block; one solve per sector size then covers every
-    row.  The rows are block-major, as the visit goes, and `sorted_entries` orders by degree
-    first, so no row moves.
+    `SectorStacks` builds each degree's operator on the Reeb sectors of every
+    weight at once and cuts it into one `ReebSectors` per block, a row; a basis
+    position i*(m+1) + b carries the bidegree label of its fiber vector i.  The
+    stacks are freed once every degree is cut, and each degree's rows are
+    solved together (one stacked `eigh` per sector size) and dropped once their
+    entries exist.  `sorted_entries` orders by degree and block first, so the
+    rows may come in any order.
     """
+    multiplicity = {m: model.multiplicity(m) for m in range(max_weight + 1)}
+    weights = [m for m, r in multiplicity.items() if r]
+    # imported on first use, so that `import ruminlab.cli` costs `verify` and `torsion` no more than before
+    from .sectors import SectorStacks
+
+    stacks = SectorStacks(model.frame, weights)
     names: dict = {}
-    rows = [_sector_row(ctx, op, k, t, names) for ctx in contexts for k in degrees]
-    joints = _solve_reeb_sectors([row.sectors for row in rows], 1e-9)
-    tags = iter(_bidegree_tags(rows, joints, len(names)))
+    tables = []  # per degree, its rows
+    for k in degrees:
+        per_weight, labels = stacks.spectrum_sectors(op, k, t)
+        ids = np.array([names.setdefault(label, len(names)) for label in labels], dtype=int)
+        tables.append(
+            [_SectorRow(k, block_label(m), multiplicity[m], sectors, np.repeat(ids, m + 1), halves)
+             for m, (sectors, halves) in zip(weights, per_weight)]
+        )
+    del stacks
     label = {index: name for name, index in names.items()}
     entries = []
-    for row, joint in zip(rows, joints):
-        pairs = sector_half_laplacian_pairs(joint, row.halves) if row.halves else [(None, None)] * len(joint.delta)
-        for delta, tau, count, (l10, l01) in zip(joint.delta, joint.tau, joint.counts, pairs):
-            entries.append(
-                SpectrumEntry(
-                    row.degree,
-                    row.block,
-                    max(delta, 0.0),
-                    row.multiplicity * count,
-                    nu=0.0 - tau,  # L_T acts by i*nu; never -0.0
-                    lambda10=l10,
-                    lambda01=l01,
-                    bidegree=label.get(next(tags)),
-                )
+    while tables:
+        rows = tables.pop()
+        joints = _solve_reeb_sectors([row.sectors for row in rows], 1e-9)
+        tags = iter(_bidegree_tags(rows, joints, len(names)))
+        for row, joint in zip(rows, joints):
+            pairs = sector_half_laplacian_pairs(joint, row.halves) if row.halves else [(None, None)] * len(joint.delta)
+            k, block, r = row.degree, row.block, row.multiplicity
+            entries.extend(
+                # L_T acts by i*nu; 0.0 - tau is never -0.0
+                SpectrumEntry(k, block, max(delta, 0.0), r * count, 0.0 - tau, l10, l01, label.get(tag))
+                for delta, tau, count, (l10, l01), tag in zip(joint.delta, joint.tau, joint.counts, pairs, tags)
             )
+        del rows, joints
     return entries
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
     model = cfg.build_model()
-    asm = Assembly(model, cfg.max_weight)
     top = model.frame.dim
     if cfg.op not in ("delta-rn", "delta-dr", "delta-t", "delta-b"):
         raise UsageError(f"unknown operator {cfg.op!r}; choose delta-rn|delta-dr|delta-t|delta-b")
@@ -282,10 +244,9 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         operator=cfg.op,
         model=model.describe(),
         max_weight=cfg.max_weight,
-        cutoff=asm.spectral_cutoff(),
+        cutoff=spectral_cutoff(model, cfg.max_weight),
     )
-    table.entries = _spectrum_entries(asm.visit(), cfg.op, degrees, cfg.t_samples[0])
-    del asm  # its fiber tables are freed before the table is serialized
+    table.entries = _spectrum_entries(model, cfg.max_weight, cfg.op, degrees, cfg.t_samples[0])
     _emit(table.to_json() if cfg.format == "json" else table.to_csv(), cfg.out)
     return 0
 

@@ -141,21 +141,27 @@ def su2_frame() -> FrameStructure:
 # -- weight blocks ---------------------------------------------------------------
 
 
-def _ladder_matrices(m: int):
-    """Spin-(m/2) J_z, J_plus, J_minus in the ascending-weight basis, exact radicands.
+def ladder_radicands(m, k):
+    """Integer radicands of J_plus[k+1, k] and J_minus[k-1, k] on weight m, elementwise.
 
     Slot k has weight mu = (2k - m)/2 and j = m/2, so the radicands
-    j(j+1) - mu(mu +- 1) = (m(m+2) - (2k-m)(2k-m +- 2))/4 are integers.
+    j(j+1) - mu(mu +- 1) = (m(m+2) - a(a +- 2))/4 with a = 2k - m are integers;
+    they vanish at the ends of the slot range (J_plus at k = m, J_minus at k = 0).
+    `m` and `k` are integers or integer arrays that broadcast together.
     """
-    jz = np.diag([(2 * k - m) / 2 for k in range(m + 1)])
+    a = 2 * k - m
+    return (m * (m + 2) - a * (a + 2)) // 4, (m * (m + 2) - a * (a - 2)) // 4
+
+
+def _ladder_matrices(m: int):
+    """Spin-(m/2) J_z, J_plus, J_minus in the ascending-weight basis, exact radicands."""
+    k = np.arange(m + 1)
+    plus, minus = ladder_radicands(m, k)
+    jz = np.diag((2 * k - m) / 2)
     jp = np.zeros((m + 1, m + 1))
     jm = np.zeros((m + 1, m + 1))
-    for k in range(m + 1):
-        a = 2 * k - m
-        if k + 1 <= m:
-            jp[k + 1, k] = math.sqrt((m * (m + 2) - a * (a + 2)) // 4)
-        if k - 1 >= 0:
-            jm[k - 1, k] = math.sqrt((m * (m + 2) - a * (a - 2)) // 4)
+    jp[k[1:], k[:-1]] = np.sqrt(plus[:-1])
+    jm[k[:-1], k[1:]] = np.sqrt(minus[1:])
     return jz, jp, jm
 
 
@@ -167,6 +173,16 @@ def su2_weight_actions(m: int) -> Dict[str, np.ndarray]:
         "T": 2j * jz.astype(complex),
         "X": (-1j * inv_sqrt2) * (jp + jm).astype(complex),
         "Y": (-inv_sqrt2) * (jp - jm).astype(complex),
+    }
+
+
+def field_ladder_coefficients() -> Dict[str, Tuple[complex, complex, complex]]:
+    """(c_z, c_plus, c_minus) of every frame field, whose action on each weight slot is
+    c_z J_z + c_plus J_plus + c_minus J_minus; read off the weight-1 slot, where
+    J_z = diag(-1/2, 1/2) and J_plus[1, 0] = J_minus[0, 1] = 1."""
+    return {
+        name: (complex(a[1, 1] - a[0, 0]), complex(a[1, 0]), complex(a[0, 1]))
+        for name, a in su2_weight_actions(1).items()
     }
 
 
@@ -220,10 +236,15 @@ class FunctionBlock:
                 assert np.max(np.abs(comm - expect)) <= tol, "bracket constants not reproduced"
 
 
+def block_label(m: int) -> str:
+    """The label of the weight-m block in every report."""
+    return f"m{m}"
+
+
 def su2_block(m: int, p: int = 1, character: int = 0) -> FunctionBlock:
     """Weight-m block of the sphere or of the order-p lens quotient."""
     return FunctionBlock(
-        label=f"m{m}",
+        label=block_label(m),
         weight=m,
         actions=su2_weight_actions(m),
         multiplicity=len(allowed_weight_slots(m, p, character)),
@@ -255,6 +276,10 @@ class ModelManifold:
         # orthonormal-frame metric doubles the horizontal round metric,
         # so vol = sqrt(det) * 2 pi^2 = 4 pi^2, divided by the quotient order
         return 4.0 * math.pi ** 2 / self.p
+
+    def multiplicity(self, weight: int) -> int:
+        """The multiplicity r of the weight block: its copies of the irreducible slot."""
+        return len(allowed_weight_slots(weight, self.p, self.character))
 
     def block(self, weight: int) -> FunctionBlock:
         """The block of the given weight alone."""

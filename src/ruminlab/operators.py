@@ -18,15 +18,17 @@ on the slot times r.
 Set-up is cached at the level it depends on, through one memo mechanism: a
 method decorated with `_frame_memo` or `_block_memo` stores its result under
 its qualified name and arguments (defaults filled in), and a miss computes it
-once.  Fiber tables (monomial lists, Gram norms, the named fiber matrices and
-the per-field wedge fibers) depend on the frame alone and live in one table
-dict; an `Assembly` owns that dict and hands it to every block context it
-builds, so each table is computed once per assembly.  Block quantities live in
-the context's own memo: every quantity that more than one suite or call site
-needs (full-space matrices, the Rumin and horizontal operators and Laplacians,
-the Rumin square root, and through `_block_memo` in the spectral layer the
-joint eigenspaces, harmonic bases and differential ranks), so a check that
-validates such a quantity runs once, when it is built.  A value reused only
+once.  Fiber tables (monomial lists, Gram norms, the named fiber matrices,
+the per-field wedge fibers and the fiber bases of the graded spaces) depend on
+the frame alone and live in one table dict; an `Assembly` owns that dict and
+hands it to every block context it builds, so each table is computed once per
+assembly.  `sectors.SectorStacks` reads the same tables, so the dense blocks
+and its Reeb-sector stacks share one basis and one column order.  Block
+quantities live in the context's own memo: every quantity that more than one
+suite or call site needs (full-space matrices, the Rumin and horizontal
+operators and Laplacians, the Rumin square root, and through `_block_memo` in
+the spectral layer the joint eigenspaces, harmonic bases and differential
+ranks), so a check that validates such a quantity runs once, when it is built.  A value reused only
 within one suite (the deformed Laplacians of the sampled t, the middle square
 D^* D) is hoisted into a local there instead, and a value read once per block
 (the Rumin star, the box operators) is not kept at all: caching either would
@@ -395,6 +397,16 @@ class BlockContext:
         alpha = ext.from_real(self.n, {(a,): 1})
         return self.fiber_matrix(lambda x: ext.wedge(alpha, x), k, k + 1)
 
+    @_frame_memo
+    def lefschetz_inverse_fiber(self) -> np.ndarray:
+        """L^-1 from horizontal (n+1)-forms to horizontal (n-1)-forms, zero on theta monomials;
+        the fiber of the middle operator's d_b L^-1 d_b."""
+        n = self.n
+        hsel_lo = self._fiber_selection(n - 1, lambda ix: not ix.theta)
+        hsel_hi = self._fiber_selection(n + 1, lambda ix: not ix.theta)
+        lef_h = hsel_hi.conj().T @ self._fiber("lef", n - 1) @ hsel_lo
+        return hsel_lo @ np.linalg.inv(lef_h) @ hsel_hi.conj().T
+
     def _fiber_selection(self, k: int, keep) -> np.ndarray:
         cols = [i for i, ix in enumerate(self.mons(k)) if keep(ix)]
         sel = np.zeros((len(self.mons(k)), len(cols)), dtype=complex)
@@ -409,6 +421,12 @@ class BlockContext:
 
     @_block_memo
     def space(self, k: int, flavor="full") -> GradedSpace:
+        return GradedSpace(self.block.label, k, str(flavor), self._lift(self.space_fiber(k, flavor)))
+
+    @_frame_memo
+    def space_fiber(self, k: int, flavor="full") -> np.ndarray:
+        """The fiber basis of the degree-k space `flavor`: `space(k, flavor)` embeds as
+        this isometry (x) I_d, with the same column order on every block."""
         if flavor == "full":
             fib = np.eye(len(self.mons(k)), dtype=complex)
         elif flavor == "horizontal":
@@ -428,7 +446,7 @@ class BlockContext:
                 fib = self._fiber("theta", k - 1) @ kerl
         else:
             raise KeyError(f"unknown flavor {flavor!r}")
-        return GradedSpace(self.block.label, k, str(flavor), self._lift(fib))
+        return fib
 
     @_block_memo
     def bidegree_mask(self, k: int, i: int, j: int, vert: bool = False) -> np.ndarray:
@@ -589,10 +607,7 @@ class BlockContext:
         n = self.n
         th = self.lifted_fiber("theta", n)
         if variant == "factored":
-            hsel_lo = self._fiber_selection(n - 1, lambda ix: not ix.theta)
-            hsel_hi = self._fiber_selection(n + 1, lambda ix: not ix.theta)
-            lef_h = hsel_hi.conj().T @ self._fiber("lef", n - 1) @ hsel_lo
-            linv = hsel_lo @ np.linalg.inv(lef_h) @ hsel_hi.conj().T
+            linv = self.lefschetz_inverse_fiber()
             core = self.lie_reeb_full(n) + self.db_full(n - 1) @ self._lift(linv) @ self.db_full(n)
         elif variant == "kahler":
             dn = self.del_full(n - 1)

@@ -1,0 +1,404 @@
+"""Reeb-sector stacks: the `spectrum` operators of every weight block at once.
+
+On weight m a graded space is (fiber basis) (x) W_m, with basis vector
+i*(m+1) + b for fiber vector i and slot b, as in `operators`.  The Reeb
+operator i L_T is diagonal there: fiber vector i has an integer Reeb weight
+rho_i (i L_T of the coframe rotation) and slot b adds m - 2b, so the basis
+vector lies in the Reeb sector tau = rho_i + m - 2b, and fiber vector i sits in
+slot b = (rho_i + m - tau)/2 of sector tau.  A sector holds at most one slot of
+each fiber vector, so its operator block is at most f x f, with f <= 3.
+
+Every operator of the calculus is a short sum of fiber (x) slot terms F (x) A,
+where A is the identity or a ladder operator J_z, J_plus, J_minus of W_m (each
+frame field acts as c_z J_z + c_plus J_plus + c_minus J_minus,
+`model.field_ladder_coefficients`).  A term keeps the sectors exactly when F
+couples only fiber vectors whose weights differ by twice the slot shift of A
+(0, +1 or -1); an off-sector coefficient above `LEAK_TOL` is an assembly error
+and raises.  `SectorStacks` lays out the sectors (m, tau) of every nonempty
+weight m <= M once and holds each operator as one zero-padded
+(f_out, f_in, S) stack over all S sectors, the sector axis last and
+contiguous.  The term stacks come from the fiber tables of `BlockContext` and
+the closed-form ladder radicands; products, adjoints and compressions onto
+subspaces (fiber basis (x) I, the bases of `BlockContext.space`, in the same
+column order) are batched matrix products, one `einsum` each.
+No matrix of a whole weight block is formed.
+
+`spectrum_sectors` cuts a `spectrum` Laplacian into one `ReebSectors` per
+weight, in the layout of `spectral._reeb_sectors`, for `_solve_reeb_sectors`.
+It keeps the checks of the dense route at the same tolerances: hermiticity,
+Reeb invariance of the Rumin space, the middle operator's target space, the
+half-Laplacian commutator, and exhaustion of every space by its sectors.  The
+dense `BlockContext` assembly stays the operator of `verify` and `torsion`, and
+the reference that Tier-1 compares these stacks with.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import reduce
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
+
+from .model import FrameStructure, field_ladder_coefficients, ladder_radicands, su2_block
+from .operators import (
+    BlockContext,
+    InternalConsistencyError,
+    StructuralError,
+    _block_memo,
+    max_abs,
+    rescale_coefficient,
+)
+from .spectral import ReebSectors
+
+LEAK_TOL = 1e-12  # largest off-sector coefficient of a fiber (x) slot term
+FACTORS = ("z", "+", "-")  # the ladder factors, in the order of `field_ladder_coefficients`
+SHIFT = {"1": 0, "z": 0, "+": 1, "-": -1}  # slot shift b_out - b_in of each slot factor
+SPECTRUM_FLAVOR = {"delta-rn": "rumin", "delta-dr": "full", "delta-t": "full", "delta-b": "horizontal"}
+
+
+def _adjoint(stack: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of every block of a stack."""
+    return stack.conj().transpose(1, 0, 2)
+
+
+def _product(*stacks: np.ndarray) -> np.ndarray:
+    """The blockwise matrix product of stacks."""
+    return reduce(lambda a, b: np.einsum("ijs,jks->iks", a, b), stacks)
+
+
+def _hermitized(stack: np.ndarray, what: str, tol: float = 1e-9) -> np.ndarray:
+    """`operators.hermitize` of every block."""
+    if max_abs(stack - _adjoint(stack)) > tol:
+        raise InternalConsistencyError(f"{what} is not Hermitian within {tol}")
+    return 0.5 * (stack + _adjoint(stack))
+
+
+@dataclass(frozen=True)
+class SectorSpace:
+    """A graded space over the sectors: the Reeb weights of its fiber basis (the columns of
+    `BlockContext.space_fiber`), and the slot of every fiber vector in every sector."""
+
+    rho: np.ndarray  # (f,) integer Reeb weights
+    slot: np.ndarray  # (f, S) slot b of each fiber vector in each sector
+    valid: np.ndarray  # (f, S) whether that slot exists, 0 <= b <= m
+
+    @property
+    def dim(self) -> int:
+        return self.rho.size
+
+
+class SectorStacks:
+    """The operators of `rumin spectrum` on the Reeb sectors of every weight in `weights`
+    (ascending, without repeats).
+
+    Sectors are ordered by weight, then by ascending tau; `m`, `tau` and
+    `owner` (the position of the sector's weight in `weights`) are (S,) arrays,
+    and the sectors of weights[w] are `starts[w]:starts[w + 1]`.  The spaces,
+    the embeddings and the stacks that more than one degree reads (d_b and the
+    Rumin differentials) are memoized per instance, like the block memo of a
+    `BlockContext`; the other stacks are rebuilt, which keeps peak memory low.
+    """
+
+    def __init__(self, frame: FrameStructure, weights: Sequence[int], tables: Optional[Dict] = None):
+        # the fiber tables depend on the frame alone; the weight-0 block only completes the context
+        self.fibers = BlockContext(frame, su2_block(0), tables)
+        self.frame = frame
+        self.n, self.Dmax = frame.n, frame.dim
+        self.weights = np.asarray(weights, dtype=int)
+        self.ladder = field_ladder_coefficients()
+        self._cache: Dict = {}
+        # every (m, tau) that a full-space basis vector of some degree reaches
+        rho = np.unique(np.concatenate([self._reeb_weights(k, "full") for k in range(self.Dmax + 1)]))
+        slots = np.concatenate([np.arange(m + 1) for m in self.weights]) if self.weights.size else np.zeros(0, int)
+        ms = np.repeat(self.weights, self.weights + 1)
+        top = int(self.weights.max(initial=0))
+        low, span = int(rho.min()) - top, int(rho.max() - rho.min()) + 2 * top + 1
+        keys = np.unique((ms * span)[:, None] + (rho[None, :] + (ms - 2 * slots)[:, None] - low))
+        self.m, self.tau = keys // span, keys % span + low
+        self.owner = np.searchsorted(self.weights, self.m)
+        self.starts = np.searchsorted(self.owner, np.arange(self.weights.size + 1))
+
+    # -- spaces -------------------------------------------------------------------
+
+    def _reeb_weights(self, k: int, flavor: str) -> np.ndarray:
+        """The integer Reeb weight of every fiber vector of the degree-k space `flavor`."""
+        fib = self.fibers.space_fiber(k, flavor)
+        rot = 1j * self.fibers._fiber("rot", k)
+        w = np.real(np.einsum("ij,ik,kj->j", fib.conj(), rot, fib))
+        rho = np.rint(w).astype(int)
+        if max_abs(w - rho) > LEAK_TOL:
+            raise InternalConsistencyError(f"a degree-{k} {flavor} fiber vector has no integer Reeb weight")
+        return rho
+
+    @_block_memo
+    def space(self, k: int, flavor: str = "full") -> SectorSpace:
+        rho = self._reeb_weights(k, flavor)
+        twice = rho[:, None] + (self.m - self.tau)[None, :]  # 2b
+        valid = (twice % 2 == 0) & (twice >= 0) & (twice <= 2 * self.m)
+        if self.m.size:
+            count = np.add.reduceat(valid.sum(axis=0), self.starts[:-1])
+            if np.any(count != rho.size * (self.weights + 1)):
+                raise InternalConsistencyError(f"Reeb sectors do not exhaust the degree-{k} {flavor} space")
+        return SectorSpace(rho, twice // 2, valid)
+
+    def _slot_values(self, factor: str, b: np.ndarray) -> np.ndarray:
+        """The slot factor at (slot b + shift, slot b) on the weight of every sector, for an
+        (f, S) array of slots b."""
+        m = self.m
+        if factor == "1":
+            return np.ones(b.shape)
+        if factor == "z":
+            return (2 * b - m) / 2
+        plus, minus = ladder_radicands(m, b)
+        return np.sqrt(np.maximum(plus if factor == "+" else minus, 0))
+
+    def _stack(self, terms, out: SectorSpace, inn: SectorSpace) -> np.ndarray:
+        """The sum of fiber (x) slot terms (F, factor), F in the fiber bases of `out` and `inn`,
+        as an (out.dim, inn.dim, S) stack; raises when a term couples two sectors."""
+        both = out.valid[:, None, :] & inn.valid[None, :, :]
+        stack = np.zeros(both.shape, dtype=complex)
+        for fib, factor in terms:
+            keep = out.rho[:, None] - inn.rho[None, :] == 2 * SHIFT[factor]
+            leak = max_abs(fib[~keep])
+            if leak > LEAK_TOL:
+                raise InternalConsistencyError(f"a fiber (x) {factor} term leaves its Reeb sector ({leak:.3e})")
+            values = fib[:, :, None] * self._slot_values(factor, inn.slot)[None, :, :]
+            stack += np.where(both & keep[:, :, None], values, 0)
+        return stack
+
+    def _fiber_op(self, fib: np.ndarray, k_out: int, k_in: int) -> np.ndarray:
+        """fib (x) I between the full spaces of degrees k_in and k_out."""
+        return self._stack([(fib, "1")], self.space(k_out), self.space(k_in))
+
+    @_block_memo
+    def embed(self, k: int, flavor: str) -> np.ndarray:
+        """The isometry of the degree-k space `flavor` into the full space."""
+        return self._stack([(self.fibers.space_fiber(k, flavor), "1")], self.space(k), self.space(k, flavor))
+
+    def _compress(self, stack: np.ndarray, out: Tuple[int, str], inn: Tuple[int, str]) -> np.ndarray:
+        return _product(_adjoint(self.embed(*out)), stack, self.embed(*inn))
+
+    # -- first-order operators ------------------------------------------------------
+
+    def d(self, k: int) -> np.ndarray:
+        """d on full k-forms: the coframe part dmon (x) I plus sum_a wedge_a (x) (field a)."""
+        fields = self.frame.field_names
+        terms = [(self.fibers._fiber("dmon", k), "1")]
+        for j, factor in enumerate(FACTORS):
+            fib = sum(self.ladder[name][j] * self.fibers._wedge_fiber(a, k) for a, name in enumerate(fields))
+            terms.append((fib, factor))
+        return self._stack(terms, self.space(k + 1), self.space(k))
+
+    def lie_reeb(self, k: int) -> np.ndarray:
+        """L_T on full k-forms: I (x) (action of T) plus the coframe rotation."""
+        eye = np.eye(self.space(k).dim)
+        reeb = self.ladder[self.frame.field_names[0]]
+        terms = [(c * eye, factor) for c, factor in zip(reeb, FACTORS)]
+        terms.append((self.fibers._fiber("rot", k), "1"))
+        return self._stack(terms, self.space(k), self.space(k))
+
+    def d0(self, k: int) -> np.ndarray:
+        if k == 0:
+            return np.zeros((self.space(1).dim, self.space(0).dim, self.m.size), dtype=complex)
+        return self._fiber_op(self.fibers._fiber("lef", k - 1) @ self.fibers._fiber("iota", k), k + 1, k)
+
+    def dT(self, k: int) -> np.ndarray:
+        theta = self._fiber_op(self.fibers._fiber("theta", k), k + 1, k)
+        horiz = self._fiber_op(self.fibers._fiber("horiz", k), k, k)
+        return _product(theta, self.lie_reeb(k), horiz)
+
+    @_block_memo
+    def db(self, k: int) -> np.ndarray:
+        return self.d(k) - self.d0(k) - self.dT(k)
+
+    def dt(self, k: int, t: float) -> np.ndarray:
+        return self.d0(k) + t * self.db(k) + t * t * self.dT(k)
+
+    def split_db(self, k: int, anti: bool = False) -> np.ndarray:
+        """The (1,0) or (0,1) part of d_b on horizontal k-forms, as `BlockContext.del_full`."""
+        proj = lambda deg, i, j: self.fibers._bidegree_fiber_projector(deg, i, j) > 0
+        keep = np.zeros((self.space(k + 1).dim, self.space(k).dim), dtype=bool)
+        leaks = np.zeros_like(keep)
+        for i in range(k + 1):
+            j = k - i
+            cols, rows_10, rows_01 = proj(k, i, j), proj(k + 1, i + 1, j), proj(k + 1, i, j + 1)
+            keep |= np.outer(rows_01 if anti else rows_10, cols)
+            leaks |= np.outer(~(rows_10 | rows_01), cols)
+        db = self.db(k)
+        if max_abs(db[leaks]) > 1e-12:
+            raise StructuralError("d_b has bidegree components beyond (1,0)+(0,1); frame is not Sasakian")
+        return np.where(keep[:, :, None], db, 0)
+
+    # -- the Rumin complex ----------------------------------------------------------
+
+    @_block_memo
+    def middle_operator(self) -> np.ndarray:
+        """theta ^ (L_T + d_b L^-1 d_b) on the middle Rumin space, as `BlockContext.middle_operator()`."""
+        n = self.n
+        linv = self._fiber_op(self.fibers.lefschetz_inverse_fiber(), n - 1, n + 1)
+        core = self.lie_reeb(n) + _product(self.db(n - 1), linv, self.db(n))
+        full = _product(self._fiber_op(self.fibers._fiber("theta", n), n + 1, n), core)
+        src, tgt = self.embed(n, "rumin"), self.embed(n + 1, "rumin")
+        op = _product(_adjoint(tgt), full, src)
+        resid = max_abs(_product(full, src) - _product(tgt, op))
+        if resid > 1e-10:
+            raise InternalConsistencyError(f"middle operator leaves its target space ({resid:.2e})")
+        return op
+
+    @_block_memo
+    def rumin_d(self, k: int) -> np.ndarray:
+        if k == self.n:
+            return self.middle_operator()
+        return rescale_coefficient(self.n, k) * self._compress(self.d(k), (k + 1, "rumin"), (k, "rumin"))
+
+    def rumin_del(self, k: int, anti: bool) -> np.ndarray:
+        """A half of the Rumin differential below the middle degree."""
+        return rescale_coefficient(self.n, k) * self._compress(self.split_db(k, anti), (k + 1, "rumin"), (k, "rumin"))
+
+    def half_laplacians(self, k: int):
+        """(Delta_del, Delta_delbar) on the degree-k Rumin space below the middle degree,
+        hermitized, and their scale max(1, max |entry|) per weight, after checking that they
+        commute on every weight."""
+        if k > self.n - 1:
+            raise ValueError("the simultaneous decomposition is defined below middle degree")
+        halves = []
+        for anti in (False, True):
+            up = self.rumin_del(k, anti)
+            mat = _product(_adjoint(up), up)
+            if k >= 1:
+                down = self.rumin_del(k - 1, anti)
+                mat = mat + _product(down, _adjoint(down))
+            halves.append(_hermitized(mat, "half Laplacian"))
+        a, b = halves
+        scale = np.maximum(1.0, np.maximum(self._weight_max(a), self._weight_max(b)))
+        comm = self._weight_max(_product(a, b) - _product(b, a))
+        if np.any(comm > 1e-10 * scale):
+            raise InternalConsistencyError(
+                f"half Laplacians do not commute (residual {comm.max():.3e}); cannot decompose"
+            )
+        return a, b, scale
+
+    def _weight_max(self, stack: np.ndarray) -> np.ndarray:
+        """max |entry| of a stack over the sectors of each weight."""
+        if not stack.size:
+            return np.zeros(self.weights.size)
+        per_sector = np.abs(stack).reshape(-1, stack.shape[-1]).max(axis=0)
+        return np.maximum.reduceat(per_sector, self.starts[:-1])
+
+    # -- Laplacians -----------------------------------------------------------------
+
+    def laplacian(self, op: str, k: int, t: float = 1.0) -> np.ndarray:
+        """The Laplacian of the `spectrum` operator `op` on its degree-k space, hermitized."""
+        if op == "delta-rn":
+            n, dmax = self.n, self.Dmax
+            mat = np.zeros((self.space(k, "rumin").dim,) * 2 + (self.m.size,), dtype=complex)
+            if k <= dmax - 1 and k != n:
+                up = self.rumin_d(k)
+                square = _product(_adjoint(up), up)
+                mat = mat + _product(square, square)
+            if k >= 1 and k != n + 1:
+                down = self.rumin_d(k - 1)
+                square = _product(down, _adjoint(down))
+                mat = mat + _product(square, square)
+            if k == n:
+                mid = self.middle_operator()
+                mat = mat + _product(_adjoint(mid), mid)
+            if k == n + 1:
+                mid = self.middle_operator()
+                mat = mat + _product(mid, _adjoint(mid))
+            return _hermitized(mat, "Rumin Laplacian")
+        if op == "delta-b":
+            top = 2 * self.n
+            up = self._compress(self.db(k), (k + 1, "horizontal"), (k, "horizontal")) if k < top else None
+            down = self._compress(self.db(k - 1), (k, "horizontal"), (k - 1, "horizontal")) if k > 0 else None
+            return self._hodge_sum(up, down, (k, "horizontal"), "horizontal Laplacian")
+        if op in ("delta-dr", "delta-t"):
+            diff = self.d if op == "delta-dr" else (lambda j: self.dt(j, t))
+            up = diff(k) if k < self.Dmax else None
+            down = diff(k - 1) if k > 0 else None
+            what = "Hodge-de Rham Laplacian" if op == "delta-dr" else "deformed Laplacian"
+            return self._hodge_sum(up, down, (k, "full"), what)
+        raise KeyError(op)
+
+    def _hodge_sum(self, up, down, space: Tuple[int, str], what: str) -> np.ndarray:
+        """up^* up + down down^*, hermitized, as `operators._hodge_sum`; None leaves a term out."""
+        mat = np.zeros((self.space(*space).dim,) * 2 + (self.m.size,), dtype=complex)
+        if up is not None:
+            mat = mat + _product(_adjoint(up), up)
+        if down is not None:
+            mat = mat + _product(down, _adjoint(down))
+        return _hermitized(mat, what)
+
+    def _check_reeb(self, k: int, flavor: str):
+        """i L_T is tau on every sector of the degree-k space `flavor`; on a Rumin space L_T
+        must also map the space into itself."""
+        lt = self.lie_reeb(k)
+        if flavor != "full":
+            embed = self.embed(k, flavor)
+            comp = _product(_adjoint(embed), lt, embed)
+            if flavor == "rumin":
+                resid = max_abs(_product(lt, embed) - _product(embed, comp))
+                if resid > 1e-10:
+                    raise InternalConsistencyError(f"Reeb derivative does not preserve the Rumin space ({resid:.2e})")
+            lt = comp
+        sp = self.space(k, flavor)
+        tau = np.where(sp.valid, self.tau, 0)
+        off = max_abs(1j * lt - np.eye(sp.dim)[:, :, None] * tau[:, None, :])
+        if off > 1e-9:
+            raise InternalConsistencyError(f"Reeb operator is not diagonal (off-diagonal {off:.3e})")
+
+    # -- the spectrum table -----------------------------------------------------------
+
+    def bidegree_labels(self, k: int, flavor: str, tol: float = 1e-9) -> List[str]:
+        """The bidegree label ("(i,j)" or "theta^(i,j)") of every fiber vector of the degree-k
+        space `flavor`; every fiber vector must be bidegree-homogeneous."""
+        bidegrees = [(i, k - int(vert) - i, vert) for vert in (False, True) for i in range(k - int(vert) + 1)]
+        weight = np.abs(self.fibers.space_fiber(k, flavor)) ** 2
+        mass = np.array([self.fibers._bidegree_fiber_projector(k, *b) for b in bidegrees]) @ weight
+        best = np.argmax(mass, axis=0)
+        if np.any(mass[best, np.arange(weight.shape[1])] < (1.0 - tol) * np.sum(weight, axis=0)):
+            raise InternalConsistencyError(f"a degree-{k} basis column is not bidegree-homogeneous")
+        return [f"theta^({i},{j})" if vert else f"({i},{j})" for i, j, vert in (bidegrees[b] for b in best)]
+
+    def spectrum_sectors(self, op: str, k: int, t: float = 1.0):
+        """Per weight, the `ReebSectors` of the `spectrum` Laplacian `op` in degree k, with the
+        half-Laplacian sector blocks and scale for `sector_half_laplacian_pairs` (delta-rn below
+        the middle degree; None otherwise); and the bidegree label of every fiber vector."""
+        flavor = SPECTRUM_FLAVOR[op]
+        stacks = [self.laplacian(op, k, t)]
+        self._check_reeb(k, flavor)
+        scale = None
+        if op == "delta-rn" and k <= self.n - 1:
+            a, b, scale = self.half_laplacians(k)
+            stacks += [a, b]
+        rows = []
+        for w, (tau, index, blocks) in enumerate(self._cut(self.space(k, flavor), stacks)):
+            halves = None if scale is None else (tuple(blocks[1:]), float(scale[w]))
+            rows.append((ReebSectors(tau, index, blocks[0]), halves))
+        return rows, self.bidegree_labels(k, flavor)
+
+    def _cut(self, space: SectorSpace, stacks: Sequence[np.ndarray]):
+        """Per weight: (tau, index, blocks of each stack), the layout of `spectral._reeb_sectors`.
+
+        tau is the Reeb value of every dense basis position i*(m+1) + b; index[g] lists the
+        positions of every sector of one size, sizes ascending, sectors by ascending tau,
+        positions by ascending fiber index within a sector.
+        """
+        size = space.valid.sum(axis=0)
+        pos = np.argsort(~space.valid, axis=0, kind="stable")  # a sector's fiber vectors first, in fiber order
+        dense = pos * (self.m + 1) + np.take_along_axis(space.slot, pos, axis=0)
+        groups = []
+        for s in np.unique(size[size > 0]):
+            sel = np.flatnonzero(size == s)
+            p = pos[:s, sel].T
+            blocks = [st[p[:, :, None], p[:, None, :], sel[:, None, None]] for st in stacks]
+            groups.append((dense[:s, sel].T, blocks, np.searchsorted(self.owner[sel], np.arange(self.weights.size + 1))))
+        out = []
+        for w, m in enumerate(self.weights):
+            tau = (space.rho[:, None] + m - 2 * np.arange(m + 1)).ravel().astype(float)
+            runs = [(bounds[w], bounds[w + 1], idx, blocks) for idx, blocks, bounds in groups if bounds[w + 1] > bounds[w]]
+            index = tuple(idx[lo:hi] for lo, hi, idx, _ in runs)
+            per_stack = [tuple(blocks[j][lo:hi] for lo, hi, _, blocks in runs) for j in range(len(stacks))]
+            out.append((tau, index, per_stack))
+        return out

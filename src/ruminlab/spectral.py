@@ -22,8 +22,9 @@ Laplacians (`half_laplacian_sectors`) have Rayleigh quotients on the sector
 eigenvectors that give (lambda10, lambda01) (`sector_half_laplacian_pairs`).
 `q_decomposition` reads both from the memo; it is the one caller that needs a
 dense basis per component (`JointEigenspaces.components`).  `rumin spectrum`
-keeps only the sector data of each (block, degree) while it visits the
-blocks, and solves every sector after the last block.
+builds no dense block: `sectors.SectorStacks` assembles its operators on the
+Reeb sectors of every weight at once and hands `_solve_reeb_sectors` one
+`ReebSectors` per (block, degree), in the layout of `_reeb_sectors`.
 
 Quantities that several suites share (the Rumin joint eigenspaces and their
 half-Laplacian pairs, harmonic bases, differential ranks, the split halves of
@@ -105,25 +106,29 @@ class Assembly:
         return range(self.model.frame.dim + 1)
 
     def spectral_cutoff(self) -> float:
-        """Smallest positive Rumin eigenvalue of the omitted blocks; the truncated
-        spectrum is exact strictly below this value.
+        """`spectral_cutoff(self.model, self.max_weight)`."""
+        return spectral_cutoff(self.model, self.max_weight)
 
-        On weight m >= 1 the smallest positive Rumin eigenvalue is m^2 in every
-        degree (the end slots of the closed-form spectrum), so the cutoff is
-        m1^2 for the first omitted weight m1 with a nonempty block.  Once
-        m >= p - 1 the slots cover a full residue class, so the search ends
-        within p + 1 steps.
-        """
-        m = self.max_weight + 1
-        while not allowed_weight_slots(m, self.model.p, self.model.character):
-            m += 1
-        return float(m * m)
+
+def spectral_cutoff(model: ModelManifold, max_weight: int) -> float:
+    """Smallest positive Rumin eigenvalue of the blocks above `max_weight`; the truncated
+    spectrum is exact strictly below this value.
+
+    On weight m >= 1 the smallest positive Rumin eigenvalue is m^2 in every
+    degree (the end slots of the closed-form spectrum), so the cutoff is m1^2
+    for the first omitted weight m1 with a nonempty block.  Once m >= p - 1 the
+    slots cover a full residue class, so the search ends within p + 1 steps.
+    """
+    m = max_weight + 1
+    while not allowed_weight_slots(m, model.p, model.character):
+        m += 1
+    return float(m * m)
 
 
 # -- spectra -------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)  # a table at high weight holds 10^5 or more entries
 class SpectrumEntry:
     degree: int
     block: str

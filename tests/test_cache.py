@@ -310,14 +310,18 @@ SPECTRUM_OPS = ("delta-rn", "delta-dr", "delta-t", "delta-b")
     ids=["verify", "torsion", *SPECTRUM_OPS],
 )
 def test_cli_holds_one_block_memo_at_a_time(capsys, monkeypatch, command, model):
-    """Whenever a block memo gains an entry, no other context of the run holds one; at the end none does."""
+    """Whenever a block memo gains an entry, no other context of the run holds one; at the end none does.
+    `spectrum` builds its operators on the Reeb sectors of every weight at once, so no block memo
+    gains an entry at all."""
     memos = []
     crowded = Counter()  # memoized function -> insertions made while another memo was nonempty
+    inserted = Counter()  # memoized function -> insertions
 
     class WatchedMemo(dict):
         def __setitem__(self, key, value):
             if any(memo for memo in memos if memo is not self):
                 crowded[key[0]] += 1
+            inserted[key[0]] += 1
             super().__setitem__(key, value)
 
     init = BlockContext.__init__
@@ -330,7 +334,10 @@ def test_cli_holds_one_block_memo_at_a_time(capsys, monkeypatch, command, model)
     monkeypatch.setattr(BlockContext, "__init__", watched_init)
     assert cli.main(command + model + ["--max-weight", "6"]) == 0
     capsys.readouterr()
-    assert len(memos) > 1
+    if command[0] == "spectrum":
+        assert not inserted, dict(inserted)
+    else:
+        assert len(memos) > 1
     assert not crowded, dict(crowded)
     assert not any(memos)
 

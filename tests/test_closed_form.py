@@ -51,8 +51,10 @@ def closed_form_slot(m: int, degree: int) -> Counter:
         (["--model", "s3"], 40),
         (["--model", "lens", "--p", "3", "--character", "1"], 30),
         (["--model", "lens", "--p", "4", "--character", "2"], 30),
+        (["--model", "s3"], 200),
+        (["--model", "lens", "--p", "5", "--character", "2"], 120),
     ],
-    ids=["s3", "lens3-1", "lens4-2"],
+    ids=["s3", "lens3-1", "lens4-2", "s3-m200", "lens5-2-m120"],
 )
 def test_rumin_spectrum_equals_closed_form(capsys, argv, max_weight):
     code = cli.main(["spectrum", "--op", "delta-rn", "--format", "json", "--max-weight", str(max_weight)] + argv)

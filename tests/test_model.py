@@ -12,8 +12,11 @@ from ruminlab.model import (
     FrameStructure,
     FunctionBlock,
     ParameterError,
+    _ladder_matrices,
     allowed_weight_slots,
     deck_generator_matrix,
+    field_ladder_coefficients,
+    ladder_radicands,
     lens_space,
     su2_block,
     su2_frame,
@@ -218,3 +221,27 @@ def test_allowed_weight_slots():
     assert allowed_weight_slots(1, 2, 0) == []
     assert allowed_weight_slots(1, 2, 1) == [0, 1]
     assert allowed_weight_slots(4, 3, 1) == [k for k in range(5) if (2 * k - 4 - 1) % 3 == 0]
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 5, 12])
+def test_field_actions_are_the_ladder_combinations(m):
+    """Each field action is exactly c_z J_z + c_plus J_plus + c_minus J_minus, as the sector stacks build it."""
+    jz, jp, jm = _ladder_matrices(m)
+    for name, (cz, cp, cm) in field_ladder_coefficients().items():
+        assert np.array_equal(su2_weight_actions(m)[name], cz * jz + cp * jp + cm * jm)
+
+
+def test_ladder_matrices_match_the_per_slot_recurrence():
+    """The vectorized radicands give, bit for bit, the per-slot loop over j(j+1) - mu(mu +- 1)."""
+    for m in range(13):
+        jz, jp, jm = _ladder_matrices(m)
+        for k in range(m + 1):
+            a = 2 * k - m
+            assert jz[k, k] == a / 2
+            if k + 1 <= m:
+                assert jp[k + 1, k] == math.sqrt((m * (m + 2) - a * (a + 2)) // 4)
+            if k >= 1:
+                assert jm[k - 1, k] == math.sqrt((m * (m + 2) - a * (a - 2)) // 4)
+        assert np.count_nonzero(jp) + np.count_nonzero(jm) == 2 * m
+        plus, minus = ladder_radicands(m, np.arange(m + 1))
+        assert plus[-1] == 0 and minus[0] == 0

@@ -1,0 +1,116 @@
+"""Reeb-sector stacks against the dense block assembly they replace in `rumin spectrum`."""
+
+import functools
+
+import numpy as np
+import pytest
+
+from dense_reference import SPECTRUM_OPS, operator_pair, spectrum_degrees
+from ruminlab.model import lens_space, su2_block, su2_model
+from ruminlab.operators import BlockContext, InternalConsistencyError, max_abs
+from ruminlab.sectors import SPECTRUM_FLAVOR, SectorStacks
+from ruminlab.spectral import _reeb_sectors, half_laplacian_sectors
+
+MAX_WEIGHT = 12
+T = 0.1
+MODELS = [su2_model()] + [lens_space(p, character=l) for p in range(2, 6) for l in range(p)]
+MODEL_IDS = ["s3"] + [f"lens{p}-{l}" for p in range(2, 6) for l in range(p)]
+
+
+@functools.lru_cache(maxsize=None)
+def _context(m: int) -> BlockContext:
+    """The block operators of weight m act on the slot alone, so every model shares them."""
+    return BlockContext(su2_model().frame, su2_block(m))
+
+
+@functools.lru_cache(maxsize=None)
+def _dense_cut(op: str, m: int, k: int):
+    """`_reeb_sectors` of the dense pair, with the dense half-Laplacian sectors where `spectrum` reads them."""
+    ctx = _context(m)
+    lap, ilt = operator_pair(ctx, op, k, T)
+    sectors = _reeb_sectors(lap, ilt, 1e-9)
+    halves = half_laplacian_sectors(ctx, k, sectors) if op == "delta-rn" and k == 0 else None
+    return sectors, halves, max(1.0, max_abs(lap))
+
+
+def _assert_blocks_close(got, want, scale):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert max_abs(g - w) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("op", SPECTRUM_OPS)
+@pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+def test_sector_stacks_equal_the_dense_sector_cut(model, op):
+    """Every `ReebSectors` from the stacks equals the `_reeb_sectors` cut of the dense pair:
+    tau and index exactly, the blocks within 1e-12 * max(1, max |Laplacian entry|)."""
+    weights = [m for m in range(MAX_WEIGHT + 1) if model.multiplicity(m)]
+    stacks = SectorStacks(model.frame, weights)
+    for k in spectrum_degrees(op):
+        rows, labels = stacks.spectrum_sectors(op, k, T)
+        assert len(rows) == len(weights)
+        assert len(labels) == stacks.fibers.space_fiber(k, SPECTRUM_FLAVOR[op]).shape[1]
+        for m, (sectors, halves) in zip(weights, rows):
+            dense, dense_halves, scale = _dense_cut(op, m, k)
+            assert sectors.tau.dtype == dense.tau.dtype and np.array_equal(sectors.tau, dense.tau)
+            assert len(sectors.index) == len(dense.index)
+            for got, want in zip(sectors.index, dense.index):
+                assert np.array_equal(got, want)
+            _assert_blocks_close(sectors.blocks, dense.blocks, scale)
+            assert (halves is None) == (dense_halves is None)
+            if halves is not None:
+                (a, b), half_scale = halves
+                (da, db), dense_scale = dense_halves
+                _assert_blocks_close(a, da, dense_scale)
+                _assert_blocks_close(b, db, dense_scale)
+                assert half_scale == pytest.approx(dense_scale, rel=1e-12)
+
+
+@pytest.mark.parametrize("op", SPECTRUM_OPS)
+def test_bidegree_labels_follow_the_dense_basis_columns(op):
+    """Each fiber vector's label is the bidegree that carries its dense basis columns."""
+    stacks = SectorStacks(su2_model().frame, [3])
+    ctx = _context(3)
+    flavor = SPECTRUM_FLAVOR[op]
+    for k in spectrum_degrees(op):
+        labels = stacks.bidegree_labels(k, flavor)
+        embed = ctx.space(k, flavor).embed
+        for column, label in zip(embed.T[:: ctx.block.slot_dim], labels):
+            vert = label.startswith("theta")
+            i, j = (int(x) for x in label[label.index("(") + 1 : -1].split(","))
+            mask = ctx.bidegree_mask(k, i, j, vert)
+            assert np.sum(mask * np.abs(column) ** 2) == pytest.approx(1.0, abs=1e-12)
+
+
+def _spoiled_tables(frame, a: int, k: int, row: int, col: int, eps: float = 1e-9):
+    """Fiber tables of `frame` whose wedge fiber of field a in degree k has `eps` added at (row, col)."""
+    tables: dict = {}
+    ctx = BlockContext(frame, su2_block(0), tables)
+    wedge = ctx._wedge_fiber(a, k).copy()
+    wedge[row, col] += eps
+    tables["BlockContext._wedge_fiber", (a, k)] = wedge
+    return tables
+
+
+def test_an_off_sector_wedge_fiber_entry_raises():
+    """A 1e-9 coefficient that couples fiber vectors of equal Reeb weight through a ladder field fails."""
+    frame = su2_model().frame
+    stacks = SectorStacks(frame, range(4))
+    rho_in, rho_out = stacks.space(1).rho, stacks.space(2).rho
+    # X acts through J_plus and J_minus only, which shift the slot; equal weights cannot couple
+    row, col = next((o, i) for o in range(rho_out.size) for i in range(rho_in.size) if rho_out[o] == rho_in[i])
+    assert _context(0)._wedge_fiber(1, 1)[row, col] == 0
+    spoiled = SectorStacks(frame, range(4), _spoiled_tables(frame, 1, 1, row, col))
+    with pytest.raises(InternalConsistencyError, match="leaves its Reeb sector"):
+        spoiled.spectrum_sectors("delta-dr", 1)
+    # the same entry of the T wedge fiber shifts no slot and keeps its sector
+    SectorStacks(frame, range(4), _spoiled_tables(frame, 0, 1, row, col)).spectrum_sectors("delta-dr", 1)
+
+
+def test_empty_weight_list_gives_no_rows():
+    stacks = SectorStacks(su2_model().frame, [])
+    for op in SPECTRUM_OPS:
+        for k in spectrum_degrees(op):
+            rows, _ = stacks.spectrum_sectors(op, k, T)
+            assert rows == []

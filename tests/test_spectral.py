@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ruminlab import cli
+from dense_reference import SPECTRUM_OPS, operator_pair, spectrum_degrees
 from ruminlab.model import lens_space, su2_model
 from ruminlab.operators import InternalConsistencyError, hermitize, max_abs
 from ruminlab.spectral import (
@@ -191,16 +191,12 @@ def test_joint_eigenspaces_split_reeb_sectors(s3_contexts, k):
     assert keys == sorted(keys)
 
 
-SPECTRUM_OPS = ("delta-rn", "delta-dr", "delta-t", "delta-b")
-
-
 def _spectrum_pairs(model, op, max_weight=8):
     """(Laplacian, i L_T) of the `spectrum` operator `op` on every block and degree."""
-    degrees = range(3) if op == "delta-b" else range(4)
     return [
-        cli._operator_pair(ctx, op, k, 0.1)[:2]
+        operator_pair(ctx, op, k, 0.1)
         for ctx in Assembly(model, max_weight).contexts
-        for k in degrees
+        for k in spectrum_degrees(op)
     ]
 
 

@@ -9,7 +9,8 @@ import math
 import numpy as np
 import pytest
 
-from ruminlab.model import allowed_weight_slots, lens_space, su2_model
+from ruminlab.model import allowed_weight_slots, lens_space, su2_block, su2_model
+from ruminlab.operators import BlockContext, BlockOperator
 from ruminlab.spectral import Assembly
 from ruminlab.torsion import (
     ESTIMATE_CAVEAT,
@@ -18,6 +19,7 @@ from ruminlab.torsion import (
     TorsionReport,
     _cluster_multiset,
     add_reeb_block,
+    boxes_commute_tolerance,
     close_reeb_report,
     open_reeb_report,
     kappa_weights,
@@ -263,3 +265,49 @@ def test_weighted_identity_holds_at_weight_50_and_catches_a_relative_shift():
     assert not shifted.weighted_match
     [check] = [c for c in shifted.checks.failures() if c.name == "weighted_multiset_identity"]
     assert check.residual >= 1
+
+
+def _boxes_commute_check(ctx, spoil=None):
+    """The degree-1 `boxes_commute` check of one block, with `spoil` applied to the computed box first."""
+    report = open_reeb_report(Assembly(su2_model(), 0))
+    if spoil is not None:
+        original = ctx.box_operators
+
+        def box_operators(k):
+            box, boxbar = original(k)
+            return (spoil(box) if k == 1 else box), boxbar
+
+        ctx.box_operators = box_operators
+    add_reeb_block(ctx, report)
+    [check] = [c for c in report.checks.checks if c.name == f"boxes_commute[{ctx.block.label}]k=1"]
+    return check
+
+
+def test_boxes_commute_bound_is_1e9_through_weight_12():
+    """The rounding-scaled bound stays the fixed 1e-9 on every block that weight <= 12 reports."""
+    for ctx in Assembly(su2_model(), 12).visit():
+        for k in range(2):
+            box, boxbar = ctx.box_operators(k)
+            assert boxes_commute_tolerance(box.matrix, boxbar.matrix) == 1e-9
+
+
+def test_boxes_commute_passes_from_rounding_at_weight_65_and_catches_a_relative_change():
+    """Weight 65 rounds the commutator above the old fixed 1e-9, and the check passes; a change of
+    one entry pair by 1e-9 of the largest entry fails.  The entries couple basis vectors of two Reeb
+    sectors: box and boxbar are diagonal in degree 1, so a change inside a sector commutes."""
+    ctx = BlockContext(su2_model().frame, su2_block(65))
+    check = _boxes_commute_check(ctx)
+    assert check.residual > 1e-9 and check.passed
+
+    def spoil(box):
+        mat = box.matrix.copy()
+        diag = np.real(np.diag(mat))
+        i = int(np.argmax(np.abs(diag)))
+        j = int(np.argmax(np.abs(diag - diag[i])))
+        mat[i, j] += 1e-9 * abs(diag[i])
+        mat[j, i] += 1e-9 * abs(diag[i])
+        return BlockOperator(box.source, box.target, mat)
+
+    spoiled = _boxes_commute_check(BlockContext(su2_model().frame, su2_block(65)), spoil)
+    assert not spoiled.passed
+    assert spoiled.tolerance == check.tolerance
