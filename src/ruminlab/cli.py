@@ -35,8 +35,6 @@ from .spectral import (
     rank_oracle_checks,
     sector_half_laplacian_pairs,
     spectral_cutoff,
-    ReebSectors,
-    _solve_reeb_sectors,
 )
 from . import util
 
@@ -154,27 +152,16 @@ def _emit(text: str, out: Optional[str]):
 # -- spectrum ---------------------------------------------------------------------
 
 
-@dataclass
-class _SectorRow:
-    """What one (block, degree) of a spectrum table keeps until the stacked solve."""
-
-    degree: int
-    block: str
-    multiplicity: int
-    sectors: ReebSectors
-    labels: np.ndarray  # label index per basis position
-    halves: Optional[tuple] = None  # half-Laplacian sector blocks and scale, below the middle degree
-
-
-def _bidegree_tags(rows: List[_SectorRow], joints, n_labels: int, tol: float = 1e-9) -> List[int]:
+def _bidegree_tags(labels: List[np.ndarray], joints, n_labels: int, tol: float = 1e-9) -> List[int]:
     """Label index of every component of every row (in row order), or -1 where the eigenspace
-    is not bidegree-homogeneous: one weighted count over all eigenvector entries."""
+    is not bidegree-homogeneous: one weighted count over all eigenvector entries.  `labels`
+    holds each row's label index per basis position."""
     keys, weights, first = [], [], 0
-    for row, joint in zip(rows, joints):
+    for row_labels, joint in zip(labels, joints):
         index = joint.basis_index()
         entry = index >= 0
         component = np.repeat(np.arange(first, first + len(joint.delta)), joint.counts)
-        keys.append((component * n_labels + row.labels[index])[entry])
+        keys.append((component * n_labels + row_labels[index])[entry])
         weights.append((np.abs(joint.columns(joint.vectors)) ** 2)[entry])
         first += len(joint.delta)
     if not first:
@@ -192,35 +179,31 @@ def _spectrum_entries(model: ModelManifold, max_weight: int, op: str, degrees: L
     weight at once and cuts it into one `ReebSectors` per block, a row; a basis
     position i*(m+1) + b carries the bidegree label of its fiber vector i.  The
     stacks are freed once every degree is cut, and each degree's rows are
-    solved together (one stacked `eigh` per sector size) and dropped once their
-    entries exist.  `sorted_entries` orders by degree and block first, so the
-    rows may come in any order.
+    solved together by `sectors.solve_rows` (one stacked `eigh` per sector
+    size) and dropped once their entries exist.  `sorted_entries` orders by
+    degree and block first, so the rows may come in any order.
     """
     multiplicity = {m: model.multiplicity(m) for m in range(max_weight + 1)}
     weights = [m for m, r in multiplicity.items() if r]
     # imported on first use, so that `import ruminlab.cli` costs `verify` and `torsion` no more than before
-    from .sectors import SectorStacks
+    from .sectors import SectorStacks, solve_rows
 
     stacks = SectorStacks(model.frame, weights)
     names: dict = {}
-    tables = []  # per degree, its rows
+    tables = []  # per degree: the degree, its rows, and the label index of every fiber vector
     for k in degrees:
-        per_weight, labels = stacks.spectrum_sectors(op, k, t)
-        ids = np.array([names.setdefault(label, len(names)) for label in labels], dtype=int)
-        tables.append(
-            [_SectorRow(k, block_label(m), multiplicity[m], sectors, np.repeat(ids, m + 1), halves)
-             for m, (sectors, halves) in zip(weights, per_weight)]
-        )
+        rows, labels = stacks.spectrum_sectors(op, k, t)
+        tables.append((k, rows, np.array([names.setdefault(label, len(names)) for label in labels], dtype=int)))
     del stacks
     label = {index: name for name, index in names.items()}
     entries = []
     while tables:
-        rows = tables.pop()
-        joints = _solve_reeb_sectors([row.sectors for row in rows], 1e-9)
-        tags = iter(_bidegree_tags(rows, joints, len(names)))
-        for row, joint in zip(rows, joints):
-            pairs = sector_half_laplacian_pairs(joint, row.halves) if row.halves else [(None, None)] * len(joint.delta)
-            k, block, r = row.degree, row.block, row.multiplicity
+        k, rows, ids = tables.pop()
+        joints = solve_rows(rows)
+        tags = iter(_bidegree_tags([np.repeat(ids, m + 1) for m in weights], joints, len(names)))
+        for m, (_, halves), joint in zip(weights, rows, joints):
+            pairs = sector_half_laplacian_pairs(joint, halves) if halves else [(None, None)] * len(joint.delta)
+            block, r = block_label(m), multiplicity[m]
             entries.extend(
                 # L_T acts by i*nu; 0.0 - tau is never -0.0
                 SpectrumEntry(k, block, max(delta, 0.0), r * count, 0.0 - tau, l10, l01, label.get(tag))
@@ -256,8 +239,8 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
 def run_suite(asm: Assembly, suite: str, cfg: RunConfig) -> VerificationReport:
     """The selected suites, one block at a time: every selected per-block body runs on a
-    context of `asm.visit()`, whose memo is cleared before the next block; the rank-oracle
-    and torsion aggregates fold the per-block partials at the end."""
+    context of `asm.visit()`, whose memo is cleared before the next block.  The rank oracle
+    and the Reeb decomposition read the Reeb-sector stacks of every weight at the end."""
     tol = cfg.tol
     report = VerificationReport(
         f"suite:{suite}",
@@ -270,8 +253,7 @@ def run_suite(asm: Assembly, suite: str, cfg: RunConfig) -> VerificationReport:
     def selected(name: str) -> bool:
         return suite in (name, "all")
 
-    dims = Counter()  # rank-oracle partials of thm1
-    reeb = torsion_mod.open_reeb_report(asm, s_grid=cfg.s_grid) if selected("thm5") else None
+    dims = Counter()  # harmonic kernel dimensions of thm1, for the rank oracle
     for ctx in asm.visit():
         if selected("thm1"):
             check_kernel_coincidence(ctx, report, dims, tol=residual_tol(1e-10))
@@ -287,13 +269,10 @@ def run_suite(asm: Assembly, suite: str, cfg: RunConfig) -> VerificationReport:
             check_complex_property(ctx, report, tol=residual_tol(1e-12))
             check_hodge_block_matrix(ctx, report, tol=residual_tol(1e-12))
             check_star_symmetry(ctx, report, tol=residual_tol(1e-10))
-        if reeb is not None:
-            torsion_mod.add_reeb_block(ctx, reeb)
     if selected("thm1"):
-        rank_oracle_checks(report, dims, asm.degrees)
-    if reeb is not None:
-        torsion_mod.close_reeb_report(reeb)
-        report.extend(reeb.checks)
+        rank_oracle_checks(report, dims, asm)
+    if selected("thm5"):
+        report.extend(torsion_mod.reeb_decomposition(asm, s_grid=cfg.s_grid).checks)
     return report
 
 
@@ -317,12 +296,8 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_torsion(cfg: RunConfig) -> int:
-    asm = Assembly(cfg.build_model(), cfg.max_weight)
-    report = torsion_mod.open_reeb_report(asm, s_grid=cfg.s_grid)
-    for ctx in asm.visit():  # a block memo lives for one block visit, not for the assembly's lifetime
-        torsion_mod.add_reeb_block(ctx, report)
-    torsion_mod.close_reeb_report(report)
-    del asm  # its fiber tables are freed before the report is serialized
+    # the assembly, with its fiber tables and sector stacks, is freed before the report is serialized
+    report = torsion_mod.reeb_decomposition(Assembly(cfg.build_model(), cfg.max_weight), s_grid=cfg.s_grid)
     _emit(report.to_json() if cfg.format == "json" else report.pairs_csv(), cfg.out)
     if not report.passed:
         for c in report.checks.failures():

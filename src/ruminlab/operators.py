@@ -27,11 +27,11 @@ and its Reeb-sector stacks share one basis and one column order.  Block
 quantities live in the context's own memo: every quantity that more than one
 suite or call site needs (full-space matrices, the Rumin and horizontal
 operators and Laplacians, the Rumin square root, and through `_block_memo` in
-the spectral layer the joint eigenspaces, harmonic bases and differential
-ranks), so a check that validates such a quantity runs once, when it is built.  A value reused only
+the spectral layer the joint eigenspaces and harmonic bases), so a check that
+validates such a quantity runs once, when it is built.  A value reused only
 within one suite (the deformed Laplacians of the sampled t, the middle square
 D^* D) is hoisted into a local there instead, and a value read once per block
-(the Rumin star, the box operators) is not kept at all: caching either would
+(the Rumin star) is not kept at all: caching either would
 keep it alive for the rest of its block's visit and raise peak memory for no
 second reader.  Every memoized array is read-only: a caller that writes into
 one gets a ValueError instead of silently changing every later reader.  A

@@ -24,12 +24,17 @@ column order) are batched matrix products, one `einsum` each.
 No matrix of a whole weight block is formed.
 
 `spectrum_sectors` cuts a `spectrum` Laplacian into one `ReebSectors` per
-weight, in the layout of `spectral._reeb_sectors`, for `_solve_reeb_sectors`.
-It keeps the checks of the dense route at the same tolerances: hermiticity,
-Reeb invariance of the Rumin space, the middle operator's target space, the
-half-Laplacian commutator, and exhaustion of every space by its sectors.  The
-dense `BlockContext` assembly stays the operator of `verify` and `torsion`, and
-the reference that Tier-1 compares these stacks with.
+weight, in the layout of `spectral._reeb_sectors`, and `solve_rows` solves one
+degree's rows of every weight together; `rumin spectrum` and the Reeb
+decomposition of `torsion` both read Delta and nu from there.  The cut keeps
+the checks of the dense route at the same tolerances: hermiticity, Reeb
+invariance of the Rumin space, the middle operator's target space, the
+half-Laplacian commutator, and exhaustion of every space by its sectors.
+`cohomology_dims` is the rank oracle of `verify --suite thm1` and `torsion`:
+dim H^k of the Rumin and de Rham complexes from the singular values of the
+sector blocks of their differentials.  The dense `BlockContext` assembly stays
+the operator of the other `verify` suites, and the reference that Tier-1
+compares these stacks with.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ from .operators import (
     max_abs,
     rescale_coefficient,
 )
-from .spectral import ReebSectors
+from .spectral import JointEigenspaces, ReebSectors, _solve_reeb_sectors
 
 LEAK_TOL = 1e-12  # largest off-sector coefficient of a fiber (x) slot term
 FACTORS = ("z", "+", "-")  # the ladder factors, in the order of `field_ladder_coefficients`
@@ -65,6 +70,15 @@ def _adjoint(stack: np.ndarray) -> np.ndarray:
 def _product(*stacks: np.ndarray) -> np.ndarray:
     """The blockwise matrix product of stacks."""
     return reduce(lambda a, b: np.einsum("ijs,jks->iks", a, b), stacks)
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct entries of an integer array.  `np.unique` would do, but it imports
+    `numpy.ma`, which `verify` and `torsion` otherwise never load (0.85 MB of peak RSS on s3 at M=10)."""
+    values = np.sort(values, axis=None)
+    keep = np.ones(values.size, dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
 
 
 def _hermitized(stack: np.ndarray, what: str, tol: float = 1e-9) -> np.ndarray:
@@ -89,8 +103,8 @@ class SectorSpace:
 
 
 class SectorStacks:
-    """The operators of `rumin spectrum` on the Reeb sectors of every weight in `weights`
-    (ascending, without repeats).
+    """The operators of `rumin spectrum`, the Reeb decomposition and the rank oracle on the Reeb
+    sectors of every weight in `weights` (ascending, without repeats).
 
     Sectors are ordered by weight, then by ascending tau; `m`, `tau` and
     `owner` (the position of the sector's weight in `weights`) are (S,) arrays,
@@ -109,12 +123,12 @@ class SectorStacks:
         self.ladder = field_ladder_coefficients()
         self._cache: Dict = {}
         # every (m, tau) that a full-space basis vector of some degree reaches
-        rho = np.unique(np.concatenate([self._reeb_weights(k, "full") for k in range(self.Dmax + 1)]))
+        rho = _distinct(np.concatenate([self._reeb_weights(k, "full") for k in range(self.Dmax + 1)]))
         slots = np.concatenate([np.arange(m + 1) for m in self.weights]) if self.weights.size else np.zeros(0, int)
         ms = np.repeat(self.weights, self.weights + 1)
         top = int(self.weights.max(initial=0))
         low, span = int(rho.min()) - top, int(rho.max() - rho.min()) + 2 * top + 1
-        keys = np.unique((ms * span)[:, None] + (rho[None, :] + (ms - 2 * slots)[:, None] - low))
+        keys = _distinct((ms * span)[:, None] + (rho[None, :] + (ms - 2 * slots)[:, None] - low))
         self.m, self.tau = keys // span, keys % span + low
         self.owner = np.searchsorted(self.weights, self.m)
         self.starts = np.searchsorted(self.owner, np.arange(self.weights.size + 1))
@@ -279,6 +293,29 @@ class SectorStacks:
             )
         return a, b, scale
 
+    @_block_memo
+    def cohomology_dims(self, complex_name: str, multiplicity: Tuple[int, ...]) -> Tuple[int, ...]:
+        """dim H^k of the "rumin" or "de_rham" complex for every degree k: the sum over weights of
+        r (dim_k - rank d_k - rank d_{k-1}), with r = multiplicity[w] copies of weight weights[w].
+
+        A differential commutes with L_T, so it maps every Reeb sector into itself, and its rank
+        on a weight is the sum of the ranks of its sector blocks.  A singular value counts when it
+        exceeds 1e-8 * max(1, the largest singular value on its weight), the threshold of the
+        rank of the dense weight block.
+        """
+        if not self.m.size:
+            return (0,) * (self.Dmax + 1)
+        flavor = "rumin" if complex_name == "rumin" else "full"
+        ranks = np.zeros((self.Dmax + 2, self.weights.size), dtype=int)  # row k + 1: rank of d_k
+        for k in range(self.Dmax):
+            stack = self.rumin_d(k) if complex_name == "rumin" else self.d(k)
+            values = np.linalg.svd(stack.transpose(2, 0, 1), compute_uv=False)  # (S, min(f_out, f_in))
+            top = np.maximum(1.0, self._weight_max(values.T))
+            above = values > 1e-8 * top[self.owner][:, None]
+            ranks[k + 1] = np.add.reduceat(above.sum(axis=1), self.starts[:-1])
+        dims = [self.space(k, flavor).dim * (self.weights + 1) - ranks[k + 1] - ranks[k] for k in range(self.Dmax + 1)]
+        return tuple(int(np.dot(multiplicity, d)) for d in dims)
+
     def _weight_max(self, stack: np.ndarray) -> np.ndarray:
         """max |entry| of a stack over the sectors of each weight."""
         if not stack.size:
@@ -389,7 +426,7 @@ class SectorStacks:
         pos = np.argsort(~space.valid, axis=0, kind="stable")  # a sector's fiber vectors first, in fiber order
         dense = pos * (self.m + 1) + np.take_along_axis(space.slot, pos, axis=0)
         groups = []
-        for s in np.unique(size[size > 0]):
+        for s in _distinct(size[size > 0]):
             sel = np.flatnonzero(size == s)
             p = pos[:s, sel].T
             blocks = [st[p[:, :, None], p[:, None, :], sel[:, None, None]] for st in stacks]
@@ -402,3 +439,9 @@ class SectorStacks:
             per_stack = [tuple(blocks[j][lo:hi] for lo, hi, _, blocks in runs) for j in range(len(stacks))]
             out.append((tau, index, per_stack))
         return out
+
+
+def solve_rows(rows: Sequence[Tuple[ReebSectors, Optional[tuple]]], tol: float = 1e-9) -> List[JointEigenspaces]:
+    """The joint (Delta, i L_T) eigenspaces of one degree's `SectorStacks.spectrum_sectors` rows,
+    every weight in one `_solve_reeb_sectors` (one stacked `eigh` per sector size)."""
+    return _solve_reeb_sectors([sectors for sectors, _ in rows], tol)

@@ -22,27 +22,31 @@ Laplacians (`half_laplacian_sectors`) have Rayleigh quotients on the sector
 eigenvectors that give (lambda10, lambda01) (`sector_half_laplacian_pairs`).
 `q_decomposition` reads both from the memo; it is the one caller that needs a
 dense basis per component (`JointEigenspaces.components`).  `rumin spectrum`
-builds no dense block: `sectors.SectorStacks` assembles its operators on the
-Reeb sectors of every weight at once and hands `_solve_reeb_sectors` one
-`ReebSectors` per (block, degree), in the layout of `_reeb_sectors`.
+and the Reeb decomposition of `torsion` build no dense block:
+`sectors.SectorStacks` assembles their operators on the Reeb sectors of every
+weight at once and hands `_solve_reeb_sectors` one `ReebSectors` per (block,
+degree), in the layout of `_reeb_sectors`.
 
 Quantities that several suites share (the Rumin joint eigenspaces and their
-half-Laplacian pairs, harmonic bases, differential ranks, the split halves of
-d_b on horizontal forms) are memoized per block context with `_block_memo`,
-so `verify --suite all` builds each of them once per block.
+half-Laplacian pairs, harmonic bases, the split halves of d_b on horizontal
+forms) are memoized per block context with `_block_memo`, so `verify --suite
+all` builds each of them once per block.
 
-Every suite is a per-block body `check_<suite>(ctx, report, ...)`; the two
-suites with cross-block statements (the rank oracle here, the torsion sums in
-`torsion`) fold per-block partials after the last block.  `verify_<suite>(asm)`
-runs its body over `asm.contexts`, whose memos live as long as the assembly.
-The CLI goes block at a time instead: `Assembly.visit` yields one context,
-every selected body runs on it, and its memo is cleared before the next block,
-so peak memory is set by the largest block, not by the sum over blocks.
+Every suite is a per-block body `check_<suite>(ctx, report, ...)`.
+`verify_<suite>(asm)` runs its body over `asm.contexts`, whose memos live as
+long as the assembly.  The CLI goes block at a time instead: `Assembly.visit`
+yields one context, every selected body runs on it, and its memo is cleared
+before the next block, so peak memory is set by the largest block, not by the
+sum over blocks.  The two statements across blocks read no block context: the
+rank oracle (`rumin_cohomology_dims`, `de_rham_cohomology_dims`) and the Reeb
+decomposition of `torsion` work on `Assembly.sector_stacks`, the Reeb-sector
+stacks of every weight of the assembly, built once per assembly.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -108,6 +112,18 @@ class Assembly:
     def spectral_cutoff(self) -> float:
         """`spectral_cutoff(self.model, self.max_weight)`."""
         return spectral_cutoff(self.model, self.max_weight)
+
+    @functools.cached_property
+    def sector_stacks(self):
+        """The `sectors.SectorStacks` of every weight of the assembly, on its fiber tables."""
+        from .sectors import SectorStacks  # imported on first use, so `import ruminlab.cli` stays cheap
+
+        return SectorStacks(self.model.frame, [ctx.block.weight for ctx in self.contexts], self._tables)
+
+    def cohomology_dims(self, complex_name: str) -> List[int]:
+        """dim H^k of the "rumin" or "de_rham" complex, from `SectorStacks.cohomology_dims`."""
+        multiplicity = tuple(ctx.block.multiplicity for ctx in self.contexts)
+        return list(self.sector_stacks.cohomology_dims(complex_name, multiplicity))
 
 
 def spectral_cutoff(model: ModelManifold, max_weight: int) -> float:
@@ -573,45 +589,13 @@ def q_decomposition(ctx: BlockContext, k: int, tol: float = 1e-9) -> Tuple[QComp
 # -- cohomology rank oracles ----------------------------------------------------
 
 
-def _rank(m: np.ndarray, tol: float = 1e-8) -> int:
-    if m.size == 0:
-        return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    return int(np.sum(s > tol * max(1.0, s[0])))
-
-
-@_block_memo
-def _differential_rank(ctx: BlockContext, complex_name: str, k: int) -> int:
-    """Rank of the degree-k differential of the "rumin" or "de_rham" complex; 0 out of range."""
-    if k < 0 or k >= ctx.Dmax:
-        return 0
-    return _rank(ctx.rumin_d(k).matrix if complex_name == "rumin" else ctx.d_full(k))
-
-
-def block_cohomology_dims(ctx: BlockContext, complex_name: str) -> List[int]:
-    """One block's share r (dim_k - rank_k - rank_{k-1}) of dim H^k, for every degree k."""
-    dims = []
-    for k in range(ctx.Dmax + 1):
-        dim_k = ctx.rumin_space(k).dim if complex_name == "rumin" else ctx.full_dim(k)
-        ranks = _differential_rank(ctx, complex_name, k) + _differential_rank(ctx, complex_name, k - 1)
-        dims.append(ctx.block.multiplicity * (dim_k - ranks))
-    return dims
-
-
-def _cohomology_dims(asm: Assembly, complex_name: str) -> List[int]:
-    dims = [0] * len(asm.degrees)
-    for ctx in asm.contexts:
-        dims = [a + b for a, b in zip(dims, block_cohomology_dims(ctx, complex_name))]
-    return dims
-
-
 def rumin_cohomology_dims(asm: Assembly) -> List[int]:
-    """dim H^k from ranks of the assembled complex differentials (independent oracle)."""
-    return _cohomology_dims(asm, "rumin")
+    """dim H^k from the ranks of the Rumin differentials on the Reeb sectors (independent oracle)."""
+    return asm.cohomology_dims("rumin")
 
 
 def de_rham_cohomology_dims(asm: Assembly) -> List[int]:
-    return _cohomology_dims(asm, "de_rham")
+    return asm.cohomology_dims("de_rham")
 
 
 # -- verification drivers ----------------------------------------------------------
@@ -794,7 +778,7 @@ def verify_kernel_coincidence(asm: Assembly, angle_tol: float = 1e-8, tol: float
     dims = Counter()
     params = {"angle_tol": angle_tol, "tol": tol}
     report = _over_contexts(asm, "kernel_coincidence", params, check_kernel_coincidence, dims, angle_tol, tol)
-    rank_oracle_checks(report, dims, asm.degrees)
+    rank_oracle_checks(report, dims, asm)
     report.parameters["kernel_dims"] = [dims["kernel", "rumin", k] for k in asm.degrees]
     return report
 
@@ -804,9 +788,9 @@ def check_kernel_coincidence(
 ):
     """The per-block checks of `verify_kernel_coincidence`, added to `report`.
 
-    Adds the block's share of r * dim to `dims[route, complex, k]`, by its
-    harmonic kernels (route "kernel") and by the rank oracle (route "rank"),
-    for `rank_oracle_checks` to compare once every block is counted.
+    Adds the block's share r * dim of the harmonic kernel dimensions to
+    `dims["kernel", complex, k]`, for `rank_oracle_checks` to compare with the
+    rank oracle once every block is counted.
     """
     n = ctx.n
     lbl = ctx.block.label
@@ -839,16 +823,15 @@ def check_kernel_coincidence(
             hcoords = ctx.horizontal_space(k).embed.conj().T @ phi
             report.add(f"step_horizontal_laplacian[{lbl}]k={k}", max_abs(lap_b @ hcoords), tol)
             report.add(f"step_reeb_derivative[{lbl}]k={k}", max_abs(ctx.lie_reeb_full(k) @ phi), tol)
-    for complex_name in ("rumin", "de_rham"):
-        for k, dim in enumerate(block_cohomology_dims(ctx, complex_name)):
-            dims["rank", complex_name, k] += dim
 
 
-def rank_oracle_checks(report: VerificationReport, dims: Counter, degrees: range):
-    """Per degree, dim H^k from the rank oracle against the harmonic kernel dimension, summed over blocks."""
-    for k in degrees:
+def rank_oracle_checks(report: VerificationReport, dims: Counter, asm: Assembly):
+    """Per degree, dim H^k from the rank oracle against the harmonic kernel dimension in `dims`,
+    summed over the blocks of `asm`."""
+    oracle = {"rumin": rumin_cohomology_dims(asm), "de_rham": de_rham_cohomology_dims(asm)}
+    for k in asm.degrees:
         for complex_name in ("rumin", "de_rham"):
-            rank, kernel_dim = dims["rank", complex_name, k], dims["kernel", complex_name, k]
+            rank, kernel_dim = oracle[complex_name][k], dims["kernel", complex_name, k]
             report.add(
                 f"rank_oracle_{complex_name}_k={k}", abs(rank - kernel_dim), 0.0, f"rank={rank} kernel={kernel_dim}"
             )

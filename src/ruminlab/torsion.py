@@ -15,11 +15,24 @@ statement is the weighted multiset identity, which this module checks exactly,
 alongside the literal per-degree comparison, which it reports honestly.
 
 Each piece needs only Delta and the Reeb value tau of a joint (Delta, i L_T)
-eigenspace, and its dimension: `add_reeb_block` reads them from the memoized
-sector-local solve `rumin_joint_eigenspaces` and builds no eigenvector basis.
+eigenspace, and its dimension.  `reeb_decomposition` takes them from the route
+of `rumin spectrum --op delta-rn`: per degree k <= n it cuts the Rumin
+Laplacian of every weight into Reeb sectors (`Assembly.sector_stacks`) and
+solves them together (`sectors.solve_rows`), so its slices are that table's
+entries, and it builds no dense block.  The kernel dimensions are compared with
+the rank oracle `rumin_cohomology_dims`, which reads the same stacks.
 `close_reeb_report` folds the classified pieces of every block into the
 per-degree zeta partial sums (`TorsionReport.zetas`) and the two routes to
 kappa (`kappa_from_spectrum`, `kappa_from_reeb`).
+
+The box checks compare operators that are built independently.  Below the
+middle degree box = Delta_delbar and boxbar = Delta_del come from the split
+Rumin differentials; on every sector their sum must be sqrt(Delta), from the
+Laplacian's eigenpairs, their difference must be i L_T = tau, and they must
+commute.  In the middle degree box and boxbar are defined as
+(sqrt(Delta) +- i L_T)/2, so there only their positivity is a statement:
+`boxes_psd` asks (sqrt(Delta) +- tau)/2 >= 0 on every component in every
+degree.
 
 Only partial zeta sums at s >= 2 are produced; analytic continuation to s = 0
 is out of scope and the derivative at 0 is never claimed.
@@ -37,13 +50,9 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from . import util
-from .operators import BlockContext, max_abs
-from .spectral import (
-    Assembly,
-    VerificationReport,
-    block_cohomology_dims,
-    rumin_joint_eigenspaces,
-)
+from .model import FunctionBlock
+from .operators import max_abs
+from .spectral import Assembly, JointEigenspaces, VerificationReport, rumin_cohomology_dims
 
 PAIR_TOL = 1e-9
 # Equal eigenvalues from different blocks and degrees agree only up to the
@@ -55,16 +64,6 @@ PAIR_TOL = 1e-9
 # weights; distinct eigenvalues are integers, so they never merge.  The bound
 # is PAIR_TOL itself up to |Delta| = 1e4, which covers every weight <= 12.
 RELATIVE_PAIR_TOL = 1e-13
-# The computed box and boxbar commute only up to rounding.  A dense product of
-# A and B rounds each entry by about eps * ||A||_F * ||B||_F, and both halves
-# grow like sqrt(Delta) ~ m^2, so a fixed bound fails from rounding alone: 1e-9
-# failed from m = 65 on (worst 1.4e-8 near m = 117).  The commutator is
-# therefore bounded by max(1e-9, BOXES_COMMUTE_C * eps * ||box||_F *
-# ||boxbar||_F).  Measured on s3 for every m <= 120 it stays below 0.25 of
-# eps * ||box||_F * ||boxbar||_F, so c = 16 leaves 64x headroom.  The scaled
-# term first exceeds 1e-9 at m = 21 (8.8e-11 at m = 12), so every report up to
-# weight 20 keeps the fixed bound.
-BOXES_COMMUTE_C = 16.0
 ESTIMATE_CAVEAT = (
     "partial sums only: the derivative at s = 0 requires analytic continuation "
     "and is not computed"
@@ -202,17 +201,8 @@ def reeb_decomposition(
     gated), the kernel-dimension bookkeeping against the rank oracle, and the
     torsion-function partial sums computed from both sides.
     """
-    report = open_reeb_report(asm, s_grid, pair_tol)
-    for ctx in asm.contexts:
-        add_reeb_block(ctx, report)
-    close_reeb_report(report)
-    return report
+    from .sectors import solve_rows  # imported on first use, so `import ruminlab.cli` stays cheap
 
-
-def open_reeb_report(
-    asm: Assembly, s_grid: Sequence[float] = (2.0, 3.0, 4.0), pair_tol: float = PAIR_TOL
-) -> TorsionReport:
-    """The `reeb_decomposition` report of `asm` before any block is added."""
     n = asm.n
     for s in s_grid:
         if s < 2.0:
@@ -223,79 +213,81 @@ def open_reeb_report(
         s_grid=list(s_grid),
         weights=kappa_weights(n),
         cutoff=asm.spectral_cutoff(),
-        cohomology_dims=[0] * (n + 1),
+        cohomology_dims=rumin_cohomology_dims(asm)[: n + 1],
         pair_tol=pair_tol,
     )
     report.checks.parameters = {"model": asm.model.describe(), "max_weight": asm.max_weight, "pair_tol": pair_tol}
+    blocks = [ctx.block for ctx in asm.contexts]
+    for k in range(n + 1):
+        rows, _ = asm.sector_stacks.spectrum_sectors("delta-rn", k)
+        for block, (_, halves), joint in zip(blocks, rows, solve_rows(rows, pair_tol)):
+            _add_reeb_slices(report, block, k, joint, halves)
+    close_reeb_report(report)
     return report
 
 
-def add_reeb_block(ctx: BlockContext, report: TorsionReport):
-    """One block of `reeb_decomposition`: its half-Laplacian checks, Reeb slices and rank-oracle share."""
-    checks, pair_tol = report.checks, report.pair_tol
-    n = ctx.n
-    lbl = ctx.block.label
-    # half-Laplacian structure checks
-    for k in range(n + 1):
-        box, boxbar = ctx.box_operators(k)
-        root = ctx.sqrt_laplacian_rn(k)
-        ilt = 1j * ctx.lie_reeb_rumin(k).matrix
-        checks.add(f"boxes_sum_to_root[{lbl}]k={k}", max_abs(box.matrix + boxbar.matrix - root), 1e-10)
-        checks.add(f"boxes_differ_by_reeb[{lbl}]k={k}", max_abs(box.matrix - boxbar.matrix - ilt), 1e-10)
-        checks.add(
-            f"boxes_commute[{lbl}]k={k}",
-            max_abs(box.matrix @ boxbar.matrix - boxbar.matrix @ box.matrix),
-            boxes_commute_tolerance(box.matrix, boxbar.matrix),
-        )
-        wmin = float(np.min(np.linalg.eigvalsh(box.matrix))) if box.matrix.size else 0.0
-        wbmin = float(np.min(np.linalg.eigvalsh(boxbar.matrix))) if boxbar.matrix.size else 0.0
-        checks.add(f"boxes_psd[{lbl}]k={k}", max(0.0, -min(wmin, wbmin)), 1e-9)
-    for k in range(n + 1):
-        joint = rumin_joint_eigenspaces(ctx, k, pair_tol)
-        # the largest |entry| of the Laplacian, which is block diagonal over the Reeb sectors
-        zero = pair_tol * max(1.0, max((max_abs(b) for b in joint.sectors.blocks), default=0.0))
-        slices = []
-        for delta, tau, count in zip(joint.delta, joint.tau, joint.counts):
-            delta = max(delta, 0.0)
-            root = math.sqrt(delta)
-            box = 0.5 * (root + tau)
-            boxbar = 0.5 * (root - tau)
-            if delta <= zero:
-                piece = "harmonic"
-            elif box <= zero:
-                piece = "reeb_plus"  # ker box ∩ im boxbar
-            elif boxbar <= zero:
-                piece = "reeb_minus"  # im box ∩ ker boxbar
-            else:
-                piece = "bi_positive"
-            # L_T acts by i*nu; never -0.0
-            slices.append(ReebSlice(lbl, k, delta, 0.0 - tau, ctx.block.multiplicity * count, piece))
-        report.slices.extend(slices)
-        spectrum = [(sl.delta, sl.mult) for sl in slices if sl.piece != "harmonic"]
-        one_sided = [
-            (sl.nu ** 2, sl.mult) for sl in slices if sl.piece in ("reeb_plus", "reeb_minus")
-        ]
-        # Delta = -L_T^2 exactly on the one-sided pieces
-        worst = max(
-            (
-                abs(sl.delta - sl.nu ** 2) / max(1.0, sl.delta)
-                for sl in slices
-                if sl.piece in ("reeb_plus", "reeb_minus")
-            ),
-            default=0.0,
-        )
-        checks.add(f"one_sided_reeb_square[{lbl}]k={k}", worst, pair_tol)
-        ok, _gap = _multisets_match(
-            _cluster_multiset(spectrum, pair_tol), _cluster_multiset(one_sided, pair_tol), pair_tol
-        )
-        report.per_degree_outcomes[(lbl, k)] = ok
-    report.cohomology_dims = [a + b for a, b in zip(report.cohomology_dims, block_cohomology_dims(ctx, "rumin"))]
+def _add_reeb_slices(report: TorsionReport, block: FunctionBlock, k: int, joint: JointEigenspaces, halves):
+    """The Reeb slices of one block in degree k, from its joint eigenspaces, with their box
+    checks and per-degree comparison; `halves` are the block's half-Laplacian sector blocks
+    below the middle degree (None in it)."""
+    checks, pair_tol, lbl = report.checks, report.pair_tol, block.label
+    if halves is not None:
+        (boxbar, box), _ = halves  # (Delta_del, Delta_delbar)
+        sums = differences = commutators = 0.0
+        for b, bb, root, idx in zip(box, boxbar, _sector_roots(joint), joint.sectors.index):
+            reeb = joint.sectors.tau[idx][:, :, None] * np.eye(idx.shape[1])  # i L_T on each sector
+            sums = max(sums, max_abs(b + bb - root))
+            differences = max(differences, max_abs(b - bb - reeb))
+            commutators = max(commutators, max_abs(b @ bb - bb @ b))
+        checks.add(f"boxes_sum_to_root[{lbl}]k={k}", sums, 1e-10)
+        checks.add(f"boxes_differ_by_reeb[{lbl}]k={k}", differences, 1e-10)
+        checks.add(f"boxes_commute[{lbl}]k={k}", commutators, 1e-9)
+    # the largest |entry| of the Laplacian, which is block diagonal over the Reeb sectors
+    zero = pair_tol * max(1.0, max((max_abs(b) for b in joint.sectors.blocks), default=0.0))
+    slices = []
+    lowest = math.inf  # the smallest eigenvalue of box and boxbar
+    for delta, tau, count in zip(joint.delta, joint.tau, joint.counts):
+        delta = max(delta, 0.0)
+        root = math.sqrt(delta)
+        box = 0.5 * (root + tau)
+        boxbar = 0.5 * (root - tau)
+        lowest = min(lowest, box, boxbar)
+        if delta <= zero:
+            piece = "harmonic"
+        elif box <= zero:
+            piece = "reeb_plus"  # ker box ∩ im boxbar
+        elif boxbar <= zero:
+            piece = "reeb_minus"  # im box ∩ ker boxbar
+        else:
+            piece = "bi_positive"
+        # L_T acts by i*nu; never -0.0
+        slices.append(ReebSlice(lbl, k, delta, 0.0 - tau, block.multiplicity * count, piece))
+    checks.add(f"boxes_psd[{lbl}]k={k}", max(0.0, -lowest), 1e-9)
+    report.slices.extend(slices)
+    spectrum = [(sl.delta, sl.mult) for sl in slices if sl.piece != "harmonic"]
+    one_sided_slices = [sl for sl in slices if sl.piece in ("reeb_plus", "reeb_minus")]
+    one_sided = [(sl.nu ** 2, sl.mult) for sl in one_sided_slices]
+    # Delta = -L_T^2 exactly on the one-sided pieces
+    worst = max((abs(sl.delta - sl.nu ** 2) / max(1.0, sl.delta) for sl in one_sided_slices), default=0.0)
+    checks.add(f"one_sided_reeb_square[{lbl}]k={k}", worst, pair_tol)
+    ok, _gap = _multisets_match(
+        _cluster_multiset(spectrum, pair_tol), _cluster_multiset(one_sided, pair_tol), pair_tol
+    )
+    report.per_degree_outcomes[(lbl, k)] = ok
 
 
-def boxes_commute_tolerance(box: np.ndarray, boxbar: np.ndarray) -> float:
-    """The bound on max |[box, boxbar]|: 1e-9, or the rounding scale of the products where larger."""
-    scale = BOXES_COMMUTE_C * np.finfo(float).eps * np.linalg.norm(box) * np.linalg.norm(boxbar)
-    return max(1e-9, float(scale))
+def _sector_roots(joint: JointEigenspaces) -> List[np.ndarray]:
+    """sqrt(Delta) on every sector of `joint`, from its sector eigenpairs: per size group, the
+    (sectors, s, s) stack q diag(sqrt(Delta)) q^*."""
+    root = np.empty(joint.sectors.dim)
+    root[joint.order] = np.repeat(np.sqrt(np.maximum(joint.delta, 0.0)), joint.counts)
+    stacks, col = [], 0
+    for q in joint.vectors:
+        sectors, size, _ = q.shape
+        scaled = q * root[col : col + sectors * size].reshape(sectors, 1, size)
+        stacks.append(scaled @ q.conj().transpose(0, 2, 1))
+        col += sectors * size
+    return stacks
 
 
 def close_reeb_report(report: TorsionReport):

@@ -1,11 +1,29 @@
-"""The dense (Laplacian, i L_T) pairs of the `spectrum` operators, from `BlockContext`.
+"""Dense references for the Reeb-sector routes, from `BlockContext`.
 
-`rumin spectrum` builds its operators on the Reeb sectors of every weight at
-once (`ruminlab.sectors`); the tests compare those sector blocks with the
-sectors of these dense block matrices.
+`rumin spectrum`, the Reeb decomposition of `rumin torsion` and the rank
+oracle build their operators on the Reeb sectors of every weight at once
+(`ruminlab.sectors`).  The tests compare them with the dense block matrices
+here: the (Laplacian, i L_T) pairs of the `spectrum` operators, the dense
+Reeb classification of every block (`rumin_joint_eigenspaces`) and the dense
+SVD rank of every block differential.
 """
 
-from ruminlab.operators import hermitize
+import math
+from typing import List
+
+import numpy as np
+
+from ruminlab.operators import hermitize, max_abs
+from ruminlab.spectral import rumin_joint_eigenspaces
+from ruminlab.torsion import (
+    PAIR_TOL,
+    ReebSlice,
+    TorsionReport,
+    _cluster_multiset,
+    _multisets_match,
+    close_reeb_report,
+    kappa_weights,
+)
 
 SPECTRUM_OPS = ("delta-rn", "delta-dr", "delta-t", "delta-b")
 
@@ -34,3 +52,68 @@ def operator_pair(ctx, op: str, degree: int, t: float):
         raise KeyError(op)
     return hermitize(lap, 1e-9), hermitize(ilt, 1e-9)
 
+
+def dense_rank(m: np.ndarray, tol: float = 1e-8) -> int:
+    """The number of singular values above tol * max(1, the largest)."""
+    if m.size == 0:
+        return 0
+    s = np.linalg.svd(m, compute_uv=False)
+    return int(np.sum(s > tol * max(1.0, s[0])))
+
+
+def dense_cohomology_dims(asm, complex_name: str) -> List[int]:
+    """dim H^k of the "rumin" or "de_rham" complex: the sum over blocks of
+    r (dim_k - rank d_k - rank d_{k-1}), every rank that of the dense block differential."""
+
+    def rank(ctx, k):
+        if k < 0 or k >= ctx.Dmax:
+            return 0
+        return dense_rank(ctx.rumin_d(k).matrix if complex_name == "rumin" else ctx.d_full(k))
+
+    dims = [0] * len(asm.degrees)
+    for ctx in asm.contexts:
+        for k in asm.degrees:
+            dim_k = ctx.rumin_space(k).dim if complex_name == "rumin" else ctx.full_dim(k)
+            dims[k] += ctx.block.multiplicity * (dim_k - rank(ctx, k) - rank(ctx, k - 1))
+    return dims
+
+
+def dense_reeb_decomposition(asm, s_grid=(2.0, 3.0, 4.0), pair_tol: float = PAIR_TOL) -> TorsionReport:
+    """`torsion.reeb_decomposition` through the dense block route: the slices, per-degree
+    outcomes, rank-oracle dims and sums, without the box checks."""
+    n = asm.n
+    report = TorsionReport(
+        model=asm.model.describe(),
+        max_weight=asm.max_weight,
+        s_grid=list(s_grid),
+        weights=kappa_weights(n),
+        cutoff=asm.spectral_cutoff(),
+        cohomology_dims=dense_cohomology_dims(asm, "rumin")[: n + 1],
+        pair_tol=pair_tol,
+    )
+    for ctx in asm.contexts:
+        lbl = ctx.block.label
+        for k in range(n + 1):
+            joint = rumin_joint_eigenspaces(ctx, k, pair_tol)
+            zero = pair_tol * max(1.0, max((max_abs(b) for b in joint.sectors.blocks), default=0.0))
+            slices = []
+            for delta, tau, count in zip(joint.delta, joint.tau, joint.counts):
+                delta = max(delta, 0.0)
+                root = math.sqrt(delta)
+                if delta <= zero:
+                    piece = "harmonic"
+                elif 0.5 * (root + tau) <= zero:
+                    piece = "reeb_plus"
+                elif 0.5 * (root - tau) <= zero:
+                    piece = "reeb_minus"
+                else:
+                    piece = "bi_positive"
+                slices.append(ReebSlice(lbl, k, delta, 0.0 - tau, ctx.block.multiplicity * count, piece))
+            report.slices.extend(slices)
+            spectrum = [(sl.delta, sl.mult) for sl in slices if sl.piece != "harmonic"]
+            one_sided = [(sl.nu**2, sl.mult) for sl in slices if sl.piece in ("reeb_plus", "reeb_minus")]
+            report.per_degree_outcomes[(lbl, k)], _ = _multisets_match(
+                _cluster_multiset(spectrum, pair_tol), _cluster_multiset(one_sided, pair_tol), pair_tol
+            )
+    close_reeb_report(report)
+    return report

@@ -15,6 +15,7 @@ import pytest
 from ruminlab import cli, operators, spectral, torsion
 from ruminlab.model import lens_space, su2_model
 from ruminlab.operators import BlockContext
+from ruminlab.sectors import SectorStacks
 from ruminlab.spectral import Assembly
 
 FIBERS = ("theta", "iota", "lef", "lam", "star", "jact", "prim", "horiz", "dmon", "rot")
@@ -199,9 +200,11 @@ def test_verify_all_computes_each_shared_quantity_once(capsys, monkeypatch):
     """One `verify --suite all` runs each uncached computation once per (block, arguments).
 
     The spies sit on the computations behind the memo: the joint-eigenspace
-    routine, the Rumin square root and the rank (keyed by their exact input,
-    which differs between blocks and degrees here) and the body of
-    `lie_reeb_rumin`, whose invariance residual is checked when it is built.
+    routine and the Rumin square root (keyed by their exact input, which
+    differs between blocks and degrees here), the body of `lie_reeb_rumin`,
+    whose invariance residual is checked when it is built, and the sector rank
+    oracle, which ranks each complex once per run for thm1 and the torsion
+    checks together.
     """
     calls = {}
 
@@ -231,7 +234,12 @@ def test_verify_all_computes_each_shared_quantity_once(capsys, monkeypatch):
         ),
     )
     patch_everywhere("sqrtm_psd", spy("Rumin square root", operators.sqrtm_psd, lambda m, tol=1e-10: exact(m)))
-    monkeypatch.setattr(spectral, "_rank", spy("differential rank", spectral._rank, lambda m, tol=1e-8: exact(m)))
+    ranks = SectorStacks.cohomology_dims.__wrapped__
+    monkeypatch.setattr(
+        SectorStacks.cohomology_dims,
+        "__wrapped__",
+        spy("sector rank", ranks, lambda stacks, complex_name, multiplicity: complex_name),
+    )
     body = getattr(BlockContext.lie_reeb_rumin, "__wrapped__", None)  # None: not memoized, nothing to spy on
     if body is not None:
         monkeypatch.setattr(
@@ -247,24 +255,36 @@ def test_verify_all_computes_each_shared_quantity_once(capsys, monkeypatch):
         repeated = {key: n for key, n in counts.items() if n > 1}
         assert not repeated, f"{kind}: {len(repeated)} of {len(counts)} computations repeated"
     assert len(calls) == 4
+    assert set(calls["sector rank"]) == {"rumin", "de_rham"}
 
 
 @pytest.mark.parametrize("command", [["torsion"], ["verify", "--suite", "thm5"]], ids=["torsion", "thm5"])
 def test_torsion_builds_no_dense_eigenbasis(capsys, monkeypatch, command):
-    """The Reeb pieces need only Delta, tau and the dimension of each joint eigenspace."""
+    """The Reeb pieces need only Delta, tau and the dimension of each joint eigenspace, and
+    they come from the Reeb-sector stacks: no dense box, square root or joint solve is built."""
     calls = Counter()
-    components = spectral.JointEigenspaces.components
 
-    def spy(joint):
-        calls["components"] += 1
-        return components(joint)
+    def spy(owner, name):
+        original = getattr(owner, name)
 
-    monkeypatch.setattr(spectral.JointEigenspaces, "components", spy)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    spy(spectral.JointEigenspaces, "components")
+    for name in ("box_operators", "sqrt_laplacian_rn"):
+        spy(BlockContext, name)
+    spy(spectral, "rumin_joint_eigenspaces")
     assert cli.main(command + ["--model", "lens", "--p", "3", "--character", "1", "--max-weight", "4"]) == 0
     capsys.readouterr()
-    assert calls["components"] == 0
-    spectral.q_decomposition(Assembly(lens_space(3, character=1), 4).contexts[-1], 0)  # the one dense caller
-    assert calls["components"] == 1
+    assert not calls, dict(calls)
+    ctx = Assembly(lens_space(3, character=1), 4).contexts[-1]
+    spectral.q_decomposition(ctx, 0)  # the dense callers, to show that the spies see them
+    ctx.box_operators(0)
+    dense = ("components", "rumin_joint_eigenspaces", "box_operators", "sqrt_laplacian_rn")
+    assert calls == dict.fromkeys(dense, 1)
 
 
 def _assert_each_dt_built_once(monkeypatch, suite, t_samples, degrees):
@@ -306,13 +326,18 @@ SPECTRUM_OPS = ("delta-rn", "delta-dr", "delta-t", "delta-b")
 @pytest.mark.parametrize("model", [["--model", "s3"], LENS31], ids=["s3", "lens3-1"])
 @pytest.mark.parametrize(
     "command",
-    [["verify", "--suite", "all"], ["torsion"], *(["spectrum", "--op", op] for op in SPECTRUM_OPS)],
-    ids=["verify", "torsion", *SPECTRUM_OPS],
+    [
+        ["verify", "--suite", "all"],
+        ["verify", "--suite", "thm5"],
+        ["torsion"],
+        *(["spectrum", "--op", op] for op in SPECTRUM_OPS),
+    ],
+    ids=["verify", "thm5", "torsion", *SPECTRUM_OPS],
 )
 def test_cli_holds_one_block_memo_at_a_time(capsys, monkeypatch, command, model):
     """Whenever a block memo gains an entry, no other context of the run holds one; at the end none does.
-    `spectrum` builds its operators on the Reeb sectors of every weight at once, so no block memo
-    gains an entry at all."""
+    `spectrum`, `torsion` and `verify --suite thm5` build their operators on the Reeb sectors of every
+    weight at once, so no block memo gains an entry at all."""
     memos = []
     crowded = Counter()  # memoized function -> insertions made while another memo was nonempty
     inserted = Counter()  # memoized function -> insertions
@@ -334,7 +359,7 @@ def test_cli_holds_one_block_memo_at_a_time(capsys, monkeypatch, command, model)
     monkeypatch.setattr(BlockContext, "__init__", watched_init)
     assert cli.main(command + model + ["--max-weight", "6"]) == 0
     capsys.readouterr()
-    if command[0] == "spectrum":
+    if command != ["verify", "--suite", "all"]:
         assert not inserted, dict(inserted)
     else:
         assert len(memos) > 1

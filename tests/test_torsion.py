@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -9,23 +10,25 @@ import math
 import numpy as np
 import pytest
 
-from ruminlab.model import allowed_weight_slots, lens_space, su2_block, su2_model
-from ruminlab.operators import BlockContext, BlockOperator
-from ruminlab.spectral import Assembly
+from dense_reference import dense_reeb_decomposition
+from ruminlab import cli, spectral, torsion
+from ruminlab.model import allowed_weight_slots, lens_space, su2_model
+from ruminlab.sectors import SectorStacks
+from ruminlab.spectral import Assembly, ReebSectors
 from ruminlab.torsion import (
     ESTIMATE_CAVEAT,
     PAIR_TOL,
     ReebSlice,
     TorsionReport,
     _cluster_multiset,
-    add_reeb_block,
-    boxes_commute_tolerance,
     close_reeb_report,
-    open_reeb_report,
     kappa_weights,
     reeb_decomposition,
     torsion_estimate,
 )
+
+MODELS = [su2_model()] + [lens_space(p, character=l) for p in range(2, 6) for l in range(p)]
+MODEL_IDS = ["s3"] + [f"lens{p}-{l}" for p in range(2, 6) for l in range(p)]
 
 
 # -- zeta partial sums -------------------------------------------------------------
@@ -215,10 +218,9 @@ def _closed_form_kappa(model, max_weight, s):
 def test_kappa_consistent_with_direct_sum():
     """The torsion partial sums equal the closed form to 1e-12 of the sum of |terms|;
     a 1e-8 relative shift of the smallest positive eigenvalue does not."""
-    models = [su2_model()] + [lens_space(p, character=l) for p in range(2, 6) for l in range(p)]
-    for model in models:
+    for model in MODELS:
         for max_weight in (0, 3, 12, 20):
-            report = _reeb_slices(model, max_weight)
+            report = _reopened(reeb_decomposition(Assembly(model, max_weight)))
             shifted = copy.deepcopy(report)
             positive = [sl for sl in shifted.slices if sl.piece != "harmonic"]
             if positive:
@@ -247,16 +249,19 @@ def test_cluster_multiset_bound_is_absolute_up_to_1e4():
     assert len(_cluster_multiset([(1e6, 1), (1e6 * (1 + 1e-12), 1)], PAIR_TOL)) == 2
 
 
-def _reeb_slices(model, max_weight):
-    report = open_reeb_report(Assembly(model, max_weight))
-    for ctx in Assembly(model, max_weight).visit():
-        add_reeb_block(ctx, report)
-    return report
+def _reopened(done):
+    """The slices and rank-oracle dims of a `reeb_decomposition` report, in a report that is not closed yet."""
+    return TorsionReport(
+        done.model, done.max_weight, done.s_grid, done.weights, done.cutoff,
+        cohomology_dims=done.cohomology_dims, slices=done.slices,
+    )
 
 
 def test_weighted_identity_holds_at_weight_50_and_catches_a_relative_shift():
     """At M=50 rounding alone no longer splits equal eigenvalues; a 1e-8 relative shift of one still fails."""
-    report = _reeb_slices(su2_model(), 50)
+    done = reeb_decomposition(Assembly(su2_model(), 50))
+    assert done.passed, done.checks.failures()[:4]
+    report = _reopened(done)
     shifted = copy.deepcopy(report)
     max(shifted.slices, key=lambda sl: sl.delta).delta *= 1 + 1e-8
     close_reeb_report(report)
@@ -267,47 +272,125 @@ def test_weighted_identity_holds_at_weight_50_and_catches_a_relative_shift():
     assert check.residual >= 1
 
 
-def _boxes_commute_check(ctx, spoil=None):
-    """The degree-1 `boxes_commute` check of one block, with `spoil` applied to the computed box first."""
-    report = open_reeb_report(Assembly(su2_model(), 0))
-    if spoil is not None:
-        original = ctx.box_operators
+# -- the sector route against the dense route -------------------------------------------
 
-        def box_operators(k):
-            box, boxbar = original(k)
-            return (spoil(box) if k == 1 else box), boxbar
 
-        ctx.box_operators = box_operators
-    add_reeb_block(ctx, report)
-    [check] = [c for c in report.checks.checks if c.name == f"boxes_commute[{ctx.block.label}]k=1"]
+@pytest.mark.parametrize("max_weight", [0, 3, 12])
+@pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+def test_sector_reeb_decomposition_equals_the_dense_route(model, max_weight):
+    """Pieces, multiplicities, per-degree outcomes and dims equal those of the dense blocks exactly;
+    Delta, nu, the zetas and kappa agree within 1e-13 relative.  The slices are the `delta-rn`
+    spectrum entries of degrees <= n, bit for bit."""
+    sector = reeb_decomposition(Assembly(model, max_weight))
+    dense = dense_reeb_decomposition(Assembly(model, max_weight))
+    assert sector.passed, sector.checks.failures()[:4]
+    for name in ("per_degree_outcomes", "kernel_dims", "cohomology_dims", "weighted_match"):
+        assert getattr(sector, name) == getattr(dense, name), name
+
+    def close(a, b):
+        return abs(a - b) <= 1e-13 * max(1.0, abs(b))
+
+    # both list each (block, degree) in component order: by Delta cluster, then by tau
+    by_block = lambda sl: (sl.block, sl.degree)
+    pairs = list(zip(sorted(sector.slices, key=by_block), sorted(dense.slices, key=by_block)))
+    assert len(pairs) == len(sector.slices) == len(dense.slices)
+    for got, want in pairs:
+        assert (got.block, got.degree, got.piece, got.mult) == (want.block, want.degree, want.piece, want.mult)
+        assert close(got.delta, want.delta) and close(got.nu, want.nu), (got, want)
+    assert sector.zetas.keys() == dense.zetas.keys()
+    assert all(close(sector.zetas[key], dense.zetas[key]) for key in dense.zetas)
+    for s in dense.s_grid:
+        assert close(sector.kappa_from_spectrum[s], dense.kappa_from_spectrum[s])
+        assert close(sector.kappa_from_reeb[s], dense.kappa_from_reeb[s])
+
+    entries = cli._spectrum_entries(model, max_weight, "delta-rn", list(range(model.frame.n + 1)), 1.0)
+    table = sorted((e.block, e.degree, e.eigenvalue, e.nu, e.multiplicity) for e in entries)
+    assert table == sorted((sl.block, sl.degree, sl.delta, sl.nu, sl.mult) for sl in sector.slices)
+
+
+# -- the sector-form checks catch a spoiled input ------------------------------------------
+
+
+def _check(report, name):
+    [check] = [c for c in report.checks.checks if c.name == name]
     return check
 
 
-def test_boxes_commute_bound_is_1e9_through_weight_12():
-    """The rounding-scaled bound stays the fixed 1e-9 on every block that weight <= 12 reports."""
-    for ctx in Assembly(su2_model(), 12).visit():
-        for k in range(2):
-            box, boxbar = ctx.box_operators(k)
-            assert boxes_commute_tolerance(box.matrix, boxbar.matrix) == 1e-9
+def test_boxes_sum_to_root_catches_a_relative_change_of_one_half_laplacian_entry(monkeypatch):
+    """A 1e-9 relative change of the largest Delta_del sector entry of weight 12 fails the sum."""
+    name = "boxes_sum_to_root[m12]k=0"
+    assert _check(reeb_decomposition(Assembly(su2_model(), 12)), name).passed
+    original = SectorStacks.half_laplacians
+
+    def spoiled(stacks, k):
+        a, b, scale = original(stacks, k)
+        a = a.copy()
+        last = slice(stacks.starts[-2], stacks.starts[-1])  # the sectors of weight 12
+        s = stacks.starts[-2] + int(np.argmax(np.abs(a[0, 0, last])))
+        a[0, 0, s] *= 1 + 1e-9
+        return a, b, scale
+
+    monkeypatch.setattr(SectorStacks, "half_laplacians", spoiled)
+    check = _check(reeb_decomposition(Assembly(su2_model(), 12)), name)
+    assert not check.passed and check.residual > 1e-10
 
 
-def test_boxes_commute_passes_from_rounding_at_weight_65_and_catches_a_relative_change():
-    """Weight 65 rounds the commutator above the old fixed 1e-9, and the check passes; a change of
-    one entry pair by 1e-9 of the largest entry fails.  The entries couple basis vectors of two Reeb
-    sectors: box and boxbar are diagonal in degree 1, so a change inside a sector commutes."""
-    ctx = BlockContext(su2_model().frame, su2_block(65))
-    check = _boxes_commute_check(ctx)
-    assert check.residual > 1e-9 and check.passed
+def test_boxes_differ_by_reeb_catches_a_shifted_tau(monkeypatch):
+    """A Reeb value shifted by 1e-9 on one degree-0 sector of weight 12 fails the difference."""
+    name = "boxes_differ_by_reeb[m12]k=0"
+    assert _check(reeb_decomposition(Assembly(su2_model(), 12)), name).passed
+    original = SectorStacks.spectrum_sectors
 
-    def spoil(box):
-        mat = box.matrix.copy()
-        diag = np.real(np.diag(mat))
-        i = int(np.argmax(np.abs(diag)))
-        j = int(np.argmax(np.abs(diag - diag[i])))
-        mat[i, j] += 1e-9 * abs(diag[i])
-        mat[j, i] += 1e-9 * abs(diag[i])
-        return BlockOperator(box.source, box.target, mat)
+    def spoiled(stacks, op, k, t=1.0):
+        rows, labels = original(stacks, op, k, t)
+        if k == 0:
+            sectors, halves = rows[-1]
+            tau = sectors.tau.copy()
+            tau[sectors.index[0][0, 0]] += 1e-9
+            rows[-1] = (ReebSectors(tau, sectors.index, sectors.blocks), halves)
+        return rows, labels
 
-    spoiled = _boxes_commute_check(BlockContext(su2_model().frame, su2_block(65)), spoil)
-    assert not spoiled.passed
-    assert spoiled.tolerance == check.tolerance
+    monkeypatch.setattr(SectorStacks, "spectrum_sectors", spoiled)
+    assert not _check(reeb_decomposition(Assembly(su2_model(), 12)), name).passed
+
+
+def test_boxes_psd_catches_delta_below_nu_squared(monkeypatch):
+    """Delta pushed 1e-8 relative below nu^2 on one middle-degree one-sided component fails."""
+    name = "boxes_psd[m12]k=1"
+    assert _check(reeb_decomposition(Assembly(su2_model(), 12)), name).passed
+    original = torsion._add_reeb_slices
+
+    def spoiled(report, block, k, joint, halves):
+        if block.label == "m12" and k == 1:
+            delta = list(joint.delta)
+            i = next(i for i, (d, t) in enumerate(zip(delta, joint.tau)) if d > 1 and abs(d - t * t) <= 1e-9 * d)
+            delta[i] = joint.tau[i] ** 2 * (1 - 1e-8)
+            joint = dataclasses.replace(joint, delta=tuple(delta))
+        original(report, block, k, joint, halves)
+
+    monkeypatch.setattr(torsion, "_add_reeb_slices", spoiled)
+    check = _check(reeb_decomposition(Assembly(su2_model(), 12)), name)
+    assert not check.passed and check.residual > 1e-9
+
+
+def test_rank_oracle_catches_a_singular_value_under_the_threshold(monkeypatch):
+    """One sector singular value of each differential pushed to zero raises dim H^k, which the
+    kernel dimensions of `torsion` and of thm1 no longer match."""
+    asm = Assembly(su2_model(), 3)
+    assert reeb_decomposition(asm).passed and spectral.verify_kernel_coincidence(asm).passed
+    svd = np.linalg.svd
+
+    def spoiled(a, *args, **kwargs):
+        values = svd(a, *args, **kwargs)
+        if np.ndim(a) == 3:  # the sector stacks, one singular-value row per sector
+            values = values.copy()
+            positive = np.argwhere(values > 1e-6)
+            i, j = positive[np.argmin(values[tuple(positive.T)])]
+            values[i, j] = 0.0
+        return values
+
+    monkeypatch.setattr(np.linalg, "svd", spoiled)
+    failed = {c.name for c in reeb_decomposition(Assembly(su2_model(), 3)).checks.failures()}
+    assert {"kernel_dim_is_cohomology_k=0", "kernel_dim_is_cohomology_k=1"} <= failed
+    failed = {c.name for c in spectral.verify_kernel_coincidence(Assembly(su2_model(), 3)).failures()}
+    assert {"rank_oracle_rumin_k=0", "rank_oracle_de_rham_k=0"} <= failed
