@@ -10,21 +10,21 @@ tables show the simultaneous eigenvalues (lambda10, lambda01) of the two half
 Laplacians in degree 0 and the Reeb eigenvalue nu everywhere; in degree 0 the
 eigenvalue always equals (lambda10 + lambda01)^2.
 
-The degree-1 rows come from one call `_sequential_joint_eigenspaces(pairs, tol)`
-with the (Laplacian, i L_T) pair of every block.  It is the one routine behind
-every joint (Delta, i L_T) eigenspace: i L_T is diagonal in the block basis,
-so the routine diagonalizes each Laplacian inside each Reeb sector (basis
-vectors sharing one Reeb eigenvalue tau = -nu), with one stacked eigensolve
-per sector size across all pairs, and nu is an exact integer.  The rows need
-only the eigenvalue, the Reeb value and the dimension of each joint
-eigenspace, so no eigenvector basis is built for them.
+Both tables read one route, `asm.rumin_rows(k)`: i L_T is diagonal in the
+block basis, so the Rumin Laplacian of every weight is cut into its Reeb
+sectors (basis vectors sharing one Reeb eigenvalue tau = -nu) and each degree
+is diagonalized once over all weights, with one stacked eigensolve per sector
+size, and nu is an exact integer.  `q_decomposition(asm, m, 0)` adds the
+half-Laplacian pair and a dense basis of each component of block m; the
+degree-1 rows need only the eigenvalue, the Reeb value and the dimension of
+each joint eigenspace, so no eigenvector basis is built for them.
 """
 
 import numpy as np
 
 from ruminlab.model import lens_space, su2_model
 from ruminlab.operators import hermitize
-from ruminlab.spectral import Assembly, q_decomposition, _sequential_joint_eigenspaces
+from ruminlab.spectral import Assembly, q_decomposition
 
 model = su2_model()
 asm = Assembly(model, 4)
@@ -35,7 +35,7 @@ print("degree 0, with half-Laplacian tags")
 print(f"{'block':>6} {'lam10':>8} {'lam01':>8} {'(sum)^2':>9} {'eigenvalue':>11} {'mult':>5}")
 for ctx in asm.contexts:
     lap = ctx.laplacian_rn(0).matrix
-    for cpt in q_decomposition(ctx, 0):
+    for cpt in q_decomposition(asm, ctx.block.weight, 0):
         ray = float(np.real(np.mean(np.diag(cpt.basis.conj().T @ lap @ cpt.basis))))
         print(
             f"{ctx.block.label:>6} {cpt.lambda10:8.3f} {cpt.lambda01:8.3f}"
@@ -45,11 +45,7 @@ for ctx in asm.contexts:
 print()
 print("degree 1 (middle degree), with Reeb eigenvalues")
 print(f"{'block':>6} {'eigenvalue':>11} {'nu':>7} {'mult':>5}")
-pairs = [
-    (hermitize(ctx.laplacian_rn(1).matrix, 1e-9), hermitize(1j * ctx.lie_reeb_rumin(1).matrix, 1e-9))
-    for ctx in asm.contexts
-]
-for ctx, joint in zip(asm.contexts, _sequential_joint_eigenspaces(pairs, 1e-9)):
+for ctx, (joint, _) in zip(asm.contexts, asm.rumin_rows(1)):
     for delta, tau, count in zip(joint.delta, joint.tau, joint.counts):
         nu = 0.0 - tau  # never -0.0
         print(f"{ctx.block.label:>6} {max(delta, 0.0):11.6f} {nu:7.2f} {ctx.block.multiplicity * count:5d}")

@@ -32,6 +32,7 @@ from .spectral import (
     check_primitivity,
     check_sasakian_identities,
     check_star_symmetry,
+    low_degree_components,
     rank_oracle_checks,
     sector_half_laplacian_pairs,
     spectral_cutoff,
@@ -239,8 +240,8 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
 def run_suite(asm: Assembly, suite: str, cfg: RunConfig) -> VerificationReport:
     """The selected suites, one block at a time: every selected per-block body runs on a
-    context of `asm.visit()`, whose memo is cleared before the next block.  The rank oracle
-    and the Reeb decomposition read the Reeb-sector stacks of every weight at the end."""
+    context of `asm.visit()`, whose memo is cleared before the next block.  The rank oracle,
+    the Reeb decomposition and the sec4 components read the Reeb-sector stacks of every weight."""
     tol = cfg.tol
     report = VerificationReport(
         f"suite:{suite}",
@@ -262,9 +263,10 @@ def run_suite(asm: Assembly, suite: str, cfg: RunConfig) -> VerificationReport:
         if selected("cor3"):
             check_deformation_family(ctx, report, tuple(cfg.t_samples), tol=residual_tol(1e-10))
         if selected("sec4"):
+            components = low_degree_components(asm, ctx)
             check_sasakian_identities(ctx, report, tol=residual_tol(1e-11))
-            check_eigenvalue_identity(ctx, report, tol_rel=residual_tol(1e-9))
-            check_middle_degree(ctx, report, tol=residual_tol(1e-10))
+            check_eigenvalue_identity(ctx, report, components, tol_rel=residual_tol(1e-9))
+            check_middle_degree(ctx, report, components, tol=residual_tol(1e-10))
         if suite == "all":
             check_complex_property(ctx, report, tol=residual_tol(1e-12))
             check_hodge_block_matrix(ctx, report, tol=residual_tol(1e-12))

@@ -167,7 +167,11 @@ def _ladder_matrices(m: int):
 
 def su2_weight_actions(m: int) -> Dict[str, np.ndarray]:
     """Frame-field matrices on the weight-m representation slot."""
-    jz, jp, jm = _ladder_matrices(m)
+    return _field_actions(*_ladder_matrices(m))
+
+
+def _field_actions(jz: np.ndarray, jp: np.ndarray, jm: np.ndarray) -> Dict[str, np.ndarray]:
+    """The frame fields T, X, Y as combinations of the ladder matrices of one slot."""
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     return {
         "T": 2j * jz.astype(complex),
@@ -182,7 +186,7 @@ def field_ladder_coefficients() -> Dict[str, Tuple[complex, complex, complex]]:
     J_z = diag(-1/2, 1/2) and J_plus[1, 0] = J_minus[0, 1] = 1."""
     return {
         name: (complex(a[1, 1] - a[0, 0]), complex(a[1, 0]), complex(a[0, 1]))
-        for name, a in su2_weight_actions(1).items()
+        for name, a in _field_actions(*_ladder_matrices(1)).items()
     }
 
 

@@ -27,7 +27,7 @@ and its Reeb-sector stacks share one basis and one column order.  Block
 quantities live in the context's own memo: every quantity that more than one
 suite or call site needs (full-space matrices, the Rumin and horizontal
 operators and Laplacians, the Rumin square root, and through `_block_memo` in
-the spectral layer the joint eigenspaces and harmonic bases), so a check that
+the spectral layer the harmonic bases), so a check that
 validates such a quantity runs once, when it is built.  A value reused only
 within one suite (the deformed Laplacians of the sampled t, the middle square
 D^* D) is hoisted into a local there instead, and a value read once per block
@@ -283,10 +283,11 @@ class BlockContext:
     `tables` is the dict of per-frame fiber tables; contexts that share one
     (all contexts of an `Assembly`) compute each table once.  Without it the
     context keeps private tables.  Block-dependent quantities are memoized in
-    the context itself.
+    the context itself.  A context whose `block` is None reads the fiber
+    tables alone (`sectors.SectorStacks`).
     """
 
-    def __init__(self, frame: FrameStructure, block: FunctionBlock, tables: Optional[Dict] = None):
+    def __init__(self, frame: FrameStructure, block: Optional[FunctionBlock], tables: Optional[Dict] = None):
         if frame.n != 1:
             # the block models exist only for n = 1; the fiber layer is generic
             raise StructuralError("function blocks are only defined for n = 1 frames")

@@ -25,16 +25,17 @@ No matrix of a whole weight block is formed.
 
 `spectrum_sectors` cuts a `spectrum` Laplacian into one `ReebSectors` per
 weight, in the layout of `spectral._reeb_sectors`, and `solve_rows` solves one
-degree's rows of every weight together; `rumin spectrum` and the Reeb
-decomposition of `torsion` both read Delta and nu from there.  The cut keeps
-the checks of the dense route at the same tolerances: hermiticity, Reeb
-invariance of the Rumin space, the middle operator's target space, the
-half-Laplacian commutator, and exhaustion of every space by its sectors.
-`cohomology_dims` is the rank oracle of `verify --suite thm1` and `torsion`:
-dim H^k of the Rumin and de Rham complexes from the singular values of the
-sector blocks of their differentials.  The dense `BlockContext` assembly stays
-the operator of the other `verify` suites, and the reference that Tier-1
-compares these stacks with.
+degree's rows of every weight together; `rumin spectrum` reads Delta and nu
+from there, and `Assembly.rumin_rows` keeps the solved `delta-rn` rows for
+`torsion` and the sec4 suite.  The cut keeps the checks of the dense route at
+the same tolerances: hermiticity, Reeb invariance of the Rumin space, the
+middle operator's target space, the half-Laplacian commutator, and exhaustion
+of every space by its sectors.  `cohomology_dims` is the rank oracle of
+`verify --suite thm1` and `torsion`: dim H^k of the Rumin and de Rham
+complexes from the singular values of the sector blocks of their
+differentials.  sec4 applies the dense `BlockContext` operators to the
+eigenbases of these rows, a check across the two routes; the other `verify`
+suites read the dense operators alone, and Tier-1 compares every stack with them.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import FrameStructure, field_ladder_coefficients, ladder_radicands, su2_block
+from .model import FrameStructure, field_ladder_coefficients, ladder_radicands
 from .operators import (
     BlockContext,
     InternalConsistencyError,
@@ -115,8 +116,7 @@ class SectorStacks:
     """
 
     def __init__(self, frame: FrameStructure, weights: Sequence[int], tables: Optional[Dict] = None):
-        # the fiber tables depend on the frame alone; the weight-0 block only completes the context
-        self.fibers = BlockContext(frame, su2_block(0), tables)
+        self.fibers = BlockContext(frame, None, tables)  # the fiber tables depend on the frame alone
         self.frame = frame
         self.n, self.Dmax = frame.n, frame.dim
         self.weights = np.asarray(weights, dtype=int)

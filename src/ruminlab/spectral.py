@@ -8,39 +8,37 @@ table; it bounds the Rumin spectrum only.  All verifications reduce to
 residual norms of matrix identities and to subspace comparisons through
 principal angles, with one report entry per named check.
 
-Joint (Delta, i L_T) eigenspaces come from one routine, and its one result
-type is the sector-local `JointEigenspaces`.  i L_T is diagonal with integer
-entries in the block basis, so a Laplacian, which commutes with it, is block
-diagonal over the Reeb sectors (basis vectors sharing one Reeb eigenvalue).
-`_reeb_sectors` checks that structure and cuts the Laplacian into its sector
-submatrices; `_solve_reeb_sectors` diagonalizes the sectors of many operators
-with one stacked `eigh` per sector size and clusters Delta per operator.
-`_sequential_joint_eigenspaces` runs both on (Laplacian, i L_T) pairs, and
-`rumin_joint_eigenspaces` memoizes its result for the Rumin Laplacian of one
-(block, degree).  Below the middle degree the sector blocks of the two half
-Laplacians (`half_laplacian_sectors`) have Rayleigh quotients on the sector
-eigenvectors that give (lambda10, lambda01) (`sector_half_laplacian_pairs`).
-`q_decomposition` reads both from the memo; it is the one caller that needs a
-dense basis per component (`JointEigenspaces.components`).  `rumin spectrum`
-and the Reeb decomposition of `torsion` build no dense block:
-`sectors.SectorStacks` assembles their operators on the Reeb sectors of every
-weight at once and hands `_solve_reeb_sectors` one `ReebSectors` per (block,
-degree), in the layout of `_reeb_sectors`.
+Joint (Delta, i L_T) eigenspaces have one result type, the sector-local
+`JointEigenspaces`, and one solver.  i L_T is diagonal with integer entries in
+the block basis, so a Laplacian, which commutes with it, is block diagonal over
+the Reeb sectors (basis vectors sharing one Reeb eigenvalue).
+`_solve_reeb_sectors` diagonalizes the sectors of many operators with one
+stacked `eigh` per sector size and clusters Delta per operator.  The Rumin
+Laplacian reaches it on one route: `Assembly.rumin_rows(k, tol)`, memoized,
+solves the `delta-rn` rows of `sectors.SectorStacks` for every weight at once,
+and the Reeb decomposition of `torsion` and the sec4 suite read those rows.
+Below the middle degree the sector blocks of the two half Laplacians have
+Rayleigh quotients on the sector eigenvectors that give (lambda10, lambda01)
+(`sector_half_laplacian_pairs`); `q_decomposition` reads one block's row and
+is the one caller that needs a dense basis per component
+(`JointEigenspaces.components`).  `_sequential_joint_eigenspaces` cuts dense
+(Laplacian, i L_T) pairs with `_reeb_sectors` for the same solver; only the
+tests call it, as the dense reference.
 
-Quantities that several suites share (the Rumin joint eigenspaces and their
-half-Laplacian pairs, harmonic bases, the split halves of d_b on horizontal
-forms) are memoized per block context with `_block_memo`, so `verify --suite
-all` builds each of them once per block.
+Quantities that several suites share (harmonic bases, the split halves of d_b
+on horizontal forms) are memoized per block context with `_block_memo`, so
+`verify --suite all` builds each of them once per block.
 
 Every suite is a per-block body `check_<suite>(ctx, report, ...)`.
 `verify_<suite>(asm)` runs its body over `asm.contexts`, whose memos live as
 long as the assembly.  The CLI goes block at a time instead: `Assembly.visit`
 yields one context, every selected body runs on it, and its memo is cleared
 before the next block, so peak memory is set by the largest block, not by the
-sum over blocks.  The two statements across blocks read no block context: the
-rank oracle (`rumin_cohomology_dims`, `de_rham_cohomology_dims`) and the Reeb
-decomposition of `torsion` work on `Assembly.sector_stacks`, the Reeb-sector
-stacks of every weight of the assembly, built once per assembly.
+sum over blocks; the sec4 bodies get the block's `q_decomposition` from their
+driver.  The two statements across blocks read no block context: the rank
+oracle (`rumin_cohomology_dims`, `de_rham_cohomology_dims`) and the Reeb
+decomposition of `torsion` work on `Assembly.sector_stacks`, built once per
+assembly.
 """
 
 from __future__ import annotations
@@ -57,7 +55,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import util
-from .model import ModelManifold, allowed_weight_slots
+from .model import ModelManifold, ParameterError, allowed_weight_slots
 from .operators import (
     BlockContext,
     BlockOperator,
@@ -77,21 +75,30 @@ KERNEL_RELATIVE_TOL = 1e-9
 
 
 class Assembly:
-    """All nonempty block contexts of a model up to a weight cutoff.
+    """The nonempty weight blocks of a model up to a weight cutoff: their `weights`, ascending,
+    and `multiplicity`, from `model.multiplicity` alone.
 
-    The assembly owns the per-frame fiber tables and shares them with every
-    context it builds.
+    The block contexts, with their dense slot actions, are built on first
+    access to `contexts`, which `torsion` never makes.  The assembly owns the
+    per-frame fiber tables and shares them with every context and its sector
+    stacks.
     """
 
     def __init__(self, model: ModelManifold, max_weight: int):
+        if max_weight < 0:
+            raise ParameterError("max_weight must be >= 0")
         self.model = model
         self.max_weight = max_weight
         self._tables: Dict = {}
-        self.contexts: List[BlockContext] = [
-            BlockContext(model.frame, b, self._tables)
-            for b in model.blocks(max_weight)
-            if b.dim > 0
-        ]
+        self._cache: Dict = {}  # the memo of `rumin_rows`
+        counts = [model.multiplicity(m) for m in range(max_weight + 1)]
+        self.weights: List[int] = [m for m, r in enumerate(counts) if r]
+        self.multiplicity: Tuple[int, ...] = tuple(r for r in counts if r)
+
+    @functools.cached_property
+    def contexts(self) -> List[BlockContext]:
+        """The block context of every weight in `weights`, built on first access."""
+        return [BlockContext(self.model.frame, self.model.block(m), self._tables) for m in self.weights]
 
     def visit(self) -> Iterator[BlockContext]:
         """The contexts in weight order; each one's block memo is cleared once the caller moves on."""
@@ -118,12 +125,17 @@ class Assembly:
         """The `sectors.SectorStacks` of every weight of the assembly, on its fiber tables."""
         from .sectors import SectorStacks  # imported on first use, so `import ruminlab.cli` stays cheap
 
-        return SectorStacks(self.model.frame, [ctx.block.weight for ctx in self.contexts], self._tables)
+        return SectorStacks(self.model.frame, self.weights, self._tables)
 
-    def cohomology_dims(self, complex_name: str) -> List[int]:
-        """dim H^k of the "rumin" or "de_rham" complex, from `SectorStacks.cohomology_dims`."""
-        multiplicity = tuple(ctx.block.multiplicity for ctx in self.contexts)
-        return list(self.sector_stacks.cohomology_dims(complex_name, multiplicity))
+    @_block_memo
+    def rumin_rows(self, k: int, tol: float = 1e-9) -> Tuple[Tuple[JointEigenspaces, Optional[tuple]], ...]:
+        """Per weight, (joint (Delta, i L_T) eigenspaces, half-Laplacian sector blocks and scale or
+        None) of the degree-k Rumin Laplacian: the `delta-rn` rows of `sector_stacks`, solved over
+        every weight at once by `sectors.solve_rows`, as `rumin spectrum` solves them."""
+        from .sectors import solve_rows
+
+        rows, _ = self.sector_stacks.spectrum_sectors("delta-rn", k)
+        return tuple(zip(solve_rows(rows, tol), (halves for _, halves in rows)))
 
 
 def spectral_cutoff(model: ModelManifold, max_weight: int) -> float:
@@ -401,15 +413,10 @@ def _reeb_sectors(a: np.ndarray, b: np.ndarray, tol: float) -> ReebSectors:
         starts = np.flatnonzero(np.append(True, ascending[1:] - ascending[:-1] > tol * max(1.0, max_abs(tau))))
         sizes = np.append(starts[1:], tau.size) - starts  # sector i is by_tau[starts[i]:][:sizes[i]]
         index = tuple(by_tau[starts[sizes == s][:, None] + np.arange(s)] for s in sorted(set(sizes.tolist())))
-    return ReebSectors(tau, index, _sector_blocks(a, tau, index))
-
-
-def _sector_blocks(a: np.ndarray, tau: np.ndarray, index: Sequence[np.ndarray]) -> Tuple[np.ndarray, ...]:
-    """The sector submatrices of `a`, after checking that `a` commutes with diag(tau)."""
-    comm = max_abs(a * (tau[None, :] - tau[:, None]))  # entrywise [a, diag(tau)]
+    comm = max_abs(a * (tau[None, :] - tau[:, None]))  # entrywise [a, b]
     if comm > 1e-9 * max(1.0, max_abs(a)):
         raise InternalConsistencyError(f"operator does not commute with the Reeb derivative ({comm:.3e})")
-    return tuple(a[idx[:, :, None], idx[:, None, :]] for idx in index)
+    return ReebSectors(tau, index, tuple(a[idx[:, :, None], idx[:, None, :]] for idx in index))
 
 
 @dataclass
@@ -528,30 +535,10 @@ def _sequential_joint_eigenspaces(
     return _solve_reeb_sectors([_reeb_sectors(a, b, tol) for a, b in pairs], tol)
 
 
-def half_laplacian_sectors(ctx: BlockContext, k: int, sectors: ReebSectors):
-    """The hermitized half Laplacians (Delta_del, Delta_delbar) of degree k below the middle
-    degree, after checking that they commute, on the Reeb sectors of the degree-k Rumin
-    Laplacian: (their sector blocks, their common scale), for `sector_half_laplacian_pairs`
-    once solved."""
-    if k > ctx.n - 1:
-        raise ValueError("the simultaneous decomposition is defined below middle degree")
-    a = hermitize(ctx.rumin_del_laplacian(k).matrix, 1e-9)
-    b = hermitize(ctx.rumin_del_laplacian(k, anti=True).matrix, 1e-9)
-    scale = max(1.0, max_abs(a), max_abs(b))
-    comm = max_abs(a @ b - b @ a)
-    if comm > 1e-10 * scale:
-        raise InternalConsistencyError(
-            f"half Laplacians do not commute (residual {comm:.3e}); cannot decompose"
-        )
-    if sectors.dim != ctx.rumin_space(k).dim:
-        raise InternalConsistencyError("simultaneous eigenspaces do not exhaust the space")
-    return tuple(_sector_blocks(m, sectors.tau, sectors.index) for m in (a, b)), scale
-
-
 def sector_half_laplacian_pairs(joint: JointEigenspaces, halves, tol: float = 1e-9):
     """(lambda10, lambda01) on each component of `joint`, a joint (Delta, i L_T) eigenspace
-    below the middle degree, from the sector blocks `halves` = `half_laplacian_sectors(...)`
-    of the same operator.
+    below the middle degree, from the half-Laplacian sector blocks and scale `halves` of the
+    same operator (a row of `SectorStacks.spectrum_sectors`).
 
     Each half Laplacian must act on a component as its Rayleigh quotient; there
     sqrt(Delta) and i L_T are the sum and difference of the two half Laplacians.
@@ -569,21 +556,22 @@ def sector_half_laplacian_pairs(joint: JointEigenspaces, halves, tol: float = 1e
     return [(util.round_sig(max(l10, 0.0)), util.round_sig(max(l01, 0.0))) for l10, l01 in zip(*pairs)]
 
 
-@_block_memo
-def rumin_joint_eigenspaces(ctx: BlockContext, k: int, tol: float = 1e-9) -> JointEigenspaces:
-    """Joint eigenspaces of the degree-k Rumin Laplacian and i L_T, once per block."""
-    lap = hermitize(ctx.laplacian_rn(k).matrix, 1e-9)
-    ilt = hermitize(1j * ctx.lie_reeb_rumin(k).matrix, 1e-9)
-    return _sequential_joint_eigenspaces([(lap, ilt)], tol)[0]
-
-
-@_block_memo
-def q_decomposition(ctx: BlockContext, k: int, tol: float = 1e-9) -> Tuple[QComponent, ...]:
-    """Simultaneous eigenspaces of the two half Laplacians on the degree-k Rumin space,
-    in the order of `rumin_joint_eigenspaces`."""
-    joint = rumin_joint_eigenspaces(ctx, k, tol)
-    pairs = sector_half_laplacian_pairs(joint, half_laplacian_sectors(ctx, k, joint.sectors), tol)
+def q_decomposition(asm: Assembly, weight: int, k: int, tol: float = 1e-9) -> Tuple[QComponent, ...]:
+    """Simultaneous eigenspaces of the two half Laplacians on the degree-k Rumin space of the
+    weight block, from its row of `asm.rumin_rows(k, tol)`: the joint (Delta, i L_T)
+    components in their order, each with its (lambda10, lambda01) and a dense basis in the
+    block's Rumin-space coordinates."""
+    if k > asm.n - 1:
+        raise ValueError("the simultaneous decomposition is defined below middle degree")
+    joint, halves = asm.rumin_rows(k, tol)[asm.weights.index(weight)]
+    pairs = sector_half_laplacian_pairs(joint, halves, tol)
     return tuple(QComponent(l10, l01, basis) for (l10, l01), (_, _, basis) in zip(pairs, joint.components()))
+
+
+def low_degree_components(asm: Assembly, ctx: BlockContext) -> List[Tuple[QComponent, ...]]:
+    """`q_decomposition` of the block of `ctx` in every degree below the middle, the components
+    that `check_eigenvalue_identity` and `check_middle_degree` read."""
+    return [q_decomposition(asm, ctx.block.weight, k) for k in range(ctx.n)]
 
 
 # -- cohomology rank oracles ----------------------------------------------------
@@ -591,11 +579,11 @@ def q_decomposition(ctx: BlockContext, k: int, tol: float = 1e-9) -> Tuple[QComp
 
 def rumin_cohomology_dims(asm: Assembly) -> List[int]:
     """dim H^k from the ranks of the Rumin differentials on the Reeb sectors (independent oracle)."""
-    return asm.cohomology_dims("rumin")
+    return list(asm.sector_stacks.cohomology_dims("rumin", asm.multiplicity))
 
 
 def de_rham_cohomology_dims(asm: Assembly) -> List[int]:
-    return asm.cohomology_dims("de_rham")
+    return list(asm.sector_stacks.cohomology_dims("de_rham", asm.multiplicity))
 
 
 # -- verification drivers ----------------------------------------------------------
@@ -946,18 +934,19 @@ def verify_eigenvalue_identity(asm: Assembly, tol_rel: float = 1e-9, tol: float 
     The per-vector checks of the W corner W (x) C^r have one entry `...v={i}`
     per slot vector of W, with detail `multiplicity={r}`.
     """
-    params = {"tol_rel": tol_rel, "tol": tol}
-    return _over_contexts(asm, "eigenvalue_identity", params, check_eigenvalue_identity, tol_rel, tol)
+    check = lambda ctx, report: check_eigenvalue_identity(ctx, report, low_degree_components(asm, ctx), tol_rel, tol)
+    return _over_contexts(asm, "eigenvalue_identity", {"tol_rel": tol_rel, "tol": tol}, check)
 
 
 def check_eigenvalue_identity(
-    ctx: BlockContext, report: VerificationReport, tol_rel: float = 1e-9, tol: float = 1e-10
+    ctx: BlockContext, report: VerificationReport, components: Sequence, tol_rel: float = 1e-9, tol: float = 1e-10
 ):
-    """The checks of `verify_eigenvalue_identity` on one block, added to `report`."""
+    """The checks of `verify_eigenvalue_identity` on one block, added to `report`; `components`
+    is the block's `low_degree_components`."""
     n = ctx.n
     lbl = ctx.block.label
     r = ctx.block.multiplicity
-    comps = q_decomposition(ctx, n - 1)
+    comps = components[n - 1]
     lap_low = ctx.laplacian_rn(n - 1).matrix
     # law below middle degree: Delta = (l10+l01)^2 on each component
     worst = 0.0
@@ -1076,11 +1065,13 @@ def verify_middle_degree(asm: Assembly, tol: float = 1e-10) -> VerificationRepor
     the Reeb derivative and of the middle operator; its Reeb eigenspaces carry
     eigenvalue nu^2; and the one-sided components obey the same square law.
     """
-    return _over_contexts(asm, "middle_degree", {"tol": tol}, check_middle_degree, tol)
+    check = lambda ctx, report: check_middle_degree(ctx, report, low_degree_components(asm, ctx), tol)
+    return _over_contexts(asm, "middle_degree", {"tol": tol}, check)
 
 
-def check_middle_degree(ctx: BlockContext, report: VerificationReport, tol: float = 1e-10):
-    """The checks of `verify_middle_degree` on one block, added to `report`."""
+def check_middle_degree(ctx: BlockContext, report: VerificationReport, components: Sequence, tol: float = 1e-10):
+    """The checks of `verify_middle_degree` on one block, added to `report`; `components` is the
+    block's `low_degree_components`."""
     n = ctx.n
     lbl = ctx.block.label
     up = ctx.rumin_del(n - 1).matrix
@@ -1107,8 +1098,7 @@ def check_middle_degree(ctx: BlockContext, report: VerificationReport, tol: floa
             worst = max(worst, max_abs(lap_mid @ vec - nu**2 * vec) / max(1.0, nu**2))
         report.add(f"reeb_slices_square[{lbl}]", worst, tol)
     # one-sided kernels of the half Laplacians inside degrees <= n
-    for k in range(0, n):
-        comps = q_decomposition(ctx, k)
+    for k, comps in enumerate(components):
         lap_k = ctx.laplacian_rn(k).matrix
         ltk = ctx.lie_reeb_rumin(k).matrix
         worst = 0.0

@@ -16,11 +16,11 @@ alongside the literal per-degree comparison, which it reports honestly.
 
 Each piece needs only Delta and the Reeb value tau of a joint (Delta, i L_T)
 eigenspace, and its dimension.  `reeb_decomposition` takes them from the route
-of `rumin spectrum --op delta-rn`: per degree k <= n it cuts the Rumin
-Laplacian of every weight into Reeb sectors (`Assembly.sector_stacks`) and
-solves them together (`sectors.solve_rows`), so its slices are that table's
-entries, and it builds no dense block.  The kernel dimensions are compared with
-the rank oracle `rumin_cohomology_dims`, which reads the same stacks.
+of `rumin spectrum --op delta-rn`: per degree k <= n it reads
+`Assembly.rumin_rows`, the Rumin Laplacian of every weight cut into Reeb
+sectors and solved together, as sec4 does, so its slices are that table's
+entries, and it builds no block context.  The kernel dimensions are compared
+with the rank oracle `rumin_cohomology_dims`, which reads the same stacks.
 `close_reeb_report` folds the classified pieces of every block into the
 per-degree zeta partial sums (`TorsionReport.zetas`) and the two routes to
 kappa (`kappa_from_spectrum`, `kappa_from_reeb`).
@@ -50,7 +50,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from . import util
-from .model import FunctionBlock
+from .model import block_label
 from .operators import max_abs
 from .spectral import Assembly, JointEigenspaces, VerificationReport, rumin_cohomology_dims
 
@@ -201,8 +201,6 @@ def reeb_decomposition(
     gated), the kernel-dimension bookkeeping against the rank oracle, and the
     torsion-function partial sums computed from both sides.
     """
-    from .sectors import solve_rows  # imported on first use, so `import ruminlab.cli` stays cheap
-
     n = asm.n
     for s in s_grid:
         if s < 2.0:
@@ -217,20 +215,18 @@ def reeb_decomposition(
         pair_tol=pair_tol,
     )
     report.checks.parameters = {"model": asm.model.describe(), "max_weight": asm.max_weight, "pair_tol": pair_tol}
-    blocks = [ctx.block for ctx in asm.contexts]
     for k in range(n + 1):
-        rows, _ = asm.sector_stacks.spectrum_sectors("delta-rn", k)
-        for block, (_, halves), joint in zip(blocks, rows, solve_rows(rows, pair_tol)):
-            _add_reeb_slices(report, block, k, joint, halves)
+        for m, r, (joint, halves) in zip(asm.weights, asm.multiplicity, asm.rumin_rows(k, pair_tol)):
+            _add_reeb_slices(report, block_label(m), r, k, joint, halves)
     close_reeb_report(report)
     return report
 
 
-def _add_reeb_slices(report: TorsionReport, block: FunctionBlock, k: int, joint: JointEigenspaces, halves):
-    """The Reeb slices of one block in degree k, from its joint eigenspaces, with their box
-    checks and per-degree comparison; `halves` are the block's half-Laplacian sector blocks
-    below the middle degree (None in it)."""
-    checks, pair_tol, lbl = report.checks, report.pair_tol, block.label
+def _add_reeb_slices(report: TorsionReport, lbl: str, multiplicity: int, k: int, joint: JointEigenspaces, halves):
+    """The Reeb slices of block `lbl` (with its multiplicity) in degree k, from its joint
+    eigenspaces, with their box checks and per-degree comparison; `halves` are the block's
+    half-Laplacian sector blocks below the middle degree (None in it)."""
+    checks, pair_tol = report.checks, report.pair_tol
     if halves is not None:
         (boxbar, box), _ = halves  # (Delta_del, Delta_delbar)
         sums = differences = commutators = 0.0
@@ -261,7 +257,7 @@ def _add_reeb_slices(report: TorsionReport, block: FunctionBlock, k: int, joint:
         else:
             piece = "bi_positive"
         # L_T acts by i*nu; never -0.0
-        slices.append(ReebSlice(lbl, k, delta, 0.0 - tau, block.multiplicity * count, piece))
+        slices.append(ReebSlice(lbl, k, delta, 0.0 - tau, multiplicity * count, piece))
     checks.add(f"boxes_psd[{lbl}]k={k}", max(0.0, -lowest), 1e-9)
     report.slices.extend(slices)
     spectrum = [(sl.delta, sl.mult) for sl in slices if sl.piece != "harmonic"]

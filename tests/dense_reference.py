@@ -1,11 +1,16 @@
 """Dense references for the Reeb-sector routes, from `BlockContext`.
 
-`rumin spectrum`, the Reeb decomposition of `rumin torsion` and the rank
-oracle build their operators on the Reeb sectors of every weight at once
+`rumin spectrum`, the Reeb decomposition of `rumin torsion`, the joint
+eigenspaces of the sec4 suite (`q_decomposition`) and the rank oracle build
+their operators on the Reeb sectors of every weight at once
 (`ruminlab.sectors`).  The tests compare them with the dense block matrices
 here: the (Laplacian, i L_T) pairs of the `spectrum` operators, the dense
-Reeb classification of every block (`rumin_joint_eigenspaces`) and the dense
-SVD rank of every block differential.
+joint eigenspaces of the Rumin Laplacian of one block
+(`rumin_joint_eigenspaces`, cut by `spectral._reeb_sectors`), its dense half
+Laplacians on the same sectors (`half_laplacian_sectors`), the simultaneous
+eigenspaces that both give (`dense_q_decomposition`), the dense Reeb
+classification of every block and the dense SVD rank of every block
+differential.
 """
 
 import math
@@ -13,8 +18,8 @@ from typing import List
 
 import numpy as np
 
-from ruminlab.operators import hermitize, max_abs
-from ruminlab.spectral import rumin_joint_eigenspaces
+from ruminlab.operators import InternalConsistencyError, hermitize, max_abs
+from ruminlab.spectral import QComponent, _sequential_joint_eigenspaces, sector_half_laplacian_pairs
 from ruminlab.torsion import (
     PAIR_TOL,
     ReebSlice,
@@ -51,6 +56,35 @@ def operator_pair(ctx, op: str, degree: int, t: float):
     else:
         raise KeyError(op)
     return hermitize(lap, 1e-9), hermitize(ilt, 1e-9)
+
+
+def rumin_joint_eigenspaces(ctx, k: int, tol: float = 1e-9):
+    """Joint eigenspaces of the dense degree-k Rumin Laplacian of one block and i L_T."""
+    return _sequential_joint_eigenspaces([operator_pair(ctx, "delta-rn", k, 1.0)], tol)[0]
+
+
+def half_laplacian_sectors(ctx, k: int, sectors):
+    """The hermitized dense half Laplacians (Delta_del, Delta_delbar) of degree k below the middle
+    degree, after checking that they commute, cut into the Reeb sectors `sectors` of the degree-k
+    Rumin Laplacian: (their sector blocks, their common scale)."""
+    if k > ctx.n - 1:
+        raise ValueError("the simultaneous decomposition is defined below middle degree")
+    a = hermitize(ctx.rumin_del_laplacian(k).matrix, 1e-9)
+    b = hermitize(ctx.rumin_del_laplacian(k, anti=True).matrix, 1e-9)
+    scale = max(1.0, max_abs(a), max_abs(b))
+    if max_abs(a @ b - b @ a) > 1e-10 * scale:
+        raise InternalConsistencyError("half Laplacians do not commute")
+    if sectors.dim != ctx.rumin_space(k).dim:
+        raise InternalConsistencyError("simultaneous eigenspaces do not exhaust the space")
+    cut = lambda m: tuple(m[idx[:, :, None], idx[:, None, :]] for idx in sectors.index)
+    return (cut(a), cut(b)), scale
+
+
+def dense_q_decomposition(ctx, k: int, tol: float = 1e-9):
+    """`spectral.q_decomposition` of the block of `ctx` through the dense route."""
+    joint = rumin_joint_eigenspaces(ctx, k, tol)
+    pairs = sector_half_laplacian_pairs(joint, half_laplacian_sectors(ctx, k, joint.sectors), tol)
+    return tuple(QComponent(l10, l01, basis) for (l10, l01), (_, _, basis) in zip(pairs, joint.components()))
 
 
 def dense_rank(m: np.ndarray, tol: float = 1e-8) -> int:

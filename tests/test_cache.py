@@ -12,8 +12,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from ruminlab import cli, operators, spectral, torsion
-from ruminlab.model import lens_space, su2_model
+from dense_reference import operator_pair
+from ruminlab import cli, operators, sectors, spectral, torsion
+from ruminlab import model as model_module
+from ruminlab.model import ParameterError, lens_space, su2_model
 from ruminlab.operators import BlockContext
 from ruminlab.sectors import SectorStacks
 from ruminlab.spectral import Assembly
@@ -110,8 +112,6 @@ MEMOIZED = {
     "sqrt_laplacian_rn": lambda c: c.sqrt_laplacian_rn(1),
     "horizontal_del": lambda c: spectral._horizontal_del(c, 1, True),
     "horizontal_lefschetz": lambda c: spectral._horizontal_lefschetz(c, 0),
-    "joint_eigenspaces": lambda c: spectral.rumin_joint_eigenspaces(c, 1).vectors[-1],
-    "q_decomposition": lambda c: spectral.q_decomposition(c, 0)[-1].basis,
     "harmonic_basis": lambda c: spectral._harmonic_basis(c, 0, "rumin").vectors,
 }
 
@@ -160,15 +160,72 @@ def test_memo_key_fills_in_keywords_and_defaults(s3):
     assert ctx.del_full(0) is ctx.del_full(0, False) is ctx.del_full(0, anti=False)
     assert ctx.del_full(0, anti=True) is not ctx.del_full(0)
     assert ctx.space(1) is ctx.space(1, "full") is ctx.space(k=1)
-    comps = spectral.q_decomposition(ctx, 0)
-    assert comps is spectral.q_decomposition(ctx, 0, tol=1e-9)
-    assert isinstance(comps, tuple)  # a memoized list would let one caller append for all
-    joint = spectral.rumin_joint_eigenspaces(ctx, 0)
-    assert all(isinstance(v, tuple) for v in (joint.bounds, joint.delta, joint.tau))
     with pytest.raises(TypeError):
         ctx.del_full(0, False, anti=False)
     with pytest.raises(TypeError):
         ctx.del_full()
+
+
+def test_assembly_rows_are_memoized_and_read_only():
+    """`Assembly.rumin_rows` solves each (degree, tol) once, with the default tol filled in, and
+    every array of a row is read-only; `q_decomposition` hands out tuples, not shared lists."""
+    asm = Assembly(lens_space(3, character=1), 4)
+    rows = asm.rumin_rows(0)
+    assert rows is asm.rumin_rows(0, 1e-9) is asm.rumin_rows(0, tol=1e-9)
+    assert asm.rumin_rows(0, 1e-10) is not rows
+    assert isinstance(rows, tuple) and len(rows) == len(asm.weights)
+    for joint, halves in rows:
+        assert all(isinstance(v, tuple) for v in (joint.bounds, joint.delta, joint.tau))
+        (box, boxbar), _ = halves
+        arrays = (joint.sectors.tau, joint.order, *joint.sectors.index, *joint.sectors.blocks, *joint.vectors)
+        assert not any(array.flags.writeable for array in (*arrays, *box, *boxbar))
+    assert all(halves is None for _, halves in asm.rumin_rows(1))
+    comps = spectral.q_decomposition(asm, asm.weights[-1], 0)
+    assert isinstance(comps, tuple) and comps
+    [again] = spectral.low_degree_components(asm, asm.contexts[-1])
+    assert [(c.lambda10, c.lambda01, c.basis.tobytes()) for c in again] == [
+        (c.lambda10, c.lambda01, c.basis.tobytes()) for c in comps
+    ]
+
+
+def test_assembly_builds_block_contexts_on_first_access():
+    """An assembly reads its weights and multiplicities from the model; `torsion` and the rank
+    oracle leave its block contexts unbuilt, and the contexts, once read, follow the weights."""
+    model = lens_space(3, character=1)
+    asm = Assembly(model, 6)
+    counts = [model.multiplicity(m) for m in range(7)]
+    assert asm.weights == [m for m in range(7) if counts[m]] and asm.multiplicity == tuple(r for r in counts if r)
+    torsion.reeb_decomposition(asm)
+    spectral.de_rham_cohomology_dims(asm)
+    assert "contexts" not in vars(asm)
+    built = [(ctx.block.weight, ctx.block.multiplicity) for ctx in asm.contexts]
+    assert built == list(zip(asm.weights, asm.multiplicity))
+    assert asm.contexts is asm.contexts
+    with pytest.raises(ParameterError):
+        Assembly(model, -1)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["torsion"], ["spectrum", "--op", "delta-rn"], ["spectrum", "--op", "delta-dr"]],
+    ids=["torsion", "delta-rn", "delta-dr"],
+)
+def test_sector_commands_build_no_slot_action(capsys, monkeypatch, command):
+    """`torsion` and `spectrum` read the ladder radicands, never the dense slot actions of a block."""
+    calls = Counter()
+    actions = model_module.su2_weight_actions
+
+    def spy(m):
+        calls[m] += 1
+        return actions(m)
+
+    monkeypatch.setattr(model_module, "su2_weight_actions", spy)
+    assert cli.main(command + ["--model", "lens", "--p", "3", "--character", "1", "--max-weight", "6"]) == 0
+    capsys.readouterr()
+    assert not calls, dict(calls)
+    asm = Assembly(lens_space(3, character=1), 6)
+    asm.contexts  # the block contexts, to show that the spy sees them
+    assert set(calls) == set(asm.weights)
 
 
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: f"{m.name}{m.p}")
@@ -199,12 +256,14 @@ def test_broadcast_and_mask_assembly_equal_dense_reference(model):
 def test_verify_all_computes_each_shared_quantity_once(capsys, monkeypatch):
     """One `verify --suite all` runs each uncached computation once per (block, arguments).
 
-    The spies sit on the computations behind the memo: the joint-eigenspace
-    routine and the Rumin square root (keyed by their exact input, which
-    differs between blocks and degrees here), the body of `lie_reeb_rumin`,
-    whose invariance residual is checked when it is built, and the sector rank
+    The spies sit on the computations behind the memo: the Reeb-sector solve
+    and the Rumin square root (keyed by their exact input, which differs
+    between blocks and degrees here), the body of `lie_reeb_rumin`, whose
+    invariance residual is checked when it is built, and the sector rank
     oracle, which ranks each complex once per run for thm1 and the torsion
-    checks together.
+    checks together.  The Rumin Laplacian is solved once per degree k <= n
+    over every weight (`Assembly.rumin_rows`), for sec4 and the torsion checks
+    together: two solves in all, on lens(3, 1) and on s3.
     """
     calls = {}
 
@@ -221,16 +280,16 @@ def test_verify_all_computes_each_shared_quantity_once(capsys, monkeypatch):
         return tuple((a.shape, a.tobytes()) for a in arrays)
 
     def patch_everywhere(name, wrapper):
-        for mod in (operators, spectral, torsion, cli):
+        for mod in (operators, spectral, sectors, torsion, cli):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, wrapper)
 
     patch_everywhere(
-        "_sequential_joint_eigenspaces",
+        "_solve_reeb_sectors",
         spy(
             "joint eigenspaces",
-            spectral._sequential_joint_eigenspaces,
-            lambda pairs, tol: tuple(exact(a, b) for a, b in pairs) + (tol,),
+            spectral._solve_reeb_sectors,
+            lambda rows, tol: tuple(exact(sec.tau, *sec.blocks) for sec in rows) + (tol,),
         ),
     )
     patch_everywhere("sqrtm_psd", spy("Rumin square root", operators.sqrtm_psd, lambda m, tol=1e-10: exact(m)))
@@ -247,21 +306,30 @@ def test_verify_all_computes_each_shared_quantity_once(capsys, monkeypatch):
             "__wrapped__",
             spy("lie_reeb_rumin residual", body, lambda ctx, k: (ctx.block.label, k)),
         )
-    argv = ["verify", "--suite", "all", "--model", "lens", "--p", "3", "--character", "1", "--max-weight", "4"]
-    assert cli.main(argv) == 0
-    capsys.readouterr()
-    for kind, counts in calls.items():
-        assert counts, kind
-        repeated = {key: n for key, n in counts.items() if n > 1}
-        assert not repeated, f"{kind}: {len(repeated)} of {len(counts)} computations repeated"
-    assert len(calls) == 4
-    assert set(calls["sector rank"]) == {"rumin", "de_rham"}
+    for model in (["--model", "lens", "--p", "3", "--character", "1"], ["--model", "s3"]):
+        for counts in calls.values():  # the two models share slot matrices: count each run on its own
+            counts.clear()
+        assert cli.main(["verify", "--suite", "all", *model, "--max-weight", "4"]) == 0
+        capsys.readouterr()
+        for kind, counts in calls.items():
+            assert counts, kind
+            repeated = {key: n for key, n in counts.items() if n > 1}
+            assert not repeated, f"{kind}: {len(repeated)} of {len(counts)} computations repeated"
+        assert len(calls) == 4
+        assert set(calls["sector rank"]) == {"rumin", "de_rham"}
+        assert sum(calls["joint eigenspaces"].values()) == 2
 
 
-@pytest.mark.parametrize("command", [["torsion"], ["verify", "--suite", "thm5"]], ids=["torsion", "thm5"])
+@pytest.mark.parametrize(
+    "command",
+    [["torsion"], ["verify", "--suite", "thm5"], ["verify", "--suite", "sec4"]],
+    ids=["torsion", "thm5", "sec4"],
+)
 def test_torsion_builds_no_dense_eigenbasis(capsys, monkeypatch, command):
     """The Reeb pieces need only Delta, tau and the dimension of each joint eigenspace, and
-    they come from the Reeb-sector stacks: no dense box, square root or joint solve is built."""
+    they come from the Reeb-sector stacks: no dense box, square root, eigenbasis or sector cut
+    is built.  sec4 reads a dense basis of every block's components of the same sector solve,
+    once per block, and checks the dense square root, but cuts no dense Laplacian into sectors."""
     calls = Counter()
 
     def spy(owner, name):
@@ -276,14 +344,21 @@ def test_torsion_builds_no_dense_eigenbasis(capsys, monkeypatch, command):
     spy(spectral.JointEigenspaces, "components")
     for name in ("box_operators", "sqrt_laplacian_rn"):
         spy(BlockContext, name)
-    spy(spectral, "rumin_joint_eigenspaces")
+    spy(spectral, "_reeb_sectors")
     assert cli.main(command + ["--model", "lens", "--p", "3", "--character", "1", "--max-weight", "4"]) == 0
     capsys.readouterr()
-    assert not calls, dict(calls)
-    ctx = Assembly(lens_space(3, character=1), 4).contexts[-1]
-    spectral.q_decomposition(ctx, 0)  # the dense callers, to show that the spies see them
+    asm = Assembly(lens_space(3, character=1), 4)
+    if command[-1] == "sec4":
+        assert set(calls) == {"components", "sqrt_laplacian_rn"}
+        assert calls["components"] == len(asm.weights)
+    else:
+        assert not calls, dict(calls)
+    calls.clear()
+    ctx = asm.contexts[-1]
+    spectral.q_decomposition(asm, ctx.block.weight, 0)  # the dense callers, to show that the spies see them
     ctx.box_operators(0)
-    dense = ("components", "rumin_joint_eigenspaces", "box_operators", "sqrt_laplacian_rn")
+    spectral._sequential_joint_eigenspaces([operator_pair(ctx, "delta-rn", 0, 1.0)], 1e-9)
+    dense = ("components", "box_operators", "sqrt_laplacian_rn", "_reeb_sectors")
     assert calls == dict.fromkeys(dense, 1)
 
 

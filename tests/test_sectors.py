@@ -1,15 +1,22 @@
-"""Reeb-sector stacks against the dense block assembly they replace in `rumin spectrum`."""
+"""Reeb-sector stacks against the dense block assembly they replace in `rumin spectrum` and in
+the joint eigenspaces of the sec4 suite."""
 
 import functools
 
 import numpy as np
 import pytest
 
-from dense_reference import SPECTRUM_OPS, operator_pair, spectrum_degrees
+from dense_reference import (
+    SPECTRUM_OPS,
+    dense_q_decomposition,
+    half_laplacian_sectors,
+    operator_pair,
+    spectrum_degrees,
+)
 from ruminlab.model import lens_space, su2_block, su2_model
 from ruminlab.operators import BlockContext, InternalConsistencyError, max_abs
 from ruminlab.sectors import SPECTRUM_FLAVOR, SectorStacks
-from ruminlab.spectral import _reeb_sectors, half_laplacian_sectors
+from ruminlab.spectral import Assembly, _reeb_sectors, principal_sines, q_decomposition
 
 MAX_WEIGHT = 12
 T = 0.1
@@ -65,6 +72,23 @@ def test_sector_stacks_equal_the_dense_sector_cut(model, op):
                 _assert_blocks_close(a, da, dense_scale)
                 _assert_blocks_close(b, db, dense_scale)
                 assert half_scale == pytest.approx(dense_scale, rel=1e-12)
+
+
+@pytest.mark.parametrize("max_weight", [0, 3, MAX_WEIGHT])
+@pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+def test_q_decomposition_equals_the_dense_reference_route(model, max_weight):
+    """The components of every block below the middle degree, read from the assembly's sector
+    rows, come in the order of the dense route, with the same (lambda10, lambda01), and span
+    the same spaces: the largest principal sine is at most 1e-12."""
+    asm = Assembly(model, max_weight)
+    assert asm.weights == [ctx.block.weight for ctx in asm.contexts]
+    for ctx in asm.contexts:
+        for k in range(ctx.n):
+            comps, dense = q_decomposition(asm, ctx.block.weight, k), dense_q_decomposition(ctx, k)
+            assert [(c.lambda10, c.lambda01) for c in comps] == [(c.lambda10, c.lambda01) for c in dense]
+            for got, want in zip(comps, dense):
+                assert got.basis.shape == want.basis.shape
+                assert principal_sines(got.basis, want.basis) <= 1e-12
 
 
 @pytest.mark.parametrize("op", SPECTRUM_OPS)

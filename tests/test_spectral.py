@@ -134,16 +134,16 @@ def test_kernel_vectors_are_orthonormal_and_flat(s3_contexts):
 # -- simultaneous decomposition -------------------------------------------------------
 
 
-def test_q_decomposition_weight_one(s3_contexts):
-    comps = q_decomposition(s3_contexts[1], 0)
+def test_q_decomposition_weight_one(s3_contexts, s3_asm_small):
+    comps = q_decomposition(s3_asm_small, 1, 0)
     r = s3_contexts[1].block.multiplicity
     labels = sorted((c.lambda10, c.lambda01, r * c.dim) for c in comps)
     assert labels == [(0.0, 1.0, 2), (1.0, 0.0, 2)]
     assert sum(r * c.dim for c in comps) == 4
 
 
-def test_q_decomposition_zero_component_is_kernel(s3_contexts):
-    comps = q_decomposition(s3_contexts[0], 0)
+def test_q_decomposition_zero_component_is_kernel(s3_contexts, s3_asm_small):
+    comps = q_decomposition(s3_asm_small, 0, 0)
     assert len(comps) == 1
     c = comps[0]
     assert (c.lambda10, c.lambda01) == (0.0, 0.0)
@@ -154,14 +154,15 @@ def test_q_decomposition_zero_component_is_kernel(s3_contexts):
 def test_q_decomposition_degree_zero_is_kohn_spectrum(s3):
     # Folland's Kohn spectrum: on weight m the slot (p, q), p + q = m, carries
     # (lambda10, lambda01) = (q(p+1), p(q+1)) and Delta = (2pq + m)^2
-    for ctx in Assembly(s3, 8).contexts:
+    asm = Assembly(s3, 8)
+    for ctx in asm.contexts:
         m = ctx.block.weight
         lap = ctx.laplacian_rn(0).matrix
         expected = {
             (float((m - p) * (p + 1)), float(p * (m - p + 1))): (2 * p * (m - p) + m) ** 2
             for p in range(m + 1)
         }
-        comps = q_decomposition(ctx, 0)
+        comps = q_decomposition(asm, m, 0)
         assert sorted((c.lambda10, c.lambda01) for c in comps) == sorted(expected)
         for c in comps:
             delta = expected[(c.lambda10, c.lambda01)]
@@ -253,16 +254,16 @@ def test_joint_eigenspaces_reject_cross_sector_entry(s3_contexts):
         _sequential_joint_eigenspaces(_many_pairs_with_one_bad(s3_contexts, spoil), 1e-9)
 
 
-def test_q_decomposition_rejects_middle_degree(s3_contexts):
+def test_q_decomposition_rejects_middle_degree(s3_asm_small):
     with pytest.raises(ValueError):
-        q_decomposition(s3_contexts[1], 1)
+        q_decomposition(s3_asm_small, 1, 1)
 
 
-def test_eigenvalue_law_on_components(s3_contexts):
+def test_eigenvalue_law_on_components(s3_contexts, s3_asm_small):
     # every positive eigenvalue equals (lambda10 + lambda01)^2 of its component
     ctx = s3_contexts[2]
     lap = ctx.laplacian_rn(0).matrix
-    for c in q_decomposition(ctx, 0):
+    for c in q_decomposition(s3_asm_small, 2, 0):
         lam = (c.lambda10 + c.lambda01) ** 2
         assert max_abs(lap @ c.basis - lam * c.basis) <= 1e-9 * max(1.0, lam)
 

@@ -360,13 +360,13 @@ def test_boxes_psd_catches_delta_below_nu_squared(monkeypatch):
     assert _check(reeb_decomposition(Assembly(su2_model(), 12)), name).passed
     original = torsion._add_reeb_slices
 
-    def spoiled(report, block, k, joint, halves):
-        if block.label == "m12" and k == 1:
+    def spoiled(report, lbl, multiplicity, k, joint, halves):
+        if lbl == "m12" and k == 1:
             delta = list(joint.delta)
             i = next(i for i, (d, t) in enumerate(zip(delta, joint.tau)) if d > 1 and abs(d - t * t) <= 1e-9 * d)
             delta[i] = joint.tau[i] ** 2 * (1 - 1e-8)
             joint = dataclasses.replace(joint, delta=tuple(delta))
-        original(report, block, k, joint, halves)
+        original(report, lbl, multiplicity, k, joint, halves)
 
     monkeypatch.setattr(torsion, "_add_reeb_slices", spoiled)
     check = _check(reeb_decomposition(Assembly(su2_model(), 12)), name)
