@@ -12,7 +12,6 @@ import functools
 import json
 import math
 import sys
-from collections import Counter
 from dataclasses import dataclass, field, fields
 from typing import List, Optional
 
@@ -23,19 +22,17 @@ from .spectral import (
     SpectrumEntry,
     SpectrumTable,
     VerificationReport,
-    check_complex_property,
-    check_eigenvalue_identity,
-    check_deformation_family,
-    check_hodge_block_matrix,
-    check_kernel_coincidence,
-    check_middle_degree,
-    check_primitivity,
-    check_sasakian_identities,
-    check_star_symmetry,
-    low_degree_components,
-    rank_oracle_checks,
     sector_half_laplacian_pairs,
     spectral_cutoff,
+    verify_complex_property,
+    verify_deformation_family,
+    verify_eigenvalue_identity,
+    verify_hodge_block_matrix,
+    verify_kernel_coincidence,
+    verify_middle_degree,
+    verify_primitivity,
+    verify_sasakian_identities,
+    verify_star_symmetry,
 )
 from . import util
 
@@ -100,6 +97,8 @@ class RunConfig:
             raise UsageError("t-samples must be positive")
         if self.format not in (None, "csv", "json"):
             raise UsageError(f"unknown format {self.format!r}")
+        if not (self.out is None or isinstance(self.out, str)):
+            raise UsageError(f"out must be a path, not {self.out!r}")
 
     def build_model(self) -> ModelManifold:
         if self.model == "s3":
@@ -239,9 +238,9 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
 
 def run_suite(asm: Assembly, suite: str, cfg: RunConfig) -> VerificationReport:
-    """The selected suites, one block at a time: every selected per-block body runs on a
-    context of `asm.visit()`, whose memo is cleared before the next block.  The rank oracle,
-    the Reeb decomposition and the sec4 components read the Reeb-sector stacks of every weight."""
+    """The checks of the selected suites, from their `verify_*` functions: each reads the
+    Reeb-sector stacks of every weight at once (`Assembly.sector_stacks`), memoized with the
+    assembly, so the suites share every quantity they both read."""
     tol = cfg.tol
     report = VerificationReport(
         f"suite:{suite}",
@@ -254,25 +253,20 @@ def run_suite(asm: Assembly, suite: str, cfg: RunConfig) -> VerificationReport:
     def selected(name: str) -> bool:
         return suite in (name, "all")
 
-    dims = Counter()  # harmonic kernel dimensions of thm1, for the rank oracle
-    for ctx in asm.visit():
-        if selected("thm1"):
-            check_kernel_coincidence(ctx, report, dims, tol=residual_tol(1e-10))
-        if selected("cor2"):
-            check_primitivity(ctx, report, tol=residual_tol(1e-10))
-        if selected("cor3"):
-            check_deformation_family(ctx, report, tuple(cfg.t_samples), tol=residual_tol(1e-10))
-        if selected("sec4"):
-            components = low_degree_components(asm, ctx)
-            check_sasakian_identities(ctx, report, tol=residual_tol(1e-11))
-            check_eigenvalue_identity(ctx, report, components, tol_rel=residual_tol(1e-9))
-            check_middle_degree(ctx, report, components, tol=residual_tol(1e-10))
-        if suite == "all":
-            check_complex_property(ctx, report, tol=residual_tol(1e-12))
-            check_hodge_block_matrix(ctx, report, tol=residual_tol(1e-12))
-            check_star_symmetry(ctx, report, tol=residual_tol(1e-10))
     if selected("thm1"):
-        rank_oracle_checks(report, dims, asm)
+        report.extend(verify_kernel_coincidence(asm, tol=residual_tol(1e-10)))
+    if selected("cor2"):
+        report.extend(verify_primitivity(asm, tol=residual_tol(1e-10)))
+    if selected("cor3"):
+        report.extend(verify_deformation_family(asm, tuple(cfg.t_samples), tol=residual_tol(1e-10)))
+    if selected("sec4"):
+        report.extend(verify_sasakian_identities(asm, tol=residual_tol(1e-11)))
+        report.extend(verify_eigenvalue_identity(asm, tol_rel=residual_tol(1e-9)))
+        report.extend(verify_middle_degree(asm, tol=residual_tol(1e-10)))
+    if suite == "all":
+        report.extend(verify_complex_property(asm, tol=residual_tol(1e-12)))
+        report.extend(verify_hodge_block_matrix(asm, tol=residual_tol(1e-12)))
+        report.extend(verify_star_symmetry(asm, tol=residual_tol(1e-10)))
     if selected("thm5"):
         report.extend(torsion_mod.reeb_decomposition(asm, s_grid=cfg.s_grid).checks)
     return report
@@ -281,7 +275,7 @@ def run_suite(asm: Assembly, suite: str, cfg: RunConfig) -> VerificationReport:
 def cmd_verify(cfg: RunConfig) -> int:
     if cfg.suite not in ("all", "thm1", "cor2", "cor3", "sec4", "thm5"):
         raise UsageError(f"unknown suite {cfg.suite!r}")
-    # run_suite keeps one block memo alive at a time; the assembly is freed before the report is serialized
+    # the assembly, with its sector stacks, is freed before the report is serialized
     report = run_suite(Assembly(cfg.build_model(), cfg.max_weight), cfg.suite, cfg)
     _emit(report.to_csv() if cfg.format == "csv" else report.to_json(), cfg.out)
     if not report.passed:

@@ -23,21 +23,20 @@ the per-field wedge fibers and the fiber bases of the graded spaces) depend on
 the frame alone and live in one table dict; an `Assembly` owns that dict and
 hands it to every block context it builds, so each table is computed once per
 assembly.  `sectors.SectorStacks` reads the same tables, so the dense blocks
-and its Reeb-sector stacks share one basis and one column order.  Block
-quantities live in the context's own memo: every quantity that more than one
-suite or call site needs (full-space matrices, the Rumin and horizontal
-operators and Laplacians, the Rumin square root, and through `_block_memo` in
-the spectral layer the harmonic bases), so a check that
-validates such a quantity runs once, when it is built.  A value reused only
-within one suite (the deformed Laplacians of the sampled t, the middle square
-D^* D) is hoisted into a local there instead, and a value read once per block
-(the Rumin star) is not kept at all: caching either would
-keep it alive for the rest of its block's visit and raise peak memory for no
-second reader.  Every memoized array is read-only: a caller that writes into
-one gets a ValueError instead of silently changing every later reader.  A
-block memo lives for one block visit on the CLI path (`Assembly.visit` clears
-it when the caller moves on to the next block), and for the assembly's
-lifetime on the library path; the fiber tables live as long as the assembly.
+and its Reeb-sector stacks share one basis and one column order; every `rumin`
+command reads those stacks and builds no block context, so the dense blocks
+serve the library (`spectral.harmonic_bases`) and the tests, whose dense
+suite bodies are the reference for the sector route.  Block quantities live in
+the context's own memo: every quantity that more than one call site needs
+(full-space matrices, the Rumin and horizontal operators and Laplacians, the
+Rumin square root, and through `_block_memo` in the spectral layer the
+harmonic bases), so a check that validates such a quantity runs once, when it
+is built.  A value read once per block (the Rumin star) is not kept at all,
+which would only raise peak memory.  Every memoized array is read-only: a
+caller that writes into one gets a ValueError instead of silently changing
+every later reader.  A block memo lives as long as its context, and the fiber
+tables as long as the assembly.  `SectorStacks` and `Assembly` keep their own
+memos with the same `_block_memo`.
 
 Graded subspaces (horizontal forms, bidegree components, the primitive and
 theta ^ ker L spaces of the Rumin complex) are carried as isometric embedding

@@ -33,9 +33,10 @@ middle operator's target space, the half-Laplacian commutator, and exhaustion
 of every space by its sectors.  `cohomology_dims` is the rank oracle of
 `verify --suite thm1` and `torsion`: dim H^k of the Rumin and de Rham
 complexes from the singular values of the sector blocks of their
-differentials.  sec4 applies the dense `BlockContext` operators to the
-eigenbases of these rows, a check across the two routes; the other `verify`
-suites read the dense operators alone, and Tier-1 compares every stack with them.
+differentials.  Every `verify` suite reads these stacks too (`suites`): the
+identities it checks hold on a weight block exactly when they hold on each of
+its sectors.  Tier-1 compares every stack, and every suite report, with the
+dense `BlockContext` route.
 """
 
 from __future__ import annotations
@@ -82,6 +83,26 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
+def _groups(rows: np.ndarray, cols: np.ndarray):
+    """The sectors grouped by their numbers (r, c) of valid rows and columns, from (f_out, S) and
+    (f_in, S) masks: per group, (sectors, the (n, r) row positions, the (n, c) column positions),
+    positions ascending."""
+    nr, nc = rows.sum(axis=0), cols.sum(axis=0)
+    prow = np.argsort(~rows, axis=0, kind="stable")  # the valid positions of a sector first
+    pcol = np.argsort(~cols, axis=0, kind="stable")
+    key = nr * (cols.shape[0] + 1) + nc
+    out = []
+    for value in _distinct(key):
+        sel = np.flatnonzero(key == value)
+        out.append((sel, prow[: nr[sel[0]], sel].T, pcol[: nc[sel[0]], sel].T))
+    return out
+
+
+def _gather(stack: np.ndarray, sel, ri, ci) -> np.ndarray:
+    """The (n, r, c) valid blocks of a group of `_groups`."""
+    return stack[ri[:, :, None], ci[:, None, :], sel[:, None, None]]
+
+
 def _hermitized(stack: np.ndarray, what: str, tol: float = 1e-9) -> np.ndarray:
     """`operators.hermitize` of every block."""
     if max_abs(stack - _adjoint(stack)) > tol:
@@ -110,9 +131,11 @@ class SectorStacks:
     Sectors are ordered by weight, then by ascending tau; `m`, `tau` and
     `owner` (the position of the sector's weight in `weights`) are (S,) arrays,
     and the sectors of weights[w] are `starts[w]:starts[w + 1]`.  The spaces,
-    the embeddings and the stacks that more than one degree reads (d_b and the
-    Rumin differentials) are memoized per instance, like the block memo of a
-    `BlockContext`; the other stacks are rebuilt, which keeps peak memory low.
+    the embeddings and the stacks that more than one degree reads (d_b, the
+    Rumin differentials and the middle operator) are memoized per instance,
+    like the block memo of a `BlockContext`; the other stacks are rebuilt,
+    which keeps peak memory low.  The `verify` suites keep what they read more
+    than once in the same memo (`suites`).
     """
 
     def __init__(self, frame: FrameStructure, weights: Sequence[int], tables: Optional[Dict] = None):
@@ -193,6 +216,15 @@ class SectorStacks:
     def _compress(self, stack: np.ndarray, out: Tuple[int, str], inn: Tuple[int, str]) -> np.ndarray:
         return _product(_adjoint(self.embed(*out)), stack, self.embed(*inn))
 
+    def _compress_invariant(self, stack: np.ndarray, out: Tuple[int, str], inn: Tuple[int, str], what: str):
+        """`_compress` of a full-space stack that must map the space `inn` into `out`, as
+        `BlockContext._compress_invariant`."""
+        op = self._compress(stack, out, inn)
+        resid = max_abs(_product(stack, self.embed(*inn)) - _product(self.embed(*out), op))
+        if resid > 1e-10:
+            raise InternalConsistencyError(f"{what} ({resid:.2e})")
+        return op
+
     # -- first-order operators ------------------------------------------------------
 
     def d(self, k: int) -> np.ndarray:
@@ -247,18 +279,21 @@ class SectorStacks:
     # -- the Rumin complex ----------------------------------------------------------
 
     @_block_memo
-    def middle_operator(self) -> np.ndarray:
-        """theta ^ (L_T + d_b L^-1 d_b) on the middle Rumin space, as `BlockContext.middle_operator()`."""
+    def middle_operator(self, variant: str = "factored") -> np.ndarray:
+        """The middle operator on the middle Rumin space, as `BlockContext.middle_operator(variant)`:
+        theta ^ (L_T + d_b L^-1 d_b) ("factored") or theta ^ (L_T - i (del + delbar)(del* - delbar*))
+        ("kahler")."""
         n = self.n
-        linv = self._fiber_op(self.fibers.lefschetz_inverse_fiber(), n - 1, n + 1)
-        core = self.lie_reeb(n) + _product(self.db(n - 1), linv, self.db(n))
+        if variant == "factored":
+            linv = self._fiber_op(self.fibers.lefschetz_inverse_fiber(), n - 1, n + 1)
+            core = self.lie_reeb(n) + _product(self.db(n - 1), linv, self.db(n))
+        elif variant == "kahler":
+            dl, dlb = self.split_db(n - 1), self.split_db(n - 1, anti=True)
+            core = self.lie_reeb(n) - 1j * _product(dl + dlb, _adjoint(dl) - _adjoint(dlb))
+        else:
+            raise KeyError(variant)
         full = _product(self._fiber_op(self.fibers._fiber("theta", n), n + 1, n), core)
-        src, tgt = self.embed(n, "rumin"), self.embed(n + 1, "rumin")
-        op = _product(_adjoint(tgt), full, src)
-        resid = max_abs(_product(full, src) - _product(tgt, op))
-        if resid > 1e-10:
-            raise InternalConsistencyError(f"middle operator leaves its target space ({resid:.2e})")
-        return op
+        return self._compress_invariant(full, (n + 1, "rumin"), (n, "rumin"), "middle operator leaves its target space")
 
     @_block_memo
     def rumin_d(self, k: int) -> np.ndarray:
@@ -267,8 +302,20 @@ class SectorStacks:
         return rescale_coefficient(self.n, k) * self._compress(self.d(k), (k + 1, "rumin"), (k, "rumin"))
 
     def rumin_del(self, k: int, anti: bool) -> np.ndarray:
-        """A half of the Rumin differential below the middle degree."""
-        return rescale_coefficient(self.n, k) * self._compress(self.split_db(k, anti), (k + 1, "rumin"), (k, "rumin"))
+        """A half of the Rumin differential on degree k <= n, as `BlockContext.rumin_del`: into the
+        next Rumin space below the middle degree, into the horizontal (n+1)-forms from it."""
+        target = (k + 1, "rumin" if k < self.n else "horizontal")
+        return rescale_coefficient(self.n, k) * self._compress(self.split_db(k, anti), target, (k, "rumin"))
+
+    def half_laplacian(self, k: int, anti: bool) -> np.ndarray:
+        """Delta_del or Delta_delbar on the degree-k Rumin space (k <= n), as
+        `BlockContext.rumin_del_laplacian`."""
+        up = self.rumin_del(k, anti)
+        mat = _product(_adjoint(up), up)
+        if k >= 1:
+            down = self.rumin_del(k - 1, anti)
+            mat = mat + _product(down, _adjoint(down))
+        return mat
 
     def half_laplacians(self, k: int):
         """(Delta_del, Delta_delbar) on the degree-k Rumin space below the middle degree,
@@ -276,15 +323,7 @@ class SectorStacks:
         commute on every weight."""
         if k > self.n - 1:
             raise ValueError("the simultaneous decomposition is defined below middle degree")
-        halves = []
-        for anti in (False, True):
-            up = self.rumin_del(k, anti)
-            mat = _product(_adjoint(up), up)
-            if k >= 1:
-                down = self.rumin_del(k - 1, anti)
-                mat = mat + _product(down, _adjoint(down))
-            halves.append(_hermitized(mat, "half Laplacian"))
-        a, b = halves
+        a, b = (_hermitized(self.half_laplacian(k, anti), "half Laplacian") for anti in (False, True))
         scale = np.maximum(1.0, np.maximum(self._weight_max(a), self._weight_max(b)))
         comm = self._weight_max(_product(a, b) - _product(b, a))
         if np.any(comm > 1e-10 * scale):
@@ -371,14 +410,11 @@ class SectorStacks:
         """i L_T is tau on every sector of the degree-k space `flavor`; on a Rumin space L_T
         must also map the space into itself."""
         lt = self.lie_reeb(k)
-        if flavor != "full":
-            embed = self.embed(k, flavor)
-            comp = _product(_adjoint(embed), lt, embed)
-            if flavor == "rumin":
-                resid = max_abs(_product(lt, embed) - _product(embed, comp))
-                if resid > 1e-10:
-                    raise InternalConsistencyError(f"Reeb derivative does not preserve the Rumin space ({resid:.2e})")
-            lt = comp
+        if flavor == "rumin":
+            what = "Reeb derivative does not preserve the Rumin space"
+            lt = self._compress_invariant(lt, (k, flavor), (k, flavor), what)
+        elif flavor != "full":
+            lt = self._compress(lt, (k, flavor), (k, flavor))
         sp = self.space(k, flavor)
         tau = np.where(sp.valid, self.tau, 0)
         off = max_abs(1j * lt - np.eye(sp.dim)[:, :, None] * tau[:, None, :])
@@ -422,15 +458,12 @@ class SectorStacks:
         positions of every sector of one size, sizes ascending, sectors by ascending tau,
         positions by ascending fiber index within a sector.
         """
-        size = space.valid.sum(axis=0)
-        pos = np.argsort(~space.valid, axis=0, kind="stable")  # a sector's fiber vectors first, in fiber order
-        dense = pos * (self.m + 1) + np.take_along_axis(space.slot, pos, axis=0)
         groups = []
-        for s in _distinct(size[size > 0]):
-            sel = np.flatnonzero(size == s)
-            p = pos[:s, sel].T
-            blocks = [st[p[:, :, None], p[:, None, :], sel[:, None, None]] for st in stacks]
-            groups.append((dense[:s, sel].T, blocks, np.searchsorted(self.owner[sel], np.arange(self.weights.size + 1))))
+        for sel, pos, _ in _groups(space.valid, space.valid):
+            if pos.shape[1]:
+                dense = pos * (self.m[sel, None] + 1) + space.slot[pos, sel[:, None]]
+                blocks = [_gather(st, sel, pos, pos) for st in stacks]
+                groups.append((dense, blocks, np.searchsorted(self.owner[sel], np.arange(self.weights.size + 1))))
         out = []
         for w, m in enumerate(self.weights):
             tau = (space.rho[:, None] + m - 2 * np.arange(m + 1)).ravel().astype(float)

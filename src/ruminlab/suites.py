@@ -1,0 +1,635 @@
+"""The verification suites of `rumin verify` on the Reeb-sector stacks of every weight at once.
+
+Every identity that a suite checks is one between operators that commute with
+the Reeb field, so each operator is block diagonal over the Reeb sectors, and
+an identity holds on a weight block exactly when it holds on every sector of
+that block.  The bodies here are the suites of `spectral` as batched
+expressions on `Assembly.sector_stacks` (`sectors.SectorStacks`): a residual
+max |entry| of a block is the largest over the block's sectors
+(`SectorStacks._weight_max`), and a Frobenius norm sums over them.  No matrix
+of a whole weight block is formed, and no `BlockContext` with a block is built.
+
+The subspace steps (harmonic kernels, images, null spaces, intersections and
+joint kernels) are stacked per-sector `eigh` and SVD calls, one per group of
+sectors with equally many valid rows and columns (`_groups`), so the zero
+padding of a stack never enters a decomposition.  A subspace is a
+`SectorBasis`: orthonormal columns on every sector, zero where unused.  Each
+relative cut takes its scale from the whole weight, the largest eigenvalue or
+singular value over the weight's sectors, which is the scale of the dense
+weight block; `SectorStacks.cohomology_dims` cuts the same way.
+
+The sec4 components are the joint (Delta, i L_T) eigenspaces of
+`Assembly.rumin_rows(n - 1)`, the rows that the Reeb decomposition of
+`torsion` solves.  For n = 1 (the only frames with function blocks) that is
+degree 0, whose Rumin space has one fiber vector, so every component is one
+sector vector and every bi-positive W corner is that vector or empty: the
+per-vector sec4 families are computed for all corners at once.
+
+Quantities that several suites read (Laplacians, harmonic kernels, the
+horizontal split differentials and Lefschetz maps, the Rumin Reeb derivative)
+are memoized in the stacks' memo with `_block_memo`, so `verify --suite all`
+builds each once per run.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+from dataclasses import dataclass
+from typing import Sequence, Tuple
+
+import numpy as np
+
+from .model import block_label
+from .operators import InternalConsistencyError, _block_memo
+from .sectors import SectorStacks, _adjoint, _gather, _groups, _hermitized, _product
+from .spectral import KERNEL_RELATIVE_TOL, Assembly, VerificationReport, sector_half_laplacian_pairs
+
+# -- subspaces on the sectors -------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SectorBasis:
+    """Orthonormal vectors of a subspace of one graded space on every sector: column j of
+    `vectors[:, :, s]` is a basis vector of sector s where `used[j, s]`, and zero elsewhere."""
+
+    vectors: np.ndarray  # (f, c, S)
+    used: np.ndarray  # (c, S)
+
+
+def _scatter(out: np.ndarray, sel, ri, values: np.ndarray):
+    """Write (n, r, c) blocks into rows `ri` and columns 0..c-1 of `out`."""
+    cols = np.arange(values.shape[2])
+    out[ri[:, :, None], cols[None, None, :], sel[:, None, None]] = values
+
+
+def _eigh(stack: np.ndarray, valid: np.ndarray):
+    """Eigenpairs of the Hermitian sector blocks of `stack` on the valid positions `valid` (f, S):
+    eigenvalues (f, S) ascending from row 0 and zero beyond the sector's size, eigenvectors
+    (f, f, S) in the same columns, and the (f, S) mask of the columns in use."""
+    f, sectors = valid.shape
+    w, q, used = np.zeros((f, sectors)), np.zeros((f, f, sectors), dtype=complex), np.zeros((f, sectors), dtype=bool)
+    for sel, pos, _ in _groups(valid, valid):
+        size = pos.shape[1]
+        if size:
+            vals, vecs = np.linalg.eigh(_gather(stack, sel, pos, pos))
+            w[:size, sel], used[:size, sel] = vals.T, True
+            _scatter(q, sel, pos, vecs)
+    return w, q, used
+
+
+def _per_weight(stacks: SectorStacks, values: np.ndarray, reduce=np.add) -> np.ndarray:
+    """`reduce` of an (S,) array over the sectors of each weight."""
+    if not values.size:
+        return np.zeros(stacks.weights.size, dtype=values.dtype)
+    return reduce.reduceat(values, stacks.starts[:-1])
+
+
+def _dims(stacks: SectorStacks, basis: SectorBasis) -> np.ndarray:
+    """The dimension of a subspace on every weight."""
+    return _per_weight(stacks, basis.used.sum(axis=0))
+
+
+def _kernel(stacks: SectorStacks, lap: np.ndarray, valid: np.ndarray) -> SectorBasis:
+    """`spectral.kernel` on every sector: the eigenvectors with |eigenvalue| at most
+    KERNEL_RELATIVE_TOL * max(1, the largest |eigenvalue| of the weight)."""
+    w, q, used = _eigh(lap, valid)
+    cut = KERNEL_RELATIVE_TOL * np.maximum(1.0, stacks._weight_max(w))
+    keep = used & (np.abs(w) <= cut[stacks.owner])
+    return SectorBasis(np.where(keep[None], q, 0), keep)
+
+
+def _svd_basis(stacks: SectorStacks, stack: np.ndarray, rows, cols, tol: float, image: bool) -> SectorBasis:
+    """On every sector of a map with valid rows `rows` and columns `cols`: the left singular
+    vectors whose singular value exceeds tol * max(1, the largest singular value of the weight)
+    (`image`, as the dense `_image_basis` of `tests/dense_reference.py`), or the right singular
+    vectors of the rest, the null space (as `operators._null_basis`)."""
+    groups, top = [], np.zeros(rows.shape[1])
+    for sel, ri, ci in _groups(rows, cols):
+        r, c = ri.shape[1], ci.shape[1]
+        if r and c:
+            u, s, vh = np.linalg.svd(_gather(stack, sel, ri, ci))
+            top[sel] = s[:, 0]
+        else:
+            eye = lambda size: np.broadcast_to(np.eye(size), (sel.size, size, size))
+            u, s, vh = eye(r), np.zeros((sel.size, 0)), eye(c)
+        groups.append((sel, ri, ci, u, s, vh))
+    cut = tol * np.maximum(1.0, _per_weight(stacks, top, np.maximum))[stacks.owner]
+    f = rows.shape[0] if image else cols.shape[0]
+    vectors, used = np.zeros((f, f, rows.shape[1]), dtype=complex), np.zeros((f, rows.shape[1]), dtype=bool)
+    for sel, ri, ci, u, s, vh in groups:
+        rank = np.sum(s > cut[sel][:, None], axis=1)
+        if image:
+            keep = np.arange(ri.shape[1])[None, :] < rank[:, None]
+            _scatter(vectors, sel, ri, u * keep[:, None, :])
+        else:
+            keep = np.arange(ci.shape[1])[None, :] >= rank[:, None]
+            _scatter(vectors, sel, ci, vh.conj().transpose(0, 2, 1) * keep[:, None, :])
+        used[: keep.shape[1], sel] = keep.T
+    return SectorBasis(vectors, used)
+
+
+def _identity(valid: np.ndarray) -> np.ndarray:
+    """The identity of a graded space on every sector: 1 on its valid positions."""
+    return np.eye(valid.shape[0])[:, :, None] * valid[None, :, :]
+
+
+def _scaled_stack(stacks: SectorStacks, mats: Sequence[np.ndarray]) -> np.ndarray:
+    """`spectral._scaled_stack` on every weight: the stacks one above the other, divided by
+    max(1, their largest entry on the weight)."""
+    scale = np.maximum(1.0, np.max([stacks._weight_max(m) for m in mats], axis=0))
+    return np.concatenate(mats) / scale[stacks.owner]
+
+
+def _intersection(stacks: SectorStacks, bases: Sequence[SectorBasis], valid: np.ndarray, tol: float = 1e-9):
+    """The dense `_subspace_intersection` of `tests/dense_reference.py` on every sector: the
+    joint null space of the projectors onto the complements."""
+    mats = [_identity(valid) - _product(b.vectors, _adjoint(b.vectors)) for b in bases]
+    return _svd_basis(stacks, _scaled_stack(stacks, mats), np.concatenate([valid] * len(mats)), valid, tol, False)
+
+
+def _principal_sines(stacks: SectorStacks, u: SectorBasis, v: SectorBasis) -> np.ndarray:
+    """`spectral.principal_sines` of two subspaces on every weight."""
+    du, dv = _dims(stacks, u), _dims(stacks, v)
+    top = np.zeros(u.used.shape[1])
+    for a, b in ((u.vectors, v.vectors), (v.vectors, u.vectors)):
+        r = b - _product(a, _adjoint(a), b)
+        if r.shape[0] and r.shape[1]:
+            top = np.maximum(top, np.linalg.norm(r, 2, axis=(0, 1)))  # the largest singular value
+    return np.where(du != dv, 1.0, np.where(du == 0, 0.0, _per_weight(stacks, top, np.maximum)))
+
+
+def _joint_kernel_dims(stacks: SectorStacks, mats: Sequence[np.ndarray], valid: np.ndarray, tol: float = 1e-9):
+    """`spectral.joint_kernel_dim` on every weight, from the singular values alone."""
+    stack = _scaled_stack(stacks, mats)
+    values = np.linalg.svd(stack.transpose(2, 0, 1), compute_uv=False)  # the padding adds zeros only
+    cut = tol * np.maximum(1.0, stacks._weight_max(values.T))
+    rank = np.sum(values > cut[stacks.owner][:, None], axis=1)
+    return _per_weight(stacks, valid.sum(axis=0) - rank)
+
+
+def _norms(stacks: SectorStacks, stack: np.ndarray) -> np.ndarray:
+    """The Frobenius norm of a stack on every weight."""
+    return np.sqrt(_per_weight(stacks, np.sum(np.abs(stack) ** 2, axis=(0, 1))))
+
+
+# -- shared quantities ----------------------------------------------------------------
+
+
+def _zeros(stacks: SectorStacks, rows: int, cols: int) -> np.ndarray:
+    return np.zeros((rows, cols, stacks.m.size), dtype=complex)
+
+
+def _fiber(stacks: SectorStacks, name: str, k: int, k_out: int) -> np.ndarray:
+    """The fiber table `name` of degree k, lifted between the full spaces of degrees k and k_out;
+    no rows when k_out lies outside the complex."""
+    if not 0 <= k_out <= stacks.Dmax:
+        return _zeros(stacks, 0, stacks.space(k).dim)
+    return stacks._fiber_op(stacks.fibers._fiber(name, k), k_out, k)
+
+
+@_block_memo
+def _first_order(stacks: SectorStacks, name: str, k: int) -> np.ndarray:
+    """The degree-k stack of `SectorStacks.<name>`, one of d, d0, db, dT and lie_reeb, kept for
+    every suite.  The suites read each of them many times; `spectrum` and `torsion` rebuild them, which
+    keeps their peak memory low."""
+    return getattr(stacks, name)(k)
+
+
+def _dt(stacks: SectorStacks, k: int, t: float) -> np.ndarray:
+    """`SectorStacks.dt` from the kept stacks."""
+    return _first_order(stacks, "d0", k) + t * stacks.db(k) + t * t * _first_order(stacks, "dT", k)
+
+
+@_block_memo
+def _laplacian(stacks: SectorStacks, op: str, k: int) -> np.ndarray:
+    """`SectorStacks.laplacian` of "delta-rn", "delta-dr" or "delta-b", kept for every suite."""
+    return stacks.laplacian(op, k)
+
+
+@_block_memo
+def _harmonic(stacks: SectorStacks, k: int, operator: str) -> SectorBasis:
+    """The kernel of the degree-k "de_rham" or "rumin" Laplacian, as `spectral._harmonic_basis`."""
+    op, flavor = ("delta-dr", "full") if operator == "de_rham" else ("delta-rn", "rumin")
+    return _kernel(stacks, _laplacian(stacks, op, k), stacks.space(k, flavor).valid)
+
+
+def _hdim(stacks: SectorStacks, d: int) -> int:
+    return stacks.space(d, "horizontal").dim if 0 <= d <= stacks.Dmax else 0
+
+
+@_block_memo
+def _horizontal_del(stacks: SectorStacks, k: int, anti: bool) -> np.ndarray:
+    """Split half of d_b as a map of horizontal spaces; zero out of range."""
+    if k < 0 or k > 2 * stacks.n - 1:
+        return _zeros(stacks, _hdim(stacks, k + 1), _hdim(stacks, k))
+    return stacks._compress(stacks.split_db(k, anti), (k + 1, "horizontal"), (k, "horizontal"))
+
+
+@_block_memo
+def _horizontal_lefschetz(stacks: SectorStacks, k: int) -> np.ndarray:
+    """Lefschetz wedge H^k -> H^{k+2}; zero out of range."""
+    if k < 0 or k + 2 > 2 * stacks.n:
+        return _zeros(stacks, _hdim(stacks, k + 2), _hdim(stacks, k))
+    return stacks._compress(_fiber(stacks, "lef", k, k + 2), (k + 2, "horizontal"), (k, "horizontal"))
+
+
+def _horizontal_reeb(stacks: SectorStacks, k: int) -> np.ndarray:
+    """L_T compressed to the horizontal k-forms."""
+    return stacks._compress(_first_order(stacks, "lie_reeb", k), (k, "horizontal"), (k, "horizontal"))
+
+
+@_block_memo
+def _lie_reeb_rumin(stacks: SectorStacks, k: int) -> np.ndarray:
+    lt, what = _first_order(stacks, "lie_reeb", k), "Reeb derivative does not preserve the Rumin space"
+    return stacks._compress_invariant(lt, (k, "rumin"), (k, "rumin"), what)
+
+
+@_block_memo
+def _sqrt_rumin_laplacian(stacks: SectorStacks, k: int) -> np.ndarray:
+    """The psd square root of the degree-k Rumin Laplacian, as `operators.sqrtm_psd`."""
+    lap = _hermitized(_laplacian(stacks, "delta-rn", k), "Rumin Laplacian", 1e-10)
+    w, q, _ = _eigh(lap, stacks.space(k, "rumin").valid)
+    low, high = _per_weight(stacks, w.min(axis=0), np.minimum), stacks._weight_max(w)
+    if np.any(low < -1e-10 * np.maximum(1.0, high)):
+        raise InternalConsistencyError("matrix is not positive semidefinite")
+    return _product(q * np.sqrt(np.clip(w, 0.0, None))[None], _adjoint(q))
+
+
+@_block_memo
+def _low_components(asm: Assembly, tol: float = 1e-9):
+    """The joint (Delta, i L_T) components of the degree-(n-1) Rumin rows, weight by weight in the
+    order of `q_decomposition`: (weight index, sector, lambda10, lambda01) arrays.  Each component
+    must be one sector vector."""
+    stacks = asm.sector_stacks
+    owner, sector, l10, l01 = [], [], [], []
+    for w, (joint, halves) in enumerate(asm.rumin_rows(asm.n - 1, tol)):
+        if any(count != 1 for count in joint.counts):
+            raise InternalConsistencyError("a degree-(n-1) joint eigenspace is not one sector vector")
+        lo, hi = stacks.starts[w], stacks.starts[w + 1]
+        sec = lo + np.searchsorted(stacks.tau[lo:hi], joint.tau)
+        if not np.array_equal(stacks.tau[sec], joint.tau):
+            raise InternalConsistencyError("a joint eigenspace lies in no Reeb sector")
+        pairs = sector_half_laplacian_pairs(joint, halves, tol)
+        owner += [w] * len(pairs)
+        sector += sec.tolist()
+        l10 += [a for a, _ in pairs]
+        l01 += [b for _, b in pairs]
+    return np.array(owner, dtype=int), np.array(sector, dtype=int), np.array(l10), np.array(l01)
+
+
+# -- the suites ----------------------------------------------------------------------
+
+
+@_block_memo
+def _labels(stacks: SectorStacks) -> Tuple[str, ...]:
+    return tuple(block_label(m) for m in stacks.weights.tolist())
+
+
+def _add(report: VerificationReport, name: str, stacks: SectorStacks, values, tol: float, where=None):
+    """One check `name` (formatted with the block label) per weight, with the residuals `values`;
+    on the weights where `where` holds, if given."""
+    values = np.asarray(values, dtype=float).tolist()
+    keep = [True] * len(values) if where is None else np.asarray(where).tolist()
+    for lbl, value, ok in zip(_labels(stacks), values, keep):
+        if ok:
+            report.add(name.format(lbl=lbl), value, tol)
+
+
+def check_complex_property(
+    asm: Assembly, report: VerificationReport, t_samples=(0.0, 0.37, 1.0, 2.0), tol: float = 1e-12
+):
+    """The checks of `spectral.verify_complex_property`, added to `report`."""
+    stacks = asm.sector_stacks
+    wmax = stacks._weight_max
+    d = [_first_order(stacks, "d", j) for j in range(stacks.Dmax + 1)]
+    for k in range(stacks.Dmax):
+        _add(report, f"d.d[{{lbl}}]k={k}", stacks, wmax(_product(d[k + 1], d[k])), tol)
+        if k + 1 < stacks.Dmax:
+            _add(report, f"dN.dN[{{lbl}}]k={k}", stacks, wmax(_product(stacks.rumin_d(k + 1), stacks.rumin_d(k))), tol)
+    for t in t_samples:
+        # each d_t is a left and a right factor: build it once, drop it before the next t
+        dt = [_dt(stacks, j, t) for j in range(stacks.Dmax + 1)]
+        for k in range(stacks.Dmax):
+            _add(report, f"dt.dt[{{lbl}}]k={k},t={t}", stacks, wmax(_product(dt[k + 1], dt[k])), tol)
+        del dt
+
+
+def check_hodge_block_matrix(asm: Assembly, report: VerificationReport, tol: float = 1e-12):
+    """The checks of `spectral.verify_hodge_block_matrix`, added to `report`."""
+    stacks = asm.sector_stacks
+    for k in range(stacks.Dmax + 1):
+        full = _laplacian(stacks, "delta-dr", k)
+        approx = np.zeros_like(full)
+        eh = stacks.embed(k, "horizontal")
+        if eh.shape[1]:
+            lt = _horizontal_reeb(stacks, k)
+            lam = _horizontal_lefschetz(stacks, k - 2)
+            top = _laplacian(stacks, "delta-b", k) - _product(lt, lt) + _product(lam, _adjoint(lam))
+            approx += _product(eh, top, _adjoint(eh))
+        if k >= 1:
+            ev = _product(_fiber(stacks, "theta", k - 1, k), stacks.embed(k - 1, "horizontal"))
+            if ev.shape[1]:
+                lt = _horizontal_reeb(stacks, k - 1)
+                lef = _horizontal_lefschetz(stacks, k - 1)
+                bot = _laplacian(stacks, "delta-b", k - 1) - _product(lt, lt) + _product(_adjoint(lef), lef)
+                approx += _product(ev, bot, _adjoint(ev))
+            if eh.shape[1] and ev.shape[1]:
+                dl = _horizontal_del(stacks, k - 1, False)
+                dlb = _horizontal_del(stacks, k - 1, True)
+                approx += _product(eh, 1j * dl - 1j * dlb, _adjoint(ev))
+                approx += _product(ev, -1j * _adjoint(dl) + 1j * _adjoint(dlb), _adjoint(eh))
+        _add(report, f"hodge_block_matrix[{{lbl}}]k={k}", stacks, stacks._weight_max(full - approx), tol)
+
+
+def check_star_symmetry(asm: Assembly, report: VerificationReport, tol: float = 1e-10):
+    """The checks of `spectral.verify_star_symmetry`, added to `report`."""
+    stacks = asm.sector_stacks
+    wmax = stacks._weight_max
+    top = stacks.Dmax
+    mirror = "star does not map the Rumin space to its mirror"
+    for k in range(top + 1):
+        star = stacks._compress_invariant(_fiber(stacks, "star", k, top - k), (top - k, "rumin"), (k, "rumin"), mirror)
+        a, b = _laplacian(stacks, "delta-rn", k), _laplacian(stacks, "delta-rn", top - k)
+        eye = _identity(stacks.space(k, "rumin").valid)
+        _add(report, f"star_intertwines[{{lbl}}]k={k}", stacks, wmax(_product(star, a) - _product(b, star)), tol)
+        _add(report, f"star_isometry[{{lbl}}]k={k}", stacks, wmax(_product(_adjoint(star), star) - eye), tol)
+
+
+def check_kernel_coincidence(
+    asm: Assembly, report: VerificationReport, dims: Counter, angle_tol: float = 1e-8, tol: float = 1e-10
+):
+    """The per-block checks of `spectral.verify_kernel_coincidence`, added to `report`.
+
+    Adds r * dim of every block's harmonic kernels to `dims["kernel", complex, k]`, for
+    `rank_oracle_checks` to compare with the rank oracle.
+    """
+    stacks = asm.sector_stacks
+    wmax = stacks._weight_max
+    r = np.array(asm.multiplicity, dtype=int)
+    for k in range(stacks.Dmax + 1):
+        ker_dr, ker_rn = _harmonic(stacks, k, "de_rham"), _harmonic(stacks, k, "rumin")
+        dim_dr, dim_rn = r * _dims(stacks, ker_dr), r * _dims(stacks, ker_rn)
+        dims["kernel", "rumin", k] += int(dim_rn.sum())
+        dims["kernel", "de_rham", k] += int(dim_dr.sum())
+        phi = _product(stacks.embed(k, "rumin"), ker_rn.vectors)  # harmonic vectors inside the full space
+        angles = _principal_sines(stacks, ker_dr, SectorBasis(phi, ker_rn.used)).tolist()
+        for lbl, a, b, angle in zip(_labels(stacks), dim_dr.tolist(), dim_rn.tolist(), angles):
+            report.add(f"kernel_dims_match[{lbl}]k={k}", abs(a - b), 0.0, f"de_rham={a} rumin={b}")
+            report.add(f"kernel_subspace_angle[{lbl}]k={k}", angle, angle_tol)
+        if k > stacks.n or not dim_dr.any():
+            continue
+        horizontal = stacks.embed(k, "horizontal")
+        steps = (
+            ("step_db_adjoint", wmax(_product(_adjoint(stacks.db(k - 1)), phi)) if k >= 1 else np.zeros(r.size)),
+            ("step_trace_db", wmax(_product(_fiber(stacks, "lam", k + 1, k - 1), stacks.db(k), phi))),
+            ("step_horizontal_laplacian", wmax(_product(_laplacian(stacks, "delta-b", k), _adjoint(horizontal), phi))),
+            ("step_reeb_derivative", wmax(_product(_first_order(stacks, "lie_reeb", k), phi))),
+        )
+        for name, values in steps:
+            _add(report, f"{name}[{{lbl}}]k={k}", stacks, values, tol, dim_dr > 0)
+
+
+def check_primitivity(asm: Assembly, report: VerificationReport, tol: float = 1e-10):
+    """The checks of `spectral.verify_primitivity`, added to `report`."""
+    stacks = asm.sector_stacks
+    wmax = stacks._weight_max
+    n = stacks.n
+    r = np.array(asm.multiplicity, dtype=float)
+    for k in range(stacks.Dmax + 1):
+        ker = _harmonic(stacks, k, "de_rham")
+        harmonic = _dims(stacks, ker) > 0
+        if not harmonic.any():
+            continue
+        phi = ker.vectors
+        rows = []
+        if k <= n:
+            rows.append(("interior_reeb_vanishes", wmax(_product(_fiber(stacks, "iota", k, k - 1), phi))))
+            rows.append(("trace_vanishes", wmax(_product(_fiber(stacks, "lam", k, k - 2), phi))))
+        if k >= n + 1:
+            rows.append(("theta_wedge_vanishes", wmax(_product(_fiber(stacks, "theta", k, k + 1), phi))))
+            rows.append(("lefschetz_vanishes", wmax(_product(_fiber(stacks, "lef", k, k + 2), phi))))
+        jphi = _product(_fiber(stacks, "jact", k, k), phi)
+        rows.append(("j_preserves_harmonics", wmax(_product(_laplacian(stacks, "delta-dr", k), jphi))))
+        # Frobenius norms over the r copies of the slot carry a factor sqrt(r)
+        rows.append(("j_is_isometry_on_harmonics", np.sqrt(r) * np.abs(_norms(stacks, jphi) - _norms(stacks, phi))))
+        for name, values in rows:
+            _add(report, f"{name}[{{lbl}}]k={k}", stacks, values, tol, harmonic)
+
+
+def check_deformation_family(asm: Assembly, report: VerificationReport, t_samples=(0.1, 1.0, 10.0), tol: float = 1e-10):
+    """The checks of `spectral.verify_deformation_family`, added to `report`; every t must be positive."""
+    stacks = asm.sector_stacks
+    wmax = stacks._weight_max
+    top = stacks.Dmax
+    r = np.array(asm.multiplicity, dtype=int)
+    # d_t(j) is a factor of degrees j and j+1, so build it once; None pads out of range
+    dts = [[None, *(_dt(stacks, j, t) for j in range(top)), None] for t in t_samples]
+    for k in range(top + 1):
+        ker = _harmonic(stacks, k, "de_rham")
+        dim = _dims(stacks, ker)
+        laps = [stacks._hodge_sum(dt[k + 1], dt[k], (k, "full"), "deformed Laplacian") for dt in dts]
+        if dim.any():
+            phi = ker.vectors
+            rows = []
+            for nm in ("d0", "db", "dT") if k < top else ():
+                rows.append((f"piecewise_{nm}[{{lbl}}]k={k}", _product(_first_order(stacks, nm, k), phi)))
+            for nm in ("d0", "db", "dT") if k > 0 else ():
+                down = _first_order(stacks, nm, k - 1)
+                rows.append((f"piecewise_{nm}_adjoint[{{lbl}}]k={k}", _product(_adjoint(down), phi)))
+            for t, lap in zip(t_samples, laps):
+                rows.append((f"deformed_kills_harmonic[{{lbl}}]k={k},t={t}", _product(lap, phi)))
+            for name, value in rows:
+                _add(report, name, stacks, wmax(value), tol, dim > 0)
+        inter = r * _joint_kernel_dims(stacks, laps, stacks.space(k).valid)
+        for lbl, a, b in zip(_labels(stacks), inter.tolist(), (r * dim).tolist()):
+            report.add(f"intersection_dim[{lbl}]k={k}", abs(a - b), 0.0, f"intersection={a} harmonic={b}")
+
+
+def check_sasakian_identities(asm: Assembly, report: VerificationReport, tol: float = 1e-11):
+    """The checks of `spectral.verify_sasakian_identities`, added to `report`."""
+    stacks = asm.sector_stacks
+    wmax = stacks._weight_max
+    n = stacks.n
+    dl = lambda q: _horizontal_del(stacks, q, False)
+    dlb = lambda q: _horizontal_del(stacks, q, True)
+    lef = lambda q: _horizontal_lefschetz(stacks, q)
+    lam = lambda q: _adjoint(_horizontal_lefschetz(stacks, q - 2))
+    for q in range(0, 2 * n + 1):
+        # metric adjoints of the split halves via Lefschetz commutators
+        r1 = _adjoint(dl(q - 1)) - 1j * (_product(lam(q + 1), dlb(q)) - _product(dlb(q - 2), lam(q)))
+        r2 = _adjoint(dlb(q - 1)) + 1j * (_product(lam(q + 1), dl(q)) - _product(dl(q - 2), lam(q)))
+        r3 = dl(q) - 1j * (_product(lef(q - 1), _adjoint(dlb(q - 1))) - _product(_adjoint(dlb(q + 1)), lef(q)))
+        r4 = dlb(q) + 1j * (_product(lef(q - 1), _adjoint(dl(q - 1))) - _product(_adjoint(dl(q + 1)), lef(q)))
+        # graded commutators of the split halves vanish
+        anti1 = _product(dl(q - 1), _adjoint(dlb(q - 1))) + _product(_adjoint(dlb(q)), dl(q))
+        anti2 = _product(dlb(q - 1), _adjoint(dl(q - 1))) + _product(_adjoint(dl(q)), dlb(q))
+        for name, value in (
+            ("adjoint_del", r1), ("adjoint_delbar", r2), ("del_from_lefschetz", r3),
+            ("delbar_from_lefschetz", r4), ("graded_del_delbar", anti1), ("graded_delbar_del", anti2),
+        ):
+            _add(report, f"{name}[{{lbl}}]q={q}", stacks, wmax(value), tol)
+    # projected halves on the Rumin spaces, degrees <= n
+    for k in range(0, n + 1):
+        anti = _product(_adjoint(stacks.rumin_del(k, True)), stacks.rumin_del(k, False))
+        if k >= 1:
+            anti = anti + _product(stacks.rumin_del(k - 1, False), _adjoint(stacks.rumin_del(k - 1, True)))
+        _add(report, f"graded_rumin_halves[{{lbl}}]k={k}", stacks, wmax(anti), tol)
+    for k in range(0, n):
+        lap10, lap01 = stacks.half_laplacian(k, False), stacks.half_laplacian(k, True)
+        root = _sqrt_rumin_laplacian(stacks, k)
+        ilt = 1j * _lie_reeb_rumin(stacks, k)
+        _add(report, f"sqrt_splits[{{lbl}}]k={k}", stacks, wmax(root - lap10 - lap01), tol)
+        _add(report, f"reeb_is_half_difference[{{lbl}}]k={k}", stacks, wmax(ilt - (lap01 - lap10)), tol)
+        commute = _product(lap10, lap01) - _product(lap01, lap10)
+        _add(report, f"half_laplacians_commute[{{lbl}}]k={k}", stacks, wmax(commute), tol)
+    two_forms = stacks.middle_operator("factored") - stacks.middle_operator("kahler")
+    _add(report, "middle_operator_two_forms[{lbl}]", stacks, wmax(two_forms), tol)
+
+
+def _column_norms(vectors: np.ndarray) -> np.ndarray:
+    """The norm of every column of an (f, N) array."""
+    return np.sqrt(np.sum(np.abs(vectors) ** 2, axis=0))
+
+
+def check_eigenvalue_identity(asm: Assembly, report: VerificationReport, tol_rel: float = 1e-9, tol: float = 1e-10):
+    """The checks of `spectral.verify_eigenvalue_identity`, added to `report`, with the components
+    of `_low_components`."""
+    stacks = asm.sector_stacks
+    n = stacks.n
+    labels = _labels(stacks)
+    owner, sector, l10, l01 = _low_components(asm)
+    lam = (l10 + l01) ** 2
+    # law below the middle degree: each component is one sector vector, on which Delta is its entry
+    lap_low = _laplacian(stacks, "delta-rn", n - 1)[0, 0, sector]
+    law = np.zeros(len(labels))
+    np.maximum.at(law, owner, np.abs(lap_low - lam) / np.maximum(1.0, lam))
+    _add(report, "law_below_middle[{lbl}]", stacks, law, tol_rel)
+
+    up, upb = stacks.rumin_del(n - 1, False), stacks.rumin_del(n - 1, True)
+    low, mid = stacks.space(n - 1, "rumin").valid, stacks.space(n, "rumin").valid
+    lap_mid = _laplacian(stacks, "delta-rn", n)
+    dmid = stacks.middle_operator()
+    dd = _product(_adjoint(dmid), dmid)
+    ilt_mid = 1j * _lie_reeb_rumin(stacks, n)
+    img = _svd_basis(stacks, np.concatenate([up, upb], axis=1), mid, np.concatenate([low, low]), 1e-9, image=True)
+    sub = _hermitized(_product(_adjoint(img.vectors), lap_mid, img.vectors), "operator")
+    w, _, used = _eigh(sub, img.used)
+    counts = np.where(l10 > tol, 1, 0) + np.where(l01 > tol, 1, 0)
+    for i, (lbl, r) in enumerate(zip(labels, asm.multiplicity)):
+        lo, hi = stacks.starts[i], stacks.starts[i + 1]
+        values = np.sort(w[:, lo:hi][used[:, lo:hi]])
+        if not values.size:
+            continue
+        mine = owner == i
+        predicted = np.sort(np.repeat(lam[mine], counts[mine]))
+        if predicted.size != values.size:
+            report.add(
+                f"law_middle_multiplicity[{lbl}]",
+                r * abs(predicted.size - values.size),
+                0.0,
+                f"predicted={r * predicted.size} actual={r * values.size}",
+            )
+        else:
+            rel = np.max(np.abs(predicted - values) / np.maximum(1.0, np.abs(predicted)))
+            report.add(f"law_middle_values[{lbl}]", float(rel), tol_rel)
+        low_value = float(values[0])
+        report.add(
+            f"restricted_positivity[{lbl}]", 0.0 if low_value > tol else 1.0, 0.5, f"min_eigenvalue={low_value:.6g}"
+        )
+
+    # normalized-pair analysis: a one-sided corner is its component's sector vector, a bi-positive
+    # W corner that vector when both adjoint images contain it
+    in_up = _svd_basis(stacks, _adjoint(up), low, mid, 1e-9, image=True).used[0]
+    in_upb = _svd_basis(stacks, _adjoint(upb), low, mid, 1e-9, image=True).used[0]
+    dpsi, dbpsi = up[:, 0, sector], upb[:, 0, sector]
+    n10, n01 = _column_norms(dpsi), _column_norms(dbpsi)
+    bi = (l10 > tol) & (l01 > tol)
+    corner = bi & in_up[sector] & in_upb[sector]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # only the columns of W corners are read below
+        psi10, psi01 = dpsi / n10, dbpsi / n01
+        vplus = np.sqrt(l10) * psi10 + np.sqrt(l01) * psi01
+        vminus = np.sqrt(l01) * psi10 - np.sqrt(l10) * psi01
+        lam_t = -np.real(np.einsum("is,ijs,js->s", vminus.conj(), ilt_mid[:, :, sector], vminus)) / np.real(
+            np.sum(vminus.conj() * vminus, axis=0)
+        )
+        a_const, b_const = lam_t - 2 * l10, lam_t + 2 * l01
+        target = (a_const**2 * l01 + b_const**2 * l10) / (l10 + l01)
+        apply = lambda mat, v: np.einsum("ijs,js->is", mat[:, :, sector], v)
+        worst = lambda v: np.max(np.abs(v), axis=0)
+        residuals = (
+            ("norm_sq_is_lambda10", np.abs(n10**2 - l10) / np.maximum(1.0, l10)),
+            ("norm_sq_is_lambda01", np.abs(n01**2 - l01) / np.maximum(1.0, l01)),
+            ("image_eigenvalue", worst(apply(lap_mid, vplus) - lam * vplus) / np.maximum(1.0, lam)),
+            ("complement_eigenvalue", worst(apply(lap_mid, vminus) - lam * vminus) / np.maximum(1.0, lam)),
+            ("middle_formula", worst(apply(dd, vminus) - target * vminus) / np.maximum(1.0, np.abs(target))),
+            ("middle_formula_value", np.abs(target - (lam_t**2 + 4 * l10 * l01)) / np.maximum(1.0, np.abs(target))),
+            ("reeb_tag", np.abs(lam_t - (l10 - l01)) / np.maximum(1.0, np.abs(lam_t))),
+        )
+    residuals = [(name, values.tolist()) for name, values in residuals]
+    del_rank, delbar_rank = (n10 > tol).tolist(), (n01 > tol).tolist()
+    for i, (w_idx, a, b) in enumerate(zip(owner.tolist(), l10.tolist(), l01.tolist())):
+        lbl, r = labels[w_idx], asm.multiplicity[w_idx]
+        tag = f"[{lbl}]l=({a:.6g},{b:.6g})"
+        if a <= tol and b <= tol:
+            continue
+        if a <= tol or b <= tol:
+            # one-sided corners: the surviving map is a bijection
+            rank = del_rank[i] if a > tol else delbar_rank[i]
+            report.add(f"corner_bijective_one_sided{tag}", 0.0 if rank else 1.0, 0.5, f"rank={r * rank} dim={r}")
+            continue
+        w_dim = int(corner[i])
+        report.add(f"w_corner_dim{tag}", r * abs(w_dim - 1), 0.0, f"w={r * w_dim} q={r}")
+        if w_dim:
+            # (A (x) I)(w (x) e_j) = (Aw) (x) e_j: each slot vector w stands for its r copies in W (x) C^r
+            for name, values in residuals:
+                report.add(f"{name}{tag}v=0", values[i], tol_rel, f"multiplicity={r}")
+        # corner bijections out of the W corner
+        for ranks, nm in ((del_rank, "del"), (delbar_rank, "delbar")):
+            rank = ranks[i] * w_dim
+            detail = f"rank={r * rank} dim={r * w_dim}"
+            report.add(f"corner_bijective_{nm}{tag}", 0.0 if rank == w_dim else 1.0, 0.5, detail)
+
+
+def check_middle_degree(asm: Assembly, report: VerificationReport, tol: float = 1e-10):
+    """The checks of `spectral.verify_middle_degree`, added to `report`, with the components of
+    `_low_components`."""
+    stacks = asm.sector_stacks
+    wmax = stacks._weight_max
+    n = stacks.n
+    up, upb = stacks.rumin_del(n - 1, False), stacks.rumin_del(n - 1, True)
+    low, mid = stacks.space(n - 1, "rumin").valid, stacks.space(n, "rumin").valid
+    lap_mid = _laplacian(stacks, "delta-rn", n)
+    lt = _lie_reeb_rumin(stacks, n)
+    square = lap_mid + _product(lt, lt)
+    codifferentials = np.concatenate([_adjoint(up), _adjoint(upb)])
+    coexact = _svd_basis(stacks, codifferentials, np.concatenate([low, low]), mid, 1e-10, image=False)
+    has = _dims(stacks, coexact) > 0
+    if has.any():
+        c = coexact.vectors
+        dmid = stacks.middle_operator()
+        dd = _product(_adjoint(dmid), dmid)
+        _add(report, "coexact_reeb_square[{lbl}]", stacks, wmax(_product(square, c)), tol, has)
+        _add(report, "coexact_middle_square[{lbl}]", stacks, wmax(_product(dd + _product(lt, lt), c)), tol, has)
+        _add(report, "coexact_two_routes[{lbl}]", stacks, wmax(_product(lap_mid - dd, c)), tol, has)
+        # Reeb eigenspace slices carry nu^2
+        sub = _hermitized(_product(_adjoint(c), 1j * lt, c), "operator")
+        w, q, used = _eigh(sub, coexact.used)
+        vec = _product(c, q)
+        nu2 = w**2
+        resid = np.max(np.abs(_product(lap_mid, vec) - nu2[None] * vec), axis=0) / np.maximum(1.0, nu2)
+        _add(report, "reeb_slices_square[{lbl}]", stacks, stacks._weight_max(np.where(used, resid, 0.0)), tol, has)
+    # one-sided kernels of the half Laplacians below the middle degree; each component is one sector vector
+    owner, sector, l10, l01 = _low_components(asm)
+    lap_low, lt_low = _laplacian(stacks, "delta-rn", n - 1), _lie_reeb_rumin(stacks, n - 1)
+    values = np.abs((lap_low + _product(lt_low, lt_low))[0, 0, sector])
+    worst = np.zeros(stacks.weights.size)
+    np.maximum.at(worst, owner, np.where((l10 <= tol) != (l01 <= tol), values, 0.0))
+    _add(report, f"one_sided_laplacian_reeb_square[{{lbl}}]k={n - 1}", stacks, worst, tol)
+    # middle-degree one-sided images
+    for anti in (False, True):
+        img = _svd_basis(stacks, upb if anti else up, mid, low, 1e-9, image=True)
+        ker_other = _svd_basis(stacks, stacks.half_laplacian(n, not anti), mid, mid, 1e-10, image=False)
+        sect = _intersection(stacks, [img, ker_other], mid)
+        name = f"one_sided_middle_reeb_square[{{lbl}}]anti={anti}"
+        _add(report, name, stacks, wmax(_product(square, sect.vectors)), tol, _dims(stacks, sect) > 0)

@@ -12,8 +12,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import dense_reference
 from dense_reference import operator_pair
-from ruminlab import cli, operators, sectors, spectral, torsion
+from ruminlab import cli, operators, sectors, spectral, suites, torsion
 from ruminlab import model as model_module
 from ruminlab.model import ParameterError, lens_space, su2_model
 from ruminlab.operators import BlockContext
@@ -110,8 +111,8 @@ MEMOIZED = {
     "laplacian_b": lambda c: c.laplacian_b(1).matrix,
     "rumin_del_laplacian": lambda c: c.rumin_del_laplacian(1, anti=True).matrix,
     "sqrt_laplacian_rn": lambda c: c.sqrt_laplacian_rn(1),
-    "horizontal_del": lambda c: spectral._horizontal_del(c, 1, True),
-    "horizontal_lefschetz": lambda c: spectral._horizontal_lefschetz(c, 0),
+    "horizontal_del": lambda c: dense_reference._horizontal_del(c, 1, True),
+    "horizontal_lefschetz": lambda c: dense_reference._horizontal_lefschetz(c, 0),
     "harmonic_basis": lambda c: spectral._harmonic_basis(c, 0, "rumin").vectors,
 }
 
@@ -127,27 +128,16 @@ def test_cached_arrays_are_read_only(s3, getter):
 
 
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: f"{m.name}{m.p}")
-def test_memoized_values_equal_a_fresh_context_after_a_full_run(monkeypatch, model):
-    """Every suite reads the memo in its own order; no value may depend on it.
+def test_memoized_values_equal_a_fresh_context_after_a_full_run(model):
+    """Every dense suite body reads the block memo in its own order; no value may depend on it.
 
-    `run_suite` clears each block memo when it moves on to the next block, so
-    each memo is captured as its visit ends and put back for the comparison.
+    `verify` reads the sector stacks and builds no block context, so the dense
+    reference bodies run over every block, keeping each memo for the comparison.
     """
-    released = {}
-    visit = Assembly.visit
-
-    def capturing_visit(asm):
-        for ctx in visit(asm):
-            yield ctx
-            released[ctx] = dict(ctx._cache)
-
-    monkeypatch.setattr(Assembly, "visit", capturing_visit)
     asm = Assembly(model, 4)
-    cli.run_suite(asm, "all", cli.RunConfig())
-    assert set(released) == set(asm.contexts)
+    dense_reference.dense_run_suite(asm, "all", cli.RunConfig(), keep_memos=True)
     for ctx in asm.contexts:
-        assert not ctx._cache and released[ctx]
-        ctx._cache.update(released[ctx])
+        assert ctx._cache
         fresh = BlockContext(model.frame, ctx.block)
         for name, getter in MEMOIZED.items():
             memoized = getter(ctx)
@@ -182,7 +172,7 @@ def test_assembly_rows_are_memoized_and_read_only():
     assert all(halves is None for _, halves in asm.rumin_rows(1))
     comps = spectral.q_decomposition(asm, asm.weights[-1], 0)
     assert isinstance(comps, tuple) and comps
-    [again] = spectral.low_degree_components(asm, asm.contexts[-1])
+    [again] = dense_reference.low_degree_components(asm, asm.contexts[-1])
     assert [(c.lambda10, c.lambda01, c.basis.tobytes()) for c in again] == [
         (c.lambda10, c.lambda01, c.basis.tobytes()) for c in comps
     ]
@@ -205,13 +195,18 @@ def test_assembly_builds_block_contexts_on_first_access():
         Assembly(model, -1)
 
 
+SUITE_COMMANDS = [["verify", "--suite", suite] for suite in ("all", "thm1", "cor2", "cor3", "sec4", "thm5")]
+
+
 @pytest.mark.parametrize(
     "command",
-    [["torsion"], ["spectrum", "--op", "delta-rn"], ["spectrum", "--op", "delta-dr"]],
-    ids=["torsion", "delta-rn", "delta-dr"],
+    [["torsion"], ["spectrum", "--op", "delta-rn"], ["spectrum", "--op", "delta-dr"], *SUITE_COMMANDS],
+    ids=["torsion", "delta-rn", "delta-dr", *(f"verify-{c[-1]}" for c in SUITE_COMMANDS)],
 )
 def test_sector_commands_build_no_slot_action(capsys, monkeypatch, command):
-    """`torsion` and `spectrum` read the ladder radicands, never the dense slot actions of a block."""
+    """`torsion`, `spectrum` and every `verify` suite read the ladder radicands, never the dense
+    slot actions of a block, and build no block context: the only `BlockContext` is the
+    fiber-table context of the sector stacks, without a block."""
     calls = Counter()
     actions = model_module.su2_weight_actions
 
@@ -219,13 +214,23 @@ def test_sector_commands_build_no_slot_action(capsys, monkeypatch, command):
         calls[m] += 1
         return actions(m)
 
+    blocks = []
+    init = BlockContext.__init__
+
+    def watched_init(ctx, frame, block, tables=None):
+        blocks.append(block)
+        init(ctx, frame, block, tables)
+
     monkeypatch.setattr(model_module, "su2_weight_actions", spy)
+    monkeypatch.setattr(BlockContext, "__init__", watched_init)
     assert cli.main(command + ["--model", "lens", "--p", "3", "--character", "1", "--max-weight", "6"]) == 0
     capsys.readouterr()
     assert not calls, dict(calls)
+    assert blocks == [None]
     asm = Assembly(lens_space(3, character=1), 6)
-    asm.contexts  # the block contexts, to show that the spy sees them
+    asm.contexts  # the block contexts, to show that the spies see them
     assert set(calls) == set(asm.weights)
+    assert len(blocks) == 1 + len(asm.weights) and all(blocks[1:])
 
 
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: f"{m.name}{m.p}")
@@ -254,16 +259,17 @@ def test_broadcast_and_mask_assembly_equal_dense_reference(model):
 
 
 def test_verify_all_computes_each_shared_quantity_once(capsys, monkeypatch):
-    """One `verify --suite all` runs each uncached computation once per (block, arguments).
+    """One `verify --suite all` computes each shared sector quantity once per run.
 
-    The spies sit on the computations behind the memo: the Reeb-sector solve
-    and the Rumin square root (keyed by their exact input, which differs
-    between blocks and degrees here), the body of `lie_reeb_rumin`, whose
-    invariance residual is checked when it is built, and the sector rank
-    oracle, which ranks each complex once per run for thm1 and the torsion
-    checks together.  The Rumin Laplacian is solved once per degree k <= n
-    over every weight (`Assembly.rumin_rows`), for sec4 and the torsion checks
-    together: two solves in all, on lens(3, 1) and on s3.
+    The spies sit on the computations behind the memo of the sector stacks:
+    the Reeb-sector solve (keyed by its exact input), the sector rank oracle,
+    which ranks each complex once for thm1 and the torsion checks together,
+    and the suite quantities that several suites read: the Laplacians, the
+    harmonic kernels, the Rumin Reeb derivative (whose invariance residual is
+    checked when it is built), the Rumin square root and the sec4 components.
+    The Rumin Laplacian is solved once per degree k <= n over every weight
+    (`Assembly.rumin_rows`), for sec4 and the torsion checks together: two
+    solves in all, on lens(3, 1) and on s3.
     """
     calls = {}
 
@@ -279,35 +285,25 @@ def test_verify_all_computes_each_shared_quantity_once(capsys, monkeypatch):
     def exact(*arrays):
         return tuple((a.shape, a.tobytes()) for a in arrays)
 
-    def patch_everywhere(name, wrapper):
-        for mod in (operators, spectral, sectors, torsion, cli):
-            if hasattr(mod, name):
-                monkeypatch.setattr(mod, name, wrapper)
-
-    patch_everywhere(
-        "_solve_reeb_sectors",
-        spy(
-            "joint eigenspaces",
-            spectral._solve_reeb_sectors,
-            lambda rows, tol: tuple(exact(sec.tau, *sec.blocks) for sec in rows) + (tol,),
-        ),
+    solve = spy(
+        "joint eigenspaces",
+        spectral._solve_reeb_sectors,
+        lambda rows, tol: tuple(exact(sec.tau, *sec.blocks) for sec in rows) + (tol,),
     )
-    patch_everywhere("sqrtm_psd", spy("Rumin square root", operators.sqrtm_psd, lambda m, tol=1e-10: exact(m)))
-    ranks = SectorStacks.cohomology_dims.__wrapped__
-    monkeypatch.setattr(
-        SectorStacks.cohomology_dims,
-        "__wrapped__",
-        spy("sector rank", ranks, lambda stacks, complex_name, multiplicity: complex_name),
-    )
-    body = getattr(BlockContext.lie_reeb_rumin, "__wrapped__", None)  # None: not memoized, nothing to spy on
-    if body is not None:
-        monkeypatch.setattr(
-            BlockContext.lie_reeb_rumin,
-            "__wrapped__",
-            spy("lie_reeb_rumin residual", body, lambda ctx, k: (ctx.block.label, k)),
-        )
+    for mod in (spectral, sectors):
+        monkeypatch.setattr(mod, "_solve_reeb_sectors", solve)
+    memos = {
+        "sector rank": (SectorStacks.cohomology_dims, lambda stacks, complex_name, multiplicity: complex_name),
+        "Laplacian": (suites._laplacian, lambda stacks, op, k: (op, k)),
+        "harmonic kernel": (suites._harmonic, lambda stacks, k, operator: (k, operator)),
+        "Rumin Reeb derivative": (suites._lie_reeb_rumin, lambda stacks, k: k),
+        "Rumin square root": (suites._sqrt_rumin_laplacian, lambda stacks, k: k),
+        "sec4 components": (suites._low_components, lambda asm, tol: tol),
+    }
+    for kind, (memo, key) in memos.items():
+        monkeypatch.setattr(memo, "__wrapped__", spy(kind, memo.__wrapped__, key))
     for model in (["--model", "lens", "--p", "3", "--character", "1"], ["--model", "s3"]):
-        for counts in calls.values():  # the two models share slot matrices: count each run on its own
+        for counts in calls.values():
             counts.clear()
         assert cli.main(["verify", "--suite", "all", *model, "--max-weight", "4"]) == 0
         capsys.readouterr()
@@ -315,8 +311,9 @@ def test_verify_all_computes_each_shared_quantity_once(capsys, monkeypatch):
             assert counts, kind
             repeated = {key: n for key, n in counts.items() if n > 1}
             assert not repeated, f"{kind}: {len(repeated)} of {len(counts)} computations repeated"
-        assert len(calls) == 4
+        assert len(calls) == 7
         assert set(calls["sector rank"]) == {"rumin", "de_rham"}
+        assert set(calls["harmonic kernel"]) == {(k, op) for k in range(4) for op in ("de_rham", "rumin")}
         assert sum(calls["joint eigenspaces"].values()) == 2
 
 
@@ -328,8 +325,8 @@ def test_verify_all_computes_each_shared_quantity_once(capsys, monkeypatch):
 def test_torsion_builds_no_dense_eigenbasis(capsys, monkeypatch, command):
     """The Reeb pieces need only Delta, tau and the dimension of each joint eigenspace, and
     they come from the Reeb-sector stacks: no dense box, square root, eigenbasis or sector cut
-    is built.  sec4 reads a dense basis of every block's components of the same sector solve,
-    once per block, and checks the dense square root, but cuts no dense Laplacian into sectors."""
+    is built.  sec4 reads the same sector solve, whose components are single sector vectors,
+    and takes its square root on the sectors too."""
     calls = Counter()
 
     def spy(owner, name):
@@ -347,13 +344,8 @@ def test_torsion_builds_no_dense_eigenbasis(capsys, monkeypatch, command):
     spy(spectral, "_reeb_sectors")
     assert cli.main(command + ["--model", "lens", "--p", "3", "--character", "1", "--max-weight", "4"]) == 0
     capsys.readouterr()
+    assert not calls, dict(calls)
     asm = Assembly(lens_space(3, character=1), 4)
-    if command[-1] == "sec4":
-        assert set(calls) == {"components", "sqrt_laplacian_rn"}
-        assert calls["components"] == len(asm.weights)
-    else:
-        assert not calls, dict(calls)
-    calls.clear()
     ctx = asm.contexts[-1]
     spectral.q_decomposition(asm, ctx.block.weight, 0)  # the dense callers, to show that the spies see them
     ctx.box_operators(0)
@@ -363,35 +355,31 @@ def test_torsion_builds_no_dense_eigenbasis(capsys, monkeypatch, command):
 
 
 def _assert_each_dt_built_once(monkeypatch, suite, t_samples, degrees):
-    """`suite` on lens(3, 1) at M=4 builds d_t once for each block, t and k in `degrees(ctx)`."""
+    """`suite` on lens(3, 1) at M=4 builds the sector stack of d_t once for each t and each
+    degree in `degrees`, over every weight at once."""
     counts = Counter()
-    original = BlockContext.dt_full
+    original = suites._dt
 
-    def spy(ctx, k, t):
-        counts[ctx.block.label, k, t] += 1
-        return original(ctx, k, t)
+    def spy(stacks, k, t):
+        counts[k, t] += 1
+        return original(stacks, k, t)
 
-    monkeypatch.setattr(BlockContext, "dt_full", spy)
+    monkeypatch.setattr(suites, "_dt", spy)
     asm = Assembly(lens_space(3, character=1), 4)
     assert suite(asm, t_samples).passed
-    expected = {(ctx.block.label, k, t) for ctx in asm.contexts for k in degrees(ctx) for t in t_samples}
-    assert set(counts) == expected
+    assert set(counts) == {(k, t) for k in degrees for t in t_samples}
     repeated = {key: n for key, n in counts.items() if n > 1}
     assert not repeated, f"{len(repeated)} of {len(counts)} d_t built more than once"
 
 
 def test_complex_property_builds_each_deformed_differential_once(monkeypatch):
-    """`verify_complex_property` builds each d_t once per (block, degree, t)."""
-    _assert_each_dt_built_once(
-        monkeypatch, spectral.verify_complex_property, (0.0, 0.37, 1.0, 2.0), lambda ctx: range(ctx.Dmax + 1)
-    )
+    """`verify_complex_property` builds each d_t once per (degree, t)."""
+    _assert_each_dt_built_once(monkeypatch, spectral.verify_complex_property, (0.0, 0.37, 1.0, 2.0), range(4))
 
 
 def test_deformation_family_builds_each_deformed_differential_once(monkeypatch):
-    """`verify_deformation_family` builds each d_t once per (block, degree, t); d_t(Dmax) is never a factor."""
-    _assert_each_dt_built_once(
-        monkeypatch, spectral.verify_deformation_family, (0.1, 1.0, 10.0), lambda ctx: range(ctx.Dmax)
-    )
+    """`verify_deformation_family` builds each d_t once per (degree, t); d_t(Dmax) is never a factor."""
+    _assert_each_dt_built_once(monkeypatch, spectral.verify_deformation_family, (0.1, 1.0, 10.0), range(3))
 
 
 LENS31 = ["--model", "lens", "--p", "3", "--character", "1"]
@@ -410,9 +398,9 @@ SPECTRUM_OPS = ("delta-rn", "delta-dr", "delta-t", "delta-b")
     ids=["verify", "thm5", "torsion", *SPECTRUM_OPS],
 )
 def test_cli_holds_one_block_memo_at_a_time(capsys, monkeypatch, command, model):
-    """Whenever a block memo gains an entry, no other context of the run holds one; at the end none does.
-    `spectrum`, `torsion` and `verify --suite thm5` build their operators on the Reeb sectors of every
-    weight at once, so no block memo gains an entry at all."""
+    """No block memo gains an entry: `spectrum`, `torsion` and every `verify` suite build their
+    operators on the Reeb sectors of every weight at once.  Were a block memo filled, no other
+    context of the run could hold one at the same time, and none may hold one at the end."""
     memos = []
     crowded = Counter()  # memoized function -> insertions made while another memo was nonempty
     inserted = Counter()  # memoized function -> insertions
@@ -434,10 +422,7 @@ def test_cli_holds_one_block_memo_at_a_time(capsys, monkeypatch, command, model)
     monkeypatch.setattr(BlockContext, "__init__", watched_init)
     assert cli.main(command + model + ["--max-weight", "6"]) == 0
     capsys.readouterr()
-    if command != ["verify", "--suite", "all"]:
-        assert not inserted, dict(inserted)
-    else:
-        assert len(memos) > 1
+    assert not inserted, dict(inserted)
     assert not crowded, dict(crowded)
     assert not any(memos)
 
@@ -461,15 +446,14 @@ SUITES = (
     ids=["s3-m5", "lens3-1-m5", "lens3-1-m0"],
 )
 def test_block_at_a_time_suite_equals_the_library_suites(model, max_weight):
-    """`run_suite` visits blocks one at a time; its checks are those of the whole-assembly library calls."""
+    """`run_suite` reports the checks of the whole-assembly library calls, and neither builds a block context."""
     asm = Assembly(model, max_weight)
     library = spectral.VerificationReport("library")
     for suite in SUITES:
         library.extend(suite(asm))
     library.extend(torsion.reeb_decomposition(asm).checks)
-    assert all(ctx._cache for ctx in asm.contexts)  # the library path keeps every memo
     streamed = cli.run_suite(Assembly(model, max_weight), "all", cli.RunConfig())
     assert streamed.check_rows() == library.check_rows()
     names = {row["name"] for row in streamed.check_rows()}
     assert {"rank_oracle_rumin_k=0", "weighted_multiset_identity", "kappa_two_routes_s=2"} <= names
-    assert bool(asm.contexts) == (max_weight > 0)
+    assert "contexts" not in vars(asm)

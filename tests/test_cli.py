@@ -3,12 +3,18 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ruminlab.cli import RunConfig, UsageError, build_parser, load_config, main
+
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -255,13 +261,27 @@ def test_config_rejects_unknown_keys(tmp_path):
 
 @pytest.mark.parametrize(
     "doc",
-    [{"max_weight": "3"}, {"t_samples": 0.5}, {"model": "lens", "p": 2.5}],
-    ids=["string-weight", "scalar-t-samples", "fractional-order"],
+    [
+        {"max_weight": "3"},
+        {"t_samples": 0.5},
+        {"model": "lens", "p": 2.5},
+        {"out": 2, "max_weight": 1},
+        {"out": True, "max_weight": 1},
+    ],
+    ids=["string-weight", "scalar-t-samples", "fractional-order", "integer-out", "boolean-out"],
 )
 def test_config_values_of_wrong_type_exit_2(tmp_path, capsys, doc):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps(doc))
-    code, out, err = run_cli(capsys, "spectrum", "--config", str(cfg_path))
+    argv = ("spectrum", "--config", str(cfg_path))
+    if "out" in doc:
+        # open() takes an int (or bool) as a file descriptor, which a run would then close: keep it
+        # away from this process
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC_DIR), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-m", "ruminlab.cli", *argv], capture_output=True, text=True, env=env)
+        code, out, err = proc.returncode, proc.stdout, proc.stderr
+    else:
+        code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == "" and err.startswith("error:")
 
