@@ -292,7 +292,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_torsion(cfg: RunConfig) -> int:
-    # the assembly, with its fiber tables and sector stacks, is freed before the report is serialized
+    # the assembly, with its sector stacks, is freed before the report is serialized
     report = torsion_mod.reeb_decomposition(Assembly(cfg.build_model(), cfg.max_weight), s_grid=cfg.s_grid)
     _emit(report.to_json() if cfg.format == "json" else report.pairs_csv(), cfg.out)
     if not report.passed:

@@ -20,6 +20,7 @@ keeps the weight slots with 2*mu = l (mod p).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -43,12 +44,26 @@ class FrameStructure:
 
     Field order is (T, X_1, Y_1, ..., X_n, Y_n); ``brackets[a, b, c]`` is the
     coefficient of field c in [field_a, field_b].  The dual coframe shares the
-    ordering of :mod:`ruminlab.exterior` (theta, e^1, f^1, ...).
+    ordering of :mod:`ruminlab.exterior` (theta, e^1, f^1, ...).  Both arrays
+    are read-only copies, so a frame's values never change after construction:
+    they key its fiber tables (`key`, `operators.frame_tables`).
     """
 
     n: int
     brackets: np.ndarray
     j_matrix: np.ndarray
+
+    def __post_init__(self):
+        for name in ("brackets", "j_matrix"):
+            value = np.array(getattr(self, name))
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    @property
+    def key(self) -> tuple:
+        """The frame's values (n, bracket constants, complex structure) as a hashable tuple:
+        equal frames have equal keys, and so share one set of fiber tables."""
+        return (self.n,) + tuple((a.dtype.str, a.shape, a.tobytes()) for a in (self.brackets, self.j_matrix))
 
     @property
     def dim(self) -> int:
@@ -129,7 +144,9 @@ class FrameStructure:
                 assert np.max(np.abs(jfull @ br - 1j * br)) <= tol, "[H10, H10] leaves H10"
 
 
+@functools.cache
 def su2_frame() -> FrameStructure:
+    """The frame of the unit-group 3-sphere, one read-only instance per process."""
     c = np.zeros((3, 3, 3))
     c[1, 2, 0], c[2, 1, 0] = -1.0, 1.0   # [X, Y] = -T
     c[0, 1, 2], c[1, 0, 2] = -2.0, 2.0   # [T, X] = -2Y

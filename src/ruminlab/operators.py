@@ -20,12 +20,13 @@ method decorated with `_frame_memo` or `_block_memo` stores its result under
 its qualified name and arguments (defaults filled in), and a miss computes it
 once.  Fiber tables (monomial lists, Gram norms, the named fiber matrices,
 the per-field wedge fibers and the fiber bases of the graded spaces) depend on
-the frame alone and live in one table dict; an `Assembly` owns that dict and
-hands it to every block context it builds, so each table is computed once per
-assembly.  `sectors.SectorStacks` reads the same tables, so the dense blocks
-and its Reeb-sector stacks share one basis and one column order; every `rumin`
-command reads those stacks and builds no block context, so the dense blocks
-serve the library (`spectral.harmonic_bases`) and the tests, whose dense
+the frame alone and live in one table dict per frame value and process
+(`frame_tables`), filled on first use; every block context and sector stack of
+an equal frame reads it, so each table is computed once per process, however
+many models and assemblies a run builds.  `sectors.SectorStacks` reads the
+same tables, so the dense blocks and its Reeb-sector stacks share one basis
+and one column order; every `rumin` command reads those stacks and builds no
+block context, so the dense blocks serve the library (`spectral.harmonic_bases`) and the tests, whose dense
 suite bodies are the reference for the sector route.  Block quantities live in
 the context's own memo: every quantity that more than one call site needs
 (full-space matrices, the Rumin and horizontal operators and Laplacians, the
@@ -35,7 +36,7 @@ is built.  A value read once per block (the Rumin star) is not kept at all,
 which would only raise peak memory.  Every memoized array is read-only: a
 caller that writes into one gets a ValueError instead of silently changing
 every later reader.  A block memo lives as long as its context, and the fiber
-tables as long as the assembly.  `SectorStacks` and `Assembly` keep their own
+tables as long as the process.  `SectorStacks` and `Assembly` keep their own
 memos with the same `_block_memo`.
 
 Graded subspaces (horizontal forms, bidegree components, the primitive and
@@ -139,8 +140,18 @@ def _bind(params, args: tuple, kwargs: dict) -> tuple:
     return tuple(out)
 
 
-_frame_memo = _memo_in("_tables")  # per-frame tables, shared by the contexts of one assembly
+_frame_memo = _memo_in("_tables")  # per-frame tables, shared by every context of an equal frame
 _block_memo = _memo_in("_cache")  # per-block quantities, private to one context
+
+_FRAME_TABLES: Dict[tuple, Dict] = {}  # the shared fiber tables of every frame value in use
+
+
+def frame_tables(frame: FrameStructure) -> Dict:
+    """The fiber tables of `frame` shared by the whole process: one dict per frame value
+    (`FrameStructure.key`), created empty on first request and filled lazily by `_frame_memo`.
+    The tables are small (at most (2n+1 choose k) rows and columns) and read-only, and every
+    model of the same frame reads the same ones, so they are never dropped."""
+    return _FRAME_TABLES.setdefault(frame.key, {"frame": frame.key})
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -279,9 +290,11 @@ def _range_basis_of_projector(p: np.ndarray, tol: float = 1e-10) -> np.ndarray:
 class BlockContext:
     """Caches every operator of the calculus on one (frame, block) pair.
 
-    `tables` is the dict of per-frame fiber tables; contexts that share one
-    (all contexts of an `Assembly`) compute each table once.  Without it the
-    context keeps private tables.  Block-dependent quantities are memoized in
+    The fiber tables depend on the frame alone: by default a context reads the
+    process-wide tables of its frame (`frame_tables`), so every context and
+    sector stack of an equal frame computes each table once per process.  An
+    explicit `tables` dict stays private to the contexts it is passed to and
+    never enters the shared tables.  Block-dependent quantities are memoized in
     the context itself.  A context whose `block` is None reads the fiber
     tables alone (`sectors.SectorStacks`).
     """
@@ -294,8 +307,8 @@ class BlockContext:
         self.block = block
         self.n = frame.n
         self.Dmax = frame.dim
-        self._tables: Dict = {} if tables is None else tables
-        if self._tables.setdefault("frame", frame) is not frame:
+        self._tables: Dict = frame_tables(frame) if tables is None else tables
+        if self._tables.setdefault("frame", frame.key) != frame.key:
             raise ValueError("fiber tables belong to another frame")
         self._cache: Dict = {}
 

@@ -53,6 +53,7 @@ from .operators import (
     InternalConsistencyError,
     StructuralError,
     _block_memo,
+    _memo_in,
     max_abs,
     rescale_coefficient,
 )
@@ -62,6 +63,17 @@ LEAK_TOL = 1e-12  # largest off-sector coefficient of a fiber (x) slot term
 FACTORS = ("z", "+", "-")  # the ladder factors, in the order of `field_ladder_coefficients`
 SHIFT = {"1": 0, "z": 0, "+": 1, "-": -1}  # slot shift b_out - b_in of each slot factor
 SPECTRUM_FLAVOR = {"delta-rn": "rumin", "delta-dr": "full", "delta-t": "full", "delta-b": "horizontal"}
+
+
+class _NoMemo(dict):
+    """A memo that keeps nothing: every lookup misses and every store is dropped."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+# the first-order stacks: kept in the stacks' memo once `keep_first_order` is called, else rebuilt
+_first_order_memo = _memo_in("_first_order")
 
 
 def _adjoint(stack: np.ndarray) -> np.ndarray:
@@ -130,12 +142,17 @@ class SectorStacks:
 
     Sectors are ordered by weight, then by ascending tau; `m`, `tau` and
     `owner` (the position of the sector's weight in `weights`) are (S,) arrays,
-    and the sectors of weights[w] are `starts[w]:starts[w + 1]`.  The spaces,
-    the embeddings and the stacks that more than one degree reads (d_b, the
-    Rumin differentials and the middle operator) are memoized per instance,
-    like the block memo of a `BlockContext`; the other stacks are rebuilt,
-    which keeps peak memory low.  The `verify` suites keep what they read more
-    than once in the same memo (`suites`).
+    and the sectors of weights[w] are `starts[w]:starts[w + 1]`.  The fiber
+    tables are those of the frame for the whole process (`BlockContext`), or
+    the private `tables` if given.  The spaces, the embeddings and the stacks
+    that more than one degree reads (d_b, the Rumin differentials and the
+    middle operator) are memoized per instance, like the block memo of a
+    `BlockContext`.  The first-order stacks (d, d0, dT, L_T and the split
+    halves of d_b) are rebuilt on every call, which keeps the peak memory of
+    `spectrum` and `torsion` low, until a caller that reads them many times
+    calls `keep_first_order`: from then on each is built once per degree and
+    half and kept in the same memo, as the `verify` suites do.  The quantities
+    that only the suites read are memoized there too (`suites`).
     """
 
     def __init__(self, frame: FrameStructure, weights: Sequence[int], tables: Optional[Dict] = None):
@@ -145,6 +162,7 @@ class SectorStacks:
         self.weights = np.asarray(weights, dtype=int)
         self.ladder = field_ladder_coefficients()
         self._cache: Dict = {}
+        self._first_order: Dict = _NoMemo()
         # every (m, tau) that a full-space basis vector of some degree reaches
         rho = _distinct(np.concatenate([self._reeb_weights(k, "full") for k in range(self.Dmax + 1)]))
         slots = np.concatenate([np.arange(m + 1) for m in self.weights]) if self.weights.size else np.zeros(0, int)
@@ -227,6 +245,11 @@ class SectorStacks:
 
     # -- first-order operators ------------------------------------------------------
 
+    def keep_first_order(self):
+        """Keep every first-order stack in the memo from now on, built once per degree and half."""
+        self._first_order = self._cache
+
+    @_first_order_memo
     def d(self, k: int) -> np.ndarray:
         """d on full k-forms: the coframe part dmon (x) I plus sum_a wedge_a (x) (field a)."""
         fields = self.frame.field_names
@@ -236,6 +259,7 @@ class SectorStacks:
             terms.append((fib, factor))
         return self._stack(terms, self.space(k + 1), self.space(k))
 
+    @_first_order_memo
     def lie_reeb(self, k: int) -> np.ndarray:
         """L_T on full k-forms: I (x) (action of T) plus the coframe rotation."""
         eye = np.eye(self.space(k).dim)
@@ -244,11 +268,13 @@ class SectorStacks:
         terms.append((self.fibers._fiber("rot", k), "1"))
         return self._stack(terms, self.space(k), self.space(k))
 
+    @_first_order_memo
     def d0(self, k: int) -> np.ndarray:
         if k == 0:
             return np.zeros((self.space(1).dim, self.space(0).dim, self.m.size), dtype=complex)
         return self._fiber_op(self.fibers._fiber("lef", k - 1) @ self.fibers._fiber("iota", k), k + 1, k)
 
+    @_first_order_memo
     def dT(self, k: int) -> np.ndarray:
         theta = self._fiber_op(self.fibers._fiber("theta", k), k + 1, k)
         horiz = self._fiber_op(self.fibers._fiber("horiz", k), k, k)
@@ -261,6 +287,7 @@ class SectorStacks:
     def dt(self, k: int, t: float) -> np.ndarray:
         return self.d0(k) + t * self.db(k) + t * t * self.dT(k)
 
+    @_first_order_memo
     def split_db(self, k: int, anti: bool = False) -> np.ndarray:
         """The (1,0) or (0,1) part of d_b on horizontal k-forms, as `BlockContext.del_full`."""
         proj = lambda deg, i, j: self.fibers._bidegree_fiber_projector(deg, i, j) > 0

@@ -75,8 +75,9 @@ class Assembly:
 
     The block contexts, with their dense slot actions, are built on first
     access to `contexts`, which `verify`, `torsion` and `spectrum` never make.
-    The assembly owns the per-frame fiber tables and shares them with every
-    context and its sector stacks.
+    The contexts and the sector stacks read the fiber tables of the model's
+    frame, which live for the whole process (`operators.frame_tables`); the
+    assembly keeps only what depends on its weights.
     """
 
     def __init__(self, model: ModelManifold, max_weight: int):
@@ -84,7 +85,6 @@ class Assembly:
             raise ParameterError("max_weight must be >= 0")
         self.model = model
         self.max_weight = max_weight
-        self._tables: Dict = {}
         self._cache: Dict = {}  # the memo of `rumin_rows`
         counts = [model.multiplicity(m) for m in range(max_weight + 1)]
         self.weights: List[int] = [m for m, r in enumerate(counts) if r]
@@ -93,7 +93,7 @@ class Assembly:
     @functools.cached_property
     def contexts(self) -> List[BlockContext]:
         """The block context of every weight in `weights`, built on first access."""
-        return [BlockContext(self.model.frame, self.model.block(m), self._tables) for m in self.weights]
+        return [BlockContext(self.model.frame, self.model.block(m)) for m in self.weights]
 
     @property
     def n(self) -> int:
@@ -109,10 +109,10 @@ class Assembly:
 
     @functools.cached_property
     def sector_stacks(self):
-        """The `sectors.SectorStacks` of every weight of the assembly, on its fiber tables."""
+        """The `sectors.SectorStacks` of every weight of the assembly."""
         from .sectors import SectorStacks  # imported on first use, so `import ruminlab.cli` stays cheap
 
-        return SectorStacks(self.model.frame, self.weights, self._tables)
+        return SectorStacks(self.model.frame, self.weights)
 
     @_block_memo
     def rumin_rows(self, k: int, tol: float = 1e-9) -> Tuple[Tuple[JointEigenspaces, Optional[tuple]], ...]:
@@ -589,9 +589,11 @@ def harmonic_bases(asm: Assembly, operator: str = "de_rham") -> Dict[Tuple[str, 
 
 
 def _run_suite(asm: Assembly, name: str, params: dict, body: str, *args) -> VerificationReport:
-    """Report `name` of the sector body `suites.<body>(asm, report, *args)`."""
+    """Report `name` of the sector body `suites.<body>(asm, report, *args)`.  The suites read
+    every first-order stack many times, so the assembly's stacks keep them from here on."""
     from . import suites  # imported on first use, like the sector stacks it reads
 
+    asm.sector_stacks.keep_first_order()
     report = VerificationReport(name, {"model": asm.model.describe(), "max_weight": asm.max_weight, **params})
     getattr(suites, body)(asm, report, *args)
     return report

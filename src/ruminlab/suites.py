@@ -28,7 +28,11 @@ per-vector sec4 families are computed for all corners at once.
 Quantities that several suites read (Laplacians, harmonic kernels, the
 horizontal split differentials and Lefschetz maps, the Rumin Reeb derivative)
 are memoized in the stacks' memo with `_block_memo`, so `verify --suite all`
-builds each once per run.
+builds each once per run.  The first-order stacks they are built from (d, d0,
+dT, L_T and the split halves of d_b) are kept in the same memo by
+`SectorStacks` itself, once `spectral._run_suite` has called
+`keep_first_order`; every suite and every composite of the stacks (d_b, the
+Rumin differentials, the Laplacians, the rank oracle) then reads one copy.
 """
 
 from __future__ import annotations
@@ -188,19 +192,6 @@ def _fiber(stacks: SectorStacks, name: str, k: int, k_out: int) -> np.ndarray:
 
 
 @_block_memo
-def _first_order(stacks: SectorStacks, name: str, k: int) -> np.ndarray:
-    """The degree-k stack of `SectorStacks.<name>`, one of d, d0, db, dT and lie_reeb, kept for
-    every suite.  The suites read each of them many times; `spectrum` and `torsion` rebuild them, which
-    keeps their peak memory low."""
-    return getattr(stacks, name)(k)
-
-
-def _dt(stacks: SectorStacks, k: int, t: float) -> np.ndarray:
-    """`SectorStacks.dt` from the kept stacks."""
-    return _first_order(stacks, "d0", k) + t * stacks.db(k) + t * t * _first_order(stacks, "dT", k)
-
-
-@_block_memo
 def _laplacian(stacks: SectorStacks, op: str, k: int) -> np.ndarray:
     """`SectorStacks.laplacian` of "delta-rn", "delta-dr" or "delta-b", kept for every suite."""
     return stacks.laplacian(op, k)
@@ -235,12 +226,12 @@ def _horizontal_lefschetz(stacks: SectorStacks, k: int) -> np.ndarray:
 
 def _horizontal_reeb(stacks: SectorStacks, k: int) -> np.ndarray:
     """L_T compressed to the horizontal k-forms."""
-    return stacks._compress(_first_order(stacks, "lie_reeb", k), (k, "horizontal"), (k, "horizontal"))
+    return stacks._compress(stacks.lie_reeb(k), (k, "horizontal"), (k, "horizontal"))
 
 
 @_block_memo
 def _lie_reeb_rumin(stacks: SectorStacks, k: int) -> np.ndarray:
-    lt, what = _first_order(stacks, "lie_reeb", k), "Reeb derivative does not preserve the Rumin space"
+    lt, what = stacks.lie_reeb(k), "Reeb derivative does not preserve the Rumin space"
     return stacks._compress_invariant(lt, (k, "rumin"), (k, "rumin"), what)
 
 
@@ -301,14 +292,14 @@ def check_complex_property(
     """The checks of `spectral.verify_complex_property`, added to `report`."""
     stacks = asm.sector_stacks
     wmax = stacks._weight_max
-    d = [_first_order(stacks, "d", j) for j in range(stacks.Dmax + 1)]
+    d = [stacks.d(j) for j in range(stacks.Dmax + 1)]
     for k in range(stacks.Dmax):
         _add(report, f"d.d[{{lbl}}]k={k}", stacks, wmax(_product(d[k + 1], d[k])), tol)
         if k + 1 < stacks.Dmax:
             _add(report, f"dN.dN[{{lbl}}]k={k}", stacks, wmax(_product(stacks.rumin_d(k + 1), stacks.rumin_d(k))), tol)
     for t in t_samples:
         # each d_t is a left and a right factor: build it once, drop it before the next t
-        dt = [_dt(stacks, j, t) for j in range(stacks.Dmax + 1)]
+        dt = [stacks.dt(j, t) for j in range(stacks.Dmax + 1)]
         for k in range(stacks.Dmax):
             _add(report, f"dt.dt[{{lbl}}]k={k},t={t}", stacks, wmax(_product(dt[k + 1], dt[k])), tol)
         del dt
@@ -383,7 +374,7 @@ def check_kernel_coincidence(
             ("step_db_adjoint", wmax(_product(_adjoint(stacks.db(k - 1)), phi)) if k >= 1 else np.zeros(r.size)),
             ("step_trace_db", wmax(_product(_fiber(stacks, "lam", k + 1, k - 1), stacks.db(k), phi))),
             ("step_horizontal_laplacian", wmax(_product(_laplacian(stacks, "delta-b", k), _adjoint(horizontal), phi))),
-            ("step_reeb_derivative", wmax(_product(_first_order(stacks, "lie_reeb", k), phi))),
+            ("step_reeb_derivative", wmax(_product(stacks.lie_reeb(k), phi))),
         )
         for name, values in steps:
             _add(report, f"{name}[{{lbl}}]k={k}", stacks, values, tol, dim_dr > 0)
@@ -423,7 +414,7 @@ def check_deformation_family(asm: Assembly, report: VerificationReport, t_sample
     top = stacks.Dmax
     r = np.array(asm.multiplicity, dtype=int)
     # d_t(j) is a factor of degrees j and j+1, so build it once; None pads out of range
-    dts = [[None, *(_dt(stacks, j, t) for j in range(top)), None] for t in t_samples]
+    dts = [[None, *(stacks.dt(j, t) for j in range(top)), None] for t in t_samples]
     for k in range(top + 1):
         ker = _harmonic(stacks, k, "de_rham")
         dim = _dims(stacks, ker)
@@ -432,9 +423,9 @@ def check_deformation_family(asm: Assembly, report: VerificationReport, t_sample
             phi = ker.vectors
             rows = []
             for nm in ("d0", "db", "dT") if k < top else ():
-                rows.append((f"piecewise_{nm}[{{lbl}}]k={k}", _product(_first_order(stacks, nm, k), phi)))
+                rows.append((f"piecewise_{nm}[{{lbl}}]k={k}", _product(getattr(stacks, nm)(k), phi)))
             for nm in ("d0", "db", "dT") if k > 0 else ():
-                down = _first_order(stacks, nm, k - 1)
+                down = getattr(stacks, nm)(k - 1)
                 rows.append((f"piecewise_{nm}_adjoint[{{lbl}}]k={k}", _product(_adjoint(down), phi)))
             for t, lap in zip(t_samples, laps):
                 rows.append((f"deformed_kills_harmonic[{{lbl}}]k={k},t={t}", _product(lap, phi)))

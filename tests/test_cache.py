@@ -1,12 +1,14 @@
 """Shared fiber tables and per-block caches against freshly built operators.
 
-An `Assembly` hands one dict of per-frame fiber tables to all of its block
-contexts, and each context memoizes its block quantities.  These tests check
-that the sharing and the memo change no matrix and no report, that memoized
-arrays cannot be written, that a full run computes each shared quantity once,
-and that the kron-free assembly equals its np.kron / projector reference.
+Every block context and sector stack of an equal frame reads one dict of fiber
+tables per process, and each context memoizes its block quantities.  These
+tests check that the sharing and the memo change no matrix and no report, that
+memoized arrays cannot be written, that a full run computes each shared
+quantity once, and that the kron-free assembly equals its np.kron / projector
+reference.
 """
 
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -38,36 +40,70 @@ def test_lift_equals_kron_with_identity(s3, d):
             assert np.array_equal(lifted, expected), (name, k)
 
 
-def test_contexts_of_one_assembly_share_fiber_tables():
+def test_assemblies_of_equal_frames_share_fiber_tables():
+    """The fiber tables depend on the frame alone, so they live once per frame value and process."""
     asm = Assembly(lens_space(3, character=1), 4)
     first, last = asm.contexts[0], asm.contexts[-1]
     assert first.block.weight != last.block.weight
     assert first._fiber("theta", 1) is last._fiber("theta", 1)
     assert first._wedge_fiber(1, 1) is last._wedge_fiber(1, 1)
     assert first.mons(2) is last.mons(2)
-    # tables live as long as their assembly: a second assembly builds its own
-    other = Assembly(lens_space(3, character=1), 4).contexts[0]
-    assert other._fiber("theta", 1) is not first._fiber("theta", 1)
+    # a second assembly, of another model with an equal frame, reads the same table objects
+    other = Assembly(su2_model(), 2)
+    assert other.contexts[0]._tables is first._tables is operators.frame_tables(su2_model().frame)
+    assert other.contexts[0]._fiber("theta", 1) is first._fiber("theta", 1)
+    assert other.sector_stacks.fibers._tables is first._tables
+    # equal values in new arrays make an equal frame
+    copy = dataclasses.replace(su2_model().frame, brackets=su2_model().frame.brackets.copy())
+    assert copy is not su2_model().frame
+    assert BlockContext(copy, None)._tables is first._tables
 
 
-def test_private_tables_without_an_assembly(s3):
-    a, b = BlockContext(s3.frame, s3.block(1)), BlockContext(s3.frame, s3.block(2))
+def test_explicit_tables_stay_private(s3):
+    tables = {}
+    a, b = BlockContext(s3.frame, s3.block(1), tables), BlockContext(s3.frame, s3.block(2))
+    assert a._tables is tables and b._tables is operators.frame_tables(s3.frame)
     assert a._fiber("theta", 1) is not b._fiber("theta", 1)
     assert np.array_equal(a._fiber("theta", 1), b._fiber("theta", 1))
+    # what a private dict computes never reaches the shared tables
+    a._wedge_fiber(2, 2)
+    assert all(value is not a._wedge_fiber(2, 2) for value in b._tables.values())
 
 
 def test_tables_of_another_frame_rejected(s3):
+    """A frame with other bracket constants gets its own tables, and explicit tables of one frame
+    cannot be handed to another."""
+    bent = s3.frame.brackets.copy()
+    bent[0, 1, 2], bent[1, 0, 2] = -1.0, 1.0
+    other = dataclasses.replace(s3.frame, brackets=bent)
+    assert operators.frame_tables(other) is not operators.frame_tables(s3.frame)
+    assert BlockContext(other, None)._tables is operators.frame_tables(other)
     tables = {}
     BlockContext(s3.frame, s3.block(1), tables)
+    with pytest.raises(ValueError, match="another frame"):
+        BlockContext(other, s3.block(1), tables)
+    with pytest.raises(ValueError, match="another frame"):
+        BlockContext(other, None, operators.frame_tables(s3.frame))
+
+
+def test_shared_frame_and_tables_are_read_only(s3):
+    """One frame and one set of tables serve every model of the process, so neither can be written."""
+    frame = model_module.su2_frame()
+    assert frame is s3.frame is lens_space(5, character=2).frame
+    for array in (frame.brackets, frame.j_matrix):
+        with pytest.raises(ValueError):
+            array[0, 0] = 1.0
+    theta = BlockContext(frame, None)._fiber("theta", 1)
     with pytest.raises(ValueError):
-        BlockContext(su2_model().frame, s3.block(1), tables)
+        theta[0, 0] = 1.0
+    assert frame.brackets[1, 2, 0] == -1.0 and theta[0, 0] == 0.0
 
 
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: f"{m.name}{m.p}")
 def test_shared_tables_change_no_matrix(model):
     asm = Assembly(model, 4)
     for shared in asm.contexts:
-        private = BlockContext(model.frame, shared.block)
+        private = BlockContext(model.frame, shared.block, {})
         assert private._tables is not shared._tables
         for k in asm.degrees:
             for method in ("d0_full", "dT_full", "db_full"):
@@ -82,14 +118,42 @@ def _run(capsys, argv):
     return code, capsys.readouterr().out
 
 
+def _private_tables(monkeypatch):
+    """Make every context read fresh fiber tables of its own, as before the tables were shared."""
+    monkeypatch.setattr(operators, "frame_tables", lambda frame: {})
+
+
 @pytest.mark.parametrize("command", [["verify", "--suite", "all"], ["torsion", "--format", "json"]])
 def test_reports_byte_equal_with_private_tables(capsys, monkeypatch, command):
     argv = command + ["--model", "lens", "--p", "3", "--character", "1", "--max-weight", "4"]
     shared = _run(capsys, argv)
-    monkeypatch.setattr(spectral, "BlockContext", lambda frame, block, tables=None: BlockContext(frame, block))
+    _private_tables(monkeypatch)
+    assert SectorStacks(su2_model().frame, [0]).fibers._tables is not operators.frame_tables(su2_model().frame)
     private = _run(capsys, argv)
     assert shared[0] == 0 and shared[1].startswith("{")
     assert shared == private
+
+
+MODEL_ARGS = [["--model", "s3"]] + [
+    ["--model", "lens", "--p", str(p), "--character", str(l)] for p in range(2, 6) for l in range(p)
+]
+
+
+def test_reports_byte_equal_in_any_order_across_models(capsys, monkeypatch):
+    """Shared tables carry nothing from one op to the next: `verify --suite all` and `torsion` on
+    s3 and every lens(p, l), p = 2..5, at M=4, run in one process forwards and backwards, print
+    what they print on private tables."""
+    argvs = [
+        command + model + ["--max-weight", "4"]
+        for model in MODEL_ARGS
+        for command in (["verify", "--suite", "all"], ["torsion", "--format", "json"])
+    ]
+    forward = {tuple(argv): _run(capsys, argv) for argv in argvs}
+    backward = {tuple(argv): _run(capsys, argv) for argv in reversed(argvs)}
+    _private_tables(monkeypatch)
+    private = {tuple(argv): _run(capsys, argv) for argv in argvs}
+    assert all(code == 0 for code, _ in private.values())
+    assert forward == private and backward == private
 
 
 MEMOIZED = {
@@ -269,7 +333,9 @@ def test_verify_all_computes_each_shared_quantity_once(capsys, monkeypatch):
     checked when it is built), the Rumin square root and the sec4 components.
     The Rumin Laplacian is solved once per degree k <= n over every weight
     (`Assembly.rumin_rows`), for sec4 and the torsion checks together: two
-    solves in all, on lens(3, 1) and on s3.
+    solves in all, on lens(3, 1) and on s3.  The first-order stacks (d, d0,
+    dT, L_T and the split halves of d_b) are built once per degree and half,
+    and every composite of the stacks reads those.
     """
     calls = {}
 
@@ -300,6 +366,8 @@ def test_verify_all_computes_each_shared_quantity_once(capsys, monkeypatch):
         "Rumin square root": (suites._sqrt_rumin_laplacian, lambda stacks, k: k),
         "sec4 components": (suites._low_components, lambda asm, tol: tol),
     }
+    for name in FIRST_ORDER:
+        memos[name] = (getattr(SectorStacks, name), lambda stacks, *args: args)
     for kind, (memo, key) in memos.items():
         monkeypatch.setattr(memo, "__wrapped__", spy(kind, memo.__wrapped__, key))
     for model in (["--model", "lens", "--p", "3", "--character", "1"], ["--model", "s3"]):
@@ -311,7 +379,9 @@ def test_verify_all_computes_each_shared_quantity_once(capsys, monkeypatch):
             assert counts, kind
             repeated = {key: n for key, n in counts.items() if n > 1}
             assert not repeated, f"{kind}: {len(repeated)} of {len(counts)} computations repeated"
-        assert len(calls) == 7
+        assert len(calls) == 7 + len(FIRST_ORDER)
+        assert set(calls["split_db"]) == {(k, anti) for k in range(2) for anti in (False, True)}
+        assert set(calls["d"]) == {(k,) for k in range(4)}
         assert set(calls["sector rank"]) == {"rumin", "de_rham"}
         assert set(calls["harmonic kernel"]) == {(k, op) for k in range(4) for op in ("de_rham", "rumin")}
         assert sum(calls["joint eigenspaces"].values()) == 2
@@ -358,13 +428,13 @@ def _assert_each_dt_built_once(monkeypatch, suite, t_samples, degrees):
     """`suite` on lens(3, 1) at M=4 builds the sector stack of d_t once for each t and each
     degree in `degrees`, over every weight at once."""
     counts = Counter()
-    original = suites._dt
+    original = SectorStacks.dt
 
     def spy(stacks, k, t):
         counts[k, t] += 1
         return original(stacks, k, t)
 
-    monkeypatch.setattr(suites, "_dt", spy)
+    monkeypatch.setattr(SectorStacks, "dt", spy)
     asm = Assembly(lens_space(3, character=1), 4)
     assert suite(asm, t_samples).passed
     assert set(counts) == {(k, t) for k in degrees for t in t_samples}
@@ -384,6 +454,31 @@ def test_deformation_family_builds_each_deformed_differential_once(monkeypatch):
 
 LENS31 = ["--model", "lens", "--p", "3", "--character", "1"]
 SPECTRUM_OPS = ("delta-rn", "delta-dr", "delta-t", "delta-b")
+FIRST_ORDER = ("d", "d0", "dT", "lie_reeb", "split_db")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["torsion"], ["verify", "--suite", "thm5"], *(["spectrum", "--op", op] for op in SPECTRUM_OPS)],
+    ids=["torsion", "thm5", *SPECTRUM_OPS],
+)
+def test_spectrum_and_torsion_keep_no_first_order_stack(capsys, monkeypatch, command):
+    """`spectrum` and `torsion` read each first-order stack a few times and keep none, which holds
+    their peak memory at high M; only the `verify` suites keep them."""
+    built = []
+    init = SectorStacks.__init__
+
+    def watched_init(stacks, *args, **kwargs):
+        built.append(stacks)
+        init(stacks, *args, **kwargs)
+
+    monkeypatch.setattr(SectorStacks, "__init__", watched_init)
+    assert cli.main(command + ["--model", "s3", "--max-weight", "4"]) == 0
+    capsys.readouterr()
+    [stacks] = built
+    assert stacks._cache
+    kept = {name for name, _ in stacks._cache} & {f"SectorStacks.{name}" for name in FIRST_ORDER}
+    assert not kept, kept
 
 
 @pytest.mark.parametrize("model", [["--model", "s3"], LENS31], ids=["s3", "lens3-1"])

@@ -13,6 +13,7 @@ from dense_reference import (
     operator_pair,
     spectrum_degrees,
 )
+from ruminlab import operators
 from ruminlab.model import lens_space, su2_block, su2_model
 from ruminlab.operators import BlockContext, InternalConsistencyError, max_abs
 from ruminlab.sectors import SPECTRUM_FLAVOR, SectorStacks
@@ -130,6 +131,25 @@ def test_an_off_sector_wedge_fiber_entry_raises():
         spoiled.spectrum_sectors("delta-dr", 1)
     # the same entry of the T wedge fiber shifts no slot and keeps its sector
     SectorStacks(frame, range(4), _spoiled_tables(frame, 0, 1, row, col)).spectrum_sectors("delta-dr", 1)
+
+
+def test_spoiled_tables_leave_the_shared_tables_clean():
+    """The spoiled tables are private dicts: after them, fresh stacks read the shared tables of the
+    frame, which hold what a context with private tables computes."""
+    test_an_off_sector_wedge_fiber_entry_raises()
+    frame = su2_model().frame
+    stacks = SectorStacks(frame, range(4))
+    stacks.spectrum_sectors("delta-dr", 1)
+    shared = stacks.fibers._tables
+    assert shared is operators.frame_tables(frame)
+    private = BlockContext(frame, None, {})
+    arrays = 0
+    for key, value in list(shared.items()):
+        if isinstance(value, np.ndarray):
+            qualname, args = key
+            assert np.array_equal(value, getattr(private, qualname.split(".")[-1])(*args)), key
+            arrays += 1
+    assert arrays and ("BlockContext._wedge_fiber", (1, 1)) in shared
 
 
 def test_empty_weight_list_gives_no_rows():
