@@ -17,7 +17,8 @@ is diagonalized once over all weights, with one stacked eigensolve per sector
 size, and nu is an exact integer.  `q_decomposition(asm, m, 0)` adds the
 half-Laplacian pair and a dense basis of each component of block m; the
 degree-1 rows need only the eigenvalue, the Reeb value and the dimension of
-each joint eigenspace, so no eigenvector basis is built for them.
+each joint eigenspace, which the solved rows hold as columns over every block
+(`owner`, `delta`, `tau`, `count`), so no eigenvector basis is built for them.
 """
 
 import numpy as np
@@ -45,10 +46,11 @@ for ctx in asm.contexts:
 print()
 print("degree 1 (middle degree), with Reeb eigenvalues")
 print(f"{'block':>6} {'eigenvalue':>11} {'nu':>7} {'mult':>5}")
-for ctx, (joint, _) in zip(asm.contexts, asm.rumin_rows(1)):
-    for delta, tau, count in zip(joint.delta, joint.tau, joint.counts):
-        nu = 0.0 - tau  # never -0.0
-        print(f"{ctx.block.label:>6} {max(delta, 0.0):11.6f} {nu:7.2f} {ctx.block.multiplicity * count:5d}")
+joint = asm.rumin_rows(1)
+for w, delta, tau, count in zip(*(column.tolist() for column in (joint.owner, joint.delta, joint.tau, joint.count))):
+    ctx = asm.contexts[w]
+    nu = 0.0 - tau  # never -0.0
+    print(f"{ctx.block.label:>6} {max(delta, 0.0):11.6f} {nu:7.2f} {ctx.block.multiplicity * count:5d}")
 
 print()
 print("mirror symmetry: the star operator pairs degrees k and 3-k")

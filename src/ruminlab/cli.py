@@ -16,13 +16,11 @@ from dataclasses import dataclass, field, fields
 from typing import List, Optional
 
 from . import torsion as torsion_mod
-from .model import ModelManifold, ParameterError, block_label, lens_space, su2_model
+from .model import ModelManifold, ParameterError, lens_space, su2_model
 from .spectral import (
     Assembly,
-    SpectrumEntry,
     SpectrumTable,
     VerificationReport,
-    sector_half_laplacian_pairs,
     spectral_cutoff,
     verify_complex_property,
     verify_deformation_family,
@@ -35,8 +33,6 @@ from .spectral import (
     verify_star_symmetry,
 )
 from . import util
-
-import numpy as np
 
 
 class UsageError(ValueError):
@@ -121,6 +117,8 @@ def load_config(args: argparse.Namespace) -> RunConfig:
                 doc = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read config file: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise UsageError("config file must hold a JSON object")
         valid = {f.name for f in fields(RunConfig)}
         for key, value in doc.items():
             key = key.replace("-", "_")
@@ -141,8 +139,11 @@ def load_config(args: argparse.Namespace) -> RunConfig:
 
 def _emit(text: str, out: Optional[str]):
     if out:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -152,65 +153,15 @@ def _emit(text: str, out: Optional[str]):
 # -- spectrum ---------------------------------------------------------------------
 
 
-def _bidegree_tags(labels: List[np.ndarray], joints, n_labels: int, tol: float = 1e-9) -> List[int]:
-    """Label index of every component of every row (in row order), or -1 where the eigenspace
-    is not bidegree-homogeneous: one weighted count over all eigenvector entries.  `labels`
-    holds each row's label index per basis position."""
-    keys, weights, first = [], [], 0
-    for row_labels, joint in zip(labels, joints):
-        index = joint.basis_index()
-        entry = index >= 0
-        component = np.repeat(np.arange(first, first + len(joint.delta)), joint.counts)
-        keys.append((component * n_labels + row_labels[index])[entry])
-        weights.append((np.abs(joint.columns(joint.vectors)) ** 2)[entry])
-        first += len(joint.delta)
-    if not first:
-        return []
-    mass = np.bincount(np.concatenate(keys), np.concatenate(weights), first * n_labels).reshape(first, n_labels)
-    best = np.argmax(mass, axis=1)
-    homogeneous = mass[np.arange(first), best] >= (1.0 - tol) * np.sum(mass, axis=1)
-    return np.where(homogeneous, best, -1).tolist()
-
-
-def _spectrum_entries(model: ModelManifold, max_weight: int, op: str, degrees: List[int], t: float) -> List[SpectrumEntry]:
-    """The entries of a spectrum table over every nonempty block up to `max_weight`.
-
-    `SectorStacks` builds each degree's operator on the Reeb sectors of every
-    weight at once and cuts it into one `ReebSectors` per block, a row; a basis
-    position i*(m+1) + b carries the bidegree label of its fiber vector i.  The
-    stacks are freed once every degree is cut, and each degree's rows are
-    solved together by `sectors.solve_rows` (one stacked `eigh` per sector
-    size) and dropped once their entries exist.  `sorted_entries` orders by
-    degree and block first, so the rows may come in any order.
-    """
-    multiplicity = {m: model.multiplicity(m) for m in range(max_weight + 1)}
-    weights = [m for m, r in multiplicity.items() if r]
+def _spectrum_columns(model: ModelManifold, max_weight: int, op: str, degrees: List[int], t: float) -> dict:
+    """The columns of a spectrum table over every nonempty block up to `max_weight`, from the
+    Reeb-sector rows of every weight at once (`rows.spectrum_columns`)."""
+    counts = [model.multiplicity(m) for m in range(max_weight + 1)]
+    weights = [m for m, r in enumerate(counts) if r]
     # imported on first use, so that `import ruminlab.cli` costs `verify` and `torsion` no more than before
-    from .sectors import SectorStacks, solve_rows
+    from .rows import spectrum_columns
 
-    stacks = SectorStacks(model.frame, weights)
-    names: dict = {}
-    tables = []  # per degree: the degree, its rows, and the label index of every fiber vector
-    for k in degrees:
-        rows, labels = stacks.spectrum_sectors(op, k, t)
-        tables.append((k, rows, np.array([names.setdefault(label, len(names)) for label in labels], dtype=int)))
-    del stacks
-    label = {index: name for name, index in names.items()}
-    entries = []
-    while tables:
-        k, rows, ids = tables.pop()
-        joints = solve_rows(rows)
-        tags = iter(_bidegree_tags([np.repeat(ids, m + 1) for m in weights], joints, len(names)))
-        for m, (_, halves), joint in zip(weights, rows, joints):
-            pairs = sector_half_laplacian_pairs(joint, halves) if halves else [(None, None)] * len(joint.delta)
-            block, r = block_label(m), multiplicity[m]
-            entries.extend(
-                # L_T acts by i*nu; 0.0 - tau is never -0.0
-                SpectrumEntry(k, block, max(delta, 0.0), r * count, 0.0 - tau, l10, l01, label.get(tag))
-                for delta, tau, count, (l10, l01), tag in zip(joint.delta, joint.tau, joint.counts, pairs, tags)
-            )
-        del rows, joints
-    return entries
+    return spectrum_columns(model.frame, weights, [counts[m] for m in weights], op, degrees, t)
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
@@ -229,7 +180,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         max_weight=cfg.max_weight,
         cutoff=spectral_cutoff(model, cfg.max_weight),
     )
-    table.entries = _spectrum_entries(model, cfg.max_weight, cfg.op, degrees, cfg.t_samples[0])
+    table.columns = _spectrum_columns(model, cfg.max_weight, cfg.op, degrees, cfg.t_samples[0])
     _emit(table.to_json() if cfg.format == "json" else table.to_csv(), cfg.out)
     return 0
 

@@ -23,16 +23,16 @@ subspaces (fiber basis (x) I, the bases of `BlockContext.space`, in the same
 column order) are batched matrix products, one `einsum` each.
 No matrix of a whole weight block is formed.
 
-`spectrum_sectors` cuts a `spectrum` Laplacian into one `ReebSectors` per
-weight, in the layout of `spectral._reeb_sectors`, and `solve_rows` solves one
-degree's rows of every weight together; `rumin spectrum` reads Delta and nu
-from there, and `Assembly.rumin_rows` keeps the solved `delta-rn` rows for
-`torsion` and the sec4 suite.  The cut keeps the checks of the dense route at
-the same tolerances: hermiticity, Reeb invariance of the Rumin space, the
-middle operator's target space, the half-Laplacian commutator, and exhaustion
-of every space by its sectors.  `cohomology_dims` is the rank oracle of
-`verify --suite thm1` and `torsion`: dim H^k of the Rumin and de Rham
-complexes from the singular values of the sector blocks of their
+`spectrum_sectors` gives one degree of a `spectrum` Laplacian as a
+`rows.SectorRows`: per sector size, the (sectors, s, s) blocks of every weight
+at once, with each sector's weight, tau and basis positions, which
+`rows.solve_rows` solves over every weight together (module `rows` holds the
+per-degree solve and its columns).  The sector blocks keep the checks of the
+dense route at the same tolerances: hermiticity, Reeb invariance of the Rumin
+space, the middle operator's target space, the half-Laplacian commutator, and
+exhaustion of every space by its sectors.  `cohomology_dims` is the rank
+oracle of `verify --suite thm1` and `torsion`: dim H^k of the Rumin and de
+Rham complexes from the singular values of the sector blocks of their
 differentials.  Every `verify` suite reads these stacks too (`suites`): the
 identities it checks hold on a weight block exactly when they hold on each of
 its sectors.  Tier-1 compares every stack, and every suite report, with the
@@ -57,7 +57,7 @@ from .operators import (
     max_abs,
     rescale_coefficient,
 )
-from .spectral import JointEigenspaces, ReebSectors, _solve_reeb_sectors
+from .rows import SectorGroup, SectorRows, _distinct
 
 LEAK_TOL = 1e-12  # largest off-sector coefficient of a fiber (x) slot term
 FACTORS = ("z", "+", "-")  # the ladder factors, in the order of `field_ladder_coefficients`
@@ -84,15 +84,6 @@ def _adjoint(stack: np.ndarray) -> np.ndarray:
 def _product(*stacks: np.ndarray) -> np.ndarray:
     """The blockwise matrix product of stacks."""
     return reduce(lambda a, b: np.einsum("ijs,jks->iks", a, b), stacks)
-
-
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """The sorted distinct entries of an integer array.  `np.unique` would do, but it imports
-    `numpy.ma`, which `verify` and `torsion` otherwise never load (0.85 MB of peak RSS on s3 at M=10)."""
-    values = np.sort(values, axis=None)
-    keep = np.ones(values.size, dtype=bool)
-    keep[1:] = values[1:] != values[:-1]
-    return values[keep]
 
 
 def _groups(rows: np.ndarray, cols: np.ndarray):
@@ -147,8 +138,8 @@ class SectorStacks:
     the private `tables` if given.  The spaces, the embeddings and the stacks
     that more than one degree reads (d_b, the Rumin differentials and the
     middle operator) are memoized per instance, like the block memo of a
-    `BlockContext`.  The first-order stacks (d, d0, dT, L_T and the split
-    halves of d_b) are rebuilt on every call, which keeps the peak memory of
+    `BlockContext`.  The first-order stacks (d, d0, dT, L_T, the split halves
+    of d_b and the Rumin halves built from them) are rebuilt on every call, which keeps the peak memory of
     `spectrum` and `torsion` low, until a caller that reads them many times
     calls `keep_first_order`: from then on each is built once per degree and
     half and kept in the same memo, as the `verify` suites do.  The quantities
@@ -219,7 +210,9 @@ class SectorStacks:
             if leak > LEAK_TOL:
                 raise InternalConsistencyError(f"a fiber (x) {factor} term leaves its Reeb sector ({leak:.3e})")
             values = fib[:, :, None] * self._slot_values(factor, inn.slot)[None, :, :]
-            stack += np.where(both & keep[:, :, None], values, 0)
+            np.copyto(values, 0, where=~(both & keep[:, :, None]))
+            stack += values
+            del values  # else the next term's values are built while these are alive
         return stack
 
     def _fiber_op(self, fib: np.ndarray, k_out: int, k_in: int) -> np.ndarray:
@@ -328,6 +321,7 @@ class SectorStacks:
             return self.middle_operator()
         return rescale_coefficient(self.n, k) * self._compress(self.d(k), (k + 1, "rumin"), (k, "rumin"))
 
+    @_first_order_memo
     def rumin_del(self, k: int, anti: bool) -> np.ndarray:
         """A half of the Rumin differential on degree k <= n, as `BlockContext.rumin_del`: into the
         next Rumin space below the middle degree, into the horizontal (n+1)-forms from it."""
@@ -461,10 +455,10 @@ class SectorStacks:
             raise InternalConsistencyError(f"a degree-{k} basis column is not bidegree-homogeneous")
         return [f"theta^({i},{j})" if vert else f"({i},{j})" for i, j, vert in (bidegrees[b] for b in best)]
 
-    def spectrum_sectors(self, op: str, k: int, t: float = 1.0):
-        """Per weight, the `ReebSectors` of the `spectrum` Laplacian `op` in degree k, with the
-        half-Laplacian sector blocks and scale for `sector_half_laplacian_pairs` (delta-rn below
-        the middle degree; None otherwise); and the bidegree label of every fiber vector."""
+    def spectrum_sectors(self, op: str, k: int, t: float = 1.0) -> Tuple["SectorRows", List[str]]:
+        """The `spectrum` Laplacian `op` in degree k on the Reeb sectors of every weight, one row
+        per weight, with the half-Laplacian sector blocks and scale for `JointRows.half_pairs`
+        (delta-rn below the middle degree); and the bidegree label of every fiber vector."""
         flavor = SPECTRUM_FLAVOR[op]
         stacks = [self.laplacian(op, k, t)]
         self._check_reeb(k, flavor)
@@ -472,36 +466,11 @@ class SectorStacks:
         if op == "delta-rn" and k <= self.n - 1:
             a, b, scale = self.half_laplacians(k)
             stacks += [a, b]
-        rows = []
-        for w, (tau, index, blocks) in enumerate(self._cut(self.space(k, flavor), stacks)):
-            halves = None if scale is None else (tuple(blocks[1:]), float(scale[w]))
-            rows.append((ReebSectors(tau, index, blocks[0]), halves))
-        return rows, self.bidegree_labels(k, flavor)
-
-    def _cut(self, space: SectorSpace, stacks: Sequence[np.ndarray]):
-        """Per weight: (tau, index, blocks of each stack), the layout of `spectral._reeb_sectors`.
-
-        tau is the Reeb value of every dense basis position i*(m+1) + b; index[g] lists the
-        positions of every sector of one size, sizes ascending, sectors by ascending tau,
-        positions by ascending fiber index within a sector.
-        """
+        space = self.space(k, flavor)
         groups = []
         for sel, pos, _ in _groups(space.valid, space.valid):
             if pos.shape[1]:
-                dense = pos * (self.m[sel, None] + 1) + space.slot[pos, sel[:, None]]
-                blocks = [_gather(st, sel, pos, pos) for st in stacks]
-                groups.append((dense, blocks, np.searchsorted(self.owner[sel], np.arange(self.weights.size + 1))))
-        out = []
-        for w, m in enumerate(self.weights):
-            tau = (space.rho[:, None] + m - 2 * np.arange(m + 1)).ravel().astype(float)
-            runs = [(bounds[w], bounds[w + 1], idx, blocks) for idx, blocks, bounds in groups if bounds[w + 1] > bounds[w]]
-            index = tuple(idx[lo:hi] for lo, hi, idx, _ in runs)
-            per_stack = [tuple(blocks[j][lo:hi] for lo, hi, _, blocks in runs) for j in range(len(stacks))]
-            out.append((tau, index, per_stack))
-        return out
-
-
-def solve_rows(rows: Sequence[Tuple[ReebSectors, Optional[tuple]]], tol: float = 1e-9) -> List[JointEigenspaces]:
-    """The joint (Delta, i L_T) eigenspaces of one degree's `SectorStacks.spectrum_sectors` rows,
-    every weight in one `_solve_reeb_sectors` (one stacked `eigh` per sector size)."""
-    return _solve_reeb_sectors([sectors for sectors, _ in rows], tol)
+                index = pos * (self.m[sel, None] + 1) + space.slot[pos, sel[:, None]]  # i*(m+1) + b
+                blocks = tuple(_gather(st, sel, pos, pos) for st in stacks)
+                groups.append(SectorGroup(self.owner[sel], self.tau[sel].astype(float), index, blocks))
+        return SectorRows(space.dim * (self.weights + 1), tuple(groups), scale), self.bidegree_labels(k, flavor)

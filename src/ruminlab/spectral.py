@@ -8,22 +8,23 @@ table; it bounds the Rumin spectrum only.  All verifications reduce to
 residual norms of matrix identities and to subspace comparisons through
 principal angles, with one report entry per named check.
 
-Joint (Delta, i L_T) eigenspaces have one result type, the sector-local
-`JointEigenspaces`, and one solver.  i L_T is diagonal with integer entries in
-the block basis, so a Laplacian, which commutes with it, is block diagonal over
-the Reeb sectors (basis vectors sharing one Reeb eigenvalue).
-`_solve_reeb_sectors` diagonalizes the sectors of many operators with one
-stacked `eigh` per sector size and clusters Delta per operator.  The Rumin
-Laplacian reaches it on one route: `Assembly.rumin_rows(k, tol)`, memoized,
-solves the `delta-rn` rows of `sectors.SectorStacks` for every weight at once,
-and the Reeb decomposition of `torsion` and the sec4 suite read those rows.
-Below the middle degree the sector blocks of the two half Laplacians have
-Rayleigh quotients on the sector eigenvectors that give (lambda10, lambda01)
-(`sector_half_laplacian_pairs`); `q_decomposition` reads one block's row and
-is the one caller that needs a dense basis per component
-(`JointEigenspaces.components`).  `_sequential_joint_eigenspaces` cuts dense
-(Laplacian, i L_T) pairs with `_reeb_sectors` for the same solver; only the
-tests call it, as the dense reference.
+Joint (Delta, i L_T) eigenspaces have one solver and one result type,
+`rows.JointRows`: one degree over every row at once, held as columns.  i
+L_T is diagonal with integer entries in the block basis, so a Laplacian, which
+commutes with it, is block diagonal over the Reeb sectors (basis vectors
+sharing one Reeb eigenvalue).  `rows.solve_rows` diagonalizes the sectors
+of every row with one stacked `eigh` per sector size and clusters Delta on
+every row in one pass.  The Rumin Laplacian reaches it on one route:
+`Assembly.rumin_rows(k, tol)`, memoized, solves the `delta-rn` rows of
+`sectors.SectorStacks` for every weight at once, and the Reeb decomposition of
+`torsion` and the sec4 suite read its columns.  Below the middle degree the
+sector blocks of the two half Laplacians have Rayleigh quotients on the sector
+eigenvectors that give (lambda10, lambda01) (`JointRows.half_pairs`).
+`q_decomposition` and `_sequential_joint_eigenspaces` reach one row through a
+view, `JointEigenspaces`, whose `components()` gives a dense basis per
+component; `_sequential_joint_eigenspaces` cuts dense (Laplacian, i L_T)
+pairs with `_reeb_sectors` into rows for the same solver, and only the tests
+call it, as the dense reference.
 
 Every suite `verify_<suite>(asm)` runs its body `suites.check_<suite>(asm,
 report, ...)` on `Assembly.sector_stacks`, the operators of every weight on its
@@ -115,14 +116,15 @@ class Assembly:
         return SectorStacks(self.model.frame, self.weights)
 
     @_block_memo
-    def rumin_rows(self, k: int, tol: float = 1e-9) -> Tuple[Tuple[JointEigenspaces, Optional[tuple]], ...]:
-        """Per weight, (joint (Delta, i L_T) eigenspaces, half-Laplacian sector blocks and scale or
-        None) of the degree-k Rumin Laplacian: the `delta-rn` rows of `sector_stacks`, solved over
-        every weight at once by `sectors.solve_rows`, as `rumin spectrum` solves them."""
-        from .sectors import solve_rows
+    def rumin_rows(self, k: int, tol: float = 1e-9):
+        """The joint (Delta, i L_T) eigenspaces of the degree-k Rumin Laplacian on every weight, a
+        `rows.JointRows` with one row per weight (and the half-Laplacian sector blocks below the
+        middle degree): the `delta-rn` rows of `sector_stacks`, solved over every weight at once by
+        `rows.solve_rows`, as `rumin spectrum` solves them."""
+        from .rows import solve_rows
 
         rows, _ = self.sector_stacks.spectrum_sectors("delta-rn", k)
-        return tuple(zip(solve_rows(rows, tol), (halves for _, halves in rows)))
+        return solve_rows(rows, tol)
 
 
 def spectral_cutoff(model: ModelManifold, max_weight: int) -> float:
@@ -143,8 +145,10 @@ def spectral_cutoff(model: ModelManifold, max_weight: int) -> float:
 # -- spectra -------------------------------------------------------------------
 
 
-@dataclass(slots=True)  # a table at high weight holds 10^5 or more entries
+@dataclass(slots=True)
 class SpectrumEntry:
+    """One row of a `SpectrumTable`."""
+
     degree: int
     block: str
     eigenvalue: float
@@ -155,18 +159,92 @@ class SpectrumEntry:
     bidegree: Optional[str] = None  # "(i,j)" / "theta^(i,j)" when the eigenspace is homogeneous
 
 
+SPECTRUM_FIELDS = ("degree", "block", "eigenvalue", "multiplicity", "nu", "lambda10", "lambda01", "bidegree")
+_SPECTRUM_TYPES = (int, str, float, int, float, float, float, object)
+
+
+def entry_columns(entries: Sequence[SpectrumEntry] = ()) -> Dict[str, np.ndarray]:
+    """The columns of `SpectrumTable` holding `entries`: NaN in `nu`, `lambda10` and `lambda01`
+    stands for None, and `bidegree` holds str or None."""
+    missing = lambda kind: np.nan if kind is float else None
+    return {
+        name: np.array([missing(kind) if (x := getattr(e, name)) is None else x for e in entries], dtype=kind)
+        for name, kind in zip(SPECTRUM_FIELDS, _SPECTRUM_TYPES)
+    }
+
+
+def _fmt_column(values: np.ndarray, missing: str, quote: str = "") -> List[str]:
+    """`util.fmt_float` of every value, between `quote`s, and `missing` for NaN."""
+    return [missing if x != x else f"{quote}{format(x, '.17g')}{quote}" for x in values.tolist()]
+
+
+def _csv_rows(c: Dict[str, np.ndarray]) -> str:
+    rows = zip(
+        c["degree"].tolist(),
+        c["block"].tolist(),
+        _fmt_column(c["eigenvalue"], ""),
+        c["multiplicity"].tolist(),
+        _fmt_column(c["nu"], ""),
+        _fmt_column(c["lambda10"], ""),
+        _fmt_column(c["lambda01"], ""),
+    )
+    return "".join(f"{k},{b},{e},{m},{nu},{l10},{l01}\n" for k, b, e, m, nu, l10, l01 in rows)
+
+
+def _json_rows(c: Dict[str, np.ndarray]) -> str:
+    """The entries of `json.dumps(..., sort_keys=True)`, written from the columns."""
+    strings = {x: "null" if x is None else json.dumps(x) for x in {*c["block"].tolist(), *c["bidegree"].tolist()}}
+    rows = zip(
+        (strings[x] for x in c["bidegree"].tolist()),
+        (strings[x] for x in c["block"].tolist()),
+        c["degree"].tolist(),
+        _fmt_column(c["eigenvalue"], "null", '"'),
+        _fmt_column(c["lambda01"], "null", '"'),
+        _fmt_column(c["lambda10"], "null", '"'),
+        c["multiplicity"].tolist(),
+        _fmt_column(c["nu"], "null", '"'),
+    )
+    return ", ".join(
+        f'{{"bidegree": {b}, "block": {blk}, "degree": {k}, "eigenvalue": {e}, "lambda01": {l01}, '
+        f'"lambda10": {l10}, "multiplicity": {m}, "nu": {nu}}}'
+        for b, blk, k, e, l01, l10, m, nu in rows
+    )
+
+
 @dataclass
 class SpectrumTable:
+    """A spectrum table, held as numpy columns (`SPECTRUM_FIELDS`, see `entry_columns`).
+
+    The rows are written ordered by degree, block label as text, eigenvalue
+    and multiplicity; ties keep the order in which the rows were added.
+    """
+
     operator: str
     model: dict
     max_weight: int
-    entries: List[SpectrumEntry] = field(default_factory=list)
     cutoff: Optional[float] = None
+    columns: Dict[str, np.ndarray] = field(default_factory=entry_columns)
+
+    @property
+    def entries(self) -> List[SpectrumEntry]:
+        """The rows as `SpectrumEntry` objects, in the order they were added."""
+        c = self.columns
+        nan_none = lambda values: [None if x != x else x for x in values.tolist()]
+        cols = [c[name].tolist() for name in SPECTRUM_FIELDS[:4]]
+        cols += [nan_none(c[name]) for name in ("nu", "lambda10", "lambda01")]
+        return [SpectrumEntry(*row) for row in zip(*cols, c["bidegree"].tolist())]
+
+    @entries.setter
+    def entries(self, entries: Sequence[SpectrumEntry]):
+        self.columns = entry_columns(entries)
+
+    def _order(self) -> np.ndarray:
+        c = self.columns
+        return np.lexsort((c["multiplicity"], c["eigenvalue"], c["block"], c["degree"]))
 
     def sorted_entries(self) -> List[SpectrumEntry]:
-        return sorted(
-            self.entries, key=lambda e: (e.degree, e.block, e.eigenvalue, e.multiplicity)
-        )
+        entries = self.entries
+        return [entries[i] for i in self._order().tolist()]
 
     def to_json(self) -> str:
         doc = {
@@ -176,39 +254,22 @@ class SpectrumTable:
             "model": self.model,
             "max_weight": self.max_weight,
             "cutoff": None if self.cutoff is None else util.fmt_float(self.cutoff),
-            "entries": [
-                {
-                    "degree": e.degree,
-                    "block": e.block,
-                    "eigenvalue": util.fmt_float(e.eigenvalue),
-                    "multiplicity": e.multiplicity,
-                    "nu": None if e.nu is None else util.fmt_float(e.nu),
-                    "lambda10": None if e.lambda10 is None else util.fmt_float(e.lambda10),
-                    "lambda01": None if e.lambda01 is None else util.fmt_float(e.lambda01),
-                    "bidegree": e.bidegree,
-                }
-                for e in self.sorted_entries()
-            ],
+            "entries": [],
         }
-        return json.dumps(doc, sort_keys=True)
+        head, tail = json.dumps(doc, sort_keys=True).split('"entries": []', 1)
+        chunks = util.write_chunks(self.columns, self._order(), _json_rows)
+        return "".join([head, '"entries": [', *_interleave(chunks, ", "), "]", tail])
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["degree", "block", "eigenvalue", "multiplicity", "nu", "lambda10", "lambda01"])
-        for e in self.sorted_entries():
-            writer.writerow(
-                [
-                    e.degree,
-                    e.block,
-                    util.fmt_float(e.eigenvalue),
-                    e.multiplicity,
-                    "" if e.nu is None else util.fmt_float(e.nu),
-                    "" if e.lambda10 is None else util.fmt_float(e.lambda10),
-                    "" if e.lambda01 is None else util.fmt_float(e.lambda01),
-                ]
-            )
-        return buf.getvalue()
+        head = "degree,block,eigenvalue,multiplicity,nu,lambda10,lambda01\n"
+        return "".join([head, *util.write_chunks(self.columns, self._order(), _csv_rows)])
+
+
+def _interleave(parts: List[str], sep: str) -> List[str]:
+    """`parts` with `sep` between each two, for one `"".join`."""
+    out = [sep] * (2 * len(parts) - 1) if parts else []
+    out[::2] = parts
+    return out
 
 
 def block_spectrum(op: BlockOperator, tol: float = 1e-12):
@@ -364,148 +425,50 @@ class QComponent:
         return self.basis.shape[1]
 
 
-@dataclass
-class ReebSectors:
-    """A Hermitian operator cut into the Reeb sectors of its basis, without the dense matrix.
-
-    `tau` is the diagonal of the Reeb operator.  `index[g]` lists the basis
-    vectors of every sector of one size s as a (sectors, s) array, in
-    ascending tau, with sizes ascending over g; `blocks[g]` holds the
-    (sectors, s, s) sector submatrices of the operator.
-    """
-
-    tau: np.ndarray
-    index: Tuple[np.ndarray, ...]
-    blocks: Tuple[np.ndarray, ...]
-
-    @property
-    def dim(self) -> int:
-        return self.tau.size
-
-
-def _reeb_sectors(a: np.ndarray, b: np.ndarray, tol: float) -> ReebSectors:
-    """The Reeb sectors of a Hermitian `a` that commutes with the Reeb operator `b` = i L_T.
+def _reeb_sectors(a: np.ndarray, b: np.ndarray, tol: float):
+    """A Hermitian `a` that commutes with the Reeb operator `b` = i L_T, cut into its Reeb sectors:
+    a one-row `rows.SectorRows`.
 
     `b` must be diagonal in the block basis; a Reeb sector is the set of basis
-    vectors sharing one diagonal value tau.
+    vectors sharing one diagonal value tau (within tol), and its tau is their mean.
     """
-    tau = np.real(np.diag(b)).copy()  # a view of the diagonal would keep the dense `b` alive
+    from .rows import SectorGroup, SectorRows
+
+    tau = np.real(np.diag(b))
     off = max_abs(b - np.diag(np.diag(b)))
     if off > tol:
         raise InternalConsistencyError(f"Reeb operator is not diagonal (off-diagonal {off:.3e})")
-    index = ()
+    index = []
     if tau.size:
         by_tau = np.argsort(tau, kind="stable")
         ascending = tau[by_tau]
         starts = np.flatnonzero(np.append(True, ascending[1:] - ascending[:-1] > tol * max(1.0, max_abs(tau))))
         sizes = np.append(starts[1:], tau.size) - starts  # sector i is by_tau[starts[i]:][:sizes[i]]
-        index = tuple(by_tau[starts[sizes == s][:, None] + np.arange(s)] for s in sorted(set(sizes.tolist())))
+        index = [by_tau[starts[sizes == s][:, None] + np.arange(s)] for s in sorted(set(sizes.tolist()))]
     comm = max_abs(a * (tau[None, :] - tau[:, None]))  # entrywise [a, b]
     if comm > 1e-9 * max(1.0, max_abs(a)):
         raise InternalConsistencyError(f"operator does not commute with the Reeb derivative ({comm:.3e})")
-    return ReebSectors(tau, index, tuple(a[idx[:, :, None], idx[:, None, :]] for idx in index))
+    groups = tuple(
+        SectorGroup(np.zeros(len(idx), dtype=int), tau[idx].sum(axis=1) / idx.shape[1], idx, (a[idx[:, :, None], idx[:, None, :]],))
+        for idx in index
+    )
+    return SectorRows(np.array([tau.size]), groups)
 
 
-@dataclass
 class JointEigenspaces:
-    """Joint (Delta, i L_T) eigenspaces of one `ReebSectors`, kept sector-local.
+    """The joint (Delta, i L_T) eigenspaces of one row of a `rows.JointRows`, a view: `delta`,
+    `tau` and `counts` per component, in component order (by Delta cluster, then by tau)."""
 
-    `vectors[g]` is the (sectors, s, s) stack of sector eigenvectors of size
-    group g.  Their columns, taken group by group, sector by sector, are put
-    in component order by `order`; component i is the run of columns
-    `bounds[i]:bounds[i + 1]`, with Delta cluster mean `delta[i]` and Reeb
-    value `tau[i]`.
-    """
-
-    sectors: ReebSectors
-    vectors: Tuple[np.ndarray, ...]
-    order: np.ndarray
-    bounds: Tuple[int, ...]
-    delta: Tuple[float, ...]
-    tau: Tuple[float, ...]
-
-    @property
-    def counts(self) -> List[int]:
-        return [hi - lo for lo, hi in zip(self.bounds, self.bounds[1:])]
+    def __init__(self, joint, row: int):
+        self.joint, self.row = joint, row
+        lo, hi = joint.row_components(row)
+        self.delta = tuple(joint.delta[lo:hi].tolist())
+        self.tau = tuple(joint.tau[lo:hi].tolist())
+        self.counts = joint.count[lo:hi].tolist()
 
     def components(self) -> List[tuple]:
         """(Delta, tau, basis) per component, each basis a run of columns of one dense matrix."""
-        dim = self.sectors.dim
-        vecs = np.zeros((dim, dim), dtype=complex)
-        col = 0
-        for idx, q in zip(self.sectors.index, self.vectors):
-            cols = np.arange(col, col + idx.size).reshape(idx.shape)
-            vecs[idx[:, :, None], cols[:, None, :]] = q
-            col += idx.size
-        vecs = vecs[:, self.order]
-        return [(d, t, vecs[:, lo:hi]) for d, t, lo, hi in zip(self.delta, self.tau, self.bounds, self.bounds[1:])]
-
-    def columns(self, stacks: Sequence[np.ndarray], fill=0) -> np.ndarray:
-        """Per-group (sectors, s, s) stacks whose columns follow the eigenvectors, as one
-        (s_max, dim) array in component order; shorter sectors are padded with `fill`."""
-        width = max((idx.shape[1] for idx in self.sectors.index), default=0)
-        out = np.full((width, self.sectors.dim), fill, dtype=np.result_type(fill, *stacks))
-        col = 0
-        for stack in stacks:
-            sectors, size, _ = stack.shape
-            out[:size, col : col + sectors * size] = stack.transpose(1, 0, 2).reshape(size, -1)
-            col += sectors * size
-        return out[:, self.order]
-
-    def basis_index(self) -> np.ndarray:
-        """`columns` of the basis-vector index of every eigenvector entry, -1 as padding."""
-        return self.columns([np.repeat(idx[:, :, None], idx.shape[1], axis=2) for idx in self.sectors.index], -1)
-
-
-def _solve_reeb_sectors(sectors: Sequence[ReebSectors], tol: float) -> List[JointEigenspaces]:
-    """Joint eigenspaces of every operator in `sectors`, from one stacked `eigh` per sector size.
-
-    Each sector is diagonalized on its own, so the eigenpairs of one operator
-    do not depend on the others in the stack.  Delta is clustered per
-    operator; the cluster mean is taken over all of its sectors.
-    """
-    groups: Dict[int, list] = {}  # sector size -> (operator, size group) of every stack of that size
-    for i, sec in enumerate(sectors):
-        for g, idx in enumerate(sec.index):
-            groups.setdefault(idx.shape[1], []).append((i, g))
-    solved = [[None] * len(sec.index) for sec in sectors]  # per operator and size group: (w, q)
-    for parts in groups.values():
-        stacks = [sectors[i].blocks[g] for i, g in parts]
-        w, q = np.linalg.eigh(stacks[0] if len(stacks) == 1 else np.concatenate(stacks))
-        lo = 0
-        for (i, g), stack in zip(parts, stacks):
-            solved[i][g] = (w[lo : lo + len(stack)], q[lo : lo + len(stack)])
-            lo += len(stack)
-    return [_cluster_joint(sec, pairs, tol) for sec, pairs in zip(sectors, solved)]
-
-
-def _cluster_joint(sectors: ReebSectors, solved: Sequence[tuple], tol: float) -> JointEigenspaces:
-    """Components of one operator from its per-group sector eigenpairs, ordered by Delta
-    cluster, then by tau."""
-    dim = sectors.dim
-    # column c is an eigenvector of one sector, with eigenvalue vals[c]
-    vals, taus = np.empty(dim), np.empty(dim)
-    col = 0
-    for idx, (w, _) in zip(sectors.index, solved):
-        vals[col : col + idx.size] = w.ravel()
-        taus[col : col + idx.size] = np.repeat(sectors.tau[idx].sum(axis=1) / idx.shape[1], idx.shape[1])  # sector mean
-        col += idx.size
-    by_val = np.argsort(vals, kind="stable")
-    clusters = util.cluster_values(vals[by_val], tol * max(1.0, max_abs(vals)))
-    cluster = np.empty(dim, dtype=int)
-    cluster[by_val] = np.repeat(np.arange(len(clusters)), [count for _, count in clusters])
-    # one component per (Delta cluster, sector) pair, as a run of columns
-    order = np.lexsort((taus, cluster))
-    c, t = cluster[order], taus[order]
-    bounds = (0, *(np.flatnonzero((c[1:] != c[:-1]) | (t[1:] != t[:-1])) + 1).tolist(), dim) if dim else (0,)
-    return JointEigenspaces(
-        sectors,
-        tuple(q for _, q in solved),
-        order,
-        bounds,
-        tuple(float(clusters[c[lo]][0]) for lo in bounds[:-1]),
-        tuple(float(t[lo]) for lo in bounds[:-1]),
-    )
+        return self.joint.components(self.row)
 
 
 def _sequential_joint_eigenspaces(
@@ -515,32 +478,14 @@ def _sequential_joint_eigenspaces(
 
     `b` is diagonal in the block basis, and `a` commutes with it, so `a` is
     block diagonal over the Reeb sectors and is diagonalized sector by sector;
-    the sectors of every pair share one stacked `eigh` per sector size.
-    Returns, per pair, its components ordered by Delta cluster (Delta is the
-    cluster mean over the pair's sectors), then by tau.
+    each pair is one row of a single `rows.solve_rows`.  Returns, per pair,
+    its components ordered by Delta cluster (Delta is the cluster mean over the
+    pair's sectors), then by tau.
     """
-    return _solve_reeb_sectors([_reeb_sectors(a, b, tol) for a, b in pairs], tol)
+    from .rows import solve_rows, stack_rows
 
-
-def sector_half_laplacian_pairs(joint: JointEigenspaces, halves, tol: float = 1e-9):
-    """(lambda10, lambda01) on each component of `joint`, a joint (Delta, i L_T) eigenspace
-    below the middle degree, from the half-Laplacian sector blocks and scale `halves` of the
-    same operator (a row of `SectorStacks.spectrum_sectors`).
-
-    Each half Laplacian must act on a component as its Rayleigh quotient; there
-    sqrt(Delta) and i L_T are the sum and difference of the two half Laplacians.
-    """
-    blocks, scale = halves
-    vectors, counts = joint.columns(joint.vectors), joint.counts
-    starts = np.cumsum([0] + counts[:-1])
-    pairs = []
-    for half in blocks:
-        image = joint.columns([m @ q for m, q in zip(half, joint.vectors)])
-        ray = np.add.reduceat(np.real(np.sum(vectors.conj() * image, axis=0)), starts) / counts
-        if max_abs(image - vectors * np.repeat(ray, counts)) > 10 * tol * scale:
-            raise InternalConsistencyError("half Laplacians are not scalar on a joint eigenspace")
-        pairs.append(ray)
-    return [(util.round_sig(max(l10, 0.0)), util.round_sig(max(l01, 0.0))) for l10, l01 in zip(*pairs)]
+    joint = solve_rows(stack_rows([_reeb_sectors(a, b, tol) for a, b in pairs]), tol)
+    return [JointEigenspaces(joint, row) for row in range(len(pairs))]
 
 
 def q_decomposition(asm: Assembly, weight: int, k: int, tol: float = 1e-9) -> Tuple[QComponent, ...]:
@@ -550,9 +495,12 @@ def q_decomposition(asm: Assembly, weight: int, k: int, tol: float = 1e-9) -> Tu
     block's Rumin-space coordinates."""
     if k > asm.n - 1:
         raise ValueError("the simultaneous decomposition is defined below middle degree")
-    joint, halves = asm.rumin_rows(k, tol)[asm.weights.index(weight)]
-    pairs = sector_half_laplacian_pairs(joint, halves, tol)
-    return tuple(QComponent(l10, l01, basis) for (l10, l01), (_, _, basis) in zip(pairs, joint.components()))
+    joint = asm.rumin_rows(k, tol)
+    row = asm.weights.index(weight)
+    lo, hi = joint.row_components(row)
+    l10, l01 = joint.half_pairs(tol)
+    comps = JointEigenspaces(joint, row).components()
+    return tuple(QComponent(a, b, basis) for a, b, (_, _, basis) in zip(l10[lo:hi], l01[lo:hi], comps))
 
 
 # -- cohomology rank oracles ----------------------------------------------------

@@ -26,11 +26,12 @@ sector vector and every bi-positive W corner is that vector or empty: the
 per-vector sec4 families are computed for all corners at once.
 
 Quantities that several suites read (Laplacians, harmonic kernels, the
-horizontal split differentials and Lefschetz maps, the Rumin Reeb derivative)
-are memoized in the stacks' memo with `_block_memo`, so `verify --suite all`
-builds each once per run.  The first-order stacks they are built from (d, d0,
-dT, L_T and the split halves of d_b) are kept in the same memo by
-`SectorStacks` itself, once `spectral._run_suite` has called
+lifted fiber tables, the horizontal split differentials and Lefschetz maps,
+the Rumin Reeb derivative) are memoized in the stacks' memo with
+`_block_memo`, so `verify --suite all` builds each once per run.  The
+first-order stacks they are built from (d, d0, dT, L_T, the split halves of
+d_b and their Rumin compressions `SectorStacks.rumin_del`) are kept in the
+same memo by `SectorStacks` itself, once `spectral._run_suite` has called
 `keep_first_order`; every suite and every composite of the stacks (d_b, the
 Rumin differentials, the Laplacians, the rank oracle) then reads one copy.
 """
@@ -46,7 +47,7 @@ import numpy as np
 from .model import block_label
 from .operators import InternalConsistencyError, _block_memo
 from .sectors import SectorStacks, _adjoint, _gather, _groups, _hermitized, _product
-from .spectral import KERNEL_RELATIVE_TOL, Assembly, VerificationReport, sector_half_laplacian_pairs
+from .spectral import KERNEL_RELATIVE_TOL, Assembly, VerificationReport
 
 # -- subspaces on the sectors -------------------------------------------------------
 
@@ -183,9 +184,10 @@ def _zeros(stacks: SectorStacks, rows: int, cols: int) -> np.ndarray:
     return np.zeros((rows, cols, stacks.m.size), dtype=complex)
 
 
+@_block_memo
 def _fiber(stacks: SectorStacks, name: str, k: int, k_out: int) -> np.ndarray:
     """The fiber table `name` of degree k, lifted between the full spaces of degrees k and k_out;
-    no rows when k_out lies outside the complex."""
+    no rows when k_out lies outside the complex.  Kept for the run: the suites read each many times."""
     if not 0 <= k_out <= stacks.Dmax:
         return _zeros(stacks, 0, stacks.space(k).dim)
     return stacks._fiber_op(stacks.fibers._fiber(name, k), k_out, k)
@@ -251,21 +253,19 @@ def _low_components(asm: Assembly, tol: float = 1e-9):
     """The joint (Delta, i L_T) components of the degree-(n-1) Rumin rows, weight by weight in the
     order of `q_decomposition`: (weight index, sector, lambda10, lambda01) arrays.  Each component
     must be one sector vector."""
+    joint = asm.rumin_rows(asm.n - 1, tol)
+    if np.any(joint.count != 1):
+        raise InternalConsistencyError("a degree-(n-1) joint eigenspace is not one sector vector")
+    # the sector (weight, tau) of every component, on the sector axis of the stacks, which runs by both
     stacks = asm.sector_stacks
-    owner, sector, l10, l01 = [], [], [], []
-    for w, (joint, halves) in enumerate(asm.rumin_rows(asm.n - 1, tol)):
-        if any(count != 1 for count in joint.counts):
-            raise InternalConsistencyError("a degree-(n-1) joint eigenspace is not one sector vector")
-        lo, hi = stacks.starts[w], stacks.starts[w + 1]
-        sec = lo + np.searchsorted(stacks.tau[lo:hi], joint.tau)
-        if not np.array_equal(stacks.tau[sec], joint.tau):
-            raise InternalConsistencyError("a joint eigenspace lies in no Reeb sector")
-        pairs = sector_half_laplacian_pairs(joint, halves, tol)
-        owner += [w] * len(pairs)
-        sector += sec.tolist()
-        l10 += [a for a, _ in pairs]
-        l01 += [b for _, b in pairs]
-    return np.array(owner, dtype=int), np.array(sector, dtype=int), np.array(l10), np.array(l01)
+    low = int(stacks.tau.min(initial=0))
+    span = int(stacks.tau.max(initial=0)) - low + 1
+    key = lambda owner, tau: owner * span + (tau - low)
+    sector = np.searchsorted(key(stacks.owner, stacks.tau), key(joint.owner, np.rint(joint.tau).astype(int)))
+    sector = np.minimum(sector, stacks.tau.size - 1)
+    if not (np.array_equal(stacks.owner[sector], joint.owner) and np.array_equal(stacks.tau[sector], joint.tau)):
+        raise InternalConsistencyError("a joint eigenspace lies in no Reeb sector")
+    return (joint.owner, sector, *joint.half_pairs(tol))
 
 
 # -- the suites ----------------------------------------------------------------------

@@ -19,10 +19,13 @@ eigenspace, and its dimension.  `reeb_decomposition` takes them from the route
 of `rumin spectrum --op delta-rn`: per degree k <= n it reads
 `Assembly.rumin_rows`, the Rumin Laplacian of every weight cut into Reeb
 sectors and solved together, as sec4 does, so its slices are that table's
-entries, and it builds no block context.  The kernel dimensions are compared
-with the rank oracle `rumin_cohomology_dims`, which reads the same stacks.
-`close_reeb_report` folds the classified pieces of every block into the
-per-degree zeta partial sums (`TorsionReport.zetas`) and the two routes to
+entries, and it builds no block context.  The pieces, box checks and
+per-degree comparisons of every block are computed on the columns of those
+rows at once, and the slices are held as columns too (`TorsionReport.columns`;
+`TorsionReport.slices` lists them as `ReebSlice` objects).  The kernel
+dimensions are compared with the rank oracle `rumin_cohomology_dims`, which
+reads the same stacks.  `close_reeb_report` folds the classified slices into
+the per-degree zeta partial sums (`TorsionReport.zetas`) and the two routes to
 kappa (`kappa_from_spectrum`, `kappa_from_reeb`).
 
 The box checks compare operators that are built independently.  Below the
@@ -40,10 +43,7 @@ is out of scope and the derivative at 0 is never claimed.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
@@ -51,8 +51,7 @@ import numpy as np
 
 from . import util
 from .model import block_label
-from .operators import max_abs
-from .spectral import Assembly, JointEigenspaces, VerificationReport, rumin_cohomology_dims
+from .spectral import Assembly, VerificationReport, rumin_cohomology_dims
 
 PAIR_TOL = 1e-9
 # Equal eigenvalues from different blocks and degrees agree only up to the
@@ -92,15 +91,25 @@ class ReebSlice:
     piece: str
 
 
+def _multiset_clusters(segment, values, counts, tol: float):
+    """Per segment, merge (value, count) pairs whose values agree with a cluster's first value
+    within max(tol, RELATIVE_PAIR_TOL |value|): (segment, first value, summed count) per cluster."""
+    from .rows import cluster_starts
+
+    segment, values, counts = np.asarray(segment, dtype=int), np.asarray(values, dtype=float), np.asarray(counts)
+    order = np.lexsort((values, segment))
+    segment, values, counts = segment[order], values[order], counts[order]
+    start = cluster_starts(segment, values, np.maximum(tol, RELATIVE_PAIR_TOL * np.abs(values)))
+    first = np.flatnonzero(start)
+    summed = np.add.reduceat(counts, first) if first.size else counts[:0]
+    return segment[first], values[first], summed
+
+
 def _cluster_multiset(pairs: Sequence[Tuple[float, float]], tol: float) -> List[Tuple[float, float]]:
     """Merge (value, count) pairs whose values agree within max(tol, RELATIVE_PAIR_TOL |value|)."""
-    out: List[List[float]] = []
-    for v, c in sorted(pairs):
-        if out and abs(v - out[-1][0]) <= max(tol, RELATIVE_PAIR_TOL * abs(v)):
-            out[-1][1] += c
-        else:
-            out.append([v, c])
-    return [(v, c) for v, c in out]
+    values, counts = zip(*pairs) if pairs else ((), ())
+    _, values, counts = _multiset_clusters(np.zeros(len(values), dtype=int), values, counts, tol)
+    return list(zip(values.tolist(), counts.tolist()))
 
 
 def _multisets_match(a, b, tol: float) -> Tuple[bool, float]:
@@ -108,6 +117,21 @@ def _multisets_match(a, b, tol: float) -> Tuple[bool, float]:
     merged = _cluster_multiset([(v, c) for v, c in a] + [(v, -c) for v, c in b], tol)
     worst = max((abs(c) for _, c in merged), default=0.0)
     return worst < 0.5, worst
+
+
+SLICE_FIELDS = ("block", "degree", "delta", "nu", "mult", "piece")
+
+
+def slice_columns(block=(), degree=(), delta=(), nu=(), mult=(), piece=()) -> Dict[str, np.ndarray]:
+    """Slices as numpy columns; `piece` is an index into PIECES."""
+    return {
+        "block": np.asarray(block, dtype=str),
+        "degree": np.asarray(degree, dtype=int),
+        "delta": np.asarray(delta, dtype=float),
+        "nu": np.asarray(nu, dtype=float),
+        "mult": np.asarray(mult, dtype=int),
+        "piece": np.asarray(piece, dtype=int),
+    }
 
 
 @dataclass
@@ -122,13 +146,28 @@ class TorsionReport:
     zetas: Dict[Tuple[int, float], float] = field(default_factory=dict)
     kernel_dims: List[int] = field(default_factory=list)
     cohomology_dims: List[int] = field(default_factory=list)
-    slices: List[ReebSlice] = field(default_factory=list)
+    columns: Dict[str, np.ndarray] = field(default_factory=slice_columns)  # the slices, `SLICE_FIELDS`
     per_degree_outcomes: Dict[Tuple[str, int], bool] = field(default_factory=dict)
     weighted_match: bool = True
     checks: VerificationReport = field(default_factory=lambda: VerificationReport("reeb_decomposition"))
     estimate_only: bool = False
     caveat: str = ""
     pair_tol: float = PAIR_TOL
+
+    @property
+    def slices(self) -> List[ReebSlice]:
+        """The slices as `ReebSlice` objects, in the order they were added."""
+        c = self.columns
+        rows = zip(*(c[name].tolist() for name in SLICE_FIELDS[:-1]), (PIECES[p] for p in c["piece"].tolist()))
+        return [ReebSlice(*row) for row in rows]
+
+    @slices.setter
+    def slices(self, slices: Sequence[ReebSlice]):
+        rows = [(s.block, s.degree, s.delta, s.nu, s.mult, PIECES.index(s.piece)) for s in slices]
+        self.columns = slice_columns(*zip(*rows))
+
+    def _add_columns(self, **columns):
+        self.columns = {name: np.concatenate([self.columns[name], columns[name]]) for name in SLICE_FIELDS}
 
     @property
     def per_degree_match(self) -> bool:
@@ -173,21 +212,17 @@ class TorsionReport:
 
     def pairs_csv(self) -> str:
         """Matched eigenvalue pairs: spectrum value, piece, Reeb eigenvalue."""
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["block", "degree", "lambda", "piece", "nu", "multiplicity"])
-        for sl in sorted(self.slices, key=lambda s: (s.block, s.degree, s.delta, s.nu)):
-            writer.writerow(
-                [
-                    sl.block,
-                    sl.degree,
-                    util.fmt_float(sl.delta),
-                    sl.piece,
-                    util.fmt_float(sl.nu),
-                    sl.mult,
-                ]
-            )
-        return buf.getvalue()
+        c = self.columns
+        order = np.lexsort((c["nu"], c["delta"], c["degree"], c["block"]))
+        return "".join(["block,degree,lambda,piece,nu,multiplicity\n", *util.write_chunks(c, order, _pair_rows)])
+
+
+def _pair_rows(c: Dict[str, np.ndarray]) -> str:
+    fmt = lambda name: [format(x, ".17g") for x in c[name].tolist()]
+    rows = zip(
+        c["block"].tolist(), c["degree"].tolist(), fmt("delta"), c["piece"].tolist(), fmt("nu"), c["mult"].tolist()
+    )
+    return "".join(f"{b},{k},{d},{PIECES[p]},{nu},{m}\n" for b, k, d, p, nu, m in rows)
 
 
 def reeb_decomposition(
@@ -215,95 +250,87 @@ def reeb_decomposition(
         pair_tol=pair_tol,
     )
     report.checks.parameters = {"model": asm.model.describe(), "max_weight": asm.max_weight, "pair_tol": pair_tol}
+    labels = [block_label(m) for m in asm.weights]
     for k in range(n + 1):
-        for m, r, (joint, halves) in zip(asm.weights, asm.multiplicity, asm.rumin_rows(k, pair_tol)):
-            _add_reeb_slices(report, block_label(m), r, k, joint, halves)
+        _add_reeb_slices(report, labels, asm.multiplicity, k, asm.rumin_rows(k, pair_tol))
     close_reeb_report(report)
     return report
 
 
-def _add_reeb_slices(report: TorsionReport, lbl: str, multiplicity: int, k: int, joint: JointEigenspaces, halves):
-    """The Reeb slices of block `lbl` (with its multiplicity) in degree k, from its joint
-    eigenspaces, with their box checks and per-degree comparison; `halves` are the block's
-    half-Laplacian sector blocks below the middle degree (None in it)."""
+def _add_reeb_slices(report: TorsionReport, labels: Sequence[str], multiplicity: Sequence[int], k: int, joint):
+    """The Reeb slices of every block in degree k, from the joint eigenspaces `joint` of its
+    degree-k Rumin rows (a `rows.JointRows`, one row per block, with the labels and
+    multiplicities given), with their box checks and per-degree comparisons.  Below the middle
+    degree the rows carry the half-Laplacian sector blocks, whose box sum, difference and
+    commutator are checked."""
     checks, pair_tol = report.checks, report.pair_tol
-    if halves is not None:
-        (boxbar, box), _ = halves  # (Delta_del, Delta_delbar)
-        sums = differences = commutators = 0.0
-        for b, bb, root, idx in zip(box, boxbar, _sector_roots(joint), joint.sectors.index):
-            reeb = joint.sectors.tau[idx][:, :, None] * np.eye(idx.shape[1])  # i L_T on each sector
-            sums = max(sums, max_abs(b + bb - root))
-            differences = max(differences, max_abs(b - bb - reeb))
-            commutators = max(commutators, max_abs(b @ bb - bb @ b))
-        checks.add(f"boxes_sum_to_root[{lbl}]k={k}", sums, 1e-10)
-        checks.add(f"boxes_differ_by_reeb[{lbl}]k={k}", differences, 1e-10)
-        checks.add(f"boxes_commute[{lbl}]k={k}", commutators, 1e-9)
+    rows, owner, tau = joint.rows, joint.owner, joint.tau
+    boxes = None
+    if rows.scale is not None:
+        roots = joint.per_group(np.sqrt(np.maximum(joint.delta, 0.0))[joint.column_component()])
+        boxes = ([], [], [])  # per sector: sum, difference and commutator residuals
+        for g, q, root in zip(rows.groups, joint.vectors, roots):
+            boxbar, box = g.blocks[1:]  # (Delta_del, Delta_delbar)
+            sqrt_delta = (q * root) @ q.conj().transpose(0, 2, 1)  # q diag(sqrt(Delta)) q^* on each sector
+            reeb = g.tau[:, None, None] * np.eye(q.shape[1])  # i L_T on each sector
+            for out, resid in zip(boxes, (box + boxbar - sqrt_delta, box - boxbar - reeb, box @ boxbar - boxbar @ box)):
+                out.append(np.abs(resid).max(axis=(1, 2)))
+        boxes = [joint.row_max(b).tolist() for b in boxes]
     # the largest |entry| of the Laplacian, which is block diagonal over the Reeb sectors
-    zero = pair_tol * max(1.0, max((max_abs(b) for b in joint.sectors.blocks), default=0.0))
-    slices = []
-    lowest = math.inf  # the smallest eigenvalue of box and boxbar
-    for delta, tau, count in zip(joint.delta, joint.tau, joint.counts):
-        delta = max(delta, 0.0)
-        root = math.sqrt(delta)
-        box = 0.5 * (root + tau)
-        boxbar = 0.5 * (root - tau)
-        lowest = min(lowest, box, boxbar)
-        if delta <= zero:
-            piece = "harmonic"
-        elif box <= zero:
-            piece = "reeb_plus"  # ker box ∩ im boxbar
-        elif boxbar <= zero:
-            piece = "reeb_minus"  # im box ∩ ker boxbar
-        else:
-            piece = "bi_positive"
-        # L_T acts by i*nu; never -0.0
-        slices.append(ReebSlice(lbl, k, delta, 0.0 - tau, multiplicity * count, piece))
-    checks.add(f"boxes_psd[{lbl}]k={k}", max(0.0, -lowest), 1e-9)
-    report.slices.extend(slices)
-    spectrum = [(sl.delta, sl.mult) for sl in slices if sl.piece != "harmonic"]
-    one_sided_slices = [sl for sl in slices if sl.piece in ("reeb_plus", "reeb_minus")]
-    one_sided = [(sl.nu ** 2, sl.mult) for sl in one_sided_slices]
+    zero = pair_tol * np.maximum(1.0, joint.row_max([np.abs(g.blocks[0]).max(axis=(1, 2)) for g in rows.groups]))
+    delta = np.where(0.0 > joint.delta, 0.0, joint.delta)
+    root = np.sqrt(delta)
+    box, boxbar = 0.5 * (root + tau), 0.5 * (root - tau)
+    z = zero[owner]
+    # harmonic; reeb_plus: ker box ∩ im boxbar; reeb_minus: im box ∩ ker boxbar; bi_positive
+    piece = np.where(delta <= z, 0, np.where(box <= z, 1, np.where(boxbar <= z, 2, 3)))
+    lowest = np.full(len(labels), np.inf)  # the smallest eigenvalue of box and boxbar
+    np.minimum.at(lowest, owner, np.minimum(box, boxbar))
+    nu = 0.0 - tau  # L_T acts by i*nu; never -0.0
+    mult = np.asarray(multiplicity, dtype=int)[owner] * joint.count
+    one_sided = (piece == 1) | (piece == 2)
     # Delta = -L_T^2 exactly on the one-sided pieces
-    worst = max((abs(sl.delta - sl.nu ** 2) / max(1.0, sl.delta) for sl in one_sided_slices), default=0.0)
-    checks.add(f"one_sided_reeb_square[{lbl}]k={k}", worst, pair_tol)
-    ok, _gap = _multisets_match(
-        _cluster_multiset(spectrum, pair_tol), _cluster_multiset(one_sided, pair_tol), pair_tol
+    square = np.zeros(len(labels))
+    np.maximum.at(square, owner[one_sided], (np.abs(delta - nu**2) / np.maximum(1.0, delta))[one_sided])
+    # per block: the positive spectrum against the one-sided Reeb squares
+    positive = piece != 0
+    spectrum = _multiset_clusters(owner[positive], delta[positive], mult[positive], pair_tol)
+    reeb = _multiset_clusters(owner[one_sided], nu[one_sided] ** 2, mult[one_sided], pair_tol)
+    blocks, values, counts = (np.concatenate([x, y]) for x, y in zip(spectrum, (reeb[0], reeb[1], -reeb[2])))
+    row, _, gap = _multiset_clusters(blocks, values, counts, pair_tol)
+    worst = np.zeros(len(labels), dtype=int)
+    np.maximum.at(worst, row, np.abs(gap))
+    for w, (lbl, low, sq, ok) in enumerate(zip(labels, lowest.tolist(), square.tolist(), (worst < 0.5).tolist())):
+        if boxes is not None:
+            checks.add(f"boxes_sum_to_root[{lbl}]k={k}", boxes[0][w], 1e-10)
+            checks.add(f"boxes_differ_by_reeb[{lbl}]k={k}", boxes[1][w], 1e-10)
+            checks.add(f"boxes_commute[{lbl}]k={k}", boxes[2][w], 1e-9)
+        checks.add(f"boxes_psd[{lbl}]k={k}", max(0.0, -low), 1e-9)
+        checks.add(f"one_sided_reeb_square[{lbl}]k={k}", sq, pair_tol)
+        report.per_degree_outcomes[(lbl, k)] = ok
+    report._add_columns(
+        block=np.asarray(labels, dtype=str)[owner], degree=np.full(owner.size, k), delta=delta, nu=nu, mult=mult, piece=piece
     )
-    report.per_degree_outcomes[(lbl, k)] = ok
-
-
-def _sector_roots(joint: JointEigenspaces) -> List[np.ndarray]:
-    """sqrt(Delta) on every sector of `joint`, from its sector eigenpairs: per size group, the
-    (sectors, s, s) stack q diag(sqrt(Delta)) q^*."""
-    root = np.empty(joint.sectors.dim)
-    root[joint.order] = np.repeat(np.sqrt(np.maximum(joint.delta, 0.0)), joint.counts)
-    stacks, col = [], 0
-    for q in joint.vectors:
-        sectors, size, _ = q.shape
-        scaled = q * root[col : col + sectors * size].reshape(sectors, 1, size)
-        stacks.append(scaled @ q.conj().transpose(0, 2, 1))
-        col += sectors * size
-    return stacks
 
 
 def close_reeb_report(report: TorsionReport):
     """The checks and sums of `reeb_decomposition` over the slices of every block added."""
     checks, pair_tol, weights = report.checks, report.pair_tol, report.weights
     n = len(weights) - 1
-    # the spectrum with weight w_k against the one-sided Reeb squares with weight -w_k
-    weighted_entries: List[Tuple[float, float]] = []
-    report.kernel_dims = [0] * (n + 1)
-    for sl in report.slices:
-        w = weights[sl.degree]
-        if sl.piece == "harmonic":
-            report.kernel_dims[sl.degree] += sl.mult
-            continue
-        weighted_entries.append((sl.delta, w * sl.mult))
-        if sl.piece in ("reeb_plus", "reeb_minus"):
-            weighted_entries.append((sl.nu ** 2, -w * sl.mult))
+    c = report.columns
+    degree, delta, nu, mult = c["degree"], c["delta"], c["nu"], c["mult"]
+    harmonic = c["piece"] == 0
+    one_sided = (c["piece"] == 1) | (c["piece"] == 2)
+    kernel_dims = np.zeros(n + 1, dtype=int)
+    np.add.at(kernel_dims, degree[harmonic], mult[harmonic])
+    report.kernel_dims = kernel_dims.tolist()
 
-    merged = _cluster_multiset(weighted_entries, pair_tol)
-    worst_net = max((abs(c) for _, c in merged), default=0.0)
+    # the spectrum with weight w_k against the one-sided Reeb squares with weight -w_k
+    weighted = np.asarray(weights, dtype=int)[degree] * mult
+    values = np.concatenate([delta[~harmonic], nu[one_sided] ** 2])
+    counts = np.concatenate([weighted[~harmonic], -weighted[one_sided]])
+    _, _, net = _multiset_clusters(np.zeros(values.size, dtype=int), values, counts, pair_tol)
+    worst_net = int(np.abs(net).max()) if net.size else 0.0
     report.weighted_match = worst_net < 0.5
     checks.add(
         "weighted_multiset_identity",
@@ -321,23 +348,17 @@ def close_reeb_report(report: TorsionReport):
             f"kernel={report.kernel_dims[k]} rank_oracle={report.cohomology_dims[k]}",
         )
 
-    # torsion-function partial sums from both sides
+    # torsion-function partial sums from both sides, each summed term by term in slice order
+    positive = [(mult[at].tolist(), delta[at].tolist()) for at in (~harmonic & (degree == k) for k in range(n + 1))]
+    reeb = [(mult[at].tolist(), nu[at].tolist()) for at in (one_sided & (degree == k) for k in range(n + 1))]
     for s in report.s_grid:
         lhs = 0.0
         rhs = 0.0
         for k in range(n + 1):
-            zk = sum(
-                sl.mult * sl.delta ** (-s)
-                for sl in report.slices
-                if sl.degree == k and sl.piece != "harmonic"
-            )
+            zk = sum([m * d ** (-s) for m, d in zip(*positive[k])])
             report.zetas[(k, float(s))] = zk
             lhs += weights[k] * zk
-            rhs += weights[k] * sum(
-                sl.mult * (sl.nu ** 2) ** (-s)
-                for sl in report.slices
-                if sl.degree == k and sl.piece in ("reeb_plus", "reeb_minus")
-            )
+            rhs += weights[k] * sum([m * (v**2) ** (-s) for m, v in zip(*reeb[k])])
         report.kappa_from_spectrum[float(s)] = lhs
         report.kappa_from_reeb[float(s)] = rhs
         checks.add(f"kappa_two_routes_s={util.fmt_float(s)}", abs(lhs - rhs), 1e-9)

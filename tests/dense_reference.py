@@ -7,8 +7,9 @@ once (`ruminlab.sectors`, `ruminlab.suites`).  The tests compare them with the
 dense block matrices here: the (Laplacian, i L_T) pairs of the `spectrum`
 operators, the dense joint eigenspaces of the Rumin Laplacian of one block
 (`rumin_joint_eigenspaces`, cut by `spectral._reeb_sectors`), its dense half
-Laplacians on the same sectors (`half_laplacian_sectors`), the simultaneous
-eigenspaces that both give (`dense_q_decomposition`), the dense Reeb
+Laplacians (`dense_half_laplacians`, also cut into the same sectors by
+`half_laplacian_sectors`), the simultaneous eigenspaces that both give, with
+the Rayleigh quotients of the dense half Laplacians (`dense_q_decomposition`), the dense Reeb
 classification of every block, the dense SVD rank of every block
 differential, and the per-block suite bodies `check_<suite>(ctx, report, ...)`
 that `verify` ran on the dense weight blocks, one block at a time
@@ -30,6 +31,7 @@ from ruminlab.operators import (
     hermitize,
     max_abs,
 )
+from ruminlab.util import round_sig
 from ruminlab.spectral import (
     Assembly,
     QComponent,
@@ -41,7 +43,6 @@ from ruminlab.spectral import (
     principal_sines,
     q_decomposition,
     rank_oracle_checks,
-    sector_half_laplacian_pairs,
 )
 from ruminlab.torsion import (
     PAIR_TOL,
@@ -86,10 +87,9 @@ def rumin_joint_eigenspaces(ctx, k: int, tol: float = 1e-9):
     return _sequential_joint_eigenspaces([operator_pair(ctx, "delta-rn", k, 1.0)], tol)[0]
 
 
-def half_laplacian_sectors(ctx, k: int, sectors):
+def dense_half_laplacians(ctx, k: int):
     """The hermitized dense half Laplacians (Delta_del, Delta_delbar) of degree k below the middle
-    degree, after checking that they commute, cut into the Reeb sectors `sectors` of the degree-k
-    Rumin Laplacian: (their sector blocks, their common scale)."""
+    degree, after checking that they commute, and their common scale max(1, max |entry|)."""
     if k > ctx.n - 1:
         raise ValueError("the simultaneous decomposition is defined below middle degree")
     a = hermitize(ctx.rumin_del_laplacian(k).matrix, 1e-9)
@@ -97,17 +97,37 @@ def half_laplacian_sectors(ctx, k: int, sectors):
     scale = max(1.0, max_abs(a), max_abs(b))
     if max_abs(a @ b - b @ a) > 1e-10 * scale:
         raise InternalConsistencyError("half Laplacians do not commute")
-    if sectors.dim != ctx.rumin_space(k).dim:
+    return a, b, scale
+
+
+def half_laplacian_sectors(ctx, k: int, sectors):
+    """The dense half Laplacians of degree k cut into the Reeb sectors `sectors` of the degree-k
+    Rumin Laplacian (a one-row `SectorRows` of `spectral._reeb_sectors`): (per size group, their
+    sector blocks; their common scale)."""
+    a, b, scale = dense_half_laplacians(ctx, k)
+    if sectors.dims[0] != ctx.rumin_space(k).dim:
         raise InternalConsistencyError("simultaneous eigenspaces do not exhaust the space")
-    cut = lambda m: tuple(m[idx[:, :, None], idx[:, None, :]] for idx in sectors.index)
+    cut = lambda m: tuple(m[g.index[:, :, None], g.index[:, None, :]] for g in sectors.groups)
     return (cut(a), cut(b)), scale
 
 
 def dense_q_decomposition(ctx, k: int, tol: float = 1e-9):
-    """`spectral.q_decomposition` of the block of `ctx` through the dense route."""
+    """`spectral.q_decomposition` of the block of `ctx` through the dense route: the joint
+    eigenspaces of the dense Rumin Laplacian, each with the Rayleigh quotients of the dense half
+    Laplacians on its basis, which must act on it as scalars."""
     joint = rumin_joint_eigenspaces(ctx, k, tol)
-    pairs = sector_half_laplacian_pairs(joint, half_laplacian_sectors(ctx, k, joint.sectors), tol)
-    return tuple(QComponent(l10, l01, basis) for (l10, l01), (_, _, basis) in zip(pairs, joint.components()))
+    a, b, scale = dense_half_laplacians(ctx, k)
+    out = []
+    for _, _, basis in joint.components():
+        pair = []
+        for half in (a, b):
+            image = half @ basis
+            ray = float(np.real(np.trace(basis.conj().T @ image))) / basis.shape[1]
+            if max_abs(image - ray * basis) > 10 * tol * scale:
+                raise InternalConsistencyError("half Laplacians are not scalar on a joint eigenspace")
+            pair.append(round_sig(max(ray, 0.0)))
+        out.append(QComponent(*pair, basis))
+    return tuple(out)
 
 
 def dense_rank(m: np.ndarray, tol: float = 1e-8) -> int:
@@ -148,11 +168,14 @@ def dense_reeb_decomposition(asm, s_grid=(2.0, 3.0, 4.0), pair_tol: float = PAIR
         cohomology_dims=dense_cohomology_dims(asm, "rumin")[: n + 1],
         pair_tol=pair_tol,
     )
+    every = []
     for ctx in asm.contexts:
         lbl = ctx.block.label
         for k in range(n + 1):
-            joint = rumin_joint_eigenspaces(ctx, k, pair_tol)
-            zero = pair_tol * max(1.0, max((max_abs(b) for b in joint.sectors.blocks), default=0.0))
+            lap, ilt = operator_pair(ctx, "delta-rn", k, 1.0)
+            [joint] = _sequential_joint_eigenspaces([(lap, ilt)], pair_tol)
+            # the largest |entry| of a psd matrix is on its diagonal, inside a Reeb sector
+            zero = pair_tol * max(1.0, max_abs(lap))
             slices = []
             for delta, tau, count in zip(joint.delta, joint.tau, joint.counts):
                 delta = max(delta, 0.0)
@@ -166,12 +189,13 @@ def dense_reeb_decomposition(asm, s_grid=(2.0, 3.0, 4.0), pair_tol: float = PAIR
                 else:
                     piece = "bi_positive"
                 slices.append(ReebSlice(lbl, k, delta, 0.0 - tau, ctx.block.multiplicity * count, piece))
-            report.slices.extend(slices)
+            every.extend(slices)
             spectrum = [(sl.delta, sl.mult) for sl in slices if sl.piece != "harmonic"]
             one_sided = [(sl.nu**2, sl.mult) for sl in slices if sl.piece in ("reeb_plus", "reeb_minus")]
             report.per_degree_outcomes[(lbl, k)], _ = _multisets_match(
                 _cluster_multiset(spectrum, pair_tol), _cluster_multiset(one_sided, pair_tol), pair_tol
             )
+    report.slices = every
     close_reeb_report(report)
     return report
 

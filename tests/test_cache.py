@@ -16,7 +16,7 @@ import pytest
 
 import dense_reference
 from dense_reference import operator_pair
-from ruminlab import cli, operators, sectors, spectral, suites, torsion
+from ruminlab import cli, operators, rows, sectors, spectral, suites, torsion
 from ruminlab import model as model_module
 from ruminlab.model import ParameterError, lens_space, su2_model
 from ruminlab.operators import BlockContext
@@ -222,18 +222,18 @@ def test_memo_key_fills_in_keywords_and_defaults(s3):
 
 def test_assembly_rows_are_memoized_and_read_only():
     """`Assembly.rumin_rows` solves each (degree, tol) once, with the default tol filled in, and
-    every array of a row is read-only; `q_decomposition` hands out tuples, not shared lists."""
+    every array of the solved rows is read-only; `q_decomposition` hands out tuples, not shared lists."""
     asm = Assembly(lens_space(3, character=1), 4)
-    rows = asm.rumin_rows(0)
-    assert rows is asm.rumin_rows(0, 1e-9) is asm.rumin_rows(0, tol=1e-9)
-    assert asm.rumin_rows(0, 1e-10) is not rows
-    assert isinstance(rows, tuple) and len(rows) == len(asm.weights)
-    for joint, halves in rows:
-        assert all(isinstance(v, tuple) for v in (joint.bounds, joint.delta, joint.tau))
-        (box, boxbar), _ = halves
-        arrays = (joint.sectors.tau, joint.order, *joint.sectors.index, *joint.sectors.blocks, *joint.vectors)
-        assert not any(array.flags.writeable for array in (*arrays, *box, *boxbar))
-    assert all(halves is None for _, halves in asm.rumin_rows(1))
+    joint = asm.rumin_rows(0)
+    assert joint is asm.rumin_rows(0, 1e-9) is asm.rumin_rows(0, tol=1e-9)
+    assert asm.rumin_rows(0, 1e-10) is not joint
+    assert joint.rows.size == len(asm.weights) and set(joint.owner.tolist()) == set(range(len(asm.weights)))
+    assert all(isinstance(v, tuple) for v in (joint.vectors, joint.rows.groups))
+    columns = (joint.order, joint.starts, joint.owner, joint.delta, joint.tau, joint.rows.dims, joint.rows.scale)
+    groups = [array for g in joint.rows.groups for array in (g.owner, g.tau, g.index, *g.blocks)]
+    assert len(joint.rows.groups[0].blocks) == 3  # the Laplacian and the two half Laplacians
+    assert not any(array.flags.writeable for array in (*columns, *groups, *joint.vectors))
+    assert asm.rumin_rows(1).rows.scale is None
     comps = spectral.q_decomposition(asm, asm.weights[-1], 0)
     assert isinstance(comps, tuple) and comps
     [again] = dense_reference.low_degree_components(asm, asm.contexts[-1])
@@ -330,12 +330,13 @@ def test_verify_all_computes_each_shared_quantity_once(capsys, monkeypatch):
     which ranks each complex once for thm1 and the torsion checks together,
     and the suite quantities that several suites read: the Laplacians, the
     harmonic kernels, the Rumin Reeb derivative (whose invariance residual is
-    checked when it is built), the Rumin square root and the sec4 components.
-    The Rumin Laplacian is solved once per degree k <= n over every weight
-    (`Assembly.rumin_rows`), for sec4 and the torsion checks together: two
-    solves in all, on lens(3, 1) and on s3.  The first-order stacks (d, d0,
-    dT, L_T and the split halves of d_b) are built once per degree and half,
-    and every composite of the stacks reads those.
+    checked when it is built), the Rumin square root, the sec4 components and
+    the lifted fiber tables.  The Rumin Laplacian is solved once per degree
+    k <= n over every weight (`Assembly.rumin_rows`), for sec4 and the torsion
+    checks together: two solves in all, on lens(3, 1) and on s3.  The
+    first-order stacks (d, d0, dT, L_T, the split halves of d_b and their Rumin
+    compressions) are built once per degree and half, and every composite of
+    the stacks reads those.
     """
     calls = {}
 
@@ -353,11 +354,10 @@ def test_verify_all_computes_each_shared_quantity_once(capsys, monkeypatch):
 
     solve = spy(
         "joint eigenspaces",
-        spectral._solve_reeb_sectors,
-        lambda rows, tol: tuple(exact(sec.tau, *sec.blocks) for sec in rows) + (tol,),
+        rows.solve_rows,
+        lambda rows, tol: tuple(exact(g.tau, *g.blocks) for g in rows.groups) + (tol,),
     )
-    for mod in (spectral, sectors):
-        monkeypatch.setattr(mod, "_solve_reeb_sectors", solve)
+    monkeypatch.setattr(rows, "solve_rows", solve)
     memos = {
         "sector rank": (SectorStacks.cohomology_dims, lambda stacks, complex_name, multiplicity: complex_name),
         "Laplacian": (suites._laplacian, lambda stacks, op, k: (op, k)),
@@ -365,6 +365,7 @@ def test_verify_all_computes_each_shared_quantity_once(capsys, monkeypatch):
         "Rumin Reeb derivative": (suites._lie_reeb_rumin, lambda stacks, k: k),
         "Rumin square root": (suites._sqrt_rumin_laplacian, lambda stacks, k: k),
         "sec4 components": (suites._low_components, lambda asm, tol: tol),
+        "lifted fiber table": (suites._fiber, lambda stacks, name, k, k_out: (name, k, k_out)),
     }
     for name in FIRST_ORDER:
         memos[name] = (getattr(SectorStacks, name), lambda stacks, *args: args)
@@ -379,8 +380,9 @@ def test_verify_all_computes_each_shared_quantity_once(capsys, monkeypatch):
             assert counts, kind
             repeated = {key: n for key, n in counts.items() if n > 1}
             assert not repeated, f"{kind}: {len(repeated)} of {len(counts)} computations repeated"
-        assert len(calls) == 7 + len(FIRST_ORDER)
+        assert len(calls) == 8 + len(FIRST_ORDER)
         assert set(calls["split_db"]) == {(k, anti) for k in range(2) for anti in (False, True)}
+        assert set(calls["rumin_del"]) == {(k, anti) for k in range(2) for anti in (False, True)}
         assert set(calls["d"]) == {(k,) for k in range(4)}
         assert set(calls["sector rank"]) == {"rumin", "de_rham"}
         assert set(calls["harmonic kernel"]) == {(k, op) for k in range(4) for op in ("de_rham", "rumin")}
@@ -389,14 +391,20 @@ def test_verify_all_computes_each_shared_quantity_once(capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "command",
-    [["torsion"], ["verify", "--suite", "thm5"], ["verify", "--suite", "sec4"]],
-    ids=["torsion", "thm5", "sec4"],
+    [
+        ["torsion"],
+        ["verify", "--suite", "thm5"],
+        ["verify", "--suite", "sec4"],
+        ["spectrum", "--op", "delta-rn"],
+        ["spectrum", "--op", "delta-dr", "--format", "json"],
+    ],
+    ids=["torsion", "thm5", "sec4", "spectrum-delta-rn", "spectrum-delta-dr"],
 )
 def test_torsion_builds_no_dense_eigenbasis(capsys, monkeypatch, command):
     """The Reeb pieces need only Delta, tau and the dimension of each joint eigenspace, and
     they come from the Reeb-sector stacks: no dense box, square root, eigenbasis or sector cut
-    is built.  sec4 reads the same sector solve, whose components are single sector vectors,
-    and takes its square root on the sectors too."""
+    is built, and no per-weight view of the solved rows.  sec4 reads the same sector solve,
+    whose components are single sector vectors, and takes its square root on the sectors too."""
     calls = Counter()
 
     def spy(owner, name):
@@ -409,6 +417,7 @@ def test_torsion_builds_no_dense_eigenbasis(capsys, monkeypatch, command):
         monkeypatch.setattr(owner, name, wrapper)
 
     spy(spectral.JointEigenspaces, "components")
+    spy(spectral.JointEigenspaces, "__init__")
     for name in ("box_operators", "sqrt_laplacian_rn"):
         spy(BlockContext, name)
     spy(spectral, "_reeb_sectors")
@@ -421,7 +430,7 @@ def test_torsion_builds_no_dense_eigenbasis(capsys, monkeypatch, command):
     ctx.box_operators(0)
     spectral._sequential_joint_eigenspaces([operator_pair(ctx, "delta-rn", 0, 1.0)], 1e-9)
     dense = ("components", "box_operators", "sqrt_laplacian_rn", "_reeb_sectors")
-    assert calls == dict.fromkeys(dense, 1)
+    assert calls == {**dict.fromkeys(dense, 1), "__init__": 2}  # one view each for the two dense callers
 
 
 def _assert_each_dt_built_once(monkeypatch, suite, t_samples, degrees):
@@ -454,7 +463,7 @@ def test_deformation_family_builds_each_deformed_differential_once(monkeypatch):
 
 LENS31 = ["--model", "lens", "--p", "3", "--character", "1"]
 SPECTRUM_OPS = ("delta-rn", "delta-dr", "delta-t", "delta-b")
-FIRST_ORDER = ("d", "d0", "dT", "lie_reeb", "split_db")
+FIRST_ORDER = ("d", "d0", "dT", "lie_reeb", "split_db", "rumin_del")
 
 
 @pytest.mark.parametrize(
@@ -477,7 +486,7 @@ def test_spectrum_and_torsion_keep_no_first_order_stack(capsys, monkeypatch, com
     capsys.readouterr()
     [stacks] = built
     assert stacks._cache
-    kept = {name for name, _ in stacks._cache} & {f"SectorStacks.{name}" for name in FIRST_ORDER}
+    kept = {name for name, _ in stacks._cache} & ({f"SectorStacks.{name}" for name in FIRST_ORDER} | {"_fiber"})
     assert not kept, kept
 
 

@@ -309,6 +309,24 @@ def test_non_finite_or_empty_inputs_exit_2(capsys, argv):
     assert out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize("text", ["[1, 2]", '"s3"', "3", "null"], ids=["list", "string", "number", "null"])
+@pytest.mark.parametrize("command", ["verify", "spectrum", "torsion"])
+def test_config_file_that_is_not_an_object_exits_2(tmp_path, capsys, command, text):
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(text)
+    code, out, err = run_cli(capsys, command, "--config", str(cfg_path))
+    assert (code, out, err) == (2, "", "error: config file must hold a JSON object\n")
+
+
+@pytest.mark.parametrize("command", [["spectrum"], ["verify", "--suite", "thm1"], ["torsion"]])
+def test_unwritable_out_path_exits_2(tmp_path, capsys, command):
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(capsys, *command, "--model", "s3", "--max-weight", "1", "--out", str(target))
+    assert code == 2 and out == ""
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+    assert not target.parent.exists()
+
+
 def test_run_config_validation():
     with pytest.raises(UsageError):
         RunConfig(model="torus").validate()

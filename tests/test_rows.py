@@ -1,0 +1,204 @@
+"""The per-degree row path: one clustering pass over every weight, and the columnar tables.
+
+`rows.solve_rows` clusters Delta on every row at once; the clusters and
+their means must be those of `util.cluster_values` on each row alone, bit for
+bit.  `SpectrumTable` and `TorsionReport` hold their rows as numpy columns and
+write them directly; the references below are the per-entry writers they
+replace (`json.dumps(..., sort_keys=True)` and the csv module).
+"""
+
+import csv
+import io
+import json
+
+import numpy as np
+import pytest
+
+from ruminlab import cli, util
+from ruminlab.model import su2_model
+from ruminlab.rows import SectorGroup, SectorRows, cluster_starts, round_sig_values, run_means, solve_rows
+from ruminlab.spectral import Assembly, SpectrumEntry, SpectrumTable
+from ruminlab.torsion import reeb_decomposition
+
+TOL = 1e-9
+
+
+def _row_values(rng, row: int) -> np.ndarray:
+    """Values of one row: clusters of 9 to 60 values near 169, a chain whose steps are each within
+    the row's tolerance but whose span exceeds it, and scattered values."""
+    scale = TOL * 400.0  # the row tolerance, tol * max(1, max |value|)
+    parts = [169.0 + rng.uniform(-0.2, 0.2, rng.integers(9, 61)) * scale for _ in range(3)]
+    parts.append(250.0 + 0.45 * scale * np.arange(rng.integers(3, 12)))  # the chain
+    parts.append(rng.uniform(0.0, 399.0, 20))
+    parts.append([400.0, -3.0 + row])
+    return rng.permutation(np.concatenate(parts))
+
+
+def test_cluster_pass_equals_cluster_values_on_every_row():
+    """Clusters compare each value with their first value, and means sum in ascending order."""
+    rng = np.random.default_rng(7)
+    rows = [_row_values(rng, row) for row in range(6)]
+    owner = np.repeat(np.arange(len(rows)), [r.size for r in rows])
+    values = np.concatenate(rows)
+    order = np.lexsort((values, owner))
+    row_of, ascending = owner[order], values[order]
+    top = np.array([np.abs(r).max() for r in rows])
+    tol = (TOL * np.maximum(1.0, top))[row_of]
+    start = cluster_starts(row_of, ascending, tol)
+    means, counts = run_means(ascending, start), np.diff(np.append(np.flatnonzero(start), values.size))
+    got = list(zip(row_of[start].tolist(), means.tolist(), counts.tolist()))
+    want = [
+        (row, mean, count)
+        for row, r in enumerate(rows)
+        for mean, count in util.cluster_values(list(r), TOL * max(1.0, float(np.abs(r).max())))
+    ]
+    assert got == want  # means bit for bit
+    assert max(count for _, _, count in want) > 8
+    pairwise = np.add.reduceat(ascending, np.flatnonzero(start)) / counts
+    assert np.any(pairwise != means)  # the data tell a sum in order from a pairwise one
+    # the chain is cut where a value leaves the tolerance of its cluster's first value
+    chain = [count for _, mean, count in want if 249.0 < mean < 251.0]
+    assert len(chain) > 1
+
+
+def test_solve_rows_clusters_every_row_as_cluster_values():
+    """One-by-one sectors carrying the values above: the components of each row are its values,
+    each with the mean of its `cluster_values` cluster, in ascending order."""
+    rng = np.random.default_rng(11)
+    rows = [_row_values(rng, row) for row in range(4)]
+    owner = np.repeat(np.arange(len(rows)), [r.size for r in rows])
+    tau = np.concatenate([np.arange(r.size, dtype=float) for r in rows])
+    index = np.concatenate([np.arange(r.size) for r in rows])[:, None]
+    blocks = np.concatenate(rows).astype(complex)[:, None, None]
+    joint = solve_rows(SectorRows(np.array([r.size for r in rows]), (SectorGroup(owner, tau, index, (blocks,)),)), TOL)
+    for row, r in enumerate(rows):
+        lo, hi = joint.row_components(row)
+        clusters = util.cluster_values(list(r), TOL * max(1.0, float(np.abs(r).max())))
+        expected = [mean for mean, count in clusters for _ in range(count)]
+        assert joint.delta[lo:hi].tolist() == expected
+        assert joint.count[lo:hi].tolist() == [1] * r.size
+
+
+# -- the columnar writers against the per-entry writers ---------------------------------------
+
+
+def _reference_json(table: SpectrumTable, entries) -> str:
+    fmt = lambda x: None if x is None else util.fmt_float(x)
+    doc = {
+        "schema": 1,
+        "kind": "spectrum",
+        "operator": table.operator,
+        "model": table.model,
+        "max_weight": table.max_weight,
+        "cutoff": fmt(table.cutoff),
+        "entries": [
+            {
+                "degree": e.degree,
+                "block": e.block,
+                "eigenvalue": util.fmt_float(e.eigenvalue),
+                "multiplicity": e.multiplicity,
+                "nu": fmt(e.nu),
+                "lambda10": fmt(e.lambda10),
+                "lambda01": fmt(e.lambda01),
+                "bidegree": e.bidegree,
+            }
+            for e in sorted(entries, key=lambda e: (e.degree, e.block, e.eigenvalue, e.multiplicity))
+        ],
+    }
+    return json.dumps(doc, sort_keys=True)
+
+
+def _reference_csv(entries) -> str:
+    fmt = lambda x: "" if x is None else util.fmt_float(x)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["degree", "block", "eigenvalue", "multiplicity", "nu", "lambda10", "lambda01"])
+    for e in sorted(entries, key=lambda e: (e.degree, e.block, e.eigenvalue, e.multiplicity)):
+        writer.writerow(
+            [e.degree, e.block, util.fmt_float(e.eigenvalue), e.multiplicity, fmt(e.nu), fmt(e.lambda10), fmt(e.lambda01)]
+        )
+    return buf.getvalue()
+
+
+HAND_ENTRIES = [
+    SpectrumEntry(1, "m2", 4.0, 3, nu=2.0, lambda10=None, lambda01=None, bidegree="theta^(0,0)"),
+    SpectrumEntry(1, "m10", 121.00000000000003, 11, nu=-11.0, lambda10=None, lambda01=None, bidegree=None),
+    SpectrumEntry(0, "m2", 16.0, 3, nu=0.0, lambda10=2.0, lambda01=2.0, bidegree="(0,0)"),
+    SpectrumEntry(0, "m2", 16.0, 3, nu=-4.0, lambda10=0.0, lambda01=4.0, bidegree="(0,0)"),  # a tie: kept in order
+    SpectrumEntry(0, "m2", 16.0, 3, nu=4.0, lambda10=4.0, lambda01=0.0, bidegree="(0,0)"),
+    SpectrumEntry(0, "m1", 1e-17, 2, nu=None, lambda10=None, lambda01=None, bidegree=None),
+    SpectrumEntry(0, "m10", 0.1 + 0.2, 11, nu=1.5e300, lambda10=2.5e-310, lambda01=-0.0, bidegree="(1,0)"),
+    SpectrumEntry(0, "m0", 0.0, 1),
+]
+
+
+@pytest.mark.parametrize("cutoff", [None, 169.0])
+def test_columnar_writers_equal_the_per_entry_writers(cutoff):
+    """None fields, bidegree None, block labels in text order (m10 before m2) and ties in
+    insertion order."""
+    table = SpectrumTable("delta-rn", {"model": "s3", "p": 1}, 12, cutoff)
+    table.entries = HAND_ENTRIES
+    assert table.entries == HAND_ENTRIES
+    assert table.to_json() == _reference_json(table, HAND_ENTRIES)
+    assert table.to_csv() == _reference_csv(HAND_ENTRIES)
+    blocks = [row.split(",")[1] for row in table.to_csv().splitlines()[1:]]
+    assert blocks == ["m0", "m1", "m10", "m2", "m2", "m2", "m10", "m2"]
+    empty = SpectrumTable("delta-b", {}, 0)
+    assert empty.to_json() == _reference_json(empty, []) and empty.to_csv() == _reference_csv([])
+
+
+@pytest.mark.parametrize("op", ["delta-rn", "delta-dr", "delta-b"])
+def test_columnar_spectrum_tables_equal_the_per_entry_writers(op):
+    """The command line's tables, over every degree of s3 at M = 12, against the per-entry writers
+    of their own rows."""
+    model = su2_model()
+    degrees = list(range(3 if op == "delta-b" else 4))
+    table = SpectrumTable(op, model.describe(), 12, 169.0, cli._spectrum_columns(model, 12, op, degrees, 0.1))
+    entries = table.entries
+    assert len(entries) > 100 and {e.bidegree is None for e in entries} == {False, True}
+    assert table.to_json() == _reference_json(table, entries)
+    assert table.to_csv() == _reference_csv(entries)
+    assert table.sorted_entries() == sorted(entries, key=lambda e: (e.degree, e.block, e.eigenvalue, e.multiplicity))
+
+
+def test_torsion_pairs_csv_equals_the_per_slice_writer():
+    report = reeb_decomposition(Assembly(su2_model(), 12))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["block", "degree", "lambda", "piece", "nu", "multiplicity"])
+    for sl in sorted(report.slices, key=lambda s: (s.block, s.degree, s.delta, s.nu)):
+        writer.writerow([sl.block, sl.degree, util.fmt_float(sl.delta), sl.piece, util.fmt_float(sl.nu), sl.mult])
+    assert report.pairs_csv() == buf.getvalue()
+    assert len(report.slices) > 100
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_one_sector_eigenvalue_moved_changes_the_table(capsys, monkeypatch, fmt):
+    """A 1e-6 relative move of one sector eigenvalue reaches the printed table."""
+    argv = ["spectrum", "--op", "delta-rn", "--model", "s3", "--max-weight", "6", "--format", fmt]
+    assert cli.main(argv) == 0
+    clean = capsys.readouterr().out
+    eigh = np.linalg.eigh
+
+    def moved(a, *args, **kwargs):
+        w, q = eigh(a, *args, **kwargs)
+        if a.ndim == 3 and a.shape[0] > 10:
+            w = w.copy()
+            w[-1, -1] *= 1 + 1e-6
+        return w, q
+
+    monkeypatch.setattr(np.linalg, "eigh", moved)
+    assert cli.main(argv) == 0
+    spoiled = capsys.readouterr().out
+    assert spoiled != clean
+
+
+def test_round_sig_values_equals_round_sig_of_each_numpy_float():
+    """`util.round_sig` of an np.float64 rounds with numpy's rounding, which differs from
+    Python's `round` on some values; the array form must match it value by value."""
+    rng = np.random.default_rng(3)
+    values = rng.uniform(-1, 1, 4000) * 10.0 ** rng.integers(-8, 9, 4000)
+    values = np.concatenate([values, [0.0, -0.0, 1.0, 10.0, 999.9999999999999, 1e-30, 2.675, 6.000000000000001]])
+    expected = [util.round_sig(x) for x in values]  # iterating an array gives np.float64
+    assert round_sig_values(values).tolist() == expected
+    assert any(util.round_sig(x) != util.round_sig(float(x)) for x in values)  # the rounding differs from Python's

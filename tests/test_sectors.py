@@ -16,6 +16,7 @@ from dense_reference import (
 from ruminlab import operators
 from ruminlab.model import lens_space, su2_block, su2_model
 from ruminlab.operators import BlockContext, InternalConsistencyError, max_abs
+from ruminlab.rows import solve_rows
 from ruminlab.sectors import SPECTRUM_FLAVOR, SectorStacks
 from ruminlab.spectral import Assembly, _reeb_sectors, principal_sines, q_decomposition
 
@@ -51,28 +52,30 @@ def _assert_blocks_close(got, want, scale):
 @pytest.mark.parametrize("op", SPECTRUM_OPS)
 @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
 def test_sector_stacks_equal_the_dense_sector_cut(model, op):
-    """Every `ReebSectors` from the stacks equals the `_reeb_sectors` cut of the dense pair:
-    tau and index exactly, the blocks within 1e-12 * max(1, max |Laplacian entry|)."""
+    """The sectors of every weight in the stacks' rows equal the `_reeb_sectors` cut of the dense
+    pair, group by group: tau and index exactly, the blocks within 1e-12 * max(1, max |Laplacian
+    entry|), and the half-Laplacian blocks and scale where `spectrum` reads them."""
     weights = [m for m in range(MAX_WEIGHT + 1) if model.multiplicity(m)]
     stacks = SectorStacks(model.frame, weights)
     for k in spectrum_degrees(op):
         rows, labels = stacks.spectrum_sectors(op, k, T)
-        assert len(rows) == len(weights)
+        assert rows.size == len(weights)
         assert len(labels) == stacks.fibers.space_fiber(k, SPECTRUM_FLAVOR[op]).shape[1]
-        for m, (sectors, halves) in zip(weights, rows):
+        for w, m in enumerate(weights):
             dense, dense_halves, scale = _dense_cut(op, m, k)
-            assert sectors.tau.dtype == dense.tau.dtype and np.array_equal(sectors.tau, dense.tau)
-            assert len(sectors.index) == len(dense.index)
-            for got, want in zip(sectors.index, dense.index):
-                assert np.array_equal(got, want)
-            _assert_blocks_close(sectors.blocks, dense.blocks, scale)
-            assert (halves is None) == (dense_halves is None)
-            if halves is not None:
-                (a, b), half_scale = halves
+            assert rows.dims[w] == dense.dims[0]
+            mine = [(g, g.owner == w) for g in rows.groups if np.any(g.owner == w)]
+            assert len(mine) == len(dense.groups)
+            for (g, sel), want in zip(mine, dense.groups):
+                assert g.tau.dtype == want.tau.dtype and np.array_equal(g.tau[sel], want.tau)
+                assert np.array_equal(g.index[sel], want.index)
+                _assert_blocks_close([g.blocks[0][sel]], want.blocks, scale)
+            assert (rows.scale is None) == (dense_halves is None)
+            if dense_halves is not None:
                 (da, db), dense_scale = dense_halves
-                _assert_blocks_close(a, da, dense_scale)
-                _assert_blocks_close(b, db, dense_scale)
-                assert half_scale == pytest.approx(dense_scale, rel=1e-12)
+                _assert_blocks_close([g.blocks[1][sel] for g, sel in mine], da, dense_scale)
+                _assert_blocks_close([g.blocks[2][sel] for g, sel in mine], db, dense_scale)
+                assert rows.scale[w] == pytest.approx(dense_scale, rel=1e-12)
 
 
 @pytest.mark.parametrize("max_weight", [0, 3, MAX_WEIGHT])
@@ -157,4 +160,5 @@ def test_empty_weight_list_gives_no_rows():
     for op in SPECTRUM_OPS:
         for k in spectrum_degrees(op):
             rows, _ = stacks.spectrum_sectors(op, k, T)
-            assert rows == []
+            assert rows.size == 0 and rows.groups == ()
+            assert solve_rows(rows).owner.size == 0

@@ -425,8 +425,7 @@ def test_principal_sines_known_rotation():
 
 def test_spectrum_table_serialization():
     table = SpectrumTable(operator="delta-rn", model={"model": "s3"}, max_weight=2)
-    table.entries.append(SpectrumEntry(0, "m1", 1.0, 4, nu=0.0, lambda10=1.0, lambda01=0.0))
-    table.entries.append(SpectrumEntry(0, "m0", 0.0, 1))
+    table.entries = [SpectrumEntry(0, "m1", 1.0, 4, nu=0.0, lambda10=1.0, lambda01=0.0), SpectrumEntry(0, "m0", 0.0, 1)]
     csv_text = table.to_csv()
     lines = csv_text.strip().split("\n")
     assert lines[0] == "degree,block,eigenvalue,multiplicity,nu,lambda10,lambda01"

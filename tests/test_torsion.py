@@ -14,7 +14,7 @@ from dense_reference import dense_reeb_decomposition
 from ruminlab import cli, spectral, torsion
 from ruminlab.model import allowed_weight_slots, lens_space, su2_model
 from ruminlab.sectors import SectorStacks
-from ruminlab.spectral import Assembly, ReebSectors
+from ruminlab.spectral import Assembly
 from ruminlab.torsion import (
     ESTIMATE_CAVEAT,
     PAIR_TOL,
@@ -222,9 +222,11 @@ def test_kappa_consistent_with_direct_sum():
         for max_weight in (0, 3, 12, 20):
             report = _reopened(reeb_decomposition(Assembly(model, max_weight)))
             shifted = copy.deepcopy(report)
-            positive = [sl for sl in shifted.slices if sl.piece != "harmonic"]
+            slices = shifted.slices
+            positive = [sl for sl in slices if sl.piece != "harmonic"]
             if positive:
                 min(positive, key=lambda sl: sl.delta).delta *= 1 + 1e-8
+            shifted.slices = slices
             close_reeb_report(report)
             close_reeb_report(shifted)
             assert report.s_grid == [2.0, 3.0, 4.0]
@@ -251,10 +253,11 @@ def test_cluster_multiset_bound_is_absolute_up_to_1e4():
 
 def _reopened(done):
     """The slices and rank-oracle dims of a `reeb_decomposition` report, in a report that is not closed yet."""
-    return TorsionReport(
-        done.model, done.max_weight, done.s_grid, done.weights, done.cutoff,
-        cohomology_dims=done.cohomology_dims, slices=done.slices,
+    report = TorsionReport(
+        done.model, done.max_weight, done.s_grid, done.weights, done.cutoff, cohomology_dims=done.cohomology_dims
     )
+    report.slices = done.slices
+    return report
 
 
 def test_weighted_identity_holds_at_weight_50_and_catches_a_relative_shift():
@@ -263,7 +266,9 @@ def test_weighted_identity_holds_at_weight_50_and_catches_a_relative_shift():
     assert done.passed, done.checks.failures()[:4]
     report = _reopened(done)
     shifted = copy.deepcopy(report)
-    max(shifted.slices, key=lambda sl: sl.delta).delta *= 1 + 1e-8
+    slices = shifted.slices
+    max(slices, key=lambda sl: sl.delta).delta *= 1 + 1e-8
+    shifted.slices = slices
     close_reeb_report(report)
     close_reeb_report(shifted)
     assert report.passed and report.weighted_match
@@ -303,7 +308,8 @@ def test_sector_reeb_decomposition_equals_the_dense_route(model, max_weight):
         assert close(sector.kappa_from_spectrum[s], dense.kappa_from_spectrum[s])
         assert close(sector.kappa_from_reeb[s], dense.kappa_from_reeb[s])
 
-    entries = cli._spectrum_entries(model, max_weight, "delta-rn", list(range(model.frame.n + 1)), 1.0)
+    columns = cli._spectrum_columns(model, max_weight, "delta-rn", list(range(model.frame.n + 1)), 1.0)
+    entries = spectral.SpectrumTable("delta-rn", {}, max_weight, columns=columns).entries
     table = sorted((e.block, e.degree, e.eigenvalue, e.nu, e.multiplicity) for e in entries)
     assert table == sorted((sl.block, sl.degree, sl.delta, sl.nu, sl.mult) for sl in sector.slices)
 
@@ -344,10 +350,11 @@ def test_boxes_differ_by_reeb_catches_a_shifted_tau(monkeypatch):
     def spoiled(stacks, op, k, t=1.0):
         rows, labels = original(stacks, op, k, t)
         if k == 0:
-            sectors, halves = rows[-1]
-            tau = sectors.tau.copy()
-            tau[sectors.index[0][0, 0]] += 1e-9
-            rows[-1] = (ReebSectors(tau, sectors.index, sectors.blocks), halves)
+            g = rows.groups[0]
+            tau = g.tau.copy()
+            tau[np.flatnonzero(g.owner == rows.size - 1)[0]] += 1e-9  # a sector of the last weight
+            groups = (dataclasses.replace(g, tau=tau), *rows.groups[1:])
+            rows = dataclasses.replace(rows, groups=groups)
         return rows, labels
 
     monkeypatch.setattr(SectorStacks, "spectrum_sectors", spoiled)
@@ -360,13 +367,15 @@ def test_boxes_psd_catches_delta_below_nu_squared(monkeypatch):
     assert _check(reeb_decomposition(Assembly(su2_model(), 12)), name).passed
     original = torsion._add_reeb_slices
 
-    def spoiled(report, lbl, multiplicity, k, joint, halves):
-        if lbl == "m12" and k == 1:
-            delta = list(joint.delta)
-            i = next(i for i, (d, t) in enumerate(zip(delta, joint.tau)) if d > 1 and abs(d - t * t) <= 1e-9 * d)
-            delta[i] = joint.tau[i] ** 2 * (1 - 1e-8)
-            joint = dataclasses.replace(joint, delta=tuple(delta))
-        original(report, lbl, multiplicity, k, joint, halves)
+    def spoiled(report, labels, multiplicity, k, joint):
+        if k == 1:
+            delta, tau, row = joint.delta.copy(), joint.tau, labels.index("m12")
+            i = next(
+                i for i in range(*joint.row_components(row)) if delta[i] > 1 and abs(delta[i] - tau[i] ** 2) <= 1e-9 * delta[i]
+            )
+            delta[i] = tau[i] ** 2 * (1 - 1e-8)
+            joint = dataclasses.replace(joint, delta=delta)
+        original(report, labels, multiplicity, k, joint)
 
     monkeypatch.setattr(torsion, "_add_reeb_slices", spoiled)
     check = _check(reeb_decomposition(Assembly(su2_model(), 12)), name)
