@@ -155,13 +155,13 @@ def _emit(text: str, out: Optional[str]):
 
 def _spectrum_columns(model: ModelManifold, max_weight: int, op: str, degrees: List[int], t: float) -> dict:
     """The columns of a spectrum table over every nonempty block up to `max_weight`, from the
-    Reeb-sector rows of every weight at once (`rows.spectrum_columns`)."""
-    counts = [model.multiplicity(m) for m in range(max_weight + 1)]
-    weights = [m for m, r in enumerate(counts) if r]
+    Reeb-sector rows of every weight at once (`rows.spectrum_columns`), which frees its sector
+    stacks before it solves them."""
+    asm = Assembly(model, max_weight)
     # imported on first use, so that `import ruminlab.cli` costs `verify` and `torsion` no more than before
     from .rows import spectrum_columns
 
-    return spectrum_columns(model.frame, weights, [counts[m] for m in weights], op, degrees, t)
+    return spectrum_columns(model.frame, asm.weights, asm.multiplicity, op, degrees, t)
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:

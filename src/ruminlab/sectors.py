@@ -23,19 +23,21 @@ subspaces (fiber basis (x) I, the bases of `BlockContext.space`, in the same
 column order) are batched matrix products, one `einsum` each.
 No matrix of a whole weight block is formed.
 
-`spectrum_sectors` gives one degree of a `spectrum` Laplacian as a
-`rows.SectorRows`: per sector size, the (sectors, s, s) blocks of every weight
-at once, with each sector's weight, tau and basis positions, which
-`rows.solve_rows` solves over every weight together (module `rows` holds the
-per-degree solve and its columns).  The sector blocks keep the checks of the
-dense route at the same tolerances: hermiticity, Reeb invariance of the Rumin
-space, the middle operator's target space, the half-Laplacian commutator, and
-exhaustion of every space by its sectors.  `cohomology_dims` is the rank
-oracle of `verify --suite thm1` and `torsion`: dim H^k of the Rumin and de
-Rham complexes from the singular values of the sector blocks of their
-differentials.  Every `verify` suite reads these stacks too (`suites`): the
-identities it checks hold on a weight block exactly when they hold on each of
-its sectors.  Tier-1 compares every stack, and every suite report, with the
+These stacks are the only layout of the sectors.  `spectrum_rows` gives one
+degree of a `spectrum` Laplacian as a `RowStack`: the stack itself, with the
+weight and tau of every sector and the valid flag and basis index of every
+position, which `rows.solve_rows` solves over every weight together (module
+`rows` holds the per-degree solve and its columns).  `_eigh` diagonalizes a
+stack with one stacked `eigh` per group of equally large sectors
+(`_groups`), on the valid blocks only, so the zero padding never enters a
+decomposition.  The sector blocks keep the checks of the dense route at the
+same tolerances: hermiticity, Reeb invariance of the Rumin space, the middle
+operator's target space, the half-Laplacian commutator, and exhaustion of
+every space by its sectors.  `cohomology_dims` is the rank oracle of `verify
+--suite thm1` and `torsion`: dim H^k of the Rumin and de Rham complexes from
+the singular values of the sector blocks of their differentials.  Every
+`verify` suite reads these stacks too (`suites`): the identities it checks
+hold on a weight block exactly when they hold on each of its sectors.  Tier-1 compares every stack, and every suite report, with the
 dense `BlockContext` route.
 """
 
@@ -53,16 +55,25 @@ from .operators import (
     InternalConsistencyError,
     StructuralError,
     _block_memo,
+    _frozen,
     _memo_in,
     max_abs,
     rescale_coefficient,
 )
-from .rows import SectorGroup, SectorRows, _distinct
 
 LEAK_TOL = 1e-12  # largest off-sector coefficient of a fiber (x) slot term
 FACTORS = ("z", "+", "-")  # the ladder factors, in the order of `field_ladder_coefficients`
 SHIFT = {"1": 0, "z": 0, "+": 1, "-": -1}  # slot shift b_out - b_in of each slot factor
 SPECTRUM_FLAVOR = {"delta-rn": "rumin", "delta-dr": "full", "delta-t": "full", "delta-b": "horizontal"}
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct entries of an integer array.  `np.unique` would do, but it imports
+    `numpy.ma`, which `verify` and `torsion` otherwise never load (0.85 MB of peak RSS on s3 at M=10)."""
+    values = np.sort(values, axis=None)
+    keep = np.ones(values.size, dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
 
 
 class _NoMemo(dict):
@@ -72,7 +83,7 @@ class _NoMemo(dict):
         pass
 
 
-# the first-order stacks: kept in the stacks' memo once `keep_first_order` is called, else rebuilt
+# the first-order stacks and the Laplacians: kept in the stacks' memo once `keep_first_order` is called, else rebuilt
 _first_order_memo = _memo_in("_first_order")
 
 
@@ -106,11 +117,63 @@ def _gather(stack: np.ndarray, sel, ri, ci) -> np.ndarray:
     return stack[ri[:, :, None], ci[:, None, :], sel[:, None, None]]
 
 
+def _scatter(out: np.ndarray, sel, ri, values: np.ndarray):
+    """Write (n, r, c) blocks into rows `ri` and columns 0..c-1 of `out`."""
+    cols = np.arange(values.shape[2])
+    out[ri[:, :, None], cols[None, None, :], sel[:, None, None]] = values
+
+
+def _eigh(stack: np.ndarray, valid: np.ndarray):
+    """Eigenpairs of the Hermitian sector blocks of `stack` on the valid positions `valid` (f, S),
+    one stacked `eigh` per group of `_groups`: eigenvalues (f, S) ascending from row 0 and zero
+    beyond the sector's size, eigenvectors (f, f, S) in the same columns, and the (f, S) mask of
+    the columns in use."""
+    f, sectors = valid.shape
+    w, q, used = np.zeros((f, sectors)), np.zeros((f, f, sectors), dtype=complex), np.zeros((f, sectors), dtype=bool)
+    for sel, pos, _ in _groups(valid, valid):
+        size = pos.shape[1]
+        if size:
+            vals, vecs = np.linalg.eigh(_gather(stack, sel, pos, pos))
+            w[:size, sel], used[:size, sel] = vals.T, True
+            _scatter(q, sel, pos, vecs)
+    return w, q, used
+
+
+def _max_per_row(stack: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """max |entry| of a stack (sector axis last) over the sectors starts[w]:starts[w + 1] of each row w."""
+    if not stack.size:
+        return np.zeros(starts.size - 1)
+    per_sector = np.abs(stack).reshape(-1, stack.shape[-1]).max(axis=0)
+    return np.maximum.reduceat(per_sector, starts[:-1])
+
+
 def _hermitized(stack: np.ndarray, what: str, tol: float = 1e-9) -> np.ndarray:
     """`operators.hermitize` of every block."""
     if max_abs(stack - _adjoint(stack)) > tol:
         raise InternalConsistencyError(f"{what} is not Hermitian within {tol}")
     return 0.5 * (stack + _adjoint(stack))
+
+
+@dataclass(frozen=True)
+class RowStack:
+    """A Hermitian operator of one degree on the Reeb sectors of every row (a weight block, or one
+    dense pair of `spectral._reeb_sectors`), as one zero-padded (f, f, S) stack.  The sectors of
+    row w are `starts[w]:starts[w + 1]`, by ascending tau; position i of sector s is in use where
+    `valid[i, s]`, with basis index `index[i, s]` in its row.  Below the middle degree of the
+    Rumin complex, `halves` holds the half-Laplacian stacks (Delta_del, Delta_delbar) and their
+    scale max(1, max |entry|) per row."""
+
+    stack: np.ndarray  # (f, f, S)
+    owner: np.ndarray  # (S,) the row of each sector
+    tau: np.ndarray  # (S,) its Reeb value
+    valid: np.ndarray  # (f, S)
+    index: np.ndarray  # (f, S)
+    dims: np.ndarray  # (W,) the dimension of each row
+    halves: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+
+    @property
+    def starts(self) -> np.ndarray:
+        return np.searchsorted(self.owner, np.arange(self.dims.size + 1))
 
 
 @dataclass(frozen=True)
@@ -139,11 +202,13 @@ class SectorStacks:
     that more than one degree reads (d_b, the Rumin differentials and the
     middle operator) are memoized per instance, like the block memo of a
     `BlockContext`.  The first-order stacks (d, d0, dT, L_T, the split halves
-    of d_b and the Rumin halves built from them) are rebuilt on every call, which keeps the peak memory of
-    `spectrum` and `torsion` low, until a caller that reads them many times
-    calls `keep_first_order`: from then on each is built once per degree and
-    half and kept in the same memo, as the `verify` suites do.  The quantities
-    that only the suites read are memoized there too (`suites`).
+    of d_b and the Rumin halves built from them), the Laplacians and their
+    sector eigensolves (`eigh`) are rebuilt on every call, which keeps the
+    peak memory of `spectrum` and `torsion` low, until a caller that reads
+    them many times calls `keep_first_order`: from then on each is built once
+    per degree, half or (op, k) and kept in the same memo, as the `verify`
+    suites do.  The quantities that only the suites read are memoized there
+    too (`suites`).
     """
 
     def __init__(self, frame: FrameStructure, weights: Sequence[int], tables: Optional[Dict] = None):
@@ -239,7 +304,7 @@ class SectorStacks:
     # -- first-order operators ------------------------------------------------------
 
     def keep_first_order(self):
-        """Keep every first-order stack in the memo from now on, built once per degree and half."""
+        """Keep every first-order stack, Laplacian and sector eigensolve in the memo from now on."""
         self._first_order = self._cache
 
     @_first_order_memo
@@ -378,15 +443,14 @@ class SectorStacks:
 
     def _weight_max(self, stack: np.ndarray) -> np.ndarray:
         """max |entry| of a stack over the sectors of each weight."""
-        if not stack.size:
-            return np.zeros(self.weights.size)
-        per_sector = np.abs(stack).reshape(-1, stack.shape[-1]).max(axis=0)
-        return np.maximum.reduceat(per_sector, self.starts[:-1])
+        return _max_per_row(stack, self.starts)
 
     # -- Laplacians -----------------------------------------------------------------
 
+    @_first_order_memo
     def laplacian(self, op: str, k: int, t: float = 1.0) -> np.ndarray:
-        """The Laplacian of the `spectrum` operator `op` on its degree-k space, hermitized."""
+        """The Laplacian of the `spectrum` operator `op` on its degree-k space, hermitized; kept with
+        the first-order stacks."""
         if op == "delta-rn":
             n, dmax = self.n, self.Dmax
             mat = np.zeros((self.space(k, "rumin").dim,) * 2 + (self.m.size,), dtype=complex)
@@ -417,6 +481,17 @@ class SectorStacks:
             what = "Hodge-de Rham Laplacian" if op == "delta-dr" else "deformed Laplacian"
             return self._hodge_sum(up, down, (k, "full"), what)
         raise KeyError(op)
+
+    def eigh(self, op: str, k: int, t: float = 1.0, stack: Optional[np.ndarray] = None):
+        """The eigenpairs of `laplacian(op, k, t)` on every sector (`_eigh`), kept with the
+        first-order stacks; `stack` is that Laplacian if the caller holds it, so that where nothing
+        is kept it is not built twice."""
+        key = ("SectorStacks.eigh", (op, k, t))
+        eig = self._first_order.get(key)
+        if eig is None:
+            lap = self.laplacian(op, k, t) if stack is None else stack
+            eig = self._first_order[key] = _frozen(_eigh(lap, self.space(k, SPECTRUM_FLAVOR[op]).valid))
+        return eig
 
     def _hodge_sum(self, up, down, space: Tuple[int, str], what: str) -> np.ndarray:
         """up^* up + down down^*, hermitized, as `operators._hodge_sum`; None leaves a term out."""
@@ -455,22 +530,17 @@ class SectorStacks:
             raise InternalConsistencyError(f"a degree-{k} basis column is not bidegree-homogeneous")
         return [f"theta^({i},{j})" if vert else f"({i},{j})" for i, j, vert in (bidegrees[b] for b in best)]
 
-    def spectrum_sectors(self, op: str, k: int, t: float = 1.0) -> Tuple["SectorRows", List[str]]:
-        """The `spectrum` Laplacian `op` in degree k on the Reeb sectors of every weight, one row
-        per weight, with the half-Laplacian sector blocks and scale for `JointRows.half_pairs`
-        (delta-rn below the middle degree); and the bidegree label of every fiber vector."""
+    def spectrum_rows(self, op: str, k: int, t: float = 1.0) -> Tuple[RowStack, List[str]]:
+        """The `spectrum` Laplacian `op` in degree k on the Reeb sectors of every weight, one row per
+        weight, with the half-Laplacian stacks below the middle degree of delta-rn; and the bidegree
+        label of every fiber vector.  Position i of a sector is fiber vector i, in slot b of basis
+        index i*(m+1) + b."""
         flavor = SPECTRUM_FLAVOR[op]
-        stacks = [self.laplacian(op, k, t)]
+        stack = self.laplacian(op, k, t)
         self._check_reeb(k, flavor)
-        scale = None
-        if op == "delta-rn" and k <= self.n - 1:
-            a, b, scale = self.half_laplacians(k)
-            stacks += [a, b]
+        halves = self.half_laplacians(k) if op == "delta-rn" and k <= self.n - 1 else None
         space = self.space(k, flavor)
-        groups = []
-        for sel, pos, _ in _groups(space.valid, space.valid):
-            if pos.shape[1]:
-                index = pos * (self.m[sel, None] + 1) + space.slot[pos, sel[:, None]]  # i*(m+1) + b
-                blocks = tuple(_gather(st, sel, pos, pos) for st in stacks)
-                groups.append(SectorGroup(self.owner[sel], self.tau[sel].astype(float), index, blocks))
-        return SectorRows(space.dim * (self.weights + 1), tuple(groups), scale), self.bidegree_labels(k, flavor)
+        index = np.arange(space.dim)[:, None] * (self.m + 1) + space.slot
+        dims = space.dim * (self.weights + 1)
+        rows = RowStack(stack, self.owner, self.tau.astype(float), space.valid, index, dims, halves)
+        return rows, self.bidegree_labels(k, flavor)

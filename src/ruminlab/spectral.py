@@ -12,19 +12,21 @@ Joint (Delta, i L_T) eigenspaces have one solver and one result type,
 `rows.JointRows`: one degree over every row at once, held as columns.  i
 L_T is diagonal with integer entries in the block basis, so a Laplacian, which
 commutes with it, is block diagonal over the Reeb sectors (basis vectors
-sharing one Reeb eigenvalue).  `rows.solve_rows` diagonalizes the sectors
-of every row with one stacked `eigh` per sector size and clusters Delta on
-every row in one pass.  The Rumin Laplacian reaches it on one route:
+sharing one Reeb eigenvalue).  Every route lays the sectors out as one
+zero-padded stack, a `sectors.RowStack`, and `rows.solve_rows` diagonalizes
+the sectors of every row with one stacked `eigh` per sector size and clusters
+Delta on every row in one pass.  The Rumin Laplacian reaches it on one route:
 `Assembly.rumin_rows(k, tol)`, memoized, solves the `delta-rn` rows of
-`sectors.SectorStacks` for every weight at once, and the Reeb decomposition of
-`torsion` and the sec4 suite read its columns.  Below the middle degree the
-sector blocks of the two half Laplacians have Rayleigh quotients on the sector
+`sectors.SectorStacks` for every weight at once, with the eigensolve that the
+stacks keep for the `verify` suites, and the Reeb decomposition of `torsion`
+and the sec4 suite read its columns.  Below the middle degree the sector
+blocks of the two half Laplacians have Rayleigh quotients on the sector
 eigenvectors that give (lambda10, lambda01) (`JointRows.half_pairs`).
 `q_decomposition` and `_sequential_joint_eigenspaces` reach one row through a
 view, `JointEigenspaces`, whose `components()` gives a dense basis per
 component; `_sequential_joint_eigenspaces` cuts dense (Laplacian, i L_T)
-pairs with `_reeb_sectors` into rows for the same solver, and only the tests
-call it, as the dense reference.
+pairs with `_reeb_sectors` into the same padded layout for the same solver,
+and only the tests call it, as the dense reference.
 
 Every suite `verify_<suite>(asm)` runs its body `suites.check_<suite>(asm,
 report, ...)` on `Assembly.sector_stacks`, the operators of every weight on its
@@ -118,13 +120,15 @@ class Assembly:
     @_block_memo
     def rumin_rows(self, k: int, tol: float = 1e-9):
         """The joint (Delta, i L_T) eigenspaces of the degree-k Rumin Laplacian on every weight, a
-        `rows.JointRows` with one row per weight (and the half-Laplacian sector blocks below the
-        middle degree): the `delta-rn` rows of `sector_stacks`, solved over every weight at once by
-        `rows.solve_rows`, as `rumin spectrum` solves them."""
+        `rows.JointRows` with one row per weight (and the half-Laplacian stacks below the middle
+        degree): the `delta-rn` rows of `sector_stacks`, solved over every weight at once by
+        `rows.solve_rows`, as `rumin spectrum` solves them, with the eigensolve that the stacks
+        keep for the `verify` suites."""
         from .rows import solve_rows
 
-        rows, _ = self.sector_stacks.spectrum_sectors("delta-rn", k)
-        return solve_rows(rows, tol)
+        stacks = self.sector_stacks
+        rows, _ = stacks.spectrum_rows("delta-rn", k)
+        return solve_rows(rows, tol, stacks.eigh("delta-rn", k, stack=rows.stack))
 
 
 def spectral_cutoff(model: ModelManifold, max_weight: int) -> float:
@@ -425,34 +429,40 @@ class QComponent:
         return self.basis.shape[1]
 
 
-def _reeb_sectors(a: np.ndarray, b: np.ndarray, tol: float):
-    """A Hermitian `a` that commutes with the Reeb operator `b` = i L_T, cut into its Reeb sectors:
-    a one-row `rows.SectorRows`.
+def _reeb_sectors(pairs: Sequence[Tuple[np.ndarray, np.ndarray]], tol: float):
+    """Hermitian operators `a` that commute with the Reeb operator `b` = i L_T, one row per pair
+    (a, b), cut into their Reeb sectors: a `sectors.RowStack`.
 
-    `b` must be diagonal in the block basis; a Reeb sector is the set of basis
-    vectors sharing one diagonal value tau (within tol), and its tau is their mean.
+    `b` must be diagonal in the block basis; a Reeb sector is a set of basis
+    vectors sharing one diagonal value tau (within tol), and its tau is their
+    mean.  The sectors of a row run by ascending tau, and the positions of a
+    sector by tau, then by basis index.
     """
-    from .rows import SectorGroup, SectorRows
+    from .sectors import RowStack
 
-    tau = np.real(np.diag(b))
-    off = max_abs(b - np.diag(np.diag(b)))
-    if off > tol:
-        raise InternalConsistencyError(f"Reeb operator is not diagonal (off-diagonal {off:.3e})")
-    index = []
-    if tau.size:
+    sectors, dims = [], []  # (row, a, tau, basis positions) of every sector, by row, then ascending tau
+    for row, (a, b) in enumerate(pairs):
+        tau = np.real(np.diag(b))
+        off = max_abs(b - np.diag(np.diag(b)))
+        if off > tol:
+            raise InternalConsistencyError(f"Reeb operator is not diagonal (off-diagonal {off:.3e})")
         by_tau = np.argsort(tau, kind="stable")
-        ascending = tau[by_tau]
-        starts = np.flatnonzero(np.append(True, ascending[1:] - ascending[:-1] > tol * max(1.0, max_abs(tau))))
-        sizes = np.append(starts[1:], tau.size) - starts  # sector i is by_tau[starts[i]:][:sizes[i]]
-        index = [by_tau[starts[sizes == s][:, None] + np.arange(s)] for s in sorted(set(sizes.tolist()))]
-    comm = max_abs(a * (tau[None, :] - tau[:, None]))  # entrywise [a, b]
-    if comm > 1e-9 * max(1.0, max_abs(a)):
-        raise InternalConsistencyError(f"operator does not commute with the Reeb derivative ({comm:.3e})")
-    groups = tuple(
-        SectorGroup(np.zeros(len(idx), dtype=int), tau[idx].sum(axis=1) / idx.shape[1], idx, (a[idx[:, :, None], idx[:, None, :]],))
-        for idx in index
-    )
-    return SectorRows(np.array([tau.size]), groups)
+        steps = np.flatnonzero(np.diff(tau[by_tau]) > tol * max(1.0, max_abs(tau))) + 1
+        comm = max_abs(a * (tau[None, :] - tau[:, None]))  # entrywise [a, b]
+        if comm > 1e-9 * max(1.0, max_abs(a)):
+            raise InternalConsistencyError(f"operator does not commute with the Reeb derivative ({comm:.3e})")
+        sectors += [(row, a, tau, idx) for idx in np.split(by_tau, steps) if idx.size]
+        dims.append(tau.size)
+    f = max((idx.size for *_, idx in sectors), default=0)
+    stack = np.zeros((f, f, len(sectors)), dtype=complex)
+    owner, means = np.zeros(len(sectors), dtype=int), np.zeros(len(sectors))
+    valid, index = np.zeros((f, len(sectors)), dtype=bool), np.zeros((f, len(sectors)), dtype=int)
+    for s, (row, a, tau, idx) in enumerate(sectors):
+        n = idx.size
+        owner[s], means[s] = row, tau[idx].sum() / n
+        valid[:n, s], index[:n, s] = True, idx
+        stack[:n, :n, s] = a[np.ix_(idx, idx)]
+    return RowStack(stack, owner, means, valid, index, np.array(dims, dtype=int))
 
 
 class JointEigenspaces:
@@ -482,9 +492,9 @@ def _sequential_joint_eigenspaces(
     its components ordered by Delta cluster (Delta is the cluster mean over the
     pair's sectors), then by tau.
     """
-    from .rows import solve_rows, stack_rows
+    from .rows import solve_rows
 
-    joint = solve_rows(stack_rows([_reeb_sectors(a, b, tol) for a, b in pairs]), tol)
+    joint = solve_rows(_reeb_sectors(pairs, tol), tol)
     return [JointEigenspaces(joint, row) for row in range(len(pairs))]
 
 

@@ -16,24 +16,30 @@ padding of a stack never enters a decomposition.  A subspace is a
 `SectorBasis`: orthonormal columns on every sector, zero where unused.  Each
 relative cut takes its scale from the whole weight, the largest eigenvalue or
 singular value over the weight's sectors, which is the scale of the dense
-weight block; `SectorStacks.cohomology_dims` cuts the same way.
+weight block; `SectorStacks.cohomology_dims` cuts the same way.  The harmonic
+kernels and the Rumin square root read the sector eigensolve of each
+Laplacian that the stacks keep (`SectorStacks.eigh`), which the joint
+eigenspaces of `Assembly.rumin_rows` read too, so a run diagonalizes each
+Laplacian once.
 
 The sec4 components are the joint (Delta, i L_T) eigenspaces of
 `Assembly.rumin_rows(n - 1)`, the rows that the Reeb decomposition of
-`torsion` solves.  For n = 1 (the only frames with function blocks) that is
-degree 0, whose Rumin space has one fiber vector, so every component is one
-sector vector and every bi-positive W corner is that vector or empty: the
+`torsion` solves, and each carries its sector on the axis of the stacks
+(`JointRows.sector`).  For n = 1 (the only frames with function blocks) that
+is degree 0, whose Rumin space has one fiber vector, so every component is
+one sector vector and every bi-positive W corner is that vector or empty: the
 per-vector sec4 families are computed for all corners at once.
 
-Quantities that several suites read (Laplacians, harmonic kernels, the
-lifted fiber tables, the horizontal split differentials and Lefschetz maps,
-the Rumin Reeb derivative) are memoized in the stacks' memo with
+Quantities that several suites read (harmonic kernels, the lifted fiber
+tables, the horizontal split differentials and Lefschetz maps, the Rumin Reeb
+derivative, the Rumin square root) are memoized in the stacks' memo with
 `_block_memo`, so `verify --suite all` builds each once per run.  The
 first-order stacks they are built from (d, d0, dT, L_T, the split halves of
-d_b and their Rumin compressions `SectorStacks.rumin_del`) are kept in the
-same memo by `SectorStacks` itself, once `spectral._run_suite` has called
-`keep_first_order`; every suite and every composite of the stacks (d_b, the
-Rumin differentials, the Laplacians, the rank oracle) then reads one copy.
+d_b and their Rumin compressions `SectorStacks.rumin_del`), the Laplacians
+and their eigensolves are kept in the same memo by `SectorStacks` itself,
+once `spectral._run_suite` has called `keep_first_order`; every suite and
+every composite of the stacks (d_b, the Rumin differentials, the Laplacians,
+the rank oracle) then reads one copy.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ import numpy as np
 
 from .model import block_label
 from .operators import InternalConsistencyError, _block_memo
-from .sectors import SectorStacks, _adjoint, _gather, _groups, _hermitized, _product
+from .sectors import SectorStacks, _adjoint, _eigh, _gather, _groups, _hermitized, _product, _scatter
 from .spectral import KERNEL_RELATIVE_TOL, Assembly, VerificationReport
 
 # -- subspaces on the sectors -------------------------------------------------------
@@ -61,27 +67,6 @@ class SectorBasis:
     used: np.ndarray  # (c, S)
 
 
-def _scatter(out: np.ndarray, sel, ri, values: np.ndarray):
-    """Write (n, r, c) blocks into rows `ri` and columns 0..c-1 of `out`."""
-    cols = np.arange(values.shape[2])
-    out[ri[:, :, None], cols[None, None, :], sel[:, None, None]] = values
-
-
-def _eigh(stack: np.ndarray, valid: np.ndarray):
-    """Eigenpairs of the Hermitian sector blocks of `stack` on the valid positions `valid` (f, S):
-    eigenvalues (f, S) ascending from row 0 and zero beyond the sector's size, eigenvectors
-    (f, f, S) in the same columns, and the (f, S) mask of the columns in use."""
-    f, sectors = valid.shape
-    w, q, used = np.zeros((f, sectors)), np.zeros((f, f, sectors), dtype=complex), np.zeros((f, sectors), dtype=bool)
-    for sel, pos, _ in _groups(valid, valid):
-        size = pos.shape[1]
-        if size:
-            vals, vecs = np.linalg.eigh(_gather(stack, sel, pos, pos))
-            w[:size, sel], used[:size, sel] = vals.T, True
-            _scatter(q, sel, pos, vecs)
-    return w, q, used
-
-
 def _per_weight(stacks: SectorStacks, values: np.ndarray, reduce=np.add) -> np.ndarray:
     """`reduce` of an (S,) array over the sectors of each weight."""
     if not values.size:
@@ -92,15 +77,6 @@ def _per_weight(stacks: SectorStacks, values: np.ndarray, reduce=np.add) -> np.n
 def _dims(stacks: SectorStacks, basis: SectorBasis) -> np.ndarray:
     """The dimension of a subspace on every weight."""
     return _per_weight(stacks, basis.used.sum(axis=0))
-
-
-def _kernel(stacks: SectorStacks, lap: np.ndarray, valid: np.ndarray) -> SectorBasis:
-    """`spectral.kernel` on every sector: the eigenvectors with |eigenvalue| at most
-    KERNEL_RELATIVE_TOL * max(1, the largest |eigenvalue| of the weight)."""
-    w, q, used = _eigh(lap, valid)
-    cut = KERNEL_RELATIVE_TOL * np.maximum(1.0, stacks._weight_max(w))
-    keep = used & (np.abs(w) <= cut[stacks.owner])
-    return SectorBasis(np.where(keep[None], q, 0), keep)
 
 
 def _svd_basis(stacks: SectorStacks, stack: np.ndarray, rows, cols, tol: float, image: bool) -> SectorBasis:
@@ -194,16 +170,14 @@ def _fiber(stacks: SectorStacks, name: str, k: int, k_out: int) -> np.ndarray:
 
 
 @_block_memo
-def _laplacian(stacks: SectorStacks, op: str, k: int) -> np.ndarray:
-    """`SectorStacks.laplacian` of "delta-rn", "delta-dr" or "delta-b", kept for every suite."""
-    return stacks.laplacian(op, k)
-
-
-@_block_memo
 def _harmonic(stacks: SectorStacks, k: int, operator: str) -> SectorBasis:
-    """The kernel of the degree-k "de_rham" or "rumin" Laplacian, as `spectral._harmonic_basis`."""
-    op, flavor = ("delta-dr", "full") if operator == "de_rham" else ("delta-rn", "rumin")
-    return _kernel(stacks, _laplacian(stacks, op, k), stacks.space(k, flavor).valid)
+    """The kernel of the degree-k "de_rham" or "rumin" Laplacian, as `spectral._harmonic_basis`:
+    on every sector, the eigenvectors of the stacks' eigensolve (`SectorStacks.eigh`) with
+    |eigenvalue| at most KERNEL_RELATIVE_TOL * max(1, the largest |eigenvalue| of the weight)."""
+    w, q, used = stacks.eigh("delta-dr" if operator == "de_rham" else "delta-rn", k)
+    cut = KERNEL_RELATIVE_TOL * np.maximum(1.0, stacks._weight_max(w))
+    keep = used & (np.abs(w) <= cut[stacks.owner])
+    return SectorBasis(np.where(keep[None], q, 0), keep)
 
 
 def _hdim(stacks: SectorStacks, d: int) -> int:
@@ -239,9 +213,9 @@ def _lie_reeb_rumin(stacks: SectorStacks, k: int) -> np.ndarray:
 
 @_block_memo
 def _sqrt_rumin_laplacian(stacks: SectorStacks, k: int) -> np.ndarray:
-    """The psd square root of the degree-k Rumin Laplacian, as `operators.sqrtm_psd`."""
-    lap = _hermitized(_laplacian(stacks, "delta-rn", k), "Rumin Laplacian", 1e-10)
-    w, q, _ = _eigh(lap, stacks.space(k, "rumin").valid)
+    """The psd square root of the degree-k Rumin Laplacian, as `operators.sqrtm_psd`, from the
+    stacks' eigensolve."""
+    w, q, _ = stacks.eigh("delta-rn", k)
     low, high = _per_weight(stacks, w.min(axis=0), np.minimum), stacks._weight_max(w)
     if np.any(low < -1e-10 * np.maximum(1.0, high)):
         raise InternalConsistencyError("matrix is not positive semidefinite")
@@ -256,16 +230,7 @@ def _low_components(asm: Assembly, tol: float = 1e-9):
     joint = asm.rumin_rows(asm.n - 1, tol)
     if np.any(joint.count != 1):
         raise InternalConsistencyError("a degree-(n-1) joint eigenspace is not one sector vector")
-    # the sector (weight, tau) of every component, on the sector axis of the stacks, which runs by both
-    stacks = asm.sector_stacks
-    low = int(stacks.tau.min(initial=0))
-    span = int(stacks.tau.max(initial=0)) - low + 1
-    key = lambda owner, tau: owner * span + (tau - low)
-    sector = np.searchsorted(key(stacks.owner, stacks.tau), key(joint.owner, np.rint(joint.tau).astype(int)))
-    sector = np.minimum(sector, stacks.tau.size - 1)
-    if not (np.array_equal(stacks.owner[sector], joint.owner) and np.array_equal(stacks.tau[sector], joint.tau)):
-        raise InternalConsistencyError("a joint eigenspace lies in no Reeb sector")
-    return (joint.owner, sector, *joint.half_pairs(tol))
+    return (joint.owner, joint.sector, *joint.half_pairs(tol))
 
 
 # -- the suites ----------------------------------------------------------------------
@@ -309,20 +274,20 @@ def check_hodge_block_matrix(asm: Assembly, report: VerificationReport, tol: flo
     """The checks of `spectral.verify_hodge_block_matrix`, added to `report`."""
     stacks = asm.sector_stacks
     for k in range(stacks.Dmax + 1):
-        full = _laplacian(stacks, "delta-dr", k)
+        full = stacks.laplacian("delta-dr", k)
         approx = np.zeros_like(full)
         eh = stacks.embed(k, "horizontal")
         if eh.shape[1]:
             lt = _horizontal_reeb(stacks, k)
             lam = _horizontal_lefschetz(stacks, k - 2)
-            top = _laplacian(stacks, "delta-b", k) - _product(lt, lt) + _product(lam, _adjoint(lam))
+            top = stacks.laplacian("delta-b", k) - _product(lt, lt) + _product(lam, _adjoint(lam))
             approx += _product(eh, top, _adjoint(eh))
         if k >= 1:
             ev = _product(_fiber(stacks, "theta", k - 1, k), stacks.embed(k - 1, "horizontal"))
             if ev.shape[1]:
                 lt = _horizontal_reeb(stacks, k - 1)
                 lef = _horizontal_lefschetz(stacks, k - 1)
-                bot = _laplacian(stacks, "delta-b", k - 1) - _product(lt, lt) + _product(_adjoint(lef), lef)
+                bot = stacks.laplacian("delta-b", k - 1) - _product(lt, lt) + _product(_adjoint(lef), lef)
                 approx += _product(ev, bot, _adjoint(ev))
             if eh.shape[1] and ev.shape[1]:
                 dl = _horizontal_del(stacks, k - 1, False)
@@ -340,7 +305,7 @@ def check_star_symmetry(asm: Assembly, report: VerificationReport, tol: float = 
     mirror = "star does not map the Rumin space to its mirror"
     for k in range(top + 1):
         star = stacks._compress_invariant(_fiber(stacks, "star", k, top - k), (top - k, "rumin"), (k, "rumin"), mirror)
-        a, b = _laplacian(stacks, "delta-rn", k), _laplacian(stacks, "delta-rn", top - k)
+        a, b = stacks.laplacian("delta-rn", k), stacks.laplacian("delta-rn", top - k)
         eye = _identity(stacks.space(k, "rumin").valid)
         _add(report, f"star_intertwines[{{lbl}}]k={k}", stacks, wmax(_product(star, a) - _product(b, star)), tol)
         _add(report, f"star_isometry[{{lbl}}]k={k}", stacks, wmax(_product(_adjoint(star), star) - eye), tol)
@@ -373,7 +338,7 @@ def check_kernel_coincidence(
         steps = (
             ("step_db_adjoint", wmax(_product(_adjoint(stacks.db(k - 1)), phi)) if k >= 1 else np.zeros(r.size)),
             ("step_trace_db", wmax(_product(_fiber(stacks, "lam", k + 1, k - 1), stacks.db(k), phi))),
-            ("step_horizontal_laplacian", wmax(_product(_laplacian(stacks, "delta-b", k), _adjoint(horizontal), phi))),
+            ("step_horizontal_laplacian", wmax(_product(stacks.laplacian("delta-b", k), _adjoint(horizontal), phi))),
             ("step_reeb_derivative", wmax(_product(stacks.lie_reeb(k), phi))),
         )
         for name, values in steps:
@@ -400,7 +365,7 @@ def check_primitivity(asm: Assembly, report: VerificationReport, tol: float = 1e
             rows.append(("theta_wedge_vanishes", wmax(_product(_fiber(stacks, "theta", k, k + 1), phi))))
             rows.append(("lefschetz_vanishes", wmax(_product(_fiber(stacks, "lef", k, k + 2), phi))))
         jphi = _product(_fiber(stacks, "jact", k, k), phi)
-        rows.append(("j_preserves_harmonics", wmax(_product(_laplacian(stacks, "delta-dr", k), jphi))))
+        rows.append(("j_preserves_harmonics", wmax(_product(stacks.laplacian("delta-dr", k), jphi))))
         # Frobenius norms over the r copies of the slot carry a factor sqrt(r)
         rows.append(("j_is_isometry_on_harmonics", np.sqrt(r) * np.abs(_norms(stacks, jphi) - _norms(stacks, phi))))
         for name, values in rows:
@@ -491,14 +456,14 @@ def check_eigenvalue_identity(asm: Assembly, report: VerificationReport, tol_rel
     owner, sector, l10, l01 = _low_components(asm)
     lam = (l10 + l01) ** 2
     # law below the middle degree: each component is one sector vector, on which Delta is its entry
-    lap_low = _laplacian(stacks, "delta-rn", n - 1)[0, 0, sector]
+    lap_low = stacks.laplacian("delta-rn", n - 1)[0, 0, sector]
     law = np.zeros(len(labels))
     np.maximum.at(law, owner, np.abs(lap_low - lam) / np.maximum(1.0, lam))
     _add(report, "law_below_middle[{lbl}]", stacks, law, tol_rel)
 
     up, upb = stacks.rumin_del(n - 1, False), stacks.rumin_del(n - 1, True)
     low, mid = stacks.space(n - 1, "rumin").valid, stacks.space(n, "rumin").valid
-    lap_mid = _laplacian(stacks, "delta-rn", n)
+    lap_mid = stacks.laplacian("delta-rn", n)
     dmid = stacks.middle_operator()
     dd = _product(_adjoint(dmid), dmid)
     ilt_mid = 1j * _lie_reeb_rumin(stacks, n)
@@ -590,7 +555,7 @@ def check_middle_degree(asm: Assembly, report: VerificationReport, tol: float = 
     n = stacks.n
     up, upb = stacks.rumin_del(n - 1, False), stacks.rumin_del(n - 1, True)
     low, mid = stacks.space(n - 1, "rumin").valid, stacks.space(n, "rumin").valid
-    lap_mid = _laplacian(stacks, "delta-rn", n)
+    lap_mid = stacks.laplacian("delta-rn", n)
     lt = _lie_reeb_rumin(stacks, n)
     square = lap_mid + _product(lt, lt)
     codifferentials = np.concatenate([_adjoint(up), _adjoint(upb)])
@@ -612,7 +577,7 @@ def check_middle_degree(asm: Assembly, report: VerificationReport, tol: float = 
         _add(report, "reeb_slices_square[{lbl}]", stacks, stacks._weight_max(np.where(used, resid, 0.0)), tol, has)
     # one-sided kernels of the half Laplacians below the middle degree; each component is one sector vector
     owner, sector, l10, l01 = _low_components(asm)
-    lap_low, lt_low = _laplacian(stacks, "delta-rn", n - 1), _lie_reeb_rumin(stacks, n - 1)
+    lap_low, lt_low = stacks.laplacian("delta-rn", n - 1), _lie_reeb_rumin(stacks, n - 1)
     values = np.abs((lap_low + _product(lt_low, lt_low))[0, 0, sector])
     worst = np.zeros(stacks.weights.size)
     np.maximum.at(worst, owner, np.where((l10 <= tol) != (l01 <= tol), values, 0.0))

@@ -30,9 +30,12 @@ kappa (`kappa_from_spectrum`, `kappa_from_reeb`).
 
 The box checks compare operators that are built independently.  Below the
 middle degree box = Delta_delbar and boxbar = Delta_del come from the split
-Rumin differentials; on every sector their sum must be sqrt(Delta), from the
-Laplacian's eigenpairs, their difference must be i L_T = tau, and they must
-commute.  In the middle degree box and boxbar are defined as
+Rumin differentials, as zero-padded stacks over the sectors of every weight
+(`sectors.RowStack.halves`); on every sector their sum must be sqrt(Delta),
+from the padded eigenvectors of the Laplacian's solve, their difference must
+be i L_T = tau, and they must commute.  The products run group by group on
+the valid sector blocks (`JointRows.sector_blocks`), so the padding enters
+none of them.  In the middle degree box and boxbar are defined as
 (sqrt(Delta) +- i L_T)/2, so there only their positivity is a statement:
 `boxes_psd` asks (sqrt(Delta) +- tau)/2 >= 0 on every component in every
 degree.
@@ -261,23 +264,26 @@ def _add_reeb_slices(report: TorsionReport, labels: Sequence[str], multiplicity:
     """The Reeb slices of every block in degree k, from the joint eigenspaces `joint` of its
     degree-k Rumin rows (a `rows.JointRows`, one row per block, with the labels and
     multiplicities given), with their box checks and per-degree comparisons.  Below the middle
-    degree the rows carry the half-Laplacian sector blocks, whose box sum, difference and
-    commutator are checked."""
+    degree the rows carry the half-Laplacian stacks, whose box sum, difference and commutator
+    are checked on every sector."""
+    from .sectors import _max_per_row
+
     checks, pair_tol = report.checks, report.pair_tol
     rows, owner, tau = joint.rows, joint.owner, joint.tau
+    starts = rows.starts
     boxes = None
-    if rows.scale is not None:
-        roots = joint.per_group(np.sqrt(np.maximum(joint.delta, 0.0))[joint.column_component()])
-        boxes = ([], [], [])  # per sector: sum, difference and commutator residuals
-        for g, q, root in zip(rows.groups, joint.vectors, roots):
-            boxbar, box = g.blocks[1:]  # (Delta_del, Delta_delbar)
+    if rows.halves is not None:
+        component, roots = joint.column_component(), np.sqrt(np.maximum(joint.delta, 0.0))
+        boxes = np.zeros((3, rows.tau.size))  # per sector: sum, difference and commutator residuals
+        for sel, cols, q, (boxbar, box) in joint.sector_blocks(*rows.halves[:2]):  # (Delta_del, Delta_delbar)
+            root = roots[component[cols]][:, None, :]
             sqrt_delta = (q * root) @ q.conj().transpose(0, 2, 1)  # q diag(sqrt(Delta)) q^* on each sector
-            reeb = g.tau[:, None, None] * np.eye(q.shape[1])  # i L_T on each sector
+            reeb = rows.tau[sel][:, None, None] * np.eye(q.shape[1])  # i L_T on each sector
             for out, resid in zip(boxes, (box + boxbar - sqrt_delta, box - boxbar - reeb, box @ boxbar - boxbar @ box)):
-                out.append(np.abs(resid).max(axis=(1, 2)))
-        boxes = [joint.row_max(b).tolist() for b in boxes]
+                out[sel] = np.abs(resid).max(axis=(1, 2))
+        boxes = [_max_per_row(b, starts).tolist() for b in boxes]
     # the largest |entry| of the Laplacian, which is block diagonal over the Reeb sectors
-    zero = pair_tol * np.maximum(1.0, joint.row_max([np.abs(g.blocks[0]).max(axis=(1, 2)) for g in rows.groups]))
+    zero = pair_tol * np.maximum(1.0, _max_per_row(rows.stack, starts))
     delta = np.where(0.0 > joint.delta, 0.0, joint.delta)
     root = np.sqrt(delta)
     box, boxbar = 0.5 * (root + tau), 0.5 * (root - tau)

@@ -102,13 +102,21 @@ def dense_half_laplacians(ctx, k: int):
 
 def half_laplacian_sectors(ctx, k: int, sectors):
     """The dense half Laplacians of degree k cut into the Reeb sectors `sectors` of the degree-k
-    Rumin Laplacian (a one-row `SectorRows` of `spectral._reeb_sectors`): (per size group, their
-    sector blocks; their common scale)."""
+    Rumin Laplacian (the one-row `RowStack` of `spectral._reeb_sectors`): (their zero-padded
+    sector stacks; their common scale)."""
     a, b, scale = dense_half_laplacians(ctx, k)
     if sectors.dims[0] != ctx.rumin_space(k).dim:
         raise InternalConsistencyError("simultaneous eigenspaces do not exhaust the space")
-    cut = lambda m: tuple(m[g.index[:, :, None], g.index[:, None, :]] for g in sectors.groups)
+    both = sectors.valid[:, None, :] & sectors.valid[None, :, :]
+    cut = lambda m: np.where(both, m[sectors.index[:, None, :], sectors.index[None, :, :]], 0)
     return (cut(a), cut(b)), scale
+
+
+def round_as_library(x: float) -> float:
+    """`util.round_sig` of x as a numpy float, which is how the library rounds (lambda10,
+    lambda01) (`rows.round_sig_values`): numpy scales by 10^d and rounds half to even, while
+    `round` of a Python float rounds its exact binary value, and the two differ on some values."""
+    return round_sig(np.float64(x))
 
 
 def dense_q_decomposition(ctx, k: int, tol: float = 1e-9):
@@ -125,7 +133,7 @@ def dense_q_decomposition(ctx, k: int, tol: float = 1e-9):
             ray = float(np.real(np.trace(basis.conj().T @ image))) / basis.shape[1]
             if max_abs(image - ray * basis) > 10 * tol * scale:
                 raise InternalConsistencyError("half Laplacians are not scalar on a joint eigenspace")
-            pair.append(round_sig(max(ray, 0.0)))
+            pair.append(round_as_library(max(ray, 0.0)))
         out.append(QComponent(*pair, basis))
     return tuple(out)
 

@@ -227,13 +227,13 @@ def test_assembly_rows_are_memoized_and_read_only():
     joint = asm.rumin_rows(0)
     assert joint is asm.rumin_rows(0, 1e-9) is asm.rumin_rows(0, tol=1e-9)
     assert asm.rumin_rows(0, 1e-10) is not joint
-    assert joint.rows.size == len(asm.weights) and set(joint.owner.tolist()) == set(range(len(asm.weights)))
-    assert all(isinstance(v, tuple) for v in (joint.vectors, joint.rows.groups))
-    columns = (joint.order, joint.starts, joint.owner, joint.delta, joint.tau, joint.rows.dims, joint.rows.scale)
-    groups = [array for g in joint.rows.groups for array in (g.owner, g.tau, g.index, *g.blocks)]
-    assert len(joint.rows.groups[0].blocks) == 3  # the Laplacian and the two half Laplacians
-    assert not any(array.flags.writeable for array in (*columns, *groups, *joint.vectors))
-    assert asm.rumin_rows(1).rows.scale is None
+    assert joint.rows.dims.size == len(asm.weights) and set(joint.owner.tolist()) == set(range(len(asm.weights)))
+    assert isinstance(joint.rows.halves, tuple) and len(joint.rows.halves) == 3  # two half Laplacians, their scale
+    columns = (joint.order, joint.starts, joint.owner, joint.sector, joint.delta, joint.tau, joint.vectors)
+    r = joint.rows
+    layout = (r.stack, r.owner, r.tau, r.valid, r.index, r.dims, *r.halves)
+    assert not any(array.flags.writeable for array in (*columns, *layout))
+    assert asm.rumin_rows(1).rows.halves is None
     comps = spectral.q_decomposition(asm, asm.weights[-1], 0)
     assert isinstance(comps, tuple) and comps
     [again] = dense_reference.low_degree_components(asm, asm.contexts[-1])
@@ -328,15 +328,18 @@ def test_verify_all_computes_each_shared_quantity_once(capsys, monkeypatch):
     The spies sit on the computations behind the memo of the sector stacks:
     the Reeb-sector solve (keyed by its exact input), the sector rank oracle,
     which ranks each complex once for thm1 and the torsion checks together,
-    and the suite quantities that several suites read: the Laplacians, the
-    harmonic kernels, the Rumin Reeb derivative (whose invariance residual is
-    checked when it is built), the Rumin square root, the sec4 components and
-    the lifted fiber tables.  The Rumin Laplacian is solved once per degree
-    k <= n over every weight (`Assembly.rumin_rows`), for sec4 and the torsion
-    checks together: two solves in all, on lens(3, 1) and on s3.  The
-    first-order stacks (d, d0, dT, L_T, the split halves of d_b and their Rumin
-    compressions) are built once per degree and half, and every composite of
-    the stacks reads those.
+    and the suite quantities that several suites read: the Laplacians, their
+    eigensolve on the sectors, the harmonic kernels, the Rumin Reeb derivative
+    (whose invariance residual is checked when it is built), the Rumin square
+    root, the sec4 components and the lifted fiber tables.  Each Laplacian is
+    built once per (op, k) and solved by one `sectors._eigh` on the sectors:
+    the harmonic kernels of thm1, the Rumin square root of sec4 and the joint
+    eigenspaces read the same solve.  The Rumin Laplacian's joint eigenspaces
+    are solved once per degree k <= n over every weight
+    (`Assembly.rumin_rows`), for sec4 and the torsion checks together: two
+    solves in all, on lens(3, 1) and on s3.  The first-order stacks (d, d0, dT,
+    L_T, the split halves of d_b and their Rumin compressions) are built once
+    per degree and half, and every composite of the stacks reads those.
     """
     calls = {}
 
@@ -352,15 +355,29 @@ def test_verify_all_computes_each_shared_quantity_once(capsys, monkeypatch):
     def exact(*arrays):
         return tuple((a.shape, a.tobytes()) for a in arrays)
 
-    solve = spy(
-        "joint eigenspaces",
-        rows.solve_rows,
-        lambda rows, tol: tuple(exact(g.tau, *g.blocks) for g in rows.groups) + (tol,),
-    )
+    solve = spy("joint eigenspaces", rows.solve_rows, lambda rows, tol, eig=None: (exact(rows.tau, rows.stack), tol))
     monkeypatch.setattr(rows, "solve_rows", solve)
+    laplacians = {}  # the id of every Laplacian built in the run -> (op, k, t)
+    build = SectorStacks.laplacian.__wrapped__
+
+    def build_laplacian(stacks, op, k, t):
+        lap = build(stacks, op, k, t)
+        laplacians[id(lap)] = (op, k, t)  # the memo keeps it for the run, so the id stays its own
+        return lap
+
+    solved = calls.setdefault("Laplacian eigensolve", Counter())
+    eigh = sectors._eigh
+
+    def sector_eigh(stack, valid):
+        if id(stack) in laplacians:
+            solved[laplacians[id(stack)]] += 1
+        return eigh(stack, valid)
+
+    for module in (sectors, rows, suites):
+        monkeypatch.setattr(module, "_eigh", sector_eigh)
     memos = {
         "sector rank": (SectorStacks.cohomology_dims, lambda stacks, complex_name, multiplicity: complex_name),
-        "Laplacian": (suites._laplacian, lambda stacks, op, k: (op, k)),
+        "Laplacian": (SectorStacks.laplacian, lambda stacks, op, k, t: (op, k, t), build_laplacian),
         "harmonic kernel": (suites._harmonic, lambda stacks, k, operator: (k, operator)),
         "Rumin Reeb derivative": (suites._lie_reeb_rumin, lambda stacks, k: k),
         "Rumin square root": (suites._sqrt_rumin_laplacian, lambda stacks, k: k),
@@ -369,23 +386,27 @@ def test_verify_all_computes_each_shared_quantity_once(capsys, monkeypatch):
     }
     for name in FIRST_ORDER:
         memos[name] = (getattr(SectorStacks, name), lambda stacks, *args: args)
-    for kind, (memo, key) in memos.items():
-        monkeypatch.setattr(memo, "__wrapped__", spy(kind, memo.__wrapped__, key))
+    for kind, (memo, key, *fn) in memos.items():
+        monkeypatch.setattr(memo, "__wrapped__", spy(kind, fn[0] if fn else memo.__wrapped__, key))
     for model in (["--model", "lens", "--p", "3", "--character", "1"], ["--model", "s3"]):
         for counts in calls.values():
             counts.clear()
+        laplacians.clear()
         assert cli.main(["verify", "--suite", "all", *model, "--max-weight", "4"]) == 0
         capsys.readouterr()
         for kind, counts in calls.items():
             assert counts, kind
             repeated = {key: n for key, n in counts.items() if n > 1}
             assert not repeated, f"{kind}: {len(repeated)} of {len(counts)} computations repeated"
-        assert len(calls) == 8 + len(FIRST_ORDER)
+        assert len(calls) == 9 + len(FIRST_ORDER)
         assert set(calls["split_db"]) == {(k, anti) for k in range(2) for anti in (False, True)}
         assert set(calls["rumin_del"]) == {(k, anti) for k in range(2) for anti in (False, True)}
         assert set(calls["d"]) == {(k,) for k in range(4)}
         assert set(calls["sector rank"]) == {"rumin", "de_rham"}
         assert set(calls["harmonic kernel"]) == {(k, op) for k in range(4) for op in ("de_rham", "rumin")}
+        laps = {(op, k, 1.0) for op in ("delta-rn", "delta-dr") for k in range(4)}
+        assert set(calls["Laplacian"]) == laps | {("delta-b", k, 1.0) for k in range(3)}
+        assert set(solved) == laps
         assert sum(calls["joint eigenspaces"].values()) == 2
 
 
@@ -468,12 +489,18 @@ FIRST_ORDER = ("d", "d0", "dT", "lie_reeb", "split_db", "rumin_del")
 
 @pytest.mark.parametrize(
     "command",
-    [["torsion"], ["verify", "--suite", "thm5"], *(["spectrum", "--op", op] for op in SPECTRUM_OPS)],
-    ids=["torsion", "thm5", *SPECTRUM_OPS],
+    [
+        ["torsion"],
+        ["verify", "--suite", "thm5"],
+        *(["spectrum", "--op", op] for op in SPECTRUM_OPS),
+        ["verify", "--suite", "all"],
+    ],
+    ids=["torsion", "thm5", *SPECTRUM_OPS, "verify-all"],
 )
 def test_spectrum_and_torsion_keep_no_first_order_stack(capsys, monkeypatch, command):
     """`spectrum` and `torsion` read each first-order stack a few times and keep none, which holds
-    their peak memory at high M; only the `verify` suites keep them."""
+    their peak memory at high M; only the `verify` suites keep them, and with them the Laplacians
+    and their sector eigensolves (the last case, which shows that the names are the memo's)."""
     built = []
     init = SectorStacks.__init__
 
@@ -486,8 +513,12 @@ def test_spectrum_and_torsion_keep_no_first_order_stack(capsys, monkeypatch, com
     capsys.readouterr()
     [stacks] = built
     assert stacks._cache
-    kept = {name for name, _ in stacks._cache} & ({f"SectorStacks.{name}" for name in FIRST_ORDER} | {"_fiber"})
-    assert not kept, kept
+    names = {f"SectorStacks.{name}" for name in (*FIRST_ORDER, "laplacian", "eigh")} | {"_fiber"}
+    kept = {name for name, _ in stacks._cache} & names
+    if command[-1] == "all":
+        assert kept == names
+    else:
+        assert not kept, kept
 
 
 @pytest.mark.parametrize("model", [["--model", "s3"], LENS31], ids=["s3", "lens3-1"])

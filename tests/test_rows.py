@@ -14,9 +14,11 @@ import json
 import numpy as np
 import pytest
 
+import dense_reference
 from ruminlab import cli, util
 from ruminlab.model import su2_model
-from ruminlab.rows import SectorGroup, SectorRows, cluster_starts, round_sig_values, run_means, solve_rows
+from ruminlab.rows import cluster_starts, round_sig_values, run_means, solve_rows
+from ruminlab.sectors import RowStack
 from ruminlab.spectral import Assembly, SpectrumEntry, SpectrumTable
 from ruminlab.torsion import reeb_decomposition
 
@@ -62,15 +64,20 @@ def test_cluster_pass_equals_cluster_values_on_every_row():
 
 
 def test_solve_rows_clusters_every_row_as_cluster_values():
-    """One-by-one sectors carrying the values above: the components of each row are its values,
-    each with the mean of its `cluster_values` cluster, in ascending order."""
+    """One-by-one sectors of a padded stack carrying the values above: the components of each row
+    are its values, each with the mean of its `cluster_values` cluster, in ascending order."""
     rng = np.random.default_rng(11)
     rows = [_row_values(rng, row) for row in range(4)]
     owner = np.repeat(np.arange(len(rows)), [r.size for r in rows])
     tau = np.concatenate([np.arange(r.size, dtype=float) for r in rows])
-    index = np.concatenate([np.arange(r.size) for r in rows])[:, None]
-    blocks = np.concatenate(rows).astype(complex)[:, None, None]
-    joint = solve_rows(SectorRows(np.array([r.size for r in rows]), (SectorGroup(owner, tau, index, (blocks,)),)), TOL)
+    index = np.concatenate([np.arange(r.size) for r in rows])[None, :]
+    # a second, unused position in every sector: the padding enters no solve
+    stack = np.zeros((2, 2, owner.size), dtype=complex)
+    stack[0, 0] = np.concatenate(rows)
+    valid = np.zeros((2, owner.size), dtype=bool)
+    valid[0] = True
+    joint = solve_rows(RowStack(stack, owner, tau, valid, np.vstack([index, index]), np.array([r.size for r in rows])), TOL)
+    assert np.array_equal(joint.sector, joint.order) and np.array_equal(owner[joint.sector], joint.owner)
     for row, r in enumerate(rows):
         lo, hi = joint.row_components(row)
         clusters = util.cluster_values(list(r), TOL * max(1.0, float(np.abs(r).max())))
@@ -202,3 +209,12 @@ def test_round_sig_values_equals_round_sig_of_each_numpy_float():
     expected = [util.round_sig(x) for x in values]  # iterating an array gives np.float64
     assert round_sig_values(values).tolist() == expected
     assert any(util.round_sig(x) != util.round_sig(float(x)) for x in values)  # the rounding differs from Python's
+
+
+def test_dense_reference_rounds_half_pairs_as_the_library():
+    """The dense reference rounds its (lambda10, lambda01) as the library does, also where Python's
+    rounding of the same float differs."""
+    x = 71.02209451155
+    assert util.round_sig(x) == 71.0220945115  # Python's `round` of the binary value
+    assert round_sig_values(np.array([x])).tolist() == [71.0220945116]
+    assert dense_reference.round_as_library(x) == 71.0220945116

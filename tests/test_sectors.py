@@ -1,5 +1,6 @@
 """Reeb-sector stacks against the dense block assembly they replace in `rumin spectrum` and in
-the joint eigenspaces of the sec4 suite."""
+the joint eigenspaces of the sec4 suite.  Both routes lay their sectors out as a padded
+`sectors.RowStack`."""
 
 import functools
 
@@ -37,45 +38,58 @@ def _dense_cut(op: str, m: int, k: int):
     """`_reeb_sectors` of the dense pair, with the dense half-Laplacian sectors where `spectrum` reads them."""
     ctx = _context(m)
     lap, ilt = operator_pair(ctx, op, k, T)
-    sectors = _reeb_sectors(lap, ilt, 1e-9)
+    sectors = _reeb_sectors([(lap, ilt)], 1e-9)
     halves = half_laplacian_sectors(ctx, k, sectors) if op == "delta-rn" and k == 0 else None
     return sectors, halves, max(1.0, max_abs(lap))
 
 
+def _compressed(rows, sel, *stacks):
+    """The sectors `sel` of a `RowStack` with their valid positions moved to the front, in order:
+    their valid flags and basis indices (f, n), and the (f, f, n) blocks of every stack."""
+    front = np.argsort(~rows.valid[:, sel], axis=0, kind="stable")
+    take = lambda a: np.take_along_axis(a[:, sel], front, axis=0)
+    blocks = [stack[front[:, None, :], front[None, :, :], sel] for stack in stacks]
+    return take(rows.valid), take(rows.index), blocks
+
+
 def _assert_blocks_close(got, want, scale):
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g.shape == w.shape
-        assert max_abs(g - w) <= 1e-12 * scale
+    assert got.shape == want.shape
+    assert max_abs(got - want) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("op", SPECTRUM_OPS)
 @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
 def test_sector_stacks_equal_the_dense_sector_cut(model, op):
-    """The sectors of every weight in the stacks' rows equal the `_reeb_sectors` cut of the dense
-    pair, group by group: tau and index exactly, the blocks within 1e-12 * max(1, max |Laplacian
-    entry|), and the half-Laplacian blocks and scale where `spectrum` reads them."""
+    """The sectors in use of every weight in the stacks' rows equal the `_reeb_sectors` cut of the
+    dense pair, sector by sector: tau, the valid positions and the basis indices exactly, the
+    blocks within 1e-12 * max(1, max |Laplacian entry|), and the half-Laplacian blocks and scale
+    where `spectrum` reads them.  A sector of the stacks in no use has no dense sector."""
     weights = [m for m in range(MAX_WEIGHT + 1) if model.multiplicity(m)]
     stacks = SectorStacks(model.frame, weights)
     for k in spectrum_degrees(op):
-        rows, labels = stacks.spectrum_sectors(op, k, T)
-        assert rows.size == len(weights)
-        assert len(labels) == stacks.fibers.space_fiber(k, SPECTRUM_FLAVOR[op]).shape[1]
+        rows, labels = stacks.spectrum_rows(op, k, T)
+        assert rows.dims.size == len(weights) and np.array_equal(rows.starts, stacks.starts)
+        assert len(labels) == rows.valid.shape[0] == stacks.fibers.space_fiber(k, SPECTRUM_FLAVOR[op]).shape[1]
         for w, m in enumerate(weights):
             dense, dense_halves, scale = _dense_cut(op, m, k)
             assert rows.dims[w] == dense.dims[0]
-            mine = [(g, g.owner == w) for g in rows.groups if np.any(g.owner == w)]
-            assert len(mine) == len(dense.groups)
-            for (g, sel), want in zip(mine, dense.groups):
-                assert g.tau.dtype == want.tau.dtype and np.array_equal(g.tau[sel], want.tau)
-                assert np.array_equal(g.index[sel], want.index)
-                _assert_blocks_close([g.blocks[0][sel]], want.blocks, scale)
-            assert (rows.scale is None) == (dense_halves is None)
+            mine = np.arange(rows.starts[w], rows.starts[w + 1])
+            mine = mine[rows.valid[:, mine].any(axis=0)]
+            assert mine.size == dense.tau.size
+            assert rows.tau.dtype == dense.tau.dtype and np.array_equal(rows.tau[mine], dense.tau)
+            stacks_in_use = (rows.stack, *(rows.halves[:2] if rows.halves is not None else ()))
+            valid, index, blocks = _compressed(rows, mine, *stacks_in_use)
+            f = dense.valid.shape[0]
+            assert not valid[f:].any()
+            assert np.array_equal(valid[:f], dense.valid)
+            assert np.array_equal(index[:f][dense.valid], dense.index[dense.valid])
+            _assert_blocks_close(blocks[0][:f, :f], dense.stack, scale)
+            assert (rows.halves is None) == (dense_halves is None)
             if dense_halves is not None:
                 (da, db), dense_scale = dense_halves
-                _assert_blocks_close([g.blocks[1][sel] for g, sel in mine], da, dense_scale)
-                _assert_blocks_close([g.blocks[2][sel] for g, sel in mine], db, dense_scale)
-                assert rows.scale[w] == pytest.approx(dense_scale, rel=1e-12)
+                _assert_blocks_close(blocks[1][:f, :f], da, dense_scale)
+                _assert_blocks_close(blocks[2][:f, :f], db, dense_scale)
+                assert rows.halves[2][w] == pytest.approx(dense_scale, rel=1e-12)
 
 
 @pytest.mark.parametrize("max_weight", [0, 3, MAX_WEIGHT])
@@ -131,9 +145,9 @@ def test_an_off_sector_wedge_fiber_entry_raises():
     assert _context(0)._wedge_fiber(1, 1)[row, col] == 0
     spoiled = SectorStacks(frame, range(4), _spoiled_tables(frame, 1, 1, row, col))
     with pytest.raises(InternalConsistencyError, match="leaves its Reeb sector"):
-        spoiled.spectrum_sectors("delta-dr", 1)
+        spoiled.spectrum_rows("delta-dr", 1)
     # the same entry of the T wedge fiber shifts no slot and keeps its sector
-    SectorStacks(frame, range(4), _spoiled_tables(frame, 0, 1, row, col)).spectrum_sectors("delta-dr", 1)
+    SectorStacks(frame, range(4), _spoiled_tables(frame, 0, 1, row, col)).spectrum_rows("delta-dr", 1)
 
 
 def test_spoiled_tables_leave_the_shared_tables_clean():
@@ -142,7 +156,7 @@ def test_spoiled_tables_leave_the_shared_tables_clean():
     test_an_off_sector_wedge_fiber_entry_raises()
     frame = su2_model().frame
     stacks = SectorStacks(frame, range(4))
-    stacks.spectrum_sectors("delta-dr", 1)
+    stacks.spectrum_rows("delta-dr", 1)
     shared = stacks.fibers._tables
     assert shared is operators.frame_tables(frame)
     private = BlockContext(frame, None, {})
@@ -159,6 +173,6 @@ def test_empty_weight_list_gives_no_rows():
     stacks = SectorStacks(su2_model().frame, [])
     for op in SPECTRUM_OPS:
         for k in spectrum_degrees(op):
-            rows, _ = stacks.spectrum_sectors(op, k, T)
-            assert rows.size == 0 and rows.groups == ()
+            rows, _ = stacks.spectrum_rows(op, k, T)
+            assert rows.dims.size == 0 and rows.stack.shape[2] == 0
             assert solve_rows(rows).owner.size == 0

@@ -345,19 +345,18 @@ def test_boxes_differ_by_reeb_catches_a_shifted_tau(monkeypatch):
     """A Reeb value shifted by 1e-9 on one degree-0 sector of weight 12 fails the difference."""
     name = "boxes_differ_by_reeb[m12]k=0"
     assert _check(reeb_decomposition(Assembly(su2_model(), 12)), name).passed
-    original = SectorStacks.spectrum_sectors
+    original = SectorStacks.spectrum_rows
 
     def spoiled(stacks, op, k, t=1.0):
         rows, labels = original(stacks, op, k, t)
         if k == 0:
-            g = rows.groups[0]
-            tau = g.tau.copy()
-            tau[np.flatnonzero(g.owner == rows.size - 1)[0]] += 1e-9  # a sector of the last weight
-            groups = (dataclasses.replace(g, tau=tau), *rows.groups[1:])
-            rows = dataclasses.replace(rows, groups=groups)
+            tau = rows.tau.copy()
+            last = (rows.owner == rows.dims.size - 1) & rows.valid.any(axis=0)
+            tau[np.flatnonzero(last)[0]] += 1e-9  # a sector of the last weight
+            rows = dataclasses.replace(rows, tau=tau)
         return rows, labels
 
-    monkeypatch.setattr(SectorStacks, "spectrum_sectors", spoiled)
+    monkeypatch.setattr(SectorStacks, "spectrum_rows", spoiled)
     assert not _check(reeb_decomposition(Assembly(su2_model(), 12)), name).passed
 
 
