@@ -73,6 +73,8 @@ class RunConfig:
                 raise UsageError(f"{name.replace('_', '-')} must be a list of numbers, not {value!r}")
             if not all(math.isfinite(x) for x in value):
                 raise UsageError(f"{name.replace('_', '-')} must be finite, not {value!r}")
+            if len(set(value)) != len(value):  # each sample names its checks: a repeat would list them twice
+                raise UsageError(f"{name.replace('_', '-')} must not repeat a value, not {value!r}")
         if not self.t_samples:
             raise UsageError("t-samples must not be empty")
         if not self.s_grid:
@@ -230,10 +232,10 @@ def cmd_verify(cfg: RunConfig) -> int:
     report = run_suite(Assembly(cfg.build_model(), cfg.max_weight), cfg.suite, cfg)
     _emit(report.to_csv() if cfg.format == "csv" else report.to_json(), cfg.out)
     if not report.passed:
-        for c in report.failures():
+        for i in report.failed():
             sys.stderr.write(
-                f"FAIL {c.name}: residual {util.fmt_float(c.residual)} "
-                f"> tolerance {util.fmt_float(c.tolerance)} {c.detail}\n"
+                f"FAIL {report.names[i]}: residual {util.fmt_float(report.residuals[i])} "
+                f"> tolerance {util.fmt_float(report.tolerances[i])} {report.details[i]}\n"
             )
         return 1
     return 0
@@ -247,8 +249,9 @@ def cmd_torsion(cfg: RunConfig) -> int:
     report = torsion_mod.reeb_decomposition(Assembly(cfg.build_model(), cfg.max_weight), s_grid=cfg.s_grid)
     _emit(report.to_json() if cfg.format == "json" else report.pairs_csv(), cfg.out)
     if not report.passed:
-        for c in report.checks.failures():
-            sys.stderr.write(f"FAIL {c.name}: residual {util.fmt_float(c.residual)}\n")
+        checks = report.checks
+        for i in checks.failed():
+            sys.stderr.write(f"FAIL {checks.names[i]}: residual {util.fmt_float(checks.residuals[i])}\n")
         return 1
     return 0
 

@@ -39,6 +39,15 @@ decomposition of `torsion` reads too, and the rank oracle
 of the same stacks.  The dense block contexts (`Assembly.contexts`) serve
 `harmonic_bases` and the tests, whose dense per-block suite bodies
 (`tests/dense_reference.py`) are the reference for the sector route.
+
+A `VerificationReport` holds its checks as four parallel columns, `names`,
+`residuals`, `tolerances` and `details`, appended family by family: a suite
+adds the checks of one family (one name pattern over every weight or
+component) with one `add_family` call, with a residual array and one
+tolerance.  `passed` is one comparison over the columns, and the writers sort
+the columns once by name (stable, so equal names keep their insertion order)
+and write every row from them, formatting each distinct float once; `Check`
+objects and row dicts are built only by the views that tests and demos read.
 """
 
 from __future__ import annotations
@@ -349,6 +358,8 @@ def principal_sines(u: np.ndarray, v: np.ndarray) -> float:
 
 @dataclass
 class Check:
+    """One check of a `VerificationReport`, as its views list it."""
+
     name: str
     passed: bool
     residual: float
@@ -356,62 +367,124 @@ class Check:
     detail: str = ""
 
 
+def _fmt_floats(values: List[float], memo: Dict[float, str]) -> List[str]:
+    """`util.fmt_float` of every value, each distinct value formatted once into `memo`."""
+    for x in set(values).difference(memo):
+        memo[x] = format(x, ".17g")
+    if 0.0 in memo:
+        memo[0.0] = "0"  # 0.0 == -0.0 share one entry; the negative values are written below
+    out = list(map(memo.__getitem__, values))
+    for i in np.flatnonzero(np.signbit(values)).tolist():
+        out[i] = format(values[i], ".17g")
+    return out
+
+
 @dataclass
 class VerificationReport:
+    """Named checks as parallel columns in the order they were added (see the module notes).  A
+    check passes when its residual is at most its tolerance, so a NaN residual fails.  `checks`,
+    `sorted_checks()`, `failures()` and `check_rows()` are views built on each access."""
+
     name: str
     parameters: dict = field(default_factory=dict)
-    checks: List[Check] = field(default_factory=list)
+    names: List[str] = field(default_factory=list)
+    residuals: List[float] = field(default_factory=list)
+    tolerances: List[float] = field(default_factory=list)
+    details: List[str] = field(default_factory=list)
 
     def add(self, name: str, residual: float, tolerance: float, detail: str = ""):
-        residual = float(residual)
-        self.checks.append(Check(name, residual <= tolerance, residual, tolerance, detail))
+        self.add_family([name], [residual], tolerance, [detail])
+
+    def add_family(self, names: List[str], residuals, tolerance: float, details: Optional[List[str]] = None):
+        """One check per name, in order, with the residuals given (an array or a list of
+        numbers), one tolerance, and one detail per check (empty when `details` is None)."""
+        residuals = np.asarray(residuals, dtype=float).tolist()
+        if len(residuals) != len(names) or not (details is None or len(details) == len(names)):
+            raise ValueError("a check family needs one residual and one detail per name")
+        self.names += names
+        self.residuals += residuals
+        self.tolerances += [float(tolerance)] * len(names)
+        self.details += [""] * len(names) if details is None else details
 
     def extend(self, other: "VerificationReport"):
-        self.checks.extend(other.checks)
+        for column in ("names", "residuals", "tolerances", "details"):
+            getattr(self, column).extend(getattr(other, column))
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return all(map(float.__le__, self.residuals, self.tolerances))
+
+    def failed(self) -> List[int]:
+        """The positions of the failed checks in the columns, ordered by name."""
+        ok = map(float.__le__, self.residuals, self.tolerances)
+        return sorted([i for i, good in enumerate(ok) if not good], key=self.names.__getitem__)
+
+    def _check(self, i: int) -> Check:
+        residual, tolerance = self.residuals[i], self.tolerances[i]
+        return Check(self.names[i], residual <= tolerance, residual, tolerance, self.details[i])
+
+    @property
+    def checks(self) -> List[Check]:
+        """The checks in the order they were added."""
+        return [self._check(i) for i in range(len(self.names))]
 
     def failures(self) -> List[Check]:
-        return [c for c in self.sorted_checks() if not c.passed]
+        return [self._check(i) for i in self.failed()]
+
+    def _order(self) -> List[int]:
+        return sorted(range(len(self.names)), key=self.names.__getitem__)
 
     def sorted_checks(self) -> List[Check]:
-        return sorted(self.checks, key=lambda c: c.name)
+        return [self._check(i) for i in self._order()]
 
     def check_rows(self) -> List[dict]:
         """The serialized checks, ordered by name, as every report prints them."""
+        fmt = util.fmt_float
         return [
-            {
-                "name": c.name,
-                "passed": c.passed,
-                "residual": util.fmt_float(c.residual),
-                "tolerance": util.fmt_float(c.tolerance),
-                "detail": c.detail,
-            }
+            {"name": c.name, "passed": c.passed, "residual": fmt(c.residual), "tolerance": fmt(c.tolerance),
+             "detail": c.detail}
             for c in self.sorted_checks()
         ]
 
+    def _chunks(self):
+        """(names, passed flags, residual and tolerance text, details) of util.ROW_CHUNK checks
+        at a time, ordered by name."""
+        order, memo = self._order(), {}
+        for lo in range(0, len(order), util.ROW_CHUNK):
+            at = order[lo : lo + util.ROW_CHUNK]
+            residuals, tolerances = [self.residuals[i] for i in at], [self.tolerances[i] for i in at]
+            passed = list(map(float.__le__, residuals, tolerances))
+            text = _fmt_floats(residuals, memo), _fmt_floats(tolerances, memo)
+            yield [self.names[i] for i in at], passed, *text, [self.details[i] for i in at]
+
+    def dumps_with_checks(self, doc: dict) -> str:
+        """`json.dumps(doc, sort_keys=True)` with these checks as `doc["checks"]`, the rows of
+        `check_rows()`, each written from the columns as `json.dumps` writes it."""
+        esc = json.encoder.encode_basestring_ascii  # the escaping of json.dumps, ensure_ascii=True
+        chunks = []
+        for names, passed, residuals, tolerances, details in self._chunks():
+            detail = {d: esc(d) for d in set(details)}
+            rows = zip(map(detail.__getitem__, details), map(esc, names), passed, residuals, tolerances)
+            rows = [
+                f'{{"detail": {d}, "name": {n}, "passed": {"true" if ok else "false"}, "residual": "{r}", '
+                f'"tolerance": "{t}"}}'
+                for d, n, ok, r, t in rows
+            ]
+            chunks.append(", ".join(rows))
+        head, tail = json.dumps({**doc, "checks": []}, sort_keys=True).split('"checks": []', 1)
+        return "".join([head, '"checks": [', *_interleave(chunks, ", "), "]", tail])
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "schema": 1,
-                "kind": "verification",
-                "name": self.name,
-                "parameters": self.parameters,
-                "passed": self.passed,
-                "checks": self.check_rows(),
-            },
-            sort_keys=True,
-        )
+        doc = {"schema": 1, "kind": "verification", "name": self.name, "parameters": self.parameters}
+        return self.dumps_with_checks({**doc, "passed": self.passed})
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["check", "status", "residual", "tolerance", "detail"])
-        for row in self.check_rows():
-            status = "pass" if row["passed"] else "fail"
-            writer.writerow([row["name"], status, row["residual"], row["tolerance"], row["detail"]])
+        for names, passed, residuals, tolerances, details in self._chunks():
+            status = ["pass" if ok else "fail" for ok in passed]
+            writer.writerows(zip(names, status, residuals, tolerances, details))
         return buf.getvalue()
 
 

@@ -40,6 +40,14 @@ and their eigensolves are kept in the same memo by `SectorStacks` itself,
 once `spectral._run_suite` has called `keep_first_order`; every suite and
 every composite of the stacks (d_b, the Rumin differentials, the Laplacians,
 the rank oracle) then reads one copy.
+
+Each check family reaches the report in one call: `_add` gives one name per
+weight (the pattern with its `{lbl}` replaced by the block label), the
+residual array of the family, one tolerance and, for the exact dimension
+checks, one detail per weight, to `VerificationReport.add_family`, which
+appends them to the report's columns.  The per-component families of sec4
+build their names from one tag per component, `[{lbl}]l=(lambda10,lambda01)`,
+and select their components with masks, so each family keeps component order.
 """
 
 from __future__ import annotations
@@ -134,7 +142,7 @@ def _principal_sines(stacks: SectorStacks, u: SectorBasis, v: SectorBasis) -> np
     top = np.zeros(u.used.shape[1])
     for a, b in ((u.vectors, v.vectors), (v.vectors, u.vectors)):
         r = b - _product(a, _adjoint(a), b)
-        if r.shape[0] and r.shape[1]:
+        if r.any():  # a zero stack has norm 0 on every sector; its SVDs would only confirm that
             top = np.maximum(top, np.linalg.norm(r, 2, axis=(0, 1)))  # the largest singular value
     return np.where(du != dv, 1.0, np.where(du == 0, 0.0, _per_weight(stacks, top, np.maximum)))
 
@@ -241,14 +249,18 @@ def _labels(stacks: SectorStacks) -> Tuple[str, ...]:
     return tuple(block_label(m) for m in stacks.weights.tolist())
 
 
-def _add(report: VerificationReport, name: str, stacks: SectorStacks, values, tol: float, where=None):
-    """One check `name` (formatted with the block label) per weight, with the residuals `values`;
-    on the weights where `where` holds, if given."""
-    values = np.asarray(values, dtype=float).tolist()
-    keep = [True] * len(values) if where is None else np.asarray(where).tolist()
-    for lbl, value, ok in zip(_labels(stacks), values, keep):
-        if ok:
-            report.add(name.format(lbl=lbl), value, tol)
+def _add(report: VerificationReport, name: str, stacks: SectorStacks, values, tol: float, where=None, details=None):
+    """One family of checks in one `add_family` call: per weight, `name` with its `{lbl}` replaced
+    by the block label, its residual in `values` and its detail in `details` (or none); on the
+    weights where `where` holds, if given."""
+    head, tail = name.split("{lbl}")
+    labels = _labels(stacks)
+    if where is not None:
+        keep = np.flatnonzero(where)
+        kept = keep.tolist()
+        labels, values = [labels[i] for i in kept], np.asarray(values, dtype=float)[keep]
+        details = None if details is None else [details[i] for i in kept]
+    report.add_family([f"{head}{lbl}{tail}" for lbl in labels], values, tol, details)
 
 
 def check_complex_property(
@@ -328,10 +340,10 @@ def check_kernel_coincidence(
         dims["kernel", "rumin", k] += int(dim_rn.sum())
         dims["kernel", "de_rham", k] += int(dim_dr.sum())
         phi = _product(stacks.embed(k, "rumin"), ker_rn.vectors)  # harmonic vectors inside the full space
-        angles = _principal_sines(stacks, ker_dr, SectorBasis(phi, ker_rn.used)).tolist()
-        for lbl, a, b, angle in zip(_labels(stacks), dim_dr.tolist(), dim_rn.tolist(), angles):
-            report.add(f"kernel_dims_match[{lbl}]k={k}", abs(a - b), 0.0, f"de_rham={a} rumin={b}")
-            report.add(f"kernel_subspace_angle[{lbl}]k={k}", angle, angle_tol)
+        angles = _principal_sines(stacks, ker_dr, SectorBasis(phi, ker_rn.used))
+        details = [f"de_rham={a} rumin={b}" for a, b in zip(dim_dr.tolist(), dim_rn.tolist())]
+        _add(report, f"kernel_dims_match[{{lbl}}]k={k}", stacks, np.abs(dim_dr - dim_rn), 0.0, details=details)
+        _add(report, f"kernel_subspace_angle[{{lbl}}]k={k}", stacks, angles, angle_tol)
         if k > stacks.n or not dim_dr.any():
             continue
         horizontal = stacks.embed(k, "horizontal")
@@ -396,9 +408,9 @@ def check_deformation_family(asm: Assembly, report: VerificationReport, t_sample
                 rows.append((f"deformed_kills_harmonic[{{lbl}}]k={k},t={t}", _product(lap, phi)))
             for name, value in rows:
                 _add(report, name, stacks, wmax(value), tol, dim > 0)
-        inter = r * _joint_kernel_dims(stacks, laps, stacks.space(k).valid)
-        for lbl, a, b in zip(_labels(stacks), inter.tolist(), (r * dim).tolist()):
-            report.add(f"intersection_dim[{lbl}]k={k}", abs(a - b), 0.0, f"intersection={a} harmonic={b}")
+        inter, harmonic = r * _joint_kernel_dims(stacks, laps, stacks.space(k).valid), r * dim
+        details = [f"intersection={a} harmonic={b}" for a, b in zip(inter.tolist(), harmonic.tolist())]
+        _add(report, f"intersection_dim[{{lbl}}]k={k}", stacks, np.abs(inter - harmonic), 0.0, details=details)
 
 
 def check_sasakian_identities(asm: Assembly, report: VerificationReport, tol: float = 1e-11):
@@ -522,29 +534,32 @@ def check_eigenvalue_identity(asm: Assembly, report: VerificationReport, tol_rel
             ("middle_formula_value", np.abs(target - (lam_t**2 + 4 * l10 * l01)) / np.maximum(1.0, np.abs(target))),
             ("reeb_tag", np.abs(lam_t - (l10 - l01)) / np.maximum(1.0, np.abs(lam_t))),
         )
-    residuals = [(name, values.tolist()) for name, values in residuals]
-    del_rank, delbar_rank = (n10 > tol).tolist(), (n01 > tol).tolist()
-    for i, (w_idx, a, b) in enumerate(zip(owner.tolist(), l10.tolist(), l01.tolist())):
-        lbl, r = labels[w_idx], asm.multiplicity[w_idx]
-        tag = f"[{lbl}]l=({a:.6g},{b:.6g})"
-        if a <= tol and b <= tol:
-            continue
-        if a <= tol or b <= tol:
-            # one-sided corners: the surviving map is a bijection
-            rank = del_rank[i] if a > tol else delbar_rank[i]
-            report.add(f"corner_bijective_one_sided{tag}", 0.0 if rank else 1.0, 0.5, f"rank={r * rank} dim={r}")
-            continue
-        w_dim = int(corner[i])
-        report.add(f"w_corner_dim{tag}", r * abs(w_dim - 1), 0.0, f"w={r * w_dim} q={r}")
-        if w_dim:
-            # (A (x) I)(w (x) e_j) = (Aw) (x) e_j: each slot vector w stands for its r copies in W (x) C^r
-            for name, values in residuals:
-                report.add(f"{name}{tag}v=0", values[i], tol_rel, f"multiplicity={r}")
-        # corner bijections out of the W corner
-        for ranks, nm in ((del_rank, "del"), (delbar_rank, "delbar")):
-            rank = ranks[i] * w_dim
-            detail = f"rank={r * rank} dim={r * w_dim}"
-            report.add(f"corner_bijective_{nm}{tag}", 0.0 if rank == w_dim else 1.0, 0.5, detail)
+    # one family per kind of corner check, each over its components in component order
+    low10, low01 = l10 <= tol, l01 <= tol
+    tags = [f"[{labels[i]}]l=({a:.6g},{b:.6g})" for i, a, b in zip(owner.tolist(), l10.tolist(), l01.tolist())]
+    r = np.asarray(asm.multiplicity, dtype=int)[owner]
+    del_rank, delbar_rank = n10 > tol, n01 > tol
+    family = lambda name, at, suffix="": [f"{name}{tags[i]}{suffix}" for i in at.tolist()]
+    pairs = lambda fmt, a, b: [fmt.format(x, y) for x, y in zip(a.tolist(), b.tolist())]
+    # one-sided corners: the surviving map is a bijection
+    one = np.flatnonzero((low10 | low01) & ~(low10 & low01))
+    rank = np.where(l10 > tol, del_rank, delbar_rank)[one]
+    details = pairs("rank={} dim={}", r[one] * rank, r[one])
+    report.add_family(family("corner_bijective_one_sided", one), np.where(rank, 0.0, 1.0), 0.5, details)
+    both = np.flatnonzero(~(low10 | low01))
+    w_dim = corner[both].astype(int)
+    details = pairs("w={} q={}", r[both] * w_dim, r[both])
+    report.add_family(family("w_corner_dim", both), r[both] * np.abs(w_dim - 1), 0.0, details)
+    # (A (x) I)(w (x) e_j) = (Aw) (x) e_j: each slot vector w stands for its r copies in W (x) C^r
+    corners = both[w_dim == 1]
+    details = [f"multiplicity={x}" for x in r[corners].tolist()]
+    for name, values in residuals:
+        report.add_family(family(name, corners, "v=0"), values[corners], tol_rel, details)
+    # corner bijections out of the W corner
+    for ranks, nm in ((del_rank, "del"), (delbar_rank, "delbar")):
+        rank = ranks[both] * w_dim
+        details = pairs("rank={} dim={}", r[both] * rank, r[both] * w_dim)
+        report.add_family(family(f"corner_bijective_{nm}", both), np.where(rank == w_dim, 0.0, 1.0), 0.5, details)
 
 
 def check_middle_degree(asm: Assembly, report: VerificationReport, tol: float = 1e-10):

@@ -46,7 +46,6 @@ is out of scope and the derivative at 0 is never claimed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
@@ -209,9 +208,8 @@ class TorsionReport:
             "passed": self.passed,
             "estimate_only": self.estimate_only,
             "caveat": self.caveat,
-            "checks": self.checks.check_rows(),
         }
-        return json.dumps(doc, sort_keys=True)
+        return self.checks.dumps_with_checks(doc)
 
     def pairs_csv(self) -> str:
         """Matched eigenvalue pairs: spectrum value, piece, Reeb eigenvalue."""
@@ -281,7 +279,7 @@ def _add_reeb_slices(report: TorsionReport, labels: Sequence[str], multiplicity:
             reeb = rows.tau[sel][:, None, None] * np.eye(q.shape[1])  # i L_T on each sector
             for out, resid in zip(boxes, (box + boxbar - sqrt_delta, box - boxbar - reeb, box @ boxbar - boxbar @ box)):
                 out[sel] = np.abs(resid).max(axis=(1, 2))
-        boxes = [_max_per_row(b, starts).tolist() for b in boxes]
+        boxes = [_max_per_row(b, starts) for b in boxes]
     # the largest |entry| of the Laplacian, which is block diagonal over the Reeb sectors
     zero = pair_tol * np.maximum(1.0, _max_per_row(rows.stack, starts))
     delta = np.where(0.0 > joint.delta, 0.0, joint.delta)
@@ -306,14 +304,14 @@ def _add_reeb_slices(report: TorsionReport, labels: Sequence[str], multiplicity:
     row, _, gap = _multiset_clusters(blocks, values, counts, pair_tol)
     worst = np.zeros(len(labels), dtype=int)
     np.maximum.at(worst, row, np.abs(gap))
-    for w, (lbl, low, sq, ok) in enumerate(zip(labels, lowest.tolist(), square.tolist(), (worst < 0.5).tolist())):
-        if boxes is not None:
-            checks.add(f"boxes_sum_to_root[{lbl}]k={k}", boxes[0][w], 1e-10)
-            checks.add(f"boxes_differ_by_reeb[{lbl}]k={k}", boxes[1][w], 1e-10)
-            checks.add(f"boxes_commute[{lbl}]k={k}", boxes[2][w], 1e-9)
-        checks.add(f"boxes_psd[{lbl}]k={k}", max(0.0, -low), 1e-9)
-        checks.add(f"one_sided_reeb_square[{lbl}]k={k}", sq, pair_tol)
-        report.per_degree_outcomes[(lbl, k)] = ok
+    family = lambda name: [f"{name}[{lbl}]k={k}" for lbl in labels]
+    if boxes is not None:
+        checks.add_family(family("boxes_sum_to_root"), boxes[0], 1e-10)
+        checks.add_family(family("boxes_differ_by_reeb"), boxes[1], 1e-10)
+        checks.add_family(family("boxes_commute"), boxes[2], 1e-9)
+    checks.add_family(family("boxes_psd"), np.where(-lowest > 0.0, -lowest, 0.0), 1e-9)  # max(0.0, -lowest)
+    checks.add_family(family("one_sided_reeb_square"), square, pair_tol)
+    report.per_degree_outcomes.update(zip([(lbl, k) for lbl in labels], (worst < 0.5).tolist()))
     report._add_columns(
         block=np.asarray(labels, dtype=str)[owner], degree=np.full(owner.size, k), delta=delta, nu=nu, mult=mult, piece=piece
     )

@@ -12,7 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ruminlab import cli, spectral
 from ruminlab.cli import RunConfig, UsageError, build_parser, load_config, main
+from ruminlab.model import su2_model
+from ruminlab.spectral import Assembly
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
@@ -171,6 +174,41 @@ def test_reeb_eigenvalues_print_as_exact_integers(capsys, model):
     assert printed and all(v == str(int(float(v))) for v in printed)
 
 
+@pytest.mark.parametrize("model", VERIFY_MODELS, ids=["s3", "lens3-1"])
+@pytest.mark.parametrize("command", [("verify", "--suite", "all"), ("torsion",)], ids=["verify-all", "torsion"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_reports_build_no_check_object(capsys, monkeypatch, model, command, fmt):
+    """The checks are added as families of columns and written from the columns."""
+    calls = []
+    init = spectral.Check.__init__
+
+    def spy(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(spectral.Check, "__init__", spy)
+    code, out, _ = run_cli(capsys, *command, *model, "--max-weight", "6", "--format", fmt)
+    assert code == 0 and out
+    assert calls == []
+
+
+def test_failing_verify_lists_exactly_the_failed_checks(capsys, monkeypatch):
+    """At M=30 rounding alone fails some checks: the report, `failures()` and the FAIL lines agree
+    on which, in name order, and the failing run builds no `Check` either."""
+    argv = ["verify", "--suite", "all", "--model", "s3", "--max-weight", "30"]
+    report = cli.run_suite(Assembly(su2_model(), 30), "all", load_config(build_parser().parse_args(argv)))
+    over = sorted(n for n, r, t in zip(report.names, report.residuals, report.tolerances) if not r <= t)
+    assert over and [c.name for c in report.failures()] == over
+    assert all(not c.passed and c.residual > c.tolerance for c in report.failures())
+
+    monkeypatch.setattr(spectral.Check, "__init__", lambda *args, **kwargs: pytest.fail("a Check was built"))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    failed = [c["name"] for c in json.loads(out)["checks"] if not c["passed"]]
+    assert failed == over
+    assert [line.split(":")[0] for line in err.splitlines()] == [f"FAIL {name}" for name in over]
+
+
 # -- torsion ----------------------------------------------------------------------
 
 
@@ -307,6 +345,36 @@ def test_non_finite_or_empty_inputs_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv, "--model", "s3", "--max-weight", "1")
     assert code == 2
     assert out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("verify", "--suite", "all", "--t-samples", "1,1.0,2"), "t-samples"),
+        (("torsion", "--s-grid", "2,2.0,3"), "s-grid"),
+        (("verify", "--suite", "thm5", "--s-grid", "3,2,3"), "s-grid"),
+    ],
+    ids=["t-samples-verify", "s-grid-torsion", "s-grid-verify"],
+)
+def test_repeated_sample_values_exit_2(capsys, argv, flag):
+    """Each sample value names its checks (`...t=1.0`, `kappa_two_routes_s=2`), so a repeated
+    value would list the same checks twice."""
+    code, out, err = run_cli(capsys, *argv, "--model", "s3", "--max-weight", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {flag} must not repeat a value")
+
+
+@pytest.mark.parametrize(
+    "doc, command",
+    [({"t_samples": [1, 1.0, 2]}, ("verify", "--suite", "cor3")), ({"s-grid": [2.0, 3, 2]}, ("torsion",))],
+    ids=["t-samples", "s-grid"],
+)
+def test_config_file_with_repeated_sample_values_exits_2(tmp_path, capsys, doc, command):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"model": "s3", "max_weight": 2, **doc}))
+    code, out, err = run_cli(capsys, *command, "--config", str(cfg_path))
+    assert (code, out) == (2, "")
+    assert "must not repeat a value" in err
 
 
 @pytest.mark.parametrize("text", ["[1, 2]", '"s3"', "3", "null"], ids=["list", "string", "number", "null"])
