@@ -41,11 +41,11 @@ for model, mw in ((su2_model(), 4), (lens_space(3, character=1), 5)):
     asm = Assembly(model, mw)
     for suite in SUITES:
         rep = suite(asm)
-        worst = max((c.residual for c in rep.checks if c.tolerance < 0.4), default=0.0)
+        worst = max((r for r, t in zip(rep.residuals, rep.tolerances) if t < 0.4), default=0.0)
         status = "ok " if rep.passed else "FAIL"
-        print(f"  {status} {rep.name:24s} {len(rep.checks):4d} checks, worst residual {worst:.2e}")
-        for c in rep.failures()[:3]:
-            print(f"       -> {c.name}: {c.residual:.3e} > {c.tolerance:.1e}")
+        print(f"  {status} {rep.name:24s} {len(rep.names):4d} checks, worst residual {worst:.2e}")
+        for i in rep.failed()[:3]:
+            print(f"       -> {rep.names[i]}: {rep.residuals[i]:.3e} > {rep.tolerances[i]:.1e}")
     dims = verify_kernel_coincidence(asm).parameters["kernel_dims"]
     print(f"  harmonic dimensions by degree: {dims}")
     print()

@@ -11,7 +11,7 @@ weighted sum of the one-sided zeta functions reproduces kappa exactly.
 
 from ruminlab.model import lens_space, su2_model
 from ruminlab.spectral import Assembly
-from ruminlab.torsion import reeb_decomposition
+from ruminlab.torsion import PIECES, reeb_decomposition
 
 asm = Assembly(su2_model(), 4)
 rep = reeb_decomposition(asm, s_grid=(2.0, 3.0, 4.0))
@@ -20,14 +20,16 @@ print(f"3-sphere, weights <= {asm.max_weight}; multisets exact below {rep.cutoff
 print()
 print("classified joint (Delta, i L_T) eigenspaces:")
 print(f"{'block':>6} {'deg':>4} {'eigenvalue':>11} {'nu':>6} {'mult':>5}  piece")
-for sl in sorted(rep.slices, key=lambda s: (s.block, s.degree, s.delta, s.nu)):
-    print(f"{sl.block:>6} {sl.degree:>4} {sl.delta:11.4f} {sl.nu:6.1f} {sl.mult:5d}  {sl.piece}")
+c = rep.columns  # one entry per joint eigenspace of a block in one degree
+block, degree, delta, nu, mult = (c[name].tolist() for name in ("block", "degree", "delta", "nu", "mult"))
+for i in sorted(range(len(block)), key=lambda i: (block[i], degree[i], delta[i], nu[i])):
+    print(f"{block[i]:>6} {degree[i]:>4} {delta[i]:11.4f} {nu[i]:6.1f} {mult[i]:5d}  {PIECES[c['piece'][i]]}")
 
 print()
 print("telescoping of the bi-positive piece (weight-2 block):")
 for degree in (0, 1):
-    mult = sum(s.mult for s in rep.slices if s.block == "m2" and s.degree == degree and s.piece == "bi_positive")
-    print(f"  degree {degree}: {mult} bi-positive eigenvalues 16  (weights -2 and +1 cancel: -2*3 + 6 = 0)")
+    at = (c["block"] == "m2") & (c["degree"] == degree) & (c["piece"] == PIECES.index("bi_positive"))
+    print(f"  degree {degree}: {c['mult'][at].sum()} bi-positive eigenvalues 16  (weights -2 and +1 cancel: -2*3 + 6 = 0)")
 
 print()
 print("per-degree comparison (diagnostic) vs the weighted identity (theorem):")

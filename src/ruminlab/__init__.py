@@ -36,7 +36,6 @@ from .operators import (
 from .spectral import (
     Assembly,
     KernelBasis,
-    SpectrumEntry,
     SpectrumTable,
     VerificationReport,
     block_spectrum,

@@ -91,6 +91,10 @@ class RunConfig:
             raise UsageError("p must be >= 1")
         if not 0 <= self.character < self.p:
             raise UsageError(f"character must lie in [0, {self.p})")
+        if self.model == "s3" and (self.p, self.character) != (1, 0):
+            raise UsageError(
+                f"model s3 takes p = 1 and character 0, not p = {self.p}, character = {self.character}"
+            )
         if any(t <= 0 for t in self.t_samples):
             raise UsageError("t-samples must be positive")
         if self.format not in (None, "csv", "json"):
@@ -191,35 +195,34 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
 
 def run_suite(asm: Assembly, suite: str, cfg: RunConfig) -> VerificationReport:
-    """The checks of the selected suites, from their `verify_*` functions: each reads the
-    Reeb-sector stacks of every weight at once (`Assembly.sector_stacks`), memoized with the
-    assembly, so the suites share every quantity they both read."""
+    """The checks of the selected suites, from their `verify_*` functions, with their default
+    bounds unless `--tol` overrides them: each reads the Reeb-sector stacks of every weight at
+    once (`Assembly.sector_stacks`), memoized with the assembly, so the suites share every
+    quantity they both read."""
     tol = cfg.tol
     report = VerificationReport(
         f"suite:{suite}",
         {"model": asm.model.describe(), "max_weight": asm.max_weight, "tol": tol},
     )
-
-    def residual_tol(default: float) -> float:
-        return default if tol is None else tol
+    bound = {} if tol is None else {"tol": tol}
 
     def selected(name: str) -> bool:
         return suite in (name, "all")
 
     if selected("thm1"):
-        report.extend(verify_kernel_coincidence(asm, tol=residual_tol(1e-10)))
+        report.extend(verify_kernel_coincidence(asm, **bound))
     if selected("cor2"):
-        report.extend(verify_primitivity(asm, tol=residual_tol(1e-10)))
+        report.extend(verify_primitivity(asm, **bound))
     if selected("cor3"):
-        report.extend(verify_deformation_family(asm, tuple(cfg.t_samples), tol=residual_tol(1e-10)))
+        report.extend(verify_deformation_family(asm, tuple(cfg.t_samples), **bound))
     if selected("sec4"):
-        report.extend(verify_sasakian_identities(asm, tol=residual_tol(1e-11)))
-        report.extend(verify_eigenvalue_identity(asm, tol_rel=residual_tol(1e-9)))
-        report.extend(verify_middle_degree(asm, tol=residual_tol(1e-10)))
+        report.extend(verify_sasakian_identities(asm, **bound))
+        report.extend(verify_eigenvalue_identity(asm, **({} if tol is None else {"tol_rel": tol})))
+        report.extend(verify_middle_degree(asm, **bound))
     if suite == "all":
-        report.extend(verify_complex_property(asm, tol=residual_tol(1e-12)))
-        report.extend(verify_hodge_block_matrix(asm, tol=residual_tol(1e-12)))
-        report.extend(verify_star_symmetry(asm, tol=residual_tol(1e-10)))
+        report.extend(verify_complex_property(asm, **bound))
+        report.extend(verify_hodge_block_matrix(asm, **bound))
+        report.extend(verify_star_symmetry(asm, **bound))
     if selected("thm5"):
         report.extend(torsion_mod.reeb_decomposition(asm, s_grid=cfg.s_grid).checks)
     return report

@@ -201,13 +201,13 @@ class SectorStacks:
     the private `tables` if given.  The spaces, the embeddings and the stacks
     that more than one degree reads (d_b, the Rumin differentials and the
     middle operator) are memoized per instance, like the block memo of a
-    `BlockContext`.  The first-order stacks (d, d0, dT, L_T, the split halves
-    of d_b and the Rumin halves built from them), the Laplacians and their
-    sector eigensolves (`eigh`) are rebuilt on every call, which keeps the
-    peak memory of `spectrum` and `torsion` low, until a caller that reads
-    them many times calls `keep_first_order`: from then on each is built once
-    per degree, half or (op, k) and kept in the same memo, as the `verify`
-    suites do.  The quantities that only the suites read are memoized there
+    `BlockContext`.  The first-order stacks (d, d0, dT, L_T and its Rumin
+    compressions, the split halves of d_b and the Rumin halves built from
+    them), the Laplacians and their sector eigensolves (`eigh`) are rebuilt on
+    every call, which keeps the peak memory of `spectrum` and `torsion` low,
+    until a caller that reads them many times calls `keep_first_order`: from
+    then on each is built once per degree, half or (op, k) and kept in the same
+    memo, as the `verify` suites do.  The quantities that only the suites read are memoized there
     too (`suites`).
     """
 
@@ -325,6 +325,12 @@ class SectorStacks:
         terms = [(c * eye, factor) for c, factor in zip(reeb, FACTORS)]
         terms.append((self.fibers._fiber("rot", k), "1"))
         return self._stack(terms, self.space(k), self.space(k))
+
+    @_first_order_memo
+    def lie_reeb_rumin(self, k: int) -> np.ndarray:
+        """L_T on the degree-k Rumin space, which it must map into itself."""
+        what = "Reeb derivative does not preserve the Rumin space"
+        return self._compress_invariant(self.lie_reeb(k), (k, "rumin"), (k, "rumin"), what)
 
     @_first_order_memo
     def d0(self, k: int) -> np.ndarray:
@@ -505,12 +511,12 @@ class SectorStacks:
     def _check_reeb(self, k: int, flavor: str):
         """i L_T is tau on every sector of the degree-k space `flavor`; on a Rumin space L_T
         must also map the space into itself."""
-        lt = self.lie_reeb(k)
         if flavor == "rumin":
-            what = "Reeb derivative does not preserve the Rumin space"
-            lt = self._compress_invariant(lt, (k, flavor), (k, flavor), what)
-        elif flavor != "full":
-            lt = self._compress(lt, (k, flavor), (k, flavor))
+            lt = self.lie_reeb_rumin(k)
+        elif flavor == "full":
+            lt = self.lie_reeb(k)
+        else:
+            lt = self._compress(self.lie_reeb(k), (k, flavor), (k, flavor))
         sp = self.space(k, flavor)
         tau = np.where(sp.valid, self.tau, 0)
         off = max_abs(1j * lt - np.eye(sp.dim)[:, :, None] * tau[:, None, :])

@@ -22,21 +22,22 @@ stacks keep for the `verify` suites, and the Reeb decomposition of `torsion`
 and the sec4 suite read its columns.  Below the middle degree the sector
 blocks of the two half Laplacians have Rayleigh quotients on the sector
 eigenvectors that give (lambda10, lambda01) (`JointRows.half_pairs`).
-`q_decomposition` and `_sequential_joint_eigenspaces` reach one row through a
-view, `JointEigenspaces`, whose `components()` gives a dense basis per
-component; `_sequential_joint_eigenspaces` cuts dense (Laplacian, i L_T)
-pairs with `_reeb_sectors` into the same padded layout for the same solver,
-and only the tests call it, as the dense reference.
+`q_decomposition` reads the dense basis of one row's components
+(`JointRows.components(row)`); `_sequential_joint_eigenspaces` cuts dense
+(Laplacian, i L_T) pairs with `_reeb_sectors` into the same padded layout for
+the same solver and returns their `JointRows`, one row per pair, and only the
+tests call it, as the dense reference.
 
 Every suite `verify_<suite>(asm)` runs its body `suites.check_<suite>(asm,
 report, ...)` on `Assembly.sector_stacks`, the operators of every weight on its
-Reeb sectors at once; `cli.run_suite` calls the same `verify_*` functions, so
-the library and the command line share one route, and the quantities that
-several suites read are memoized with the stacks.  No suite builds a block
-context.  The sec4 components come from `Assembly.rumin_rows`, which the Reeb
-decomposition of `torsion` reads too, and the rank oracle
-(`rumin_cohomology_dims`, `de_rham_cohomology_dims`) from the singular values
-of the same stacks.  The dense block contexts (`Assembly.contexts`) serve
+Reeb sectors at once; `cli.run_suite` calls the same `verify_*` functions,
+whose defaults are the only statement of each suite's bounds (`--tol` is
+passed only to override them), so the library and the command line share one
+route, and the quantities that several suites read are memoized with the
+stacks.  No suite builds a block context.  The sec4 components come from
+`Assembly.rumin_rows`, which the Reeb decomposition of `torsion` reads too,
+and the rank oracle (`rumin_cohomology_dims`, `de_rham_cohomology_dims`) from
+the singular values of the same stacks.  The dense block contexts (`Assembly.contexts`) serve
 `harmonic_bases` and the tests, whose dense per-block suite bodies
 (`tests/dense_reference.py`) are the reference for the sector route.
 
@@ -46,8 +47,8 @@ adds the checks of one family (one name pattern over every weight or
 component) with one `add_family` call, with a residual array and one
 tolerance.  `passed` is one comparison over the columns, and the writers sort
 the columns once by name (stable, so equal names keep their insertion order)
-and write every row from them, formatting each distinct float once; `Check`
-objects and row dicts are built only by the views that tests and demos read.
+and write every row from them, formatting each distinct float once.  `failed()`
+lists the positions of the failed checks, in name order.
 """
 
 from __future__ import annotations
@@ -158,32 +159,14 @@ def spectral_cutoff(model: ModelManifold, max_weight: int) -> float:
 # -- spectra -------------------------------------------------------------------
 
 
-@dataclass(slots=True)
-class SpectrumEntry:
-    """One row of a `SpectrumTable`."""
-
-    degree: int
-    block: str
-    eigenvalue: float
-    multiplicity: int
-    nu: Optional[float] = None
-    lambda10: Optional[float] = None
-    lambda01: Optional[float] = None
-    bidegree: Optional[str] = None  # "(i,j)" / "theta^(i,j)" when the eigenspace is homogeneous
-
-
 SPECTRUM_FIELDS = ("degree", "block", "eigenvalue", "multiplicity", "nu", "lambda10", "lambda01", "bidegree")
 _SPECTRUM_TYPES = (int, str, float, int, float, float, float, object)
 
 
-def entry_columns(entries: Sequence[SpectrumEntry] = ()) -> Dict[str, np.ndarray]:
-    """The columns of `SpectrumTable` holding `entries`: NaN in `nu`, `lambda10` and `lambda01`
-    stands for None, and `bidegree` holds str or None."""
-    missing = lambda kind: np.nan if kind is float else None
-    return {
-        name: np.array([missing(kind) if (x := getattr(e, name)) is None else x for e in entries], dtype=kind)
-        for name, kind in zip(SPECTRUM_FIELDS, _SPECTRUM_TYPES)
-    }
+def entry_columns() -> Dict[str, np.ndarray]:
+    """The empty columns of a `SpectrumTable`: NaN in `nu`, `lambda10` and `lambda01` stands for
+    None, and `bidegree` holds str or None."""
+    return {name: np.array([], dtype=kind) for name, kind in zip(SPECTRUM_FIELDS, _SPECTRUM_TYPES)}
 
 
 def _fmt_column(values: np.ndarray, missing: str, quote: str = "") -> List[str]:
@@ -238,26 +221,9 @@ class SpectrumTable:
     cutoff: Optional[float] = None
     columns: Dict[str, np.ndarray] = field(default_factory=entry_columns)
 
-    @property
-    def entries(self) -> List[SpectrumEntry]:
-        """The rows as `SpectrumEntry` objects, in the order they were added."""
-        c = self.columns
-        nan_none = lambda values: [None if x != x else x for x in values.tolist()]
-        cols = [c[name].tolist() for name in SPECTRUM_FIELDS[:4]]
-        cols += [nan_none(c[name]) for name in ("nu", "lambda10", "lambda01")]
-        return [SpectrumEntry(*row) for row in zip(*cols, c["bidegree"].tolist())]
-
-    @entries.setter
-    def entries(self, entries: Sequence[SpectrumEntry]):
-        self.columns = entry_columns(entries)
-
     def _order(self) -> np.ndarray:
         c = self.columns
         return np.lexsort((c["multiplicity"], c["eigenvalue"], c["block"], c["degree"]))
-
-    def sorted_entries(self) -> List[SpectrumEntry]:
-        entries = self.entries
-        return [entries[i] for i in self._order().tolist()]
 
     def to_json(self) -> str:
         doc = {
@@ -356,17 +322,6 @@ def principal_sines(u: np.ndarray, v: np.ndarray) -> float:
 # -- verification reports ---------------------------------------------------------
 
 
-@dataclass
-class Check:
-    """One check of a `VerificationReport`, as its views list it."""
-
-    name: str
-    passed: bool
-    residual: float
-    tolerance: float
-    detail: str = ""
-
-
 def _fmt_floats(values: List[float], memo: Dict[float, str]) -> List[str]:
     """`util.fmt_float` of every value, each distinct value formatted once into `memo`."""
     for x in set(values).difference(memo):
@@ -382,8 +337,7 @@ def _fmt_floats(values: List[float], memo: Dict[float, str]) -> List[str]:
 @dataclass
 class VerificationReport:
     """Named checks as parallel columns in the order they were added (see the module notes).  A
-    check passes when its residual is at most its tolerance, so a NaN residual fails.  `checks`,
-    `sorted_checks()`, `failures()` and `check_rows()` are views built on each access."""
+    check passes when its residual is at most its tolerance, so a NaN residual fails."""
 
     name: str
     parameters: dict = field(default_factory=dict)
@@ -419,32 +373,8 @@ class VerificationReport:
         ok = map(float.__le__, self.residuals, self.tolerances)
         return sorted([i for i, good in enumerate(ok) if not good], key=self.names.__getitem__)
 
-    def _check(self, i: int) -> Check:
-        residual, tolerance = self.residuals[i], self.tolerances[i]
-        return Check(self.names[i], residual <= tolerance, residual, tolerance, self.details[i])
-
-    @property
-    def checks(self) -> List[Check]:
-        """The checks in the order they were added."""
-        return [self._check(i) for i in range(len(self.names))]
-
-    def failures(self) -> List[Check]:
-        return [self._check(i) for i in self.failed()]
-
     def _order(self) -> List[int]:
         return sorted(range(len(self.names)), key=self.names.__getitem__)
-
-    def sorted_checks(self) -> List[Check]:
-        return [self._check(i) for i in self._order()]
-
-    def check_rows(self) -> List[dict]:
-        """The serialized checks, ordered by name, as every report prints them."""
-        fmt = util.fmt_float
-        return [
-            {"name": c.name, "passed": c.passed, "residual": fmt(c.residual), "tolerance": fmt(c.tolerance),
-             "detail": c.detail}
-            for c in self.sorted_checks()
-        ]
 
     def _chunks(self):
         """(names, passed flags, residual and tolerance text, details) of util.ROW_CHUNK checks
@@ -458,8 +388,9 @@ class VerificationReport:
             yield [self.names[i] for i in at], passed, *text, [self.details[i] for i in at]
 
     def dumps_with_checks(self, doc: dict) -> str:
-        """`json.dumps(doc, sort_keys=True)` with these checks as `doc["checks"]`, the rows of
-        `check_rows()`, each written from the columns as `json.dumps` writes it."""
+        """`json.dumps(doc, sort_keys=True)` with these checks as `doc["checks"]`, ordered by name,
+        one row {name, passed, residual, tolerance, detail} per check with its floats as
+        `util.fmt_float` text, each written from the columns as `json.dumps` writes it."""
         esc = json.encoder.encode_basestring_ascii  # the escaping of json.dumps, ensure_ascii=True
         chunks = []
         for names, passed, residuals, tolerances, details in self._chunks():
@@ -538,37 +469,18 @@ def _reeb_sectors(pairs: Sequence[Tuple[np.ndarray, np.ndarray]], tol: float):
     return RowStack(stack, owner, means, valid, index, np.array(dims, dtype=int))
 
 
-class JointEigenspaces:
-    """The joint (Delta, i L_T) eigenspaces of one row of a `rows.JointRows`, a view: `delta`,
-    `tau` and `counts` per component, in component order (by Delta cluster, then by tau)."""
-
-    def __init__(self, joint, row: int):
-        self.joint, self.row = joint, row
-        lo, hi = joint.row_components(row)
-        self.delta = tuple(joint.delta[lo:hi].tolist())
-        self.tau = tuple(joint.tau[lo:hi].tolist())
-        self.counts = joint.count[lo:hi].tolist()
-
-    def components(self) -> List[tuple]:
-        """(Delta, tau, basis) per component, each basis a run of columns of one dense matrix."""
-        return self.joint.components(self.row)
-
-
-def _sequential_joint_eigenspaces(
-    pairs: Sequence[Tuple[np.ndarray, np.ndarray]], tol: float
-) -> List[JointEigenspaces]:
-    """Joint eigenspaces of many pairs of a Hermitian `a` and the Reeb operator `b` = i L_T.
+def _sequential_joint_eigenspaces(pairs: Sequence[Tuple[np.ndarray, np.ndarray]], tol: float):
+    """Joint eigenspaces of many pairs of a Hermitian `a` and the Reeb operator `b` = i L_T: the
+    `rows.JointRows` of one `rows.solve_rows`, with row r for pair r.
 
     `b` is diagonal in the block basis, and `a` commutes with it, so `a` is
-    block diagonal over the Reeb sectors and is diagonalized sector by sector;
-    each pair is one row of a single `rows.solve_rows`.  Returns, per pair,
-    its components ordered by Delta cluster (Delta is the cluster mean over the
-    pair's sectors), then by tau.
+    block diagonal over the Reeb sectors and is diagonalized sector by sector.
+    The components of a row run by Delta cluster (Delta is the cluster mean
+    over the pair's sectors), then by tau.
     """
     from .rows import solve_rows
 
-    joint = solve_rows(_reeb_sectors(pairs, tol), tol)
-    return [JointEigenspaces(joint, row) for row in range(len(pairs))]
+    return solve_rows(_reeb_sectors(pairs, tol), tol)
 
 
 def q_decomposition(asm: Assembly, weight: int, k: int, tol: float = 1e-9) -> Tuple[QComponent, ...]:
@@ -582,7 +494,7 @@ def q_decomposition(asm: Assembly, weight: int, k: int, tol: float = 1e-9) -> Tu
     row = asm.weights.index(weight)
     lo, hi = joint.row_components(row)
     l10, l01 = joint.half_pairs(tol)
-    comps = JointEigenspaces(joint, row).components()
+    comps = joint.components(row)
     return tuple(QComponent(a, b, basis) for a, b, (_, _, basis) in zip(l10[lo:hi], l01[lo:hi], comps))
 
 

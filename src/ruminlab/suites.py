@@ -31,12 +31,13 @@ one sector vector and every bi-positive W corner is that vector or empty: the
 per-vector sec4 families are computed for all corners at once.
 
 Quantities that several suites read (harmonic kernels, the lifted fiber
-tables, the horizontal split differentials and Lefschetz maps, the Rumin Reeb
-derivative, the Rumin square root) are memoized in the stacks' memo with
-`_block_memo`, so `verify --suite all` builds each once per run.  The
-first-order stacks they are built from (d, d0, dT, L_T, the split halves of
-d_b and their Rumin compressions `SectorStacks.rumin_del`), the Laplacians
-and their eigensolves are kept in the same memo by `SectorStacks` itself,
+tables, the horizontal split differentials and Lefschetz maps, the Rumin
+square root) are memoized in the stacks' memo with `_block_memo`, so `verify
+--suite all` builds each once per run.  The first-order stacks they are built
+from (d, d0, dT, L_T and its Rumin compression `SectorStacks.lie_reeb_rumin`,
+the split halves of d_b and their Rumin compressions `SectorStacks.rumin_del`),
+the Laplacians and their eigensolves are kept in the same memo by
+`SectorStacks` itself,
 once `spectral._run_suite` has called `keep_first_order`; every suite and
 every composite of the stacks (d_b, the Rumin differentials, the Laplacians,
 the rank oracle) then reads one copy.
@@ -214,12 +215,6 @@ def _horizontal_reeb(stacks: SectorStacks, k: int) -> np.ndarray:
 
 
 @_block_memo
-def _lie_reeb_rumin(stacks: SectorStacks, k: int) -> np.ndarray:
-    lt, what = stacks.lie_reeb(k), "Reeb derivative does not preserve the Rumin space"
-    return stacks._compress_invariant(lt, (k, "rumin"), (k, "rumin"), what)
-
-
-@_block_memo
 def _sqrt_rumin_laplacian(stacks: SectorStacks, k: int) -> np.ndarray:
     """The psd square root of the degree-k Rumin Laplacian, as `operators.sqrtm_psd`, from the
     stacks' eigensolve."""
@@ -263,9 +258,7 @@ def _add(report: VerificationReport, name: str, stacks: SectorStacks, values, to
     report.add_family([f"{head}{lbl}{tail}" for lbl in labels], values, tol, details)
 
 
-def check_complex_property(
-    asm: Assembly, report: VerificationReport, t_samples=(0.0, 0.37, 1.0, 2.0), tol: float = 1e-12
-):
+def check_complex_property(asm: Assembly, report: VerificationReport, t_samples: Sequence[float], tol: float):
     """The checks of `spectral.verify_complex_property`, added to `report`."""
     stacks = asm.sector_stacks
     wmax = stacks._weight_max
@@ -282,7 +275,7 @@ def check_complex_property(
         del dt
 
 
-def check_hodge_block_matrix(asm: Assembly, report: VerificationReport, tol: float = 1e-12):
+def check_hodge_block_matrix(asm: Assembly, report: VerificationReport, tol: float):
     """The checks of `spectral.verify_hodge_block_matrix`, added to `report`."""
     stacks = asm.sector_stacks
     for k in range(stacks.Dmax + 1):
@@ -309,7 +302,7 @@ def check_hodge_block_matrix(asm: Assembly, report: VerificationReport, tol: flo
         _add(report, f"hodge_block_matrix[{{lbl}}]k={k}", stacks, stacks._weight_max(full - approx), tol)
 
 
-def check_star_symmetry(asm: Assembly, report: VerificationReport, tol: float = 1e-10):
+def check_star_symmetry(asm: Assembly, report: VerificationReport, tol: float):
     """The checks of `spectral.verify_star_symmetry`, added to `report`."""
     stacks = asm.sector_stacks
     wmax = stacks._weight_max
@@ -323,9 +316,7 @@ def check_star_symmetry(asm: Assembly, report: VerificationReport, tol: float = 
         _add(report, f"star_isometry[{{lbl}}]k={k}", stacks, wmax(_product(_adjoint(star), star) - eye), tol)
 
 
-def check_kernel_coincidence(
-    asm: Assembly, report: VerificationReport, dims: Counter, angle_tol: float = 1e-8, tol: float = 1e-10
-):
+def check_kernel_coincidence(asm: Assembly, report: VerificationReport, dims: Counter, angle_tol: float, tol: float):
     """The per-block checks of `spectral.verify_kernel_coincidence`, added to `report`.
 
     Adds r * dim of every block's harmonic kernels to `dims["kernel", complex, k]`, for
@@ -357,7 +348,7 @@ def check_kernel_coincidence(
             _add(report, f"{name}[{{lbl}}]k={k}", stacks, values, tol, dim_dr > 0)
 
 
-def check_primitivity(asm: Assembly, report: VerificationReport, tol: float = 1e-10):
+def check_primitivity(asm: Assembly, report: VerificationReport, tol: float):
     """The checks of `spectral.verify_primitivity`, added to `report`."""
     stacks = asm.sector_stacks
     wmax = stacks._weight_max
@@ -384,7 +375,7 @@ def check_primitivity(asm: Assembly, report: VerificationReport, tol: float = 1e
             _add(report, f"{name}[{{lbl}}]k={k}", stacks, values, tol, harmonic)
 
 
-def check_deformation_family(asm: Assembly, report: VerificationReport, t_samples=(0.1, 1.0, 10.0), tol: float = 1e-10):
+def check_deformation_family(asm: Assembly, report: VerificationReport, t_samples: Sequence[float], tol: float):
     """The checks of `spectral.verify_deformation_family`, added to `report`; every t must be positive."""
     stacks = asm.sector_stacks
     wmax = stacks._weight_max
@@ -413,7 +404,7 @@ def check_deformation_family(asm: Assembly, report: VerificationReport, t_sample
         _add(report, f"intersection_dim[{{lbl}}]k={k}", stacks, np.abs(inter - harmonic), 0.0, details=details)
 
 
-def check_sasakian_identities(asm: Assembly, report: VerificationReport, tol: float = 1e-11):
+def check_sasakian_identities(asm: Assembly, report: VerificationReport, tol: float):
     """The checks of `spectral.verify_sasakian_identities`, added to `report`."""
     stacks = asm.sector_stacks
     wmax = stacks._weight_max
@@ -445,7 +436,7 @@ def check_sasakian_identities(asm: Assembly, report: VerificationReport, tol: fl
     for k in range(0, n):
         lap10, lap01 = stacks.half_laplacian(k, False), stacks.half_laplacian(k, True)
         root = _sqrt_rumin_laplacian(stacks, k)
-        ilt = 1j * _lie_reeb_rumin(stacks, k)
+        ilt = 1j * stacks.lie_reeb_rumin(k)
         _add(report, f"sqrt_splits[{{lbl}}]k={k}", stacks, wmax(root - lap10 - lap01), tol)
         _add(report, f"reeb_is_half_difference[{{lbl}}]k={k}", stacks, wmax(ilt - (lap01 - lap10)), tol)
         commute = _product(lap10, lap01) - _product(lap01, lap10)
@@ -459,7 +450,7 @@ def _column_norms(vectors: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(np.abs(vectors) ** 2, axis=0))
 
 
-def check_eigenvalue_identity(asm: Assembly, report: VerificationReport, tol_rel: float = 1e-9, tol: float = 1e-10):
+def check_eigenvalue_identity(asm: Assembly, report: VerificationReport, tol_rel: float, tol: float):
     """The checks of `spectral.verify_eigenvalue_identity`, added to `report`, with the components
     of `_low_components`."""
     stacks = asm.sector_stacks
@@ -478,7 +469,7 @@ def check_eigenvalue_identity(asm: Assembly, report: VerificationReport, tol_rel
     lap_mid = stacks.laplacian("delta-rn", n)
     dmid = stacks.middle_operator()
     dd = _product(_adjoint(dmid), dmid)
-    ilt_mid = 1j * _lie_reeb_rumin(stacks, n)
+    ilt_mid = 1j * stacks.lie_reeb_rumin(n)
     img = _svd_basis(stacks, np.concatenate([up, upb], axis=1), mid, np.concatenate([low, low]), 1e-9, image=True)
     sub = _hermitized(_product(_adjoint(img.vectors), lap_mid, img.vectors), "operator")
     w, _, used = _eigh(sub, img.used)
@@ -562,7 +553,7 @@ def check_eigenvalue_identity(asm: Assembly, report: VerificationReport, tol_rel
         report.add_family(family(f"corner_bijective_{nm}", both), np.where(rank == w_dim, 0.0, 1.0), 0.5, details)
 
 
-def check_middle_degree(asm: Assembly, report: VerificationReport, tol: float = 1e-10):
+def check_middle_degree(asm: Assembly, report: VerificationReport, tol: float):
     """The checks of `spectral.verify_middle_degree`, added to `report`, with the components of
     `_low_components`."""
     stacks = asm.sector_stacks
@@ -571,7 +562,7 @@ def check_middle_degree(asm: Assembly, report: VerificationReport, tol: float = 
     up, upb = stacks.rumin_del(n - 1, False), stacks.rumin_del(n - 1, True)
     low, mid = stacks.space(n - 1, "rumin").valid, stacks.space(n, "rumin").valid
     lap_mid = stacks.laplacian("delta-rn", n)
-    lt = _lie_reeb_rumin(stacks, n)
+    lt = stacks.lie_reeb_rumin(n)
     square = lap_mid + _product(lt, lt)
     codifferentials = np.concatenate([_adjoint(up), _adjoint(upb)])
     coexact = _svd_basis(stacks, codifferentials, np.concatenate([low, low]), mid, 1e-10, image=False)
@@ -592,7 +583,7 @@ def check_middle_degree(asm: Assembly, report: VerificationReport, tol: float = 
         _add(report, "reeb_slices_square[{lbl}]", stacks, stacks._weight_max(np.where(used, resid, 0.0)), tol, has)
     # one-sided kernels of the half Laplacians below the middle degree; each component is one sector vector
     owner, sector, l10, l01 = _low_components(asm)
-    lap_low, lt_low = stacks.laplacian("delta-rn", n - 1), _lie_reeb_rumin(stacks, n - 1)
+    lap_low, lt_low = stacks.laplacian("delta-rn", n - 1), stacks.lie_reeb_rumin(n - 1)
     values = np.abs((lap_low + _product(lt_low, lt_low))[0, 0, sector])
     worst = np.zeros(stacks.weights.size)
     np.maximum.at(worst, owner, np.where((l10 <= tol) != (l01 <= tol), values, 0.0))

@@ -19,14 +19,14 @@ eigenspace, and its dimension.  `reeb_decomposition` takes them from the route
 of `rumin spectrum --op delta-rn`: per degree k <= n it reads
 `Assembly.rumin_rows`, the Rumin Laplacian of every weight cut into Reeb
 sectors and solved together, as sec4 does, so its slices are that table's
-entries, and it builds no block context.  The pieces, box checks and
+rows, and it builds no block context.  The pieces, box checks and
 per-degree comparisons of every block are computed on the columns of those
-rows at once, and the slices are held as columns too (`TorsionReport.columns`;
-`TorsionReport.slices` lists them as `ReebSlice` objects).  The kernel
-dimensions are compared with the rank oracle `rumin_cohomology_dims`, which
-reads the same stacks.  `close_reeb_report` folds the classified slices into
-the per-degree zeta partial sums (`TorsionReport.zetas`) and the two routes to
-kappa (`kappa_from_spectrum`, `kappa_from_reeb`).
+rows at once, and the slices are held as columns too (`TorsionReport.columns`,
+built by `slice_columns`).  The kernel dimensions are compared with the rank
+oracle `rumin_cohomology_dims`, which reads the same stacks.
+`close_reeb_report` folds the classified slices into the per-degree zeta
+partial sums (`TorsionReport.zetas`) and the two routes to kappa
+(`kappa_from_spectrum`, `kappa_from_reeb`).
 
 The box checks compare operators that are built independently.  Below the
 middle degree box = Delta_delbar and boxbar = Delta_del come from the split
@@ -79,18 +79,6 @@ def kappa_weights(n: int) -> List[int]:
 # -- Reeb decomposition ------------------------------------------------------------
 
 PIECES = ("harmonic", "reeb_plus", "reeb_minus", "bi_positive")  # classification labels
-
-
-@dataclass
-class ReebSlice:
-    """One joint (Delta, i L_T) eigenspace of a block in one degree."""
-
-    block: str
-    degree: int
-    delta: float
-    nu: float
-    mult: int
-    piece: str
 
 
 def _multiset_clusters(segment, values, counts, tol: float):
@@ -155,18 +143,6 @@ class TorsionReport:
     estimate_only: bool = False
     caveat: str = ""
     pair_tol: float = PAIR_TOL
-
-    @property
-    def slices(self) -> List[ReebSlice]:
-        """The slices as `ReebSlice` objects, in the order they were added."""
-        c = self.columns
-        rows = zip(*(c[name].tolist() for name in SLICE_FIELDS[:-1]), (PIECES[p] for p in c["piece"].tolist()))
-        return [ReebSlice(*row) for row in rows]
-
-    @slices.setter
-    def slices(self, slices: Sequence[ReebSlice]):
-        rows = [(s.block, s.degree, s.delta, s.nu, s.mult, PIECES.index(s.piece)) for s in slices]
-        self.columns = slice_columns(*zip(*rows))
 
     def _add_columns(self, **columns):
         self.columns = {name: np.concatenate([self.columns[name], columns[name]]) for name in SLICE_FIELDS}

@@ -46,12 +46,14 @@ from ruminlab.spectral import (
 )
 from ruminlab.torsion import (
     PAIR_TOL,
-    ReebSlice,
+    PIECES,
+    SLICE_FIELDS,
     TorsionReport,
     _cluster_multiset,
     _multisets_match,
     close_reeb_report,
     kappa_weights,
+    slice_columns,
 )
 
 SPECTRUM_OPS = ("delta-rn", "delta-dr", "delta-t", "delta-b")
@@ -83,8 +85,9 @@ def operator_pair(ctx, op: str, degree: int, t: float):
 
 
 def rumin_joint_eigenspaces(ctx, k: int, tol: float = 1e-9):
-    """Joint eigenspaces of the dense degree-k Rumin Laplacian of one block and i L_T."""
-    return _sequential_joint_eigenspaces([operator_pair(ctx, "delta-rn", k, 1.0)], tol)[0]
+    """Joint eigenspaces of the dense degree-k Rumin Laplacian of one block and i L_T: a
+    `rows.JointRows` whose one row is that block."""
+    return _sequential_joint_eigenspaces([operator_pair(ctx, "delta-rn", k, 1.0)], tol)
 
 
 def dense_half_laplacians(ctx, k: int):
@@ -126,7 +129,7 @@ def dense_q_decomposition(ctx, k: int, tol: float = 1e-9):
     joint = rumin_joint_eigenspaces(ctx, k, tol)
     a, b, scale = dense_half_laplacians(ctx, k)
     out = []
-    for _, _, basis in joint.components():
+    for _, _, basis in joint.components(0):
         pair = []
         for half in (a, b):
             image = half @ basis
@@ -176,34 +179,38 @@ def dense_reeb_decomposition(asm, s_grid=(2.0, 3.0, 4.0), pair_tol: float = PAIR
         cohomology_dims=dense_cohomology_dims(asm, "rumin")[: n + 1],
         pair_tol=pair_tol,
     )
-    every = []
+    columns = {name: [] for name in SLICE_FIELDS}  # the slices of every block and degree
+    harmonic, one_sided = PIECES.index("harmonic"), (PIECES.index("reeb_plus"), PIECES.index("reeb_minus"))
     for ctx in asm.contexts:
         lbl = ctx.block.label
         for k in range(n + 1):
             lap, ilt = operator_pair(ctx, "delta-rn", k, 1.0)
-            [joint] = _sequential_joint_eigenspaces([(lap, ilt)], pair_tol)
+            joint = _sequential_joint_eigenspaces([(lap, ilt)], pair_tol)
             # the largest |entry| of a psd matrix is on its diagonal, inside a Reeb sector
             zero = pair_tol * max(1.0, max_abs(lap))
-            slices = []
-            for delta, tau, count in zip(joint.delta, joint.tau, joint.counts):
-                delta = max(delta, 0.0)
-                root = math.sqrt(delta)
-                if delta <= zero:
-                    piece = "harmonic"
+            delta = [max(d, 0.0) for d in joint.delta.tolist()]
+            nu = [0.0 - tau for tau in joint.tau.tolist()]
+            mult = (ctx.block.multiplicity * joint.count).tolist()
+            piece = []
+            for d, tau in zip(delta, joint.tau.tolist()):
+                root = math.sqrt(d)
+                if d <= zero:
+                    name = "harmonic"
                 elif 0.5 * (root + tau) <= zero:
-                    piece = "reeb_plus"
+                    name = "reeb_plus"
                 elif 0.5 * (root - tau) <= zero:
-                    piece = "reeb_minus"
+                    name = "reeb_minus"
                 else:
-                    piece = "bi_positive"
-                slices.append(ReebSlice(lbl, k, delta, 0.0 - tau, ctx.block.multiplicity * count, piece))
-            every.extend(slices)
-            spectrum = [(sl.delta, sl.mult) for sl in slices if sl.piece != "harmonic"]
-            one_sided = [(sl.nu**2, sl.mult) for sl in slices if sl.piece in ("reeb_plus", "reeb_minus")]
+                    name = "bi_positive"
+                piece.append(PIECES.index(name))
+            for name, values in zip(SLICE_FIELDS, ([lbl] * len(delta), [k] * len(delta), delta, nu, mult, piece)):
+                columns[name] += values
+            spectrum = [(d, m) for d, m, p in zip(delta, mult, piece) if p != harmonic]
+            reeb = [(v**2, m) for v, m, p in zip(nu, mult, piece) if p in one_sided]
             report.per_degree_outcomes[(lbl, k)], _ = _multisets_match(
-                _cluster_multiset(spectrum, pair_tol), _cluster_multiset(one_sided, pair_tol), pair_tol
+                _cluster_multiset(spectrum, pair_tol), _cluster_multiset(reeb, pair_tol), pair_tol
             )
-    report.slices = every
+    report.columns = slice_columns(*columns.values())
     close_reeb_report(report)
     return report
 

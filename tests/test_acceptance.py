@@ -23,6 +23,7 @@ multiplicity.
 
 import time
 
+import numpy as np
 import pytest
 
 from ruminlab.model import lens_space, su2_model
@@ -36,7 +37,7 @@ from ruminlab.spectral import (
     verify_primitivity,
     verify_sasakian_identities,
 )
-from ruminlab.torsion import PAIR_TOL, _cluster_multiset, _multisets_match, reeb_decomposition
+from ruminlab.torsion import PAIR_TOL, PIECES, _cluster_multiset, _multisets_match, reeb_decomposition
 
 MODEL_SPECS = [
     ("s3", su2_model()),
@@ -97,7 +98,7 @@ def test_criterion_2_sasakian_identities():
     start = time.perf_counter()
     rep = verify_sasakian_identities(Assembly(su2_model(), 6), tol=1e-11)
     elapsed = time.perf_counter() - start
-    worst = max(c.residual for c in rep.checks)
+    worst = max(rep.residuals)
     ok = rep.passed and elapsed <= 10.0
     line = report("2 Sasakian identities", ok, f"worst residual {worst:.2e}, {elapsed:.1f}s")
     assert ok, line
@@ -125,7 +126,7 @@ def test_criterion_4_primitivity(asm6):
     for asm in asm6.values():
         rep = verify_primitivity(asm, tol=1e-10)
         ok = ok and rep.passed
-        worst = max(worst, max((c.residual for c in rep.checks), default=0.0))
+        worst = max(worst, max(rep.residuals, default=0.0))
     line = report("4 primitivity of harmonics", ok, f"worst residual {worst:.2e}")
     assert ok, line
 
@@ -136,7 +137,7 @@ def test_criterion_5_deformed_family(asm6):
     for asm in asm6.values():
         rep = verify_deformation_family(asm, (0.1, 1.0, 10.0), tol=1e-10)
         ok = ok and rep.passed
-        worst = max(worst, max((c.residual for c in rep.checks), default=0.0))
+        worst = max(worst, max(rep.residuals, default=0.0))
     line = report("5 deformed-family kernels", ok, f"worst residual {worst:.2e}")
     assert ok, line
 
@@ -150,8 +151,8 @@ def test_criterion_6_eigenvalue_law(asm6):
         ok = ok and law.passed and mid.passed
         worst = max(
             worst,
-            max((c.residual for c in law.checks if c.tolerance < 0.4), default=0.0),
-            max((c.residual for c in mid.checks), default=0.0),
+            max((r for r, t in zip(law.residuals, law.tolerances) if t < 0.4), default=0.0),
+            max(mid.residuals, default=0.0),
         )
     line = report("6 squared-sum eigenvalue law", ok, f"worst residual {worst:.2e}")
     assert ok, line
@@ -193,20 +194,25 @@ def test_criterion_7_per_degree_multisets_as_written(asm6, reeb6):
     total = 0
     for name, rep in reeb6.items():
         keys = set()
+        c = rep.columns
         for ctx in asm6[name].contexts:
             lbl, m, r = ctx.block.label, ctx.block.weight, ctx.block.multiplicity
             one_sided, bi_pos = {}, {}
             for k in (0, 1):
                 keys.add((lbl, k))
                 total += 1
-                slices = [s for s in rep.slices if s.block == lbl and s.degree == k]
-                positive = [(s.delta, s.mult) for s in slices if s.piece != "harmonic"]
-                one_sided[k] = [
-                    (s.nu ** 2, s.mult) for s in slices if s.piece in ("reeb_plus", "reeb_minus")
-                ]
-                bi_pos[k] = [(s.delta, s.mult) for s in slices if s.piece == "bi_positive"]
+                at = (c["block"] == lbl) & (c["degree"] == k)
+
+                def pairs(values, *pieces):
+                    """(value, multiplicity) of the slices of this block and degree in `pieces`."""
+                    where = at & np.isin(c["piece"], [PIECES.index(p) for p in pieces])
+                    return list(zip(values[where].tolist(), c["mult"][where].tolist()))
+
+                positive = pairs(c["delta"], "reeb_plus", "reeb_minus", "bi_positive")
+                one_sided[k] = pairs(c["nu"] ** 2, "reeb_plus", "reeb_minus")
+                bi_pos[k] = pairs(c["delta"], "bi_positive")
                 if k == 0:
-                    nu_b0 = [(s.nu, s.mult) for s in slices if s.piece == "bi_positive"]
+                    nu_b0 = pairs(c["nu"], "bi_positive")
                 if bi_pos[k]:
                     bi_positive_pairs.append(f"{name}:{lbl} k={k}")
                 if not same(positive, one_sided[k] + bi_pos[k]):
@@ -253,11 +259,11 @@ def test_criterion_8_truncation_stability(asm4, asm6, reeb4, reeb6):
         cut = min(r4.cutoff, r6.cutoff)
 
         def matched_below(rep):
-            return sorted(
-                (s.block, s.degree, s.piece, round(s.delta, 9), round(s.nu, 9), s.mult)
-                for s in rep.slices
-                if s.delta < cut - 1e-9
-            )
+            c = rep.columns
+            below = c["delta"] < cut - 1e-9
+            block, degree, piece, mult = (c[f][below].tolist() for f in ("block", "degree", "piece", "mult"))
+            delta, nu = ([round(x, 9) for x in c[f][below].tolist()] for f in ("delta", "nu"))
+            return sorted(zip(block, degree, piece, delta, nu, mult))
 
         ok = ok and matched_below(r4) == matched_below(r6)
     line = report("8 truncation stability", ok)

@@ -9,6 +9,7 @@ reference.
 """
 
 import dataclasses
+import json
 from collections import Counter
 
 import numpy as np
@@ -329,17 +330,17 @@ def test_verify_all_computes_each_shared_quantity_once(capsys, monkeypatch):
     the Reeb-sector solve (keyed by its exact input), the sector rank oracle,
     which ranks each complex once for thm1 and the torsion checks together,
     and the suite quantities that several suites read: the Laplacians, their
-    eigensolve on the sectors, the harmonic kernels, the Rumin Reeb derivative
-    (whose invariance residual is checked when it is built), the Rumin square
-    root, the sec4 components and the lifted fiber tables.  Each Laplacian is
+    eigensolve on the sectors, the harmonic kernels, the Rumin square root,
+    the sec4 components and the lifted fiber tables.  Each Laplacian is
     built once per (op, k) and solved by one `sectors._eigh` on the sectors:
     the harmonic kernels of thm1, the Rumin square root of sec4 and the joint
     eigenspaces read the same solve.  The Rumin Laplacian's joint eigenspaces
     are solved once per degree k <= n over every weight
     (`Assembly.rumin_rows`), for sec4 and the torsion checks together: two
     solves in all, on lens(3, 1) and on s3.  The first-order stacks (d, d0, dT,
-    L_T, the split halves of d_b and their Rumin compressions) are built once
-    per degree and half, and every composite of the stacks reads those.
+    L_T and its Rumin compression, whose invariance residual is checked when it
+    is built, the split halves of d_b and their Rumin compressions) are built
+    once per degree and half, and every composite of the stacks reads those.
     """
     calls = {}
 
@@ -379,7 +380,6 @@ def test_verify_all_computes_each_shared_quantity_once(capsys, monkeypatch):
         "sector rank": (SectorStacks.cohomology_dims, lambda stacks, complex_name, multiplicity: complex_name),
         "Laplacian": (SectorStacks.laplacian, lambda stacks, op, k, t: (op, k, t), build_laplacian),
         "harmonic kernel": (suites._harmonic, lambda stacks, k, operator: (k, operator)),
-        "Rumin Reeb derivative": (suites._lie_reeb_rumin, lambda stacks, k: k),
         "Rumin square root": (suites._sqrt_rumin_laplacian, lambda stacks, k: k),
         "sec4 components": (suites._low_components, lambda asm, tol: tol),
         "lifted fiber table": (suites._fiber, lambda stacks, name, k, k_out: (name, k, k_out)),
@@ -398,7 +398,8 @@ def test_verify_all_computes_each_shared_quantity_once(capsys, monkeypatch):
             assert counts, kind
             repeated = {key: n for key, n in counts.items() if n > 1}
             assert not repeated, f"{kind}: {len(repeated)} of {len(counts)} computations repeated"
-        assert len(calls) == 9 + len(FIRST_ORDER)
+        assert len(calls) == 8 + len(FIRST_ORDER)
+        assert set(calls["lie_reeb_rumin"]) == {(0,), (1,)}  # the sec4 suite and the Reeb check of the joint solve
         assert set(calls["split_db"]) == {(k, anti) for k in range(2) for anti in (False, True)}
         assert set(calls["rumin_del"]) == {(k, anti) for k in range(2) for anti in (False, True)}
         assert set(calls["d"]) == {(k,) for k in range(4)}
@@ -437,8 +438,7 @@ def test_torsion_builds_no_dense_eigenbasis(capsys, monkeypatch, command):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    spy(spectral.JointEigenspaces, "components")
-    spy(spectral.JointEigenspaces, "__init__")
+    spy(rows.JointRows, "components")
     for name in ("box_operators", "sqrt_laplacian_rn"):
         spy(BlockContext, name)
     spy(spectral, "_reeb_sectors")
@@ -449,9 +449,9 @@ def test_torsion_builds_no_dense_eigenbasis(capsys, monkeypatch, command):
     ctx = asm.contexts[-1]
     spectral.q_decomposition(asm, ctx.block.weight, 0)  # the dense callers, to show that the spies see them
     ctx.box_operators(0)
-    spectral._sequential_joint_eigenspaces([operator_pair(ctx, "delta-rn", 0, 1.0)], 1e-9)
-    dense = ("components", "box_operators", "sqrt_laplacian_rn", "_reeb_sectors")
-    assert calls == {**dict.fromkeys(dense, 1), "__init__": 2}  # one view each for the two dense callers
+    spectral._sequential_joint_eigenspaces([operator_pair(ctx, "delta-rn", 0, 1.0)], 1e-9).components(0)
+    dense = ("box_operators", "sqrt_laplacian_rn", "_reeb_sectors")
+    assert calls == {**dict.fromkeys(dense, 1), "components": 2}  # one dense basis for each of the two callers
 
 
 def _assert_each_dt_built_once(monkeypatch, suite, t_samples, degrees):
@@ -484,7 +484,7 @@ def test_deformation_family_builds_each_deformed_differential_once(monkeypatch):
 
 LENS31 = ["--model", "lens", "--p", "3", "--character", "1"]
 SPECTRUM_OPS = ("delta-rn", "delta-dr", "delta-t", "delta-b")
-FIRST_ORDER = ("d", "d0", "dT", "lie_reeb", "split_db", "rumin_del")
+FIRST_ORDER = ("d", "d0", "dT", "lie_reeb", "lie_reeb_rumin", "split_db", "rumin_del")
 
 
 @pytest.mark.parametrize(
@@ -588,7 +588,8 @@ def test_block_at_a_time_suite_equals_the_library_suites(model, max_weight):
         library.extend(suite(asm))
     library.extend(torsion.reeb_decomposition(asm).checks)
     streamed = cli.run_suite(Assembly(model, max_weight), "all", cli.RunConfig())
-    assert streamed.check_rows() == library.check_rows()
-    names = {row["name"] for row in streamed.check_rows()}
+    rows = json.loads(streamed.to_json())["checks"]
+    assert rows == json.loads(library.to_json())["checks"]
+    names = {row["name"] for row in rows}
     assert {"rank_oracle_rumin_k=0", "weighted_multiset_identity", "kappa_two_routes_s=2"} <= names
     assert "contexts" not in vars(asm)

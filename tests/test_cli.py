@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ruminlab import cli, spectral
+from ruminlab import cli
 from ruminlab.cli import RunConfig, UsageError, build_parser, load_config, main
 from ruminlab.model import su2_model
 from ruminlab.spectral import Assembly
@@ -174,39 +174,24 @@ def test_reeb_eigenvalues_print_as_exact_integers(capsys, model):
     assert printed and all(v == str(int(float(v))) for v in printed)
 
 
-@pytest.mark.parametrize("model", VERIFY_MODELS, ids=["s3", "lens3-1"])
-@pytest.mark.parametrize("command", [("verify", "--suite", "all"), ("torsion",)], ids=["verify-all", "torsion"])
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_reports_build_no_check_object(capsys, monkeypatch, model, command, fmt):
-    """The checks are added as families of columns and written from the columns."""
-    calls = []
-    init = spectral.Check.__init__
+def test_failing_verify_lists_exactly_the_failed_checks(capsys):
+    """The report's columns, `failed()`, the JSON report and the FAIL lines agree on which checks
+    fail, in name order: at M=30, where rounding alone fails some checks, and at `--tol 1e-30`,
+    which fails every check whose residual is not exactly zero, 89 of them at M=3."""
+    for max_weight, tol in ((30, ()), (3, ("--tol", "1e-30"))):
+        argv = ["verify", "--suite", "all", "--model", "s3", "--max-weight", str(max_weight), *tol]
+        cfg = load_config(build_parser().parse_args(argv))
+        report = cli.run_suite(Assembly(su2_model(), max_weight), "all", cfg)
+        over = sorted(n for n, r, t in zip(report.names, report.residuals, report.tolerances) if not r <= t)
+        assert over and [report.names[i] for i in report.failed()] == over
+        if tol:
+            assert len(over) == 89
 
-    def spy(self, *args, **kwargs):
-        calls.append(args)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(spectral.Check, "__init__", spy)
-    code, out, _ = run_cli(capsys, *command, *model, "--max-weight", "6", "--format", fmt)
-    assert code == 0 and out
-    assert calls == []
-
-
-def test_failing_verify_lists_exactly_the_failed_checks(capsys, monkeypatch):
-    """At M=30 rounding alone fails some checks: the report, `failures()` and the FAIL lines agree
-    on which, in name order, and the failing run builds no `Check` either."""
-    argv = ["verify", "--suite", "all", "--model", "s3", "--max-weight", "30"]
-    report = cli.run_suite(Assembly(su2_model(), 30), "all", load_config(build_parser().parse_args(argv)))
-    over = sorted(n for n, r, t in zip(report.names, report.residuals, report.tolerances) if not r <= t)
-    assert over and [c.name for c in report.failures()] == over
-    assert all(not c.passed and c.residual > c.tolerance for c in report.failures())
-
-    monkeypatch.setattr(spectral.Check, "__init__", lambda *args, **kwargs: pytest.fail("a Check was built"))
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 1
-    failed = [c["name"] for c in json.loads(out)["checks"] if not c["passed"]]
-    assert failed == over
-    assert [line.split(":")[0] for line in err.splitlines()] == [f"FAIL {name}" for name in over]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        failed = [c["name"] for c in json.loads(out)["checks"] if not c["passed"]]
+        assert failed == over
+        assert [line.split(":")[0] for line in err.splitlines()] == [f"FAIL {name}" for name in over]
 
 
 # -- torsion ----------------------------------------------------------------------
@@ -305,8 +290,11 @@ def test_config_rejects_unknown_keys(tmp_path):
         {"model": "lens", "p": 2.5},
         {"out": 2, "max_weight": 1},
         {"out": True, "max_weight": 1},
+        {"model": "s3", "p": 3, "character": 2},
+        {"model": "s3", "p": 2},
     ],
-    ids=["string-weight", "scalar-t-samples", "fractional-order", "integer-out", "boolean-out"],
+    ids=["string-weight", "scalar-t-samples", "fractional-order", "integer-out", "boolean-out",
+         "s3-with-order-and-character", "s3-with-order"],
 )
 def test_config_values_of_wrong_type_exit_2(tmp_path, capsys, doc):
     cfg_path = tmp_path / "run.json"
@@ -337,9 +325,12 @@ def test_config_values_of_wrong_type_exit_2(tmp_path, capsys, doc):
         ("verify", "--suite", "thm5", "--s-grid", "1.5,9"),
         ("verify", "--suite", "thm5", "--s-grid", ","),
         ("torsion", "--s-grid", ","),
+        ("spectrum", "--p", "3", "--character", "2"),  # s3 is the quotient of order 1, trivial character
+        ("spectrum", "--p", "3"),
     ],
     ids=["empty-t-samples", "nan-t-samples", "inf-t-samples", "inf-s-grid", "nan-tol", "inf-tol",
-         "negative-tol", "out-of-range-s-grid-verify", "empty-s-grid-verify", "empty-s-grid-torsion"],
+         "negative-tol", "out-of-range-s-grid-verify", "empty-s-grid-verify", "empty-s-grid-torsion",
+         "s3-with-order-and-character", "s3-with-order"],
 )
 def test_non_finite_or_empty_inputs_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv, "--model", "s3", "--max-weight", "1")
@@ -398,6 +389,8 @@ def test_unwritable_out_path_exits_2(tmp_path, capsys, command):
 def test_run_config_validation():
     with pytest.raises(UsageError):
         RunConfig(model="torus").validate()
+    with pytest.raises(UsageError):
+        RunConfig(model="s3", p=3, character=2).validate()
     with pytest.raises(UsageError):
         RunConfig(p=2, character=5).validate()
     with pytest.raises(UsageError):

@@ -15,7 +15,7 @@ import math
 import pytest
 
 from ruminlab import util
-from ruminlab.spectral import Check, VerificationReport
+from ruminlab.spectral import VerificationReport
 from ruminlab.torsion import TorsionReport
 
 ESCAPES = 'quote " back\\slash \x01 tab\t new\nline, comma é ü 数'
@@ -93,20 +93,21 @@ def test_columnar_writers_equal_the_per_check_writers():
     report = _build("hand", HAND_CHECKS)
     assert report.to_json() == _reference_json(report, HAND_CHECKS)
     assert report.to_csv() == _reference_csv(HAND_CHECKS)
-    rows = {row["name"]: row for row in report.check_rows()}
+    written = json.loads(report.to_json())["checks"]
+    rows = {row["name"]: row for row in written}
     assert rows["nan[m0]"]["residual"] == "nan" and not rows["nan[m0]"]["passed"]
     assert rows["negative_zero[m0]"]["residual"] == "-0" and rows["zero[m0]"]["residual"] == "0"
     assert rows["a_negative_zero[m0]"]["residual"] == "-0" and rows["law[m2]"]["residual"] == "0"
     assert rows["integer[m0]"]["residual"] == "3"
-    names = [row["name"] for row in report.check_rows()]
-    assert [row["detail"] for row in report.check_rows() if row["name"] == "dup[m1]"] == ["first", "second", "third"]
+    names = [row["name"] for row in written]
+    assert [row["detail"] for row in written if row["name"] == "dup[m1]"] == ["first", "second", "third"]
     assert names.index("law[m10]") < names.index("law[m2]")
-    assert report.check_rows() == _reference_rows(HAND_CHECKS)
+    assert written == _reference_rows(HAND_CHECKS)
 
 
 def test_empty_and_extended_reports():
     empty = VerificationReport("empty")
-    assert empty.passed and empty.failures() == [] and empty.checks == []
+    assert empty.passed and empty.failed() == [] and empty.names == []
     assert empty.to_json() == _reference_json(empty, []) and empty.to_csv() == _reference_csv([])
     first, second = HAND_CHECKS[:6], HAND_CHECKS[6:]
     joined = _build("joined", [])
@@ -117,19 +118,19 @@ def test_empty_and_extended_reports():
 
 
 def test_passed_and_failures_follow_the_per_check_definitions():
+    """The columns hold every check in the order added; `failed()` lists the positions of the
+    failed ones, ordered by name with equal names in insertion order."""
     report = _build("hand", HAND_CHECKS)
-    checks = [Check(n, float(r) <= t, float(r), t, d) for n, r, t, d in HAND_CHECKS]
-    fields = lambda cs: [(c.name, c.passed, repr(c.residual), c.tolerance, c.detail) for c in cs]  # nan != nan
-    assert fields(report.checks) == fields(checks)
-    assert fields(report.sorted_checks()) == fields(sorted(checks, key=lambda c: c.name))
-    assert fields(report.failures()) == fields([c for c in sorted(checks, key=lambda c: c.name) if not c.passed])
-    assert [report.names[i] for i in report.failed()] == [c.name for c in report.failures()]
+    columns = list(zip(report.names, map(repr, report.residuals), report.tolerances, report.details))  # nan != nan
+    assert columns == [(n, repr(float(r)), t, d) for n, r, t, d in HAND_CHECKS]
+    by_name = sorted(range(len(HAND_CHECKS)), key=lambda i: HAND_CHECKS[i][0])
+    assert report.failed() == [i for i in by_name if not float(HAND_CHECKS[i][1]) <= HAND_CHECKS[i][2]]
     assert not report.passed
-    assert {c.name for c in report.failures()} == {"nan[m0]", "inf[m0]", "integer[m0]", "dup[m1]", "law[m10]"}
+    assert {report.names[i] for i in report.failed()} == {"nan[m0]", "inf[m0]", "integer[m0]", "dup[m1]", "law[m10]"}
     passing = _build("passing", [c for c in HAND_CHECKS if float(c[1]) <= c[2]])
-    assert passing.passed and passing.failures() == []
+    assert passing.passed and passing.failed() == []
     nan_only = _build("nan", [("x", math.nan, math.inf, "")])
-    assert not nan_only.passed
+    assert not nan_only.passed and nan_only.failed() == [0]
 
 
 def test_a_family_needs_one_residual_and_detail_per_name():

@@ -19,8 +19,8 @@ from ruminlab import cli, util
 from ruminlab.model import su2_model
 from ruminlab.rows import cluster_starts, round_sig_values, run_means, solve_rows
 from ruminlab.sectors import RowStack
-from ruminlab.spectral import Assembly, SpectrumEntry, SpectrumTable
-from ruminlab.torsion import reeb_decomposition
+from ruminlab.spectral import Assembly, SpectrumTable
+from ruminlab.torsion import PIECES, reeb_decomposition
 
 TOL = 1e-9
 
@@ -89,8 +89,16 @@ def test_solve_rows_clusters_every_row_as_cluster_values():
 # -- the columnar writers against the per-entry writers ---------------------------------------
 
 
-def _reference_json(table: SpectrumTable, entries) -> str:
-    fmt = lambda x: None if x is None else util.fmt_float(x)
+def _table_order(col: dict) -> list:
+    """The positions of a table's rows in the written order: by degree, block label as text,
+    eigenvalue and multiplicity, ties in insertion order."""
+    key = lambda i: (col["degree"][i], col["block"][i], col["eigenvalue"][i], col["multiplicity"][i])
+    return sorted(range(len(col["degree"])), key=key)
+
+
+def _reference_json(table: SpectrumTable) -> str:
+    fmt = lambda x: None if x is None or x != x else util.fmt_float(x)  # NaN stands for None
+    col = {name: values.tolist() for name, values in table.columns.items()}
     doc = {
         "schema": 1,
         "kind": "spectrum",
@@ -100,58 +108,62 @@ def _reference_json(table: SpectrumTable, entries) -> str:
         "cutoff": fmt(table.cutoff),
         "entries": [
             {
-                "degree": e.degree,
-                "block": e.block,
-                "eigenvalue": util.fmt_float(e.eigenvalue),
-                "multiplicity": e.multiplicity,
-                "nu": fmt(e.nu),
-                "lambda10": fmt(e.lambda10),
-                "lambda01": fmt(e.lambda01),
-                "bidegree": e.bidegree,
+                "degree": col["degree"][i],
+                "block": col["block"][i],
+                "eigenvalue": util.fmt_float(col["eigenvalue"][i]),
+                "multiplicity": col["multiplicity"][i],
+                "nu": fmt(col["nu"][i]),
+                "lambda10": fmt(col["lambda10"][i]),
+                "lambda01": fmt(col["lambda01"][i]),
+                "bidegree": col["bidegree"][i],
             }
-            for e in sorted(entries, key=lambda e: (e.degree, e.block, e.eigenvalue, e.multiplicity))
+            for i in _table_order(col)
         ],
     }
     return json.dumps(doc, sort_keys=True)
 
 
-def _reference_csv(entries) -> str:
-    fmt = lambda x: "" if x is None else util.fmt_float(x)
+def _reference_csv(table: SpectrumTable) -> str:
+    fmt = lambda x: "" if x != x else util.fmt_float(x)
+    col = {name: values.tolist() for name, values in table.columns.items()}
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["degree", "block", "eigenvalue", "multiplicity", "nu", "lambda10", "lambda01"])
-    for e in sorted(entries, key=lambda e: (e.degree, e.block, e.eigenvalue, e.multiplicity)):
+    for i in _table_order(col):
         writer.writerow(
-            [e.degree, e.block, util.fmt_float(e.eigenvalue), e.multiplicity, fmt(e.nu), fmt(e.lambda10), fmt(e.lambda01)]
+            [col["degree"][i], col["block"][i], util.fmt_float(col["eigenvalue"][i]), col["multiplicity"][i]]
+            + [fmt(col[name][i]) for name in ("nu", "lambda10", "lambda01")]
         )
     return buf.getvalue()
 
 
-HAND_ENTRIES = [
-    SpectrumEntry(1, "m2", 4.0, 3, nu=2.0, lambda10=None, lambda01=None, bidegree="theta^(0,0)"),
-    SpectrumEntry(1, "m10", 121.00000000000003, 11, nu=-11.0, lambda10=None, lambda01=None, bidegree=None),
-    SpectrumEntry(0, "m2", 16.0, 3, nu=0.0, lambda10=2.0, lambda01=2.0, bidegree="(0,0)"),
-    SpectrumEntry(0, "m2", 16.0, 3, nu=-4.0, lambda10=0.0, lambda01=4.0, bidegree="(0,0)"),  # a tie: kept in order
-    SpectrumEntry(0, "m2", 16.0, 3, nu=4.0, lambda10=4.0, lambda01=0.0, bidegree="(0,0)"),
-    SpectrumEntry(0, "m1", 1e-17, 2, nu=None, lambda10=None, lambda01=None, bidegree=None),
-    SpectrumEntry(0, "m10", 0.1 + 0.2, 11, nu=1.5e300, lambda10=2.5e-310, lambda01=-0.0, bidegree="(1,0)"),
-    SpectrumEntry(0, "m0", 0.0, 1),
-]
+NAN = float("nan")  # a missing nu, lambda10 or lambda01
+# rows 2 to 4 tie on (degree, block, eigenvalue, multiplicity) and keep their order
+HAND_COLUMNS = {
+    "degree": np.array([1, 1, 0, 0, 0, 0, 0, 0]),
+    "block": np.array(["m2", "m10", "m2", "m2", "m2", "m1", "m10", "m0"]),
+    "eigenvalue": np.array([4.0, 121.00000000000003, 16.0, 16.0, 16.0, 1e-17, 0.1 + 0.2, 0.0]),
+    "multiplicity": np.array([3, 11, 3, 3, 3, 2, 11, 1]),
+    "nu": np.array([2.0, -11.0, 0.0, -4.0, 4.0, NAN, 1.5e300, NAN]),
+    "lambda10": np.array([NAN, NAN, 2.0, 0.0, 4.0, NAN, 2.5e-310, NAN]),
+    "lambda01": np.array([NAN, NAN, 2.0, 4.0, 0.0, NAN, -0.0, NAN]),
+    "bidegree": np.array(["theta^(0,0)", None, "(0,0)", "(0,0)", "(0,0)", None, "(1,0)", None], dtype=object),
+}
 
 
 @pytest.mark.parametrize("cutoff", [None, 169.0])
 def test_columnar_writers_equal_the_per_entry_writers(cutoff):
-    """None fields, bidegree None, block labels in text order (m10 before m2) and ties in
+    """Missing values, bidegree None, block labels in text order (m10 before m2) and ties in
     insertion order."""
-    table = SpectrumTable("delta-rn", {"model": "s3", "p": 1}, 12, cutoff)
-    table.entries = HAND_ENTRIES
-    assert table.entries == HAND_ENTRIES
-    assert table.to_json() == _reference_json(table, HAND_ENTRIES)
-    assert table.to_csv() == _reference_csv(HAND_ENTRIES)
+    table = SpectrumTable("delta-rn", {"model": "s3", "p": 1}, 12, cutoff, dict(HAND_COLUMNS))
+    assert table.to_json() == _reference_json(table)
+    assert table.to_csv() == _reference_csv(table)
     blocks = [row.split(",")[1] for row in table.to_csv().splitlines()[1:]]
     assert blocks == ["m0", "m1", "m10", "m2", "m2", "m2", "m10", "m2"]
+    nus = [row.split(",")[4] for row in table.to_csv().splitlines()[4:7]]
+    assert nus == ["0", "-4", "4"]
     empty = SpectrumTable("delta-b", {}, 0)
-    assert empty.to_json() == _reference_json(empty, []) and empty.to_csv() == _reference_csv([])
+    assert empty.to_json() == _reference_json(empty) and empty.to_csv() == _reference_csv(empty)
 
 
 @pytest.mark.parametrize("op", ["delta-rn", "delta-dr", "delta-b"])
@@ -161,22 +173,25 @@ def test_columnar_spectrum_tables_equal_the_per_entry_writers(op):
     model = su2_model()
     degrees = list(range(3 if op == "delta-b" else 4))
     table = SpectrumTable(op, model.describe(), 12, 169.0, cli._spectrum_columns(model, 12, op, degrees, 0.1))
-    entries = table.entries
-    assert len(entries) > 100 and {e.bidegree is None for e in entries} == {False, True}
-    assert table.to_json() == _reference_json(table, entries)
-    assert table.to_csv() == _reference_csv(entries)
-    assert table.sorted_entries() == sorted(entries, key=lambda e: (e.degree, e.block, e.eigenvalue, e.multiplicity))
+    bidegrees = table.columns["bidegree"].tolist()
+    assert len(bidegrees) > 100 and {x is None for x in bidegrees} == {False, True}
+    assert table.to_json() == _reference_json(table)
+    assert table.to_csv() == _reference_csv(table)
 
 
 def test_torsion_pairs_csv_equals_the_per_slice_writer():
     report = reeb_decomposition(Assembly(su2_model(), 12))
+    col = {name: values.tolist() for name, values in report.columns.items()}
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["block", "degree", "lambda", "piece", "nu", "multiplicity"])
-    for sl in sorted(report.slices, key=lambda s: (s.block, s.degree, s.delta, s.nu)):
-        writer.writerow([sl.block, sl.degree, util.fmt_float(sl.delta), sl.piece, util.fmt_float(sl.nu), sl.mult])
+    key = lambda i: (col["block"][i], col["degree"][i], col["delta"][i], col["nu"][i])
+    for i in sorted(range(len(col["block"])), key=key):
+        fmt = util.fmt_float
+        writer.writerow([col["block"][i], col["degree"][i], fmt(col["delta"][i]), PIECES[col["piece"][i]],
+                         fmt(col["nu"][i]), col["mult"][i]])
     assert report.pairs_csv() == buf.getvalue()
-    assert len(report.slices) > 100
+    assert len(col["block"]) > 100
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

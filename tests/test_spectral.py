@@ -12,7 +12,6 @@ from ruminlab.model import lens_space, su2_model
 from ruminlab.operators import InternalConsistencyError, hermitize, max_abs
 from ruminlab.spectral import (
     Assembly,
-    SpectrumEntry,
     SpectrumTable,
     VerificationReport,
     _sequential_joint_eigenspaces,
@@ -179,8 +178,7 @@ def _reeb_pair(ctx, k):
 @pytest.mark.parametrize("k", range(4))
 def test_joint_eigenspaces_split_reeb_sectors(s3_contexts, k):
     lap, ilt = _reeb_pair(s3_contexts[3], k)
-    [joint] = _sequential_joint_eigenspaces([(lap, ilt)], 1e-9)
-    comps = joint.components()
+    comps = _sequential_joint_eigenspaces([(lap, ilt)], 1e-9).components(0)
     basis = np.hstack([b for _, _, b in comps])
     assert np.allclose(basis.conj().T @ basis, np.eye(lap.shape[0]), atol=1e-12)
     for delta, tau, b in comps:
@@ -210,10 +208,9 @@ def test_many_pair_joint_eigenspaces_equal_single_pair_calls(model, op):
     pairs = _spectrum_pairs(model, op)
     assert len(pairs) > 8
     many = _sequential_joint_eigenspaces(pairs, 1e-9)
-    assert len(many) == len(pairs)
-    for pair, joint in zip(pairs, many):
-        [alone] = _sequential_joint_eigenspaces([pair], 1e-9)
-        comps, single = joint.components(), alone.components()
+    assert many.rows.dims.size == len(pairs)
+    for row, pair in enumerate(pairs):
+        comps, single = many.components(row), _sequential_joint_eigenspaces([pair], 1e-9).components(0)
         assert [(d, t) for d, t, _ in comps] == [(d, t) for d, t, _ in single]
         assert [(b.shape, b.tobytes()) for _, _, b in comps] == [(b.shape, b.tobytes()) for _, _, b in single]
 
@@ -235,7 +232,8 @@ def test_joint_eigenspaces_reject_non_diagonal_reeb_operator(s3_contexts):
         _sequential_joint_eigenspaces([spoil(*_reeb_pair(s3_contexts[3], 1))], 1e-9)
     with pytest.raises(InternalConsistencyError, match="not diagonal"):
         _sequential_joint_eigenspaces(_many_pairs_with_one_bad(s3_contexts, spoil), 1e-9)
-    assert len(_sequential_joint_eigenspaces(_many_pairs_with_one_bad(s3_contexts, lambda a, b: (a, b)), 1e-9)) == 8
+    joint = _sequential_joint_eigenspaces(_many_pairs_with_one_bad(s3_contexts, lambda a, b: (a, b)), 1e-9)
+    assert joint.rows.dims.size == 8
 
 
 def test_joint_eigenspaces_reject_cross_sector_entry(s3_contexts):
@@ -278,7 +276,7 @@ def test_verify_complex_property_passes(s3_asm_small):
 
 def test_verify_sasakian_identities_passes(s3_asm_small):
     rep = verify_sasakian_identities(s3_asm_small)
-    assert rep.passed and len(rep.checks) > 50
+    assert rep.passed and len(rep.names) > 50
 
 
 def test_verify_hodge_block_matrix_passes(s3_asm_small):
@@ -318,7 +316,7 @@ def test_kernel_coincidence_lens_all_characters(p):
     for l in range(p):
         asm = Assembly(lens_space(p, character=l), 3)
         rep = verify_kernel_coincidence(asm)
-        assert rep.passed, rep.failures()[:3]
+        assert rep.passed, [rep.names[i] for i in rep.failed()[:3]]
         expected = [1, 0, 0, 1] if l == 0 else [0, 0, 0, 0]
         assert rep.parameters["kernel_dims"] == expected
 
@@ -334,7 +332,7 @@ def test_kernel_dims_stable_under_truncation(s3):
 def test_verify_primitivity_passes(s3_asm_small):
     rep = verify_primitivity(s3_asm_small)
     assert rep.passed
-    names = [c.name for c in rep.checks]
+    names = rep.names
     assert any("interior_reeb_vanishes[m0]k=0" in nm for nm in names)
     assert any("theta_wedge_vanishes[m0]k=3" in nm for nm in names)
     assert any("j_preserves_harmonics[m0]k=3" in nm for nm in names)
@@ -362,21 +360,24 @@ def test_w_corner_families_list_each_slot_vector_once(model):
     asm = Assembly(model, 6)
     rep = verify_eigenvalue_identity(asm)
     mult = {ctx.block.label: ctx.block.multiplicity for ctx in asm.contexts}
-    per_vector = [c for c in rep.checks if c.name.split("[")[0] in W_CORNER_FAMILIES]
+    checks = list(zip(rep.names, rep.details))
+    per_vector = [(name, detail) for name, detail in checks if name.split("[")[0] in W_CORNER_FAMILIES]
     expected = 0
-    for corner in (c for c in rep.checks if c.name.startswith("w_corner_dim[")):
-        key = corner.name[len("w_corner_dim"):]  # "[block]l=(lambda10,lambda01)"
+    for name, detail in checks:
+        if not name.startswith("w_corner_dim["):
+            continue
+        key = name[len("w_corner_dim"):]  # "[block]l=(lambda10,lambda01)"
         r = mult[key[1 : key.index("]")]]
-        w = int(re.match(r"w=(\d+) ", corner.detail).group(1))  # dimension of W (x) C^r
+        w = int(re.match(r"w=(\d+) ", detail).group(1))  # dimension of W (x) C^r
         assert w % r == 0
         expected += len(W_CORNER_FAMILIES) * (w // r)
         for family in W_CORNER_FAMILIES:
             prefix = f"{family}{key}v="
-            entries = [c for c in per_vector if c.name.startswith(prefix)]
-            assert sorted(int(c.name[len(prefix):]) for c in entries) == list(range(w // r)), prefix
-            assert all(c.detail == f"multiplicity={r}" for c in entries), prefix
+            entries = [(n, d) for n, d in per_vector if n.startswith(prefix)]
+            assert sorted(int(n[len(prefix):]) for n, _ in entries) == list(range(w // r)), prefix
+            assert all(d == f"multiplicity={r}" for _, d in entries), prefix
     assert len(per_vector) == expected
-    assert any(c.detail != "multiplicity=1" for c in per_vector)  # some corner has r > 1
+    assert any(d != "multiplicity=1" for _, d in per_vector)  # some corner has r > 1
 
 
 def test_joint_kernel_matches_single_kernel(s3_contexts):
@@ -404,7 +405,7 @@ def test_deformation_family_asks_svd_for_no_singular_vectors(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", spy)
     second = verify_deformation_family(asm)
-    assert second.check_rows() == first.check_rows()
+    assert second.to_json() == first.to_json()
     assert compute_uv and not any(compute_uv)
 
 
@@ -425,7 +426,16 @@ def test_principal_sines_known_rotation():
 
 def test_spectrum_table_serialization():
     table = SpectrumTable(operator="delta-rn", model={"model": "s3"}, max_weight=2)
-    table.entries = [SpectrumEntry(0, "m1", 1.0, 4, nu=0.0, lambda10=1.0, lambda01=0.0), SpectrumEntry(0, "m0", 0.0, 1)]
+    table.columns = {
+        "degree": np.array([0, 0]),
+        "block": np.array(["m1", "m0"]),
+        "eigenvalue": np.array([1.0, 0.0]),
+        "multiplicity": np.array([4, 1]),
+        "nu": np.array([0.0, np.nan]),
+        "lambda10": np.array([1.0, np.nan]),
+        "lambda01": np.array([0.0, np.nan]),
+        "bidegree": np.array([None, None], dtype=object),
+    }
     csv_text = table.to_csv()
     lines = csv_text.strip().split("\n")
     assert lines[0] == "degree,block,eigenvalue,multiplicity,nu,lambda10,lambda01"
@@ -448,7 +458,7 @@ def test_report_records_failures():
     rep = VerificationReport("demo")
     rep.add("too_big", 1.0, 1e-3, "synthetic")
     assert not rep.passed
-    assert rep.failures()[0].name == "too_big"
+    assert [rep.names[i] for i in rep.failed()] == ["too_big"]
 
 
 def test_harmonic_bases_collects_kernels(s3_asm_small):

@@ -8,6 +8,8 @@ may move by rounding only.  A change of one entry of a sector stack that a
 suite reads must make that suite fail.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -34,7 +36,7 @@ def test_sector_suites_equal_the_dense_reference(model, max_weight):
     dense = dense_run_suite(Assembly(model, max_weight), "all", cfg)
     assert sector.parameters == dense.parameters
     assert sector.passed == dense.passed  # the exit code
-    rows, ref = sector.check_rows(), dense.check_rows()
+    rows, ref = (json.loads(report.to_json())["checks"] for report in (sector, dense))
     assert [{k: v for k, v in row.items() if k != "residual"} for row in rows] == [
         {k: v for k, v in row.items() if k != "residual"} for row in ref
     ]
@@ -112,5 +114,6 @@ def test_sector_suite_catches_a_changed_stack_entry(monkeypatch, suite):
         return out
 
     monkeypatch.setattr(owner, name, changed)
-    failed = {c.name.split("[")[0] for c in _run(runs, Assembly(su2_model(), 4)).failures()}
+    report = _run(runs, Assembly(su2_model(), 4))
+    failed = {report.names[i].split("[")[0] for i in report.failed()}
     assert family in failed, sorted(failed)

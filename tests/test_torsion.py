@@ -18,12 +18,13 @@ from ruminlab.spectral import Assembly
 from ruminlab.torsion import (
     ESTIMATE_CAVEAT,
     PAIR_TOL,
-    ReebSlice,
+    PIECES,
     TorsionReport,
     _cluster_multiset,
     close_reeb_report,
     kappa_weights,
     reeb_decomposition,
+    slice_columns,
     torsion_estimate,
 )
 
@@ -39,7 +40,10 @@ def _degree_zero_zeta(entries, s):
     report = TorsionReport(
         model={}, max_weight=0, s_grid=[s], weights=kappa_weights(1), cutoff=0.0, cohomology_dims=[0, 0]
     )
-    report.slices = [ReebSlice("m0", 0, delta, 0.0, mult, "bi_positive") for delta, mult in entries]
+    size = len(entries)
+    delta, mult = zip(*entries) if entries else ((), ())
+    piece = [PIECES.index("bi_positive")] * size
+    report.columns = slice_columns(["m0"] * size, [0] * size, delta, [0.0] * size, mult, piece)
     close_reeb_report(report)
     return report.zetas[(0, s)]
 
@@ -95,8 +99,18 @@ def s3_reeb(s3_asm_small):
     return reeb_decomposition(s3_asm_small)
 
 
+def _failed_names(checks):
+    """The names of the failed checks of a `VerificationReport`, in name order."""
+    return [checks.names[i] for i in checks.failed()]
+
+
+def _is_piece(columns, *pieces):
+    """Where the slices lie in one of `pieces`."""
+    return np.isin(columns["piece"], [PIECES.index(p) for p in pieces])
+
+
 def test_reeb_checks_pass(s3_reeb):
-    assert s3_reeb.passed, s3_reeb.checks.failures()[:4]
+    assert s3_reeb.passed, _failed_names(s3_reeb.checks)[:4]
     assert s3_reeb.weighted_match
 
 
@@ -106,15 +120,18 @@ def test_reeb_kernel_dims(s3_reeb):
 
 
 def test_weight_one_block_splits_two_by_two(s3_reeb):
-    slices = [s for s in s3_reeb.slices if s.block == "m1" and s.degree == 0]
-    pieces = sorted((s.piece, s.mult, round(s.delta, 9), round(s.nu, 9)) for s in slices)
+    c = s3_reeb.columns
+    at = (c["block"] == "m1") & (c["degree"] == 0)
+    piece, mult = [PIECES[p] for p in c["piece"][at].tolist()], c["mult"][at].tolist()
+    delta, nu = ([round(x, 9) for x in c[name][at].tolist()] for name in ("delta", "nu"))
+    pieces = sorted(zip(piece, mult, delta, nu))
     assert pieces == [("reeb_minus", 2, 1.0, -1.0), ("reeb_plus", 2, 1.0, 1.0)]
 
 
 def test_harmonic_slices_only_in_weight_zero(s3_reeb):
-    for s in s3_reeb.slices:
-        if s.piece == "harmonic":
-            assert s.block == "m0" and s.degree == 0
+    c = s3_reeb.columns
+    harmonic = _is_piece(c, "harmonic")
+    assert set(zip(c["block"][harmonic].tolist(), c["degree"][harmonic].tolist())) <= {("m0", 0)}
 
 
 def test_per_degree_outcomes_document_bi_positive_blocks(s3_reeb):
@@ -135,11 +152,11 @@ def test_bi_positive_multiplicity_doubles_in_middle_degree(s3_reeb):
     # the telescoping mechanism: q copies at degree 0 vs 2q in the middle
     lows = {}
     mids = {}
-    for s in s3_reeb.slices:
-        if s.block != "m2" or s.piece != "bi_positive":
-            continue
-        target = lows if s.degree == 0 else mids
-        target[round(s.delta, 6)] = target.get(round(s.delta, 6), 0) + s.mult
+    c = s3_reeb.columns
+    at = (c["block"] == "m2") & _is_piece(c, "bi_positive")
+    for degree, delta, mult in zip(*(c[name][at].tolist() for name in ("degree", "delta", "mult"))):
+        target = lows if degree == 0 else mids
+        target[round(delta, 6)] = target.get(round(delta, 6), 0) + mult
     assert lows == {16.0: 3}
     assert mids == {16.0: 6}
 
@@ -159,9 +176,10 @@ def test_reeb_decomposition_untwisted_lens():
 
 
 def test_one_sided_pieces_square_the_reeb_eigenvalue(s3_reeb):
-    for s in s3_reeb.slices:
-        if s.piece in ("reeb_plus", "reeb_minus"):
-            assert s.delta == pytest.approx(s.nu**2, abs=1e-9 * max(1.0, s.delta))
+    c = s3_reeb.columns
+    one_sided = _is_piece(c, "reeb_plus", "reeb_minus")
+    for delta, nu in zip(c["delta"][one_sided].tolist(), c["nu"][one_sided].tolist()):
+        assert delta == pytest.approx(nu**2, abs=1e-9 * max(1.0, delta))
 
 
 def test_rejects_unsafe_grid(s3_asm_small):
@@ -222,11 +240,10 @@ def test_kappa_consistent_with_direct_sum():
         for max_weight in (0, 3, 12, 20):
             report = _reopened(reeb_decomposition(Assembly(model, max_weight)))
             shifted = copy.deepcopy(report)
-            slices = shifted.slices
-            positive = [sl for sl in slices if sl.piece != "harmonic"]
-            if positive:
-                min(positive, key=lambda sl: sl.delta).delta *= 1 + 1e-8
-            shifted.slices = slices
+            delta = shifted.columns["delta"]
+            positive = np.flatnonzero(~_is_piece(shifted.columns, "harmonic"))
+            if positive.size:
+                delta[positive[np.argmin(delta[positive])]] *= 1 + 1e-8
             close_reeb_report(report)
             close_reeb_report(shifted)
             assert report.s_grid == [2.0, 3.0, 4.0]
@@ -234,7 +251,7 @@ def test_kappa_consistent_with_direct_sum():
                 closed, scale = _closed_form_kappa(model, max_weight, s)
                 case = (model.p, model.character, max_weight, s)
                 assert abs(report.kappa_from_spectrum[s] - closed) <= 1e-12 * scale, case
-                if positive:
+                if positive.size:
                     assert abs(shifted.kappa_from_spectrum[s] - closed) > 1e-12 * scale, case
 
 
@@ -256,25 +273,25 @@ def _reopened(done):
     report = TorsionReport(
         done.model, done.max_weight, done.s_grid, done.weights, done.cutoff, cohomology_dims=done.cohomology_dims
     )
-    report.slices = done.slices
+    report.columns = {name: values.copy() for name, values in done.columns.items()}
     return report
 
 
 def test_weighted_identity_holds_at_weight_50_and_catches_a_relative_shift():
     """At M=50 rounding alone no longer splits equal eigenvalues; a 1e-8 relative shift of one still fails."""
     done = reeb_decomposition(Assembly(su2_model(), 50))
-    assert done.passed, done.checks.failures()[:4]
+    assert done.passed, _failed_names(done.checks)[:4]
     report = _reopened(done)
     shifted = copy.deepcopy(report)
-    slices = shifted.slices
-    max(slices, key=lambda sl: sl.delta).delta *= 1 + 1e-8
-    shifted.slices = slices
+    delta = shifted.columns["delta"]
+    delta[np.argmax(delta)] *= 1 + 1e-8
     close_reeb_report(report)
     close_reeb_report(shifted)
     assert report.passed and report.weighted_match
     assert not shifted.weighted_match
-    [check] = [c for c in shifted.checks.failures() if c.name == "weighted_multiset_identity"]
-    assert check.residual >= 1
+    checks = shifted.checks
+    [i] = [i for i in checks.failed() if checks.names[i] == "weighted_multiset_identity"]
+    assert checks.residuals[i] >= 1
 
 
 # -- the sector route against the dense route -------------------------------------------
@@ -288,7 +305,7 @@ def test_sector_reeb_decomposition_equals_the_dense_route(model, max_weight):
     spectrum entries of degrees <= n, bit for bit."""
     sector = reeb_decomposition(Assembly(model, max_weight))
     dense = dense_reeb_decomposition(Assembly(model, max_weight))
-    assert sector.passed, sector.checks.failures()[:4]
+    assert sector.passed, _failed_names(sector.checks)[:4]
     for name in ("per_degree_outcomes", "kernel_dims", "cohomology_dims", "weighted_match"):
         assert getattr(sector, name) == getattr(dense, name), name
 
@@ -296,12 +313,13 @@ def test_sector_reeb_decomposition_equals_the_dense_route(model, max_weight):
         return abs(a - b) <= 1e-13 * max(1.0, abs(b))
 
     # both list each (block, degree) in component order: by Delta cluster, then by tau
-    by_block = lambda sl: (sl.block, sl.degree)
-    pairs = list(zip(sorted(sector.slices, key=by_block), sorted(dense.slices, key=by_block)))
-    assert len(pairs) == len(sector.slices) == len(dense.slices)
-    for got, want in pairs:
-        assert (got.block, got.degree, got.piece, got.mult) == (want.block, want.degree, want.piece, want.mult)
-        assert close(got.delta, want.delta) and close(got.nu, want.nu), (got, want)
+    by_block = lambda c: {name: c[name][np.lexsort((c["degree"], c["block"]))] for name in c}
+    got, want = by_block(sector.columns), by_block(dense.columns)
+    assert got["block"].size == want["block"].size
+    for name in ("block", "degree", "piece", "mult"):
+        assert np.array_equal(got[name], want[name]), name
+    for name in ("delta", "nu"):
+        assert all(map(close, got[name].tolist(), want[name].tolist())), name
     assert sector.zetas.keys() == dense.zetas.keys()
     assert all(close(sector.zetas[key], dense.zetas[key]) for key in dense.zetas)
     for s in dense.s_grid:
@@ -309,23 +327,30 @@ def test_sector_reeb_decomposition_equals_the_dense_route(model, max_weight):
         assert close(sector.kappa_from_reeb[s], dense.kappa_from_reeb[s])
 
     columns = cli._spectrum_columns(model, max_weight, "delta-rn", list(range(model.frame.n + 1)), 1.0)
-    entries = spectral.SpectrumTable("delta-rn", {}, max_weight, columns=columns).entries
-    table = sorted((e.block, e.degree, e.eigenvalue, e.nu, e.multiplicity) for e in entries)
-    assert table == sorted((sl.block, sl.degree, sl.delta, sl.nu, sl.mult) for sl in sector.slices)
+    table = sorted(zip(*(columns[name].tolist() for name in ("block", "degree", "eigenvalue", "nu", "multiplicity"))))
+    c = sector.columns
+    assert table == sorted(zip(*(c[name].tolist() for name in ("block", "degree", "delta", "nu", "mult"))))
 
 
 # -- the sector-form checks catch a spoiled input ------------------------------------------
 
 
 def _check(report, name):
-    [check] = [c for c in report.checks.checks if c.name == name]
-    return check
+    """The residual and tolerance of the one check `name` of a torsion report."""
+    checks = report.checks
+    [i] = [i for i, n in enumerate(checks.names) if n == name]
+    return checks.residuals[i], checks.tolerances[i]
+
+
+def _passes(report, name) -> bool:
+    residual, tolerance = _check(report, name)
+    return residual <= tolerance
 
 
 def test_boxes_sum_to_root_catches_a_relative_change_of_one_half_laplacian_entry(monkeypatch):
     """A 1e-9 relative change of the largest Delta_del sector entry of weight 12 fails the sum."""
     name = "boxes_sum_to_root[m12]k=0"
-    assert _check(reeb_decomposition(Assembly(su2_model(), 12)), name).passed
+    assert _passes(reeb_decomposition(Assembly(su2_model(), 12)), name)
     original = SectorStacks.half_laplacians
 
     def spoiled(stacks, k):
@@ -337,14 +362,14 @@ def test_boxes_sum_to_root_catches_a_relative_change_of_one_half_laplacian_entry
         return a, b, scale
 
     monkeypatch.setattr(SectorStacks, "half_laplacians", spoiled)
-    check = _check(reeb_decomposition(Assembly(su2_model(), 12)), name)
-    assert not check.passed and check.residual > 1e-10
+    residual, tolerance = _check(reeb_decomposition(Assembly(su2_model(), 12)), name)
+    assert residual > tolerance and residual > 1e-10
 
 
 def test_boxes_differ_by_reeb_catches_a_shifted_tau(monkeypatch):
     """A Reeb value shifted by 1e-9 on one degree-0 sector of weight 12 fails the difference."""
     name = "boxes_differ_by_reeb[m12]k=0"
-    assert _check(reeb_decomposition(Assembly(su2_model(), 12)), name).passed
+    assert _passes(reeb_decomposition(Assembly(su2_model(), 12)), name)
     original = SectorStacks.spectrum_rows
 
     def spoiled(stacks, op, k, t=1.0):
@@ -357,13 +382,13 @@ def test_boxes_differ_by_reeb_catches_a_shifted_tau(monkeypatch):
         return rows, labels
 
     monkeypatch.setattr(SectorStacks, "spectrum_rows", spoiled)
-    assert not _check(reeb_decomposition(Assembly(su2_model(), 12)), name).passed
+    assert not _passes(reeb_decomposition(Assembly(su2_model(), 12)), name)
 
 
 def test_boxes_psd_catches_delta_below_nu_squared(monkeypatch):
     """Delta pushed 1e-8 relative below nu^2 on one middle-degree one-sided component fails."""
     name = "boxes_psd[m12]k=1"
-    assert _check(reeb_decomposition(Assembly(su2_model(), 12)), name).passed
+    assert _passes(reeb_decomposition(Assembly(su2_model(), 12)), name)
     original = torsion._add_reeb_slices
 
     def spoiled(report, labels, multiplicity, k, joint):
@@ -377,8 +402,8 @@ def test_boxes_psd_catches_delta_below_nu_squared(monkeypatch):
         original(report, labels, multiplicity, k, joint)
 
     monkeypatch.setattr(torsion, "_add_reeb_slices", spoiled)
-    check = _check(reeb_decomposition(Assembly(su2_model(), 12)), name)
-    assert not check.passed and check.residual > 1e-9
+    residual, tolerance = _check(reeb_decomposition(Assembly(su2_model(), 12)), name)
+    assert residual > tolerance and residual > 1e-9
 
 
 def test_rank_oracle_catches_a_singular_value_under_the_threshold(monkeypatch):
@@ -398,7 +423,7 @@ def test_rank_oracle_catches_a_singular_value_under_the_threshold(monkeypatch):
         return values
 
     monkeypatch.setattr(np.linalg, "svd", spoiled)
-    failed = {c.name for c in reeb_decomposition(Assembly(su2_model(), 3)).checks.failures()}
+    failed = set(_failed_names(reeb_decomposition(Assembly(su2_model(), 3)).checks))
     assert {"kernel_dim_is_cohomology_k=0", "kernel_dim_is_cohomology_k=1"} <= failed
-    failed = {c.name for c in spectral.verify_kernel_coincidence(Assembly(su2_model(), 3)).failures()}
+    failed = set(_failed_names(spectral.verify_kernel_coincidence(Assembly(su2_model(), 3))))
     assert {"rank_oracle_rumin_k=0", "rank_oracle_de_rham_k=0"} <= failed
