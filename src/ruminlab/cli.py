@@ -278,7 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-weight", dest="max_weight", type=int, default=None)
         p.add_argument("--t-samples", dest="t_samples", default=None, help="comma-separated positive reals")
         p.add_argument("--s-grid", dest="s_grid", default=None, help="comma-separated reals in [2, 6]")
-        p.add_argument("--tol", type=float, default=None, help="override residual tolerances")
+        p.add_argument("--tol", type=float, default=None, help="override the residual bound of every verify suite "
+                       "(of the sec4 eigenvalue law: its relative bound); the thm1 angle bound, the zero threshold of "
+                       "the sec4 eigenvalue law and the thm5 torsion checks keep their own bounds")
         p.add_argument("--format", choices=("csv", "json"), default=None)
         p.add_argument("--out", default=None, help="output path (stdout when omitted)")
         p.add_argument("--config", default=None, help="flat JSON config file; flags take precedence")

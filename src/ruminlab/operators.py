@@ -278,6 +278,14 @@ def _hodge_sum(space: GradedSpace, up: Optional[np.ndarray], down: Optional[np.n
     return BlockOperator(space, space, hermitize(mat, 1e-9, what))
 
 
+def phase_part(m: np.ndarray, phase: complex, what: str, tol: float = 1e-12) -> np.ndarray:
+    """m / phase for an array m of phase 1 or 1j, as a real array; raises where m has an entry of the other phase."""
+    real, other = (m.imag, m.real) if phase == 1j else (m.real, m.imag)
+    if max_abs(other) > tol:
+        raise InternalConsistencyError(f"{what} has an entry of the wrong phase ({max_abs(other):.3e})")
+    return real
+
+
 def _range_basis_of_projector(p: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """Orthonormal basis (columns) of the range of a Hermitian projector."""
     p = hermitize(p, 1e-10, "projector")
@@ -418,7 +426,8 @@ class BlockContext:
         hsel_lo = self._fiber_selection(n - 1, lambda ix: not ix.theta)
         hsel_hi = self._fiber_selection(n + 1, lambda ix: not ix.theta)
         lef_h = hsel_hi.conj().T @ self._fiber("lef", n - 1) @ hsel_lo
-        return hsel_lo @ np.linalg.inv(lef_h) @ hsel_hi.conj().T
+        inverse = -1j * np.linalg.inv(phase_part(lef_h, 1j, "the Lefschetz map"))  # (iA)^-1 = -i A^-1
+        return hsel_lo @ inverse @ hsel_hi.conj().T
 
     def _fiber_selection(self, k: int, keep) -> np.ndarray:
         cols = [i for i, ix in enumerate(self.mons(k)) if keep(ix)]
@@ -450,12 +459,12 @@ class BlockContext:
                 k, lambda ix: ix.theta == vert and len(ix.holo) == i and len(ix.anti) == j
             )
         elif flavor == "rumin":
-            if k <= self.n:
-                fib = _range_basis_of_projector(self._fiber("prim", k))
-            else:
+            if k <= self.n:  # the primitive projector is real, so it is solved in real arithmetic
+                fib = _range_basis_of_projector(phase_part(self._fiber("prim", k), 1, "the primitive projector"))
+            else:  # L has phase i: its kernel is that of its imaginary part
                 lef = self._fiber("lef", k - 1)
                 hsel = self._fiber_selection(k - 1, lambda ix: not ix.theta)
-                kerl = hsel @ _null_basis(lef @ hsel)
+                kerl = hsel @ _null_basis(phase_part(lef @ hsel, 1j, "the Lefschetz map"))
                 fib = self._fiber("theta", k - 1) @ kerl
         else:
             raise KeyError(f"unknown flavor {flavor!r}")

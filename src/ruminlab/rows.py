@@ -29,7 +29,7 @@ import numpy as np
 
 from .model import FrameStructure, block_label
 from .operators import InternalConsistencyError
-from .sectors import RowStack, SectorStacks, _distinct, _eigh, _gather, _groups, _max_per_row
+from .sectors import RowStack, SectorStacks, _distinct, _eigh, _gather, _max_per_row
 
 
 def cluster_starts(segment: np.ndarray, values: np.ndarray, tol: np.ndarray) -> np.ndarray:
@@ -124,11 +124,11 @@ class JointRows:
         return out
 
     def sector_blocks(self, *stacks: np.ndarray):
-        """Per group of sectors of one size s > 0 (`sectors._groups`): the sectors (n,), their
+        """Per group of sectors of one size s > 0 (`RowStack.groups`): the sectors (n,), their
         eigenvector columns (n, s), and the (n, s, s) valid blocks of the eigenvectors and of every
         given stack."""
-        valid, sectors = self.rows.valid, self.rows.valid.shape[1]
-        for sel, pos, _ in _groups(valid, valid):
+        sectors = self.rows.valid.shape[1]
+        for sel, pos, _ in self.rows.groups:
             if pos.shape[1]:
                 cols = np.broadcast_to(np.arange(pos.shape[1]), pos.shape)
                 blocks = [_gather(stack, sel, pos, pos) for stack in stacks]
@@ -152,7 +152,7 @@ class JointRows:
             images = [(sel, cols, q, h @ q) for sel, cols, q, (h,) in self.sector_blocks(half)]
             per_column = np.zeros(component.size)
             for _, cols, q, image in images:
-                per_column[cols] = np.real(np.sum(q.conj() * image, axis=1))
+                per_column[cols] = np.sum(q * image, axis=1)  # the stacks' eigenvectors are real
             ray = np.add.reduceat(per_column[self.order], self.starts[:-1]) / self.count
             resid = np.zeros(self.rows.tau.size)
             for sel, cols, q, image in images:
@@ -186,7 +186,7 @@ class JointRows:
         cols = self.order[self.starts[lo] : self.starts[hi]]
         e, s = np.divmod(cols, self.rows.tau.size)
         r, j = np.nonzero(self.rows.valid[:, s])
-        vecs = np.zeros((int(self.rows.dims[row]), cols.size), dtype=complex)
+        vecs = np.zeros((int(self.rows.dims[row]), cols.size), dtype=self.vectors.dtype)
         vecs[self.rows.index[r, s[j]], j] = self.vectors[r, e[j], s[j]]
         bounds = (self.starts[lo : hi + 1] - self.starts[lo]).tolist()
         return [
@@ -205,7 +205,7 @@ def solve_rows(rows: RowStack, tol: float = 1e-9, eig: Optional[tuple] = None) -
     clusters it, with the row's tolerance tol * max(1, max |Delta| on the row),
     and a cluster's mean is taken over all of its sectors.
     """
-    w, vectors, used = _eigh(rows.stack, rows.valid) if eig is None else eig
+    w, vectors, used = _eigh(rows.stack, rows.valid, rows.groups) if eig is None else eig
     col = np.flatnonzero(used)  # the columns in use, e * S + s
     values, sector = w.ravel()[col], col % used.shape[1]
     owner, tau = rows.owner[sector], rows.tau[sector]

@@ -13,32 +13,36 @@ where A is the identity or a ladder operator J_z, J_plus, J_minus of W_m (each
 frame field acts as c_z J_z + c_plus J_plus + c_minus J_minus,
 `model.field_ladder_coefficients`).  A term keeps the sectors exactly when F
 couples only fiber vectors whose weights differ by twice the slot shift of A
-(0, +1 or -1); an off-sector coefficient above `LEAK_TOL` is an assembly error
-and raises.  `SectorStacks` lays out the sectors (m, tau) of every nonempty
-weight m <= M once and holds each operator as one zero-padded
-(f_out, f_in, S) stack over all S sectors, the sector axis last and
-contiguous.  The term stacks come from the fiber tables of `BlockContext` and
-the closed-form ladder radicands; products, adjoints and compressions onto
-subspaces (fiber basis (x) I, the bases of `BlockContext.space`, in the same
-column order) are batched matrix products, one `einsum` each.
-No matrix of a whole weight block is formed.
+(0, +1 or -1); an off-sector coefficient above `LEAK_TOL` raises.
+`SectorStacks` lays out the sectors (m, tau) of every nonempty weight m <= M
+once and holds each operator as one zero-padded (f_out, f_in, S) stack over
+all S sectors, the sector axis last.  A term is one multiply-add of its fiber
+table with a slot table of ladder radicands (`_slot_table`); products,
+adjoints and compressions onto subspaces (fiber basis (x) I, the bases of
+`BlockContext.space`, in the same column order) are one `einsum` each.
 
-These stacks are the only layout of the sectors.  `spectrum_rows` gives one
-degree of a `spectrum` Laplacian as a `RowStack`: the stack itself, with the
-weight and tau of every sector and the valid flag and basis index of every
-position, which `rows.solve_rows` solves over every weight together (module
-`rows` holds the per-degree solve and its columns).  `_eigh` diagonalizes a
-stack with one stacked `eigh` per group of equally large sectors
-(`_groups`), on the valid blocks only, so the zero padding never enters a
-decomposition.  The sector blocks keep the checks of the dense route at the
-same tolerances: hermiticity, Reeb invariance of the Rumin space, the middle
-operator's target space, the half-Laplacian commutator, and exhaustion of
-every space by its sectors.  `cohomology_dims` is the rank oracle of `verify
---suite thm1` and `torsion`: dim H^k of the Rumin and de Rham complexes from
-the singular values of the sector blocks of their differentials.  Every
-`verify` suite reads these stacks too (`suites`): the identities it checks
-hold on a weight block exactly when they hold on each of its sectors.  Tier-1 compares every stack, and every suite report, with the
-dense `BlockContext` route.
+Every stack is real (`float64`), and its operator is a fixed phase, 1 or i,
+times it: i for the first-order operators (d, d0, dT, d_b, d_t, the split
+halves of d_b, L_T and its Rumin compression, the Rumin differentials and
+halves, and the middle operator), 1 for the embeddings and the (half)
+Laplacians.  A product multiplies the phases (i * i = -1 flips the sign of
+the stack), and the adjoint of a stack of phase i is minus its transpose
+(`_t`), so A* A has the stack A^T A for either phase.  `_stack` checks the
+phase of every term: an entry of the other phase above `LEAK_TOL` raises, as
+an off-sector entry does.  So every solve runs in real arithmetic.
+
+`spectrum_rows` gives one degree of a `spectrum` Laplacian as a `RowStack`,
+which `rows.solve_rows` solves over every weight together.  `_eigh`
+diagonalizes a stack with one stacked `eigh` per group of equally large
+sectors (`_groups`, built once per pair of masks by `SectorStacks.groups`),
+on the valid blocks only, so the zero padding never enters a decomposition.
+The sector blocks keep the checks of the dense route at the same tolerances:
+hermiticity, Reeb invariance of the Rumin space, the middle operator's target
+space, the half-Laplacian commutator, and exhaustion of every space by its
+sectors.  `cohomology_dims` is the rank oracle of `verify --suite thm1` and
+`torsion`.  Every `verify` suite reads these stacks too (`suites`).  Tier-1
+compares every stack, and every suite report, with the dense `BlockContext`
+route.
 """
 
 from __future__ import annotations
@@ -58,18 +62,18 @@ from .operators import (
     _frozen,
     _memo_in,
     max_abs,
+    phase_part,
     rescale_coefficient,
 )
 
-LEAK_TOL = 1e-12  # largest off-sector coefficient of a fiber (x) slot term
+LEAK_TOL = 1e-12  # largest off-sector or wrong-phase coefficient of a fiber (x) slot term
 FACTORS = ("z", "+", "-")  # the ladder factors, in the order of `field_ladder_coefficients`
 SHIFT = {"1": 0, "z": 0, "+": 1, "-": -1}  # slot shift b_out - b_in of each slot factor
 SPECTRUM_FLAVOR = {"delta-rn": "rumin", "delta-dr": "full", "delta-t": "full", "delta-b": "horizontal"}
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
-    """The sorted distinct entries of an integer array.  `np.unique` would do, but it imports
-    `numpy.ma`, which `verify` and `torsion` otherwise never load (0.85 MB of peak RSS on s3 at M=10)."""
+    """The sorted distinct entries of an integer array (`np.unique` imports `numpy.ma`: +0.85 MB of RSS)."""
     values = np.sort(values, axis=None)
     keep = np.ones(values.size, dtype=bool)
     keep[1:] = values[1:] != values[:-1]
@@ -83,13 +87,12 @@ class _NoMemo(dict):
         pass
 
 
-# the first-order stacks and the Laplacians: kept in the stacks' memo once `keep_first_order` is called, else rebuilt
-_first_order_memo = _memo_in("_first_order")
+_first_order_memo = _memo_in("_first_order")  # kept in the stacks' memo once `keep_first_order` is called
 
 
-def _adjoint(stack: np.ndarray) -> np.ndarray:
-    """The conjugate transpose of every block of a stack."""
-    return stack.conj().transpose(1, 0, 2)
+def _t(stack: np.ndarray) -> np.ndarray:
+    """The transpose of every block: the adjoint of a stack of phase 1, minus that of phase i."""
+    return stack.transpose(1, 0, 2)
 
 
 def _product(*stacks: np.ndarray) -> np.ndarray:
@@ -123,14 +126,15 @@ def _scatter(out: np.ndarray, sel, ri, values: np.ndarray):
     out[ri[:, :, None], cols[None, None, :], sel[:, None, None]] = values
 
 
-def _eigh(stack: np.ndarray, valid: np.ndarray):
+def _eigh(stack: np.ndarray, valid: np.ndarray, groups):
     """Eigenpairs of the Hermitian sector blocks of `stack` on the valid positions `valid` (f, S),
-    one stacked `eigh` per group of `_groups`: eigenvalues (f, S) ascending from row 0 and zero
-    beyond the sector's size, eigenvectors (f, f, S) in the same columns, and the (f, S) mask of
-    the columns in use."""
+    one stacked `eigh` per group of `groups` (`_groups(valid, valid)`): eigenvalues (f, S)
+    ascending from row 0 and zero beyond the sector's size, eigenvectors (f, f, S) of the stack's
+    dtype in the same columns, and the (f, S) mask of the columns in use."""
     f, sectors = valid.shape
-    w, q, used = np.zeros((f, sectors)), np.zeros((f, f, sectors), dtype=complex), np.zeros((f, sectors), dtype=bool)
-    for sel, pos, _ in _groups(valid, valid):
+    w, used = np.zeros((f, sectors)), np.zeros((f, sectors), dtype=bool)
+    q = np.zeros((f, f, sectors), dtype=stack.dtype)
+    for sel, pos, _ in groups:
         size = pos.shape[1]
         if size:
             vals, vecs = np.linalg.eigh(_gather(stack, sel, pos, pos))
@@ -147,11 +151,21 @@ def _max_per_row(stack: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return np.maximum.reduceat(per_sector, starts[:-1])
 
 
+def _gram(up, down, mat=0.0):
+    """mat + up* up + down down* for stacks up and down of one phase (as A* A has the stack A^T A
+    for either phase); None leaves a term out."""
+    if up is not None:
+        mat = mat + _product(_t(up), up)
+    if down is not None:
+        mat = mat + _product(down, _t(down))
+    return mat
+
+
 def _hermitized(stack: np.ndarray, what: str, tol: float = 1e-9) -> np.ndarray:
-    """`operators.hermitize` of every block."""
-    if max_abs(stack - _adjoint(stack)) > tol:
+    """`operators.hermitize` of every block of a real stack."""
+    if max_abs(stack - _t(stack)) > tol:
         raise InternalConsistencyError(f"{what} is not Hermitian within {tol}")
-    return 0.5 * (stack + _adjoint(stack))
+    return 0.5 * (stack + _t(stack))
 
 
 @dataclass(frozen=True)
@@ -161,7 +175,7 @@ class RowStack:
     row w are `starts[w]:starts[w + 1]`, by ascending tau; position i of sector s is in use where
     `valid[i, s]`, with basis index `index[i, s]` in its row.  Below the middle degree of the
     Rumin complex, `halves` holds the half-Laplacian stacks (Delta_del, Delta_delbar) and their
-    scale max(1, max |entry|) per row."""
+    scale max(1, max |entry|) per row.  `groups` is `_groups(valid, valid)`, built unless given."""
 
     stack: np.ndarray  # (f, f, S)
     owner: np.ndarray  # (S,) the row of each sector
@@ -170,6 +184,11 @@ class RowStack:
     index: np.ndarray  # (f, S)
     dims: np.ndarray  # (W,) the dimension of each row
     halves: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+    groups: Optional[Sequence[tuple]] = None
+
+    def __post_init__(self):
+        if self.groups is None:
+            object.__setattr__(self, "groups", _groups(self.valid, self.valid))
 
     @property
     def starts(self) -> np.ndarray:
@@ -178,8 +197,7 @@ class RowStack:
 
 @dataclass(frozen=True)
 class SectorSpace:
-    """A graded space over the sectors: the Reeb weights of its fiber basis (the columns of
-    `BlockContext.space_fiber`), and the slot of every fiber vector in every sector."""
+    """A graded space over the sectors: the Reeb weights of its fiber basis, and their slots."""
 
     rho: np.ndarray  # (f,) integer Reeb weights
     slot: np.ndarray  # (f, S) slot b of each fiber vector in each sector
@@ -192,23 +210,17 @@ class SectorSpace:
 
 class SectorStacks:
     """The operators of `rumin spectrum`, the Reeb decomposition and the rank oracle on the Reeb
-    sectors of every weight in `weights` (ascending, without repeats).
+    sectors of every weight in `weights` (ascending, without repeats), as real stacks.
 
-    Sectors are ordered by weight, then by ascending tau; `m`, `tau` and
-    `owner` (the position of the sector's weight in `weights`) are (S,) arrays,
-    and the sectors of weights[w] are `starts[w]:starts[w + 1]`.  The fiber
-    tables are those of the frame for the whole process (`BlockContext`), or
-    the private `tables` if given.  The spaces, the embeddings and the stacks
-    that more than one degree reads (d_b, the Rumin differentials and the
-    middle operator) are memoized per instance, like the block memo of a
-    `BlockContext`.  The first-order stacks (d, d0, dT, L_T and its Rumin
-    compressions, the split halves of d_b and the Rumin halves built from
-    them), the Laplacians and their sector eigensolves (`eigh`) are rebuilt on
-    every call, which keeps the peak memory of `spectrum` and `torsion` low,
-    until a caller that reads them many times calls `keep_first_order`: from
-    then on each is built once per degree, half or (op, k) and kept in the same
-    memo, as the `verify` suites do.  The quantities that only the suites read are memoized there
-    too (`suites`).
+    Sectors are ordered by weight, then by ascending tau; `m`, `tau` and `owner` (the position of
+    the sector's weight in `weights`) are (S,) arrays, and the sectors of weights[w] are
+    `starts[w]:starts[w + 1]`.  The fiber tables are those of the frame for the whole process
+    (`BlockContext`), or the private `tables` if given.  The layout (the spaces, their Reeb weights
+    and the `groups` of each pair of masks), the embeddings and the stacks that more than one
+    degree reads (d_b, the Rumin differentials, the middle operator) are memoized per instance.
+    The first-order stacks, the slot tables, the Laplacians and their eigensolves (`eigh`) are
+    rebuilt on every call, which keeps the peak memory of `spectrum` and `torsion` low, until
+    `keep_first_order` is called, as the `verify` suites do: then each is built once and kept.
     """
 
     def __init__(self, frame: FrameStructure, weights: Sequence[int], tables: Optional[Dict] = None):
@@ -232,11 +244,11 @@ class SectorStacks:
 
     # -- spaces -------------------------------------------------------------------
 
+    @_block_memo
     def _reeb_weights(self, k: int, flavor: str) -> np.ndarray:
         """The integer Reeb weight of every fiber vector of the degree-k space `flavor`."""
         fib = self.fibers.space_fiber(k, flavor)
-        rot = 1j * self.fibers._fiber("rot", k)
-        w = np.real(np.einsum("ij,ik,kj->j", fib.conj(), rot, fib))
+        w = np.real(np.sum(fib.conj() * ((1j * self.fibers._fiber("rot", k)) @ fib), axis=0))
         rho = np.rint(w).astype(int)
         if max_abs(w - rho) > LEAK_TOL:
             raise InternalConsistencyError(f"a degree-{k} {flavor} fiber vector has no integer Reeb weight")
@@ -253,44 +265,53 @@ class SectorStacks:
                 raise InternalConsistencyError(f"Reeb sectors do not exhaust the degree-{k} {flavor} space")
         return SectorSpace(rho, twice // 2, valid)
 
-    def _slot_values(self, factor: str, b: np.ndarray) -> np.ndarray:
-        """The slot factor at (slot b + shift, slot b) on the weight of every sector, for an
-        (f, S) array of slots b."""
-        m = self.m
-        if factor == "1":
-            return np.ones(b.shape)
-        if factor == "z":
-            return (2 * b - m) / 2
-        plus, minus = ladder_radicands(m, b)
-        return np.sqrt(np.maximum(plus if factor == "+" else minus, 0))
+    def groups(self, rows: np.ndarray, cols: np.ndarray):
+        """`_groups(rows, cols)` of two (f, S) masks, built once per pair of masks."""
+        key = ("SectorStacks.groups", (rows.tobytes(), cols.tobytes()))  # S is fixed, so the bytes give f
+        if key not in self._cache:
+            self._cache[key] = _frozen(_groups(rows, cols))
+        return self._cache[key]
 
-    def _stack(self, terms, out: SectorSpace, inn: SectorSpace) -> np.ndarray:
-        """The sum of fiber (x) slot terms (F, factor), F in the fiber bases of `out` and `inn`,
-        as an (out.dim, inn.dim, S) stack; raises when a term couples two sectors."""
-        both = out.valid[:, None, :] & inn.valid[None, :, :]
-        stack = np.zeros(both.shape, dtype=complex)
+    @_first_order_memo
+    def _slot_table(self, k: int, flavor: str, factor: str) -> np.ndarray:
+        """The slot factor at (slot b + shift, slot b) for the slot b of every fiber vector of the
+        degree-k space `flavor` in every sector, zero where b does not exist: (f, S).  Slot b + shift
+        is missing only where the factor vanishes (J_plus on b = m, J_minus on b = 0), so this table
+        masks every block of a term that keeps its sectors."""
+        space, m = self.space(k, flavor), self.m
+        if factor in ("1", "z"):
+            values = np.ones(space.slot.shape) if factor == "1" else (2 * space.slot - m) / 2
+        else:
+            plus, minus = ladder_radicands(m, space.slot)
+            values = np.sqrt(np.maximum(plus if factor == "+" else minus, 0))
+        return np.where(space.valid, values, 0.0)
+
+    def _stack(self, terms, out: Tuple[int, str], inn: Tuple[int, str], phase: complex = 1) -> np.ndarray:
+        """The sum of fiber (x) slot terms (F, factor), F in the fiber bases of the spaces `out` and
+        `inn` ((k, flavor) keys), divided by its `phase` (1 or 1j), as a real (f_out, f_in, S)
+        stack; raises when a term couples two sectors or has an entry of the other phase."""
+        rho_out, rho_in = self.space(*out).rho, self.space(*inn).rho
+        stack = np.zeros((rho_out.size, rho_in.size, self.m.size))
         for fib, factor in terms:
-            keep = out.rho[:, None] - inn.rho[None, :] == 2 * SHIFT[factor]
+            keep = rho_out[:, None] - rho_in[None, :] == 2 * SHIFT[factor]
             leak = max_abs(fib[~keep])
             if leak > LEAK_TOL:
                 raise InternalConsistencyError(f"a fiber (x) {factor} term leaves its Reeb sector ({leak:.3e})")
-            values = fib[:, :, None] * self._slot_values(factor, inn.slot)[None, :, :]
-            np.copyto(values, 0, where=~(both & keep[:, :, None]))
-            stack += values
-            del values  # else the next term's values are built while these are alive
+            real = phase_part(fib, phase, f"a fiber (x) {factor} term", LEAK_TOL)
+            stack += np.where(keep, real, 0.0)[:, :, None] * self._slot_table(*inn, factor)[None, :, :]
         return stack
 
-    def _fiber_op(self, fib: np.ndarray, k_out: int, k_in: int) -> np.ndarray:
-        """fib (x) I between the full spaces of degrees k_in and k_out."""
-        return self._stack([(fib, "1")], self.space(k_out), self.space(k_in))
+    def _fiber_op(self, fib: np.ndarray, k_out: int, k_in: int, phase: complex = 1) -> np.ndarray:
+        """fib (x) I between the full spaces of degrees k_in and k_out, divided by its phase."""
+        return self._stack([(fib, "1")], (k_out, "full"), (k_in, "full"), phase)
 
     @_block_memo
     def embed(self, k: int, flavor: str) -> np.ndarray:
         """The isometry of the degree-k space `flavor` into the full space."""
-        return self._stack([(self.fibers.space_fiber(k, flavor), "1")], self.space(k), self.space(k, flavor))
+        return self._stack([(self.fibers.space_fiber(k, flavor), "1")], (k, "full"), (k, flavor))
 
     def _compress(self, stack: np.ndarray, out: Tuple[int, str], inn: Tuple[int, str]) -> np.ndarray:
-        return _product(_adjoint(self.embed(*out)), stack, self.embed(*inn))
+        return _product(_t(self.embed(*out)), stack, self.embed(*inn))
 
     def _compress_invariant(self, stack: np.ndarray, out: Tuple[int, str], inn: Tuple[int, str], what: str):
         """`_compress` of a full-space stack that must map the space `inn` into `out`, as
@@ -301,10 +322,10 @@ class SectorStacks:
             raise InternalConsistencyError(f"{what} ({resid:.2e})")
         return op
 
-    # -- first-order operators ------------------------------------------------------
+    # -- first-order operators: phase i ------------------------------------------------
 
     def keep_first_order(self):
-        """Keep every first-order stack, Laplacian and sector eigensolve in the memo from now on."""
+        """Keep every first-order stack, slot table, Laplacian and eigensolve in the memo from now on."""
         self._first_order = self._cache
 
     @_first_order_memo
@@ -315,7 +336,7 @@ class SectorStacks:
         for j, factor in enumerate(FACTORS):
             fib = sum(self.ladder[name][j] * self.fibers._wedge_fiber(a, k) for a, name in enumerate(fields))
             terms.append((fib, factor))
-        return self._stack(terms, self.space(k + 1), self.space(k))
+        return self._stack(terms, (k + 1, "full"), (k, "full"), 1j)
 
     @_first_order_memo
     def lie_reeb(self, k: int) -> np.ndarray:
@@ -324,7 +345,7 @@ class SectorStacks:
         reeb = self.ladder[self.frame.field_names[0]]
         terms = [(c * eye, factor) for c, factor in zip(reeb, FACTORS)]
         terms.append((self.fibers._fiber("rot", k), "1"))
-        return self._stack(terms, self.space(k), self.space(k))
+        return self._stack(terms, (k, "full"), (k, "full"), 1j)
 
     @_first_order_memo
     def lie_reeb_rumin(self, k: int) -> np.ndarray:
@@ -335,8 +356,8 @@ class SectorStacks:
     @_first_order_memo
     def d0(self, k: int) -> np.ndarray:
         if k == 0:
-            return np.zeros((self.space(1).dim, self.space(0).dim, self.m.size), dtype=complex)
-        return self._fiber_op(self.fibers._fiber("lef", k - 1) @ self.fibers._fiber("iota", k), k + 1, k)
+            return np.zeros((self.space(1).dim, self.space(0).dim, self.m.size))
+        return self._fiber_op(self.fibers._fiber("lef", k - 1) @ self.fibers._fiber("iota", k), k + 1, k, 1j)
 
     @_first_order_memo
     def dT(self, k: int) -> np.ndarray:
@@ -367,20 +388,20 @@ class SectorStacks:
             raise StructuralError("d_b has bidegree components beyond (1,0)+(0,1); frame is not Sasakian")
         return np.where(keep[:, :, None], db, 0)
 
-    # -- the Rumin complex ----------------------------------------------------------
+    # -- the Rumin complex: phase i ---------------------------------------------------
 
     @_block_memo
     def middle_operator(self, variant: str = "factored") -> np.ndarray:
         """The middle operator on the middle Rumin space, as `BlockContext.middle_operator(variant)`:
-        theta ^ (L_T + d_b L^-1 d_b) ("factored") or theta ^ (L_T - i (del + delbar)(del* - delbar*))
-        ("kahler")."""
+        theta ^ (L_T + d_b L^-1 d_b) ("factored"; L^-1 has phase i, so d_b L^-1 d_b has -i) or
+        theta ^ (L_T - i (del + delbar)(del* - delbar*)) ("kahler"; the product has phase 1)."""
         n = self.n
         if variant == "factored":
-            linv = self._fiber_op(self.fibers.lefschetz_inverse_fiber(), n - 1, n + 1)
-            core = self.lie_reeb(n) + _product(self.db(n - 1), linv, self.db(n))
+            linv = self._fiber_op(self.fibers.lefschetz_inverse_fiber(), n - 1, n + 1, 1j)
+            core = self.lie_reeb(n) - _product(self.db(n - 1), linv, self.db(n))
         elif variant == "kahler":
             dl, dlb = self.split_db(n - 1), self.split_db(n - 1, anti=True)
-            core = self.lie_reeb(n) - 1j * _product(dl + dlb, _adjoint(dl) - _adjoint(dlb))
+            core = self.lie_reeb(n) - _product(dl + dlb, _t(dl - dlb))
         else:
             raise KeyError(variant)
         full = _product(self._fiber_op(self.fibers._fiber("theta", n), n + 1, n), core)
@@ -399,15 +420,12 @@ class SectorStacks:
         target = (k + 1, "rumin" if k < self.n else "horizontal")
         return rescale_coefficient(self.n, k) * self._compress(self.split_db(k, anti), target, (k, "rumin"))
 
+    # -- second-order operators: phase 1 -------------------------------------------------
+
     def half_laplacian(self, k: int, anti: bool) -> np.ndarray:
         """Delta_del or Delta_delbar on the degree-k Rumin space (k <= n), as
         `BlockContext.rumin_del_laplacian`."""
-        up = self.rumin_del(k, anti)
-        mat = _product(_adjoint(up), up)
-        if k >= 1:
-            down = self.rumin_del(k - 1, anti)
-            mat = mat + _product(down, _adjoint(down))
-        return mat
+        return _gram(self.rumin_del(k, anti), self.rumin_del(k - 1, anti) if k >= 1 else None)
 
     def half_laplacians(self, k: int):
         """(Delta_del, Delta_delbar) on the degree-k Rumin space below the middle degree,
@@ -419,21 +437,17 @@ class SectorStacks:
         scale = np.maximum(1.0, np.maximum(self._weight_max(a), self._weight_max(b)))
         comm = self._weight_max(_product(a, b) - _product(b, a))
         if np.any(comm > 1e-10 * scale):
-            raise InternalConsistencyError(
-                f"half Laplacians do not commute (residual {comm.max():.3e}); cannot decompose"
-            )
+            what = f"half Laplacians do not commute (residual {comm.max():.3e}); cannot decompose"
+            raise InternalConsistencyError(what)
         return a, b, scale
 
     @_block_memo
     def cohomology_dims(self, complex_name: str, multiplicity: Tuple[int, ...]) -> Tuple[int, ...]:
         """dim H^k of the "rumin" or "de_rham" complex for every degree k: the sum over weights of
         r (dim_k - rank d_k - rank d_{k-1}), with r = multiplicity[w] copies of weight weights[w].
-
-        A differential commutes with L_T, so it maps every Reeb sector into itself, and its rank
-        on a weight is the sum of the ranks of its sector blocks.  A singular value counts when it
-        exceeds 1e-8 * max(1, the largest singular value on its weight), the threshold of the
-        rank of the dense weight block.
-        """
+        A differential maps every Reeb sector into itself, so its rank on a weight is the sum of
+        the ranks of its sector blocks, whose singular values count above 1e-8 * max(1, the
+        largest singular value on the weight), the threshold of the dense weight block."""
         if not self.m.size:
             return (0,) * (self.Dmax + 1)
         flavor = "rumin" if complex_name == "rumin" else "full"
@@ -451,29 +465,20 @@ class SectorStacks:
         """max |entry| of a stack over the sectors of each weight."""
         return _max_per_row(stack, self.starts)
 
-    # -- Laplacians -----------------------------------------------------------------
-
     @_first_order_memo
     def laplacian(self, op: str, k: int, t: float = 1.0) -> np.ndarray:
         """The Laplacian of the `spectrum` operator `op` on its degree-k space, hermitized; kept with
         the first-order stacks."""
-        if op == "delta-rn":
-            n, dmax = self.n, self.Dmax
-            mat = np.zeros((self.space(k, "rumin").dim,) * 2 + (self.m.size,), dtype=complex)
-            if k <= dmax - 1 and k != n:
+        if op == "delta-rn":  # (d*d)^2 + (dd*)^2, with the middle operator D = rumin_d(n) entering as D*D
+            mat = np.zeros((self.space(k, "rumin").dim,) * 2 + (self.m.size,))
+            if k < self.Dmax:
                 up = self.rumin_d(k)
-                square = _product(_adjoint(up), up)
-                mat = mat + _product(square, square)
-            if k >= 1 and k != n + 1:
+                square = _product(_t(up), up)
+                mat = mat + (square if k == self.n else _product(square, square))
+            if k > 0:
                 down = self.rumin_d(k - 1)
-                square = _product(down, _adjoint(down))
-                mat = mat + _product(square, square)
-            if k == n:
-                mid = self.middle_operator()
-                mat = mat + _product(_adjoint(mid), mid)
-            if k == n + 1:
-                mid = self.middle_operator()
-                mat = mat + _product(mid, _adjoint(mid))
+                square = _product(down, _t(down))
+                mat = mat + (square if k == self.n + 1 else _product(square, square))
             return _hermitized(mat, "Rumin Laplacian")
         if op == "delta-b":
             top = 2 * self.n
@@ -489,28 +494,22 @@ class SectorStacks:
         raise KeyError(op)
 
     def eigh(self, op: str, k: int, t: float = 1.0, stack: Optional[np.ndarray] = None):
-        """The eigenpairs of `laplacian(op, k, t)` on every sector (`_eigh`), kept with the
-        first-order stacks; `stack` is that Laplacian if the caller holds it, so that where nothing
-        is kept it is not built twice."""
+        """The eigenpairs of `laplacian(op, k, t)` on every sector (`_eigh`), kept with the first-order
+        stacks; `stack` is that Laplacian if the caller holds it, so that it is not built twice."""
         key = ("SectorStacks.eigh", (op, k, t))
         eig = self._first_order.get(key)
         if eig is None:
             lap = self.laplacian(op, k, t) if stack is None else stack
-            eig = self._first_order[key] = _frozen(_eigh(lap, self.space(k, SPECTRUM_FLAVOR[op]).valid))
+            valid = self.space(k, SPECTRUM_FLAVOR[op]).valid
+            eig = self._first_order[key] = _frozen(_eigh(lap, valid, self.groups(valid, valid)))
         return eig
 
     def _hodge_sum(self, up, down, space: Tuple[int, str], what: str) -> np.ndarray:
-        """up^* up + down down^*, hermitized, as `operators._hodge_sum`; None leaves a term out."""
-        mat = np.zeros((self.space(*space).dim,) * 2 + (self.m.size,), dtype=complex)
-        if up is not None:
-            mat = mat + _product(_adjoint(up), up)
-        if down is not None:
-            mat = mat + _product(down, _adjoint(down))
-        return _hermitized(mat, what)
+        """`_gram` on the space `space`, hermitized, as `operators._hodge_sum`."""
+        return _hermitized(_gram(up, down, np.zeros((self.space(*space).dim,) * 2 + (self.m.size,))), what)
 
     def _check_reeb(self, k: int, flavor: str):
-        """i L_T is tau on every sector of the degree-k space `flavor`; on a Rumin space L_T
-        must also map the space into itself."""
+        """i L_T is tau on every sector of the degree-k space `flavor`, whose space L_T must preserve."""
         if flavor == "rumin":
             lt = self.lie_reeb_rumin(k)
         elif flavor == "full":
@@ -519,7 +518,7 @@ class SectorStacks:
             lt = self._compress(self.lie_reeb(k), (k, flavor), (k, flavor))
         sp = self.space(k, flavor)
         tau = np.where(sp.valid, self.tau, 0)
-        off = max_abs(1j * lt - np.eye(sp.dim)[:, :, None] * tau[:, None, :])
+        off = max_abs(lt + np.eye(sp.dim)[:, :, None] * tau[:, None, :])  # i L_T = i * i * (the stack)
         if off > 1e-9:
             raise InternalConsistencyError(f"Reeb operator is not diagonal (off-diagonal {off:.3e})")
 
@@ -548,5 +547,6 @@ class SectorStacks:
         space = self.space(k, flavor)
         index = np.arange(space.dim)[:, None] * (self.m + 1) + space.slot
         dims = space.dim * (self.weights + 1)
-        rows = RowStack(stack, self.owner, self.tau.astype(float), space.valid, index, dims, halves)
+        groups = self.groups(space.valid, space.valid)
+        rows = RowStack(stack, self.owner, self.tau.astype(float), space.valid, index, dims, halves, groups)
         return rows, self.bidegree_labels(k, flavor)

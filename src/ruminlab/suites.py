@@ -1,54 +1,46 @@
 """The verification suites of `rumin verify` on the Reeb-sector stacks of every weight at once.
 
 Every identity that a suite checks is one between operators that commute with
-the Reeb field, so each operator is block diagonal over the Reeb sectors, and
-an identity holds on a weight block exactly when it holds on every sector of
-that block.  The bodies here are the suites of `spectral` as batched
-expressions on `Assembly.sector_stacks` (`sectors.SectorStacks`): a residual
-max |entry| of a block is the largest over the block's sectors
-(`SectorStacks._weight_max`), and a Frobenius norm sums over them.  No matrix
-of a whole weight block is formed, and no `BlockContext` with a block is built.
+the Reeb field, so it holds on a weight block exactly when it holds on every
+Reeb sector of that block.  The bodies here are the suites of `spectral` as
+batched expressions on `Assembly.sector_stacks` (`sectors.SectorStacks`): a
+residual max |entry| of a block is the largest over the block's sectors
+(`SectorStacks._weight_max`), and a Frobenius norm sums over them.
+
+Every stack is real, and its operator is its phase, 1 or i, times it (see
+`sectors`): a product multiplies the phases, so the square of an operator of
+phase i is minus the square of its stack, and its adjoint is minus the
+transpose (`_t`).  Each identity is written on the stacks with those signs;
+where only the magnitude of a residual is read, a sign common to all its
+terms is dropped.  The fiber tables lift with the phases of `FIBER_PHASE`;
+J mixes both phases and is applied as its real and imaginary parts.
 
 The subspace steps (harmonic kernels, images, null spaces, intersections and
-joint kernels) are stacked per-sector `eigh` and SVD calls, one per group of
-sectors with equally many valid rows and columns (`_groups`), so the zero
-padding of a stack never enters a decomposition.  A subspace is a
+joint kernels) are real stacked per-sector `eigh` and SVD calls, one per group
+of sectors with equally many valid rows and columns (`SectorStacks.groups`),
+so the zero padding never enters a decomposition.  A subspace is a
 `SectorBasis`: orthonormal columns on every sector, zero where unused.  Each
-relative cut takes its scale from the whole weight, the largest eigenvalue or
-singular value over the weight's sectors, which is the scale of the dense
-weight block; `SectorStacks.cohomology_dims` cuts the same way.  The harmonic
-kernels and the Rumin square root read the sector eigensolve of each
-Laplacian that the stacks keep (`SectorStacks.eigh`), which the joint
-eigenspaces of `Assembly.rumin_rows` read too, so a run diagonalizes each
-Laplacian once.
+relative cut takes its scale from the largest eigenvalue or singular value
+over the weight's sectors, the scale of the dense weight block.  The harmonic
+kernels and the Rumin square root read the eigensolve of each Laplacian that
+the stacks keep (`SectorStacks.eigh`), as `Assembly.rumin_rows` does, so a
+run diagonalizes each Laplacian once.
 
 The sec4 components are the joint (Delta, i L_T) eigenspaces of
-`Assembly.rumin_rows(n - 1)`, the rows that the Reeb decomposition of
-`torsion` solves, and each carries its sector on the axis of the stacks
-(`JointRows.sector`).  For n = 1 (the only frames with function blocks) that
-is degree 0, whose Rumin space has one fiber vector, so every component is
-one sector vector and every bi-positive W corner is that vector or empty: the
-per-vector sec4 families are computed for all corners at once.
+`Assembly.rumin_rows(n - 1)`, as `torsion` solves them, each with its sector
+(`JointRows.sector`).  For n = 1 (the only frames with function blocks) the
+degree-0 Rumin space has one fiber vector, so every component is one sector
+vector and every bi-positive W corner is that vector or empty: the per-vector
+sec4 families are computed for all corners at once.
 
-Quantities that several suites read (harmonic kernels, the lifted fiber
-tables, the horizontal split differentials and Lefschetz maps, the Rumin
-square root) are memoized in the stacks' memo with `_block_memo`, so `verify
---suite all` builds each once per run.  The first-order stacks they are built
-from (d, d0, dT, L_T and its Rumin compression `SectorStacks.lie_reeb_rumin`,
-the split halves of d_b and their Rumin compressions `SectorStacks.rumin_del`),
-the Laplacians and their eigensolves are kept in the same memo by
-`SectorStacks` itself,
-once `spectral._run_suite` has called `keep_first_order`; every suite and
-every composite of the stacks (d_b, the Rumin differentials, the Laplacians,
-the rank oracle) then reads one copy.
-
-Each check family reaches the report in one call: `_add` gives one name per
-weight (the pattern with its `{lbl}` replaced by the block label), the
-residual array of the family, one tolerance and, for the exact dimension
-checks, one detail per weight, to `VerificationReport.add_family`, which
-appends them to the report's columns.  The per-component families of sec4
-build their names from one tag per component, `[{lbl}]l=(lambda10,lambda01)`,
-and select their components with masks, so each family keeps component order.
+Quantities that several suites read are memoized in the stacks' memo with
+`_block_memo`, next to the first-order stacks, Laplacians and eigensolves
+that `SectorStacks` keeps once `spectral._run_suite` has called
+`keep_first_order`, so `verify --suite all` builds each once.  Each check
+family reaches the report in one `VerificationReport.add_family` call
+(`_add`: one name per weight, its `{lbl}` replaced by the block label); the
+per-component families of sec4 name each component `[{lbl}]l=(lambda10,
+lambda01)` and keep component order.
 """
 
 from __future__ import annotations
@@ -61,7 +53,7 @@ import numpy as np
 
 from .model import block_label
 from .operators import InternalConsistencyError, _block_memo
-from .sectors import SectorStacks, _adjoint, _eigh, _gather, _groups, _hermitized, _product, _scatter
+from .sectors import SectorStacks, _eigh, _gather, _groups, _hermitized, _product, _scatter, _t
 from .spectral import KERNEL_RELATIVE_TOL, Assembly, VerificationReport
 
 # -- subspaces on the sectors -------------------------------------------------------
@@ -94,7 +86,7 @@ def _svd_basis(stacks: SectorStacks, stack: np.ndarray, rows, cols, tol: float, 
     (`image`, as the dense `_image_basis` of `tests/dense_reference.py`), or the right singular
     vectors of the rest, the null space (as `operators._null_basis`)."""
     groups, top = [], np.zeros(rows.shape[1])
-    for sel, ri, ci in _groups(rows, cols):
+    for sel, ri, ci in stacks.groups(rows, cols):
         r, c = ri.shape[1], ci.shape[1]
         if r and c:
             u, s, vh = np.linalg.svd(_gather(stack, sel, ri, ci))
@@ -105,7 +97,7 @@ def _svd_basis(stacks: SectorStacks, stack: np.ndarray, rows, cols, tol: float, 
         groups.append((sel, ri, ci, u, s, vh))
     cut = tol * np.maximum(1.0, _per_weight(stacks, top, np.maximum))[stacks.owner]
     f = rows.shape[0] if image else cols.shape[0]
-    vectors, used = np.zeros((f, f, rows.shape[1]), dtype=complex), np.zeros((f, rows.shape[1]), dtype=bool)
+    vectors, used = np.zeros((f, f, rows.shape[1])), np.zeros((f, rows.shape[1]), dtype=bool)
     for sel, ri, ci, u, s, vh in groups:
         rank = np.sum(s > cut[sel][:, None], axis=1)
         if image:
@@ -113,7 +105,7 @@ def _svd_basis(stacks: SectorStacks, stack: np.ndarray, rows, cols, tol: float, 
             _scatter(vectors, sel, ri, u * keep[:, None, :])
         else:
             keep = np.arange(ci.shape[1])[None, :] >= rank[:, None]
-            _scatter(vectors, sel, ci, vh.conj().transpose(0, 2, 1) * keep[:, None, :])
+            _scatter(vectors, sel, ci, vh.transpose(0, 2, 1) * keep[:, None, :])
         used[: keep.shape[1], sel] = keep.T
     return SectorBasis(vectors, used)
 
@@ -133,7 +125,7 @@ def _scaled_stack(stacks: SectorStacks, mats: Sequence[np.ndarray]) -> np.ndarra
 def _intersection(stacks: SectorStacks, bases: Sequence[SectorBasis], valid: np.ndarray, tol: float = 1e-9):
     """The dense `_subspace_intersection` of `tests/dense_reference.py` on every sector: the
     joint null space of the projectors onto the complements."""
-    mats = [_identity(valid) - _product(b.vectors, _adjoint(b.vectors)) for b in bases]
+    mats = [_identity(valid) - _product(b.vectors, _t(b.vectors)) for b in bases]
     return _svd_basis(stacks, _scaled_stack(stacks, mats), np.concatenate([valid] * len(mats)), valid, tol, False)
 
 
@@ -142,7 +134,7 @@ def _principal_sines(stacks: SectorStacks, u: SectorBasis, v: SectorBasis) -> np
     du, dv = _dims(stacks, u), _dims(stacks, v)
     top = np.zeros(u.used.shape[1])
     for a, b in ((u.vectors, v.vectors), (v.vectors, u.vectors)):
-        r = b - _product(a, _adjoint(a), b)
+        r = b - _product(a, _t(a), b)
         if r.any():  # a zero stack has norm 0 on every sector; its SVDs would only confirm that
             top = np.maximum(top, np.linalg.norm(r, 2, axis=(0, 1)))  # the largest singular value
     return np.where(du != dv, 1.0, np.where(du == 0, 0.0, _per_weight(stacks, top, np.maximum)))
@@ -157,25 +149,32 @@ def _joint_kernel_dims(stacks: SectorStacks, mats: Sequence[np.ndarray], valid: 
     return _per_weight(stacks, valid.sum(axis=0) - rank)
 
 
-def _norms(stacks: SectorStacks, stack: np.ndarray) -> np.ndarray:
-    """The Frobenius norm of a stack on every weight."""
-    return np.sqrt(_per_weight(stacks, np.sum(np.abs(stack) ** 2, axis=(0, 1))))
+def _norms(stacks: SectorStacks, *parts: np.ndarray) -> np.ndarray:
+    """The Frobenius norm on every weight of the stack with these real parts (real, imaginary)."""
+    return np.sqrt(_per_weight(stacks, sum(np.sum(part**2, axis=(0, 1)) for part in parts)))
 
 
 # -- shared quantities ----------------------------------------------------------------
 
 
 def _zeros(stacks: SectorStacks, rows: int, cols: int) -> np.ndarray:
-    return np.zeros((rows, cols, stacks.m.size), dtype=complex)
+    return np.zeros((rows, cols, stacks.m.size))
+
+
+FIBER_PHASE = {"iota": 1, "theta": 1, "lam": 1j, "lef": 1j, "star": 1j}  # and jact, see `_fiber`
 
 
 @_block_memo
-def _fiber(stacks: SectorStacks, name: str, k: int, k_out: int) -> np.ndarray:
-    """The fiber table `name` of degree k, lifted between the full spaces of degrees k and k_out;
-    no rows when k_out lies outside the complex.  Kept for the run: the suites read each many times."""
+def _fiber(stacks: SectorStacks, name: str, k: int, k_out: int, imag: bool = False) -> np.ndarray:
+    """The fiber table `name` of degree k, lifted between the full spaces of degrees k and k_out, as
+    a real stack of phase `FIBER_PHASE[name]` (J, `jact`, mixes both: its real part, or its
+    imaginary part if `imag`); no rows when k_out lies outside the complex.  Kept for the run."""
     if not 0 <= k_out <= stacks.Dmax:
         return _zeros(stacks, 0, stacks.space(k).dim)
-    return stacks._fiber_op(stacks.fibers._fiber(name, k), k_out, k)
+    fib = stacks.fibers._fiber(name, k)
+    if name == "jact":
+        return stacks._fiber_op(fib.imag if imag else fib.real, k_out, k)
+    return stacks._fiber_op(fib, k_out, k, FIBER_PHASE[name])
 
 
 @_block_memo
@@ -222,7 +221,7 @@ def _sqrt_rumin_laplacian(stacks: SectorStacks, k: int) -> np.ndarray:
     low, high = _per_weight(stacks, w.min(axis=0), np.minimum), stacks._weight_max(w)
     if np.any(low < -1e-10 * np.maximum(1.0, high)):
         raise InternalConsistencyError("matrix is not positive semidefinite")
-    return _product(q * np.sqrt(np.clip(w, 0.0, None))[None], _adjoint(q))
+    return _product(q * np.sqrt(np.clip(w, 0.0, None))[None], _t(q))
 
 
 @_block_memo
@@ -285,20 +284,20 @@ def check_hodge_block_matrix(asm: Assembly, report: VerificationReport, tol: flo
         if eh.shape[1]:
             lt = _horizontal_reeb(stacks, k)
             lam = _horizontal_lefschetz(stacks, k - 2)
-            top = stacks.laplacian("delta-b", k) - _product(lt, lt) + _product(lam, _adjoint(lam))
-            approx += _product(eh, top, _adjoint(eh))
+            top = stacks.laplacian("delta-b", k) + _product(lt, lt) + _product(lam, _t(lam))  # L_T^2 = -lt lt
+            approx += _product(eh, top, _t(eh))
         if k >= 1:
             ev = _product(_fiber(stacks, "theta", k - 1, k), stacks.embed(k - 1, "horizontal"))
             if ev.shape[1]:
                 lt = _horizontal_reeb(stacks, k - 1)
                 lef = _horizontal_lefschetz(stacks, k - 1)
-                bot = stacks.laplacian("delta-b", k - 1) - _product(lt, lt) + _product(_adjoint(lef), lef)
-                approx += _product(ev, bot, _adjoint(ev))
+                bot = stacks.laplacian("delta-b", k - 1) + _product(lt, lt) + _product(_t(lef), lef)
+                approx += _product(ev, bot, _t(ev))
             if eh.shape[1] and ev.shape[1]:
                 dl = _horizontal_del(stacks, k - 1, False)
                 dlb = _horizontal_del(stacks, k - 1, True)
-                approx += _product(eh, 1j * dl - 1j * dlb, _adjoint(ev))
-                approx += _product(ev, -1j * _adjoint(dl) + 1j * _adjoint(dlb), _adjoint(eh))
+                approx += _product(eh, dlb - dl, _t(ev))  # i del - i delbar
+                approx += _product(ev, _t(dlb - dl), _t(eh))  # its adjoint
         _add(report, f"hodge_block_matrix[{{lbl}}]k={k}", stacks, stacks._weight_max(full - approx), tol)
 
 
@@ -313,7 +312,7 @@ def check_star_symmetry(asm: Assembly, report: VerificationReport, tol: float):
         a, b = stacks.laplacian("delta-rn", k), stacks.laplacian("delta-rn", top - k)
         eye = _identity(stacks.space(k, "rumin").valid)
         _add(report, f"star_intertwines[{{lbl}}]k={k}", stacks, wmax(_product(star, a) - _product(b, star)), tol)
-        _add(report, f"star_isometry[{{lbl}}]k={k}", stacks, wmax(_product(_adjoint(star), star) - eye), tol)
+        _add(report, f"star_isometry[{{lbl}}]k={k}", stacks, wmax(_product(_t(star), star) - eye), tol)
 
 
 def check_kernel_coincidence(asm: Assembly, report: VerificationReport, dims: Counter, angle_tol: float, tol: float):
@@ -339,9 +338,9 @@ def check_kernel_coincidence(asm: Assembly, report: VerificationReport, dims: Co
             continue
         horizontal = stacks.embed(k, "horizontal")
         steps = (
-            ("step_db_adjoint", wmax(_product(_adjoint(stacks.db(k - 1)), phi)) if k >= 1 else np.zeros(r.size)),
+            ("step_db_adjoint", wmax(_product(_t(stacks.db(k - 1)), phi)) if k >= 1 else np.zeros(r.size)),
             ("step_trace_db", wmax(_product(_fiber(stacks, "lam", k + 1, k - 1), stacks.db(k), phi))),
-            ("step_horizontal_laplacian", wmax(_product(stacks.laplacian("delta-b", k), _adjoint(horizontal), phi))),
+            ("step_horizontal_laplacian", wmax(_product(stacks.laplacian("delta-b", k), _t(horizontal), phi))),
             ("step_reeb_derivative", wmax(_product(stacks.lie_reeb(k), phi))),
         )
         for name, values in steps:
@@ -367,10 +366,11 @@ def check_primitivity(asm: Assembly, report: VerificationReport, tol: float):
         if k >= n + 1:
             rows.append(("theta_wedge_vanishes", wmax(_product(_fiber(stacks, "theta", k, k + 1), phi))))
             rows.append(("lefschetz_vanishes", wmax(_product(_fiber(stacks, "lef", k, k + 2), phi))))
-        jphi = _product(_fiber(stacks, "jact", k, k), phi)
-        rows.append(("j_preserves_harmonics", wmax(_product(stacks.laplacian("delta-dr", k), jphi))))
+        jphi = [_product(_fiber(stacks, "jact", k, k, imag), phi) for imag in (False, True)]  # J phi, re and im
+        lap_jphi = [_product(stacks.laplacian("delta-dr", k), part) for part in jphi]
+        rows.append(("j_preserves_harmonics", wmax(np.hypot(*lap_jphi))))
         # Frobenius norms over the r copies of the slot carry a factor sqrt(r)
-        rows.append(("j_is_isometry_on_harmonics", np.sqrt(r) * np.abs(_norms(stacks, jphi) - _norms(stacks, phi))))
+        rows.append(("j_is_isometry_on_harmonics", np.sqrt(r) * np.abs(_norms(stacks, *jphi) - _norms(stacks, phi))))
         for name, values in rows:
             _add(report, f"{name}[{{lbl}}]k={k}", stacks, values, tol, harmonic)
 
@@ -394,7 +394,7 @@ def check_deformation_family(asm: Assembly, report: VerificationReport, t_sample
                 rows.append((f"piecewise_{nm}[{{lbl}}]k={k}", _product(getattr(stacks, nm)(k), phi)))
             for nm in ("d0", "db", "dT") if k > 0 else ():
                 down = getattr(stacks, nm)(k - 1)
-                rows.append((f"piecewise_{nm}_adjoint[{{lbl}}]k={k}", _product(_adjoint(down), phi)))
+                rows.append((f"piecewise_{nm}_adjoint[{{lbl}}]k={k}", _product(_t(down), phi)))
             for t, lap in zip(t_samples, laps):
                 rows.append((f"deformed_kills_harmonic[{{lbl}}]k={k},t={t}", _product(lap, phi)))
             for name, value in rows:
@@ -412,16 +412,17 @@ def check_sasakian_identities(asm: Assembly, report: VerificationReport, tol: fl
     dl = lambda q: _horizontal_del(stacks, q, False)
     dlb = lambda q: _horizontal_del(stacks, q, True)
     lef = lambda q: _horizontal_lefschetz(stacks, q)
-    lam = lambda q: _adjoint(_horizontal_lefschetz(stacks, q - 2))
+    lam = lambda q: _t(_horizontal_lefschetz(stacks, q - 2))  # minus the stack of Lambda
     for q in range(0, 2 * n + 1):
-        # metric adjoints of the split halves via Lefschetz commutators
-        r1 = _adjoint(dl(q - 1)) - 1j * (_product(lam(q + 1), dlb(q)) - _product(dlb(q - 2), lam(q)))
-        r2 = _adjoint(dlb(q - 1)) + 1j * (_product(lam(q + 1), dl(q)) - _product(dl(q - 2), lam(q)))
-        r3 = dl(q) - 1j * (_product(lef(q - 1), _adjoint(dlb(q - 1))) - _product(_adjoint(dlb(q + 1)), lef(q)))
-        r4 = dlb(q) + 1j * (_product(lef(q - 1), _adjoint(dl(q - 1))) - _product(_adjoint(dl(q + 1)), lef(q)))
+        # metric adjoints of the split halves via Lefschetz commutators: the stacks (up to sign) of
+        # del* - i[Lambda, delbar], delbar* + i[Lambda, del], del - i[L, delbar*], delbar + i[L, del*]
+        r1 = _t(dl(q - 1)) + _product(lam(q + 1), dlb(q)) - _product(dlb(q - 2), lam(q))
+        r2 = _t(dlb(q - 1)) - _product(lam(q + 1), dl(q)) + _product(dl(q - 2), lam(q))
+        r3 = dl(q) - _product(lef(q - 1), _t(dlb(q - 1))) + _product(_t(dlb(q + 1)), lef(q))
+        r4 = dlb(q) + _product(lef(q - 1), _t(dl(q - 1))) - _product(_t(dl(q + 1)), lef(q))
         # graded commutators of the split halves vanish
-        anti1 = _product(dl(q - 1), _adjoint(dlb(q - 1))) + _product(_adjoint(dlb(q)), dl(q))
-        anti2 = _product(dlb(q - 1), _adjoint(dl(q - 1))) + _product(_adjoint(dl(q)), dlb(q))
+        anti1 = _product(dl(q - 1), _t(dlb(q - 1))) + _product(_t(dlb(q)), dl(q))
+        anti2 = _product(dlb(q - 1), _t(dl(q - 1))) + _product(_t(dl(q)), dlb(q))
         for name, value in (
             ("adjoint_del", r1), ("adjoint_delbar", r2), ("del_from_lefschetz", r3),
             ("delbar_from_lefschetz", r4), ("graded_del_delbar", anti1), ("graded_delbar_del", anti2),
@@ -429,14 +430,14 @@ def check_sasakian_identities(asm: Assembly, report: VerificationReport, tol: fl
             _add(report, f"{name}[{{lbl}}]q={q}", stacks, wmax(value), tol)
     # projected halves on the Rumin spaces, degrees <= n
     for k in range(0, n + 1):
-        anti = _product(_adjoint(stacks.rumin_del(k, True)), stacks.rumin_del(k, False))
+        anti = _product(_t(stacks.rumin_del(k, True)), stacks.rumin_del(k, False))
         if k >= 1:
-            anti = anti + _product(stacks.rumin_del(k - 1, False), _adjoint(stacks.rumin_del(k - 1, True)))
+            anti = anti + _product(stacks.rumin_del(k - 1, False), _t(stacks.rumin_del(k - 1, True)))
         _add(report, f"graded_rumin_halves[{{lbl}}]k={k}", stacks, wmax(anti), tol)
     for k in range(0, n):
         lap10, lap01 = stacks.half_laplacian(k, False), stacks.half_laplacian(k, True)
         root = _sqrt_rumin_laplacian(stacks, k)
-        ilt = 1j * stacks.lie_reeb_rumin(k)
+        ilt = -stacks.lie_reeb_rumin(k)  # i L_T
         _add(report, f"sqrt_splits[{{lbl}}]k={k}", stacks, wmax(root - lap10 - lap01), tol)
         _add(report, f"reeb_is_half_difference[{{lbl}}]k={k}", stacks, wmax(ilt - (lap01 - lap10)), tol)
         commute = _product(lap10, lap01) - _product(lap01, lap10)
@@ -446,8 +447,8 @@ def check_sasakian_identities(asm: Assembly, report: VerificationReport, tol: fl
 
 
 def _column_norms(vectors: np.ndarray) -> np.ndarray:
-    """The norm of every column of an (f, N) array."""
-    return np.sqrt(np.sum(np.abs(vectors) ** 2, axis=0))
+    """The norm of every column of a real (f, N) array."""
+    return np.sqrt(np.sum(vectors**2, axis=0))
 
 
 def check_eigenvalue_identity(asm: Assembly, report: VerificationReport, tol_rel: float, tol: float):
@@ -468,11 +469,11 @@ def check_eigenvalue_identity(asm: Assembly, report: VerificationReport, tol_rel
     low, mid = stacks.space(n - 1, "rumin").valid, stacks.space(n, "rumin").valid
     lap_mid = stacks.laplacian("delta-rn", n)
     dmid = stacks.middle_operator()
-    dd = _product(_adjoint(dmid), dmid)
-    ilt_mid = 1j * stacks.lie_reeb_rumin(n)
+    dd = _product(_t(dmid), dmid)
+    ilt_mid = -stacks.lie_reeb_rumin(n)  # i L_T
     img = _svd_basis(stacks, np.concatenate([up, upb], axis=1), mid, np.concatenate([low, low]), 1e-9, image=True)
-    sub = _hermitized(_product(_adjoint(img.vectors), lap_mid, img.vectors), "operator")
-    w, _, used = _eigh(sub, img.used)
+    sub = _hermitized(_product(_t(img.vectors), lap_mid, img.vectors), "operator")
+    w, _, used = _eigh(sub, img.used, _groups(img.used, img.used))
     counts = np.where(l10 > tol, 1, 0) + np.where(l01 > tol, 1, 0)
     for i, (lbl, r) in enumerate(zip(labels, asm.multiplicity)):
         lo, hi = stacks.starts[i], stacks.starts[i + 1]
@@ -497,9 +498,10 @@ def check_eigenvalue_identity(asm: Assembly, report: VerificationReport, tol_rel
         )
 
     # normalized-pair analysis: a one-sided corner is its component's sector vector, a bi-positive
-    # W corner that vector when both adjoint images contain it
-    in_up = _svd_basis(stacks, _adjoint(up), low, mid, 1e-9, image=True).used[0]
-    in_upb = _svd_basis(stacks, _adjoint(upb), low, mid, 1e-9, image=True).used[0]
+    # W corner that vector when both adjoint images contain it; dpsi and dbpsi are -i times the
+    # images, a factor that no residual below reads
+    in_up = _svd_basis(stacks, _t(up), low, mid, 1e-9, image=True).used[0]
+    in_upb = _svd_basis(stacks, _t(upb), low, mid, 1e-9, image=True).used[0]
     dpsi, dbpsi = up[:, 0, sector], upb[:, 0, sector]
     n10, n01 = _column_norms(dpsi), _column_norms(dbpsi)
     bi = (l10 > tol) & (l01 > tol)
@@ -509,9 +511,7 @@ def check_eigenvalue_identity(asm: Assembly, report: VerificationReport, tol_rel
         psi10, psi01 = dpsi / n10, dbpsi / n01
         vplus = np.sqrt(l10) * psi10 + np.sqrt(l01) * psi01
         vminus = np.sqrt(l01) * psi10 - np.sqrt(l10) * psi01
-        lam_t = -np.real(np.einsum("is,ijs,js->s", vminus.conj(), ilt_mid[:, :, sector], vminus)) / np.real(
-            np.sum(vminus.conj() * vminus, axis=0)
-        )
+        lam_t = -np.einsum("is,ijs,js->s", vminus, ilt_mid[:, :, sector], vminus) / np.sum(vminus**2, axis=0)
         a_const, b_const = lam_t - 2 * l10, lam_t + 2 * l01
         target = (a_const**2 * l01 + b_const**2 * l10) / (l10 + l01)
         apply = lambda mat, v: np.einsum("ijs,js->is", mat[:, :, sector], v)
@@ -563,20 +563,20 @@ def check_middle_degree(asm: Assembly, report: VerificationReport, tol: float):
     low, mid = stacks.space(n - 1, "rumin").valid, stacks.space(n, "rumin").valid
     lap_mid = stacks.laplacian("delta-rn", n)
     lt = stacks.lie_reeb_rumin(n)
-    square = lap_mid + _product(lt, lt)
-    codifferentials = np.concatenate([_adjoint(up), _adjoint(upb)])
+    square = lap_mid - _product(lt, lt)  # Delta + L_T^2, with L_T of phase i
+    codifferentials = np.concatenate([_t(up), _t(upb)])  # minus the stacks of their adjoints
     coexact = _svd_basis(stacks, codifferentials, np.concatenate([low, low]), mid, 1e-10, image=False)
     has = _dims(stacks, coexact) > 0
     if has.any():
         c = coexact.vectors
         dmid = stacks.middle_operator()
-        dd = _product(_adjoint(dmid), dmid)
+        dd = _product(_t(dmid), dmid)
         _add(report, "coexact_reeb_square[{lbl}]", stacks, wmax(_product(square, c)), tol, has)
-        _add(report, "coexact_middle_square[{lbl}]", stacks, wmax(_product(dd + _product(lt, lt), c)), tol, has)
+        _add(report, "coexact_middle_square[{lbl}]", stacks, wmax(_product(dd - _product(lt, lt), c)), tol, has)
         _add(report, "coexact_two_routes[{lbl}]", stacks, wmax(_product(lap_mid - dd, c)), tol, has)
         # Reeb eigenspace slices carry nu^2
-        sub = _hermitized(_product(_adjoint(c), 1j * lt, c), "operator")
-        w, q, used = _eigh(sub, coexact.used)
+        sub = _hermitized(-_product(_t(c), lt, c), "operator")  # i L_T on the coexact space
+        w, q, used = _eigh(sub, coexact.used, _groups(coexact.used, coexact.used))
         vec = _product(c, q)
         nu2 = w**2
         resid = np.max(np.abs(_product(lap_mid, vec) - nu2[None] * vec), axis=0) / np.maximum(1.0, nu2)
@@ -584,7 +584,7 @@ def check_middle_degree(asm: Assembly, report: VerificationReport, tol: float):
     # one-sided kernels of the half Laplacians below the middle degree; each component is one sector vector
     owner, sector, l10, l01 = _low_components(asm)
     lap_low, lt_low = stacks.laplacian("delta-rn", n - 1), stacks.lie_reeb_rumin(n - 1)
-    values = np.abs((lap_low + _product(lt_low, lt_low))[0, 0, sector])
+    values = np.abs((lap_low - _product(lt_low, lt_low))[0, 0, sector])
     worst = np.zeros(stacks.weights.size)
     np.maximum.at(worst, owner, np.where((l10 <= tol) != (l01 <= tol), values, 0.0))
     _add(report, f"one_sided_laplacian_reeb_square[{{lbl}}]k={n - 1}", stacks, worst, tol)

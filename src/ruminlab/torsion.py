@@ -251,7 +251,7 @@ def _add_reeb_slices(report: TorsionReport, labels: Sequence[str], multiplicity:
         boxes = np.zeros((3, rows.tau.size))  # per sector: sum, difference and commutator residuals
         for sel, cols, q, (boxbar, box) in joint.sector_blocks(*rows.halves[:2]):  # (Delta_del, Delta_delbar)
             root = roots[component[cols]][:, None, :]
-            sqrt_delta = (q * root) @ q.conj().transpose(0, 2, 1)  # q diag(sqrt(Delta)) q^* on each sector
+            sqrt_delta = (q * root) @ q.transpose(0, 2, 1)  # q diag(sqrt(Delta)) q^T on each real sector
             reeb = rows.tau[sel][:, None, None] * np.eye(q.shape[1])  # i L_T on each sector
             for out, resid in zip(boxes, (box + boxbar - sqrt_delta, box - boxbar - reeb, box @ boxbar - boxbar @ box)):
                 out[sel] = np.abs(resid).max(axis=(1, 2))

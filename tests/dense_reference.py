@@ -16,12 +16,14 @@ that `verify` ran on the dense weight blocks, one block at a time
 (`dense_run_suite`).
 """
 
+import inspect
 import math
 from collections import Counter
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from ruminlab import spectral
 from ruminlab.operators import (
     BlockContext,
     InternalConsistencyError,
@@ -227,26 +229,31 @@ def dense_run_suite(asm: Assembly, suite: str, cfg, keep_memos: bool = False) ->
     tol = cfg.tol
     params = {"model": asm.model.describe(), "max_weight": asm.max_weight, "tol": tol}
     report = VerificationReport(f"suite:{suite}", params)
-    residual_tol = lambda default: default if tol is None else tol
+    default = lambda fn, name: inspect.signature(fn).parameters[name].default  # stated once, in `spectral`
+    residual_tol = lambda fn, name="tol": default(fn, name) if tol is None else tol  # what `--tol` overrides
     selected = lambda name: suite in (name, "all")
     dims = Counter()  # harmonic kernel dimensions of thm1, for the rank oracle
     for ctx in asm.contexts:
         try:
             if selected("thm1"):
-                check_kernel_coincidence(ctx, report, dims, tol=residual_tol(1e-10))
+                angle_tol = default(spectral.verify_kernel_coincidence, "angle_tol")
+                check_kernel_coincidence(ctx, report, dims, angle_tol, residual_tol(spectral.verify_kernel_coincidence))
             if selected("cor2"):
-                check_primitivity(ctx, report, tol=residual_tol(1e-10))
+                check_primitivity(ctx, report, tol=residual_tol(spectral.verify_primitivity))
             if selected("cor3"):
-                check_deformation_family(ctx, report, tuple(cfg.t_samples), tol=residual_tol(1e-10))
+                cor3_tol = residual_tol(spectral.verify_deformation_family)
+                check_deformation_family(ctx, report, tuple(cfg.t_samples), tol=cor3_tol)
             if selected("sec4"):
                 components = low_degree_components(asm, ctx)
-                check_sasakian_identities(ctx, report, tol=residual_tol(1e-11))
-                check_eigenvalue_identity(ctx, report, components, tol_rel=residual_tol(1e-9))
-                check_middle_degree(ctx, report, components, tol=residual_tol(1e-10))
+                check_sasakian_identities(ctx, report, tol=residual_tol(spectral.verify_sasakian_identities))
+                law = spectral.verify_eigenvalue_identity
+                check_eigenvalue_identity(ctx, report, components, residual_tol(law, "tol_rel"), default(law, "tol"))
+                check_middle_degree(ctx, report, components, tol=residual_tol(spectral.verify_middle_degree))
             if suite == "all":
-                check_complex_property(ctx, report, tol=residual_tol(1e-12))
-                check_hodge_block_matrix(ctx, report, tol=residual_tol(1e-12))
-                check_star_symmetry(ctx, report, tol=residual_tol(1e-10))
+                t_complex = default(spectral.verify_complex_property, "t_samples")
+                check_complex_property(ctx, report, t_complex, residual_tol(spectral.verify_complex_property))
+                check_hodge_block_matrix(ctx, report, tol=residual_tol(spectral.verify_hodge_block_matrix))
+                check_star_symmetry(ctx, report, tol=residual_tol(spectral.verify_star_symmetry))
         finally:
             if not keep_memos:
                 ctx._cache.clear()
@@ -264,7 +271,7 @@ def low_degree_components(asm: Assembly, ctx: BlockContext) -> List[Tuple[QCompo
 
 
 def check_complex_property(
-    ctx: BlockContext, report: VerificationReport, t_samples=(0.0, 0.37, 1.0, 2.0), tol: float = 1e-12
+    ctx: BlockContext, report: VerificationReport, t_samples: Sequence[float], tol: float
 ):
     """The checks of `spectral.verify_complex_property` on one block, added to `report`."""
     lbl = ctx.block.label
@@ -307,7 +314,7 @@ def _horizontal_lefschetz(ctx: BlockContext, k: int) -> np.ndarray:
     ).matrix
 
 
-def check_sasakian_identities(ctx: BlockContext, report: VerificationReport, tol: float = 1e-11):
+def check_sasakian_identities(ctx: BlockContext, report: VerificationReport, tol: float):
     """The checks of `spectral.verify_sasakian_identities` on one block, added to `report`."""
     n = ctx.n
     lbl = ctx.block.label
@@ -354,7 +361,7 @@ def check_sasakian_identities(ctx: BlockContext, report: VerificationReport, tol
     report.add(f"middle_operator_two_forms[{lbl}]", max_abs(d0m - d1m), tol)
 
 
-def check_hodge_block_matrix(ctx: BlockContext, report: VerificationReport, tol: float = 1e-12):
+def check_hodge_block_matrix(ctx: BlockContext, report: VerificationReport, tol: float):
     """The checks of `spectral.verify_hodge_block_matrix` on one block, added to `report`."""
     lbl = ctx.block.label
     for k in range(ctx.Dmax + 1):
@@ -387,7 +394,7 @@ def check_hodge_block_matrix(ctx: BlockContext, report: VerificationReport, tol:
 
 
 def check_kernel_coincidence(
-    ctx: BlockContext, report: VerificationReport, dims: Counter, angle_tol: float = 1e-8, tol: float = 1e-10
+    ctx: BlockContext, report: VerificationReport, dims: Counter, angle_tol: float, tol: float
 ):
     """The per-block checks of `spectral.verify_kernel_coincidence`, added to `report`.
 
@@ -428,7 +435,7 @@ def check_kernel_coincidence(
             report.add(f"step_reeb_derivative[{lbl}]k={k}", max_abs(ctx.lie_reeb_full(k) @ phi), tol)
 
 
-def check_primitivity(ctx: BlockContext, report: VerificationReport, tol: float = 1e-10):
+def check_primitivity(ctx: BlockContext, report: VerificationReport, tol: float):
     """The checks of `spectral.verify_primitivity` on one block, added to `report`."""
     n = ctx.n
     lbl = ctx.block.label
@@ -455,7 +462,7 @@ def check_primitivity(ctx: BlockContext, report: VerificationReport, tol: float 
 
 
 def check_deformation_family(
-    ctx: BlockContext, report: VerificationReport, t_samples=(0.1, 1.0, 10.0), tol: float = 1e-10
+    ctx: BlockContext, report: VerificationReport, t_samples: Sequence[float], tol: float
 ):
     """The checks of `spectral.verify_deformation_family` on one block, added to `report`; every t must be positive."""
     lbl = ctx.block.label
@@ -510,7 +517,7 @@ def _subspace_intersection(bases: Sequence[np.ndarray], tol: float = 1e-9) -> np
 
 
 def check_eigenvalue_identity(
-    ctx: BlockContext, report: VerificationReport, components: Sequence, tol_rel: float = 1e-9, tol: float = 1e-10
+    ctx: BlockContext, report: VerificationReport, components: Sequence, tol_rel: float, tol: float
 ):
     """The checks of `spectral.verify_eigenvalue_identity` on one block, added to `report`; `components`
     is the block's `low_degree_components`."""
@@ -629,7 +636,7 @@ def check_eigenvalue_identity(
             )
 
 
-def check_middle_degree(ctx: BlockContext, report: VerificationReport, components: Sequence, tol: float = 1e-10):
+def check_middle_degree(ctx: BlockContext, report: VerificationReport, components: Sequence, tol: float):
     """The checks of `spectral.verify_middle_degree` on one block, added to `report`; `components` is the
     block's `low_degree_components`."""
     n = ctx.n
@@ -680,7 +687,7 @@ def check_middle_degree(ctx: BlockContext, report: VerificationReport, component
             report.add(f"one_sided_middle_reeb_square[{lbl}]anti={anti}", r, tol)
 
 
-def check_star_symmetry(ctx: BlockContext, report: VerificationReport, tol: float = 1e-10):
+def check_star_symmetry(ctx: BlockContext, report: VerificationReport, tol: float):
     """The checks of `spectral.verify_star_symmetry` on one block, added to `report`."""
     lbl = ctx.block.label
     for k in range(ctx.Dmax + 1):

@@ -369,10 +369,10 @@ def test_verify_all_computes_each_shared_quantity_once(capsys, monkeypatch):
     solved = calls.setdefault("Laplacian eigensolve", Counter())
     eigh = sectors._eigh
 
-    def sector_eigh(stack, valid):
+    def sector_eigh(stack, valid, groups):
         if id(stack) in laplacians:
             solved[laplacians[id(stack)]] += 1
-        return eigh(stack, valid)
+        return eigh(stack, valid, groups)
 
     for module in (sectors, rows, suites):
         monkeypatch.setattr(module, "_eigh", sector_eigh)
@@ -382,7 +382,7 @@ def test_verify_all_computes_each_shared_quantity_once(capsys, monkeypatch):
         "harmonic kernel": (suites._harmonic, lambda stacks, k, operator: (k, operator)),
         "Rumin square root": (suites._sqrt_rumin_laplacian, lambda stacks, k: k),
         "sec4 components": (suites._low_components, lambda asm, tol: tol),
-        "lifted fiber table": (suites._fiber, lambda stacks, name, k, k_out: (name, k, k_out)),
+        "lifted fiber table": (suites._fiber, lambda stacks, name, k, k_out, imag: (name, k, k_out, imag)),
     }
     for name in FIRST_ORDER:
         memos[name] = (getattr(SectorStacks, name), lambda stacks, *args: args)

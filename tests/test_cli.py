@@ -251,6 +251,20 @@ def test_parser_built_once_and_unchanged_by_a_usage_error(capsys):
     assert build_parser.cache_info().misses == 1
 
 
+@pytest.mark.parametrize("command", ["spectrum", "verify", "torsion"])
+def test_tol_help_names_the_bounds_it_leaves_alone(capsys, command):
+    """`--tol` overrides only the residual bounds of the suites; its help names the bounds that keep
+    their own value, as README does."""
+    with pytest.raises(SystemExit) as stop:
+        build_parser().parse_args([command, "--help"])
+    assert stop.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    start = text.index("--tol TOL override the residual bound of every verify suite")  # past the usage line
+    tol_help = text[start : text.index("--format", start)]
+    for bound in ("thm1 angle bound", "zero threshold of the sec4 eigenvalue law", "thm5 torsion checks"):
+        assert bound in tol_help, bound
+
+
 def test_config_file_precedence(tmp_path, capsys):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps({"model": "lens", "p": 2, "character": 1, "max_weight": 3}))

@@ -14,12 +14,13 @@ from dense_reference import (
     operator_pair,
     spectrum_degrees,
 )
-from ruminlab import operators
+from ruminlab import cli, operators
 from ruminlab.model import lens_space, su2_block, su2_model
 from ruminlab.operators import BlockContext, InternalConsistencyError, max_abs
 from ruminlab.rows import solve_rows
 from ruminlab.sectors import SPECTRUM_FLAVOR, SectorStacks
 from ruminlab.spectral import Assembly, _reeb_sectors, principal_sines, q_decomposition
+from ruminlab.suites import FIBER_PHASE
 
 MAX_WEIGHT = 12
 T = 0.1
@@ -125,7 +126,95 @@ def test_bidegree_labels_follow_the_dense_basis_columns(op):
             assert np.sum(mask * np.abs(column) ** 2) == pytest.approx(1.0, abs=1e-12)
 
 
-def _spoiled_tables(frame, a: int, k: int, row: int, col: int, eps: float = 1e-9):
+full = lambda k: ((k + 1, "full"), (k, "full"))  # the (out, in) spaces of a map of full k-forms
+rumin = lambda k, out: ((out, "rumin"), (k, "rumin"))
+# memo name: (the phase of its stacks, its dense matrix on a block, its (out, in) spaces), from the memo's
+# arguments; the frame of every model is su2's, with n = 1
+DENSE_TWINS = {
+    "SectorStacks.d": (1j, lambda ctx, k: ctx.d_full(k), full),
+    "SectorStacks.d0": (1j, lambda ctx, k: ctx.d0_full(k), full),
+    "SectorStacks.dT": (1j, lambda ctx, k: ctx.dT_full(k), full),
+    "SectorStacks.db": (1j, lambda ctx, k: ctx.db_full(k), full),
+    "SectorStacks.split_db": (1j, lambda ctx, k, anti: ctx.del_full(k, anti), lambda k, anti: full(k)),
+    "SectorStacks.lie_reeb": (1j, lambda ctx, k: ctx.lie_reeb_full(k), lambda k: ((k, "full"), (k, "full"))),
+    "SectorStacks.lie_reeb_rumin": (1j, lambda ctx, k: ctx.lie_reeb_rumin(k).matrix, lambda k: rumin(k, k)),
+    "SectorStacks.rumin_d": (1j, lambda ctx, k: ctx.rumin_d(k).matrix, lambda k: rumin(k, k + 1)),
+    "SectorStacks.rumin_del": (
+        1j,
+        lambda ctx, k, anti: ctx.rumin_del(k, anti).matrix,
+        lambda k, anti: ((k + 1, "rumin" if k < 1 else "horizontal"), (k, "rumin")),  # n = 1
+    ),
+    "SectorStacks.middle_operator": (1j, lambda ctx, v: ctx.middle_operator(v).matrix, lambda v: rumin(1, 2)),
+    "SectorStacks.embed": (1, lambda ctx, k, fl: ctx.space(k, fl).embed, lambda k, fl: ((k, "full"), (k, fl))),
+    "SectorStacks.laplacian": (
+        1,
+        lambda ctx, op, k, t: operator_pair(ctx, op, k, t)[0],
+        lambda op, k, t: ((k, SPECTRUM_FLAVOR[op]),) * 2,
+    ),
+}
+
+
+def _dense_block(stacks, stack, out, inn, w: int) -> np.ndarray:
+    """The weight block of weights[w] of a sector stack between the spaces `out` and `inn`, in the
+    dense basis i*(m+1) + b: zero off the sectors."""
+    m, sel = int(stacks.weights[w]), slice(stacks.starts[w], stacks.starts[w + 1])
+    so, si = stacks.space(*out), stacks.space(*inn)
+    both = so.valid[:, None, sel] & si.valid[None, :, sel]
+    rows = (np.arange(so.dim)[:, None] * (m + 1) + so.slot[:, sel])[:, None, :]
+    cols = (np.arange(si.dim)[:, None] * (m + 1) + si.slot[:, sel])[None, :, :]
+    dense = np.zeros((so.dim * (m + 1), si.dim * (m + 1)))
+    dense[np.broadcast_to(rows, both.shape)[both], np.broadcast_to(cols, both.shape)[both]] = stack[:, :, sel][both]
+    return dense
+
+
+def _arrays(value):
+    """Every array inside a memoized value."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _arrays(item)
+    else:
+        for name in getattr(type(value), "__dataclass_fields__", ()):
+            yield from _arrays(getattr(value, name))
+
+
+@pytest.mark.parametrize("max_weight", [0, 3, MAX_WEIGHT])
+@pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+def test_every_stack_is_real_with_its_declared_phase(model, max_weight):
+    """After `verify --suite all` and every `spectrum` operator, every array that the stacks keep
+    is real, and every kept stack with a dense twin, times its phase, is that twin on every weight
+    block within 1e-12 of its largest entry; the lifted fiber tables likewise, with the table of J
+    split into its real and imaginary parts."""
+    asm = Assembly(model, max_weight)
+    cli.run_suite(asm, "all", cli.RunConfig())
+    stacks = asm.sector_stacks
+    for op in SPECTRUM_OPS:
+        for k in spectrum_degrees(op):
+            stacks.spectrum_rows(op, k, T)
+    compared = set()
+    for (name, args), value in stacks._cache.items():
+        for array in _arrays(value):
+            assert array.dtype.kind in "biuU" or array.dtype == np.float64, (name, args, array.dtype)
+        if name in DENSE_TWINS:
+            phase, twin, spaces = DENSE_TWINS[name]
+        elif name == "_fiber" and value.shape[0]:  # J mixes both phases: its two parts are lifted apart
+            fiber, k, k_out, imag = args
+            phase = 1 if fiber == "jact" else FIBER_PHASE[fiber]
+            part = (lambda a: a.imag if imag else a.real) if fiber == "jact" else (lambda a: a)
+            twin = lambda ctx, *_: part(ctx.lifted_fiber(fiber, k))
+            spaces = lambda *_: ((k_out, "full"), (k, "full"))
+        else:
+            continue
+        compared.add(name)
+        for w, m in enumerate(stacks.weights.tolist()):
+            want = twin(_context(m), *args)
+            got = phase * _dense_block(stacks, value, *spaces(*args), w)
+            assert max_abs(got - want) <= 1e-12 * max(1.0, max_abs(want)), (name, args, m)
+    assert compared == {*DENSE_TWINS, "_fiber"} or not max_weight and not stacks.weights.size
+
+
+def _spoiled_tables(frame, a: int, k: int, row: int, col: int, eps: complex = 1e-9):
     """Fiber tables of `frame` whose wedge fiber of field a in degree k has `eps` added at (row, col)."""
     tables: dict = {}
     ctx = BlockContext(frame, su2_block(0), tables)
@@ -148,6 +237,23 @@ def test_an_off_sector_wedge_fiber_entry_raises():
         spoiled.spectrum_rows("delta-dr", 1)
     # the same entry of the T wedge fiber shifts no slot and keeps its sector
     SectorStacks(frame, range(4), _spoiled_tables(frame, 0, 1, row, col)).spectrum_rows("delta-dr", 1)
+
+
+def test_a_wrong_phase_fiber_entry_raises():
+    """d has phase i: a 1e-9 entry of phase 1 in one of its fiber terms fails the build, in a sector
+    that the term keeps, while the same entry of phase i builds."""
+    frame = su2_model().frame
+    stacks = SectorStacks(frame, range(4))
+    rho_in, rho_out = stacks.space(1).rho, stacks.space(2).rho
+    # T acts through J_z, so its wedge fiber couples fiber vectors of equal Reeb weight, with coefficient 2i
+    row, col = next((o, i) for o in range(rho_out.size) for i in range(rho_in.size) if rho_out[o] == rho_in[i])
+    for eps in (1e-9j, 1e-9):  # times 2i: a real entry, then an imaginary one
+        spoiled = SectorStacks(frame, range(4), _spoiled_tables(frame, 0, 1, row, col, eps))
+        if eps == 1e-9j:
+            with pytest.raises(InternalConsistencyError, match="z term has an entry of the wrong phase"):
+                spoiled.d(1)
+        else:
+            assert spoiled.d(1).dtype == np.float64
 
 
 def test_spoiled_tables_leave_the_shared_tables_clean():
