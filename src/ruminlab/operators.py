@@ -25,9 +25,12 @@ the frame alone and live in one table dict per frame value and process
 an equal frame reads it, so each table is computed once per process, however
 many models and assemblies a run builds.  `sectors.SectorStacks` reads the
 same tables, so the dense blocks and its Reeb-sector stacks share one basis
-and one column order; every `rumin` command reads those stacks and builds no
-block context, so the dense blocks serve the library (`spectral.harmonic_bases`) and the tests, whose dense
-suite bodies are the reference for the sector route.  Block quantities live in
+and one column order, and keeps there, through `_frame_memo`, what it derives
+from the frame alone (the checked term plan of every stack, the Reeb weights,
+the bidegree labels and masks), so a private `tables` dict has private plans.
+Every `rumin` command reads those stacks and builds no block context, so the
+dense blocks serve the library (`spectral.harmonic_bases`) and the tests,
+whose dense suite bodies are the reference for the sector route.  Block quantities live in
 the context's own memo: every quantity that more than one call site needs
 (full-space matrices, the Rumin and horizontal operators and Laplacians, the
 Rumin square root, and through `_block_memo` in the spectral layer the

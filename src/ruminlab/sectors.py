@@ -14,12 +14,17 @@ frame field acts as c_z J_z + c_plus J_plus + c_minus J_minus,
 `model.field_ladder_coefficients`).  A term keeps the sectors exactly when F
 couples only fiber vectors whose weights differ by twice the slot shift of A
 (0, +1 or -1); an off-sector coefficient above `LEAK_TOL` raises.
+Everything about a term but its slot factor depends on the frame alone, so
+each operator's terms are checked once per frame and kept as its plan
+(`SectorStacks._plan`, in the frame tables of `operators.frame_tables`): per
+term, its slot factor and its real coefficient matrix, masked to its sectors.
 `SectorStacks` lays out the sectors (m, tau) of every nonempty weight m <= M
 once and holds each operator as one zero-padded (f_out, f_in, S) stack over
-all S sectors, the sector axis last.  A term is one multiply-add of its fiber
-table with a slot table of ladder radicands (`_slot_table`); products,
-adjoints and compressions onto subspaces (fiber basis (x) I, the bases of
-`BlockContext.space`, in the same column order) are one `einsum` each.
+all S sectors, the sector axis last.  A stack is one multiply-add per term of
+its plan: the coefficient (x) the table of the slot factor on the in-space,
+from the ladder radicands; products, adjoints and compressions onto
+subspaces (fiber basis (x) I, the bases of `BlockContext.space`, in the same
+column order) are one `einsum` each.
 
 Every stack is real (`float64`), and its operator is a fixed phase, 1 or i,
 times it: i for the first-order operators (d, d0, dT, d_b, d_t, the split
@@ -27,7 +32,7 @@ halves of d_b, L_T and its Rumin compression, the Rumin differentials and
 halves, and the middle operator), 1 for the embeddings and the (half)
 Laplacians.  A product multiplies the phases (i * i = -1 flips the sign of
 the stack), and the adjoint of a stack of phase i is minus its transpose
-(`_t`), so A* A has the stack A^T A for either phase.  `_stack` checks the
+(`_t`), so A* A has the stack A^T A for either phase.  `_plan` checks the
 phase of every term: an entry of the other phase above `LEAK_TOL` raises, as
 an off-sector entry does.  So every solve runs in real arithmetic.
 
@@ -49,7 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,6 +64,7 @@ from .operators import (
     InternalConsistencyError,
     StructuralError,
     _block_memo,
+    _frame_memo,
     _frozen,
     _memo_in,
     max_abs,
@@ -208,6 +214,15 @@ class SectorSpace:
         return self.rho.size
 
 
+def _slot_factor(space: SectorSpace, m: np.ndarray, factor: str, radicands: dict) -> np.ndarray:
+    """A slot-factor table of `SectorStacks._stack`, (f, S); pops the ladder radicand it reads."""
+    if factor in ("1", "z"):
+        values = 1.0 if factor == "1" else (2 * space.slot - m) / 2
+    else:
+        values = np.sqrt(np.maximum(radicands.pop(factor), 0))
+    return np.where(space.valid, values, 0.0)
+
+
 class SectorStacks:
     """The operators of `rumin spectrum`, the Reeb decomposition and the rank oracle on the Reeb
     sectors of every weight in `weights` (ascending, without repeats), as real stacks.
@@ -215,16 +230,19 @@ class SectorStacks:
     Sectors are ordered by weight, then by ascending tau; `m`, `tau` and `owner` (the position of
     the sector's weight in `weights`) are (S,) arrays, and the sectors of weights[w] are
     `starts[w]:starts[w + 1]`.  The fiber tables are those of the frame for the whole process
-    (`BlockContext`), or the private `tables` if given.  The layout (the spaces, their Reeb weights
-    and the `groups` of each pair of masks), the embeddings and the stacks that more than one
-    degree reads (d_b, the Rumin differentials, the middle operator) are memoized per instance.
-    The first-order stacks, the slot tables, the Laplacians and their eigensolves (`eigh`) are
-    rebuilt on every call, which keeps the peak memory of `spectrum` and `torsion` low, until
+    (`BlockContext`), or the private `tables` if given.  What depends on the frame alone is kept
+    in those tables too (`_frame_memo`): the Reeb weights of every space, the checked term plan of
+    every stack (`_plan`), the bidegree labels and the masks of `split_db`.  The layout (the
+    spaces and the `groups` of each pair of masks), the embeddings and the stacks that more than
+    one degree reads (d_b, the Rumin differentials, the middle operator) are memoized per
+    instance.  The first-order stacks, the Laplacians and their eigensolves (`eigh`) are rebuilt
+    on every call, which keeps the peak memory of `spectrum` and `torsion` low, until
     `keep_first_order` is called, as the `verify` suites do: then each is built once and kept.
     """
 
     def __init__(self, frame: FrameStructure, weights: Sequence[int], tables: Optional[Dict] = None):
         self.fibers = BlockContext(frame, None, tables)  # the fiber tables depend on the frame alone
+        self._tables = self.fibers._tables  # and so do the plans, Reeb weights, labels and masks here
         self.frame = frame
         self.n, self.Dmax = frame.n, frame.dim
         self.weights = np.asarray(weights, dtype=int)
@@ -242,9 +260,9 @@ class SectorStacks:
         self.owner = np.searchsorted(self.weights, self.m)
         self.starts = np.searchsorted(self.owner, np.arange(self.weights.size + 1))
 
-    # -- spaces -------------------------------------------------------------------
+    # -- frame tables: what depends on the frame alone ------------------------------------
 
-    @_block_memo
+    @_frame_memo
     def _reeb_weights(self, k: int, flavor: str) -> np.ndarray:
         """The integer Reeb weight of every fiber vector of the degree-k space `flavor`."""
         fib = self.fibers.space_fiber(k, flavor)
@@ -253,6 +271,79 @@ class SectorStacks:
         if max_abs(w - rho) > LEAK_TOL:
             raise InternalConsistencyError(f"a degree-{k} {flavor} fiber vector has no integer Reeb weight")
         return rho
+
+    def _terms(self, op: str, k: int, arg):
+        """The fiber (x) slot terms (F, factor) of the stack `op` in degree k, in summation order, the
+        (k, flavor) keys of its out and in spaces, and its phase.  `op` is "d", "lie_reeb", "d0",
+        "embed" (of the flavor `arg`), "lefschetz_inverse" (L^-1 from degree k = n + 1), or a table
+        of `BlockContext._fiber` with arg = (k_out, phase); J (`jact`) has the phase "real" or "imag"."""
+        fibers = self.fibers
+        if op == "d":  # the coframe part dmon (x) I plus sum_a wedge_a (x) (field a)
+            fields = self.frame.field_names
+            wedge = lambda j: sum(self.ladder[name][j] * fibers._wedge_fiber(a, k) for a, name in enumerate(fields))
+            terms = [(fibers._fiber("dmon", k), "1")] + [(wedge(j), factor) for j, factor in enumerate(FACTORS)]
+            return terms, (k + 1, "full"), (k, "full"), 1j
+        if op == "lie_reeb":  # I (x) (action of T) plus the coframe rotation
+            eye = np.eye(len(fibers.mons(k)))
+            terms = [(c * eye, factor) for c, factor in zip(self.ladder[self.frame.field_names[0]], FACTORS)]
+            return terms + [(fibers._fiber("rot", k), "1")], (k, "full"), (k, "full"), 1j
+        if op == "embed":
+            return [(fibers.space_fiber(k, arg), "1")], (k, "full"), (k, arg), 1
+        if op == "d0":
+            fib, k_out, phase = fibers._fiber("lef", k - 1) @ fibers._fiber("iota", k), k + 1, 1j
+        elif op == "lefschetz_inverse":
+            fib, k_out, phase = fibers.lefschetz_inverse_fiber(), k - 2, 1j
+        else:
+            (k_out, phase), fib = arg, fibers._fiber(op, k)
+            if phase in ("real", "imag"):
+                fib, phase = getattr(fib, phase), 1
+        return [(fib, "1")], (k_out, "full"), (k, "full"), phase
+
+    @_frame_memo
+    def _plan(self, op: str, k: int, arg=None):
+        """The out and in spaces of the stack `op` (`_terms`), and per term that does not vanish, its
+        slot factor and its fiber divided by the phase, real and zero off the term's sectors.
+        Raises when a term couples two sectors or has an entry of the other phase."""
+        terms, out, inn, phase = self._terms(op, k, arg)
+        rho_out, rho_in = self._reeb_weights(*out), self._reeb_weights(*inn)
+        plan = []
+        for fib, factor in terms:
+            keep = rho_out[:, None] - rho_in[None, :] == 2 * SHIFT[factor]
+            leak = max_abs(fib[~keep])
+            if leak > LEAK_TOL:
+                raise InternalConsistencyError(f"a fiber (x) {factor} term leaves its Reeb sector ({leak:.3e})")
+            coef = np.where(keep, phase_part(fib, phase, f"a fiber (x) {factor} term", LEAK_TOL), 0.0)
+            if coef.any():  # a stack never holds -0.0, so adding a zero term changes no bit
+                plan.append((factor, coef))
+        return out, inn, plan
+
+    @_frame_memo
+    def _split_masks(self, k: int, anti: bool):
+        """The (f_out, f_in) entries of d_b on full k-forms that its (1,0) part (its (0,1) part if
+        `anti`) keeps, and those of a bidegree beyond (1,0) + (0,1)."""
+        proj = lambda deg, i, j: self.fibers._bidegree_fiber_projector(deg, i, j) > 0
+        keep = np.zeros((len(self.fibers.mons(k + 1)), len(self.fibers.mons(k))), dtype=bool)
+        leaks = np.zeros_like(keep)
+        for i in range(k + 1):
+            j = k - i
+            cols, rows_10, rows_01 = proj(k, i, j), proj(k + 1, i + 1, j), proj(k + 1, i, j + 1)
+            keep |= np.outer(rows_01 if anti else rows_10, cols)
+            leaks |= np.outer(~(rows_10 | rows_01), cols)
+        return keep, leaks
+
+    @_frame_memo
+    def bidegree_labels(self, k: int, flavor: str, tol: float = 1e-9) -> Tuple[str, ...]:
+        """The bidegree label ("(i,j)" or "theta^(i,j)") of every fiber vector of the degree-k
+        space `flavor`; every fiber vector must be bidegree-homogeneous."""
+        bidegrees = [(i, k - int(vert) - i, vert) for vert in (False, True) for i in range(k - int(vert) + 1)]
+        weight = np.abs(self.fibers.space_fiber(k, flavor)) ** 2
+        mass = np.array([self.fibers._bidegree_fiber_projector(k, *b) for b in bidegrees]) @ weight
+        best = np.argmax(mass, axis=0)
+        if np.any(mass[best, np.arange(weight.shape[1])] < (1.0 - tol) * np.sum(weight, axis=0)):
+            raise InternalConsistencyError(f"a degree-{k} basis column is not bidegree-homogeneous")
+        return [f"theta^({i},{j})" if vert else f"({i},{j})" for i, j, vert in (bidegrees[b] for b in best)]
+
+    # -- spaces and stacks ----------------------------------------------------------------
 
     @_block_memo
     def space(self, k: int, flavor: str = "full") -> SectorSpace:
@@ -272,43 +363,23 @@ class SectorStacks:
             self._cache[key] = _frozen(_groups(rows, cols))
         return self._cache[key]
 
-    @_first_order_memo
-    def _slot_table(self, k: int, flavor: str, factor: str) -> np.ndarray:
-        """The slot factor at (slot b + shift, slot b) for the slot b of every fiber vector of the
-        degree-k space `flavor` in every sector, zero where b does not exist: (f, S).  Slot b + shift
-        is missing only where the factor vanishes (J_plus on b = m, J_minus on b = 0), so this table
-        masks every block of a term that keeps its sectors."""
-        space, m = self.space(k, flavor), self.m
-        if factor in ("1", "z"):
-            values = np.ones(space.slot.shape) if factor == "1" else (2 * space.slot - m) / 2
-        else:
-            plus, minus = ladder_radicands(m, space.slot)
-            values = np.sqrt(np.maximum(plus if factor == "+" else minus, 0))
-        return np.where(space.valid, values, 0.0)
-
-    def _stack(self, terms, out: Tuple[int, str], inn: Tuple[int, str], phase: complex = 1) -> np.ndarray:
-        """The sum of fiber (x) slot terms (F, factor), F in the fiber bases of the spaces `out` and
-        `inn` ((k, flavor) keys), divided by its `phase` (1 or 1j), as a real (f_out, f_in, S)
-        stack; raises when a term couples two sectors or has an entry of the other phase."""
-        rho_out, rho_in = self.space(*out).rho, self.space(*inn).rho
-        stack = np.zeros((rho_out.size, rho_in.size, self.m.size))
-        for fib, factor in terms:
-            keep = rho_out[:, None] - rho_in[None, :] == 2 * SHIFT[factor]
-            leak = max_abs(fib[~keep])
-            if leak > LEAK_TOL:
-                raise InternalConsistencyError(f"a fiber (x) {factor} term leaves its Reeb sector ({leak:.3e})")
-            real = phase_part(fib, phase, f"a fiber (x) {factor} term", LEAK_TOL)
-            stack += np.where(keep, real, 0.0)[:, :, None] * self._slot_table(*inn, factor)[None, :, :]
+    def _stack(self, op: str, k: int, arg=None) -> np.ndarray:
+        """The real (f_out, f_in, S) stack of `op` (`_terms`): per term of its plan, the coefficient
+        (x) the slot factor at (slot b + shift, slot b) of the slot b of every in-space fiber vector
+        in every sector, zero where b does not exist.  Slot b + shift is missing only where the
+        factor vanishes (J_plus on b = m, J_minus on b = 0), so this masks every block."""
+        out, inn, plan = self._plan(op, k, arg)
+        space, m = self.space(*inn), self.m
+        stack = np.zeros((self.space(*out).dim, space.dim, m.size))
+        radicands = dict(zip("+-", ladder_radicands(m, space.slot))) if any(f in "+-" for f, _ in plan) else {}
+        for factor, coef in plan:
+            stack += coef[:, :, None] * _slot_factor(space, m, factor, radicands)[None, :, :]
         return stack
-
-    def _fiber_op(self, fib: np.ndarray, k_out: int, k_in: int, phase: complex = 1) -> np.ndarray:
-        """fib (x) I between the full spaces of degrees k_in and k_out, divided by its phase."""
-        return self._stack([(fib, "1")], (k_out, "full"), (k_in, "full"), phase)
 
     @_block_memo
     def embed(self, k: int, flavor: str) -> np.ndarray:
         """The isometry of the degree-k space `flavor` into the full space."""
-        return self._stack([(self.fibers.space_fiber(k, flavor), "1")], (k, "full"), (k, flavor))
+        return self._stack("embed", k, flavor)
 
     def _compress(self, stack: np.ndarray, out: Tuple[int, str], inn: Tuple[int, str]) -> np.ndarray:
         return _product(_t(self.embed(*out)), stack, self.embed(*inn))
@@ -325,27 +396,18 @@ class SectorStacks:
     # -- first-order operators: phase i ------------------------------------------------
 
     def keep_first_order(self):
-        """Keep every first-order stack, slot table, Laplacian and eigensolve in the memo from now on."""
+        """Keep every first-order stack, Laplacian and eigensolve in the memo from now on."""
         self._first_order = self._cache
 
     @_first_order_memo
     def d(self, k: int) -> np.ndarray:
-        """d on full k-forms: the coframe part dmon (x) I plus sum_a wedge_a (x) (field a)."""
-        fields = self.frame.field_names
-        terms = [(self.fibers._fiber("dmon", k), "1")]
-        for j, factor in enumerate(FACTORS):
-            fib = sum(self.ladder[name][j] * self.fibers._wedge_fiber(a, k) for a, name in enumerate(fields))
-            terms.append((fib, factor))
-        return self._stack(terms, (k + 1, "full"), (k, "full"), 1j)
+        """d on full k-forms."""
+        return self._stack("d", k)
 
     @_first_order_memo
     def lie_reeb(self, k: int) -> np.ndarray:
-        """L_T on full k-forms: I (x) (action of T) plus the coframe rotation."""
-        eye = np.eye(self.space(k).dim)
-        reeb = self.ladder[self.frame.field_names[0]]
-        terms = [(c * eye, factor) for c, factor in zip(reeb, FACTORS)]
-        terms.append((self.fibers._fiber("rot", k), "1"))
-        return self._stack(terms, (k, "full"), (k, "full"), 1j)
+        """L_T on full k-forms."""
+        return self._stack("lie_reeb", k)
 
     @_first_order_memo
     def lie_reeb_rumin(self, k: int) -> np.ndarray:
@@ -357,13 +419,11 @@ class SectorStacks:
     def d0(self, k: int) -> np.ndarray:
         if k == 0:
             return np.zeros((self.space(1).dim, self.space(0).dim, self.m.size))
-        return self._fiber_op(self.fibers._fiber("lef", k - 1) @ self.fibers._fiber("iota", k), k + 1, k, 1j)
+        return self._stack("d0", k)
 
     @_first_order_memo
     def dT(self, k: int) -> np.ndarray:
-        theta = self._fiber_op(self.fibers._fiber("theta", k), k + 1, k)
-        horiz = self._fiber_op(self.fibers._fiber("horiz", k), k, k)
-        return _product(theta, self.lie_reeb(k), horiz)
+        return _product(self._stack("theta", k, (k + 1, 1)), self.lie_reeb(k), self._stack("horiz", k, (k, 1)))
 
     @_block_memo
     def db(self, k: int) -> np.ndarray:
@@ -375,14 +435,7 @@ class SectorStacks:
     @_first_order_memo
     def split_db(self, k: int, anti: bool = False) -> np.ndarray:
         """The (1,0) or (0,1) part of d_b on horizontal k-forms, as `BlockContext.del_full`."""
-        proj = lambda deg, i, j: self.fibers._bidegree_fiber_projector(deg, i, j) > 0
-        keep = np.zeros((self.space(k + 1).dim, self.space(k).dim), dtype=bool)
-        leaks = np.zeros_like(keep)
-        for i in range(k + 1):
-            j = k - i
-            cols, rows_10, rows_01 = proj(k, i, j), proj(k + 1, i + 1, j), proj(k + 1, i, j + 1)
-            keep |= np.outer(rows_01 if anti else rows_10, cols)
-            leaks |= np.outer(~(rows_10 | rows_01), cols)
+        keep, leaks = self._split_masks(k, anti)
         db = self.db(k)
         if max_abs(db[leaks]) > 1e-12:
             raise StructuralError("d_b has bidegree components beyond (1,0)+(0,1); frame is not Sasakian")
@@ -397,14 +450,14 @@ class SectorStacks:
         theta ^ (L_T - i (del + delbar)(del* - delbar*)) ("kahler"; the product has phase 1)."""
         n = self.n
         if variant == "factored":
-            linv = self._fiber_op(self.fibers.lefschetz_inverse_fiber(), n - 1, n + 1, 1j)
+            linv = self._stack("lefschetz_inverse", n + 1)
             core = self.lie_reeb(n) - _product(self.db(n - 1), linv, self.db(n))
         elif variant == "kahler":
             dl, dlb = self.split_db(n - 1), self.split_db(n - 1, anti=True)
             core = self.lie_reeb(n) - _product(dl + dlb, _t(dl - dlb))
         else:
             raise KeyError(variant)
-        full = _product(self._fiber_op(self.fibers._fiber("theta", n), n + 1, n), core)
+        full = _product(self._stack("theta", n, (n + 1, 1)), core)
         return self._compress_invariant(full, (n + 1, "rumin"), (n, "rumin"), "middle operator leaves its target space")
 
     @_block_memo
@@ -524,18 +577,7 @@ class SectorStacks:
 
     # -- the spectrum table -----------------------------------------------------------
 
-    def bidegree_labels(self, k: int, flavor: str, tol: float = 1e-9) -> List[str]:
-        """The bidegree label ("(i,j)" or "theta^(i,j)") of every fiber vector of the degree-k
-        space `flavor`; every fiber vector must be bidegree-homogeneous."""
-        bidegrees = [(i, k - int(vert) - i, vert) for vert in (False, True) for i in range(k - int(vert) + 1)]
-        weight = np.abs(self.fibers.space_fiber(k, flavor)) ** 2
-        mass = np.array([self.fibers._bidegree_fiber_projector(k, *b) for b in bidegrees]) @ weight
-        best = np.argmax(mass, axis=0)
-        if np.any(mass[best, np.arange(weight.shape[1])] < (1.0 - tol) * np.sum(weight, axis=0)):
-            raise InternalConsistencyError(f"a degree-{k} basis column is not bidegree-homogeneous")
-        return [f"theta^({i},{j})" if vert else f"({i},{j})" for i, j, vert in (bidegrees[b] for b in best)]
-
-    def spectrum_rows(self, op: str, k: int, t: float = 1.0) -> Tuple[RowStack, List[str]]:
+    def spectrum_rows(self, op: str, k: int, t: float = 1.0) -> Tuple[RowStack, Tuple[str, ...]]:
         """The `spectrum` Laplacian `op` in degree k on the Reeb sectors of every weight, one row per
         weight, with the half-Laplacian stacks below the middle degree of delta-rn; and the bidegree
         label of every fiber vector.  Position i of a sector is fiber vector i, in slot b of basis

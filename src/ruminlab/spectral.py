@@ -170,8 +170,17 @@ def entry_columns() -> Dict[str, np.ndarray]:
 
 
 def _fmt_column(values: np.ndarray, missing: str, quote: str = "") -> List[str]:
-    """`util.fmt_float` of every value, between `quote`s, and `missing` for NaN."""
-    return [missing if x != x else f"{quote}{format(x, '.17g')}{quote}" for x in values.tolist()]
+    """`util.fmt_float` of every value, between `quote`s, and `missing` for NaN.  Each distinct
+    value is formatted once: the values are sorted by their bits, which keep 0.0 and -0.0 apart."""
+    values = np.ascontiguousarray(values, dtype=float)
+    order = np.argsort(values.view(np.int64))
+    bits = values.view(np.int64)[order]
+    first = np.ones(bits.size, dtype=bool)
+    first[1:] = bits[1:] != bits[:-1]
+    inverse = np.empty(bits.size, dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    text = [missing if x != x else f"{quote}{format(x, '.17g')}{quote}" for x in values[order[first]].tolist()]
+    return np.array(text, dtype=object)[inverse].tolist()
 
 
 def _csv_rows(c: Dict[str, np.ndarray]) -> str:

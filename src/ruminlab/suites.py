@@ -80,6 +80,11 @@ def _dims(stacks: SectorStacks, basis: SectorBasis) -> np.ndarray:
     return _per_weight(stacks, basis.used.sum(axis=0))
 
 
+def _cut(stacks: SectorStacks, top: np.ndarray, tol: float) -> np.ndarray:
+    """tol * max(1, the largest of the sectors' top singular values `top` over each weight), per sector."""
+    return tol * np.maximum(1.0, _per_weight(stacks, top, np.maximum))[stacks.owner]
+
+
 def _svd_basis(stacks: SectorStacks, stack: np.ndarray, rows, cols, tol: float, image: bool) -> SectorBasis:
     """On every sector of a map with valid rows `rows` and columns `cols`: the left singular
     vectors whose singular value exceeds tol * max(1, the largest singular value of the weight)
@@ -95,7 +100,7 @@ def _svd_basis(stacks: SectorStacks, stack: np.ndarray, rows, cols, tol: float, 
             eye = lambda size: np.broadcast_to(np.eye(size), (sel.size, size, size))
             u, s, vh = eye(r), np.zeros((sel.size, 0)), eye(c)
         groups.append((sel, ri, ci, u, s, vh))
-    cut = tol * np.maximum(1.0, _per_weight(stacks, top, np.maximum))[stacks.owner]
+    cut = _cut(stacks, top, tol)
     f = rows.shape[0] if image else cols.shape[0]
     vectors, used = np.zeros((f, f, rows.shape[1])), np.zeros((f, rows.shape[1]), dtype=bool)
     for sel, ri, ci, u, s, vh in groups:
@@ -108,6 +113,20 @@ def _svd_basis(stacks: SectorStacks, stack: np.ndarray, rows, cols, tol: float, 
             _scatter(vectors, sel, ci, vh.transpose(0, 2, 1) * keep[:, None, :])
         used[: keep.shape[1], sel] = keep.T
     return SectorBasis(vectors, used)
+
+
+def _svd_ranks(stacks: SectorStacks, stack: np.ndarray, rows, cols, tol: float) -> np.ndarray:
+    """The rank that `_svd_basis` cuts on every sector, (S,), from the singular values alone."""
+    groups, top = [], np.zeros(rows.shape[1])
+    for sel, ri, ci in stacks.groups(rows, cols):
+        if ri.shape[1] and ci.shape[1]:
+            s = np.linalg.svd(_gather(stack, sel, ri, ci), compute_uv=False)
+            top[sel] = s[:, 0]
+            groups.append((sel, s))
+    cut, rank = _cut(stacks, top, tol), np.zeros(rows.shape[1], dtype=int)
+    for sel, s in groups:
+        rank[sel] = np.sum(s > cut[sel][:, None], axis=1)
+    return rank
 
 
 def _identity(valid: np.ndarray) -> np.ndarray:
@@ -171,10 +190,8 @@ def _fiber(stacks: SectorStacks, name: str, k: int, k_out: int, imag: bool = Fal
     imaginary part if `imag`); no rows when k_out lies outside the complex.  Kept for the run."""
     if not 0 <= k_out <= stacks.Dmax:
         return _zeros(stacks, 0, stacks.space(k).dim)
-    fib = stacks.fibers._fiber(name, k)
-    if name == "jact":
-        return stacks._fiber_op(fib.imag if imag else fib.real, k_out, k)
-    return stacks._fiber_op(fib, k_out, k, FIBER_PHASE[name])
+    part = ("imag" if imag else "real") if name == "jact" else FIBER_PHASE[name]
+    return stacks._stack(name, k, (k_out, part))
 
 
 @_block_memo
@@ -500,8 +517,8 @@ def check_eigenvalue_identity(asm: Assembly, report: VerificationReport, tol_rel
     # normalized-pair analysis: a one-sided corner is its component's sector vector, a bi-positive
     # W corner that vector when both adjoint images contain it; dpsi and dbpsi are -i times the
     # images, a factor that no residual below reads
-    in_up = _svd_basis(stacks, _t(up), low, mid, 1e-9, image=True).used[0]
-    in_upb = _svd_basis(stacks, _t(upb), low, mid, 1e-9, image=True).used[0]
+    in_up = _svd_ranks(stacks, _t(up), low, mid, 1e-9) > 0
+    in_upb = _svd_ranks(stacks, _t(upb), low, mid, 1e-9) > 0
     dpsi, dbpsi = up[:, 0, sector], upb[:, 0, sector]
     n10, n01 = _column_norms(dpsi), _column_norms(dbpsi)
     bi = (l10 > tol) & (l01 > tol)

@@ -12,10 +12,11 @@ import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 
 from ruminlab import util
-from ruminlab.spectral import VerificationReport
+from ruminlab.spectral import VerificationReport, _fmt_column
 from ruminlab.torsion import TorsionReport
 
 ESCAPES = 'quote " back\\slash \x01 tab\t new\nline, comma é ü 数'
@@ -150,3 +151,16 @@ def test_torsion_report_json_writes_its_checks_as_json_dumps():
     assert json.dumps(doc, sort_keys=True) == text
     assert doc["checks"] == _reference_rows(HAND_CHECKS) and doc["caveat"] == ESCAPES
     assert doc["passed"] is False
+
+
+def test_spectrum_columns_format_each_value_as_format_17g():
+    """`spectral._fmt_column` formats each distinct value once: the text is that of
+    `format(x, ".17g")` per value, NaN is `missing`, and 0.0 and -0.0 stay apart."""
+    values = [0.0, -0.0, math.nan, 1.5, 0.1, 0.1, -0.0, 1e-300, 5e-324, -2.0, math.nan, 0.0, 134.0, 1.5, -math.inf]
+    column = np.array(values)
+    for missing, quote in (("", ""), ("null", '"')):
+        want = [missing if x != x else f"{quote}{format(x, '.17g')}{quote}" for x in values]
+        assert _fmt_column(column, missing, quote) == want
+        assert _fmt_column(column[::-1], missing, quote) == want[::-1]  # a strided view
+    assert _fmt_column(column, "")[:3] == ["0", "-0", ""]
+    assert _fmt_column(np.array([]), "") == []

@@ -3,6 +3,7 @@ the joint eigenspaces of the sec4 suite.  Both routes lay their sectors out as a
 `sectors.RowStack`."""
 
 import functools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from dense_reference import (
     operator_pair,
     spectrum_degrees,
 )
-from ruminlab import cli, operators
+from ruminlab import cli, operators, suites
 from ruminlab.model import lens_space, su2_block, su2_model
 from ruminlab.operators import BlockContext, InternalConsistencyError, max_abs
 from ruminlab.rows import solve_rows
@@ -256,23 +257,107 @@ def test_a_wrong_phase_fiber_entry_raises():
             assert spoiled.d(1).dtype == np.float64
 
 
+def _same(a, b) -> bool:
+    """Equal memoized values: arrays bit for bit, with their dtype and shape; the rest by ==."""
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    if isinstance(a, (tuple, list)):
+        return type(a) is type(b) and len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    return a == b
+
+
+FRAME_TABLES_OF_THE_STACKS = ("_plan", "_reeb_weights", "bidegree_labels", "_split_masks")
+
+
 def test_spoiled_tables_leave_the_shared_tables_clean():
     """The spoiled tables are private dicts: after them, fresh stacks read the shared tables of the
-    frame, which hold what a context with private tables computes."""
+    frame, which hold what a context or sector stacks with private tables compute.  Every entry
+    is recomputed: the fiber tables of `BlockContext`, and every plan, Reeb weight table,
+    bidegree label list and `split_db` mask of `SectorStacks`, arrays bit for bit."""
     test_an_off_sector_wedge_fiber_entry_raises()
+    test_a_wrong_phase_fiber_entry_raises()
     frame = su2_model().frame
     stacks = SectorStacks(frame, range(4))
     stacks.spectrum_rows("delta-dr", 1)
+    cli.run_suite(Assembly(su2_model(), 3), "all", cli.RunConfig())  # every kind of plan
     shared = stacks.fibers._tables
     assert shared is operators.frame_tables(frame)
-    private = BlockContext(frame, None, {})
-    arrays = 0
+    private = {"BlockContext": BlockContext(frame, None, {}), "SectorStacks": SectorStacks(frame, [], {})}
+    recomputed = Counter()
     for key, value in list(shared.items()):
-        if isinstance(value, np.ndarray):
-            qualname, args = key
-            assert np.array_equal(value, getattr(private, qualname.split(".")[-1])(*args)), key
-            arrays += 1
-    assert arrays and ("BlockContext._wedge_fiber", (1, 1)) in shared
+        if key == "frame":
+            continue
+        qualname, args = key
+        owner, name = qualname.split(".")
+        assert _same(value, getattr(private[owner], name)(*args)), key
+        recomputed[name] += 1
+    assert recomputed["_fiber"] and ("BlockContext._wedge_fiber", (1, 1)) in shared
+    assert all(recomputed[name] for name in FRAME_TABLES_OF_THE_STACKS), recomputed
+
+
+def test_each_plan_is_built_once_per_frame_and_process(capsys, monkeypatch):
+    """Every model has the frame of s3, so every command on s3 and lens models, at several
+    cutoffs, in one process, checks and builds each term plan once, in the frame tables; so are
+    the other frame tables of the stacks.  The process starts here with no frame tables."""
+    monkeypatch.setattr(operators, "_FRAME_TABLES", {})
+    built = {name: Counter() for name in FRAME_TABLES_OF_THE_STACKS}
+    for name, counts in built.items():
+        memo = getattr(SectorStacks, name)
+
+        def spy(stacks, *args, fn=memo.__wrapped__, counts=counts):
+            counts[args] += 1
+            return fn(stacks, *args)
+
+        monkeypatch.setattr(memo, "__wrapped__", spy)
+    commands = [["verify", "--suite", "all"], ["torsion"]] + [["spectrum", "--op", op] for op in SPECTRUM_OPS]
+    models = [["--model", "s3"], ["--model", "lens", "--p", "3", "--character", "1"]]
+    models.append(["--model", "lens", "--p", "5", "--character", "2"])
+    for max_weight in (3, 0, 8):
+        for model in models:
+            for command in commands:
+                assert cli.main(command + model + ["--max-weight", str(max_weight)]) == 0
+    capsys.readouterr()
+    for name, counts in built.items():
+        repeated = {args: n for args, n in counts.items() if n > 1}
+        assert counts and not repeated, (name, repeated)
+    # iota and lam (`_terms` reads any fiber table) act in range only on the harmonic 1-forms, which no model has
+    ops = {"d", "lie_reeb", "d0", "embed", "lefschetz_inverse", "theta", "horiz", "lef", "star", "jact"}
+    assert {args[0] for args in built["_plan"]} == ops
+    assert {args[2][1] for args in built["_plan"] if args[0] == "jact"} == {"real", "imag"}
+
+
+def _every_stack(stacks: SectorStacks):
+    """(name, stack) of every operator that the sector stacks build from a plan, and of the
+    stacks composed of them."""
+    top = stacks.Dmax
+    for k in range(top + 1):
+        yield from ((f"{name}({k})", getattr(stacks, name)(k)) for name in ("d", "lie_reeb", "d0", "dT", "db"))
+        yield from ((f"embed({k}, {fl})", stacks.embed(k, fl)) for fl in ("full", "horizontal", "rumin"))
+        for name, k_out in (("theta", k + 1), ("iota", k - 1), ("lef", k + 2), ("lam", k - 2), ("star", top - k)):
+            yield f"{name}({k})", suites._fiber(stacks, name, k, k_out)
+        yield from ((f"jact({k}, {imag})", suites._fiber(stacks, "jact", k, k, imag)) for imag in (False, True))
+        yield from ((f"{op}({k})", stacks.laplacian(op, k, T)) for op in SPECTRUM_OPS if k in spectrum_degrees(op))
+        if k < top:
+            yield f"rumin_d({k})", stacks.rumin_d(k)
+    for k in range(stacks.n + 1):
+        for anti in (False, True):
+            yield f"split_db({k}, {anti})", stacks.split_db(k, anti)
+            yield f"rumin_del({k}, {anti})", stacks.rumin_del(k, anti)
+    yield from ((f"middle_operator({v})", stacks.middle_operator(v)) for v in ("factored", "kahler"))
+
+
+@pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+def test_stacks_from_shared_plans_equal_those_of_private_tables(model):
+    """Stacks built from the shared plans, which other models and cutoffs filled, equal those of
+    sector stacks with private tables, which build every plan anew, bit for bit."""
+    weights = [m for m in range(MAX_WEIGHT + 1) if model.multiplicity(m)]
+    shared, private = SectorStacks(model.frame, weights), SectorStacks(model.frame, weights, {})
+    assert shared._tables is operators.frame_tables(model.frame) and private._tables is not shared._tables
+    names = 0
+    for (name, got), (again, want) in zip(_every_stack(shared), _every_stack(private)):
+        assert name == again and _same(got, want), name
+        names += 1
+    assert names == 88  # 15 per degree, 15 Laplacians, 3 Rumin differentials, 8 halves, 2 middle operators
 
 
 def test_empty_weight_list_gives_no_rows():

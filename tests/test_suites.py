@@ -48,6 +48,23 @@ def test_sector_suites_equal_the_dense_reference(model, max_weight):
             assert abs(got - expected) <= RESIDUAL_BOUND * tol, (row["name"], got, expected)
 
 
+@pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+def test_singular_value_ranks_equal_the_image_basis_ranks(model):
+    """The ranks of the adjoints of the Rumin halves that the sec4 eigenvalue law reads from the
+    singular values alone (`suites._svd_ranks`) are those of the image bases of `_svd_basis`, with
+    the same cut, on every sector for M = 0..12."""
+    for max_weight in range(13):
+        stacks = Assembly(model, max_weight).sector_stacks
+        n = stacks.n
+        low, mid = stacks.space(n - 1, "rumin").valid, stacks.space(n, "rumin").valid
+        for anti in (False, True):
+            adjoint = suites._t(stacks.rumin_del(n - 1, anti))
+            basis = suites._svd_basis(stacks, adjoint, low, mid, 1e-9, image=True)
+            ranks = suites._svd_ranks(stacks, adjoint, low, mid, 1e-9)
+            assert np.array_equal(ranks, basis.used.sum(axis=0)), (max_weight, anti)
+            assert np.array_equal(ranks > 0, basis.used[0]), (max_weight, anti)
+
+
 def _harmonic_sector(stacks: SectorStacks) -> int:
     """The sector of the constant function, on weight 0."""
     return int(np.flatnonzero((stacks.m == 0) & stacks.space(0).valid[0])[0])
