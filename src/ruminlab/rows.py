@@ -29,7 +29,7 @@ import numpy as np
 
 from .model import FrameStructure, block_label
 from .operators import InternalConsistencyError
-from .sectors import RowStack, SectorStacks, _distinct, _eigh, _gather, _max_per_row
+from .sectors import RowStack, SectorStacks, _distinct, _eigh, _gather, _per_row
 
 
 def cluster_starts(segment: np.ndarray, values: np.ndarray, tol: np.ndarray) -> np.ndarray:
@@ -157,7 +157,7 @@ class JointRows:
             resid = np.zeros(self.rows.tau.size)
             for sel, cols, q, image in images:
                 resid[sel] = np.abs(image - q * ray[component[cols]][:, None, :]).max(axis=(1, 2))
-            if np.any(_max_per_row(resid, self.rows.starts) > 10 * tol * scale):
+            if np.any(_per_row(resid, self.rows.starts, np.maximum) > 10 * tol * scale):
                 raise InternalConsistencyError("half Laplacians are not scalar on a joint eigenspace")
             pairs.append(np.where(0.0 > ray, 0.0, ray))
         return tuple(round_sig_values(values) for values in pairs)

@@ -39,13 +39,20 @@ an off-sector entry does.  So every solve runs in real arithmetic.
 `spectrum_rows` gives one degree of a `spectrum` Laplacian as a `RowStack`,
 which `rows.solve_rows` solves over every weight together.  `_eigh`
 diagonalizes a stack with one stacked `eigh` per group of equally large
-sectors (`_groups`, built once per pair of masks by `SectorStacks.groups`),
-on the valid blocks only, so the zero padding never enters a decomposition.
+sectors (`_groups`, built once per pair of masks by `SectorStacks.groups`,
+the one source of sector groupings), on the valid blocks only, where the
+padding would add spurious zero eigenvalues.  Every rank is decided by one
+routine, `SectorStacks.ranks`: a values-only SVD may read the padded blocks,
+whose padding adds only zero singular values, and a sector's rank counts its
+singular values above tol * max(1, the largest singular value on the weight)
+(`value_ranks`, the scale of the dense weight block).  It is the rank oracle of
+`verify --suite thm1` and `torsion` (`cohomology_dims`), and it gives the
+ranks of the cor3 joint kernels and the sec4 corners (`suites`).  Every sum,
+max or min over the sectors of a weight (or of a `RowStack` row) is `_per_row`.
 The sector blocks keep the checks of the dense route at the same tolerances:
 hermiticity, Reeb invariance of the Rumin space, the middle operator's target
 space, the half-Laplacian commutator, and exhaustion of every space by its
-sectors.  `cohomology_dims` is the rank oracle of `verify --suite thm1` and
-`torsion`.  Every `verify` suite reads these stacks too (`suites`).  Tier-1
+sectors.  Every `verify` suite reads these stacks too (`suites`).  Tier-1
 compares every stack, and every suite report, with the dense `BlockContext`
 route.
 """
@@ -149,12 +156,13 @@ def _eigh(stack: np.ndarray, valid: np.ndarray, groups):
     return w, q, used
 
 
-def _max_per_row(stack: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """max |entry| of a stack (sector axis last) over the sectors starts[w]:starts[w + 1] of each row w."""
-    if not stack.size:
-        return np.zeros(starts.size - 1)
-    per_sector = np.abs(stack).reshape(-1, stack.shape[-1]).max(axis=0)
-    return np.maximum.reduceat(per_sector, starts[:-1])
+def _per_row(values: np.ndarray, starts: np.ndarray, reduce=np.add) -> np.ndarray:
+    """`reduce` (a ufunc: np.add, np.maximum, np.minimum) of an array, sector axis last, over all its
+    entries in the sectors starts[w]:starts[w + 1] of each row w: the one per-row reduction."""
+    if not values.size:
+        return np.zeros(starts.size - 1, dtype=values.dtype)
+    per_sector = reduce.reduce(values.reshape(-1, values.shape[-1]), axis=0)
+    return reduce.reduceat(per_sector, starts[:-1])
 
 
 def _gram(up, down, mat=0.0):
@@ -350,10 +358,8 @@ class SectorStacks:
         rho = self._reeb_weights(k, flavor)
         twice = rho[:, None] + (self.m - self.tau)[None, :]  # 2b
         valid = (twice % 2 == 0) & (twice >= 0) & (twice <= 2 * self.m)
-        if self.m.size:
-            count = np.add.reduceat(valid.sum(axis=0), self.starts[:-1])
-            if np.any(count != rho.size * (self.weights + 1)):
-                raise InternalConsistencyError(f"Reeb sectors do not exhaust the degree-{k} {flavor} space")
+        if np.any(self.per_weight(valid) != rho.size * (self.weights + 1)):
+            raise InternalConsistencyError(f"Reeb sectors do not exhaust the degree-{k} {flavor} space")
         return SectorSpace(rho, twice // 2, valid)
 
     def groups(self, rows: np.ndarray, cols: np.ndarray):
@@ -494,29 +500,41 @@ class SectorStacks:
             raise InternalConsistencyError(what)
         return a, b, scale
 
+    # -- per-weight reductions and ranks -------------------------------------------------
+
+    def per_weight(self, values: np.ndarray, reduce=np.add) -> np.ndarray:
+        """`_per_row` over the sectors of each weight."""
+        return _per_row(values, self.starts, reduce)
+
+    def _weight_max(self, stack: np.ndarray) -> np.ndarray:
+        """max |entry| of a stack over the sectors of each weight."""
+        return self.per_weight(np.abs(stack), np.maximum)
+
+    def value_ranks(self, values: np.ndarray, tol: float) -> np.ndarray:
+        """The rank of every sector, (S,), from its singular values, (S, k) zero-padded: the number
+        above tol * max(1, the largest singular value on the weight), the cut of the dense weight
+        block.  Every rank decision of the sector route is made here."""
+        cut = tol * np.maximum(1.0, self.per_weight(values.T, np.maximum))
+        return np.sum(values > cut[self.owner][:, None], axis=1)
+
+    def ranks(self, stack: np.ndarray, tol: float) -> np.ndarray:
+        """`value_ranks` of every sector block of `stack`.  The values-only SVD reads the padded
+        blocks, whose padding adds only zero singular values."""
+        return self.value_ranks(np.linalg.svd(stack.transpose(2, 0, 1), compute_uv=False), tol)
+
     @_block_memo
     def cohomology_dims(self, complex_name: str, multiplicity: Tuple[int, ...]) -> Tuple[int, ...]:
         """dim H^k of the "rumin" or "de_rham" complex for every degree k: the sum over weights of
         r (dim_k - rank d_k - rank d_{k-1}), with r = multiplicity[w] copies of weight weights[w].
         A differential maps every Reeb sector into itself, so its rank on a weight is the sum of
-        the ranks of its sector blocks, whose singular values count above 1e-8 * max(1, the
-        largest singular value on the weight), the threshold of the dense weight block."""
-        if not self.m.size:
-            return (0,) * (self.Dmax + 1)
+        the `ranks` of its sector blocks at tol 1e-8, the threshold of the dense weight block."""
         flavor = "rumin" if complex_name == "rumin" else "full"
         ranks = np.zeros((self.Dmax + 2, self.weights.size), dtype=int)  # row k + 1: rank of d_k
         for k in range(self.Dmax):
             stack = self.rumin_d(k) if complex_name == "rumin" else self.d(k)
-            values = np.linalg.svd(stack.transpose(2, 0, 1), compute_uv=False)  # (S, min(f_out, f_in))
-            top = np.maximum(1.0, self._weight_max(values.T))
-            above = values > 1e-8 * top[self.owner][:, None]
-            ranks[k + 1] = np.add.reduceat(above.sum(axis=1), self.starts[:-1])
+            ranks[k + 1] = self.per_weight(self.ranks(stack, 1e-8))
         dims = [self.space(k, flavor).dim * (self.weights + 1) - ranks[k + 1] - ranks[k] for k in range(self.Dmax + 1)]
         return tuple(int(np.dot(multiplicity, d)) for d in dims)
-
-    def _weight_max(self, stack: np.ndarray) -> np.ndarray:
-        """max |entry| of a stack over the sectors of each weight."""
-        return _max_per_row(stack, self.starts)
 
     @_first_order_memo
     def laplacian(self, op: str, k: int, t: float = 1.0) -> np.ndarray:

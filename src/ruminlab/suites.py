@@ -5,7 +5,8 @@ the Reeb field, so it holds on a weight block exactly when it holds on every
 Reeb sector of that block.  The bodies here are the suites of `spectral` as
 batched expressions on `Assembly.sector_stacks` (`sectors.SectorStacks`): a
 residual max |entry| of a block is the largest over the block's sectors
-(`SectorStacks._weight_max`), and a Frobenius norm sums over them.
+(`SectorStacks._weight_max`), and a Frobenius norm or a dimension sums over
+them (`SectorStacks.per_weight`).
 
 Every stack is real, and its operator is its phase, 1 or i, times it (see
 `sectors`): a product multiplies the phases, so the square of an operator of
@@ -15,16 +16,19 @@ where only the magnitude of a residual is read, a sign common to all its
 terms is dropped.  The fiber tables lift with the phases of `FIBER_PHASE`;
 J mixes both phases and is applied as its real and imaginary parts.
 
-The subspace steps (harmonic kernels, images, null spaces, intersections and
-joint kernels) are real stacked per-sector `eigh` and SVD calls, one per group
-of sectors with equally many valid rows and columns (`SectorStacks.groups`),
-so the zero padding never enters a decomposition.  A subspace is a
-`SectorBasis`: orthonormal columns on every sector, zero where unused.  Each
-relative cut takes its scale from the largest eigenvalue or singular value
-over the weight's sectors, the scale of the dense weight block.  The harmonic
-kernels and the Rumin square root read the eigensolve of each Laplacian that
-the stacks keep (`SectorStacks.eigh`), as `Assembly.rumin_rows` does, so a
-run diagonalizes each Laplacian once.
+The subspace steps that need vectors (harmonic kernels, images, null spaces
+and intersections) are real stacked per-sector `eigh` and SVD calls, one per
+group of sectors with equally many valid rows and columns
+(`SectorStacks.groups`), on the valid blocks only.  Where only a rank is read
+(the cor3 joint kernels, the sec4 corners), `SectorStacks.ranks` decides it
+from the singular values of the padded blocks, whose padding adds only zero
+singular values.  A subspace is a `SectorBasis`: orthonormal columns on every
+sector, zero where unused.  Each relative cut takes its scale from the largest
+eigenvalue or singular value over the weight's sectors, the scale of the dense
+weight block; `_svd_basis` counts its singular values with
+`SectorStacks.value_ranks`, as `ranks` does.  The harmonic kernels and the Rumin square root read the eigensolve of
+each Laplacian that the stacks keep (`SectorStacks.eigh`), as
+`Assembly.rumin_rows` does, so a run diagonalizes each Laplacian once.
 
 The sec4 components are the joint (Delta, i L_T) eigenspaces of
 `Assembly.rumin_rows(n - 1)`, as `torsion` solves them, each with its sector
@@ -53,7 +57,7 @@ import numpy as np
 
 from .model import block_label
 from .operators import InternalConsistencyError, _block_memo
-from .sectors import SectorStacks, _eigh, _gather, _groups, _hermitized, _product, _scatter, _t
+from .sectors import SectorStacks, _eigh, _gather, _hermitized, _product, _scatter, _t
 from .spectral import KERNEL_RELATIVE_TOL, Assembly, VerificationReport
 
 # -- subspaces on the sectors -------------------------------------------------------
@@ -68,65 +72,33 @@ class SectorBasis:
     used: np.ndarray  # (c, S)
 
 
-def _per_weight(stacks: SectorStacks, values: np.ndarray, reduce=np.add) -> np.ndarray:
-    """`reduce` of an (S,) array over the sectors of each weight."""
-    if not values.size:
-        return np.zeros(stacks.weights.size, dtype=values.dtype)
-    return reduce.reduceat(values, stacks.starts[:-1])
-
-
-def _dims(stacks: SectorStacks, basis: SectorBasis) -> np.ndarray:
-    """The dimension of a subspace on every weight."""
-    return _per_weight(stacks, basis.used.sum(axis=0))
-
-
-def _cut(stacks: SectorStacks, top: np.ndarray, tol: float) -> np.ndarray:
-    """tol * max(1, the largest of the sectors' top singular values `top` over each weight), per sector."""
-    return tol * np.maximum(1.0, _per_weight(stacks, top, np.maximum))[stacks.owner]
-
-
 def _svd_basis(stacks: SectorStacks, stack: np.ndarray, rows, cols, tol: float, image: bool) -> SectorBasis:
     """On every sector of a map with valid rows `rows` and columns `cols`: the left singular
     vectors whose singular value exceeds tol * max(1, the largest singular value of the weight)
     (`image`, as the dense `_image_basis` of `tests/dense_reference.py`), or the right singular
     vectors of the rest, the null space (as `operators._null_basis`)."""
-    groups, top = [], np.zeros(rows.shape[1])
+    groups, values = [], np.zeros((rows.shape[1], min(rows.shape[0], cols.shape[0])))
     for sel, ri, ci in stacks.groups(rows, cols):
         r, c = ri.shape[1], ci.shape[1]
         if r and c:
             u, s, vh = np.linalg.svd(_gather(stack, sel, ri, ci))
-            top[sel] = s[:, 0]
+            values[sel, : s.shape[1]] = s
         else:
             eye = lambda size: np.broadcast_to(np.eye(size), (sel.size, size, size))
-            u, s, vh = eye(r), np.zeros((sel.size, 0)), eye(c)
-        groups.append((sel, ri, ci, u, s, vh))
-    cut = _cut(stacks, top, tol)
+            u, vh = eye(r), eye(c)
+        groups.append((sel, ri, ci, u, vh))
+    ranks = stacks.value_ranks(values, tol)
     f = rows.shape[0] if image else cols.shape[0]
     vectors, used = np.zeros((f, f, rows.shape[1])), np.zeros((f, rows.shape[1]), dtype=bool)
-    for sel, ri, ci, u, s, vh in groups:
-        rank = np.sum(s > cut[sel][:, None], axis=1)
+    for sel, ri, ci, u, vh in groups:
         if image:
-            keep = np.arange(ri.shape[1])[None, :] < rank[:, None]
+            keep = np.arange(ri.shape[1])[None, :] < ranks[sel][:, None]
             _scatter(vectors, sel, ri, u * keep[:, None, :])
         else:
-            keep = np.arange(ci.shape[1])[None, :] >= rank[:, None]
+            keep = np.arange(ci.shape[1])[None, :] >= ranks[sel][:, None]
             _scatter(vectors, sel, ci, vh.transpose(0, 2, 1) * keep[:, None, :])
         used[: keep.shape[1], sel] = keep.T
     return SectorBasis(vectors, used)
-
-
-def _svd_ranks(stacks: SectorStacks, stack: np.ndarray, rows, cols, tol: float) -> np.ndarray:
-    """The rank that `_svd_basis` cuts on every sector, (S,), from the singular values alone."""
-    groups, top = [], np.zeros(rows.shape[1])
-    for sel, ri, ci in stacks.groups(rows, cols):
-        if ri.shape[1] and ci.shape[1]:
-            s = np.linalg.svd(_gather(stack, sel, ri, ci), compute_uv=False)
-            top[sel] = s[:, 0]
-            groups.append((sel, s))
-    cut, rank = _cut(stacks, top, tol), np.zeros(rows.shape[1], dtype=int)
-    for sel, s in groups:
-        rank[sel] = np.sum(s > cut[sel][:, None], axis=1)
-    return rank
 
 
 def _identity(valid: np.ndarray) -> np.ndarray:
@@ -150,27 +122,23 @@ def _intersection(stacks: SectorStacks, bases: Sequence[SectorBasis], valid: np.
 
 def _principal_sines(stacks: SectorStacks, u: SectorBasis, v: SectorBasis) -> np.ndarray:
     """`spectral.principal_sines` of two subspaces on every weight."""
-    du, dv = _dims(stacks, u), _dims(stacks, v)
+    du, dv = stacks.per_weight(u.used), stacks.per_weight(v.used)
     top = np.zeros(u.used.shape[1])
     for a, b in ((u.vectors, v.vectors), (v.vectors, u.vectors)):
         r = b - _product(a, _t(a), b)
         if r.any():  # a zero stack has norm 0 on every sector; its SVDs would only confirm that
             top = np.maximum(top, np.linalg.norm(r, 2, axis=(0, 1)))  # the largest singular value
-    return np.where(du != dv, 1.0, np.where(du == 0, 0.0, _per_weight(stacks, top, np.maximum)))
+    return np.where(du != dv, 1.0, np.where(du == 0, 0.0, stacks.per_weight(top, np.maximum)))
 
 
 def _joint_kernel_dims(stacks: SectorStacks, mats: Sequence[np.ndarray], valid: np.ndarray, tol: float = 1e-9):
-    """`spectral.joint_kernel_dim` on every weight, from the singular values alone."""
-    stack = _scaled_stack(stacks, mats)
-    values = np.linalg.svd(stack.transpose(2, 0, 1), compute_uv=False)  # the padding adds zeros only
-    cut = tol * np.maximum(1.0, stacks._weight_max(values.T))
-    rank = np.sum(values > cut[stacks.owner][:, None], axis=1)
-    return _per_weight(stacks, valid.sum(axis=0) - rank)
+    """`spectral.joint_kernel_dim` on every weight: the valid columns less the `ranks`."""
+    return stacks.per_weight(valid.sum(axis=0) - stacks.ranks(_scaled_stack(stacks, mats), tol))
 
 
 def _norms(stacks: SectorStacks, *parts: np.ndarray) -> np.ndarray:
     """The Frobenius norm on every weight of the stack with these real parts (real, imaginary)."""
-    return np.sqrt(_per_weight(stacks, sum(np.sum(part**2, axis=(0, 1)) for part in parts)))
+    return np.sqrt(stacks.per_weight(sum(np.sum(part**2, axis=(0, 1)) for part in parts)))
 
 
 # -- shared quantities ----------------------------------------------------------------
@@ -235,7 +203,7 @@ def _sqrt_rumin_laplacian(stacks: SectorStacks, k: int) -> np.ndarray:
     """The psd square root of the degree-k Rumin Laplacian, as `operators.sqrtm_psd`, from the
     stacks' eigensolve."""
     w, q, _ = stacks.eigh("delta-rn", k)
-    low, high = _per_weight(stacks, w.min(axis=0), np.minimum), stacks._weight_max(w)
+    low, high = stacks.per_weight(w, np.minimum), stacks._weight_max(w)
     if np.any(low < -1e-10 * np.maximum(1.0, high)):
         raise InternalConsistencyError("matrix is not positive semidefinite")
     return _product(q * np.sqrt(np.clip(w, 0.0, None))[None], _t(q))
@@ -343,7 +311,7 @@ def check_kernel_coincidence(asm: Assembly, report: VerificationReport, dims: Co
     r = np.array(asm.multiplicity, dtype=int)
     for k in range(stacks.Dmax + 1):
         ker_dr, ker_rn = _harmonic(stacks, k, "de_rham"), _harmonic(stacks, k, "rumin")
-        dim_dr, dim_rn = r * _dims(stacks, ker_dr), r * _dims(stacks, ker_rn)
+        dim_dr, dim_rn = r * stacks.per_weight(ker_dr.used), r * stacks.per_weight(ker_rn.used)
         dims["kernel", "rumin", k] += int(dim_rn.sum())
         dims["kernel", "de_rham", k] += int(dim_dr.sum())
         phi = _product(stacks.embed(k, "rumin"), ker_rn.vectors)  # harmonic vectors inside the full space
@@ -372,7 +340,7 @@ def check_primitivity(asm: Assembly, report: VerificationReport, tol: float):
     r = np.array(asm.multiplicity, dtype=float)
     for k in range(stacks.Dmax + 1):
         ker = _harmonic(stacks, k, "de_rham")
-        harmonic = _dims(stacks, ker) > 0
+        harmonic = stacks.per_weight(ker.used) > 0
         if not harmonic.any():
             continue
         phi = ker.vectors
@@ -402,7 +370,7 @@ def check_deformation_family(asm: Assembly, report: VerificationReport, t_sample
     dts = [[None, *(stacks.dt(j, t) for j in range(top)), None] for t in t_samples]
     for k in range(top + 1):
         ker = _harmonic(stacks, k, "de_rham")
-        dim = _dims(stacks, ker)
+        dim = stacks.per_weight(ker.used)
         laps = [stacks._hodge_sum(dt[k + 1], dt[k], (k, "full"), "deformed Laplacian") for dt in dts]
         if dim.any():
             phi = ker.vectors
@@ -490,7 +458,7 @@ def check_eigenvalue_identity(asm: Assembly, report: VerificationReport, tol_rel
     ilt_mid = -stacks.lie_reeb_rumin(n)  # i L_T
     img = _svd_basis(stacks, np.concatenate([up, upb], axis=1), mid, np.concatenate([low, low]), 1e-9, image=True)
     sub = _hermitized(_product(_t(img.vectors), lap_mid, img.vectors), "operator")
-    w, _, used = _eigh(sub, img.used, _groups(img.used, img.used))
+    w, _, used = _eigh(sub, img.used, stacks.groups(img.used, img.used))
     counts = np.where(l10 > tol, 1, 0) + np.where(l01 > tol, 1, 0)
     for i, (lbl, r) in enumerate(zip(labels, asm.multiplicity)):
         lo, hi = stacks.starts[i], stacks.starts[i + 1]
@@ -517,8 +485,7 @@ def check_eigenvalue_identity(asm: Assembly, report: VerificationReport, tol_rel
     # normalized-pair analysis: a one-sided corner is its component's sector vector, a bi-positive
     # W corner that vector when both adjoint images contain it; dpsi and dbpsi are -i times the
     # images, a factor that no residual below reads
-    in_up = _svd_ranks(stacks, _t(up), low, mid, 1e-9) > 0
-    in_upb = _svd_ranks(stacks, _t(upb), low, mid, 1e-9) > 0
+    in_up, in_upb = stacks.ranks(_t(up), 1e-9) > 0, stacks.ranks(_t(upb), 1e-9) > 0
     dpsi, dbpsi = up[:, 0, sector], upb[:, 0, sector]
     n10, n01 = _column_norms(dpsi), _column_norms(dbpsi)
     bi = (l10 > tol) & (l01 > tol)
@@ -583,7 +550,7 @@ def check_middle_degree(asm: Assembly, report: VerificationReport, tol: float):
     square = lap_mid - _product(lt, lt)  # Delta + L_T^2, with L_T of phase i
     codifferentials = np.concatenate([_t(up), _t(upb)])  # minus the stacks of their adjoints
     coexact = _svd_basis(stacks, codifferentials, np.concatenate([low, low]), mid, 1e-10, image=False)
-    has = _dims(stacks, coexact) > 0
+    has = stacks.per_weight(coexact.used) > 0
     if has.any():
         c = coexact.vectors
         dmid = stacks.middle_operator()
@@ -593,7 +560,7 @@ def check_middle_degree(asm: Assembly, report: VerificationReport, tol: float):
         _add(report, "coexact_two_routes[{lbl}]", stacks, wmax(_product(lap_mid - dd, c)), tol, has)
         # Reeb eigenspace slices carry nu^2
         sub = _hermitized(-_product(_t(c), lt, c), "operator")  # i L_T on the coexact space
-        w, q, used = _eigh(sub, coexact.used, _groups(coexact.used, coexact.used))
+        w, q, used = _eigh(sub, coexact.used, stacks.groups(coexact.used, coexact.used))
         vec = _product(c, q)
         nu2 = w**2
         resid = np.max(np.abs(_product(lap_mid, vec) - nu2[None] * vec), axis=0) / np.maximum(1.0, nu2)
@@ -611,4 +578,4 @@ def check_middle_degree(asm: Assembly, report: VerificationReport, tol: float):
         ker_other = _svd_basis(stacks, stacks.half_laplacian(n, not anti), mid, mid, 1e-10, image=False)
         sect = _intersection(stacks, [img, ker_other], mid)
         name = f"one_sided_middle_reeb_square[{{lbl}}]anti={anti}"
-        _add(report, name, stacks, wmax(_product(square, sect.vectors)), tol, _dims(stacks, sect) > 0)
+        _add(report, name, stacks, wmax(_product(square, sect.vectors)), tol, stacks.per_weight(sect.used) > 0)

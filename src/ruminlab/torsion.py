@@ -240,7 +240,7 @@ def _add_reeb_slices(report: TorsionReport, labels: Sequence[str], multiplicity:
     multiplicities given), with their box checks and per-degree comparisons.  Below the middle
     degree the rows carry the half-Laplacian stacks, whose box sum, difference and commutator
     are checked on every sector."""
-    from .sectors import _max_per_row
+    from .sectors import _per_row
 
     checks, pair_tol = report.checks, report.pair_tol
     rows, owner, tau = joint.rows, joint.owner, joint.tau
@@ -255,9 +255,9 @@ def _add_reeb_slices(report: TorsionReport, labels: Sequence[str], multiplicity:
             reeb = rows.tau[sel][:, None, None] * np.eye(q.shape[1])  # i L_T on each sector
             for out, resid in zip(boxes, (box + boxbar - sqrt_delta, box - boxbar - reeb, box @ boxbar - boxbar @ box)):
                 out[sel] = np.abs(resid).max(axis=(1, 2))
-        boxes = [_max_per_row(b, starts) for b in boxes]
+        boxes = [_per_row(b, starts, np.maximum) for b in boxes]
     # the largest |entry| of the Laplacian, which is block diagonal over the Reeb sectors
-    zero = pair_tol * np.maximum(1.0, _max_per_row(rows.stack, starts))
+    zero = pair_tol * np.maximum(1.0, _per_row(np.abs(rows.stack), starts, np.maximum))
     delta = np.where(0.0 > joint.delta, 0.0, joint.delta)
     root = np.sqrt(delta)
     box, boxbar = 0.5 * (root + tau), 0.5 * (root - tau)

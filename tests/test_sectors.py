@@ -186,17 +186,23 @@ def test_every_stack_is_real_with_its_declared_phase(model, max_weight):
     """After `verify --suite all` and every `spectrum` operator, every array that the stacks keep
     is real, and every kept stack with a dense twin, times its phase, is that twin on every weight
     block within 1e-12 of its largest entry; the lifted fiber tables likewise, with the table of J
-    split into its real and imaginary parts."""
+    split into its real and imaginary parts.  The comparison may build spaces into the memo, so it
+    walks a snapshot, and every entry is checked again after it."""
     asm = Assembly(model, max_weight)
     cli.run_suite(asm, "all", cli.RunConfig())
     stacks = asm.sector_stacks
     for op in SPECTRUM_OPS:
         for k in spectrum_degrees(op):
             stacks.spectrum_rows(op, k, T)
+
+    def check_dtypes():
+        for (name, args), value in stacks._cache.items():
+            for array in _arrays(value):
+                assert array.dtype.kind in "biuU" or array.dtype == np.float64, (name, args, array.dtype)
+
+    check_dtypes()
     compared = set()
-    for (name, args), value in stacks._cache.items():
-        for array in _arrays(value):
-            assert array.dtype.kind in "biuU" or array.dtype == np.float64, (name, args, array.dtype)
+    for (name, args), value in list(stacks._cache.items()):
         if name in DENSE_TWINS:
             phase, twin, spaces = DENSE_TWINS[name]
         elif name == "_fiber" and value.shape[0]:  # J mixes both phases: its two parts are lifted apart
@@ -212,6 +218,7 @@ def test_every_stack_is_real_with_its_declared_phase(model, max_weight):
             want = twin(_context(m), *args)
             got = phase * _dense_block(stacks, value, *spaces(*args), w)
             assert max_abs(got - want) <= 1e-12 * max(1.0, max_abs(want)), (name, args, m)
+    check_dtypes()
     assert compared == {*DENSE_TWINS, "_fiber"} or not max_weight and not stacks.weights.size
 
 

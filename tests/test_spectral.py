@@ -122,6 +122,19 @@ def test_kernel_dims_lens(p, l, expected):
     assert rumin_cohomology_dims(asm) == expected
 
 
+@pytest.mark.parametrize("max_weight", [60, 200])
+@pytest.mark.parametrize(
+    "model,expected", [(su2_model(), [1, 0, 0, 1]), (lens_space(3, character=1), [0, 0, 0, 0])], ids=["s3", "lens3-1"]
+)
+def test_rank_oracle_at_high_weight(model, expected, max_weight):
+    """The rank oracle keeps the closed-form cohomology of the small-weight tests above at high
+    weight, where each differential has thousands of sector blocks (20,703 on s3 at M=200); the
+    Rumin complex computes the de Rham cohomology, so both oracles agree."""
+    asm = Assembly(model, max_weight)
+    assert rumin_cohomology_dims(asm) == expected
+    assert de_rham_cohomology_dims(asm) == expected
+
+
 def test_kernel_vectors_are_orthonormal_and_flat(s3_contexts):
     ker = kernel(s3_contexts[0].laplacian_rn(0))
     assert ker.dim == 1

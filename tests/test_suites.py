@@ -48,21 +48,38 @@ def test_sector_suites_equal_the_dense_reference(model, max_weight):
             assert abs(got - expected) <= RESIDUAL_BOUND * tol, (row["name"], got, expected)
 
 
-@pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
-def test_singular_value_ranks_equal_the_image_basis_ranks(model):
-    """The ranks of the adjoints of the Rumin halves that the sec4 eigenvalue law reads from the
-    singular values alone (`suites._svd_ranks`) are those of the image bases of `_svd_basis`, with
-    the same cut, on every sector for M = 0..12."""
-    for max_weight in range(13):
+def _rank_decisions(stacks: SectorStacks):
+    """(stack, valid rows, valid columns, tol) of every rank that `SectorStacks.ranks` decides: the
+    Rumin and de Rham differentials of the rank oracle, the adjoints of the Rumin halves of sec4
+    and the joint kernels of the deformed Laplacians of cor3."""
+    n = stacks.n
+    for k in range(stacks.Dmax):
+        for d, flavor in ((stacks.rumin_d, "rumin"), (stacks.d, "full")):
+            yield d(k), stacks.space(k + 1, flavor).valid, stacks.space(k, flavor).valid, 1e-8
+    low, mid = stacks.space(n - 1, "rumin").valid, stacks.space(n, "rumin").valid
+    for anti in (False, True):
+        yield suites._t(stacks.rumin_del(n - 1, anti)), low, mid, 1e-9
+    for k in range(stacks.Dmax + 1):
+        valid, laps = stacks.space(k).valid, [stacks.laplacian("delta-t", k, t) for t in (0.1, 1.0, 10.0)]
+        yield suites._scaled_stack(stacks, laps), np.concatenate([valid] * len(laps)), valid, 1e-9
+
+
+@pytest.mark.parametrize(
+    "model,max_weights", [*((m, range(13)) for m in MODELS), (su2_model(), [60])], ids=[*MODEL_IDS, "s3-m60"]
+)
+def test_singular_value_ranks_equal_the_image_basis_ranks(model, max_weights):
+    """The ranks that `SectorStacks.ranks` reads from the singular values of the padded blocks are
+    those of the image bases of `_svd_basis`, which decomposes the valid blocks alone and counts
+    with the same `value_ranks`, and the valid columns less them are the dimensions of its null
+    spaces, on every sector of every rank decision."""
+    for max_weight in max_weights:
         stacks = Assembly(model, max_weight).sector_stacks
-        n = stacks.n
-        low, mid = stacks.space(n - 1, "rumin").valid, stacks.space(n, "rumin").valid
-        for anti in (False, True):
-            adjoint = suites._t(stacks.rumin_del(n - 1, anti))
-            basis = suites._svd_basis(stacks, adjoint, low, mid, 1e-9, image=True)
-            ranks = suites._svd_ranks(stacks, adjoint, low, mid, 1e-9)
-            assert np.array_equal(ranks, basis.used.sum(axis=0)), (max_weight, anti)
-            assert np.array_equal(ranks > 0, basis.used[0]), (max_weight, anti)
+        for i, (stack, rows, cols, tol) in enumerate(_rank_decisions(stacks)):
+            ranks = stacks.ranks(stack, tol)
+            image = suites._svd_basis(stacks, stack, rows, cols, tol, image=True)
+            null = suites._svd_basis(stacks, stack, rows, cols, tol, image=False)
+            assert np.array_equal(ranks, image.used.sum(axis=0)), (max_weight, i)
+            assert np.array_equal(cols.sum(axis=0) - ranks, null.used.sum(axis=0)), (max_weight, i)
 
 
 def _harmonic_sector(stacks: SectorStacks) -> int:
