@@ -234,14 +234,17 @@ def cmd_verify(cfg: RunConfig) -> int:
     # the assembly, with its sector stacks, is freed before the report is serialized
     report = run_suite(Assembly(cfg.build_model(), cfg.max_weight), cfg.suite, cfg)
     _emit(report.to_csv() if cfg.format == "csv" else report.to_json(), cfg.out)
-    if not report.passed:
-        for i in report.failed():
-            sys.stderr.write(
-                f"FAIL {report.names[i]}: residual {util.fmt_float(report.residuals[i])} "
-                f"> tolerance {util.fmt_float(report.tolerances[i])} {report.details[i]}\n"
-            )
-        return 1
-    return 0
+    return _list_failures(report)
+
+
+def _list_failures(checks: VerificationReport) -> int:
+    """Write one line `FAIL name: residual R > tolerance T detail` per failed check to stderr, in
+    name order; the exit code, 1 when a check failed."""
+    failed = checks.failed()
+    text = [util.float_cells([column[i] for i in failed], "nan") for column in (checks.residuals, checks.tolerances)]
+    for i, residual, tolerance in zip(failed, *text):
+        sys.stderr.write(f"FAIL {checks.names[i]}: residual {residual} > tolerance {tolerance} {checks.details[i]}\n")
+    return 1 if failed else 0
 
 
 # -- torsion ----------------------------------------------------------------------
@@ -251,12 +254,7 @@ def cmd_torsion(cfg: RunConfig) -> int:
     # the assembly, with its sector stacks, is freed before the report is serialized
     report = torsion_mod.reeb_decomposition(Assembly(cfg.build_model(), cfg.max_weight), s_grid=cfg.s_grid)
     _emit(report.to_json() if cfg.format == "json" else report.pairs_csv(), cfg.out)
-    if not report.passed:
-        checks = report.checks
-        for i in checks.failed():
-            sys.stderr.write(f"FAIL {checks.names[i]}: residual {util.fmt_float(checks.residuals[i])}\n")
-        return 1
-    return 0
+    return _list_failures(report.checks)
 
 
 # -- entry point --------------------------------------------------------------------

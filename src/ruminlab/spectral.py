@@ -45,21 +45,22 @@ A `VerificationReport` holds its checks as four parallel columns, `names`,
 `residuals`, `tolerances` and `details`, appended family by family: a suite
 adds the checks of one family (one name pattern over every weight or
 component) with one `add_family` call, with a residual array and one
-tolerance.  `passed` is one comparison over the columns, and the writers sort
-the columns once by name (stable, so equal names keep their insertion order)
-and write every row from them, formatting each distinct float once.  `failed()`
-lists the positions of the failed checks, in name order.
+tolerance.  `passed` is one comparison over the columns, and `failed()` lists
+the positions of the failed checks, in name order.
+
+Every report is written by `util.write_rows`, the one row writer.  A report
+names its row order and its fields, each a column and the kind of cell it
+becomes (`_SPECTRUM_CELLS`; a check's derived `passed` or `status`): a
+`SpectrumTable` by degree, block label and eigenvalue, a `VerificationReport`
+by check name (stable, so equal names keep their insertion order).
 """
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
-import json
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -161,59 +162,13 @@ def spectral_cutoff(model: ModelManifold, max_weight: int) -> float:
 
 SPECTRUM_FIELDS = ("degree", "block", "eigenvalue", "multiplicity", "nu", "lambda10", "lambda01", "bidegree")
 _SPECTRUM_TYPES = (int, str, float, int, float, float, float, object)
+_SPECTRUM_CELLS = ("raw", "label", "optional", "raw", "optional", "optional", "optional", "label")  # `util._cells`
 
 
 def entry_columns() -> Dict[str, np.ndarray]:
     """The empty columns of a `SpectrumTable`: NaN in `nu`, `lambda10` and `lambda01` stands for
     None, and `bidegree` holds str or None."""
     return {name: np.array([], dtype=kind) for name, kind in zip(SPECTRUM_FIELDS, _SPECTRUM_TYPES)}
-
-
-def _fmt_column(values: np.ndarray, missing: str, quote: str = "") -> List[str]:
-    """`util.fmt_float` of every value, between `quote`s, and `missing` for NaN.  Each distinct
-    value is formatted once: the values are sorted by their bits, which keep 0.0 and -0.0 apart."""
-    values = np.ascontiguousarray(values, dtype=float)
-    order = np.argsort(values.view(np.int64))
-    bits = values.view(np.int64)[order]
-    first = np.ones(bits.size, dtype=bool)
-    first[1:] = bits[1:] != bits[:-1]
-    inverse = np.empty(bits.size, dtype=np.intp)
-    inverse[order] = np.cumsum(first) - 1
-    text = [missing if x != x else f"{quote}{format(x, '.17g')}{quote}" for x in values[order[first]].tolist()]
-    return np.array(text, dtype=object)[inverse].tolist()
-
-
-def _csv_rows(c: Dict[str, np.ndarray]) -> str:
-    rows = zip(
-        c["degree"].tolist(),
-        c["block"].tolist(),
-        _fmt_column(c["eigenvalue"], ""),
-        c["multiplicity"].tolist(),
-        _fmt_column(c["nu"], ""),
-        _fmt_column(c["lambda10"], ""),
-        _fmt_column(c["lambda01"], ""),
-    )
-    return "".join(f"{k},{b},{e},{m},{nu},{l10},{l01}\n" for k, b, e, m, nu, l10, l01 in rows)
-
-
-def _json_rows(c: Dict[str, np.ndarray]) -> str:
-    """The entries of `json.dumps(..., sort_keys=True)`, written from the columns."""
-    strings = {x: "null" if x is None else json.dumps(x) for x in {*c["block"].tolist(), *c["bidegree"].tolist()}}
-    rows = zip(
-        (strings[x] for x in c["bidegree"].tolist()),
-        (strings[x] for x in c["block"].tolist()),
-        c["degree"].tolist(),
-        _fmt_column(c["eigenvalue"], "null", '"'),
-        _fmt_column(c["lambda01"], "null", '"'),
-        _fmt_column(c["lambda10"], "null", '"'),
-        c["multiplicity"].tolist(),
-        _fmt_column(c["nu"], "null", '"'),
-    )
-    return ", ".join(
-        f'{{"bidegree": {b}, "block": {blk}, "degree": {k}, "eigenvalue": {e}, "lambda01": {l01}, '
-        f'"lambda10": {l10}, "multiplicity": {m}, "nu": {nu}}}'
-        for b, blk, k, e, l01, l10, m, nu in rows
-    )
 
 
 @dataclass
@@ -230,9 +185,13 @@ class SpectrumTable:
     cutoff: Optional[float] = None
     columns: Dict[str, np.ndarray] = field(default_factory=entry_columns)
 
-    def _order(self) -> np.ndarray:
+    def _rows(self, doc: Optional[dict] = None) -> Iterator[str]:
+        """The text of the rows in parts, `util.write_rows` of the columns: JSON as `doc["entries"]`,
+        or CSV without `doc`, which leaves out `bidegree`, the last field."""
         c = self.columns
-        return np.lexsort((c["multiplicity"], c["eigenvalue"], c["block"], c["degree"]))
+        order = np.lexsort((c["multiplicity"], c["eigenvalue"], c["block"], c["degree"]))
+        fields = [(name, kind, c[name]) for name, kind in zip(SPECTRUM_FIELDS, _SPECTRUM_CELLS)]
+        yield from util.write_rows(order, fields[:-1] if doc is None else fields, doc, "entries")
 
     def to_json(self) -> str:
         doc = {
@@ -242,22 +201,11 @@ class SpectrumTable:
             "model": self.model,
             "max_weight": self.max_weight,
             "cutoff": None if self.cutoff is None else util.fmt_float(self.cutoff),
-            "entries": [],
         }
-        head, tail = json.dumps(doc, sort_keys=True).split('"entries": []', 1)
-        chunks = util.write_chunks(self.columns, self._order(), _json_rows)
-        return "".join([head, '"entries": [', *_interleave(chunks, ", "), "]", tail])
+        return "".join(self._rows(doc))
 
     def to_csv(self) -> str:
-        head = "degree,block,eigenvalue,multiplicity,nu,lambda10,lambda01\n"
-        return "".join([head, *util.write_chunks(self.columns, self._order(), _csv_rows)])
-
-
-def _interleave(parts: List[str], sep: str) -> List[str]:
-    """`parts` with `sep` between each two, for one `"".join`."""
-    out = [sep] * (2 * len(parts) - 1) if parts else []
-    out[::2] = parts
-    return out
+        return "".join(self._rows())
 
 
 def block_spectrum(op: BlockOperator, tol: float = 1e-12):
@@ -331,18 +279,6 @@ def principal_sines(u: np.ndarray, v: np.ndarray) -> float:
 # -- verification reports ---------------------------------------------------------
 
 
-def _fmt_floats(values: List[float], memo: Dict[float, str]) -> List[str]:
-    """`util.fmt_float` of every value, each distinct value formatted once into `memo`."""
-    for x in set(values).difference(memo):
-        memo[x] = format(x, ".17g")
-    if 0.0 in memo:
-        memo[0.0] = "0"  # 0.0 == -0.0 share one entry; the negative values are written below
-    out = list(map(memo.__getitem__, values))
-    for i in np.flatnonzero(np.signbit(values)).tolist():
-        out[i] = format(values[i], ".17g")
-    return out
-
-
 @dataclass
 class VerificationReport:
     """Named checks as parallel columns in the order they were added (see the module notes).  A
@@ -382,50 +318,33 @@ class VerificationReport:
         ok = map(float.__le__, self.residuals, self.tolerances)
         return sorted([i for i, good in enumerate(ok) if not good], key=self.names.__getitem__)
 
-    def _order(self) -> List[int]:
-        return sorted(range(len(self.names)), key=self.names.__getitem__)
-
-    def _chunks(self):
-        """(names, passed flags, residual and tolerance text, details) of util.ROW_CHUNK checks
-        at a time, ordered by name."""
-        order, memo = self._order(), {}
-        for lo in range(0, len(order), util.ROW_CHUNK):
-            at = order[lo : lo + util.ROW_CHUNK]
-            residuals, tolerances = [self.residuals[i] for i in at], [self.tolerances[i] for i in at]
-            passed = list(map(float.__le__, residuals, tolerances))
-            text = _fmt_floats(residuals, memo), _fmt_floats(tolerances, memo)
-            yield [self.names[i] for i in at], passed, *text, [self.details[i] for i in at]
+    def _rows(self, doc: Optional[dict] = None) -> Iterator[str]:
+        """The text of the checks in parts, `util.write_rows` of the columns ordered by name (stable,
+        so equal names keep their insertion order): the CSV rows {check, status, residual,
+        tolerance, detail}, or with `doc` the JSON rows {name, passed, residual, tolerance,
+        detail} as `doc["checks"]`."""
+        order = np.array(sorted(range(len(self.names)), key=self.names.__getitem__), dtype=np.intp)
+        residuals, tolerances = np.array(self.residuals, dtype=float), np.array(self.tolerances, dtype=float)
+        passed = residuals <= tolerances
+        names, details = np.array(self.names, dtype=object), np.array(self.details, dtype=object)
+        fields = [("residual", "float", residuals), ("tolerance", "float", tolerances), ("detail", "label", details)]
+        if doc is None:
+            fields = [("check", "text", names), ("status", "raw", np.where(passed, "pass", "fail")), *fields]
+        else:
+            fields += [("name", "text", names), ("passed", "raw", np.where(passed, "true", "false"))]
+        yield from util.write_rows(order, fields, doc, "checks")
 
     def dumps_with_checks(self, doc: dict) -> str:
-        """`json.dumps(doc, sort_keys=True)` with these checks as `doc["checks"]`, ordered by name,
-        one row {name, passed, residual, tolerance, detail} per check with its floats as
-        `util.fmt_float` text, each written from the columns as `json.dumps` writes it."""
-        esc = json.encoder.encode_basestring_ascii  # the escaping of json.dumps, ensure_ascii=True
-        chunks = []
-        for names, passed, residuals, tolerances, details in self._chunks():
-            detail = {d: esc(d) for d in set(details)}
-            rows = zip(map(detail.__getitem__, details), map(esc, names), passed, residuals, tolerances)
-            rows = [
-                f'{{"detail": {d}, "name": {n}, "passed": {"true" if ok else "false"}, "residual": "{r}", '
-                f'"tolerance": "{t}"}}'
-                for d, n, ok, r, t in rows
-            ]
-            chunks.append(", ".join(rows))
-        head, tail = json.dumps({**doc, "checks": []}, sort_keys=True).split('"checks": []', 1)
-        return "".join([head, '"checks": [', *_interleave(chunks, ", "), "]", tail])
+        """`json.dumps(doc, sort_keys=True)` with these checks as `doc["checks"]`, one row
+        {name, passed, residual, tolerance, detail} per check, ordered by name."""
+        return "".join(self._rows(doc))
 
     def to_json(self) -> str:
         doc = {"schema": 1, "kind": "verification", "name": self.name, "parameters": self.parameters}
         return self.dumps_with_checks({**doc, "passed": self.passed})
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["check", "status", "residual", "tolerance", "detail"])
-        for names, passed, residuals, tolerances, details in self._chunks():
-            status = ["pass" if ok else "fail" for ok in passed]
-            writer.writerows(zip(names, status, residuals, tolerances, details))
-        return buf.getvalue()
+        return "".join(self._rows())
 
 
 # -- simultaneous diagonalization -------------------------------------------------

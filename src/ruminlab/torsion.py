@@ -26,7 +26,10 @@ built by `slice_columns`).  The kernel dimensions are compared with the rank
 oracle `rumin_cohomology_dims`, which reads the same stacks.
 `close_reeb_report` folds the classified slices into the per-degree zeta
 partial sums (`TorsionReport.zetas`) and the two routes to kappa
-(`kappa_from_spectrum`, `kappa_from_reeb`).
+(`kappa_from_spectrum`, `kappa_from_reeb`).  The report is written by
+`util.write_rows`, the writer of every report: its JSON document with the rows
+of its checks (`VerificationReport.dumps_with_checks`), and the slices as CSV
+(`TorsionReport.pairs_csv`), with piece names for the `piece` indices.
 
 The box checks compare operators that are built independently.  Below the
 middle degree box = Delta_delbar and boxbar = Delta_del come from the split
@@ -191,15 +194,10 @@ class TorsionReport:
         """Matched eigenvalue pairs: spectrum value, piece, Reeb eigenvalue."""
         c = self.columns
         order = np.lexsort((c["nu"], c["delta"], c["degree"], c["block"]))
-        return "".join(["block,degree,lambda,piece,nu,multiplicity\n", *util.write_chunks(c, order, _pair_rows)])
-
-
-def _pair_rows(c: Dict[str, np.ndarray]) -> str:
-    fmt = lambda name: [format(x, ".17g") for x in c[name].tolist()]
-    rows = zip(
-        c["block"].tolist(), c["degree"].tolist(), fmt("delta"), c["piece"].tolist(), fmt("nu"), c["mult"].tolist()
-    )
-    return "".join(f"{b},{k},{d},{PIECES[p]},{nu},{m}\n" for b, k, d, p, nu, m in rows)
+        pieces = np.array(PIECES, dtype=object)[c["piece"]]
+        fields = [("block", "label", c["block"]), ("degree", "raw", c["degree"]), ("lambda", "float", c["delta"])]
+        fields += [("piece", "label", pieces), ("nu", "float", c["nu"]), ("multiplicity", "raw", c["mult"])]
+        return "".join(util.write_rows(order, fields))
 
 
 def reeb_decomposition(

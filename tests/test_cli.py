@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ruminlab import cli
+from ruminlab import cli, torsion, util
 from ruminlab.cli import RunConfig, UsageError, build_parser, load_config, main
 from ruminlab.model import su2_model
 from ruminlab.spectral import Assembly
@@ -227,6 +228,45 @@ def test_torsion_pairs_csv(capsys):
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["block", "degree", "lambda", "piece", "nu", "multiplicity"]
+
+
+@pytest.mark.parametrize("fmt", [[], ["--format", "json"]], ids=["csv", "json"])
+def test_failing_torsion_exits_1_and_lists_exactly_the_failed_checks(capsys, monkeypatch, tmp_path, fmt):
+    """No torsion run of the test grid fails, so failed checks are added to a real report: the
+    run exits 1, writes the full report to stdout or `--out`, and lists on stderr exactly the
+    failed checks, in name order, as `verify` lists them."""
+    reports = []
+
+    def failing(asm, **kwargs):
+        report = real(asm, **kwargs)
+        checks = report.checks
+        checks.add("zz_made_to_fail", 2.0, 1.0, "above its bound")
+        checks.add("aa_made_to_fail", math.nan, 1e-9)
+        checks.add_family(["boxes_psd[m9]k=0", "boxes_psd[m0]k=0"], [0.0, 3], 0.0, ["passes", "int residual"])
+        reports.append(report)
+        return report
+
+    real = torsion.reeb_decomposition
+    monkeypatch.setattr(torsion, "reeb_decomposition", failing)
+    argv = ["torsion", "--model", "s3", "--max-weight", "3", *fmt]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    report = reports[-1]
+    text = report.to_json() if fmt else report.pairs_csv()
+    assert out == (text if text.endswith("\n") else text + "\n")
+    c = report.checks
+    checks = sorted(zip(c.names, c.residuals, c.tolerances, c.details), key=lambda check: check[0])
+    f17 = util.fmt_float
+    lines = [f"FAIL {n}: residual {f17(r)} > tolerance {f17(t)} {d}" for n, r, t, d in checks if not r <= t]
+    assert err.splitlines() == lines
+    failed = ["aa_made_to_fail", "boxes_psd[m0]k=0", "zz_made_to_fail"]
+    assert [line.split(":")[0] for line in lines] == [f"FAIL {name}" for name in failed]
+    assert lines[0] == "FAIL aa_made_to_fail: residual nan > tolerance 1.0000000000000001e-09 "
+
+    path = tmp_path / "torsion.out"
+    code, out, err_out = run_cli(capsys, *argv, "--out", str(path))
+    assert code == 1 and out == "" and err_out == err
+    assert path.read_text() == (reports[-1].to_json() if fmt else reports[-1].pairs_csv())
 
 
 # -- config and determinism ----------------------------------------------------------

@@ -15,9 +15,10 @@ import math
 import numpy as np
 import pytest
 
-from ruminlab import util
-from ruminlab.spectral import VerificationReport, _fmt_column
-from ruminlab.torsion import TorsionReport
+from ruminlab import cli, util
+from ruminlab.model import su2_model
+from ruminlab.spectral import Assembly, VerificationReport
+from ruminlab.torsion import TorsionReport, reeb_decomposition
 
 ESCAPES = 'quote " back\\slash \x01 tab\t new\nline, comma é ü 数'
 
@@ -153,14 +154,49 @@ def test_torsion_report_json_writes_its_checks_as_json_dumps():
     assert doc["passed"] is False
 
 
+@pytest.mark.parametrize("chunk", [1, 3, 7])
+def test_hand_reports_equal_the_per_check_writers_across_chunk_seams(monkeypatch, chunk):
+    """The hand reports written `chunk` checks at a time (14 checks: uneven chunks, and two full
+    chunks of 7), so every join between chunks is compared with the reference."""
+    monkeypatch.setattr(util, "ROW_CHUNK", chunk)
+    test_columnar_writers_equal_the_per_check_writers()
+    test_empty_and_extended_reports()
+    test_torsion_report_json_writes_its_checks_as_json_dumps()
+
+
+def test_s3_reports_equal_the_per_check_writers_across_chunk_seams(monkeypatch):
+    """No report of the test grid exceeds one chunk of `util.ROW_CHUNK` checks, so the checks of
+    `verify --suite all` and of the torsion report on s3 at M = 12 are written 3 at a time here."""
+    monkeypatch.setattr(util, "ROW_CHUNK", 3)
+    asm = Assembly(su2_model(), 12)
+    report = cli.run_suite(asm, "all", cli.RunConfig(max_weight=12))
+    checks = list(zip(report.names, report.residuals, report.tolerances, report.details))
+    assert len(checks) > 1000
+    assert report.to_json() == _reference_json(report, checks)
+    assert report.to_csv() == _reference_csv(checks)
+    torsion = reeb_decomposition(asm)
+    text = torsion.to_json()
+    doc = json.loads(text)
+    assert json.dumps(doc, sort_keys=True) == text
+    c = torsion.checks
+    assert doc["checks"] == _reference_rows(list(zip(c.names, c.residuals, c.tolerances, c.details)))
+    assert len(doc["checks"]) > 3
+
+
 def test_spectrum_columns_format_each_value_as_format_17g():
-    """`spectral._fmt_column` formats each distinct value once: the text is that of
-    `format(x, ".17g")` per value, NaN is `missing`, and 0.0 and -0.0 stay apart."""
+    """`util.float_cells`, the one column formatter of every report, formats each distinct value
+    once: the text is that of `format(x, ".17g")` per value, NaN is `missing`, and 0.0 and -0.0
+    stay apart.  With the conventions of the verification columns, NaN prints nan, inf prints
+    inf, an integer residual prints 3 and -0.0 prints -0."""
     values = [0.0, -0.0, math.nan, 1.5, 0.1, 0.1, -0.0, 1e-300, 5e-324, -2.0, math.nan, 0.0, 134.0, 1.5, -math.inf]
     column = np.array(values)
     for missing, quote in (("", ""), ("null", '"')):
         want = [missing if x != x else f"{quote}{format(x, '.17g')}{quote}" for x in values]
-        assert _fmt_column(column, missing, quote) == want
-        assert _fmt_column(column[::-1], missing, quote) == want[::-1]  # a strided view
-    assert _fmt_column(column, "")[:3] == ["0", "-0", ""]
-    assert _fmt_column(np.array([]), "") == []
+        assert util.float_cells(column, missing, quote) == want
+        assert util.float_cells(column[::-1], missing, quote) == want[::-1]  # a strided view
+    assert util.float_cells(column, "")[:3] == ["0", "-0", ""]
+    assert util.float_cells(np.array([]), "") == []
+    checks = [math.nan, math.inf, 3, -0.0, 0.0, -math.nan, 1e-10]  # a list, as the report columns are
+    assert util.float_cells(checks, "nan") == ["nan", "inf", "3", "-0", "0", "nan", "1e-10"]
+    assert util.float_cells(checks, '"nan"', '"') == ['"nan"', '"inf"', '"3"', '"-0"', '"0"', '"nan"', '"1e-10"']
+    assert util.float_cells(checks, "nan") == [util.fmt_float(x) for x in checks]

@@ -194,6 +194,24 @@ def test_torsion_pairs_csv_equals_the_per_slice_writer():
     assert len(col["block"]) > 100
 
 
+@pytest.mark.parametrize("chunk", [1, 3, 4, 7])
+def test_hand_tables_equal_the_per_entry_writers_across_chunk_seams(monkeypatch, chunk):
+    """The hand table's 8 rows written `chunk` rows at a time: one row per chunk, uneven chunks
+    and two full chunks of 4, so every join between chunks is compared with the reference."""
+    monkeypatch.setattr(util, "ROW_CHUNK", chunk)
+    for cutoff in (None, 169.0):
+        test_columnar_writers_equal_the_per_entry_writers(cutoff)
+
+
+def test_s3_tables_and_pairs_equal_the_per_entry_writers_across_chunk_seams(monkeypatch):
+    """No table of the test grid exceeds one chunk of `util.ROW_CHUNK` rows, so the s3 tables
+    and torsion pairs at M = 12 are written 3 rows at a time here."""
+    monkeypatch.setattr(util, "ROW_CHUNK", 3)
+    for op in ("delta-rn", "delta-dr", "delta-b"):
+        test_columnar_spectrum_tables_equal_the_per_entry_writers(op)
+    test_torsion_pairs_csv_equals_the_per_slice_writer()
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_one_sector_eigenvalue_moved_changes_the_table(capsys, monkeypatch, fmt):
     """A 1e-6 relative move of one sector eigenvalue reaches the printed table."""
