@@ -30,11 +30,20 @@ Every stack is real (`float64`), and its operator is a fixed phase, 1 or i,
 times it: i for the first-order operators (d, d0, dT, d_b, d_t, the split
 halves of d_b, L_T and its Rumin compression, the Rumin differentials and
 halves, and the middle operator), 1 for the embeddings and the (half)
-Laplacians.  A product multiplies the phases (i * i = -1 flips the sign of
-the stack), and the adjoint of a stack of phase i is minus its transpose
-(`_t`), so A* A has the stack A^T A for either phase.  `_plan` checks the
-phase of every term: an entry of the other phase above `LEAK_TOL` raises, as
-an off-sector entry does.  So every solve runs in real arithmetic.
+Laplacians; a lifted fiber table has the phase of `FIBER_PHASE`.  A product
+multiplies the phases (i * i = -1 flips the sign of the stack), and the
+adjoint of a stack of phase i is minus its transpose (`_t`), so A* A has the
+stack A^T A for either phase.  `_plan` checks the phase of every term: an
+entry of the other phase above `LEAK_TOL` raises, as an off-sector entry
+does.  So every solve runs in real arithmetic.
+
+The complex lives in degrees 0..Dmax, and every other degree is the zero
+space: `BlockContext.mons` has no monomial there, so each fiber table from or
+into it is empty, and so is that side of every stack built from one.  A
+product through an empty space is zero (`_matmul`).  So every operator is
+written once for every degree: each Laplacian is up* up + down down* (or its
+Rumin form) at the ends of the complex too, where one of the two terms is
+zero, and no stack or suite tests a degree against the ends.
 
 `spectrum_rows` gives one degree of a `spectrum` Laplacian as a `RowStack`,
 which `rows.solve_rows` solves over every weight together.  `_eigh`
@@ -83,6 +92,8 @@ LEAK_TOL = 1e-12  # largest off-sector or wrong-phase coefficient of a fiber (x)
 FACTORS = ("z", "+", "-")  # the ladder factors, in the order of `field_ladder_coefficients`
 SHIFT = {"1": 0, "z": 0, "+": 1, "-": -1}  # slot shift b_out - b_in of each slot factor
 SPECTRUM_FLAVOR = {"delta-rn": "rumin", "delta-dr": "full", "delta-t": "full", "delta-b": "horizontal"}
+# the phase of every fiber table that `_terms` lifts; J (`jact`) mixes both, lifted as its real and imaginary parts
+FIBER_PHASE = {"iota": 1, "theta": 1, "horiz": 1, "lam": 1j, "lef": 1j, "star": 1j}
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -108,9 +119,16 @@ def _t(stack: np.ndarray) -> np.ndarray:
     return stack.transpose(1, 0, 2)
 
 
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The blockwise matrix product of two stacks: zero through an empty space."""
+    if not (a.size and b.size):
+        return np.zeros((a.shape[0], b.shape[1], a.shape[2]))
+    return np.einsum("ijs,jks->iks", a, b)
+
+
 def _product(*stacks: np.ndarray) -> np.ndarray:
     """The blockwise matrix product of stacks."""
-    return reduce(lambda a, b: np.einsum("ijs,jks->iks", a, b), stacks)
+    return reduce(_matmul, stacks)
 
 
 def _groups(rows: np.ndarray, cols: np.ndarray):
@@ -165,14 +183,10 @@ def _per_row(values: np.ndarray, starts: np.ndarray, reduce=np.add) -> np.ndarra
     return reduce.reduceat(per_sector, starts[:-1])
 
 
-def _gram(up, down, mat=0.0):
+def _gram(up: np.ndarray, down: np.ndarray, mat=0.0) -> np.ndarray:
     """mat + up* up + down down* for stacks up and down of one phase (as A* A has the stack A^T A
-    for either phase); None leaves a term out."""
-    if up is not None:
-        mat = mat + _product(_t(up), up)
-    if down is not None:
-        mat = mat + _product(down, _t(down))
-    return mat
+    for either phase)."""
+    return mat + _product(_t(up), up) + _product(down, _t(down))
 
 
 def _hermitized(stack: np.ndarray, what: str, tol: float = 1e-9) -> np.ndarray:
@@ -284,7 +298,8 @@ class SectorStacks:
         """The fiber (x) slot terms (F, factor) of the stack `op` in degree k, in summation order, the
         (k, flavor) keys of its out and in spaces, and its phase.  `op` is "d", "lie_reeb", "d0",
         "embed" (of the flavor `arg`), "lefschetz_inverse" (L^-1 from degree k = n + 1), or a table
-        of `BlockContext._fiber` with arg = (k_out, phase); J (`jact`) has the phase "real" or "imag"."""
+        of `BlockContext._fiber` into degree arg = k_out, of phase `FIBER_PHASE[op]`; J (`jact`)
+        takes arg = (k_out, "real" or "imag"), the part that it lifts."""
         fibers = self.fibers
         if op == "d":  # the coframe part dmon (x) I plus sum_a wedge_a (x) (field a)
             fields = self.frame.field_names
@@ -301,10 +316,11 @@ class SectorStacks:
             fib, k_out, phase = fibers._fiber("lef", k - 1) @ fibers._fiber("iota", k), k + 1, 1j
         elif op == "lefschetz_inverse":
             fib, k_out, phase = fibers.lefschetz_inverse_fiber(), k - 2, 1j
+        elif op == "jact":
+            (k_out, part), phase = arg, 1
+            fib = getattr(fibers._fiber(op, k), part)
         else:
-            (k_out, phase), fib = arg, fibers._fiber(op, k)
-            if phase in ("real", "imag"):
-                fib, phase = getattr(fib, phase), 1
+            fib, k_out, phase = fibers._fiber(op, k), arg, FIBER_PHASE[op]
         return [(fib, "1")], (k_out, "full"), (k, "full"), phase
 
     @_frame_memo
@@ -423,13 +439,11 @@ class SectorStacks:
 
     @_first_order_memo
     def d0(self, k: int) -> np.ndarray:
-        if k == 0:
-            return np.zeros((self.space(1).dim, self.space(0).dim, self.m.size))
         return self._stack("d0", k)
 
     @_first_order_memo
     def dT(self, k: int) -> np.ndarray:
-        return _product(self._stack("theta", k, (k + 1, 1)), self.lie_reeb(k), self._stack("horiz", k, (k, 1)))
+        return _product(self._stack("theta", k, k + 1), self.lie_reeb(k), self._stack("horiz", k, k))
 
     @_block_memo
     def db(self, k: int) -> np.ndarray:
@@ -463,7 +477,7 @@ class SectorStacks:
             core = self.lie_reeb(n) - _product(dl + dlb, _t(dl - dlb))
         else:
             raise KeyError(variant)
-        full = _product(self._stack("theta", n, (n + 1, 1)), core)
+        full = _product(self._stack("theta", n, n + 1), core)
         return self._compress_invariant(full, (n + 1, "rumin"), (n, "rumin"), "middle operator leaves its target space")
 
     @_block_memo
@@ -484,7 +498,7 @@ class SectorStacks:
     def half_laplacian(self, k: int, anti: bool) -> np.ndarray:
         """Delta_del or Delta_delbar on the degree-k Rumin space (k <= n), as
         `BlockContext.rumin_del_laplacian`."""
-        return _gram(self.rumin_del(k, anti), self.rumin_del(k - 1, anti) if k >= 1 else None)
+        return _gram(self.rumin_del(k, anti), self.rumin_del(k - 1, anti))
 
     def half_laplacians(self, k: int):
         """(Delta_del, Delta_delbar) on the degree-k Rumin space below the middle degree,
@@ -541,27 +555,19 @@ class SectorStacks:
         """The Laplacian of the `spectrum` operator `op` on its degree-k space, hermitized; kept with
         the first-order stacks."""
         if op == "delta-rn":  # (d*d)^2 + (dd*)^2, with the middle operator D = rumin_d(n) entering as D*D
+            up, down = self.rumin_d(k), self.rumin_d(k - 1)
+            above, below = _product(_t(up), up), _product(down, _t(down))
             mat = np.zeros((self.space(k, "rumin").dim,) * 2 + (self.m.size,))
-            if k < self.Dmax:
-                up = self.rumin_d(k)
-                square = _product(_t(up), up)
-                mat = mat + (square if k == self.n else _product(square, square))
-            if k > 0:
-                down = self.rumin_d(k - 1)
-                square = _product(down, _t(down))
-                mat = mat + (square if k == self.n + 1 else _product(square, square))
+            mat = mat + (above if k == self.n else _product(above, above))
+            mat = mat + (below if k == self.n + 1 else _product(below, below))
             return _hermitized(mat, "Rumin Laplacian")
         if op == "delta-b":
-            top = 2 * self.n
-            up = self._compress(self.db(k), (k + 1, "horizontal"), (k, "horizontal")) if k < top else None
-            down = self._compress(self.db(k - 1), (k, "horizontal"), (k - 1, "horizontal")) if k > 0 else None
-            return self._hodge_sum(up, down, (k, "horizontal"), "horizontal Laplacian")
+            horizontal = lambda j: self._compress(self.db(j), (j + 1, "horizontal"), (j, "horizontal"))
+            return self._hodge_sum(horizontal(k), horizontal(k - 1), (k, "horizontal"), "horizontal Laplacian")
         if op in ("delta-dr", "delta-t"):
             diff = self.d if op == "delta-dr" else (lambda j: self.dt(j, t))
-            up = diff(k) if k < self.Dmax else None
-            down = diff(k - 1) if k > 0 else None
             what = "Hodge-de Rham Laplacian" if op == "delta-dr" else "deformed Laplacian"
-            return self._hodge_sum(up, down, (k, "full"), what)
+            return self._hodge_sum(diff(k), diff(k - 1), (k, "full"), what)
         raise KeyError(op)
 
     def eigh(self, op: str, k: int, t: float = 1.0, stack: Optional[np.ndarray] = None):

@@ -13,8 +13,12 @@ Every stack is real, and its operator is its phase, 1 or i, times it (see
 phase i is minus the square of its stack, and its adjoint is minus the
 transpose (`_t`).  Each identity is written on the stacks with those signs;
 where only the magnitude of a residual is read, a sign common to all its
-terms is dropped.  The fiber tables lift with the phases of `FIBER_PHASE`;
-J mixes both phases and is applied as its real and imaginary parts.
+terms is dropped.  The fiber tables lift with the phases of
+`sectors.FIBER_PHASE`; J mixes both phases and is applied as its real and
+imaginary parts.  Every degree outside the complex is the zero space (see
+`sectors`), so each identity is written once for every degree: a term that
+reaches past an end of the complex is a product through an empty stack, and
+zero.
 
 The subspace steps that need vectors (harmonic kernels, images, null spaces
 and intersections) are real stacked per-sector `eigh` and SVD calls, one per
@@ -144,22 +148,12 @@ def _norms(stacks: SectorStacks, *parts: np.ndarray) -> np.ndarray:
 # -- shared quantities ----------------------------------------------------------------
 
 
-def _zeros(stacks: SectorStacks, rows: int, cols: int) -> np.ndarray:
-    return np.zeros((rows, cols, stacks.m.size))
-
-
-FIBER_PHASE = {"iota": 1, "theta": 1, "lam": 1j, "lef": 1j, "star": 1j}  # and jact, see `_fiber`
-
-
 @_block_memo
 def _fiber(stacks: SectorStacks, name: str, k: int, k_out: int, imag: bool = False) -> np.ndarray:
     """The fiber table `name` of degree k, lifted between the full spaces of degrees k and k_out, as
-    a real stack of phase `FIBER_PHASE[name]` (J, `jact`, mixes both: its real part, or its
-    imaginary part if `imag`); no rows when k_out lies outside the complex.  Kept for the run."""
-    if not 0 <= k_out <= stacks.Dmax:
-        return _zeros(stacks, 0, stacks.space(k).dim)
-    part = ("imag" if imag else "real") if name == "jact" else FIBER_PHASE[name]
-    return stacks._stack(name, k, (k_out, part))
+    a real stack of phase `sectors.FIBER_PHASE[name]` (J, `jact`, mixes both: its real part, or its
+    imaginary part if `imag`).  Kept for the run."""
+    return stacks._stack(name, k, (k_out, "imag" if imag else "real") if name == "jact" else k_out)
 
 
 @_block_memo
@@ -173,23 +167,15 @@ def _harmonic(stacks: SectorStacks, k: int, operator: str) -> SectorBasis:
     return SectorBasis(np.where(keep[None], q, 0), keep)
 
 
-def _hdim(stacks: SectorStacks, d: int) -> int:
-    return stacks.space(d, "horizontal").dim if 0 <= d <= stacks.Dmax else 0
-
-
 @_block_memo
 def _horizontal_del(stacks: SectorStacks, k: int, anti: bool) -> np.ndarray:
-    """Split half of d_b as a map of horizontal spaces; zero out of range."""
-    if k < 0 or k > 2 * stacks.n - 1:
-        return _zeros(stacks, _hdim(stacks, k + 1), _hdim(stacks, k))
+    """Split half of d_b as a map of horizontal spaces."""
     return stacks._compress(stacks.split_db(k, anti), (k + 1, "horizontal"), (k, "horizontal"))
 
 
 @_block_memo
 def _horizontal_lefschetz(stacks: SectorStacks, k: int) -> np.ndarray:
-    """Lefschetz wedge H^k -> H^{k+2}; zero out of range."""
-    if k < 0 or k + 2 > 2 * stacks.n:
-        return _zeros(stacks, _hdim(stacks, k + 2), _hdim(stacks, k))
+    """Lefschetz wedge H^k -> H^{k+2}."""
     return stacks._compress(_fiber(stacks, "lef", k, k + 2), (k + 2, "horizontal"), (k, "horizontal"))
 
 
@@ -266,23 +252,19 @@ def check_hodge_block_matrix(asm: Assembly, report: VerificationReport, tol: flo
         full = stacks.laplacian("delta-dr", k)
         approx = np.zeros_like(full)
         eh = stacks.embed(k, "horizontal")
-        if eh.shape[1]:
-            lt = _horizontal_reeb(stacks, k)
-            lam = _horizontal_lefschetz(stacks, k - 2)
-            top = stacks.laplacian("delta-b", k) + _product(lt, lt) + _product(lam, _t(lam))  # L_T^2 = -lt lt
-            approx += _product(eh, top, _t(eh))
-        if k >= 1:
-            ev = _product(_fiber(stacks, "theta", k - 1, k), stacks.embed(k - 1, "horizontal"))
-            if ev.shape[1]:
-                lt = _horizontal_reeb(stacks, k - 1)
-                lef = _horizontal_lefschetz(stacks, k - 1)
-                bot = stacks.laplacian("delta-b", k - 1) + _product(lt, lt) + _product(_t(lef), lef)
-                approx += _product(ev, bot, _t(ev))
-            if eh.shape[1] and ev.shape[1]:
-                dl = _horizontal_del(stacks, k - 1, False)
-                dlb = _horizontal_del(stacks, k - 1, True)
-                approx += _product(eh, dlb - dl, _t(ev))  # i del - i delbar
-                approx += _product(ev, _t(dlb - dl), _t(eh))  # its adjoint
+        lt = _horizontal_reeb(stacks, k)
+        lam = _horizontal_lefschetz(stacks, k - 2)
+        top = stacks.laplacian("delta-b", k) + _product(lt, lt) + _product(lam, _t(lam))  # L_T^2 = -lt lt
+        approx += _product(eh, top, _t(eh))
+        ev = _product(_fiber(stacks, "theta", k - 1, k), stacks.embed(k - 1, "horizontal"))
+        lt = _horizontal_reeb(stacks, k - 1)
+        lef = _horizontal_lefschetz(stacks, k - 1)
+        bot = stacks.laplacian("delta-b", k - 1) + _product(lt, lt) + _product(_t(lef), lef)
+        approx += _product(ev, bot, _t(ev))
+        dl = _horizontal_del(stacks, k - 1, False)
+        dlb = _horizontal_del(stacks, k - 1, True)
+        approx += _product(eh, dlb - dl, _t(ev))  # i del - i delbar
+        approx += _product(ev, _t(dlb - dl), _t(eh))  # its adjoint
         _add(report, f"hodge_block_matrix[{{lbl}}]k={k}", stacks, stacks._weight_max(full - approx), tol)
 
 
@@ -323,7 +305,7 @@ def check_kernel_coincidence(asm: Assembly, report: VerificationReport, dims: Co
             continue
         horizontal = stacks.embed(k, "horizontal")
         steps = (
-            ("step_db_adjoint", wmax(_product(_t(stacks.db(k - 1)), phi)) if k >= 1 else np.zeros(r.size)),
+            ("step_db_adjoint", wmax(_product(_t(stacks.db(k - 1)), phi))),
             ("step_trace_db", wmax(_product(_fiber(stacks, "lam", k + 1, k - 1), stacks.db(k), phi))),
             ("step_horizontal_laplacian", wmax(_product(stacks.laplacian("delta-b", k), _t(horizontal), phi))),
             ("step_reeb_derivative", wmax(_product(stacks.lie_reeb(k), phi))),
@@ -366,8 +348,8 @@ def check_deformation_family(asm: Assembly, report: VerificationReport, t_sample
     wmax = stacks._weight_max
     top = stacks.Dmax
     r = np.array(asm.multiplicity, dtype=int)
-    # d_t(j) is a factor of degrees j and j+1, so build it once; None pads out of range
-    dts = [[None, *(stacks.dt(j, t) for j in range(top)), None] for t in t_samples]
+    # d_t(j) is a factor of degrees j and j+1, so build it once; dt[j + 1] is d_t(j)
+    dts = [[stacks.dt(j, t) for j in range(-1, top + 1)] for t in t_samples]
     for k in range(top + 1):
         ker = _harmonic(stacks, k, "de_rham")
         dim = stacks.per_weight(ker.used)
@@ -416,8 +398,7 @@ def check_sasakian_identities(asm: Assembly, report: VerificationReport, tol: fl
     # projected halves on the Rumin spaces, degrees <= n
     for k in range(0, n + 1):
         anti = _product(_t(stacks.rumin_del(k, True)), stacks.rumin_del(k, False))
-        if k >= 1:
-            anti = anti + _product(stacks.rumin_del(k - 1, False), _t(stacks.rumin_del(k - 1, True)))
+        anti = anti + _product(stacks.rumin_del(k - 1, False), _t(stacks.rumin_del(k - 1, True)))
         _add(report, f"graded_rumin_halves[{{lbl}}]k={k}", stacks, wmax(anti), tol)
     for k in range(0, n):
         lap10, lap01 = stacks.half_laplacian(k, False), stacks.half_laplacian(k, True)

@@ -400,13 +400,15 @@ def test_verify_all_computes_each_shared_quantity_once(capsys, monkeypatch):
             assert not repeated, f"{kind}: {len(repeated)} of {len(counts)} computations repeated"
         assert len(calls) == 8 + len(FIRST_ORDER)
         assert set(calls["lie_reeb_rumin"]) == {(0,), (1,)}  # the sec4 suite and the Reeb check of the joint solve
-        assert set(calls["split_db"]) == {(k, anti) for k in range(2) for anti in (False, True)}
-        assert set(calls["rumin_del"]) == {(k, anti) for k in range(2) for anti in (False, True)}
-        assert set(calls["d"]) == {(k,) for k in range(4)}
+        # degrees beyond 0..3 are zero spaces: the sasakian suite reads the split halves of d_b two
+        # degrees past either end, and the Laplacians and half Laplacians one
+        assert set(calls["split_db"]) == {(k, anti) for k in range(-2, 4) for anti in (False, True)}
+        assert set(calls["rumin_del"]) == {(k, anti) for k in range(-1, 2) for anti in (False, True)}
+        assert set(calls["d"]) == {(k,) for k in range(-2, 4)}
         assert set(calls["sector rank"]) == {"rumin", "de_rham"}
         assert set(calls["harmonic kernel"]) == {(k, op) for k in range(4) for op in ("de_rham", "rumin")}
         laps = {(op, k, 1.0) for op in ("delta-rn", "delta-dr") for k in range(4)}
-        assert set(calls["Laplacian"]) == laps | {("delta-b", k, 1.0) for k in range(3)}
+        assert set(calls["Laplacian"]) == laps | {("delta-b", k, 1.0) for k in range(-1, 4)}
         assert set(solved) == laps
         assert sum(calls["joint eigenspaces"].values()) == 2
 
@@ -478,8 +480,9 @@ def test_complex_property_builds_each_deformed_differential_once(monkeypatch):
 
 
 def test_deformation_family_builds_each_deformed_differential_once(monkeypatch):
-    """`verify_deformation_family` builds each d_t once per (degree, t); d_t(Dmax) is never a factor."""
-    _assert_each_dt_built_once(monkeypatch, spectral.verify_deformation_family, (0.1, 1.0, 10.0), range(3))
+    """`verify_deformation_family` builds each d_t once per (degree, t), for every degree j = -1..Dmax
+    whose d_t is a factor of a Laplacian: d_t(-1) and d_t(Dmax) map from and into zero spaces."""
+    _assert_each_dt_built_once(monkeypatch, spectral.verify_deformation_family, (0.1, 1.0, 10.0), range(-1, 4))
 
 
 LENS31 = ["--model", "lens", "--p", "3", "--character", "1"]

@@ -19,9 +19,8 @@ from ruminlab import cli, operators, suites
 from ruminlab.model import lens_space, su2_block, su2_model
 from ruminlab.operators import BlockContext, InternalConsistencyError, max_abs
 from ruminlab.rows import solve_rows
-from ruminlab.sectors import SPECTRUM_FLAVOR, SectorStacks
+from ruminlab.sectors import FIBER_PHASE, SPECTRUM_FLAVOR, SectorStacks, _hermitized, _product, _t
 from ruminlab.spectral import Assembly, _reeb_sectors, principal_sines, q_decomposition
-from ruminlab.suites import FIBER_PHASE
 
 MAX_WEIGHT = 12
 T = 0.1
@@ -327,8 +326,8 @@ def test_each_plan_is_built_once_per_frame_and_process(capsys, monkeypatch):
     for name, counts in built.items():
         repeated = {args: n for args, n in counts.items() if n > 1}
         assert counts and not repeated, (name, repeated)
-    # iota and lam (`_terms` reads any fiber table) act in range only on the harmonic 1-forms, which no model has
-    ops = {"d", "lie_reeb", "d0", "embed", "lefschetz_inverse", "theta", "horiz", "lef", "star", "jact"}
+    # iota and lam map the harmonic 0-forms out of the complex, into zero spaces
+    ops = {"d", "lie_reeb", "d0", "embed", "lefschetz_inverse", "theta", "horiz", "lef", "star", "jact", "iota", "lam"}
     assert {args[0] for args in built["_plan"]} == ops
     assert {args[2][1] for args in built["_plan"] if args[0] == "jact"} == {"real", "imag"}
 
@@ -374,3 +373,69 @@ def test_empty_weight_list_gives_no_rows():
             rows, _ = stacks.spectrum_rows(op, k, T)
             assert rows.dims.size == 0 and rows.stack.shape[2] == 0
             assert solve_rows(rows).owner.size == 0
+
+
+END_MODELS = [su2_model(), lens_space(3, character=1)]
+
+
+def _end_maps(stacks: SectorStacks, k: int):
+    """(name, stack, out space, in space) of every map out of degree k that the ends of the complex
+    may reach: the first-order stacks, the Rumin differentials and halves, the embeddings and the
+    lifted fiber tables."""
+    n = stacks.n
+    for name in ("d", "d0", "dT", "db"):
+        yield name, getattr(stacks, name)(k), (k + 1, "full"), (k, "full")
+    yield "dt", stacks.dt(k, T), (k + 1, "full"), (k, "full")
+    for anti in (False, True):
+        yield f"split_db({anti})", stacks.split_db(k, anti), (k + 1, "full"), (k, "full")
+        target = (k + 1, "rumin" if k < n else "horizontal")
+        yield f"rumin_del({anti})", stacks.rumin_del(k, anti), target, (k, "rumin")
+    yield "rumin_d", stacks.rumin_d(k), (k + 1, "rumin"), (k, "rumin")
+    for flavor in ("full", "horizontal", "rumin"):
+        yield f"embed({flavor})", stacks.embed(k, flavor), (k, "full"), (k, flavor)
+    for name, k_out in (("theta", k + 1), ("iota", k - 1), ("lef", k + 2), ("lam", k - 2), ("horiz", k)):
+        yield name, stacks._stack(name, k, k_out), (k_out, "full"), (k, "full")
+
+
+@pytest.mark.parametrize("model", END_MODELS, ids=["s3", "lens3-1"])
+def test_degrees_outside_the_complex_are_zero_spaces(model):
+    """Every space of a degree outside 0..Dmax has no fiber vector, and every map from or into one
+    builds without error, with the shape of its spaces and no nonzero entry."""
+    stacks = SectorStacks(model.frame, [m for m in range(5) if model.multiplicity(m)])
+    top = stacks.Dmax
+    inside = lambda k: 0 <= k <= top
+    for k in (-2, -1, top + 1, top + 2):
+        assert all(stacks.space(k, flavor).dim == 0 for flavor in ("full", "horizontal", "rumin")), k
+    for k in range(-2, top + 2):
+        for name, stack, out, inn in _end_maps(stacks, k):
+            assert stack.shape == (stacks.space(*out).dim, stacks.space(*inn).dim, stacks.m.size), (name, k)
+            if not (inside(out[0]) and inside(inn[0])):
+                assert not stack.any(), (name, k)
+
+
+@pytest.mark.parametrize("op", SPECTRUM_OPS)
+@pytest.mark.parametrize("model", END_MODELS, ids=["s3", "lens3-1"])
+def test_end_laplacians_are_their_one_sided_sums(model, op):
+    """At the first and last degree of its operator, each `spectrum` Laplacian equals the one-sided
+    sum that leaves out the map from or into the zero space beyond, bit for bit."""
+    stacks = SectorStacks(model.frame, [m for m in range(5) if model.multiplicity(m)])
+    n, degrees = stacks.n, spectrum_degrees(op)
+    flavor = SPECTRUM_FLAVOR[op]
+    if op == "delta-rn":
+        diff = stacks.rumin_d
+    elif op == "delta-b":
+        diff = lambda j: stacks._compress(stacks.db(j), (j + 1, "horizontal"), (j, "horizontal"))
+    else:
+        diff = stacks.d if op == "delta-dr" else (lambda j: stacks.dt(j, T))
+    for k, above in ((degrees[0], True), (degrees[-1], False)):
+        zero = np.zeros((stacks.space(k, flavor).dim,) * 2 + (stacks.m.size,))
+        if above:
+            square = _product(_t(diff(k)), diff(k))
+            middle = k == n
+        else:
+            square = _product(diff(k - 1), _t(diff(k - 1)))
+            middle = k == n + 1
+        if op == "delta-rn" and not middle:
+            square = _product(square, square)
+        want = _hermitized(zero + square, "one-sided sum")
+        assert np.array_equal(stacks.laplacian(op, k, T), want), (op, k)
