@@ -400,8 +400,8 @@ def test_verify_all_computes_each_shared_quantity_once(capsys, monkeypatch):
             assert not repeated, f"{kind}: {len(repeated)} of {len(counts)} computations repeated"
         assert len(calls) == 8 + len(FIRST_ORDER)
         assert set(calls["lie_reeb_rumin"]) == {(0,), (1,)}  # the sec4 suite and the Reeb check of the joint solve
-        # degrees beyond 0..3 are zero spaces: the sasakian suite reads the split halves of d_b two
-        # degrees past either end, and the Laplacians and half Laplacians one
+        # degrees outside 0..3 are zero spaces: the sasakian identities read the split halves of d_b
+        # in degrees q - 2..q + 1 for q = 0..2, and the Laplacians and half Laplacians degree -1
         assert set(calls["split_db"]) == {(k, anti) for k in range(-2, 4) for anti in (False, True)}
         assert set(calls["rumin_del"]) == {(k, anti) for k in range(-1, 2) for anti in (False, True)}
         assert set(calls["d"]) == {(k,) for k in range(-2, 4)}
