@@ -19,12 +19,14 @@ half-Laplacian pair and a dense basis of each component of block m; the
 degree-1 rows need only the eigenvalue, the Reeb value and the dimension of
 each joint eigenspace, which the solved rows hold as columns over every block
 (`owner`, `delta`, `tau`, `count`), so no eigenvector basis is built for them.
+The mirror and zero-mode lines read the eigenvalues of every Reeb sector
+(`asm.sector_stacks.eigh`): a block's spectrum is the union of its sectors'.
+No dense block matrix is built.
 """
 
 import numpy as np
 
-from ruminlab.model import lens_space, su2_model
-from ruminlab.operators import hermitize
+from ruminlab.model import block_label, lens_space, su2_model
 from ruminlab.spectral import Assembly, q_decomposition
 
 model = su2_model()
@@ -34,13 +36,13 @@ print(f"model: 3-sphere, weights <= {asm.max_weight}; spectra exact below {asm.s
 print()
 print("degree 0, with half-Laplacian tags")
 print(f"{'block':>6} {'lam10':>8} {'lam01':>8} {'(sum)^2':>9} {'eigenvalue':>11} {'mult':>5}")
-for ctx in asm.contexts:
-    lap = ctx.laplacian_rn(0).matrix
-    for cpt in q_decomposition(asm, ctx.block.weight, 0):
-        ray = float(np.real(np.mean(np.diag(cpt.basis.conj().T @ lap @ cpt.basis))))
+joint = asm.rumin_rows(0)
+for w, (m, r) in enumerate(zip(asm.weights, asm.multiplicity)):
+    lo, hi = joint.row_components(w)
+    for cpt, delta in zip(q_decomposition(asm, m, 0), joint.delta[lo:hi].tolist()):
         print(
-            f"{ctx.block.label:>6} {cpt.lambda10:8.3f} {cpt.lambda01:8.3f}"
-            f" {(cpt.lambda10 + cpt.lambda01) ** 2:9.3f} {ray:11.6f} {ctx.block.multiplicity * cpt.dim:5d}"
+            f"{block_label(m):>6} {cpt.lambda10:8.3f} {cpt.lambda01:8.3f}"
+            f" {(cpt.lambda10 + cpt.lambda01) ** 2:9.3f} {delta:11.6f} {r * cpt.dim:5d}"
         )
 
 print()
@@ -48,24 +50,29 @@ print("degree 1 (middle degree), with Reeb eigenvalues")
 print(f"{'block':>6} {'eigenvalue':>11} {'nu':>7} {'mult':>5}")
 joint = asm.rumin_rows(1)
 for w, delta, tau, count in zip(*(column.tolist() for column in (joint.owner, joint.delta, joint.tau, joint.count))):
-    ctx = asm.contexts[w]
     nu = 0.0 - tau  # never -0.0
-    print(f"{ctx.block.label:>6} {max(delta, 0.0):11.6f} {nu:7.2f} {ctx.block.multiplicity * count:5d}")
+    print(f"{block_label(asm.weights[w]):>6} {max(delta, 0.0):11.6f} {nu:7.2f} {asm.multiplicity[w] * count:5d}")
 
 print()
 print("mirror symmetry: the star operator pairs degrees k and 3-k")
-ctx = asm.contexts[2]
+stacks = asm.sector_stacks
+m2 = slice(stacks.starts[2], stacks.starts[3])  # the sectors of block m2
+
+
+def spectrum_m2(k: int) -> np.ndarray:
+    """The degree-k Rumin eigenvalues of block m2, from those of its Reeb sectors."""
+    values, _, used = stacks.eigh("delta-rn", k)
+    return np.sort(values[:, m2][used[:, m2]])
+
+
 for k in (0, 1):
-    a = np.sort(np.linalg.eigvalsh(hermitize(ctx.laplacian_rn(k).matrix, 1e-9)))
-    b = np.sort(np.linalg.eigvalsh(hermitize(ctx.laplacian_rn(3 - k).matrix, 1e-9)))
-    print(f"  block m2, degrees {k} vs {3 - k}: max eigenvalue gap {np.max(np.abs(a - b)):.2e}")
+    gap = np.max(np.abs(spectrum_m2(k) - spectrum_m2(3 - k)))
+    print(f"  block m2, degrees {k} vs {3 - k}: max eigenvalue gap {gap:.2e}")
 
 print()
 print("twisting by a nontrivial flat character removes the zero modes:")
 for character in (0, 1):
     tasm = Assembly(lens_space(2, character=character), 4)
-    zero_modes = 0
-    for ctx in tasm.contexts:
-        w = np.linalg.eigvalsh(hermitize(ctx.laplacian_rn(0).matrix, 1e-9))
-        zero_modes += ctx.block.multiplicity * int(np.sum(np.abs(w) < 1e-9))
+    values, _, used = tasm.sector_stacks.eigh("delta-rn", 0)
+    zero_modes = int(np.dot(tasm.multiplicity, tasm.sector_stacks.per_weight(used & (np.abs(values) < 1e-9))))
     print(f"  order-2 quotient, character {character}: {zero_modes} zero mode(s) in degree 0")

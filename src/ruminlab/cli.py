@@ -159,17 +159,6 @@ def _emit(text: str, out: Optional[str]):
 # -- spectrum ---------------------------------------------------------------------
 
 
-def _spectrum_columns(model: ModelManifold, max_weight: int, op: str, degrees: List[int], t: float) -> dict:
-    """The columns of a spectrum table over every nonempty block up to `max_weight`, from the
-    Reeb-sector rows of every weight at once (`rows.spectrum_columns`), which frees its sector
-    stacks before it solves them."""
-    asm = Assembly(model, max_weight)
-    # imported on first use, so that `import ruminlab.cli` costs `verify` and `torsion` no more than before
-    from .rows import spectrum_columns
-
-    return spectrum_columns(model.frame, asm.weights, asm.multiplicity, op, degrees, t)
-
-
 def cmd_spectrum(cfg: RunConfig) -> int:
     model = cfg.build_model()
     top = model.frame.dim
@@ -186,7 +175,10 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         max_weight=cfg.max_weight,
         cutoff=spectral_cutoff(model, cfg.max_weight),
     )
-    table.columns = _spectrum_columns(model, cfg.max_weight, cfg.op, degrees, cfg.t_samples[0])
+    # imported on first use, so that `import ruminlab.cli` costs `verify` and `torsion` no more than before
+    from .rows import spectrum_columns
+
+    table.columns = spectrum_columns(Assembly(model, cfg.max_weight), cfg.op, degrees, cfg.t_samples[0])
     _emit(table.to_json() if cfg.format == "json" else table.to_csv(), cfg.out)
     return 0
 

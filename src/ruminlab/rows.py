@@ -27,9 +27,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import FrameStructure, block_label
+from .model import block_label
 from .operators import InternalConsistencyError
-from .sectors import RowStack, SectorStacks, _distinct, _eigh, _gather, _per_row
+from .sectors import BIDEGREE_TOL, RowStack, SectorStacks, _distinct, _eigh, _gather, _per_row
 
 
 def cluster_starts(segment: np.ndarray, values: np.ndarray, tol: np.ndarray) -> np.ndarray:
@@ -69,18 +69,19 @@ def run_means(values: np.ndarray, start: np.ndarray) -> np.ndarray:
     return means
 
 
-def round_sig_values(values: np.ndarray, digits: int = 12) -> np.ndarray:
-    """`util.round_sig` of every value of a float array, as it rounds a numpy float.
+def round_sig_values(values: np.ndarray) -> np.ndarray:
+    """`util.round_sig` of every value of a float array, to 12 significant digits, as it rounds a
+    numpy float.
 
     `round` of an `np.float64` is numpy's rounding (scale by 10^d, round half
     to even, scale back), not Python's, which rounds the exact binary value;
-    so the values that share one decimal count d = digits - 1 - floor(log10
-    |x|) are rounded by one `np.round`.  The magnitudes come from `math.log10`,
-    as in `util.round_sig`, and zero stays 0.0.
+    so the values that share one decimal count d = 11 - floor(log10 |x|) are
+    rounded by one `np.round`.  The magnitudes come from `math.log10`, as in
+    `util.round_sig`, and zero stays 0.0.
     """
     out = np.zeros(values.size)
     nonzero = np.flatnonzero(values != 0)
-    decimals = np.array([digits - 1 - math.floor(math.log10(abs(x))) for x in values[nonzero].tolist()], dtype=int)
+    decimals = np.array([11 - math.floor(math.log10(abs(x))) for x in values[nonzero].tolist()], dtype=int)
     for d in _distinct(decimals).tolist():
         at = nonzero[decimals == d]
         out[at] = np.round(values[at], d)
@@ -162,7 +163,7 @@ class JointRows:
             pairs.append(np.where(0.0 > ray, 0.0, ray))
         return tuple(round_sig_values(values) for values in pairs)
 
-    def bidegree_tags(self, labels: np.ndarray, n_labels: int, tol: float = 1e-9) -> np.ndarray:
+    def bidegree_tags(self, labels: np.ndarray, n_labels: int) -> np.ndarray:
         """The label index of every component, or -1 where its eigenspace is not
         bidegree-homogeneous: one weighted count over all eigenvector entries.  `labels` is the
         label index of every position, an (f, S) array or one (f, 1) column for every sector."""
@@ -176,7 +177,7 @@ class JointRows:
         size = self.owner.size
         mass = np.bincount(keys[use], (np.abs(self.vectors) ** 2)[use], size * n_labels).reshape(size, n_labels)
         best = np.argmax(mass, axis=1)
-        homogeneous = mass[np.arange(size), best] >= (1.0 - tol) * np.sum(mass, axis=1)
+        homogeneous = mass[np.arange(size), best] >= (1.0 - BIDEGREE_TOL) * np.sum(mass, axis=1)
         return np.where(homogeneous, best, -1)
 
     def components(self, row: int) -> List[tuple]:
@@ -229,17 +230,18 @@ def solve_rows(rows: RowStack, tol: float = 1e-9, eig: Optional[tuple] = None) -
     )
 
 
-def spectrum_columns(frame: FrameStructure, weights: Sequence[int], multiplicity: Sequence[int], op: str, degrees, t: float):
-    """The columns of the `spectrum` table of `op` over the weight blocks `weights` (with their
-    `multiplicity`), as `spectral.SpectrumTable.columns`.
+def spectrum_columns(asm, op: str, degrees: Sequence[int], t: float) -> dict:
+    """The columns of the `spectrum` table of `op` in `degrees` over the weight blocks of the
+    assembly `asm` (`spectral.Assembly`), as `spectral.SpectrumTable.columns`.
 
-    `SectorStacks` builds each degree's operator on the Reeb sectors of every
-    weight at once, one row per weight; position i of a sector is fiber vector
-    i and carries its bidegree label.  The stacks are freed once every degree's
-    rows exist, and each degree is solved by `solve_rows` and dropped once its
+    A private `SectorStacks` (not `asm.sector_stacks`, which the assembly would
+    keep) builds each degree's operator on the Reeb sectors of every weight at
+    once, one row per weight; position i of a sector is fiber vector i and
+    carries its bidegree label.  The stacks are freed once every degree's rows
+    exist, and each degree is solved by `solve_rows` and dropped once its
     columns exist.  The table is sorted when it is written.
     """
-    stacks = SectorStacks(frame, weights)
+    stacks = SectorStacks(asm.model.frame, asm.weights)
     names: dict = {}
     tables = []  # per degree: the degree, its rows, and the label index of every fiber vector
     for k in degrees:
@@ -247,8 +249,8 @@ def spectrum_columns(frame: FrameStructure, weights: Sequence[int], multiplicity
         tables.append((k, rows, np.array([names.setdefault(label, len(names)) for label in labels], dtype=int)))
     del stacks
     tags = np.array([*names, None], dtype=object)  # tag -1: not bidegree-homogeneous
-    blocks = np.array([block_label(m) for m in weights], dtype=str)
-    multiplicity = np.asarray(multiplicity, dtype=int)
+    blocks = np.array([block_label(m) for m in asm.weights], dtype=str)
+    multiplicity = np.asarray(asm.multiplicity, dtype=int)
     parts = []
     while tables:
         k, rows, ids = tables.pop()

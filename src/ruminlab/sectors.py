@@ -89,6 +89,8 @@ from .operators import (
 )
 
 LEAK_TOL = 1e-12  # largest off-sector or wrong-phase coefficient of a fiber (x) slot term
+HERMITIAN_TOL = 1e-9  # largest entry of A - A^T that `_hermitized` accepts
+BIDEGREE_TOL = 1e-9  # a vector is bidegree-homogeneous when one bidegree holds all but this share of its mass
 FACTORS = ("z", "+", "-")  # the ladder factors, in the order of `field_ladder_coefficients`
 SHIFT = {"1": 0, "z": 0, "+": 1, "-": -1}  # slot shift b_out - b_in of each slot factor
 SPECTRUM_FLAVOR = {"delta-rn": "rumin", "delta-dr": "full", "delta-t": "full", "delta-b": "horizontal"}
@@ -183,16 +185,16 @@ def _per_row(values: np.ndarray, starts: np.ndarray, reduce=np.add) -> np.ndarra
     return reduce.reduceat(per_sector, starts[:-1])
 
 
-def _gram(up: np.ndarray, down: np.ndarray, mat=0.0) -> np.ndarray:
-    """mat + up* up + down down* for stacks up and down of one phase (as A* A has the stack A^T A
-    for either phase)."""
-    return mat + _product(_t(up), up) + _product(down, _t(down))
+def _gram(up: np.ndarray, down: np.ndarray) -> np.ndarray:
+    """up* up + down down* for stacks up and down of one phase (as A* A has the stack A^T A for
+    either phase); one of them may be empty, at an end of the complex, and its term is zero."""
+    return _product(_t(up), up) + _product(down, _t(down))
 
 
-def _hermitized(stack: np.ndarray, what: str, tol: float = 1e-9) -> np.ndarray:
+def _hermitized(stack: np.ndarray, what: str) -> np.ndarray:
     """`operators.hermitize` of every block of a real stack."""
-    if max_abs(stack - _t(stack)) > tol:
-        raise InternalConsistencyError(f"{what} is not Hermitian within {tol}")
+    if max_abs(stack - _t(stack)) > HERMITIAN_TOL:
+        raise InternalConsistencyError(f"{what} is not Hermitian within {HERMITIAN_TOL}")
     return 0.5 * (stack + _t(stack))
 
 
@@ -356,14 +358,14 @@ class SectorStacks:
         return keep, leaks
 
     @_frame_memo
-    def bidegree_labels(self, k: int, flavor: str, tol: float = 1e-9) -> Tuple[str, ...]:
+    def bidegree_labels(self, k: int, flavor: str) -> Tuple[str, ...]:
         """The bidegree label ("(i,j)" or "theta^(i,j)") of every fiber vector of the degree-k
         space `flavor`; every fiber vector must be bidegree-homogeneous."""
         bidegrees = [(i, k - int(vert) - i, vert) for vert in (False, True) for i in range(k - int(vert) + 1)]
         weight = np.abs(self.fibers.space_fiber(k, flavor)) ** 2
         mass = np.array([self.fibers._bidegree_fiber_projector(k, *b) for b in bidegrees]) @ weight
         best = np.argmax(mass, axis=0)
-        if np.any(mass[best, np.arange(weight.shape[1])] < (1.0 - tol) * np.sum(weight, axis=0)):
+        if np.any(mass[best, np.arange(weight.shape[1])] < (1.0 - BIDEGREE_TOL) * np.sum(weight, axis=0)):
             raise InternalConsistencyError(f"a degree-{k} basis column is not bidegree-homogeneous")
         return [f"theta^({i},{j})" if vert else f"({i},{j})" for i, j, vert in (bidegrees[b] for b in best)]
 
@@ -451,6 +453,11 @@ class SectorStacks:
 
     def dt(self, k: int, t: float) -> np.ndarray:
         return self.d0(k) + t * self.db(k) + t * t * self.dT(k)
+
+    @_first_order_memo
+    def horizontal_db(self, k: int) -> np.ndarray:
+        """d_b as a map of the horizontal k-forms, which both neighbouring `delta-b` Laplacians read."""
+        return self._compress(self.db(k), (k + 1, "horizontal"), (k, "horizontal"))
 
     @_first_order_memo
     def split_db(self, k: int, anti: bool = False) -> np.ndarray:
@@ -557,17 +564,15 @@ class SectorStacks:
         if op == "delta-rn":  # (d*d)^2 + (dd*)^2, with the middle operator D = rumin_d(n) entering as D*D
             up, down = self.rumin_d(k), self.rumin_d(k - 1)
             above, below = _product(_t(up), up), _product(down, _t(down))
-            mat = np.zeros((self.space(k, "rumin").dim,) * 2 + (self.m.size,))
-            mat = mat + (above if k == self.n else _product(above, above))
-            mat = mat + (below if k == self.n + 1 else _product(below, below))
-            return _hermitized(mat, "Rumin Laplacian")
+            above = above if k == self.n else _product(above, above)
+            below = below if k == self.n + 1 else _product(below, below)
+            return _hermitized(above + below, "Rumin Laplacian")
         if op == "delta-b":
-            horizontal = lambda j: self._compress(self.db(j), (j + 1, "horizontal"), (j, "horizontal"))
-            return self._hodge_sum(horizontal(k), horizontal(k - 1), (k, "horizontal"), "horizontal Laplacian")
+            return _hermitized(_gram(self.horizontal_db(k), self.horizontal_db(k - 1)), "horizontal Laplacian")
         if op in ("delta-dr", "delta-t"):
             diff = self.d if op == "delta-dr" else (lambda j: self.dt(j, t))
             what = "Hodge-de Rham Laplacian" if op == "delta-dr" else "deformed Laplacian"
-            return self._hodge_sum(diff(k), diff(k - 1), (k, "full"), what)
+            return _hermitized(_gram(diff(k), diff(k - 1)), what)
         raise KeyError(op)
 
     def eigh(self, op: str, k: int, t: float = 1.0, stack: Optional[np.ndarray] = None):
@@ -580,10 +585,6 @@ class SectorStacks:
             valid = self.space(k, SPECTRUM_FLAVOR[op]).valid
             eig = self._first_order[key] = _frozen(_eigh(lap, valid, self.groups(valid, valid)))
         return eig
-
-    def _hodge_sum(self, up, down, space: Tuple[int, str], what: str) -> np.ndarray:
-        """`_gram` on the space `space`, hermitized, as `operators._hodge_sum`."""
-        return _hermitized(_gram(up, down, np.zeros((self.space(*space).dim,) * 2 + (self.m.size,))), what)
 
     def _check_reeb(self, k: int, flavor: str):
         """i L_T is tau on every sector of the degree-k space `flavor`, whose space L_T must preserve."""

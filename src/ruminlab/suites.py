@@ -44,11 +44,12 @@ sec4 families are computed for all corners at once.
 Quantities that several suites read are memoized in the stacks' memo with
 `_block_memo`, next to the first-order stacks, Laplacians and eigensolves
 that `SectorStacks` keeps once `spectral._run_suite` has called
-`keep_first_order`, so `verify --suite all` builds each once.  Each check
-family reaches the report in one `VerificationReport.add_family` call
-(`_add`: one name per weight, its `{lbl}` replaced by the block label); the
-per-component families of sec4 name each component `[{lbl}]l=(lambda10,
-lambda01)` and keep component order.
+`keep_first_order`, so `verify --suite all` builds each once; a value that a
+run reads once (a lifted fiber table, the Rumin square root) is not kept.
+Each check family reaches the report in one `VerificationReport.add_family`
+call (`_add`: one name per weight, its `{lbl}` replaced by the block label),
+with no loop over weights; the per-component families of sec4 name each
+component `[{lbl}]l=(lambda10, lambda01)` and keep component order.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ import numpy as np
 
 from .model import block_label
 from .operators import InternalConsistencyError, _block_memo
-from .sectors import SectorStacks, _eigh, _gather, _hermitized, _product, _scatter, _t
+from .sectors import SectorStacks, _eigh, _gather, _gram, _hermitized, _product, _scatter, _t
 from .spectral import KERNEL_RELATIVE_TOL, Assembly, VerificationReport
 
 # -- subspaces on the sectors -------------------------------------------------------
@@ -117,11 +118,11 @@ def _scaled_stack(stacks: SectorStacks, mats: Sequence[np.ndarray]) -> np.ndarra
     return np.concatenate(mats) / scale[stacks.owner]
 
 
-def _intersection(stacks: SectorStacks, bases: Sequence[SectorBasis], valid: np.ndarray, tol: float = 1e-9):
+def _intersection(stacks: SectorStacks, bases: Sequence[SectorBasis], valid: np.ndarray):
     """The dense `_subspace_intersection` of `tests/dense_reference.py` on every sector: the
     joint null space of the projectors onto the complements."""
     mats = [_identity(valid) - _product(b.vectors, _t(b.vectors)) for b in bases]
-    return _svd_basis(stacks, _scaled_stack(stacks, mats), np.concatenate([valid] * len(mats)), valid, tol, False)
+    return _svd_basis(stacks, _scaled_stack(stacks, mats), np.concatenate([valid] * len(mats)), valid, 1e-9, False)
 
 
 def _principal_sines(stacks: SectorStacks, u: SectorBasis, v: SectorBasis) -> np.ndarray:
@@ -135,9 +136,9 @@ def _principal_sines(stacks: SectorStacks, u: SectorBasis, v: SectorBasis) -> np
     return np.where(du != dv, 1.0, np.where(du == 0, 0.0, stacks.per_weight(top, np.maximum)))
 
 
-def _joint_kernel_dims(stacks: SectorStacks, mats: Sequence[np.ndarray], valid: np.ndarray, tol: float = 1e-9):
+def _joint_kernel_dims(stacks: SectorStacks, mats: Sequence[np.ndarray], valid: np.ndarray):
     """`spectral.joint_kernel_dim` on every weight: the valid columns less the `ranks`."""
-    return stacks.per_weight(valid.sum(axis=0) - stacks.ranks(_scaled_stack(stacks, mats), tol))
+    return stacks.per_weight(valid.sum(axis=0) - stacks.ranks(_scaled_stack(stacks, mats), 1e-9))
 
 
 def _norms(stacks: SectorStacks, *parts: np.ndarray) -> np.ndarray:
@@ -148,11 +149,11 @@ def _norms(stacks: SectorStacks, *parts: np.ndarray) -> np.ndarray:
 # -- shared quantities ----------------------------------------------------------------
 
 
-@_block_memo
 def _fiber(stacks: SectorStacks, name: str, k: int, k_out: int, imag: bool = False) -> np.ndarray:
     """The fiber table `name` of degree k, lifted between the full spaces of degrees k and k_out, as
     a real stack of phase `sectors.FIBER_PHASE[name]` (J, `jact`, mixes both: its real part, or its
-    imaginary part if `imag`).  Kept for the run."""
+    imaginary part if `imag`).  Not kept: a `verify` run reads each lift once, and a lift is one
+    multiply per entry of its plan."""
     return stacks._stack(name, k, (k_out, "imag" if imag else "real") if name == "jact" else k_out)
 
 
@@ -184,10 +185,9 @@ def _horizontal_reeb(stacks: SectorStacks, k: int) -> np.ndarray:
     return stacks._compress(stacks.lie_reeb(k), (k, "horizontal"), (k, "horizontal"))
 
 
-@_block_memo
 def _sqrt_rumin_laplacian(stacks: SectorStacks, k: int) -> np.ndarray:
     """The psd square root of the degree-k Rumin Laplacian, as `operators.sqrtm_psd`, from the
-    stacks' eigensolve."""
+    stacks' eigensolve; read once per run, so not kept."""
     w, q, _ = stacks.eigh("delta-rn", k)
     low, high = stacks.per_weight(w, np.minimum), stacks._weight_max(w)
     if np.any(low < -1e-10 * np.maximum(1.0, high)):
@@ -196,14 +196,14 @@ def _sqrt_rumin_laplacian(stacks: SectorStacks, k: int) -> np.ndarray:
 
 
 @_block_memo
-def _low_components(asm: Assembly, tol: float = 1e-9):
+def _low_components(asm: Assembly):
     """The joint (Delta, i L_T) components of the degree-(n-1) Rumin rows, weight by weight in the
     order of `q_decomposition`: (weight index, sector, lambda10, lambda01) arrays.  Each component
     must be one sector vector."""
-    joint = asm.rumin_rows(asm.n - 1, tol)
+    joint = asm.rumin_rows(asm.n - 1)
     if np.any(joint.count != 1):
         raise InternalConsistencyError("a degree-(n-1) joint eigenspace is not one sector vector")
-    return (joint.owner, joint.sector, *joint.half_pairs(tol))
+    return (joint.owner, joint.sector, *joint.half_pairs())
 
 
 # -- the suites ----------------------------------------------------------------------
@@ -353,7 +353,7 @@ def check_deformation_family(asm: Assembly, report: VerificationReport, t_sample
     for k in range(top + 1):
         ker = _harmonic(stacks, k, "de_rham")
         dim = stacks.per_weight(ker.used)
-        laps = [stacks._hodge_sum(dt[k + 1], dt[k], (k, "full"), "deformed Laplacian") for dt in dts]
+        laps = [_hermitized(_gram(dt[k + 1], dt[k]), "deformed Laplacian") for dt in dts]
         if dim.any():
             phi = ker.vectors
             rows = []
@@ -440,28 +440,31 @@ def check_eigenvalue_identity(asm: Assembly, report: VerificationReport, tol_rel
     img = _svd_basis(stacks, np.concatenate([up, upb], axis=1), mid, np.concatenate([low, low]), 1e-9, image=True)
     sub = _hermitized(_product(_t(img.vectors), lap_mid, img.vectors), "operator")
     w, _, used = _eigh(sub, img.used, stacks.groups(img.used, img.used))
+
+    def by_weight(values, at):
+        """The values sorted by (weight `at`, value), their weights, and the count on every weight."""
+        order = np.lexsort((values, at))
+        return values[order], at[order], np.bincount(at, minlength=len(labels))
+
+    # the restricted eigenvalues, and the predicted multiset: lam once for each positive half of its
+    # component; a weight without restricted eigenvalues has no check
+    values, at, size = by_weight(w[used], np.broadcast_to(stacks.owner, w.shape)[used])
     counts = np.where(l10 > tol, 1, 0) + np.where(l01 > tol, 1, 0)
-    for i, (lbl, r) in enumerate(zip(labels, asm.multiplicity)):
-        lo, hi = stacks.starts[i], stacks.starts[i + 1]
-        values = np.sort(w[:, lo:hi][used[:, lo:hi]])
-        if not values.size:
-            continue
-        mine = owner == i
-        predicted = np.sort(np.repeat(lam[mine], counts[mine]))
-        if predicted.size != values.size:
-            report.add(
-                f"law_middle_multiplicity[{lbl}]",
-                r * abs(predicted.size - values.size),
-                0.0,
-                f"predicted={r * predicted.size} actual={r * values.size}",
-            )
-        else:
-            rel = np.max(np.abs(predicted - values) / np.maximum(1.0, np.abs(predicted)))
-            report.add(f"law_middle_values[{lbl}]", float(rel), tol_rel)
-        low_value = float(values[0])
-        report.add(
-            f"restricted_positivity[{lbl}]", 0.0 if low_value > tol else 1.0, 0.5, f"min_eigenvalue={low_value:.6g}"
-        )
+    predicted, predicted_at, predicted_size = by_weight(np.repeat(lam, counts), np.repeat(owner, counts))
+    has, same = size > 0, size == predicted_size
+    r = np.asarray(asm.multiplicity, dtype=int)
+    details = [f"predicted={a} actual={b}" for a, b in zip((r * predicted_size).tolist(), (r * size).tolist())]
+    miss = r * np.abs(predicted_size - size)
+    _add(report, "law_middle_multiplicity[{lbl}]", stacks, miss, 0.0, has & ~same, details)
+    # where the sizes agree, the two sorted lists pair up value by value
+    got, want = values[same[at]], predicted[same[predicted_at]]
+    law = np.zeros(len(labels))
+    np.maximum.at(law, at[same[at]], np.abs(want - got) / np.maximum(1.0, np.abs(want)))
+    _add(report, "law_middle_values[{lbl}]", stacks, law, tol_rel, has & same)
+    lowest = np.zeros(len(labels))
+    lowest[has] = values[(np.cumsum(size) - size)[has]]  # the first value of each weight
+    details = [f"min_eigenvalue={x:.6g}" for x in lowest.tolist()]
+    _add(report, "restricted_positivity[{lbl}]", stacks, np.where(lowest > tol, 0.0, 1.0), 0.5, has, details)
 
     # normalized-pair analysis: a one-sided corner is its component's sector vector, a bi-positive
     # W corner that vector when both adjoint images contain it; dpsi and dbpsi are -i times the
@@ -493,7 +496,7 @@ def check_eigenvalue_identity(asm: Assembly, report: VerificationReport, tol_rel
     # one family per kind of corner check, each over its components in component order
     low10, low01 = l10 <= tol, l01 <= tol
     tags = [f"[{labels[i]}]l=({a:.6g},{b:.6g})" for i, a, b in zip(owner.tolist(), l10.tolist(), l01.tolist())]
-    r = np.asarray(asm.multiplicity, dtype=int)[owner]
+    r = r[owner]
     del_rank, delbar_rank = n10 > tol, n01 > tol
     family = lambda name, at, suffix="": [f"{name}{tags[i]}{suffix}" for i in at.tolist()]
     pairs = lambda fmt, a, b: [fmt.format(x, y) for x, y in zip(a.tolist(), b.tolist())]

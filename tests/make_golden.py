@@ -3,7 +3,7 @@
     python3 tests/make_golden.py
 
 Runs `verify --suite all`, the four `spectrum` operators and `torsion`, in
-JSON, on s3 and every lens(p, l), p = 2..5, at M = 0..6 (630 runs in one
+JSON, on s3 and every lens(p, l), p = 2..5, at M = 0..12 (1,170 runs in one
 process), and writes what each run must keep to `golden/reports.json.gz`.
 Stored exactly: the exit code, every check's name, tolerance, pass flag and
 detail, every spectrum row's degree, block, multiplicity and bidegree, and
@@ -37,7 +37,7 @@ REL_TOL = 1e-9
 MODELS = ["--model s3"] + [f"--model lens --p {p} --character {l}" for p in range(2, 6) for l in range(p)]
 COMMANDS = ["verify --suite all"] + [f"spectrum --op {op}" for op in ("delta-rn", "delta-dr", "delta-t", "delta-b")]
 COMMANDS.append("torsion")
-MAX_WEIGHTS = range(7)
+MAX_WEIGHTS = range(13)
 
 CHECK_FIELDS = ("name", "tolerance", "passed", "detail")  # every field of a check but its residual
 ROW_FIELDS = ("degree", "block", "multiplicity", "bidegree")  # compared exactly

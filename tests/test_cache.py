@@ -330,17 +330,21 @@ def test_verify_all_computes_each_shared_quantity_once(capsys, monkeypatch):
     the Reeb-sector solve (keyed by its exact input), the sector rank oracle,
     which ranks each complex once for thm1 and the torsion checks together,
     and the suite quantities that several suites read: the Laplacians, their
-    eigensolve on the sectors, the harmonic kernels, the Rumin square root,
-    the sec4 components and the lifted fiber tables.  Each Laplacian is
-    built once per (op, k) and solved by one `sectors._eigh` on the sectors:
-    the harmonic kernels of thm1, the Rumin square root of sec4 and the joint
-    eigenspaces read the same solve.  The Rumin Laplacian's joint eigenspaces
-    are solved once per degree k <= n over every weight
-    (`Assembly.rumin_rows`), for sec4 and the torsion checks together: two
-    solves in all, on lens(3, 1) and on s3.  The first-order stacks (d, d0, dT,
+    eigensolve on the sectors, the harmonic kernels and the sec4 components.
+    The lifted fiber tables and the Rumin square root are read once each, so
+    the memo keeps neither; their spies sit on the functions, and each is
+    still built once.  Each Laplacian is built once per (op, k) and solved by
+    one `sectors._eigh` on the sectors: the harmonic kernels of thm1, the
+    Rumin square root of sec4 and the joint eigenspaces read the same solve.
+    The Rumin Laplacian's joint eigenspaces are solved once per degree k <= n
+    over every weight (`Assembly.rumin_rows`), for sec4 and the torsion
+    checks together: two solves in all, on lens(3, 1) and on s3.  The
+    first-order stacks (d, d0, dT,
     L_T and its Rumin compression, whose invariance residual is checked when it
-    is built, the split halves of d_b and their Rumin compressions) are built
-    once per degree and half, and every composite of the stacks reads those.
+    is built, the split halves of d_b and their Rumin compressions, and d_b
+    between the horizontal spaces, which both neighbouring `delta-b`
+    Laplacians read) are built once per degree and half, and every composite
+    of the stacks reads those.
     """
     calls = {}
 
@@ -380,14 +384,18 @@ def test_verify_all_computes_each_shared_quantity_once(capsys, monkeypatch):
         "sector rank": (SectorStacks.cohomology_dims, lambda stacks, complex_name, multiplicity: complex_name),
         "Laplacian": (SectorStacks.laplacian, lambda stacks, op, k, t: (op, k, t), build_laplacian),
         "harmonic kernel": (suites._harmonic, lambda stacks, k, operator: (k, operator)),
-        "Rumin square root": (suites._sqrt_rumin_laplacian, lambda stacks, k: k),
-        "sec4 components": (suites._low_components, lambda asm, tol: tol),
-        "lifted fiber table": (suites._fiber, lambda stacks, name, k, k_out, imag: (name, k, k_out, imag)),
+        "sec4 components": (suites._low_components, lambda asm: ()),
     }
     for name in FIRST_ORDER:
         memos[name] = (getattr(SectorStacks, name), lambda stacks, *args: args)
     for kind, (memo, key, *fn) in memos.items():
         monkeypatch.setattr(memo, "__wrapped__", spy(kind, fn[0] if fn else memo.__wrapped__, key))
+    unkept = {
+        "Rumin square root": ("_sqrt_rumin_laplacian", lambda stacks, k: k),
+        "lifted fiber table": ("_fiber", lambda stacks, name, k, k_out, imag=False: (name, k, k_out, imag)),
+    }
+    for kind, (name, key) in unkept.items():
+        monkeypatch.setattr(suites, name, spy(kind, getattr(suites, name), key))
     for model in (["--model", "lens", "--p", "3", "--character", "1"], ["--model", "s3"]):
         for counts in calls.values():
             counts.clear()
@@ -405,6 +413,18 @@ def test_verify_all_computes_each_shared_quantity_once(capsys, monkeypatch):
         assert set(calls["split_db"]) == {(k, anti) for k in range(-2, 4) for anti in (False, True)}
         assert set(calls["rumin_del"]) == {(k, anti) for k in range(-1, 2) for anti in (False, True)}
         assert set(calls["d"]) == {(k,) for k in range(-2, 4)}
+        assert set(calls["horizontal_db"]) == {(k,) for k in range(-2, 4)}  # the delta-b Laplacians of -1..3
+        assert set(calls["Rumin square root"]) == {0}
+        # lef from the horizontal Lefschetz maps of hodge and sec4, theta from hodge, star from the star
+        # suite; where the constants are harmonic (s3), cor2 adds J in degrees 0 and 3, iota and lam out
+        # of degree 0, theta and lef out of degree 3, and thm1 lam out of degree 1
+        lifts = {("lef", k, k + 2, False) for k in range(-2, 3)} | {("star", k, 3 - k, False) for k in range(4)}
+        lifts |= {("theta", k, k + 1, False) for k in range(-1, 3)}
+        if model == ["--model", "s3"]:
+            lifts |= {("jact", k, k, imag) for k in (0, 3) for imag in (False, True)}
+            lifts |= {("iota", 0, -1, False), ("lam", 0, -2, False), ("lam", 1, -1, False)}
+            lifts |= {("theta", 3, 4, False), ("lef", 3, 5, False)}
+        assert set(calls["lifted fiber table"]) == lifts
         assert set(calls["sector rank"]) == {"rumin", "de_rham"}
         assert set(calls["harmonic kernel"]) == {(k, op) for k in range(4) for op in ("de_rham", "rumin")}
         laps = {(op, k, 1.0) for op in ("delta-rn", "delta-dr") for k in range(4)}
@@ -487,7 +507,7 @@ def test_deformation_family_builds_each_deformed_differential_once(monkeypatch):
 
 LENS31 = ["--model", "lens", "--p", "3", "--character", "1"]
 SPECTRUM_OPS = ("delta-rn", "delta-dr", "delta-t", "delta-b")
-FIRST_ORDER = ("d", "d0", "dT", "lie_reeb", "lie_reeb_rumin", "split_db", "rumin_del")
+FIRST_ORDER = ("d", "d0", "dT", "lie_reeb", "lie_reeb_rumin", "split_db", "rumin_del", "horizontal_db")
 
 
 @pytest.mark.parametrize(
@@ -502,8 +522,10 @@ FIRST_ORDER = ("d", "d0", "dT", "lie_reeb", "lie_reeb_rumin", "split_db", "rumin
 )
 def test_spectrum_and_torsion_keep_no_first_order_stack(capsys, monkeypatch, command):
     """`spectrum` and `torsion` read each first-order stack a few times and keep none, which holds
-    their peak memory at high M; only the `verify` suites keep them, and with them the Laplacians
-    and their sector eigensolves (the last case, which shows that the names are the memo's)."""
+    their peak memory at high M; only the `verify` suites keep them (d_b between the horizontal
+    spaces too), and with them the Laplacians and their sector eigensolves (the last case, which
+    shows that the names are the memo's).  No command keeps a lifted fiber table or the Rumin
+    square root, which a run reads once each."""
     built = []
     init = SectorStacks.__init__
 
@@ -516,8 +538,10 @@ def test_spectrum_and_torsion_keep_no_first_order_stack(capsys, monkeypatch, com
     capsys.readouterr()
     [stacks] = built
     assert stacks._cache
-    names = {f"SectorStacks.{name}" for name in (*FIRST_ORDER, "laplacian", "eigh")} | {"_fiber"}
-    kept = {name for name, _ in stacks._cache} & names
+    names = {f"SectorStacks.{name}" for name in (*FIRST_ORDER, "laplacian", "eigh")}
+    kept = {name for name, _ in stacks._cache}
+    assert not kept & {"_fiber", "_sqrt_rumin_laplacian"}
+    kept &= names
     if command[-1] == "all":
         assert kept == names
     else:

@@ -17,7 +17,7 @@ import pytest
 import dense_reference
 from ruminlab import cli, util
 from ruminlab.model import su2_model
-from ruminlab.rows import cluster_starts, round_sig_values, run_means, solve_rows
+from ruminlab.rows import cluster_starts, round_sig_values, run_means, solve_rows, spectrum_columns
 from ruminlab.sectors import RowStack
 from ruminlab.spectral import Assembly, SpectrumTable
 from ruminlab.torsion import PIECES, reeb_decomposition
@@ -172,7 +172,7 @@ def test_columnar_spectrum_tables_equal_the_per_entry_writers(op):
     of their own rows."""
     model = su2_model()
     degrees = list(range(3 if op == "delta-b" else 4))
-    table = SpectrumTable(op, model.describe(), 12, 169.0, cli._spectrum_columns(model, 12, op, degrees, 0.1))
+    table = SpectrumTable(op, model.describe(), 12, 169.0, spectrum_columns(Assembly(model, 12), op, degrees, 0.1))
     bidegrees = table.columns["bidegree"].tolist()
     assert len(bidegrees) > 100 and {x is None for x in bidegrees} == {False, True}
     assert table.to_json() == _reference_json(table)

@@ -136,6 +136,11 @@ DENSE_TWINS = {
     "SectorStacks.dT": (1j, lambda ctx, k: ctx.dT_full(k), full),
     "SectorStacks.db": (1j, lambda ctx, k: ctx.db_full(k), full),
     "SectorStacks.split_db": (1j, lambda ctx, k, anti: ctx.del_full(k, anti), lambda k, anti: full(k)),
+    "SectorStacks.horizontal_db": (
+        1j,
+        lambda ctx, k: ctx.compress(ctx.db_full(k), ctx.horizontal_space(k), ctx.horizontal_space(k + 1)).matrix,
+        lambda k: ((k + 1, "horizontal"), (k, "horizontal")),
+    ),
     "SectorStacks.lie_reeb": (1j, lambda ctx, k: ctx.lie_reeb_full(k), lambda k: ((k, "full"), (k, "full"))),
     "SectorStacks.lie_reeb_rumin": (1j, lambda ctx, k: ctx.lie_reeb_rumin(k).matrix, lambda k: rumin(k, k)),
     "SectorStacks.rumin_d": (1j, lambda ctx, k: ctx.rumin_d(k).matrix, lambda k: rumin(k, k + 1)),
@@ -179,14 +184,31 @@ def _arrays(value):
             yield from _arrays(getattr(value, name))
 
 
+def _lifted_fiber_twin(fiber: str, k: int, k_out: int, imag: bool):
+    """The phase, dense twin and spaces of a lifted fiber table (`suites._fiber`); J mixes both
+    phases, so its two parts are lifted apart."""
+    phase = 1 if fiber == "jact" else FIBER_PHASE[fiber]
+    part = (lambda a: a.imag if imag else a.real) if fiber == "jact" else (lambda a: a)
+    return phase, lambda ctx, *_: part(ctx.lifted_fiber(fiber, k)), lambda *_: ((k_out, "full"), (k, "full"))
+
+
 @pytest.mark.parametrize("max_weight", [0, 3, MAX_WEIGHT])
 @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
-def test_every_stack_is_real_with_its_declared_phase(model, max_weight):
+def test_every_stack_is_real_with_its_declared_phase(monkeypatch, model, max_weight):
     """After `verify --suite all` and every `spectrum` operator, every array that the stacks keep
     is real, and every kept stack with a dense twin, times its phase, is that twin on every weight
-    block within 1e-12 of its largest entry; the lifted fiber tables likewise, with the table of J
-    split into its real and imaginary parts.  The comparison may build spaces into the memo, so it
-    walks a snapshot, and every entry is checked again after it."""
+    block within 1e-12 of its largest entry; so is every nonempty lifted fiber table that the
+    suites read (they keep none), with the table of J split into its real and imaginary parts.
+    The comparison may build spaces into the memo, so it walks a snapshot, and every entry is
+    checked again after it."""
+    lifts = {}  # every lift that the suites read, by its arguments
+    lift = suites._fiber
+
+    def spy(stacks, fiber, k, k_out, imag=False):
+        lifts[fiber, k, k_out, imag] = value = lift(stacks, fiber, k, k_out, imag)
+        return value
+
+    monkeypatch.setattr(suites, "_fiber", spy)
     asm = Assembly(model, max_weight)
     cli.run_suite(asm, "all", cli.RunConfig())
     stacks = asm.sector_stacks
@@ -195,30 +217,33 @@ def test_every_stack_is_real_with_its_declared_phase(model, max_weight):
             stacks.spectrum_rows(op, k, T)
 
     def check_dtypes():
-        for (name, args), value in stacks._cache.items():
+        for (name, args), value in [*stacks._cache.items(), *((("_fiber", a), v) for a, v in lifts.items())]:
             for array in _arrays(value):
                 assert array.dtype.kind in "biuU" or array.dtype == np.float64, (name, args, array.dtype)
 
     check_dtypes()
     compared = set()
-    for (name, args), value in list(stacks._cache.items()):
-        if name in DENSE_TWINS:
-            phase, twin, spaces = DENSE_TWINS[name]
-        elif name == "_fiber" and value.shape[0]:  # J mixes both phases: its two parts are lifted apart
-            fiber, k, k_out, imag = args
-            phase = 1 if fiber == "jact" else FIBER_PHASE[fiber]
-            part = (lambda a: a.imag if imag else a.real) if fiber == "jact" else (lambda a: a)
-            twin = lambda ctx, *_: part(ctx.lifted_fiber(fiber, k))
-            spaces = lambda *_: ((k_out, "full"), (k, "full"))
-        else:
-            continue
+    twins = [(name, args, value) for (name, args), value in stacks._cache.items() if name in DENSE_TWINS]
+    kept = [(name, args, value, *DENSE_TWINS[name]) for name, args, value in twins]
+    nonempty = {args: value for args, value in lifts.items() if value.shape[0]}
+    kept += [("_fiber", args, value, *_lifted_fiber_twin(*args)) for args, value in nonempty.items()]
+    for name, args, value, phase, twin, spaces in kept:
         compared.add(name)
         for w, m in enumerate(stacks.weights.tolist()):
             want = twin(_context(m), *args)
             got = phase * _dense_block(stacks, value, *spaces(*args), w)
             assert max_abs(got - want) <= 1e-12 * max(1.0, max_abs(want)), (name, args, m)
     check_dtypes()
-    assert compared == {*DENSE_TWINS, "_fiber"} or not max_weight and not stacks.weights.size
+    if not max_weight and not stacks.weights.size:
+        return
+    assert compared == {*DENSE_TWINS, "_fiber"}
+    # the lifts compared while the suites kept them: the Lefschetz maps, star and theta in every degree
+    # they map within the complex, and J where the constants are harmonic (on weight 0)
+    want = {("lef", k, k + 2, False) for k in range(-2, 2)} | {("theta", k, k + 1, False) for k in range(-1, 3)}
+    want |= {("star", k, 3 - k, False) for k in range(4)}
+    if 0 in stacks.weights.tolist():
+        want |= {("jact", k, k, imag) for k in (0, 3) for imag in (False, True)}
+    assert set(nonempty) == want
 
 
 def _spoiled_tables(frame, a: int, k: int, row: int, col: int, eps: complex = 1e-9):

@@ -151,3 +151,49 @@ def test_sector_suite_catches_a_changed_stack_entry(monkeypatch, suite):
     report = _run(runs, Assembly(su2_model(), 4))
     failed = {report.names[i].split("[")[0] for i in report.failed()}
     assert family in failed, sorted(failed)
+
+
+LAW_FAMILIES = ("law_middle_values", "law_middle_multiplicity", "restricted_positivity")
+
+
+def _law_checks(asm) -> dict:
+    """name -> (residual, tolerance, detail) of the middle-degree law checks of sec4."""
+    report = spectral.verify_eigenvalue_identity(asm)
+    rows = zip(report.names, report.residuals, report.tolerances, report.details)
+    return {name: rest for name, *rest in rows if name.startswith(LAW_FAMILIES)}
+
+
+def test_a_missing_component_fails_the_middle_law_multiplicity(monkeypatch):
+    """Without one component of weight m3 on s3 (lambda10 = 3, lambda01 = 4, so it predicts two
+    middle eigenvalues) the predicted multiset of m3 is two values short: its law fails on the
+    multiplicity, counted over the 4 copies of the slot, and every other weight is unchanged."""
+    asm = Assembly(su2_model(), 4)
+    want = _law_checks(asm)
+    owner, sector, l10, l01 = suites._low_components(asm)
+    [drop] = np.flatnonzero((owner == 3) & (l10 == 3) & (l01 == 4))
+    keep = np.arange(owner.size) != drop
+    monkeypatch.setattr(suites, "_low_components", lambda asm: (owner[keep], sector[keep], l10[keep], l01[keep]))
+    got = _law_checks(Assembly(su2_model(), 4))
+    del want["law_middle_values[m3]"]
+    want["law_middle_multiplicity[m3]"] = [8.0, 0.0, "predicted=16 actual=24"]
+    assert got == want
+
+
+def test_a_zero_restricted_eigenvalue_fails_positivity(monkeypatch):
+    """The lowest restricted middle eigenvalue (1, on weight m1 of s3) moved to 1e-10, at most the
+    zero threshold 1e-9, fails restricted positivity on m1, and the law there by 1 - 1e-10."""
+    asm = Assembly(su2_model(), 4)
+    want = _law_checks(asm)
+    eigh = suites._eigh
+
+    def lowered(stack, valid, groups):
+        w, q, used = eigh(stack, valid, groups)
+        w = w.copy()
+        w[np.unravel_index(np.argmin(np.where(used, w, np.inf)), w.shape)] = 1e-10
+        return w, q, used
+
+    monkeypatch.setattr(suites, "_eigh", lowered)
+    got = _law_checks(Assembly(su2_model(), 4))
+    want["law_middle_values[m1]"] = [1.0 - 1e-10, 1e-9, ""]
+    want["restricted_positivity[m1]"] = [1.0, 0.5, "min_eigenvalue=1e-10"]
+    assert got == want

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from dense_reference import dense_reeb_decomposition
-from ruminlab import cli, spectral, torsion
+from ruminlab import spectral, torsion
 from ruminlab.model import allowed_weight_slots, lens_space, su2_model
+from ruminlab.rows import spectrum_columns
 from ruminlab.sectors import SectorStacks
 from ruminlab.spectral import Assembly
 from ruminlab.torsion import (
@@ -326,7 +327,7 @@ def test_sector_reeb_decomposition_equals_the_dense_route(model, max_weight):
         assert close(sector.kappa_from_spectrum[s], dense.kappa_from_spectrum[s])
         assert close(sector.kappa_from_reeb[s], dense.kappa_from_reeb[s])
 
-    columns = cli._spectrum_columns(model, max_weight, "delta-rn", list(range(model.frame.n + 1)), 1.0)
+    columns = spectrum_columns(Assembly(model, max_weight), "delta-rn", list(range(model.frame.n + 1)), 1.0)
     table = sorted(zip(*(columns[name].tolist() for name in ("block", "degree", "eigenvalue", "nu", "multiplicity"))))
     c = sector.columns
     assert table == sorted(zip(*(c[name].tolist() for name in ("block", "degree", "delta", "nu", "mult"))))
