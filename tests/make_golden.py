@@ -3,17 +3,21 @@
     python3 tests/make_golden.py
 
 Runs `verify --suite all`, the four `spectrum` operators and `torsion`, in
-JSON, on s3 and every lens(p, l), p = 2..5, at M = 0..12 (1,170 runs in one
+JSON, on s3 and every lens(p, l), p = 2..5, at M = 0..12, and one failing
+run, `verify --suite all` on s3 at M=3 with `--tol 1e-30` (1,171 runs in one
 process), and writes what each run must keep to `golden/reports.json.gz`.
 Stored exactly: the exit code, every check's name, tolerance, pass flag and
-detail, every spectrum row's degree, block, multiplicity and bidegree, and
-the torsion dimensions, outcomes and flags.  Stored as numbers, compared
-within REL_TOL * max(1, |golden|): eigenvalues, nu, lambda10, lambda01, the
-cutoffs and the torsion sums.  Check residuals are not stored: they are
-rounding, which BLAS may move in the last digits.
+detail, every spectrum row's degree, block, multiplicity and bidegree, the
+torsion dimensions, outcomes and flags, and the name, tolerance and detail
+of every stderr FAIL line.  Stored as numbers, compared within
+REL_TOL * max(1, |golden|): eigenvalues, nu, lambda10, lambda01, the cutoffs
+and the torsion sums.  Check residuals are not stored: they are rounding,
+which BLAS may move in the last digits.
 
-Regenerate only when a change is meant to alter a report, and list what
-moved.
+Regenerate only when a change is meant to alter a report.  Before writing,
+the script prints every run that differs from the committed file, with its
+first differences, and then their count; it prints nothing of the kind when
+no run changed.
 """
 
 import os
@@ -24,6 +28,7 @@ import contextlib  # noqa: E402
 import gzip  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
+import re  # noqa: E402
 import sys  # noqa: E402
 from collections import defaultdict  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -38,6 +43,9 @@ MODELS = ["--model s3"] + [f"--model lens --p {p} --character {l}" for p in rang
 COMMANDS = ["verify --suite all"] + [f"spectrum --op {op}" for op in ("delta-rn", "delta-dr", "delta-t", "delta-b")]
 COMMANDS.append("torsion")
 MAX_WEIGHTS = range(13)
+# every check misses a tolerance of 1e-30 unless its residual is exactly 0, so the run exits 1
+FAILING = {"--model s3": ["verify --suite all --model s3 --max-weight 3 --tol 1e-30 --format json"]}
+FAIL_LINE = re.compile(r"FAIL (.*): residual \S+ > tolerance (\S+) (.*)")  # the line of `cli._list_failures`
 
 CHECK_FIELDS = ("name", "tolerance", "passed", "detail")  # every field of a check but its residual
 ROW_FIELDS = ("degree", "block", "multiplicity", "bidegree")  # compared exactly
@@ -47,7 +55,8 @@ FLOAT_MAPS = ("kappa_from_reeb", "kappa_from_spectrum", "zeta_partials")
 
 def grid(model: str):
     """The argument strings of every run of one model, in the order they are run."""
-    return [f"{command} {model} --max-weight {m} --format json" for m in MAX_WEIGHTS for command in COMMANDS]
+    runs = [f"{command} {model} --max-weight {m} --format json" for m in MAX_WEIGHTS for command in COMMANDS]
+    return runs + FAILING.get(model, [])
 
 
 def _number(text):
@@ -73,13 +82,24 @@ def kept(doc: dict) -> dict:
     return out
 
 
+def stderr_lines(text: str) -> list:
+    """Every stderr line of a run: a FAIL line as [name, tolerance, detail], without its residual;
+    any other line as [the line]."""
+    lines = []
+    for line in text.splitlines():
+        match = FAIL_LINE.fullmatch(line)
+        lines.append(list(match.groups()) if match else [line])
+    return lines
+
+
 def run(args: str):
-    """[args, exit code, `kept` of its JSON report, or None if it printed none] of one run."""
+    """[args, exit code, `kept` of its JSON report, or None if it printed none, `stderr_lines`] of
+    one run."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(args.split())
     text = out.getvalue()
-    return [args, code, kept(json.loads(text)) if text.strip() else None]
+    return [args, code, kept(json.loads(text)) if text.strip() else None, stderr_lines(err.getvalue())]
 
 
 def _close(got, want) -> bool:
@@ -123,8 +143,11 @@ def _row_differences(got, want):
 
 def differences(got, want):
     """Where a replayed run differs from its golden run; empty when they agree."""
-    (args, code, doc), (_, want_code, want_doc) = got, want
+    (args, code, doc, lines), (_, want_code, want_doc, want_lines) = got, want
     problems = [] if code == want_code else [f"exit code {code} != {want_code}"]
+    if lines != want_lines:
+        problems += [f"stderr line {i}: {a} != {b}" for i, (a, b) in enumerate(zip(lines, want_lines)) if a != b]
+        problems += [f"stderr: {len(lines)} lines != {len(want_lines)}"] if len(lines) != len(want_lines) else []
     if doc is None or want_doc is None:
         return problems + ([] if doc is want_doc else ["report: one of the runs printed none"])
     if doc.keys() != want_doc.keys():
@@ -143,8 +166,27 @@ def load() -> dict:
         return {item[0]: item for item in json.load(fh)["runs"]}
 
 
+def report_moves(runs: list, committed: dict) -> None:
+    """Print every run that differs from the committed file, with its first differences, and then
+    their count; nothing when no run changed."""
+    moved = {}
+    for item in runs:
+        want = committed.get(item[0])
+        found = ["not in the committed file"] if want is None else differences(item, want)
+        if found:
+            moved[item[0]] = found
+    for args in sorted(committed.keys() - {item[0] for item in runs}):
+        moved[args] = ["no longer run"]
+    for args, found in moved.items():
+        print(f"{args}: {'; '.join(found[:3])}")
+    if moved:
+        print(f"{len(moved)} runs moved")
+
+
 def main() -> int:
     runs = [run(args) for model in MODELS for args in grid(model)]
+    if GOLDEN.exists():
+        report_moves(runs, load())
     text = json.dumps({"runs": runs}, separators=(",", ":"), sort_keys=True)
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_bytes(gzip.compress(text.encode(), mtime=0))

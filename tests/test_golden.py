@@ -17,7 +17,7 @@ def _golden() -> dict:
 def test_the_golden_file_holds_the_whole_grid():
     want = {args for model in make_golden.MODELS for args in make_golden.grid(model)}
     assert set(_golden()) == want
-    assert len(want) == 1170
+    assert len(want) == 1171
 
 
 @pytest.mark.parametrize("model", make_golden.MODELS, ids=lambda model: model.split(maxsplit=1)[1].replace(" ", ""))

@@ -9,6 +9,7 @@ suite reads must make that suite fail.
 """
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -46,6 +47,31 @@ def test_sector_suites_equal_the_dense_reference(model, max_weight):
             assert got == expected, row["name"]
         else:
             assert abs(got - expected) <= RESIDUAL_BOUND * tol, (row["name"], got, expected)
+
+
+SUITES = ("thm1", "cor2", "cor3", "sec4", "thm5")
+ALL_ONLY = ("d.d[", "dN.dN[", "dt.dt[", "hodge_block_matrix[", "star_intertwines[", "star_isometry[")
+
+
+def _check_multiset(report: VerificationReport) -> Counter:
+    """Every check of a report as (name, residual bits, tolerance, pass flag, detail)."""
+    columns = (report.names, report.residuals, report.tolerances, report.details)
+    return Counter((name, res.hex(), tol, res <= tol, detail) for name, res, tol, detail in zip(*columns))
+
+
+@pytest.mark.parametrize("max_weight", [0, 3, 8])
+@pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+def test_each_suite_alone_equals_its_share_of_all(model, max_weight):
+    """Each `--suite` run alone reports its checks exactly as `--suite all` does, residuals bit for
+    bit: no suite reads a value that an earlier suite of the run built differently.  The checks
+    that `all` alone runs are the complex, hodge and star families."""
+    cfg = cli.RunConfig()
+    rest = _check_multiset(cli.run_suite(Assembly(model, max_weight), "all", cfg))
+    for suite in SUITES:
+        alone = _check_multiset(cli.run_suite(Assembly(model, max_weight), suite, cfg))
+        assert not alone - rest, (suite, sorted(alone - rest)[:5])
+        rest -= alone
+    assert all(check[0].startswith(ALL_ONLY) for check in rest), sorted(rest)[:5]
 
 
 def _rank_decisions(stacks: SectorStacks):
