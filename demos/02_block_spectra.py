@@ -19,8 +19,9 @@ half-Laplacian pair and a dense basis of each component of block m; the
 degree-1 rows need only the eigenvalue, the Reeb value and the dimension of
 each joint eigenspace, which the solved rows hold as columns over every block
 (`owner`, `delta`, `tau`, `count`), so no eigenvector basis is built for them.
-The mirror and zero-mode lines read the eigenvalues of every Reeb sector
-(`asm.sector_stacks.eigh`): a block's spectrum is the union of its sectors'.
+The mirror and zero-mode lines read the solved rows of every degree too,
+which keep the eigenvalues of every Reeb sector (`values`, in the columns
+`used`): a block's spectrum is the union of its sectors'.
 No dense block matrix is built.
 """
 
@@ -55,14 +56,13 @@ for w, delta, tau, count in zip(*(column.tolist() for column in (joint.owner, jo
 
 print()
 print("mirror symmetry: the star operator pairs degrees k and 3-k")
-stacks = asm.sector_stacks
-m2 = slice(stacks.starts[2], stacks.starts[3])  # the sectors of block m2
 
 
 def spectrum_m2(k: int) -> np.ndarray:
     """The degree-k Rumin eigenvalues of block m2, from those of its Reeb sectors."""
-    values, _, used = stacks.eigh("delta-rn", k)
-    return np.sort(values[:, m2][used[:, m2]])
+    joint = asm.rumin_rows(k)
+    m2 = slice(*joint.rows.starts[2:4])  # the sectors of block m2
+    return np.sort(joint.values[:, m2][joint.used[:, m2]])
 
 
 for k in (0, 1):
@@ -73,6 +73,7 @@ print()
 print("twisting by a nontrivial flat character removes the zero modes:")
 for character in (0, 1):
     tasm = Assembly(lens_space(2, character=character), 4)
-    values, _, used = tasm.sector_stacks.eigh("delta-rn", 0)
-    zero_modes = int(np.dot(tasm.multiplicity, tasm.sector_stacks.per_weight(used & (np.abs(values) < 1e-9))))
+    joint = tasm.rumin_rows(0)
+    zero = joint.used & (np.abs(joint.values) < 1e-9)
+    zero_modes = int(np.dot(tasm.multiplicity, tasm.sector_stacks.per_weight(zero)))
     print(f"  order-2 quotient, character {character}: {zero_modes} zero mode(s) in degree 0")

@@ -7,13 +7,12 @@ of a degree share one `sectors.RowStack`: the operator as a zero-padded
 and each position's valid flag and basis index
 (`sectors.SectorStacks.spectrum_rows` builds it).  `solve_rows` takes the
 eigenpairs of every sector from `sectors._eigh`, one stacked `eigh` per sector
-size on the valid blocks only (for the Rumin rows of an assembly, the solve
-that `SectorStacks.eigh` keeps), and clusters Delta on every row in one pass
+size on the valid blocks only, and clusters Delta on every row in one pass
 (`cluster_starts`, `run_means`), exactly as `util.cluster_values` clusters
 each row alone.  The `JointRows` it returns holds the joint eigenspaces as
 columns over every row (row, sector, Delta, tau, count) next to the padded
-eigenvectors, which `rumin spectrum` (`spectrum_columns`), `torsion` and the
-sec4 suite read without a loop over weights; the products on the eigenvectors
+eigenpairs, which `rumin spectrum` (`spectrum_columns`), `torsion` and the
+`verify` suites read without a loop over weights; the products on the eigenvectors
 run group by group on the valid sector blocks (`JointRows.sector_blocks`), so
 the padding enters none of them.  `components(row)` gives the dense basis of
 one row's components.  The module is imported on first use, like `sectors`.
@@ -23,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -92,7 +91,8 @@ def round_sig_values(values: np.ndarray) -> np.ndarray:
 class JointRows:
     """The joint (Delta, i L_T) eigenspaces of every row of a `sectors.RowStack`, held as columns.
 
-    `vectors` holds the (f, f, S) sector eigenvectors: column e of sector s is
+    `values`, `vectors` and `used` are the (f, S) sector eigenvalues, (f, f, S)
+    eigenvectors and (f, S) mask of `sectors._eigh`: column e of sector s is
     the eigenvector of its e-th smallest eigenvalue, zero where unused, and is
     numbered e * S + s.  `order` lists the columns in use in component order:
     component i is `order[starts[i]:starts[i + 1]]`, columns of sector
@@ -101,7 +101,9 @@ class JointRows:
     """
 
     rows: RowStack
+    values: np.ndarray
     vectors: np.ndarray
+    used: np.ndarray
     order: np.ndarray
     starts: np.ndarray
     owner: np.ndarray
@@ -196,17 +198,16 @@ class JointRows:
         ]
 
 
-def solve_rows(rows: RowStack, tol: float = 1e-9, eig: Optional[tuple] = None) -> JointRows:
-    """The joint (Delta, i L_T) eigenspaces of every row: the eigenpairs `eig` of every sector
-    (`sectors._eigh` of the stack, computed here unless given), then one clustering pass over
-    every row.
+def solve_rows(rows: RowStack, tol: float = 1e-9) -> JointRows:
+    """The joint (Delta, i L_T) eigenspaces of every row: the eigenpairs of every sector
+    (`sectors._eigh` of the stack), then one clustering pass over every row.
 
     Each sector is diagonalized on its own, so the eigenpairs of one row do not
     depend on the others.  Delta is clustered per row as `util.cluster_values`
     clusters it, with the row's tolerance tol * max(1, max |Delta| on the row),
     and a cluster's mean is taken over all of its sectors.
     """
-    w, vectors, used = _eigh(rows.stack, rows.valid, rows.groups) if eig is None else eig
+    w, vectors, used = _eigh(rows.stack, rows.valid, rows.groups)
     col = np.flatnonzero(used)  # the columns in use, e * S + s
     values, sector = w.ravel()[col], col % used.shape[1]
     owner, tau = rows.owner[sector], rows.tau[sector]
@@ -225,9 +226,8 @@ def solve_rows(rows: RowStack, tol: float = 1e-9, eig: Optional[tuple] = None) -
     new[1:] = (c[1:] != c[:-1]) | (t[1:] != t[:-1])
     first = np.flatnonzero(new)
     at = order[first]
-    return JointRows(
-        rows, vectors, col[order], np.append(first, values.size), owner[at], sector[at], means[c[first]], t[first]
-    )
+    columns = (col[order], np.append(first, values.size), owner[at], sector[at], means[c[first]], t[first])
+    return JointRows(rows, w, vectors, used, *columns)
 
 
 def spectrum_columns(asm, op: str, degrees: Sequence[int], t: float) -> dict:

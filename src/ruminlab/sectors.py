@@ -50,11 +50,12 @@ which `rows.solve_rows` solves over every weight together.  `_eigh`
 diagonalizes a stack with one stacked `eigh` per group of equally large
 sectors (`_groups`, built once per pair of masks by `SectorStacks.groups`,
 the one source of sector groupings), on the valid blocks only, where the
-padding would add spurious zero eigenvalues.  Every rank is decided by one
-routine, `SectorStacks.ranks`: a values-only SVD may read the padded blocks,
-whose padding adds only zero singular values, and a sector's rank counts its
-singular values above tol * max(1, the largest singular value on the weight)
-(`value_ranks`, the scale of the dense weight block).  It is the rank oracle of
+padding would add spurious zero eigenvalues; the stacks keep no eigensolve.
+`singular_values` is the one values-only SVD of the route: it may read the
+padded blocks, whose padding adds only zero singular values.  Every rank is
+decided by `SectorStacks.ranks`, which counts a sector's singular values
+above tol * max(1, the largest singular value on the weight) (`value_ranks`,
+the scale of the dense weight block).  It is the rank oracle of
 `verify --suite thm1` and `torsion` (`cohomology_dims`), and it gives the
 ranks of the cor3 joint kernels and the sec4 corners (`suites`).  Every sum,
 max or min over the sectors of a weight (or of a `RowStack` row) is `_per_row`.
@@ -176,6 +177,11 @@ def _eigh(stack: np.ndarray, valid: np.ndarray, groups):
     return w, q, used
 
 
+def singular_values(stack: np.ndarray) -> np.ndarray:
+    """The singular values of every sector block of a stack, (S, min(f_out, f_in)), descending."""
+    return np.linalg.svd(stack.transpose(2, 0, 1), compute_uv=False)
+
+
 def _per_row(values: np.ndarray, starts: np.ndarray, reduce=np.add) -> np.ndarray:
     """`reduce` (a ufunc: np.add, np.maximum, np.minimum) of an array, sector axis last, over all its
     entries in the sectors starts[w]:starts[w + 1] of each row w: the one per-row reduction."""
@@ -259,9 +265,9 @@ class SectorStacks:
     every stack (`_plan`), the bidegree labels and the masks of `split_db`.  The layout (the
     spaces and the `groups` of each pair of masks), the embeddings and the stacks that more than
     one degree reads (d_b, the Rumin differentials, the middle operator) are memoized per
-    instance.  The first-order stacks, the Laplacians and their eigensolves (`eigh`) are rebuilt
-    on every call, which keeps the peak memory of `spectrum` and `torsion` low, until
-    `keep_first_order` is called, as the `verify` suites do: then each is built once and kept.
+    instance.  The first-order stacks and the Laplacians are rebuilt on every call, which keeps
+    the peak memory of `spectrum` and `torsion` low, until `keep_first_order` is called, as the
+    `verify` suites do: then each is built once and kept.
     """
 
     def __init__(self, frame: FrameStructure, weights: Sequence[int], tables: Optional[Dict] = None):
@@ -420,7 +426,7 @@ class SectorStacks:
     # -- first-order operators: phase i ------------------------------------------------
 
     def keep_first_order(self):
-        """Keep every first-order stack, Laplacian and eigensolve in the memo from now on."""
+        """Keep every first-order stack and Laplacian in the memo from now on."""
         self._first_order = self._cache
 
     @_first_order_memo
@@ -539,9 +545,8 @@ class SectorStacks:
         return np.sum(values > cut[self.owner][:, None], axis=1)
 
     def ranks(self, stack: np.ndarray, tol: float) -> np.ndarray:
-        """`value_ranks` of every sector block of `stack`.  The values-only SVD reads the padded
-        blocks, whose padding adds only zero singular values."""
-        return self.value_ranks(np.linalg.svd(stack.transpose(2, 0, 1), compute_uv=False), tol)
+        """`value_ranks` of the `singular_values` of every sector block of `stack`."""
+        return self.value_ranks(singular_values(stack), tol)
 
     @_block_memo
     def cohomology_dims(self, complex_name: str, multiplicity: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -574,17 +579,6 @@ class SectorStacks:
             what = "Hodge-de Rham Laplacian" if op == "delta-dr" else "deformed Laplacian"
             return _hermitized(_gram(diff(k), diff(k - 1)), what)
         raise KeyError(op)
-
-    def eigh(self, op: str, k: int, t: float = 1.0, stack: Optional[np.ndarray] = None):
-        """The eigenpairs of `laplacian(op, k, t)` on every sector (`_eigh`), kept with the first-order
-        stacks; `stack` is that Laplacian if the caller holds it, so that it is not built twice."""
-        key = ("SectorStacks.eigh", (op, k, t))
-        eig = self._first_order.get(key)
-        if eig is None:
-            lap = self.laplacian(op, k, t) if stack is None else stack
-            valid = self.space(k, SPECTRUM_FLAVOR[op]).valid
-            eig = self._first_order[key] = _frozen(_eigh(lap, valid, self.groups(valid, valid)))
-        return eig
 
     def _check_reeb(self, k: int, flavor: str):
         """i L_T is tau on every sector of the degree-k space `flavor`, whose space L_T must preserve."""

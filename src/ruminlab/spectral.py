@@ -17,11 +17,11 @@ zero-padded stack, a `sectors.RowStack`, and `rows.solve_rows` diagonalizes
 the sectors of every row with one stacked `eigh` per sector size and clusters
 Delta on every row in one pass.  The Rumin Laplacian reaches it on one route:
 `Assembly.rumin_rows(k, tol)`, memoized, solves the `delta-rn` rows of
-`sectors.SectorStacks` for every weight at once, with the eigensolve that the
-stacks keep for the `verify` suites, and the Reeb decomposition of `torsion`
-and the sec4 suite read its columns.  Below the middle degree the sector
-blocks of the two half Laplacians have Rayleigh quotients on the sector
-eigenvectors that give (lambda10, lambda01) (`JointRows.half_pairs`).
+`sectors.SectorStacks` for every weight at once, the one solve of each degree
+k <= n in a run: `torsion`, the thm1 kernels and the sec4 suite read it.
+Below the middle degree the sector blocks of the two half Laplacians have
+Rayleigh quotients on the sector eigenvectors that give (lambda10, lambda01)
+(`JointRows.half_pairs`).
 `q_decomposition` reads the dense basis of one row's components
 (`JointRows.components(row)`); `_sequential_joint_eigenspaces` cuts dense
 (Laplacian, i L_T) pairs with `_reeb_sectors` into the same padded layout for
@@ -34,7 +34,7 @@ Reeb sectors at once; `cli.run_suite` calls the same `verify_*` functions,
 whose defaults are the only statement of each suite's bounds (`--tol` is
 passed only to override them), so the library and the command line share one
 route, and the quantities that several suites read are memoized with the
-stacks.  No suite builds a block context.  The sec4 components come from
+assembly or its stacks.  No suite builds a block context.  The sec4 components come from
 `Assembly.rumin_rows`, which the Reeb decomposition of `torsion` reads too,
 and the rank oracle (`rumin_cohomology_dims`, `de_rham_cohomology_dims`) from
 the singular values of the same stacks.  The dense block contexts (`Assembly.contexts`) serve
@@ -99,7 +99,7 @@ class Assembly:
             raise ParameterError("max_weight must be >= 0")
         self.model = model
         self.max_weight = max_weight
-        self._cache: Dict = {}  # the memo of `rumin_rows`
+        self._cache: Dict = {}  # the memo of `rumin_rows` and of the suite quantities that read it
         counts = [model.multiplicity(m) for m in range(max_weight + 1)]
         self.weights: List[int] = [m for m, r in enumerate(counts) if r]
         self.multiplicity: Tuple[int, ...] = tuple(r for r in counts if r)
@@ -133,13 +133,10 @@ class Assembly:
         """The joint (Delta, i L_T) eigenspaces of the degree-k Rumin Laplacian on every weight, a
         `rows.JointRows` with one row per weight (and the half-Laplacian stacks below the middle
         degree): the `delta-rn` rows of `sector_stacks`, solved over every weight at once by
-        `rows.solve_rows`, as `rumin spectrum` solves them, with the eigensolve that the stacks
-        keep for the `verify` suites."""
+        `rows.solve_rows`, as `rumin spectrum` solves them."""
         from .rows import solve_rows
 
-        stacks = self.sector_stacks
-        rows, _ = stacks.spectrum_rows("delta-rn", k)
-        return solve_rows(rows, tol, stacks.eigh("delta-rn", k, stack=rows.stack))
+        return solve_rows(self.sector_stacks.spectrum_rows("delta-rn", k)[0], tol)
 
 
 def spectral_cutoff(model: ModelManifold, max_weight: int) -> float:

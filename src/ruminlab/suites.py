@@ -25,14 +25,16 @@ and intersections) are real stacked per-sector `eigh` and SVD calls, one per
 group of sectors with equally many valid rows and columns
 (`SectorStacks.groups`), on the valid blocks only.  Where only a rank is read
 (the cor3 joint kernels, the sec4 corners), `SectorStacks.ranks` decides it
-from the singular values of the padded blocks, whose padding adds only zero
-singular values.  A subspace is a `SectorBasis`: orthonormal columns on every
+from `sectors.singular_values` of the padded blocks, which also give the
+largest principal sines of thm1.  A subspace is a `SectorBasis`: orthonormal columns on every
 sector, zero where unused.  Each relative cut takes its scale from the largest
 eigenvalue or singular value over the weight's sectors, the scale of the dense
 weight block; `_svd_basis` counts its singular values with
-`SectorStacks.value_ranks`, as `ranks` does.  The harmonic kernels and the Rumin square root read the eigensolve of
-each Laplacian that the stacks keep (`SectorStacks.eigh`), as
-`Assembly.rumin_rows` does, so a run diagonalizes each Laplacian once.
+`SectorStacks.value_ranks`, as `ranks` does.  Each Laplacian is solved once
+per run, by its reader: the Rumin Laplacian of degree k <= n by
+`Assembly.rumin_rows(k)`, which the thm1 kernels, the sec4 square root and
+components and `torsion` read; every other one by `_kernel`, which keeps only
+its kernel (the de Rham kernels that thm1, cor2 and cor3 share: `_harmonic`).
 
 The sec4 components are the joint (Delta, i L_T) eigenspaces of
 `Assembly.rumin_rows(n - 1)`, as `torsion` solves them, each with its sector
@@ -41,11 +43,11 @@ degree-0 Rumin space has one fiber vector, so every component is one sector
 vector and every bi-positive W corner is that vector or empty: the per-vector
 sec4 families are computed for all corners at once.
 
-Quantities that several suites read are memoized in the stacks' memo with
-`_block_memo`, next to the first-order stacks, Laplacians and eigensolves
+Quantities that several suites read are memoized with `_block_memo`, with
+the stacks or the assembly, next to the first-order stacks and Laplacians
 that `SectorStacks` keeps once `spectral._run_suite` has called
-`keep_first_order`, so `verify --suite all` builds each once; a value that a
-run reads once (a lifted fiber table, the Rumin square root) is not kept.
+`keep_first_order`, so `verify --suite all` builds each once; a value read
+once (a lifted fiber table, the Rumin square root, a Rumin kernel) is not kept.
 Each check family reaches the report in one `VerificationReport.add_family`
 call (`_add`: one name per weight, its `{lbl}` replaced by the block label),
 with no loop over weights; the per-component families of sec4 name each
@@ -62,7 +64,7 @@ import numpy as np
 
 from .model import block_label
 from .operators import InternalConsistencyError, _block_memo
-from .sectors import SectorStacks, _eigh, _gather, _gram, _hermitized, _product, _scatter, _t
+from .sectors import SectorStacks, _eigh, _gather, _gram, _hermitized, _product, _scatter, _t, singular_values
 from .spectral import KERNEL_RELATIVE_TOL, Assembly, VerificationReport
 
 # -- subspaces on the sectors -------------------------------------------------------
@@ -132,7 +134,7 @@ def _principal_sines(stacks: SectorStacks, u: SectorBasis, v: SectorBasis) -> np
     for a, b in ((u.vectors, v.vectors), (v.vectors, u.vectors)):
         r = b - _product(a, _t(a), b)
         if r.any():  # a zero stack has norm 0 on every sector; its SVDs would only confirm that
-            top = np.maximum(top, np.linalg.norm(r, 2, axis=(0, 1)))  # the largest singular value
+            top = np.maximum(top, singular_values(r).max(axis=1))
     return np.where(du != dv, 1.0, np.where(du == 0, 0.0, stacks.per_weight(top, np.maximum)))
 
 
@@ -157,15 +159,26 @@ def _fiber(stacks: SectorStacks, name: str, k: int, k_out: int, imag: bool = Fal
     return stacks._stack(name, k, (k_out, "imag" if imag else "real") if name == "jact" else k_out)
 
 
-@_block_memo
-def _harmonic(stacks: SectorStacks, k: int, operator: str) -> SectorBasis:
-    """The kernel of the degree-k "de_rham" or "rumin" Laplacian, as `spectral._harmonic_basis`:
-    on every sector, the eigenvectors of the stacks' eigensolve (`SectorStacks.eigh`) with
-    |eigenvalue| at most KERNEL_RELATIVE_TOL * max(1, the largest |eigenvalue| of the weight)."""
-    w, q, used = stacks.eigh("delta-dr" if operator == "de_rham" else "delta-rn", k)
+def _kernel(asm: Assembly, op: str, k: int) -> SectorBasis:
+    """The kernel of the degree-k Laplacian `op` (delta-dr or delta-rn), as `spectral._harmonic_basis`:
+    on every sector, the eigenvectors with |eigenvalue| at most KERNEL_RELATIVE_TOL * max(1, the
+    largest |eigenvalue| of the weight), from `Assembly.rumin_rows(k)` for delta-rn in k <= n."""
+    stacks = asm.sector_stacks
+    if op == "delta-rn" and k <= stacks.n:
+        joint = asm.rumin_rows(k)
+        w, q, used = joint.values, joint.vectors, joint.used
+    else:
+        valid = stacks.space(k, "rumin" if op == "delta-rn" else "full").valid
+        w, q, used = _eigh(stacks.laplacian(op, k), valid, stacks.groups(valid, valid))
     cut = KERNEL_RELATIVE_TOL * np.maximum(1.0, stacks._weight_max(w))
     keep = used & (np.abs(w) <= cut[stacks.owner])
     return SectorBasis(np.where(keep[None], q, 0), keep)
+
+
+@_block_memo
+def _harmonic(asm: Assembly, k: int) -> SectorBasis:
+    """The de Rham harmonic kernel of degree k (`_kernel`), which thm1, cor2 and cor3 read."""
+    return _kernel(asm, "delta-dr", k)
 
 
 @_block_memo
@@ -185,10 +198,11 @@ def _horizontal_reeb(stacks: SectorStacks, k: int) -> np.ndarray:
     return stacks._compress(stacks.lie_reeb(k), (k, "horizontal"), (k, "horizontal"))
 
 
-def _sqrt_rumin_laplacian(stacks: SectorStacks, k: int) -> np.ndarray:
-    """The psd square root of the degree-k Rumin Laplacian, as `operators.sqrtm_psd`, from the
-    stacks' eigensolve; read once per run, so not kept."""
-    w, q, _ = stacks.eigh("delta-rn", k)
+def _sqrt_rumin_laplacian(asm: Assembly, k: int) -> np.ndarray:
+    """The psd square root of the degree-k Rumin Laplacian (k < n), as `operators.sqrtm_psd`, from
+    the eigenpairs of `Assembly.rumin_rows(k)`; read once per run, so not kept."""
+    stacks, joint = asm.sector_stacks, asm.rumin_rows(k)
+    w, q = joint.values, joint.vectors
     low, high = stacks.per_weight(w, np.minimum), stacks._weight_max(w)
     if np.any(low < -1e-10 * np.maximum(1.0, high)):
         raise InternalConsistencyError("matrix is not positive semidefinite")
@@ -292,7 +306,7 @@ def check_kernel_coincidence(asm: Assembly, report: VerificationReport, dims: Co
     wmax = stacks._weight_max
     r = np.array(asm.multiplicity, dtype=int)
     for k in range(stacks.Dmax + 1):
-        ker_dr, ker_rn = _harmonic(stacks, k, "de_rham"), _harmonic(stacks, k, "rumin")
+        ker_dr, ker_rn = _harmonic(asm, k), _kernel(asm, "delta-rn", k)
         dim_dr, dim_rn = r * stacks.per_weight(ker_dr.used), r * stacks.per_weight(ker_rn.used)
         dims["kernel", "rumin", k] += int(dim_rn.sum())
         dims["kernel", "de_rham", k] += int(dim_dr.sum())
@@ -321,7 +335,7 @@ def check_primitivity(asm: Assembly, report: VerificationReport, tol: float):
     n = stacks.n
     r = np.array(asm.multiplicity, dtype=float)
     for k in range(stacks.Dmax + 1):
-        ker = _harmonic(stacks, k, "de_rham")
+        ker = _harmonic(asm, k)
         harmonic = stacks.per_weight(ker.used) > 0
         if not harmonic.any():
             continue
@@ -351,7 +365,7 @@ def check_deformation_family(asm: Assembly, report: VerificationReport, t_sample
     # d_t(j) is a factor of degrees j and j+1, so build it once; dt[j + 1] is d_t(j)
     dts = [[stacks.dt(j, t) for j in range(-1, top + 1)] for t in t_samples]
     for k in range(top + 1):
-        ker = _harmonic(stacks, k, "de_rham")
+        ker = _harmonic(asm, k)
         dim = stacks.per_weight(ker.used)
         laps = [_hermitized(_gram(dt[k + 1], dt[k]), "deformed Laplacian") for dt in dts]
         if dim.any():
@@ -402,7 +416,7 @@ def check_sasakian_identities(asm: Assembly, report: VerificationReport, tol: fl
         _add(report, f"graded_rumin_halves[{{lbl}}]k={k}", stacks, wmax(anti), tol)
     for k in range(0, n):
         lap10, lap01 = stacks.half_laplacian(k, False), stacks.half_laplacian(k, True)
-        root = _sqrt_rumin_laplacian(stacks, k)
+        root = _sqrt_rumin_laplacian(asm, k)
         ilt = -stacks.lie_reeb_rumin(k)  # i L_T
         _add(report, f"sqrt_splits[{{lbl}}]k={k}", stacks, wmax(root - lap10 - lap01), tol)
         _add(report, f"reeb_is_half_difference[{{lbl}}]k={k}", stacks, wmax(ilt - (lap01 - lap10)), tol)
@@ -410,11 +424,6 @@ def check_sasakian_identities(asm: Assembly, report: VerificationReport, tol: fl
         _add(report, f"half_laplacians_commute[{{lbl}}]k={k}", stacks, wmax(commute), tol)
     two_forms = stacks.middle_operator("factored") - stacks.middle_operator("kahler")
     _add(report, "middle_operator_two_forms[{lbl}]", stacks, wmax(two_forms), tol)
-
-
-def _column_norms(vectors: np.ndarray) -> np.ndarray:
-    """The norm of every column of a real (f, N) array."""
-    return np.sqrt(np.sum(vectors**2, axis=0))
 
 
 def check_eigenvalue_identity(asm: Assembly, report: VerificationReport, tol_rel: float, tol: float):
@@ -471,7 +480,7 @@ def check_eigenvalue_identity(asm: Assembly, report: VerificationReport, tol_rel
     # images, a factor that no residual below reads
     in_up, in_upb = stacks.ranks(_t(up), 1e-9) > 0, stacks.ranks(_t(upb), 1e-9) > 0
     dpsi, dbpsi = up[:, 0, sector], upb[:, 0, sector]
-    n10, n01 = _column_norms(dpsi), _column_norms(dbpsi)
+    n10, n01 = (np.sqrt(np.sum(v**2, axis=0)) for v in (dpsi, dbpsi))  # the norm of every column
     bi = (l10 > tol) & (l01 > tol)
     corner = bi & in_up[sector] & in_upb[sector]
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -326,20 +326,20 @@ def test_broadcast_and_mask_assembly_equal_dense_reference(model):
 def test_verify_all_computes_each_shared_quantity_once(capsys, monkeypatch):
     """One `verify --suite all` computes each shared sector quantity once per run.
 
-    The spies sit on the computations behind the memo of the sector stacks:
-    the Reeb-sector solve (keyed by its exact input), the sector rank oracle,
-    which ranks each complex once for thm1 and the torsion checks together,
-    and the suite quantities that several suites read: the Laplacians, their
-    eigensolve on the sectors, the harmonic kernels and the sec4 components.
-    The lifted fiber tables and the Rumin square root are read once each, so
-    the memo keeps neither; their spies sit on the functions, and each is
-    still built once.  Each Laplacian is built once per (op, k) and solved by
-    one `sectors._eigh` on the sectors: the harmonic kernels of thm1, the
-    Rumin square root of sec4 and the joint eigenspaces read the same solve.
-    The Rumin Laplacian's joint eigenspaces are solved once per degree k <= n
-    over every weight (`Assembly.rumin_rows`), for sec4 and the torsion
-    checks together: two solves in all, on lens(3, 1) and on s3.  The
-    first-order stacks (d, d0, dT,
+    The spies sit on the computations behind the memos of the sector stacks
+    and the assembly: the Reeb-sector solve (keyed by its exact input), the
+    sector rank oracle, which ranks each complex once for thm1 and the torsion
+    checks together, and the suite quantities that several suites read: the
+    Laplacians, the de Rham harmonic kernels and the sec4 components.  The
+    lifted fiber tables and the Rumin square root are read once each, so the
+    memo keeps neither; their spies sit on the functions, and each is still
+    built once.  Each Laplacian is built once per (op, k) and solved by one
+    `sectors._eigh` on the sectors, by the code that reads it: the Rumin
+    Laplacian of degree k <= n by its joint eigenspaces over every weight
+    (`Assembly.rumin_rows`), which the Rumin kernels of thm1, the square root
+    and components of sec4 and the torsion checks read (two solves in all, on
+    lens(3, 1) and on s3), and every other one by the kernel that thm1 (and
+    for de Rham, cor2 and cor3) reads.  The first-order stacks (d, d0, dT,
     L_T and its Rumin compression, whose invariance residual is checked when it
     is built, the split halves of d_b and their Rumin compressions, and d_b
     between the horizontal spaces, which both neighbouring `delta-b`
@@ -360,7 +360,7 @@ def test_verify_all_computes_each_shared_quantity_once(capsys, monkeypatch):
     def exact(*arrays):
         return tuple((a.shape, a.tobytes()) for a in arrays)
 
-    solve = spy("joint eigenspaces", rows.solve_rows, lambda rows, tol, eig=None: (exact(rows.tau, rows.stack), tol))
+    solve = spy("joint eigenspaces", rows.solve_rows, lambda rows, tol: (exact(rows.tau, rows.stack), tol))
     monkeypatch.setattr(rows, "solve_rows", solve)
     laplacians = {}  # the id of every Laplacian built in the run -> (op, k, t)
     build = SectorStacks.laplacian.__wrapped__
@@ -383,7 +383,7 @@ def test_verify_all_computes_each_shared_quantity_once(capsys, monkeypatch):
     memos = {
         "sector rank": (SectorStacks.cohomology_dims, lambda stacks, complex_name, multiplicity: complex_name),
         "Laplacian": (SectorStacks.laplacian, lambda stacks, op, k, t: (op, k, t), build_laplacian),
-        "harmonic kernel": (suites._harmonic, lambda stacks, k, operator: (k, operator)),
+        "harmonic kernel": (suites._harmonic, lambda asm, k: k),
         "sec4 components": (suites._low_components, lambda asm: ()),
     }
     for name in FIRST_ORDER:
@@ -391,7 +391,7 @@ def test_verify_all_computes_each_shared_quantity_once(capsys, monkeypatch):
     for kind, (memo, key, *fn) in memos.items():
         monkeypatch.setattr(memo, "__wrapped__", spy(kind, fn[0] if fn else memo.__wrapped__, key))
     unkept = {
-        "Rumin square root": ("_sqrt_rumin_laplacian", lambda stacks, k: k),
+        "Rumin square root": ("_sqrt_rumin_laplacian", lambda asm, k: k),
         "lifted fiber table": ("_fiber", lambda stacks, name, k, k_out, imag=False: (name, k, k_out, imag)),
     }
     for kind, (name, key) in unkept.items():
@@ -426,7 +426,7 @@ def test_verify_all_computes_each_shared_quantity_once(capsys, monkeypatch):
             lifts |= {("theta", 3, 4, False), ("lef", 3, 5, False)}
         assert set(calls["lifted fiber table"]) == lifts
         assert set(calls["sector rank"]) == {"rumin", "de_rham"}
-        assert set(calls["harmonic kernel"]) == {(k, op) for k in range(4) for op in ("de_rham", "rumin")}
+        assert set(calls["harmonic kernel"]) == set(range(4))  # de Rham; each Rumin kernel is read once
         laps = {(op, k, 1.0) for op in ("delta-rn", "delta-dr") for k in range(4)}
         assert set(calls["Laplacian"]) == laps | {("delta-b", k, 1.0) for k in range(-1, 4)}
         assert set(solved) == laps
@@ -523,9 +523,9 @@ FIRST_ORDER = ("d", "d0", "dT", "lie_reeb", "lie_reeb_rumin", "split_db", "rumin
 def test_spectrum_and_torsion_keep_no_first_order_stack(capsys, monkeypatch, command):
     """`spectrum` and `torsion` read each first-order stack a few times and keep none, which holds
     their peak memory at high M; only the `verify` suites keep them (d_b between the horizontal
-    spaces too), and with them the Laplacians and their sector eigensolves (the last case, which
-    shows that the names are the memo's).  No command keeps a lifted fiber table or the Rumin
-    square root, which a run reads once each."""
+    spaces too), and with them the Laplacians (the last case, which shows that the names are the
+    memo's).  No command keeps a lifted fiber table or the Rumin square root, which a run reads
+    once each."""
     built = []
     init = SectorStacks.__init__
 
@@ -538,7 +538,7 @@ def test_spectrum_and_torsion_keep_no_first_order_stack(capsys, monkeypatch, com
     capsys.readouterr()
     [stacks] = built
     assert stacks._cache
-    names = {f"SectorStacks.{name}" for name in (*FIRST_ORDER, "laplacian", "eigh")}
+    names = {f"SectorStacks.{name}" for name in (*FIRST_ORDER, "laplacian")}
     kept = {name for name, _ in stacks._cache}
     assert not kept & {"_fiber", "_sqrt_rumin_laplacian"}
     kept &= names

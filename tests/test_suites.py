@@ -9,6 +9,7 @@ suite reads must make that suite fail.
 """
 
 import json
+import sys
 from collections import Counter
 
 import numpy as np
@@ -18,7 +19,7 @@ from dense_reference import dense_run_suite
 from ruminlab import cli, spectral, suites
 from ruminlab.model import lens_space, su2_model
 from ruminlab.operators import max_abs
-from ruminlab.sectors import SectorStacks
+from ruminlab.sectors import SectorStacks, singular_values
 from ruminlab.spectral import Assembly, VerificationReport
 
 MODELS = [su2_model()] + [lens_space(p, character=l) for p in range(2, 6) for l in range(p)]
@@ -106,6 +107,37 @@ def test_singular_value_ranks_equal_the_image_basis_ranks(model, max_weights):
             null = suites._svd_basis(stacks, stack, rows, cols, tol, image=False)
             assert np.array_equal(ranks, image.used.sum(axis=0)), (max_weight, i)
             assert np.array_equal(cols.sum(axis=0) - ranks, null.used.sum(axis=0)), (max_weight, i)
+
+
+@pytest.mark.parametrize("model", [["--model", "s3"], ["--model", "lens", "--p", "3", "--character", "1"]],
+                         ids=["s3", "lens3-1"])
+def test_every_values_only_svd_is_singular_values(monkeypatch, capsys, model):
+    """During `verify --suite all`, every values-only SVD (the rank decisions and the largest
+    principal sines) is the one of `sectors.singular_values`, and no call reaches
+    `np.linalg.norm`, whose 2-norm runs an SVD of its own.  The harmonic kernels of thm1 agree
+    exactly here, so the principal sines of two lines at a known angle are taken too."""
+    svd, norm, callers, norms = np.linalg.svd, np.linalg.norm, Counter(), []
+
+    def spy_svd(a, full_matrices=True, compute_uv=True, *args, **kwargs):
+        if not compute_uv:
+            callers[sys._getframe(1).f_code] += 1
+        return svd(a, full_matrices, compute_uv, *args, **kwargs)
+
+    def spy_norm(*args, **kwargs):
+        norms.append(args)
+        return norm(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy_svd)
+    monkeypatch.setattr(np.linalg, "norm", spy_norm)
+    assert cli.main(["verify", "--suite", "all", *model, "--max-weight", "4"]) == 0
+    capsys.readouterr()
+    stacks = Assembly(su2_model(), 2).sector_stacks
+    size = stacks.m.size
+    line = lambda angle: np.broadcast_to(np.array([np.cos(angle), np.sin(angle)])[:, None, None], (2, 1, size))
+    u, v = (suites.SectorBasis(line(a), np.ones((1, size), dtype=bool)) for a in (0.0, 0.3))
+    assert np.allclose(suites._principal_sines(stacks, u, v), np.sin(0.3), rtol=0, atol=1e-15)
+    assert not norms
+    assert set(callers) == {singular_values.__code__}
 
 
 def _harmonic_sector(stacks: SectorStacks) -> int:
