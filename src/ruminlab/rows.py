@@ -8,14 +8,14 @@ and each position's valid flag and basis index
 (`sectors.SectorStacks.spectrum_rows` builds it).  `solve_rows` takes the
 eigenpairs of every sector from `sectors._eigh`, one stacked `eigh` per sector
 size on the valid blocks only, and clusters Delta on every row in one pass
-(`cluster_starts`, `run_means`), exactly as `util.cluster_values` clusters
-each row alone.  The `JointRows` it returns holds the joint eigenspaces as
-columns over every row (row, sector, Delta, tau, count) next to the padded
-eigenpairs, which `rumin spectrum` (`spectrum_columns`), `torsion` and the
-`verify` suites read without a loop over weights; the products on the eigenvectors
-run group by group on the valid sector blocks (`JointRows.sector_blocks`), so
-the padding enters none of them.  `components(row)` gives the dense basis of
-one row's components.  The module is imported on first use, like `sectors`.
+(`cluster_starts`, `run_means`), exactly as `util.cluster_values` clusters each
+row alone.  The `JointRows` it returns holds the joint eigenspaces as columns
+over every row (row, sector, Delta, tau, count) next to the padded eigenpairs,
+which `rumin spectrum` (`spectrum_columns`), `torsion` and the `verify` suites
+read without a loop over weights; the products on the eigenvectors run group by
+group on the valid sector blocks (`JointRows.sector_blocks`), so the padding
+enters none of them.  `components(row)` gives the dense basis of one row's
+components.  The module is imported on first use, like `sectors`.
 """
 
 from __future__ import annotations
@@ -91,13 +91,12 @@ def round_sig_values(values: np.ndarray) -> np.ndarray:
 class JointRows:
     """The joint (Delta, i L_T) eigenspaces of every row of a `sectors.RowStack`, held as columns.
 
-    `values`, `vectors` and `used` are the (f, S) sector eigenvalues, (f, f, S)
-    eigenvectors and (f, S) mask of `sectors._eigh`: column e of sector s is
-    the eigenvector of its e-th smallest eigenvalue, zero where unused, and is
-    numbered e * S + s.  `order` lists the columns in use in component order:
-    component i is `order[starts[i]:starts[i + 1]]`, columns of sector
-    `sector[i]` of row `owner[i]`, with Delta cluster mean `delta[i]` and Reeb
-    value `tau[i]`.  Components run by row, Delta cluster, then tau.
+    `values`, `vectors` and `used` are the (f, S) eigenvalues, (f, f, S) eigenvectors and (f, S)
+    used-column mask of `sectors._eigh` on every sector: column e of sector s is the eigenvector of
+    its e-th smallest eigenvalue, zero where unused, and is numbered e * S + s.  `order` lists the
+    columns in use in component order: component i is `order[starts[i]:starts[i + 1]]`, columns of
+    sector `sector[i]` of row `owner[i]`, with Delta cluster mean `delta[i]` and Reeb value
+    `tau[i]`.  Components run by row, Delta cluster, then tau.
     """
 
     rows: RowStack

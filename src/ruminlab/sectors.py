@@ -51,11 +51,11 @@ diagonalizes a stack with one stacked `eigh` per group of equally large
 sectors (`_groups`, built once per pair of masks by `SectorStacks.groups`,
 the one source of sector groupings), on the valid blocks only, where the
 padding would add spurious zero eigenvalues; the stacks keep no eigensolve.
-`singular_values` is the one values-only SVD of the route: it may read the
-padded blocks, whose padding adds only zero singular values.  Every rank is
-decided by `SectorStacks.ranks`, which counts a sector's singular values
-above tol * max(1, the largest singular value on the weight) (`value_ranks`,
-the scale of the dense weight block).  It is the rank oracle of
+`singular_values` is the one values-only SVD of the route, on the padded
+blocks, whose padding adds only zero singular values.  Every rank is decided
+by `SectorStacks.ranks`, which counts the values above tol * max(1, the
+largest on the weight) (`value_ranks`, the scale of the dense weight block).
+It is the rank oracle of
 `verify --suite thm1` and `torsion` (`cohomology_dims`), and it gives the
 ranks of the cor3 joint kernels and the sec4 corners (`suites`).  Every sum,
 max or min over the sectors of a weight (or of a `RowStack` row) is `_per_row`.

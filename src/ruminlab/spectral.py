@@ -17,12 +17,11 @@ zero-padded stack, a `sectors.RowStack`, and `rows.solve_rows` diagonalizes
 the sectors of every row with one stacked `eigh` per sector size and clusters
 Delta on every row in one pass.  The Rumin Laplacian reaches it on one route:
 `Assembly.rumin_rows(k, tol)`, memoized, solves the `delta-rn` rows of
-`sectors.SectorStacks` for every weight at once, the one solve of each degree
-k <= n in a run: `torsion`, the thm1 kernels and the sec4 suite read it.
-Below the middle degree the sector blocks of the two half Laplacians have
-Rayleigh quotients on the sector eigenvectors that give (lambda10, lambda01)
-(`JointRows.half_pairs`).
-`q_decomposition` reads the dense basis of one row's components
+`sectors.SectorStacks` for every weight at once, the one solve of degree
+k <= n in a run, which `torsion` and the thm1 and sec4 suites read.  Below
+the middle degree the sector blocks of the two half Laplacians have Rayleigh
+quotients on the sector eigenvectors that give (lambda10, lambda01)
+(`JointRows.half_pairs`).  `q_decomposition` reads the dense basis of one row's components
 (`JointRows.components(row)`); `_sequential_joint_eigenspaces` cuts dense
 (Laplacian, i L_T) pairs with `_reeb_sectors` into the same padded layout for
 the same solver and returns their `JointRows`, one row per pair, and only the
@@ -34,10 +33,9 @@ Reeb sectors at once; `cli.run_suite` calls the same `verify_*` functions,
 whose defaults are the only statement of each suite's bounds (`--tol` is
 passed only to override them), so the library and the command line share one
 route, and the quantities that several suites read are memoized with the
-assembly or its stacks.  No suite builds a block context.  The sec4 components come from
-`Assembly.rumin_rows`, which the Reeb decomposition of `torsion` reads too,
-and the rank oracle (`rumin_cohomology_dims`, `de_rham_cohomology_dims`) from
-the singular values of the same stacks.  The dense block contexts (`Assembly.contexts`) serve
+assembly or its stacks.  No suite builds a block context.  The rank oracle
+(`rumin_cohomology_dims`, `de_rham_cohomology_dims`) reads the singular
+values of the same stacks.  The dense block contexts (`Assembly.contexts`) serve
 `harmonic_bases` and the tests, whose dense per-block suite bodies
 (`tests/dense_reference.py`) are the reference for the sector route.
 

@@ -20,21 +20,20 @@ imaginary parts.  Every degree outside the complex is the zero space (see
 reaches past an end of the complex is a product through an empty stack, and
 zero.
 
-The subspace steps that need vectors (harmonic kernels, images, null spaces
-and intersections) are real stacked per-sector `eigh` and SVD calls, one per
-group of sectors with equally many valid rows and columns
-(`SectorStacks.groups`), on the valid blocks only.  Where only a rank is read
-(the cor3 joint kernels, the sec4 corners), `SectorStacks.ranks` decides it
-from `sectors.singular_values` of the padded blocks, which also give the
-largest principal sines of thm1.  A subspace is a `SectorBasis`: orthonormal columns on every
-sector, zero where unused.  Each relative cut takes its scale from the largest
-eigenvalue or singular value over the weight's sectors, the scale of the dense
-weight block; `_svd_basis` counts its singular values with
-`SectorStacks.value_ranks`, as `ranks` does.  Each Laplacian is solved once
-per run, by its reader: the Rumin Laplacian of degree k <= n by
-`Assembly.rumin_rows(k)`, which the thm1 kernels, the sec4 square root and
-components and `torsion` read; every other one by `_kernel`, which keeps only
-its kernel (the de Rham kernels that thm1, cor2 and cor3 share: `_harmonic`).
+The subspace steps that need vectors (harmonic kernels, images, null spaces and
+intersections) are real stacked per-sector `eigh` and SVD calls, one per group
+of sectors with equally many valid rows and columns (`SectorStacks.groups`), on
+the valid blocks only.  Where only a rank is read (the cor3 joint kernels, the
+sec4 corners), `SectorStacks.ranks` decides it from `sectors.singular_values`
+of the padded blocks, which also give the largest principal sines of thm1.  A
+subspace is a `SectorBasis`: orthonormal columns on every sector, zero where
+unused.  Each relative cut takes its scale from the largest eigenvalue or
+singular value over the weight's sectors, the scale of the dense weight block;
+`_svd_basis` counts its singular values with `SectorStacks.value_ranks`, as
+`ranks` does.  Each Laplacian is solved once per run, by its reader: the Rumin
+Laplacian of degree k <= n by `Assembly.rumin_rows(k)`, every other one by
+`_kernel`, which keeps only its kernel (the de Rham kernels, shared by thm1,
+cor2 and cor3: `_harmonic`).
 
 The sec4 components are the joint (Delta, i L_T) eigenspaces of
 `Assembly.rumin_rows(n - 1)`, as `torsion` solves them, each with its sector
@@ -160,9 +159,8 @@ def _fiber(stacks: SectorStacks, name: str, k: int, k_out: int, imag: bool = Fal
 
 
 def _kernel(asm: Assembly, op: str, k: int) -> SectorBasis:
-    """The kernel of the degree-k Laplacian `op` (delta-dr or delta-rn), as `spectral._harmonic_basis`:
-    on every sector, the eigenvectors with |eigenvalue| at most KERNEL_RELATIVE_TOL * max(1, the
-    largest |eigenvalue| of the weight), from `Assembly.rumin_rows(k)` for delta-rn in k <= n."""
+    """The kernel of the degree-k Laplacian `op` on every sector, cut as `spectral._harmonic_basis`
+    cuts it; for delta-rn in k <= n from the eigenpairs of `Assembly.rumin_rows(k)`."""
     stacks = asm.sector_stacks
     if op == "delta-rn" and k <= stacks.n:
         joint = asm.rumin_rows(k)
@@ -426,6 +424,11 @@ def check_sasakian_identities(asm: Assembly, report: VerificationReport, tol: fl
     _add(report, "middle_operator_two_forms[{lbl}]", stacks, wmax(two_forms), tol)
 
 
+def _column_norms(vectors: np.ndarray) -> np.ndarray:
+    """The norm of every column of a real (f, N) array."""
+    return np.sqrt(np.sum(vectors**2, axis=0))
+
+
 def check_eigenvalue_identity(asm: Assembly, report: VerificationReport, tol_rel: float, tol: float):
     """The checks of `spectral.verify_eigenvalue_identity`, added to `report`, with the components
     of `_low_components`."""
@@ -480,7 +483,7 @@ def check_eigenvalue_identity(asm: Assembly, report: VerificationReport, tol_rel
     # images, a factor that no residual below reads
     in_up, in_upb = stacks.ranks(_t(up), 1e-9) > 0, stacks.ranks(_t(upb), 1e-9) > 0
     dpsi, dbpsi = up[:, 0, sector], upb[:, 0, sector]
-    n10, n01 = (np.sqrt(np.sum(v**2, axis=0)) for v in (dpsi, dbpsi))  # the norm of every column
+    n10, n01 = _column_norms(dpsi), _column_norms(dbpsi)
     bi = (l10 > tol) & (l01 > tol)
     corner = bi & in_up[sector] & in_upb[sector]
     with np.errstate(divide="ignore", invalid="ignore"):
