@@ -4,8 +4,10 @@
 
 Runs `verify --suite all`, the four `spectrum` operators and `torsion`, in
 JSON, on s3 and every lens(p, l), p = 2..5, at M = 0..12, and one failing
-run, `verify --suite all` on s3 at M=3 with `--tol 1e-30` (1,171 runs in one
-process), and writes what each run must keep to `golden/reports.json.gz`.
+run, `verify --suite all` on s3 at M=3 with `--tol 1e-30` (1,171 runs), then
+the high-weight slice at M=200 (`HIGH`, 7 runs), all in one process, and
+writes what each run must keep to `golden/reports.json.gz`, and of the slice
+to `golden/high_weight.json.gz`.
 Stored exactly: the exit code, every check's name, tolerance, pass flag and
 detail, every spectrum row's degree, block, multiplicity and bidegree, the
 torsion dimensions, outcomes and flags, and the name, tolerance and detail
@@ -13,6 +15,17 @@ of every stderr FAIL line.  Stored as numbers, compared within
 REL_TOL * max(1, |golden|): eigenvalues, nu, lambda10, lambda01, the cutoffs
 and the torsion sums.  Check residuals are not stored: they are rounding,
 which BLAS may move in the last digits.
+
+The high-weight slice is stored compactly (`kept_high`), since its reports
+hold about 80,000 to 230,000 rows each.  Of `verify --suite all` (on s3 and
+lens(5, 2)) it keeps the sha256 of the sorted (name, tolerance, detail) of
+every check and the check count of every family, and neither residuals, pass
+flags, exit code nor FAIL lines: at M=200 rounding against fixed absolute
+bounds still decides those.  Of the four `spectrum` operators on s3 it keeps
+every row, sorted, with the eigenvalue of `delta-rn` and `delta-b` rounded to
+its integer (every one lies within 2e-15 relative of an integer) and those of
+`delta-dr` and `delta-t` compared within REL_TOL.  Of `torsion` on s3 it
+keeps what the grid keeps.
 
 Regenerate only when a change is meant to alter a report.  Before writing,
 the script prints every run that differs from the committed file, with its
@@ -25,12 +38,14 @@ import os
 os.environ["OPENBLAS_NUM_THREADS"] = os.environ["OMP_NUM_THREADS"] = "1"
 
 import contextlib  # noqa: E402
+import csv  # noqa: E402
 import gzip  # noqa: E402
+import hashlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
 import re  # noqa: E402
 import sys  # noqa: E402
-from collections import defaultdict  # noqa: E402
+from collections import Counter, defaultdict  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -38,6 +53,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from ruminlab import cli  # noqa: E402
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "reports.json.gz"
+HIGH_GOLDEN = GOLDEN.with_name("high_weight.json.gz")  # the slice, kept apart: it takes 10 s to replay
 REL_TOL = 1e-9
 MODELS = ["--model s3"] + [f"--model lens --p {p} --character {l}" for p in range(2, 6) for l in range(p)]
 COMMANDS = ["verify --suite all"] + [f"spectrum --op {op}" for op in ("delta-rn", "delta-dr", "delta-t", "delta-b")]
@@ -45,6 +61,13 @@ COMMANDS.append("torsion")
 MAX_WEIGHTS = range(13)
 # every check misses a tolerance of 1e-30 unless its residual is exactly 0, so the run exits 1
 FAILING = {"--model s3": ["verify --suite all --model s3 --max-weight 3 --tol 1e-30 --format json"]}
+HIGH = [  # the high-weight slice, stored by `kept_high`
+    "verify --suite all --model s3 --max-weight 200 --format csv",
+    "verify --suite all --model lens --p 5 --character 2 --max-weight 200 --format csv",
+    *[f"spectrum --op {op} --model s3 --max-weight 200 --format json" for op in ("delta-rn", "delta-dr", "delta-t", "delta-b")],
+    "torsion --model s3 --max-weight 200 --format json",
+]
+INTEGER_SPECTRA = ("delta-rn", "delta-b")  # their eigenvalues are stored rounded to integers
 FAIL_LINE = re.compile(r"FAIL (.*): residual \S+ > tolerance (\S+) (.*)")  # the line of `cli._list_failures`
 
 CHECK_FIELDS = ("name", "tolerance", "passed", "detail")  # every field of a check but its residual
@@ -94,12 +117,47 @@ def stderr_lines(text: str) -> list:
 
 def run(args: str):
     """[args, exit code, `kept` of its JSON report, or None if it printed none, `stderr_lines`] of
-    one run."""
+    one run; for a run of the high-weight slice, `kept_high` of its report, and of `verify` neither
+    exit code nor stderr lines (None)."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(args.split())
     text = out.getvalue()
+    if args in HIGH:
+        if args.startswith("verify"):
+            return [args, None, kept_high(args, text), None]
+        return [args, code, kept_high(args, text), stderr_lines(err.getvalue())]
     return [args, code, kept(json.loads(text)) if text.strip() else None, stderr_lines(err.getvalue())]
+
+
+def kept_high(args: str, text: str):
+    """What the golden file stores of one run of the high-weight slice (see the module notes)."""
+    if args.startswith("verify"):
+        rows = list(csv.reader(io.StringIO(text)))[1:]  # check, status, residual, tolerance, detail
+        checks = sorted((name, tolerance, detail) for name, _, _, tolerance, detail in rows)
+        digest = hashlib.sha256("\n".join("\t".join(check) for check in checks).encode()).hexdigest()
+        families = Counter(name.split("[", 1)[0] for name, _, _ in checks)
+        return {"checks_sha256": digest, "family_counts": dict(sorted(families.items()))}
+    doc = json.loads(text)
+    if "entries" not in doc:
+        return kept(doc)
+    exact = args.split()[2] in INTEGER_SPECTRA
+    fields = [f for f in (*ROW_FIELDS, *VALUE_FIELDS) if f != "eigenvalue"]
+    rows = sorted(
+        [["" if row[f] is None else row[f] for f in fields] + [round(float(row["eigenvalue"])) if exact else float(row["eigenvalue"])]
+         for row in doc.pop("entries")]
+    )
+    return {**kept(doc), "rows": rows}
+
+
+def _sorted_row_differences(got, want):
+    """Sorted high-weight rows, compared pair by pair: every field exactly but a float eigenvalue,
+    which is compared within REL_TOL.  The fields other than the eigenvalue key each row, so
+    sorting pairs each eigenvalue with its nearest golden one."""
+    if len(got) != len(want):
+        return [f"rows: {len(got)} != {len(want)}"]
+    bad = [i for i, (a, b) in enumerate(zip(got, want)) if a[:-1] != b[:-1] or not (a[-1] == b[-1] or _close(a[-1], b[-1]))]
+    return [f"rows[{i}]: {got[i]} != {want[i]}" for i in bad]
 
 
 def _close(got, want) -> bool:
@@ -155,14 +213,16 @@ def differences(got, want):
     for key in want_doc:
         if key == "entries":
             problems += _row_differences(doc[key], want_doc[key])
+        elif key == "rows":
+            problems += _sorted_row_differences(doc[key], want_doc[key])
         else:
             problems += _tree_differences(doc[key], want_doc[key], key)
     return problems
 
 
-def load() -> dict:
-    """The golden runs, by their argument strings."""
-    with gzip.open(GOLDEN, "rt") as fh:
+def load(path: Path = GOLDEN) -> dict:
+    """The golden runs of one file, by their argument strings."""
+    with gzip.open(path, "rt") as fh:
         return {item[0]: item for item in json.load(fh)["runs"]}
 
 
@@ -184,13 +244,13 @@ def report_moves(runs: list, committed: dict) -> None:
 
 
 def main() -> int:
-    runs = [run(args) for model in MODELS for args in grid(model)]
-    if GOLDEN.exists():
-        report_moves(runs, load())
-    text = json.dumps({"runs": runs}, separators=(",", ":"), sort_keys=True)
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_bytes(gzip.compress(text.encode(), mtime=0))
-    print(f"wrote {len(runs)} runs to {GOLDEN.name}: {len(text)} bytes of JSON, {GOLDEN.stat().st_size} gzipped")
+    for path, runs in ((GOLDEN, [run(args) for model in MODELS for args in grid(model)]), (HIGH_GOLDEN, [run(args) for args in HIGH])):
+        if path.exists():
+            report_moves(runs, load(path))
+        text = json.dumps({"runs": runs}, separators=(",", ":"), sort_keys=True)
+        path.parent.mkdir(exist_ok=True)
+        path.write_bytes(gzip.compress(text.encode(), mtime=0))
+        print(f"wrote {len(runs)} runs to {path.name}: {len(text)} bytes of JSON, {path.stat().st_size} gzipped")
     return 0
 
 
