@@ -16,7 +16,6 @@ from .exterior import (
     wedge,
 )
 from .model import (
-    FlatBundle,
     FrameStructure,
     FunctionBlock,
     ModelManifold,

@@ -24,7 +24,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -278,14 +278,6 @@ def su2_block(m: int, p: int = 1, character: int = 0) -> FunctionBlock:
 
 
 @dataclass(frozen=True)
-class FlatBundle:
-    """Rank-one flat bundle given by a character index l of the deck group."""
-
-    character: int = 0
-    rank: int = 1
-
-
-@dataclass(frozen=True)
 class ModelManifold:
     frame: FrameStructure
     p: int = 1
@@ -316,8 +308,8 @@ class ModelManifold:
     def nonempty_blocks(self, max_weight: int) -> List[FunctionBlock]:
         return [b for b in self.blocks(max_weight) if b.dim > 0]
 
-    def describe(self, max_weight: Optional[int] = None) -> dict:
-        doc = {
+    def describe(self) -> dict:
+        return {
             "schema": 1,
             "model": self.name,
             "n": self.frame.n,
@@ -326,26 +318,22 @@ class ModelManifold:
             "bracket_constants": self.frame.brackets.tolist(),
             "volume": self.volume,
         }
-        if max_weight is not None:
-            doc["max_weight"] = max_weight
-        return doc
 
-    def to_json(self, max_weight: Optional[int] = None) -> str:
-        return json.dumps(self.describe(max_weight), sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.describe(), sort_keys=True)
 
 
 def su2_model() -> ModelManifold:
     return ModelManifold(frame=su2_frame(), p=1, character=0, name="s3")
 
 
-def lens_space(p: int, bundle: Optional[FlatBundle] = None, character: int = 0) -> ModelManifold:
-    """Order-p lens quotient, optionally twisted by a deck-group character."""
+def lens_space(p: int, character: int = 0) -> ModelManifold:
+    """Order-p lens quotient, optionally twisted by the deck-group character of index `character`."""
     if p < 1:
         raise ParameterError("p must be >= 1")
-    l = bundle.character if bundle is not None else character
-    if not 0 <= l < p:
-        raise ParameterError(f"character {l} invalid for p={p}")
-    return ModelManifold(frame=su2_frame(), p=p, character=l, name="s3" if p == 1 else "lens")
+    if not 0 <= character < p:
+        raise ParameterError(f"character {character} invalid for p={p}")
+    return ModelManifold(frame=su2_frame(), p=p, character=character, name="s3" if p == 1 else "lens")
 
 
 def volume(model: ModelManifold) -> float:

@@ -9,13 +9,14 @@ and each position's valid flag and basis index
 eigenpairs of every sector from `sectors._eigh`, one stacked `eigh` per sector
 size on the valid blocks only, and clusters Delta on every row in one pass
 (`cluster_starts`, `run_means`), exactly as `util.cluster_values` clusters each
-row alone.  The `JointRows` it returns holds the joint eigenspaces as columns
-over every row (row, sector, Delta, tau, count) next to the padded eigenpairs,
-which `rumin spectrum` (`spectrum_columns`), `torsion` and the `verify` suites
-read without a loop over weights; the products on the eigenvectors run group by
-group on the valid sector blocks (`JointRows.sector_blocks`), so the padding
-enters none of them.  `components(row)` gives the dense basis of one row's
-components.  The module is imported on first use, like `sectors`.
+row alone, at the fixed `CLUSTER_TOL`.  The `JointRows` it returns holds the
+joint eigenspaces as columns over every row (row, sector, Delta, tau, count)
+next to the padded eigenpairs, which `rumin spectrum` (`spectrum_columns`),
+`torsion` and the `verify` suites read without a loop over weights; the
+products on the eigenvectors run group by group on the valid sector blocks
+(`JointRows.sector_blocks`), so the padding enters none of them.
+`components(row)` gives the dense basis of one row's components.  The module
+is imported on first use, like `sectors`.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ import numpy as np
 from .model import block_label
 from .operators import InternalConsistencyError
 from .sectors import BIDEGREE_TOL, RowStack, SectorStacks, _distinct, _eigh, _gather, _per_row
+
+CLUSTER_TOL = 1e-9  # Delta clusters within CLUSTER_TOL * max(1, max |Delta| on its row); the half-pair bound
 
 
 def cluster_starts(segment: np.ndarray, values: np.ndarray, tol: np.ndarray) -> np.ndarray:
@@ -136,14 +139,14 @@ class JointRows:
                 blocks = [_gather(stack, sel, pos, pos) for stack in stacks]
                 yield sel, cols * sectors + sel[:, None], _gather(self.vectors, sel, pos, cols), blocks
 
-    def half_pairs(self, tol: float = 1e-9) -> Tuple[np.ndarray, np.ndarray]:
+    def half_pairs(self) -> Tuple[np.ndarray, np.ndarray]:
         """(lambda10, lambda01) of every component, from the half-Laplacian stacks of the rows
         (below the middle degree), each rounded as `util.round_sig` rounds it
         (`round_sig_values`).
 
-        Each half Laplacian must act on a component as its Rayleigh quotient;
-        there sqrt(Delta) and i L_T are the sum and difference of the two half
-        Laplacians.
+        Each half Laplacian must act on a component as its Rayleigh quotient,
+        within 10 * CLUSTER_TOL * the stacks' scale; there sqrt(Delta) and i L_T
+        are the sum and difference of the two half Laplacians.
         """
         if not self.owner.size:
             return np.zeros(0), np.zeros(0)
@@ -159,7 +162,7 @@ class JointRows:
             resid = np.zeros(self.rows.tau.size)
             for sel, cols, q, image in images:
                 resid[sel] = np.abs(image - q * ray[component[cols]][:, None, :]).max(axis=(1, 2))
-            if np.any(_per_row(resid, self.rows.starts, np.maximum) > 10 * tol * scale):
+            if np.any(_per_row(resid, self.rows.starts, np.maximum) > 10 * CLUSTER_TOL * scale):
                 raise InternalConsistencyError("half Laplacians are not scalar on a joint eigenspace")
             pairs.append(np.where(0.0 > ray, 0.0, ray))
         return tuple(round_sig_values(values) for values in pairs)
@@ -197,14 +200,14 @@ class JointRows:
         ]
 
 
-def solve_rows(rows: RowStack, tol: float = 1e-9) -> JointRows:
+def solve_rows(rows: RowStack) -> JointRows:
     """The joint (Delta, i L_T) eigenspaces of every row: the eigenpairs of every sector
     (`sectors._eigh` of the stack), then one clustering pass over every row.
 
     Each sector is diagonalized on its own, so the eigenpairs of one row do not
     depend on the others.  Delta is clustered per row as `util.cluster_values`
-    clusters it, with the row's tolerance tol * max(1, max |Delta| on the row),
-    and a cluster's mean is taken over all of its sectors.
+    clusters it, within CLUSTER_TOL * max(1, max |Delta| on the row), and a
+    cluster's mean is taken over all of its sectors.
     """
     w, vectors, used = _eigh(rows.stack, rows.valid, rows.groups)
     col = np.flatnonzero(used)  # the columns in use, e * S + s
@@ -214,7 +217,7 @@ def solve_rows(rows: RowStack, tol: float = 1e-9) -> JointRows:
     row, ascending = owner[by_value], values[by_value]
     top = np.zeros(rows.dims.size)
     np.maximum.at(top, row, np.abs(ascending))
-    start = cluster_starts(row, ascending, (tol * np.maximum(1.0, top))[row])
+    start = cluster_starts(row, ascending, (CLUSTER_TOL * np.maximum(1.0, top))[row])
     cluster = np.empty(values.size, dtype=int)
     cluster[by_value] = np.cumsum(start) - 1
     means = run_means(ascending, start)

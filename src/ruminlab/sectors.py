@@ -50,7 +50,8 @@ which `rows.solve_rows` solves over every weight together.  `_eigh`
 diagonalizes a stack with one stacked `eigh` per group of equally large
 sectors (`_groups`, built once per pair of masks by `SectorStacks.groups`,
 the one source of sector groupings), on the valid blocks only, where the
-padding would add spurious zero eigenvalues; the stacks keep no eigensolve.
+padding would add spurious zero eigenvalues; the stacks keep no eigensolve,
+and of the middle operator only its factored form, as `rumin_d(n)`.
 `singular_values` is the one values-only SVD of the route, on the padded
 blocks, whose padding adds only zero singular values.  Every rank is decided
 by `SectorStacks.ranks`, which counts the values above tol * max(1, the
@@ -476,11 +477,11 @@ class SectorStacks:
 
     # -- the Rumin complex: phase i ---------------------------------------------------
 
-    @_block_memo
     def middle_operator(self, variant: str = "factored") -> np.ndarray:
         """The middle operator on the middle Rumin space, as `BlockContext.middle_operator(variant)`:
         theta ^ (L_T + d_b L^-1 d_b) ("factored"; L^-1 has phase i, so d_b L^-1 d_b has -i) or
-        theta ^ (L_T - i (del + delbar)(del* - delbar*)) ("kahler"; the product has phase 1)."""
+        theta ^ (L_T - i (del + delbar)(del* - delbar*)) ("kahler"; the product has phase 1).  Not
+        kept: the factored form is kept as `rumin_d(n)`, and sec4 reads the Kahler form once."""
         n = self.n
         if variant == "factored":
             linv = self._stack("lefschetz_inverse", n + 1)

@@ -16,8 +16,8 @@ sharing one Reeb eigenvalue).  Every route lays the sectors out as one
 zero-padded stack, a `sectors.RowStack`, and `rows.solve_rows` diagonalizes
 the sectors of every row with one stacked `eigh` per sector size and clusters
 Delta on every row in one pass.  The Rumin Laplacian reaches it on one route:
-`Assembly.rumin_rows(k, tol)`, memoized, solves the `delta-rn` rows of
-`sectors.SectorStacks` for every weight at once, the one solve of degree
+`Assembly.rumin_rows(k)`, memoized by degree alone, solves the `delta-rn` rows
+of `sectors.SectorStacks` for every weight at once, the one solve of degree
 k <= n in a run, which `torsion` and the thm1 and sec4 suites read.  Below
 the middle degree the sector blocks of the two half Laplacians have Rayleigh
 quotients on the sector eigenvectors that give (lambda10, lambda01)
@@ -29,15 +29,17 @@ tests call it, as the dense reference.
 
 Every suite `verify_<suite>(asm)` runs its body `suites.check_<suite>(asm,
 report, ...)` on `Assembly.sector_stacks`, the operators of every weight on its
-Reeb sectors at once; `cli.run_suite` calls the same `verify_*` functions,
-whose defaults are the only statement of each suite's bounds (`--tol` is
-passed only to override them), so the library and the command line share one
-route, and the quantities that several suites read are memoized with the
-assembly or its stacks.  No suite builds a block context.  The rank oracle
-(`rumin_cohomology_dims`, `de_rham_cohomology_dims`) reads the singular
-values of the same stacks.  The dense block contexts (`Assembly.contexts`) serve
-`harmonic_bases` and the tests, whose dense per-block suite bodies
-(`tests/dense_reference.py`) are the reference for the sector route.
+Reeb sectors at once; `cli.run_suite` calls the same `verify_*` functions, whose
+`tol` defaults (the eigenvalue law's `tol_rel`) state each suite's residual
+bound, which `--tol` overrides, and whose fixed bounds are the constants below
+(`ANGLE_TOL`, `LAW_ZERO_TOL`, `COMPLEX_T_SAMPLES`, `KERNEL_RELATIVE_TOL`).  So
+the library and the command line share one route, and the quantities that
+several suites read are memoized with the assembly or its stacks.  No suite
+builds a block context.  The rank oracle (`rumin_cohomology_dims`,
+`de_rham_cohomology_dims`) reads the singular values of the same stacks.  The
+dense block contexts (`Assembly.contexts`) serve `harmonic_bases` and the
+tests, whose dense per-block suite bodies (`tests/dense_reference.py`) are the
+reference for the sector route.
 
 A `VerificationReport` holds its checks as four parallel columns, `names`,
 `residuals`, `tolerances` and `details`, appended family by family: a suite
@@ -75,7 +77,10 @@ from .operators import (
     _null_basis,
 )
 
-KERNEL_RELATIVE_TOL = 1e-9
+KERNEL_RELATIVE_TOL = 1e-9  # a Laplacian eigenvalue is zero within this share of the weight's largest
+ANGLE_TOL = 1e-8  # thm1: largest principal-angle sine between the two harmonic spaces
+LAW_ZERO_TOL = 1e-10  # sec4 eigenvalue law: a half-Laplacian value or image norm is zero at most this
+COMPLEX_T_SAMPLES = (0.0, 0.37, 1.0, 2.0)  # the deformation parameters t of the d_t.d_t checks
 
 
 # -- assemblies ---------------------------------------------------------------
@@ -127,14 +132,14 @@ class Assembly:
         return SectorStacks(self.model.frame, self.weights)
 
     @_block_memo
-    def rumin_rows(self, k: int, tol: float = 1e-9):
+    def rumin_rows(self, k: int):
         """The joint (Delta, i L_T) eigenspaces of the degree-k Rumin Laplacian on every weight, a
         `rows.JointRows` with one row per weight (and the half-Laplacian stacks below the middle
         degree): the `delta-rn` rows of `sector_stacks`, solved over every weight at once by
-        `rows.solve_rows`, as `rumin spectrum` solves them."""
+        `rows.solve_rows`, as `rumin spectrum` solves them; memoized by the degree alone."""
         from .rows import solve_rows
 
-        return solve_rows(self.sector_stacks.spectrum_rows("delta-rn", k)[0], tol)
+        return solve_rows(self.sector_stacks.spectrum_rows("delta-rn", k)[0])
 
 
 def spectral_cutoff(model: ModelManifold, max_weight: int) -> float:
@@ -403,20 +408,20 @@ def _sequential_joint_eigenspaces(pairs: Sequence[Tuple[np.ndarray, np.ndarray]]
     """
     from .rows import solve_rows
 
-    return solve_rows(_reeb_sectors(pairs, tol), tol)
+    return solve_rows(_reeb_sectors(pairs, tol))
 
 
-def q_decomposition(asm: Assembly, weight: int, k: int, tol: float = 1e-9) -> Tuple[QComponent, ...]:
+def q_decomposition(asm: Assembly, weight: int, k: int) -> Tuple[QComponent, ...]:
     """Simultaneous eigenspaces of the two half Laplacians on the degree-k Rumin space of the
-    weight block, from its row of `asm.rumin_rows(k, tol)`: the joint (Delta, i L_T)
+    weight block, from its row of `asm.rumin_rows(k)`: the joint (Delta, i L_T)
     components in their order, each with its (lambda10, lambda01) and a dense basis in the
     block's Rumin-space coordinates."""
     if k > asm.n - 1:
         raise ValueError("the simultaneous decomposition is defined below middle degree")
-    joint = asm.rumin_rows(k, tol)
+    joint = asm.rumin_rows(k)
     row = asm.weights.index(weight)
     lo, hi = joint.row_components(row)
-    l10, l01 = joint.half_pairs(tol)
+    l10, l01 = joint.half_pairs()
     comps = joint.components(row)
     return tuple(QComponent(a, b, basis) for a, b, (_, _, basis) in zip(l10[lo:hi], l01[lo:hi], comps))
 
@@ -465,12 +470,11 @@ def _run_suite(asm: Assembly, name: str, params: dict, body: str, *args) -> Veri
     return report
 
 
-def verify_complex_property(
-    asm: Assembly, t_samples=(0.0, 0.37, 1.0, 2.0), tol: float = 1e-12
-) -> VerificationReport:
-    """d^2 = 0 for the de Rham, rescaled Rumin and deformed differentials."""
-    params = {"tol": tol, "t_samples": list(t_samples)}
-    return _run_suite(asm, "complex_property", params, "check_complex_property", t_samples, tol)
+def verify_complex_property(asm: Assembly, tol: float = 1e-12) -> VerificationReport:
+    """d^2 = 0 for the de Rham, rescaled Rumin and deformed differentials (d_t at every t of
+    COMPLEX_T_SAMPLES)."""
+    params = {"tol": tol, "t_samples": list(COMPLEX_T_SAMPLES)}
+    return _run_suite(asm, "complex_property", params, "check_complex_property", tol)
 
 
 def verify_sasakian_identities(asm: Assembly, tol: float = 1e-11) -> VerificationReport:
@@ -489,11 +493,12 @@ def verify_hodge_block_matrix(asm: Assembly, tol: float = 1e-12) -> Verification
     return _run_suite(asm, "hodge_block_matrix", {"tol": tol}, "check_hodge_block_matrix", tol)
 
 
-def verify_kernel_coincidence(asm: Assembly, angle_tol: float = 1e-8, tol: float = 1e-10) -> VerificationReport:
-    """Subspace equality of the two harmonic spaces plus the textbook-step residuals."""
+def verify_kernel_coincidence(asm: Assembly, tol: float = 1e-10) -> VerificationReport:
+    """Subspace equality of the two harmonic spaces (principal angles within ANGLE_TOL) plus the
+    textbook-step residuals."""
     dims = Counter()
-    params = {"angle_tol": angle_tol, "tol": tol}
-    report = _run_suite(asm, "kernel_coincidence", params, "check_kernel_coincidence", dims, angle_tol, tol)
+    params = {"angle_tol": ANGLE_TOL, "tol": tol}
+    report = _run_suite(asm, "kernel_coincidence", params, "check_kernel_coincidence", dims, tol)
     rank_oracle_checks(report, dims, asm)
     report.parameters["kernel_dims"] = [dims["kernel", "rumin", k] for k in asm.degrees]
     return report
@@ -524,7 +529,7 @@ def verify_deformation_family(asm: Assembly, t_samples=(0.1, 1.0, 10.0), tol: fl
     return _run_suite(asm, "deformation_family", params, "check_deformation_family", t_samples, tol)
 
 
-def verify_eigenvalue_identity(asm: Assembly, tol_rel: float = 1e-9, tol: float = 1e-10) -> VerificationReport:
+def verify_eigenvalue_identity(asm: Assembly, tol_rel: float = 1e-9) -> VerificationReport:
     """The squared-sum law on the image of the split differentials.
 
     Checks, per block: every positive eigenvalue below middle degree matches
@@ -534,10 +539,11 @@ def verify_eigenvalue_identity(asm: Assembly, tol_rel: float = 1e-9, tol: float 
     each bi-positive component satisfy the second-order eigenvalue formula;
     the corner maps are bijections; and the restricted operator is positive.
     The per-vector checks of the W corner W (x) C^r have one entry `...v={i}`
-    per slot vector of W, with detail `multiplicity={r}`.
+    per slot vector of W, with detail `multiplicity={r}`.  A value at most
+    LAW_ZERO_TOL counts as zero.
     """
-    params = {"tol_rel": tol_rel, "tol": tol}
-    return _run_suite(asm, "eigenvalue_identity", params, "check_eigenvalue_identity", tol_rel, tol)
+    params = {"tol_rel": tol_rel, "tol": LAW_ZERO_TOL}
+    return _run_suite(asm, "eigenvalue_identity", params, "check_eigenvalue_identity", tol_rel)
 
 
 def verify_middle_degree(asm: Assembly, tol: float = 1e-10) -> VerificationReport:

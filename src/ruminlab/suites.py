@@ -46,7 +46,10 @@ Quantities that several suites read are memoized with `_block_memo`, with
 the stacks or the assembly, next to the first-order stacks and Laplacians
 that `SectorStacks` keeps once `spectral._run_suite` has called
 `keep_first_order`, so `verify --suite all` builds each once; a value read
-once (a lifted fiber table, the Rumin square root, a Rumin kernel) is not kept.
+once (a lifted fiber table, the Rumin square root, a Rumin kernel, the Kahler
+middle operator) is not kept, and the factored middle operator is kept only as
+`SectorStacks.rumin_d(n)`.  The fixed bounds of thm1, of the sec4 law and of
+the complex suite's d_t samples are constants of `spectral`.
 Each check family reaches the report in one `VerificationReport.add_family`
 call (`_add`: one name per weight, its `{lbl}` replaced by the block label),
 with no loop over weights; the per-component families of sec4 name each
@@ -64,7 +67,7 @@ import numpy as np
 from .model import block_label
 from .operators import InternalConsistencyError, _block_memo
 from .sectors import SectorStacks, _eigh, _gather, _gram, _hermitized, _product, _scatter, _t, singular_values
-from .spectral import KERNEL_RELATIVE_TOL, Assembly, VerificationReport
+from .spectral import ANGLE_TOL, COMPLEX_T_SAMPLES, KERNEL_RELATIVE_TOL, LAW_ZERO_TOL, Assembly, VerificationReport
 
 # -- subspaces on the sectors -------------------------------------------------------
 
@@ -240,7 +243,7 @@ def _add(report: VerificationReport, name: str, stacks: SectorStacks, values, to
     report.add_family([f"{head}{lbl}{tail}" for lbl in labels], values, tol, details)
 
 
-def check_complex_property(asm: Assembly, report: VerificationReport, t_samples: Sequence[float], tol: float):
+def check_complex_property(asm: Assembly, report: VerificationReport, tol: float):
     """The checks of `spectral.verify_complex_property`, added to `report`."""
     stacks = asm.sector_stacks
     wmax = stacks._weight_max
@@ -249,7 +252,7 @@ def check_complex_property(asm: Assembly, report: VerificationReport, t_samples:
         _add(report, f"d.d[{{lbl}}]k={k}", stacks, wmax(_product(d[k + 1], d[k])), tol)
         if k + 1 < stacks.Dmax:
             _add(report, f"dN.dN[{{lbl}}]k={k}", stacks, wmax(_product(stacks.rumin_d(k + 1), stacks.rumin_d(k))), tol)
-    for t in t_samples:
+    for t in COMPLEX_T_SAMPLES:
         # each d_t is a left and a right factor: build it once, drop it before the next t
         dt = [stacks.dt(j, t) for j in range(stacks.Dmax + 1)]
         for k in range(stacks.Dmax):
@@ -294,7 +297,7 @@ def check_star_symmetry(asm: Assembly, report: VerificationReport, tol: float):
         _add(report, f"star_isometry[{{lbl}}]k={k}", stacks, wmax(_product(_t(star), star) - eye), tol)
 
 
-def check_kernel_coincidence(asm: Assembly, report: VerificationReport, dims: Counter, angle_tol: float, tol: float):
+def check_kernel_coincidence(asm: Assembly, report: VerificationReport, dims: Counter, tol: float):
     """The per-block checks of `spectral.verify_kernel_coincidence`, added to `report`.
 
     Adds r * dim of every block's harmonic kernels to `dims["kernel", complex, k]`, for
@@ -312,7 +315,7 @@ def check_kernel_coincidence(asm: Assembly, report: VerificationReport, dims: Co
         angles = _principal_sines(stacks, ker_dr, SectorBasis(phi, ker_rn.used))
         details = [f"de_rham={a} rumin={b}" for a, b in zip(dim_dr.tolist(), dim_rn.tolist())]
         _add(report, f"kernel_dims_match[{{lbl}}]k={k}", stacks, np.abs(dim_dr - dim_rn), 0.0, details=details)
-        _add(report, f"kernel_subspace_angle[{{lbl}}]k={k}", stacks, angles, angle_tol)
+        _add(report, f"kernel_subspace_angle[{{lbl}}]k={k}", stacks, angles, ANGLE_TOL)
         if k > stacks.n or not dim_dr.any():
             continue
         horizontal = stacks.embed(k, "horizontal")
@@ -420,7 +423,7 @@ def check_sasakian_identities(asm: Assembly, report: VerificationReport, tol: fl
         _add(report, f"reeb_is_half_difference[{{lbl}}]k={k}", stacks, wmax(ilt - (lap01 - lap10)), tol)
         commute = _product(lap10, lap01) - _product(lap01, lap10)
         _add(report, f"half_laplacians_commute[{{lbl}}]k={k}", stacks, wmax(commute), tol)
-    two_forms = stacks.middle_operator("factored") - stacks.middle_operator("kahler")
+    two_forms = stacks.rumin_d(n) - stacks.middle_operator("kahler")  # rumin_d(n) is the factored form
     _add(report, "middle_operator_two_forms[{lbl}]", stacks, wmax(two_forms), tol)
 
 
@@ -429,9 +432,9 @@ def _column_norms(vectors: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(vectors**2, axis=0))
 
 
-def check_eigenvalue_identity(asm: Assembly, report: VerificationReport, tol_rel: float, tol: float):
+def check_eigenvalue_identity(asm: Assembly, report: VerificationReport, tol_rel: float):
     """The checks of `spectral.verify_eigenvalue_identity`, added to `report`, with the components
-    of `_low_components`."""
+    of `_low_components`; a value at most `spectral.LAW_ZERO_TOL` counts as zero."""
     stacks = asm.sector_stacks
     n = stacks.n
     labels = _labels(stacks)
@@ -446,7 +449,7 @@ def check_eigenvalue_identity(asm: Assembly, report: VerificationReport, tol_rel
     up, upb = stacks.rumin_del(n - 1, False), stacks.rumin_del(n - 1, True)
     low, mid = stacks.space(n - 1, "rumin").valid, stacks.space(n, "rumin").valid
     lap_mid = stacks.laplacian("delta-rn", n)
-    dmid = stacks.middle_operator()
+    dmid = stacks.rumin_d(n)
     dd = _product(_t(dmid), dmid)
     ilt_mid = -stacks.lie_reeb_rumin(n)  # i L_T
     img = _svd_basis(stacks, np.concatenate([up, upb], axis=1), mid, np.concatenate([low, low]), 1e-9, image=True)
@@ -461,7 +464,7 @@ def check_eigenvalue_identity(asm: Assembly, report: VerificationReport, tol_rel
     # the restricted eigenvalues, and the predicted multiset: lam once for each positive half of its
     # component; a weight without restricted eigenvalues has no check
     values, at, size = by_weight(w[used], np.broadcast_to(stacks.owner, w.shape)[used])
-    counts = np.where(l10 > tol, 1, 0) + np.where(l01 > tol, 1, 0)
+    counts = np.where(l10 > LAW_ZERO_TOL, 1, 0) + np.where(l01 > LAW_ZERO_TOL, 1, 0)
     predicted, predicted_at, predicted_size = by_weight(np.repeat(lam, counts), np.repeat(owner, counts))
     has, same = size > 0, size == predicted_size
     r = np.asarray(asm.multiplicity, dtype=int)
@@ -476,7 +479,7 @@ def check_eigenvalue_identity(asm: Assembly, report: VerificationReport, tol_rel
     lowest = np.zeros(len(labels))
     lowest[has] = values[(np.cumsum(size) - size)[has]]  # the first value of each weight
     details = [f"min_eigenvalue={x:.6g}" for x in lowest.tolist()]
-    _add(report, "restricted_positivity[{lbl}]", stacks, np.where(lowest > tol, 0.0, 1.0), 0.5, has, details)
+    _add(report, "restricted_positivity[{lbl}]", stacks, np.where(lowest > LAW_ZERO_TOL, 0.0, 1.0), 0.5, has, details)
 
     # normalized-pair analysis: a one-sided corner is its component's sector vector, a bi-positive
     # W corner that vector when both adjoint images contain it; dpsi and dbpsi are -i times the
@@ -484,7 +487,7 @@ def check_eigenvalue_identity(asm: Assembly, report: VerificationReport, tol_rel
     in_up, in_upb = stacks.ranks(_t(up), 1e-9) > 0, stacks.ranks(_t(upb), 1e-9) > 0
     dpsi, dbpsi = up[:, 0, sector], upb[:, 0, sector]
     n10, n01 = _column_norms(dpsi), _column_norms(dbpsi)
-    bi = (l10 > tol) & (l01 > tol)
+    bi = (l10 > LAW_ZERO_TOL) & (l01 > LAW_ZERO_TOL)
     corner = bi & in_up[sector] & in_upb[sector]
     with np.errstate(divide="ignore", invalid="ignore"):
         # only the columns of W corners are read below
@@ -506,15 +509,15 @@ def check_eigenvalue_identity(asm: Assembly, report: VerificationReport, tol_rel
             ("reeb_tag", np.abs(lam_t - (l10 - l01)) / np.maximum(1.0, np.abs(lam_t))),
         )
     # one family per kind of corner check, each over its components in component order
-    low10, low01 = l10 <= tol, l01 <= tol
+    low10, low01 = l10 <= LAW_ZERO_TOL, l01 <= LAW_ZERO_TOL
     tags = [f"[{labels[i]}]l=({a:.6g},{b:.6g})" for i, a, b in zip(owner.tolist(), l10.tolist(), l01.tolist())]
     r = r[owner]
-    del_rank, delbar_rank = n10 > tol, n01 > tol
+    del_rank, delbar_rank = n10 > LAW_ZERO_TOL, n01 > LAW_ZERO_TOL
     family = lambda name, at, suffix="": [f"{name}{tags[i]}{suffix}" for i in at.tolist()]
     pairs = lambda fmt, a, b: [fmt.format(x, y) for x, y in zip(a.tolist(), b.tolist())]
     # one-sided corners: the surviving map is a bijection
     one = np.flatnonzero((low10 | low01) & ~(low10 & low01))
-    rank = np.where(l10 > tol, del_rank, delbar_rank)[one]
+    rank = np.where(l10 > LAW_ZERO_TOL, del_rank, delbar_rank)[one]
     details = pairs("rank={} dim={}", r[one] * rank, r[one])
     report.add_family(family("corner_bijective_one_sided", one), np.where(rank, 0.0, 1.0), 0.5, details)
     both = np.flatnonzero(~(low10 | low01))
@@ -549,7 +552,7 @@ def check_middle_degree(asm: Assembly, report: VerificationReport, tol: float):
     has = stacks.per_weight(coexact.used) > 0
     if has.any():
         c = coexact.vectors
-        dmid = stacks.middle_operator()
+        dmid = stacks.rumin_d(n)
         dd = _product(_t(dmid), dmid)
         _add(report, "coexact_reeb_square[{lbl}]", stacks, wmax(_product(square, c)), tol, has)
         _add(report, "coexact_middle_square[{lbl}]", stacks, wmax(_product(dd - _product(lt, lt), c)), tol, has)

@@ -19,7 +19,8 @@ eigenspace, and its dimension.  `reeb_decomposition` takes them from the route
 of `rumin spectrum --op delta-rn`: per degree k <= n it reads
 `Assembly.rumin_rows`, the Rumin Laplacian of every weight cut into Reeb
 sectors and solved together, as sec4 does, so its slices are that table's
-rows, and it builds no block context.  The pieces, box checks and
+rows, and it builds no block context.  Its clusters and zero tests read the
+fixed `PAIR_TOL` and `RELATIVE_PAIR_TOL`.  The pieces, box checks and
 per-degree comparisons of every block are computed on the columns of those
 rows at once, and the slices are held as columns too (`TorsionReport.columns`,
 built by `slice_columns`).  The kernel dimensions are compared with the rank
@@ -84,30 +85,31 @@ def kappa_weights(n: int) -> List[int]:
 PIECES = ("harmonic", "reeb_plus", "reeb_minus", "bi_positive")  # classification labels
 
 
-def _multiset_clusters(segment, values, counts, tol: float):
+def _multiset_clusters(segment, values, counts):
     """Per segment, merge (value, count) pairs whose values agree with a cluster's first value
-    within max(tol, RELATIVE_PAIR_TOL |value|): (segment, first value, summed count) per cluster."""
+    within max(PAIR_TOL, RELATIVE_PAIR_TOL |value|): (segment, first value, summed count) per
+    cluster."""
     from .rows import cluster_starts
 
     segment, values, counts = np.asarray(segment, dtype=int), np.asarray(values, dtype=float), np.asarray(counts)
     order = np.lexsort((values, segment))
     segment, values, counts = segment[order], values[order], counts[order]
-    start = cluster_starts(segment, values, np.maximum(tol, RELATIVE_PAIR_TOL * np.abs(values)))
+    start = cluster_starts(segment, values, np.maximum(PAIR_TOL, RELATIVE_PAIR_TOL * np.abs(values)))
     first = np.flatnonzero(start)
     summed = np.add.reduceat(counts, first) if first.size else counts[:0]
     return segment[first], values[first], summed
 
 
-def _cluster_multiset(pairs: Sequence[Tuple[float, float]], tol: float) -> List[Tuple[float, float]]:
-    """Merge (value, count) pairs whose values agree within max(tol, RELATIVE_PAIR_TOL |value|)."""
+def _cluster_multiset(pairs: Sequence[Tuple[float, float]]) -> List[Tuple[float, float]]:
+    """Merge (value, count) pairs whose values agree within max(PAIR_TOL, RELATIVE_PAIR_TOL |value|)."""
     values, counts = zip(*pairs) if pairs else ((), ())
-    _, values, counts = _multiset_clusters(np.zeros(len(values), dtype=int), values, counts, tol)
+    _, values, counts = _multiset_clusters(np.zeros(len(values), dtype=int), values, counts)
     return list(zip(values.tolist(), counts.tolist()))
 
 
-def _multisets_match(a, b, tol: float) -> Tuple[bool, float]:
+def _multisets_match(a, b) -> Tuple[bool, float]:
     """Compare clustered (value, count) multisets; returns (match, max count gap)."""
-    merged = _cluster_multiset([(v, c) for v, c in a] + [(v, -c) for v, c in b], tol)
+    merged = _cluster_multiset([(v, c) for v, c in a] + [(v, -c) for v, c in b])
     worst = max((abs(c) for _, c in merged), default=0.0)
     return worst < 0.5, worst
 
@@ -145,7 +147,6 @@ class TorsionReport:
     checks: VerificationReport = field(default_factory=lambda: VerificationReport("reeb_decomposition"))
     estimate_only: bool = False
     caveat: str = ""
-    pair_tol: float = PAIR_TOL
 
     def _add_columns(self, **columns):
         self.columns = {name: np.concatenate([self.columns[name], columns[name]]) for name in SLICE_FIELDS}
@@ -200,9 +201,7 @@ class TorsionReport:
         return "".join(util.write_rows(order, fields))
 
 
-def reeb_decomposition(
-    asm: Assembly, s_grid: Sequence[float] = (2.0, 3.0, 4.0), pair_tol: float = PAIR_TOL
-) -> TorsionReport:
+def reeb_decomposition(asm: Assembly, s_grid: Sequence[float] = (2.0, 3.0, 4.0)) -> TorsionReport:
     """Split every low-degree spectrum along the half-Laplacian pair and compare.
 
     Produces: the per-degree comparison of the positive spectrum against the
@@ -222,12 +221,11 @@ def reeb_decomposition(
         weights=kappa_weights(n),
         cutoff=asm.spectral_cutoff(),
         cohomology_dims=rumin_cohomology_dims(asm)[: n + 1],
-        pair_tol=pair_tol,
     )
-    report.checks.parameters = {"model": asm.model.describe(), "max_weight": asm.max_weight, "pair_tol": pair_tol}
+    report.checks.parameters = {"model": asm.model.describe(), "max_weight": asm.max_weight, "pair_tol": PAIR_TOL}
     labels = [block_label(m) for m in asm.weights]
     for k in range(n + 1):
-        _add_reeb_slices(report, labels, asm.multiplicity, k, asm.rumin_rows(k, pair_tol))
+        _add_reeb_slices(report, labels, asm.multiplicity, k, asm.rumin_rows(k))
     close_reeb_report(report)
     return report
 
@@ -240,7 +238,7 @@ def _add_reeb_slices(report: TorsionReport, labels: Sequence[str], multiplicity:
     are checked on every sector."""
     from .sectors import _per_row
 
-    checks, pair_tol = report.checks, report.pair_tol
+    checks = report.checks
     rows, owner, tau = joint.rows, joint.owner, joint.tau
     starts = rows.starts
     boxes = None
@@ -255,7 +253,7 @@ def _add_reeb_slices(report: TorsionReport, labels: Sequence[str], multiplicity:
                 out[sel] = np.abs(resid).max(axis=(1, 2))
         boxes = [_per_row(b, starts, np.maximum) for b in boxes]
     # the largest |entry| of the Laplacian, which is block diagonal over the Reeb sectors
-    zero = pair_tol * np.maximum(1.0, _per_row(np.abs(rows.stack), starts, np.maximum))
+    zero = PAIR_TOL * np.maximum(1.0, _per_row(np.abs(rows.stack), starts, np.maximum))
     delta = np.where(0.0 > joint.delta, 0.0, joint.delta)
     root = np.sqrt(delta)
     box, boxbar = 0.5 * (root + tau), 0.5 * (root - tau)
@@ -272,10 +270,10 @@ def _add_reeb_slices(report: TorsionReport, labels: Sequence[str], multiplicity:
     np.maximum.at(square, owner[one_sided], (np.abs(delta - nu**2) / np.maximum(1.0, delta))[one_sided])
     # per block: the positive spectrum against the one-sided Reeb squares
     positive = piece != 0
-    spectrum = _multiset_clusters(owner[positive], delta[positive], mult[positive], pair_tol)
-    reeb = _multiset_clusters(owner[one_sided], nu[one_sided] ** 2, mult[one_sided], pair_tol)
+    spectrum = _multiset_clusters(owner[positive], delta[positive], mult[positive])
+    reeb = _multiset_clusters(owner[one_sided], nu[one_sided] ** 2, mult[one_sided])
     blocks, values, counts = (np.concatenate([x, y]) for x, y in zip(spectrum, (reeb[0], reeb[1], -reeb[2])))
-    row, _, gap = _multiset_clusters(blocks, values, counts, pair_tol)
+    row, _, gap = _multiset_clusters(blocks, values, counts)
     worst = np.zeros(len(labels), dtype=int)
     np.maximum.at(worst, row, np.abs(gap))
     family = lambda name: [f"{name}[{lbl}]k={k}" for lbl in labels]
@@ -284,7 +282,7 @@ def _add_reeb_slices(report: TorsionReport, labels: Sequence[str], multiplicity:
         checks.add_family(family("boxes_differ_by_reeb"), boxes[1], 1e-10)
         checks.add_family(family("boxes_commute"), boxes[2], 1e-9)
     checks.add_family(family("boxes_psd"), np.where(-lowest > 0.0, -lowest, 0.0), 1e-9)  # max(0.0, -lowest)
-    checks.add_family(family("one_sided_reeb_square"), square, pair_tol)
+    checks.add_family(family("one_sided_reeb_square"), square, PAIR_TOL)
     report.per_degree_outcomes.update(zip([(lbl, k) for lbl in labels], (worst < 0.5).tolist()))
     report._add_columns(
         block=np.asarray(labels, dtype=str)[owner], degree=np.full(owner.size, k), delta=delta, nu=nu, mult=mult, piece=piece
@@ -293,7 +291,7 @@ def _add_reeb_slices(report: TorsionReport, labels: Sequence[str], multiplicity:
 
 def close_reeb_report(report: TorsionReport):
     """The checks and sums of `reeb_decomposition` over the slices of every block added."""
-    checks, pair_tol, weights = report.checks, report.pair_tol, report.weights
+    checks, weights = report.checks, report.weights
     n = len(weights) - 1
     c = report.columns
     degree, delta, nu, mult = c["degree"], c["delta"], c["nu"], c["mult"]
@@ -307,7 +305,7 @@ def close_reeb_report(report: TorsionReport):
     weighted = np.asarray(weights, dtype=int)[degree] * mult
     values = np.concatenate([delta[~harmonic], nu[one_sided] ** 2])
     counts = np.concatenate([weighted[~harmonic], -weighted[one_sided]])
-    _, _, net = _multiset_clusters(np.zeros(values.size, dtype=int), values, counts, pair_tol)
+    _, _, net = _multiset_clusters(np.zeros(values.size, dtype=int), values, counts)
     worst_net = int(np.abs(net).max()) if net.size else 0.0
     report.weighted_match = worst_net < 0.5
     checks.add(

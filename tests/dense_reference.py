@@ -168,7 +168,7 @@ def dense_cohomology_dims(asm, complex_name: str) -> List[int]:
     return dims
 
 
-def dense_reeb_decomposition(asm, s_grid=(2.0, 3.0, 4.0), pair_tol: float = PAIR_TOL) -> TorsionReport:
+def dense_reeb_decomposition(asm, s_grid=(2.0, 3.0, 4.0)) -> TorsionReport:
     """`torsion.reeb_decomposition` through the dense block route: the slices, per-degree
     outcomes, rank-oracle dims and sums, without the box checks."""
     n = asm.n
@@ -179,7 +179,6 @@ def dense_reeb_decomposition(asm, s_grid=(2.0, 3.0, 4.0), pair_tol: float = PAIR
         weights=kappa_weights(n),
         cutoff=asm.spectral_cutoff(),
         cohomology_dims=dense_cohomology_dims(asm, "rumin")[: n + 1],
-        pair_tol=pair_tol,
     )
     columns = {name: [] for name in SLICE_FIELDS}  # the slices of every block and degree
     harmonic, one_sided = PIECES.index("harmonic"), (PIECES.index("reeb_plus"), PIECES.index("reeb_minus"))
@@ -187,9 +186,9 @@ def dense_reeb_decomposition(asm, s_grid=(2.0, 3.0, 4.0), pair_tol: float = PAIR
         lbl = ctx.block.label
         for k in range(n + 1):
             lap, ilt = operator_pair(ctx, "delta-rn", k, 1.0)
-            joint = _sequential_joint_eigenspaces([(lap, ilt)], pair_tol)
+            joint = _sequential_joint_eigenspaces([(lap, ilt)], PAIR_TOL)
             # the largest |entry| of a psd matrix is on its diagonal, inside a Reeb sector
-            zero = pair_tol * max(1.0, max_abs(lap))
+            zero = PAIR_TOL * max(1.0, max_abs(lap))
             delta = [max(d, 0.0) for d in joint.delta.tolist()]
             nu = [0.0 - tau for tau in joint.tau.tolist()]
             mult = (ctx.block.multiplicity * joint.count).tolist()
@@ -209,9 +208,8 @@ def dense_reeb_decomposition(asm, s_grid=(2.0, 3.0, 4.0), pair_tol: float = PAIR
                 columns[name] += values
             spectrum = [(d, m) for d, m, p in zip(delta, mult, piece) if p != harmonic]
             reeb = [(v**2, m) for v, m, p in zip(nu, mult, piece) if p in one_sided]
-            report.per_degree_outcomes[(lbl, k)], _ = _multisets_match(
-                _cluster_multiset(spectrum, pair_tol), _cluster_multiset(reeb, pair_tol), pair_tol
-            )
+            match, _ = _multisets_match(_cluster_multiset(spectrum), _cluster_multiset(reeb))
+            report.per_degree_outcomes[(lbl, k)] = match
     report.columns = slice_columns(*columns.values())
     close_reeb_report(report)
     return report
@@ -231,13 +229,14 @@ def dense_run_suite(asm: Assembly, suite: str, cfg, keep_memos: bool = False) ->
     report = VerificationReport(f"suite:{suite}", params)
     default = lambda fn, name: inspect.signature(fn).parameters[name].default  # stated once, in `spectral`
     residual_tol = lambda fn, name="tol": default(fn, name) if tol is None else tol  # what `--tol` overrides
+    # the fixed bounds, which `--tol` does not override, are the constants of `spectral`
     selected = lambda name: suite in (name, "all")
     dims = Counter()  # harmonic kernel dimensions of thm1, for the rank oracle
     for ctx in asm.contexts:
         try:
             if selected("thm1"):
-                angle_tol = default(spectral.verify_kernel_coincidence, "angle_tol")
-                check_kernel_coincidence(ctx, report, dims, angle_tol, residual_tol(spectral.verify_kernel_coincidence))
+                thm1_tol = residual_tol(spectral.verify_kernel_coincidence)
+                check_kernel_coincidence(ctx, report, dims, spectral.ANGLE_TOL, thm1_tol)
             if selected("cor2"):
                 check_primitivity(ctx, report, tol=residual_tol(spectral.verify_primitivity))
             if selected("cor3"):
@@ -246,12 +245,12 @@ def dense_run_suite(asm: Assembly, suite: str, cfg, keep_memos: bool = False) ->
             if selected("sec4"):
                 components = low_degree_components(asm, ctx)
                 check_sasakian_identities(ctx, report, tol=residual_tol(spectral.verify_sasakian_identities))
-                law = spectral.verify_eigenvalue_identity
-                check_eigenvalue_identity(ctx, report, components, residual_tol(law, "tol_rel"), default(law, "tol"))
+                law_tol = residual_tol(spectral.verify_eigenvalue_identity, "tol_rel")
+                check_eigenvalue_identity(ctx, report, components, law_tol, spectral.LAW_ZERO_TOL)
                 check_middle_degree(ctx, report, components, tol=residual_tol(spectral.verify_middle_degree))
             if suite == "all":
-                t_complex = default(spectral.verify_complex_property, "t_samples")
-                check_complex_property(ctx, report, t_complex, residual_tol(spectral.verify_complex_property))
+                complex_tol = residual_tol(spectral.verify_complex_property)
+                check_complex_property(ctx, report, spectral.COMPLEX_T_SAMPLES, complex_tol)
                 check_hodge_block_matrix(ctx, report, tol=residual_tol(spectral.verify_hodge_block_matrix))
                 check_star_symmetry(ctx, report, tol=residual_tol(spectral.verify_star_symmetry))
         finally:

@@ -56,7 +56,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden" / "reports.json.gz"
 HIGH_GOLDEN = GOLDEN.with_name("high_weight.json.gz")  # the slice, kept apart: it takes 10 s to replay
 REL_TOL = 1e-9
 MODELS = ["--model s3"] + [f"--model lens --p {p} --character {l}" for p in range(2, 6) for l in range(p)]
-COMMANDS = ["verify --suite all"] + [f"spectrum --op {op}" for op in ("delta-rn", "delta-dr", "delta-t", "delta-b")]
+OPS = ("delta-rn", "delta-dr", "delta-t", "delta-b")
+COMMANDS = ["verify --suite all"] + [f"spectrum --op {op}" for op in OPS]
 COMMANDS.append("torsion")
 MAX_WEIGHTS = range(13)
 # every check misses a tolerance of 1e-30 unless its residual is exactly 0, so the run exits 1
@@ -64,7 +65,7 @@ FAILING = {"--model s3": ["verify --suite all --model s3 --max-weight 3 --tol 1e
 HIGH = [  # the high-weight slice, stored by `kept_high`
     "verify --suite all --model s3 --max-weight 200 --format csv",
     "verify --suite all --model lens --p 5 --character 2 --max-weight 200 --format csv",
-    *[f"spectrum --op {op} --model s3 --max-weight 200 --format json" for op in ("delta-rn", "delta-dr", "delta-t", "delta-b")],
+    *[f"spectrum --op {op} --model s3 --max-weight 200 --format json" for op in OPS],
     "torsion --model s3 --max-weight 200 --format json",
 ]
 INTEGER_SPECTRA = ("delta-rn", "delta-b")  # their eigenvalues are stored rounded to integers
@@ -143,11 +144,11 @@ def kept_high(args: str, text: str):
         return kept(doc)
     exact = args.split()[2] in INTEGER_SPECTRA
     fields = [f for f in (*ROW_FIELDS, *VALUE_FIELDS) if f != "eigenvalue"]
-    rows = sorted(
-        [["" if row[f] is None else row[f] for f in fields] + [round(float(row["eigenvalue"])) if exact else float(row["eigenvalue"])]
-         for row in doc.pop("entries")]
-    )
-    return {**kept(doc), "rows": rows}
+    rows = []
+    for row in doc.pop("entries"):
+        value = float(row["eigenvalue"])
+        rows.append(["" if row[f] is None else row[f] for f in fields] + [round(value) if exact else value])
+    return {**kept(doc), "rows": sorted(rows)}
 
 
 def _sorted_row_differences(got, want):
@@ -156,8 +157,12 @@ def _sorted_row_differences(got, want):
     sorting pairs each eigenvalue with its nearest golden one."""
     if len(got) != len(want):
         return [f"rows: {len(got)} != {len(want)}"]
-    bad = [i for i, (a, b) in enumerate(zip(got, want)) if a[:-1] != b[:-1] or not (a[-1] == b[-1] or _close(a[-1], b[-1]))]
-    return [f"rows[{i}]: {got[i]} != {want[i]}" for i in bad]
+
+    def same(a, b):
+        exact = isinstance(b[-1], int)  # an eigenvalue rounded to its integer
+        return a[:-1] == b[:-1] and (a[-1] == b[-1] if exact else _close(a[-1], b[-1]))
+
+    return [f"rows[{i}]: {a} != {b}" for i, (a, b) in enumerate(zip(got, want)) if not same(a, b)]
 
 
 def _close(got, want) -> bool:
@@ -244,7 +249,8 @@ def report_moves(runs: list, committed: dict) -> None:
 
 
 def main() -> int:
-    for path, runs in ((GOLDEN, [run(args) for model in MODELS for args in grid(model)]), (HIGH_GOLDEN, [run(args) for args in HIGH])):
+    grid_runs = [run(args) for model in MODELS for args in grid(model)]
+    for path, runs in ((GOLDEN, grid_runs), (HIGH_GOLDEN, [run(args) for args in HIGH])):
         if path.exists():
             report_moves(runs, load(path))
         text = json.dumps({"runs": runs}, separators=(",", ":"), sort_keys=True)

@@ -37,7 +37,7 @@ from ruminlab.spectral import (
     verify_primitivity,
     verify_sasakian_identities,
 )
-from ruminlab.torsion import PAIR_TOL, PIECES, _cluster_multiset, _multisets_match, reeb_decomposition
+from ruminlab.torsion import PIECES, _cluster_multiset, _multisets_match, reeb_decomposition
 
 MODEL_SPECS = [
     ("s3", su2_model()),
@@ -109,7 +109,7 @@ def test_criterion_3_kernel_coincidence(asm6):
     ok = True
     details = []
     for name, asm in asm6.items():
-        rep = verify_kernel_coincidence(asm, angle_tol=1e-8)
+        rep = verify_kernel_coincidence(asm)
         expected = [1, 0, 0, 1] if asm.model.character == 0 else [0, 0, 0, 0]
         good = rep.passed and rep.parameters["kernel_dims"] == expected
         ok = ok and good
@@ -186,8 +186,7 @@ def test_criterion_7_per_degree_multisets_as_written(asm6, reeb6):
     # 1972): the slot (p, q), p + q = m, has (lambda10, lambda01) =
     # (q(p+1), p(q+1)), so Delta = (2pq + m)^2 and nu = q - p.
     def same(a, b):
-        ca, cb = _cluster_multiset(a, PAIR_TOL), _cluster_multiset(b, PAIR_TOL)
-        return _multisets_match(ca, cb, PAIR_TOL)[0]
+        return _multisets_match(_cluster_multiset(a), _cluster_multiset(b))[0]
 
     mismatches = []
     bi_positive_pairs = []

@@ -222,12 +222,13 @@ def test_memo_key_fills_in_keywords_and_defaults(s3):
 
 
 def test_assembly_rows_are_memoized_and_read_only():
-    """`Assembly.rumin_rows` solves each (degree, tol) once, with the default tol filled in, and
-    every array of the solved rows is read-only; `q_decomposition` hands out tuples, not shared lists."""
+    """`Assembly.rumin_rows` solves each degree once, keyed by the degree alone, and every array of
+    the solved rows is read-only; `q_decomposition` hands out tuples, not shared lists."""
     asm = Assembly(lens_space(3, character=1), 4)
     joint = asm.rumin_rows(0)
-    assert joint is asm.rumin_rows(0, 1e-9) is asm.rumin_rows(0, tol=1e-9)
-    assert asm.rumin_rows(0, 1e-10) is not joint
+    assert joint is asm.rumin_rows(0) is asm.rumin_rows(k=0)
+    with pytest.raises(TypeError):
+        asm.rumin_rows(0, 1e-10)
     assert joint.rows.dims.size == len(asm.weights) and set(joint.owner.tolist()) == set(range(len(asm.weights)))
     assert isinstance(joint.rows.halves, tuple) and len(joint.rows.halves) == 3  # two half Laplacians, their scale
     columns = (joint.order, joint.starts, joint.owner, joint.sector, joint.delta, joint.tau, joint.vectors)
@@ -235,12 +236,35 @@ def test_assembly_rows_are_memoized_and_read_only():
     layout = (r.stack, r.owner, r.tau, r.valid, r.index, r.dims, *r.halves)
     assert not any(array.flags.writeable for array in (*columns, *layout))
     assert asm.rumin_rows(1).rows.halves is None
+    assert [args for name, args in asm._cache if name == "Assembly.rumin_rows"] == [(0,), (1,)]
     comps = spectral.q_decomposition(asm, asm.weights[-1], 0)
     assert isinstance(comps, tuple) and comps
     [again] = dense_reference.low_degree_components(asm, asm.contexts[-1])
     assert [(c.lambda10, c.lambda01, c.basis.tobytes()) for c in again] == [
         (c.lambda10, c.lambda01, c.basis.tobytes()) for c in comps
     ]
+
+
+def test_one_rumin_solve_per_degree_across_commands_on_one_assembly(monkeypatch):
+    """`verify --suite all`, the Reeb decomposition of `torsion` and `q_decomposition` of every
+    weight, run in turn on one assembly, solve the Rumin rows of each degree k <= n once between
+    them: they all read the one memo entry of `Assembly.rumin_rows(k)`."""
+    solves = []
+    solve = rows.solve_rows
+
+    def spy(row_stack):
+        solves.append(row_stack)
+        return solve(row_stack)
+
+    monkeypatch.setattr(rows, "solve_rows", spy)
+    asm = Assembly(su2_model(), 8)
+    cli.run_suite(asm, "all", cli.RunConfig())
+    torsion.reeb_decomposition(asm)
+    for m in asm.weights:
+        spectral.q_decomposition(asm, m, 0)
+    assert len(solves) == asm.n + 1 == 2
+    memo = sorted(args for name, args in asm._cache if name == "Assembly.rumin_rows")
+    assert memo == [(k,) for k in range(asm.n + 1)]
 
 
 def test_assembly_builds_block_contexts_on_first_access():
@@ -360,7 +384,7 @@ def test_verify_all_computes_each_shared_quantity_once(capsys, monkeypatch):
     def exact(*arrays):
         return tuple((a.shape, a.tobytes()) for a in arrays)
 
-    solve = spy("joint eigenspaces", rows.solve_rows, lambda rows, tol: (exact(rows.tau, rows.stack), tol))
+    solve = spy("joint eigenspaces", rows.solve_rows, lambda rows: exact(rows.tau, rows.stack))
     monkeypatch.setattr(rows, "solve_rows", solve)
     laplacians = {}  # the id of every Laplacian built in the run -> (op, k, t)
     build = SectorStacks.laplacian.__wrapped__
@@ -496,7 +520,8 @@ def _assert_each_dt_built_once(monkeypatch, suite, t_samples, degrees):
 
 def test_complex_property_builds_each_deformed_differential_once(monkeypatch):
     """`verify_complex_property` builds each d_t once per (degree, t)."""
-    _assert_each_dt_built_once(monkeypatch, spectral.verify_complex_property, (0.0, 0.37, 1.0, 2.0), range(4))
+    suite = lambda asm, t_samples: spectral.verify_complex_property(asm)  # at every t of COMPLEX_T_SAMPLES
+    _assert_each_dt_built_once(monkeypatch, suite, spectral.COMPLEX_T_SAMPLES, range(4))
 
 
 def test_deformation_family_builds_each_deformed_differential_once(monkeypatch):

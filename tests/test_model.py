@@ -8,7 +8,6 @@ import pytest
 
 from ruminlab import exterior as ext
 from ruminlab.model import (
-    FlatBundle,
     FrameStructure,
     FunctionBlock,
     ParameterError,
@@ -166,8 +165,6 @@ def test_bad_character_rejected():
         lens_space(2, character=2)
     with pytest.raises(ParameterError):
         lens_space(0)
-    with pytest.raises(ParameterError):
-        lens_space(3, bundle=FlatBundle(character=5))
 
 
 def test_blocks_rejects_negative_weight(s3):
@@ -199,10 +196,9 @@ def test_constant_function_norm_is_volume():
 
 def test_model_descriptor_round_trip():
     model = lens_space(3, character=2)
-    doc = json.loads(model.to_json(max_weight=5))
+    doc = json.loads(model.to_json())
     assert doc["schema"] == 1
     assert doc["model"] == "lens" and doc["p"] == 3 and doc["character"] == 2
-    assert doc["max_weight"] == 5
     rebuilt = np.array(doc["bracket_constants"])
     assert np.allclose(rebuilt, model.frame.brackets)
 

@@ -17,18 +17,16 @@ import pytest
 import dense_reference
 from ruminlab import cli, util
 from ruminlab.model import su2_model
-from ruminlab.rows import cluster_starts, round_sig_values, run_means, solve_rows, spectrum_columns
+from ruminlab.rows import CLUSTER_TOL, cluster_starts, round_sig_values, run_means, solve_rows, spectrum_columns
 from ruminlab.sectors import RowStack
 from ruminlab.spectral import Assembly, SpectrumTable
 from ruminlab.torsion import PIECES, reeb_decomposition
-
-TOL = 1e-9
 
 
 def _row_values(rng, row: int) -> np.ndarray:
     """Values of one row: clusters of 9 to 60 values near 169, a chain whose steps are each within
     the row's tolerance but whose span exceeds it, and scattered values."""
-    scale = TOL * 400.0  # the row tolerance, tol * max(1, max |value|)
+    scale = CLUSTER_TOL * 400.0  # the row tolerance, tol * max(1, max |value|)
     parts = [169.0 + rng.uniform(-0.2, 0.2, rng.integers(9, 61)) * scale for _ in range(3)]
     parts.append(250.0 + 0.45 * scale * np.arange(rng.integers(3, 12)))  # the chain
     parts.append(rng.uniform(0.0, 399.0, 20))
@@ -45,14 +43,14 @@ def test_cluster_pass_equals_cluster_values_on_every_row():
     order = np.lexsort((values, owner))
     row_of, ascending = owner[order], values[order]
     top = np.array([np.abs(r).max() for r in rows])
-    tol = (TOL * np.maximum(1.0, top))[row_of]
+    tol = (CLUSTER_TOL * np.maximum(1.0, top))[row_of]
     start = cluster_starts(row_of, ascending, tol)
     means, counts = run_means(ascending, start), np.diff(np.append(np.flatnonzero(start), values.size))
     got = list(zip(row_of[start].tolist(), means.tolist(), counts.tolist()))
     want = [
         (row, mean, count)
         for row, r in enumerate(rows)
-        for mean, count in util.cluster_values(list(r), TOL * max(1.0, float(np.abs(r).max())))
+        for mean, count in util.cluster_values(list(r), CLUSTER_TOL * max(1.0, float(np.abs(r).max())))
     ]
     assert got == want  # means bit for bit
     assert max(count for _, _, count in want) > 8
@@ -76,11 +74,11 @@ def test_solve_rows_clusters_every_row_as_cluster_values():
     stack[0, 0] = np.concatenate(rows)
     valid = np.zeros((2, owner.size), dtype=bool)
     valid[0] = True
-    joint = solve_rows(RowStack(stack, owner, tau, valid, np.vstack([index, index]), np.array([r.size for r in rows])), TOL)
+    joint = solve_rows(RowStack(stack, owner, tau, valid, np.vstack([index, index]), np.array([r.size for r in rows])))
     assert np.array_equal(joint.sector, joint.order) and np.array_equal(owner[joint.sector], joint.owner)
     for row, r in enumerate(rows):
         lo, hi = joint.row_components(row)
-        clusters = util.cluster_values(list(r), TOL * max(1.0, float(np.abs(r).max())))
+        clusters = util.cluster_values(list(r), CLUSTER_TOL * max(1.0, float(np.abs(r).max())))
         expected = [mean for mean, count in clusters for _ in range(count)]
         assert joint.delta[lo:hi].tolist() == expected
         assert joint.count[lo:hi].tolist() == [1] * r.size

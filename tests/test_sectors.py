@@ -149,7 +149,6 @@ DENSE_TWINS = {
         lambda ctx, k, anti: ctx.rumin_del(k, anti).matrix,
         lambda k, anti: ((k + 1, "rumin" if k < 1 else "horizontal"), (k, "rumin")),  # n = 1
     ),
-    "SectorStacks.middle_operator": (1j, lambda ctx, v: ctx.middle_operator(v).matrix, lambda v: rumin(1, 2)),
     "SectorStacks.embed": (1, lambda ctx, k, fl: ctx.space(k, fl).embed, lambda k, fl: ((k, "full"), (k, fl))),
     "SectorStacks.laplacian": (
         1,
@@ -198,9 +197,9 @@ def test_every_stack_is_real_with_its_declared_phase(monkeypatch, model, max_wei
     """After `verify --suite all` and every `spectrum` operator, every array that the stacks keep
     is real, and every kept stack with a dense twin, times its phase, is that twin on every weight
     block within 1e-12 of its largest entry; so is every nonempty lifted fiber table that the
-    suites read (they keep none), with the table of J split into its real and imaginary parts.
-    The comparison may build spaces into the memo, so it walks a snapshot, and every entry is
-    checked again after it."""
+    suites read (they keep none), with the table of J split into its real and imaginary parts,
+    and the Kahler middle operator, which nothing keeps.  The comparison may build spaces into
+    the memo, so it walks a snapshot, and every entry is checked again after it."""
     lifts = {}  # every lift that the suites read, by its arguments
     lift = suites._fiber
 
@@ -227,6 +226,9 @@ def test_every_stack_is_real_with_its_declared_phase(monkeypatch, model, max_wei
     kept = [(name, args, value, *DENSE_TWINS[name]) for name, args, value in twins]
     nonempty = {args: value for args, value in lifts.items() if value.shape[0]}
     kept += [("_fiber", args, value, *_lifted_fiber_twin(*args)) for args, value in nonempty.items()]
+    # the Kahler middle operator, which sec4 reads once and nothing keeps (the factored one is rumin_d(1))
+    kahler = (1j, lambda ctx, v: ctx.middle_operator(v).matrix, lambda v: rumin(1, 2))
+    kept.append(("middle_operator", ("kahler",), stacks.middle_operator("kahler"), *kahler))
     for name, args, value, phase, twin, spaces in kept:
         compared.add(name)
         for w, m in enumerate(stacks.weights.tolist()):
@@ -236,7 +238,7 @@ def test_every_stack_is_real_with_its_declared_phase(monkeypatch, model, max_wei
     check_dtypes()
     if not max_weight and not stacks.weights.size:
         return
-    assert compared == {*DENSE_TWINS, "_fiber"}
+    assert compared == {*DENSE_TWINS, "_fiber", "middle_operator"}
     # the lifts compared while the suites kept them: the Lefschetz maps, star and theta in every degree
     # they map within the complex, and J where the constants are harmonic (on weight 0)
     want = {("lef", k, k + 2, False) for k in range(-2, 2)} | {("theta", k, k + 1, False) for k in range(-1, 3)}

@@ -263,10 +263,10 @@ def test_cutoff_reported(s3_reeb):
 
 def test_cluster_multiset_bound_is_absolute_up_to_1e4():
     """Values merge within max(PAIR_TOL, 1e-13 |value|): PAIR_TOL up to |value| = 1e4, relative above."""
-    assert len(_cluster_multiset([(1e4, 1), (1e4 + 2 * PAIR_TOL, 1)], PAIR_TOL)) == 2
-    assert _cluster_multiset([(1e4, 1), (1e4 + 0.5 * PAIR_TOL, 1)], PAIR_TOL) == [(1e4, 2)]
-    assert _cluster_multiset([(1e6, 1), (1e6 + 5e-8, 1)], PAIR_TOL) == [(1e6, 2)]
-    assert len(_cluster_multiset([(1e6, 1), (1e6 * (1 + 1e-12), 1)], PAIR_TOL)) == 2
+    assert len(_cluster_multiset([(1e4, 1), (1e4 + 2 * PAIR_TOL, 1)])) == 2
+    assert _cluster_multiset([(1e4, 1), (1e4 + 0.5 * PAIR_TOL, 1)]) == [(1e4, 2)]
+    assert _cluster_multiset([(1e6, 1), (1e6 + 5e-8, 1)]) == [(1e6, 2)]
+    assert len(_cluster_multiset([(1e6, 1), (1e6 * (1 + 1e-12), 1)])) == 2
 
 
 def _reopened(done):
