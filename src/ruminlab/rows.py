@@ -31,7 +31,7 @@ from .model import block_label
 from .operators import InternalConsistencyError
 from .sectors import BIDEGREE_TOL, RowStack, SectorStacks, _distinct, _eigh, _gather, _per_row
 
-CLUSTER_TOL = 1e-9  # Delta clusters within CLUSTER_TOL * max(1, max |Delta| on its row); the half-pair bound
+CLUSTER_TOL = 1e-9  # Delta clusters within CLUSTER_TOL * max(1, max |Delta| on its row); half_pairs checks at 10x it
 
 
 def cluster_starts(segment: np.ndarray, values: np.ndarray, tol: np.ndarray) -> np.ndarray:
