@@ -15,8 +15,8 @@ next to the padded eigenpairs, which `rumin spectrum` (`spectrum_columns`),
 `torsion` and the `verify` suites read without a loop over weights; the
 products on the eigenvectors run group by group on the valid sector blocks
 (`JointRows.sector_blocks`), so the padding enters none of them.
-`components(row)` gives the dense basis of one row's components.  The module
-is imported on first use, like `sectors`.
+`components(row)` gives the dense basis of one row's components, `half_pairs`
+their (lambda10, lambda01).  Like `sectors`, the module is imported on first use.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 
 from .model import block_label
 from .operators import InternalConsistencyError
-from .sectors import BIDEGREE_TOL, RowStack, SectorStacks, _distinct, _eigh, _gather, _per_row
+from .sectors import BIDEGREE_TOL, SPECTRUM_FLAVOR, RowStack, SectorStacks, _distinct, _eigh, _gather, _per_row
 
 CLUSTER_TOL = 1e-9  # Delta clusters within CLUSTER_TOL * max(1, max |Delta| on its row); half_pairs checks at 10x it
 
@@ -139,10 +139,10 @@ class JointRows:
                 blocks = [_gather(stack, sel, pos, pos) for stack in stacks]
                 yield sel, cols * sectors + sel[:, None], _gather(self.vectors, sel, pos, cols), blocks
 
-    def half_pairs(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(lambda10, lambda01) of every component, from the half-Laplacian stacks of the rows
-        (below the middle degree), each rounded as `util.round_sig` rounds it
-        (`round_sig_values`).
+    def half_pairs(self, halves) -> Tuple[np.ndarray, np.ndarray]:
+        """(lambda10, lambda01) of every component, from the half-Laplacian pair `halves` of its
+        degree (`SectorStacks.half_laplacians`, below the middle degree), each rounded as
+        `util.round_sig` rounds it (`round_sig_values`).
 
         Each half Laplacian must act on a component as its Rayleigh quotient,
         within 10 * CLUSTER_TOL * the stacks' scale; there sqrt(Delta) and i L_T
@@ -151,7 +151,7 @@ class JointRows:
         if not self.owner.size:
             return np.zeros(0), np.zeros(0)
         component = self.column_component()
-        *halves, scale = self.rows.halves
+        *halves, scale = halves
         pairs = []
         for half in halves:
             images = [(sel, cols, q, h @ q) for sel, cols, q, (h,) in self.sector_blocks(half)]
@@ -238,27 +238,28 @@ def spectrum_columns(asm, op: str, degrees: Sequence[int], t: float) -> dict:
 
     A private `SectorStacks` (not `asm.sector_stacks`, which the assembly would
     keep) builds each degree's operator on the Reeb sectors of every weight at
-    once, one row per weight; position i of a sector is fiber vector i and
-    carries its bidegree label.  The stacks are freed once every degree's rows
-    exist, and each degree is solved by `solve_rows` and dropped once its
-    columns exist.  The table is sorted when it is written.
+    once, one row per weight, and the half-Laplacian pair of delta-rn below the
+    middle degree; position i of a sector is fiber vector i, with its bidegree
+    label.  The stacks are freed once every degree's rows exist, and each degree
+    is solved by `solve_rows` and dropped once its columns exist.
     """
     stacks = SectorStacks(asm.model.frame, asm.weights)
     names: dict = {}
-    tables = []  # per degree: the degree, its rows, and the label index of every fiber vector
+    tables = []  # per degree: the degree, its rows, its half-Laplacian pair, the label index of every fiber vector
     for k in degrees:
-        rows, labels = stacks.spectrum_rows(op, k, t)
-        tables.append((k, rows, np.array([names.setdefault(label, len(names)) for label in labels], dtype=int)))
+        rows, labels = stacks.spectrum_rows(op, k, t), stacks.bidegree_labels(k, SPECTRUM_FLAVOR[op])
+        halves = stacks.half_laplacians(k) if op == "delta-rn" and k < stacks.n else None
+        tables.append((k, rows, halves, np.array([names.setdefault(label, len(names)) for label in labels], dtype=int)))
     del stacks
     tags = np.array([*names, None], dtype=object)  # tag -1: not bidegree-homogeneous
     blocks = np.array([block_label(m) for m in asm.weights], dtype=str)
     multiplicity = np.asarray(asm.multiplicity, dtype=int)
     parts = []
     while tables:
-        k, rows, ids = tables.pop()
+        k, rows, halves, ids = tables.pop()
         joint = solve_rows(rows)
         size = joint.owner.size
-        l10, l01 = joint.half_pairs() if rows.halves is not None else (np.full(size, np.nan),) * 2
+        l10, l01 = joint.half_pairs(halves) if halves is not None else (np.full(size, np.nan),) * 2
         parts.append(
             {
                 "degree": np.full(size, k),
@@ -271,5 +272,5 @@ def spectrum_columns(asm, op: str, degrees: Sequence[int], t: float) -> dict:
                 "bidegree": tags[joint.bidegree_tags(ids[:, None], len(names))],
             }
         )
-        del joint, rows
+        del joint, rows, halves
     return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}

@@ -46,7 +46,8 @@ Rumin form) at the ends of the complex too, where one of the two terms is
 zero, and no stack or suite tests a degree against the ends.
 
 `spectrum_rows` gives one degree of a `spectrum` Laplacian as a `RowStack`,
-which `rows.solve_rows` solves over every weight together.  `_eigh`
+which `rows.solve_rows` solves over every weight together; the half-Laplacian
+pair below the middle degree is its own quantity (`half_laplacians`).  `_eigh`
 diagonalizes a stack with one stacked `eigh` per group of equally large
 sectors (`_groups`, built once per pair of masks by `SectorStacks.groups`,
 the one source of sector groupings), on the valid blocks only, where the
@@ -210,9 +211,8 @@ class RowStack:
     """A Hermitian operator of one degree on the Reeb sectors of every row (a weight block, or one
     dense pair of `spectral._reeb_sectors`), as one zero-padded (f, f, S) stack.  The sectors of
     row w are `starts[w]:starts[w + 1]`, by ascending tau; position i of sector s is in use where
-    `valid[i, s]`, with basis index `index[i, s]` in its row.  Below the middle degree of the
-    Rumin complex, `halves` holds the half-Laplacian stacks (Delta_del, Delta_delbar) and their
-    scale max(1, max |entry|) per row.  `groups` is `_groups(valid, valid)`, built unless given."""
+    `valid[i, s]`, with basis index `index[i, s]` in its row.  `groups` is
+    `_groups(valid, valid)`, built unless given."""
 
     stack: np.ndarray  # (f, f, S)
     owner: np.ndarray  # (S,) the row of each sector
@@ -220,7 +220,6 @@ class RowStack:
     valid: np.ndarray  # (f, S)
     index: np.ndarray  # (f, S)
     dims: np.ndarray  # (W,) the dimension of each row
-    halves: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
     groups: Optional[Sequence[tuple]] = None
 
     def __post_init__(self):
@@ -265,10 +264,10 @@ class SectorStacks:
     in those tables too (`_frame_memo`): the Reeb weights of every space, the checked term plan of
     every stack (`_plan`), the bidegree labels and the masks of `split_db`.  The layout (the
     spaces and the `groups` of each pair of masks), the embeddings and the stacks that more than
-    one degree reads (d_b, the Rumin differentials, the middle operator) are memoized per
-    instance.  The first-order stacks and the Laplacians are rebuilt on every call, which keeps
-    the peak memory of `spectrum` and `torsion` low, until `keep_first_order` is called, as the
-    `verify` suites do: then each is built once and kept.
+    one degree or reader needs (d_b, the Rumin differentials, the middle operator, the
+    half-Laplacian pair) are memoized per instance.  The first-order stacks and the Laplacians
+    are rebuilt on every call, which keeps the peak memory of `spectrum` and `torsion` low,
+    until `keep_first_order` is called, as the `verify` suites do: then each is built once and kept.
     """
 
     def __init__(self, frame: FrameStructure, weights: Sequence[int], tables: Optional[Dict] = None):
@@ -514,10 +513,11 @@ class SectorStacks:
         `BlockContext.rumin_del_laplacian`."""
         return _gram(self.rumin_del(k, anti), self.rumin_del(k - 1, anti))
 
+    @_block_memo
     def half_laplacians(self, k: int):
         """(Delta_del, Delta_delbar) on the degree-k Rumin space below the middle degree,
         hermitized, and their scale max(1, max |entry|) per weight, after checking that they
-        commute on every weight."""
+        commute on every weight; `JointRows.half_pairs`, torsion and sec4 read this one build."""
         if k > self.n - 1:
             raise ValueError("the simultaneous decomposition is defined below middle degree")
         a, b = (_hermitized(self.half_laplacian(k, anti), "half Laplacian") for anti in (False, True))
@@ -597,18 +597,16 @@ class SectorStacks:
 
     # -- the spectrum table -----------------------------------------------------------
 
-    def spectrum_rows(self, op: str, k: int, t: float = 1.0) -> Tuple[RowStack, Tuple[str, ...]]:
+    def spectrum_rows(self, op: str, k: int, t: float = 1.0) -> RowStack:
         """The `spectrum` Laplacian `op` in degree k on the Reeb sectors of every weight, one row per
-        weight, with the half-Laplacian stacks below the middle degree of delta-rn; and the bidegree
-        label of every fiber vector.  Position i of a sector is fiber vector i, in slot b of basis
+        weight, after checking that i L_T is tau on every sector.  Position i of a sector is fiber
+        vector i (with the label `bidegree_labels(k, SPECTRUM_FLAVOR[op])[i]`), in slot b of basis
         index i*(m+1) + b."""
         flavor = SPECTRUM_FLAVOR[op]
         stack = self.laplacian(op, k, t)
         self._check_reeb(k, flavor)
-        halves = self.half_laplacians(k) if op == "delta-rn" and k <= self.n - 1 else None
         space = self.space(k, flavor)
         index = np.arange(space.dim)[:, None] * (self.m + 1) + space.slot
         dims = space.dim * (self.weights + 1)
         groups = self.groups(space.valid, space.valid)
-        rows = RowStack(stack, self.owner, self.tau.astype(float), space.valid, index, dims, halves, groups)
-        return rows, self.bidegree_labels(k, flavor)
+        return RowStack(stack, self.owner, self.tau.astype(float), space.valid, index, dims, groups)

@@ -18,14 +18,14 @@ the sectors of every row with one stacked `eigh` per sector size and clusters
 Delta on every row in one pass.  The Rumin Laplacian reaches it on one route:
 `Assembly.rumin_rows(k)`, memoized by degree alone, solves the `delta-rn` rows
 of `sectors.SectorStacks` for every weight at once, the one solve of degree
-k <= n in a run, which `torsion` and the thm1 and sec4 suites read.  Below
-the middle degree the sector blocks of the two half Laplacians have Rayleigh
-quotients on the sector eigenvectors that give (lambda10, lambda01)
-(`JointRows.half_pairs`).  `q_decomposition` reads the dense basis of one row's components
-(`JointRows.components(row)`); `_sequential_joint_eigenspaces` cuts dense
-(Laplacian, i L_T) pairs with `_reeb_sectors` into the same padded layout for
-the same solver and returns their `JointRows`, one row per pair, and only the
-tests call it, as the dense reference.
+k <= n in a run, which `torsion` and the thm1 and sec4 suites read.  The
+half-Laplacian pair below the middle degree (`SectorStacks.half_laplacians`)
+is not part of it; its Rayleigh quotients on the sector eigenvectors give
+(lambda10, lambda01) (`JointRows.half_pairs`).  `q_decomposition` reads the
+dense basis of one row's components (`JointRows.components(row)`), and
+`_sequential_joint_eigenspaces` cuts dense (Laplacian, i L_T) pairs with
+`_reeb_sectors` into the same padded layout for the same solver, one row per
+pair; only the tests call it, as the dense reference.
 
 Every suite `verify_<suite>(asm)` runs its body `suites.check_<suite>(asm,
 report, ...)` on `Assembly.sector_stacks`, the operators of every weight on its
@@ -65,7 +65,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import util
-from .model import ModelManifold, ParameterError, allowed_weight_slots
+from .model import ModelManifold, ParameterError
 from .operators import (
     BlockContext,
     BlockOperator,
@@ -134,12 +134,11 @@ class Assembly:
     @_block_memo
     def rumin_rows(self, k: int):
         """The joint (Delta, i L_T) eigenspaces of the degree-k Rumin Laplacian on every weight, a
-        `rows.JointRows` with one row per weight (and the half-Laplacian stacks below the middle
-        degree): the `delta-rn` rows of `sector_stacks`, solved over every weight at once by
-        `rows.solve_rows`, as `rumin spectrum` solves them; memoized by the degree alone."""
+        `rows.JointRows` with one row per weight: the `delta-rn` rows of `sector_stacks`, solved
+        over every weight at once by `rows.solve_rows`, as `spectrum` solves them; memoized by k."""
         from .rows import solve_rows
 
-        return solve_rows(self.sector_stacks.spectrum_rows("delta-rn", k)[0])
+        return solve_rows(self.sector_stacks.spectrum_rows("delta-rn", k))
 
 
 def spectral_cutoff(model: ModelManifold, max_weight: int) -> float:
@@ -148,13 +147,15 @@ def spectral_cutoff(model: ModelManifold, max_weight: int) -> float:
 
     On weight m >= 1 the smallest positive Rumin eigenvalue is m^2 in every
     degree (the end slots of the closed-form spectrum), so the cutoff is m1^2
-    for the first omitted weight m1 with a nonempty block.  Once m >= p - 1 the
-    slots cover a full residue class, so the search ends within p + 1 steps.
+    for the first omitted weight m1 with a nonempty block.  Weight m has a slot
+    (v = 2k - m of `model.allowed_weight_slots`) exactly when some v = l (mod p)
+    of the parity of m has |v| <= m; the least such |v| per parity gives m1.
     """
-    m = max_weight + 1
-    while not allowed_weight_slots(m, model.p, model.character):
-        m += 1
-    return float(m * m)
+    p, a = model.p, model.character % model.p
+    # the least |v| of each parity of v = a + j p: for odd p, odd j gives the parity other than a's
+    thresholds = (min(a, 2 * p - a), p - a) if p % 2 else (min(a, p - a),)
+    m1 = min(b + (b - t) % 2 for t in thresholds for b in [max(max_weight + 1, t)])
+    return float(m1 * m1)
 
 
 # -- spectra -------------------------------------------------------------------
@@ -414,14 +415,13 @@ def _sequential_joint_eigenspaces(pairs: Sequence[Tuple[np.ndarray, np.ndarray]]
 def q_decomposition(asm: Assembly, weight: int, k: int) -> Tuple[QComponent, ...]:
     """Simultaneous eigenspaces of the two half Laplacians on the degree-k Rumin space of the
     weight block, from its row of `asm.rumin_rows(k)`: the joint (Delta, i L_T)
-    components in their order, each with its (lambda10, lambda01) and a dense basis in the
-    block's Rumin-space coordinates."""
-    if k > asm.n - 1:
-        raise ValueError("the simultaneous decomposition is defined below middle degree")
+    components in their order, each with its (lambda10, lambda01) from the half-Laplacian
+    pair of the assembly's stacks and a dense basis in the block's Rumin-space coordinates."""
+    halves = asm.sector_stacks.half_laplacians(k)  # raises from the middle degree on
     joint = asm.rumin_rows(k)
     row = asm.weights.index(weight)
     lo, hi = joint.row_components(row)
-    l10, l01 = joint.half_pairs()
+    l10, l01 = joint.half_pairs(halves)
     comps = joint.components(row)
     return tuple(QComponent(a, b, basis) for a, b, (_, _, basis) in zip(l10[lo:hi], l01[lo:hi], comps))
 

@@ -37,10 +37,11 @@ cor2 and cor3: `_harmonic`).
 
 The sec4 components are the joint (Delta, i L_T) eigenspaces of
 `Assembly.rumin_rows(n - 1)`, as `torsion` solves them, each with its sector
-(`JointRows.sector`).  For n = 1 (the only frames with function blocks) the
-degree-0 Rumin space has one fiber vector, so every component is one sector
-vector and every bi-positive W corner is that vector or empty: the per-vector
-sec4 families are computed for all corners at once.
+(`JointRows.sector`), split by the pair `SectorStacks.half_laplacians` that
+sec4's half-Laplacian families read; thm1 reads the solve alone.  For n = 1
+(the only frames with function blocks) the degree-0 Rumin space has one fiber
+vector, so every component is one sector vector and each bi-positive W corner
+is that vector or none: the per-vector sec4 families take all corners at once.
 
 Quantities that several suites read are memoized with `_block_memo`, with
 the stacks or the assembly, next to the first-order stacks and Laplacians
@@ -218,7 +219,7 @@ def _low_components(asm: Assembly):
     joint = asm.rumin_rows(asm.n - 1)
     if np.any(joint.count != 1):
         raise InternalConsistencyError("a degree-(n-1) joint eigenspace is not one sector vector")
-    return (joint.owner, joint.sector, *joint.half_pairs())
+    return (joint.owner, joint.sector, *joint.half_pairs(asm.sector_stacks.half_laplacians(asm.n - 1)))
 
 
 # -- the suites ----------------------------------------------------------------------
@@ -416,7 +417,7 @@ def check_sasakian_identities(asm: Assembly, report: VerificationReport, tol: fl
         anti = anti + _product(stacks.rumin_del(k - 1, False), _t(stacks.rumin_del(k - 1, True)))
         _add(report, f"graded_rumin_halves[{{lbl}}]k={k}", stacks, wmax(anti), tol)
     for k in range(0, n):
-        lap10, lap01 = stacks.half_laplacian(k, False), stacks.half_laplacian(k, True)
+        lap10, lap01, _ = stacks.half_laplacians(k)
         root = _sqrt_rumin_laplacian(asm, k)
         ilt = -stacks.lie_reeb_rumin(k)  # i L_T
         _add(report, f"sqrt_splits[{{lbl}}]k={k}", stacks, wmax(root - lap10 - lap01), tol)

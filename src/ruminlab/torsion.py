@@ -35,14 +35,14 @@ of its checks (`VerificationReport.dumps_with_checks`), and the slices as CSV
 The box checks compare operators that are built independently.  Below the
 middle degree box = Delta_delbar and boxbar = Delta_del come from the split
 Rumin differentials, as zero-padded stacks over the sectors of every weight
-(`sectors.RowStack.halves`); on every sector their sum must be sqrt(Delta),
-from the padded eigenvectors of the Laplacian's solve, their difference must
-be i L_T = tau, and they must commute.  The products run group by group on
-the valid sector blocks (`JointRows.sector_blocks`), so the padding enters
-none of them.  In the middle degree box and boxbar are defined as
-(sqrt(Delta) +- i L_T)/2, so there only their positivity is a statement:
-`boxes_psd` asks (sqrt(Delta) +- tau)/2 >= 0 on every component in every
-degree.
+(`sectors.SectorStacks.half_laplacians`, which sec4 reads too); on every
+sector their sum must be sqrt(Delta), from the padded eigenvectors of the
+Laplacian's solve, their difference must be i L_T = tau, and they must
+commute.  The products run group by group on the valid sector blocks
+(`JointRows.sector_blocks`), so the padding enters none of them.  In the
+middle degree box and boxbar are defined as (sqrt(Delta) +- i L_T)/2, so
+there only their positivity is a statement: `boxes_psd` asks
+(sqrt(Delta) +- tau)/2 >= 0 on every component in every degree.
 
 Only partial zeta sums at s >= 2 are produced; analytic continuation to s = 0
 is out of scope and the derivative at 0 is never claimed.
@@ -225,27 +225,27 @@ def reeb_decomposition(asm: Assembly, s_grid: Sequence[float] = (2.0, 3.0, 4.0))
     report.checks.parameters = {"model": asm.model.describe(), "max_weight": asm.max_weight, "pair_tol": PAIR_TOL}
     labels = [block_label(m) for m in asm.weights]
     for k in range(n + 1):
-        _add_reeb_slices(report, labels, asm.multiplicity, k, asm.rumin_rows(k))
+        halves = asm.sector_stacks.half_laplacians(k) if k < n else None
+        _add_reeb_slices(report, labels, asm.multiplicity, k, asm.rumin_rows(k), halves)
     close_reeb_report(report)
     return report
 
 
-def _add_reeb_slices(report: TorsionReport, labels: Sequence[str], multiplicity: Sequence[int], k: int, joint):
+def _add_reeb_slices(report: TorsionReport, labels: Sequence[str], multiplicity: Sequence[int], k: int, joint, halves):
     """The Reeb slices of every block in degree k, from the joint eigenspaces `joint` of its
     degree-k Rumin rows (a `rows.JointRows`, one row per block, with the labels and
     multiplicities given), with their box checks and per-degree comparisons.  Below the middle
-    degree the rows carry the half-Laplacian stacks, whose box sum, difference and commutator
-    are checked on every sector."""
+    degree `halves` is the half-Laplacian pair of the degree (`SectorStacks.half_laplacians`),
+    whose box sum, difference and commutator are checked on every sector; None in the middle."""
     from .sectors import _per_row
 
     checks = report.checks
     rows, owner, tau = joint.rows, joint.owner, joint.tau
     starts = rows.starts
-    boxes = None
-    if rows.halves is not None:
+    if halves is not None:
         component, roots = joint.column_component(), np.sqrt(np.maximum(joint.delta, 0.0))
         boxes = np.zeros((3, rows.tau.size))  # per sector: sum, difference and commutator residuals
-        for sel, cols, q, (boxbar, box) in joint.sector_blocks(*rows.halves[:2]):  # (Delta_del, Delta_delbar)
+        for sel, cols, q, (boxbar, box) in joint.sector_blocks(*halves[:2]):  # (Delta_del, Delta_delbar)
             root = roots[component[cols]][:, None, :]
             sqrt_delta = (q * root) @ q.transpose(0, 2, 1)  # q diag(sqrt(Delta)) q^T on each real sector
             reeb = rows.tau[sel][:, None, None] * np.eye(q.shape[1])  # i L_T on each sector
@@ -277,7 +277,7 @@ def _add_reeb_slices(report: TorsionReport, labels: Sequence[str], multiplicity:
     worst = np.zeros(len(labels), dtype=int)
     np.maximum.at(worst, row, np.abs(gap))
     family = lambda name: [f"{name}[{lbl}]k={k}" for lbl in labels]
-    if boxes is not None:
+    if halves is not None:
         checks.add_family(family("boxes_sum_to_root"), boxes[0], 1e-10)
         checks.add_family(family("boxes_differ_by_reeb"), boxes[1], 1e-10)
         checks.add_family(family("boxes_commute"), boxes[2], 1e-9)

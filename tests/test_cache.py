@@ -230,12 +230,16 @@ def test_assembly_rows_are_memoized_and_read_only():
     with pytest.raises(TypeError):
         asm.rumin_rows(0, 1e-10)
     assert joint.rows.dims.size == len(asm.weights) and set(joint.owner.tolist()) == set(range(len(asm.weights)))
-    assert isinstance(joint.rows.halves, tuple) and len(joint.rows.halves) == 3  # two half Laplacians, their scale
+    halves = asm.sector_stacks.half_laplacians(0)
+    assert halves is asm.sector_stacks.half_laplacians(0)  # kept in the stacks' memo
+    assert isinstance(halves, tuple) and len(halves) == 3  # two half Laplacians, their scale
     columns = (joint.order, joint.starts, joint.owner, joint.sector, joint.delta, joint.tau, joint.vectors)
     r = joint.rows
-    layout = (r.stack, r.owner, r.tau, r.valid, r.index, r.dims, *r.halves)
+    layout = (r.stack, r.owner, r.tau, r.valid, r.index, r.dims, *halves)
     assert not any(array.flags.writeable for array in (*columns, *layout))
-    assert asm.rumin_rows(1).rows.halves is None
+    assert asm.rumin_rows(1).rows.dims.size == len(asm.weights)
+    with pytest.raises(ValueError):
+        asm.sector_stacks.half_laplacians(1)  # the middle degree has no pair
     assert [args for name, args in asm._cache if name == "Assembly.rumin_rows"] == [(0,), (1,)]
     comps = spectral.q_decomposition(asm, asm.weights[-1], 0)
     assert isinstance(comps, tuple) and comps
@@ -245,10 +249,31 @@ def test_assembly_rows_are_memoized_and_read_only():
     ]
 
 
+def _count_half_laplacians(monkeypatch) -> Counter:
+    """Count the builds of `SectorStacks.half_laplacian` by (k, anti) from now on."""
+    builds = Counter()
+    build = SectorStacks.half_laplacian
+
+    def spy(stacks, k, anti):
+        builds[k, anti] += 1
+        return build(stacks, k, anti)
+
+    monkeypatch.setattr(SectorStacks, "half_laplacian", spy)
+    return builds
+
+
+def _assert_one_pair_per_low_degree(asm, builds):
+    """Each half Laplacian below the middle degree was built once, into the one memo entry of the
+    assembly's stacks."""
+    assert {key: n for key, n in builds.items() if key[0] < asm.n} == {(0, False): 1, (0, True): 1}
+    assert [args for name, args in asm.sector_stacks._cache if name == "SectorStacks.half_laplacians"] == [(0,)]
+
+
 def test_one_rumin_solve_per_degree_across_commands_on_one_assembly(monkeypatch):
     """`verify --suite all`, the Reeb decomposition of `torsion` and `q_decomposition` of every
     weight, run in turn on one assembly, solve the Rumin rows of each degree k <= n once between
-    them: they all read the one memo entry of `Assembly.rumin_rows(k)`."""
+    them: they all read the one memo entry of `Assembly.rumin_rows(k)`.  They build the
+    half-Laplacian pair below the middle degree once too, sec4 included."""
     solves = []
     solve = rows.solve_rows
 
@@ -257,6 +282,7 @@ def test_one_rumin_solve_per_degree_across_commands_on_one_assembly(monkeypatch)
         return solve(row_stack)
 
     monkeypatch.setattr(rows, "solve_rows", spy)
+    builds = _count_half_laplacians(monkeypatch)
     asm = Assembly(su2_model(), 8)
     cli.run_suite(asm, "all", cli.RunConfig())
     torsion.reeb_decomposition(asm)
@@ -265,6 +291,27 @@ def test_one_rumin_solve_per_degree_across_commands_on_one_assembly(monkeypatch)
     assert len(solves) == asm.n + 1 == 2
     memo = sorted(args for name, args in asm._cache if name == "Assembly.rumin_rows")
     assert memo == [(k,) for k in range(asm.n + 1)]
+    _assert_one_pair_per_low_degree(asm, builds)
+
+
+def test_q_decomposition_of_every_weight_builds_one_half_laplacian_pair(monkeypatch):
+    """`q_decomposition` of every weight on a fresh assembly reads one half-Laplacian pair, kept
+    with the assembly's stacks, not one per weight."""
+    builds = _count_half_laplacians(monkeypatch)
+    asm = Assembly(su2_model(), 8)
+    for m in asm.weights:
+        spectral.q_decomposition(asm, m, 0)
+    _assert_one_pair_per_low_degree(asm, builds)
+
+
+def test_kernel_coincidence_alone_builds_no_half_laplacian(monkeypatch):
+    """thm1 reads only the Rumin eigenpairs, so `verify --suite thm1` alone builds no half
+    Laplacian: the pair is not part of the Rumin solve."""
+    builds = _count_half_laplacians(monkeypatch)
+    asm = Assembly(su2_model(), 8)
+    assert cli.run_suite(asm, "thm1", cli.RunConfig()).passed
+    assert not builds, dict(builds)
+    assert [name for name, _ in asm._cache].count("Assembly.rumin_rows") == asm.n + 1  # thm1 did solve them
 
 
 def test_assembly_builds_block_contexts_on_first_access():

@@ -131,3 +131,32 @@ def test_cutoff_builds_no_block_and_solves_nothing(monkeypatch):
         if not name.startswith("_") and callable(routine) and not isinstance(routine, type):
             monkeypatch.setattr(np.linalg, name, fail)
     assert asm.spectral_cutoff() == 36.0
+
+
+def test_cutoff_equals_the_search_over_weights():
+    """The closed-form cutoff is m1^2 for the first weight m1 > M with a slot, as a walk upward
+    from M + 1 over `allowed_weight_slots` finds it, for every p <= 15, every l and M <= 44."""
+    mismatches = []
+    for p in range(1, 16):
+        for l in range(p):
+            model = lens_space(p, character=l)
+            for max_weight in range(45):
+                m = max_weight + 1
+                while not allowed_weight_slots(m, p, l):
+                    m += 1
+                if spectral.spectral_cutoff(model, max_weight) != float(m * m):
+                    mismatches.append((p, l, max_weight))
+    assert not mismatches
+
+
+def test_cutoff_of_a_large_lens_order_needs_no_search(monkeypatch):
+    """With l = (p - 1)/2 the first weight with a slot is l itself, near p/2: the cutoff reads it
+    without listing the slots of any weight."""
+    p = 10**9 + 7
+    model = lens_space(p, character=(p - 1) // 2)
+
+    def fail(*args, **kwargs):
+        pytest.fail("the cutoff lists no weight slots")
+
+    monkeypatch.setattr("ruminlab.model.allowed_weight_slots", fail)
+    assert spectral.spectral_cutoff(model, 4) == float(((p - 1) // 2) ** 2)

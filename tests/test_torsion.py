@@ -374,13 +374,13 @@ def test_boxes_differ_by_reeb_catches_a_shifted_tau(monkeypatch):
     original = SectorStacks.spectrum_rows
 
     def spoiled(stacks, op, k, t=1.0):
-        rows, labels = original(stacks, op, k, t)
+        rows = original(stacks, op, k, t)
         if k == 0:
             tau = rows.tau.copy()
             last = (rows.owner == rows.dims.size - 1) & rows.valid.any(axis=0)
             tau[np.flatnonzero(last)[0]] += 1e-9  # a sector of the last weight
             rows = dataclasses.replace(rows, tau=tau)
-        return rows, labels
+        return rows
 
     monkeypatch.setattr(SectorStacks, "spectrum_rows", spoiled)
     assert not _passes(reeb_decomposition(Assembly(su2_model(), 12)), name)
@@ -392,7 +392,7 @@ def test_boxes_psd_catches_delta_below_nu_squared(monkeypatch):
     assert _passes(reeb_decomposition(Assembly(su2_model(), 12)), name)
     original = torsion._add_reeb_slices
 
-    def spoiled(report, labels, multiplicity, k, joint):
+    def spoiled(report, labels, multiplicity, k, joint, halves):
         if k == 1:
             delta, tau, row = joint.delta.copy(), joint.tau, labels.index("m12")
             i = next(
@@ -400,7 +400,7 @@ def test_boxes_psd_catches_delta_below_nu_squared(monkeypatch):
             )
             delta[i] = tau[i] ** 2 * (1 - 1e-8)
             joint = dataclasses.replace(joint, delta=delta)
-        original(report, labels, multiplicity, k, joint)
+        original(report, labels, multiplicity, k, joint, halves)
 
     monkeypatch.setattr(torsion, "_add_reeb_slices", spoiled)
     residual, tolerance = _check(reeb_decomposition(Assembly(su2_model(), 12)), name)
