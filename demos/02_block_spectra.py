@@ -10,10 +10,11 @@ tables show the simultaneous eigenvalues (lambda10, lambda01) of the two half
 Laplacians in degree 0 and the Reeb eigenvalue nu everywhere; in degree 0 the
 eigenvalue always equals (lambda10 + lambda01)^2.
 
-Both tables read one route, `asm.rumin_rows(k)`: i L_T is diagonal in the
-block basis, so the Rumin Laplacian of every weight is cut into its Reeb
-sectors (basis vectors sharing one Reeb eigenvalue tau = -nu) and each degree
-is diagonalized once over all weights, with one stacked eigensolve per sector
+Both tables read one route, `asm.sector_stacks.rumin_rows(k)`, kept in the
+memo of the assembly's Reeb-sector stacks: i L_T is diagonal in the block
+basis, so the Rumin Laplacian of every weight is cut into its Reeb sectors
+(basis vectors sharing one Reeb eigenvalue tau = -nu) and each degree is
+diagonalized once over all weights, with one stacked eigensolve per sector
 size, and nu is an exact integer.  `q_decomposition(asm, m, 0)` adds the
 half-Laplacian pair and a dense basis of each component of block m; the
 degree-1 rows need only the eigenvalue, the Reeb value and the dimension of
@@ -37,7 +38,7 @@ print(f"model: 3-sphere, weights <= {asm.max_weight}; spectra exact below {asm.s
 print()
 print("degree 0, with half-Laplacian tags")
 print(f"{'block':>6} {'lam10':>8} {'lam01':>8} {'(sum)^2':>9} {'eigenvalue':>11} {'mult':>5}")
-joint = asm.rumin_rows(0)
+joint = asm.sector_stacks.rumin_rows(0)
 for w, (m, r) in enumerate(zip(asm.weights, asm.multiplicity)):
     lo, hi = joint.row_components(w)
     for cpt, delta in zip(q_decomposition(asm, m, 0), joint.delta[lo:hi].tolist()):
@@ -49,7 +50,7 @@ for w, (m, r) in enumerate(zip(asm.weights, asm.multiplicity)):
 print()
 print("degree 1 (middle degree), with Reeb eigenvalues")
 print(f"{'block':>6} {'eigenvalue':>11} {'nu':>7} {'mult':>5}")
-joint = asm.rumin_rows(1)
+joint = asm.sector_stacks.rumin_rows(1)
 for w, delta, tau, count in zip(*(column.tolist() for column in (joint.owner, joint.delta, joint.tau, joint.count))):
     nu = 0.0 - tau  # never -0.0
     print(f"{block_label(asm.weights[w]):>6} {max(delta, 0.0):11.6f} {nu:7.2f} {asm.multiplicity[w] * count:5d}")
@@ -60,7 +61,7 @@ print("mirror symmetry: the star operator pairs degrees k and 3-k")
 
 def spectrum_m2(k: int) -> np.ndarray:
     """The degree-k Rumin eigenvalues of block m2, from those of its Reeb sectors."""
-    joint = asm.rumin_rows(k)
+    joint = asm.sector_stacks.rumin_rows(k)
     m2 = slice(*joint.rows.starts[2:4])  # the sectors of block m2
     return np.sort(joint.values[:, m2][joint.used[:, m2]])
 
@@ -73,7 +74,7 @@ print()
 print("twisting by a nontrivial flat character removes the zero modes:")
 for character in (0, 1):
     tasm = Assembly(lens_space(2, character=character), 4)
-    joint = tasm.rumin_rows(0)
+    joint = tasm.sector_stacks.rumin_rows(0)
     zero = joint.used & (np.abs(joint.values) < 1e-9)
     zero_modes = int(np.dot(tasm.multiplicity, tasm.sector_stacks.per_weight(zero)))
     print(f"  order-2 quotient, character {character}: {zero_modes} zero mode(s) in degree 0")

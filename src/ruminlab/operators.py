@@ -39,8 +39,8 @@ is built.  A value read once per block (the Rumin star) is not kept at all,
 which would only raise peak memory.  Every memoized array is read-only: a
 caller that writes into one gets a ValueError instead of silently changing
 every later reader.  A block memo lives as long as its context, and the fiber
-tables as long as the process.  `SectorStacks` and `Assembly` keep their own
-memos with the same `_block_memo`.
+tables as long as the process.  `SectorStacks` keeps its own memo with the
+same `_block_memo`, which holds every memo entry of a run on an `Assembly`.
 
 Graded subspaces (horizontal forms, bidegree components, the primitive and
 theta ^ ker L spaces of the Rumin complex) are carried as isometric embedding
@@ -168,7 +168,7 @@ def max_abs(m: np.ndarray) -> float:
 
 
 def assert_hermitian(m: np.ndarray, tol: float = 1e-12, what: str = "operator"):
-    if max_abs(m - m.conj().T) > tol:
+    if not max_abs(m - m.conj().T) <= tol:
         raise InternalConsistencyError(f"{what} is not Hermitian within {tol}")
 
 
@@ -180,7 +180,7 @@ def hermitize(m: np.ndarray, tol: float = 1e-10, what: str = "operator") -> np.n
 def sqrtm_psd(m: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """Hermitian psd square root via spectral calculus."""
     w, q = np.linalg.eigh(hermitize(m, tol))
-    if w.size and w[0] < -tol * max(1.0, abs(w[-1])):
+    if w.size and not w[0] >= -tol * max(1.0, abs(w[-1])):
         raise InternalConsistencyError("matrix is not positive semidefinite")
     return (q * np.sqrt(np.clip(w, 0.0, None))) @ q.conj().T
 
@@ -284,7 +284,7 @@ def _hodge_sum(space: GradedSpace, up: Optional[np.ndarray], down: Optional[np.n
 def phase_part(m: np.ndarray, phase: complex, what: str, tol: float = 1e-12) -> np.ndarray:
     """m / phase for an array m of phase 1 or 1j, as a real array; raises where m has an entry of the other phase."""
     real, other = (m.imag, m.real) if phase == 1j else (m.real, m.imag)
-    if max_abs(other) > tol:
+    if not max_abs(other) <= tol:
         raise InternalConsistencyError(f"{what} has an entry of the wrong phase ({max_abs(other):.3e})")
     return real
 
@@ -292,7 +292,7 @@ def phase_part(m: np.ndarray, phase: complex, what: str, tol: float = 1e-12) -> 
 def _range_basis_of_projector(p: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """Orthonormal basis (columns) of the range of a Hermitian projector."""
     p = hermitize(p, 1e-10, "projector")
-    if max_abs(p @ p - p) > tol:
+    if not max_abs(p @ p - p) <= tol:
         raise InternalConsistencyError("projector is not idempotent")
     w, q = np.linalg.eigh(p)
     return q[:, w > 0.5]
@@ -570,8 +570,8 @@ class BlockContext:
             rows_01 = self.bidegree_mask(k + 1, i, j + 1) > 0
             rows = rows_01 if anti else rows_10
             out[np.ix_(rows, cols)] = db[np.ix_(rows, cols)]
-            leak = max(leak, max_abs(db[np.ix_(~(rows_10 | rows_01), cols)]))
-        if leak > 1e-12:
+            leak = np.maximum(leak, max_abs(db[np.ix_(~(rows_10 | rows_01), cols)]))  # which keeps a NaN
+        if not leak <= 1e-12:
             raise StructuralError("d_b has bidegree components beyond (1,0)+(0,1); frame is not Sasakian")
         return out
 
@@ -618,7 +618,7 @@ class BlockContext:
         """`mat` compressed to src -> tgt, after checking that it maps src into tgt."""
         op = self.compress(mat, src, tgt)
         resid = max_abs(mat @ src.embed - tgt.embed @ op.matrix)
-        if resid > 1e-10:
+        if not resid <= 1e-10:
             raise InternalConsistencyError(f"{what} ({resid:.2e})")
         return op
 

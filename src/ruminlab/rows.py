@@ -21,7 +21,6 @@ their (lambda10, lambda01).  Like `sectors`, the module is imported on first use
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -78,12 +77,12 @@ def round_sig_values(values: np.ndarray) -> np.ndarray:
     `round` of an `np.float64` is numpy's rounding (scale by 10^d, round half
     to even, scale back), not Python's, which rounds the exact binary value;
     so the values that share one decimal count d = 11 - floor(log10 |x|) are
-    rounded by one `np.round`.  The magnitudes come from `math.log10`, as in
-    `util.round_sig`, and zero stays 0.0.
+    rounded by one `np.round`.  The magnitudes come from `np.log10`, which
+    equals `math.log10` of `util.round_sig` at decade edges; zero stays 0.0.
     """
     out = np.zeros(values.size)
     nonzero = np.flatnonzero(values != 0)
-    decimals = np.array([11 - math.floor(math.log10(abs(x))) for x in values[nonzero].tolist()], dtype=int)
+    decimals = 11 - np.floor(np.log10(np.abs(values[nonzero]))).astype(int)
     for d in _distinct(decimals).tolist():
         at = nonzero[decimals == d]
         out[at] = np.round(values[at], d)
@@ -162,7 +161,7 @@ class JointRows:
             resid = np.zeros(self.rows.tau.size)
             for sel, cols, q, image in images:
                 resid[sel] = np.abs(image - q * ray[component[cols]][:, None, :]).max(axis=(1, 2))
-            if np.any(_per_row(resid, self.rows.starts, np.maximum) > 10 * CLUSTER_TOL * scale):
+            if not np.all(_per_row(resid, self.rows.starts, np.maximum) <= 10 * CLUSTER_TOL * scale):
                 raise InternalConsistencyError("half Laplacians are not scalar on a joint eigenspace")
             pairs.append(np.where(0.0 > ray, 0.0, ray))
         return tuple(round_sig_values(values) for values in pairs)

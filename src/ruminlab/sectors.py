@@ -46,27 +46,27 @@ Rumin form) at the ends of the complex too, where one of the two terms is
 zero, and no stack or suite tests a degree against the ends.
 
 `spectrum_rows` gives one degree of a `spectrum` Laplacian as a `RowStack`,
-which `rows.solve_rows` solves over every weight together; the half-Laplacian
-pair below the middle degree is its own quantity (`half_laplacians`).  `_eigh`
-diagonalizes a stack with one stacked `eigh` per group of equally large
-sectors (`_groups`, built once per pair of masks by `SectorStacks.groups`,
-the one source of sector groupings), on the valid blocks only, where the
-padding would add spurious zero eigenvalues; the stacks keep no eigensolve,
-and of the middle operator only its factored form, as `rumin_d(n)`.
-`singular_values` is the one values-only SVD of the route, on the padded
-blocks, whose padding adds only zero singular values.  Every rank is decided
-by `SectorStacks.ranks`, which counts the values above tol * max(1, the
-largest on the weight) (`value_ranks`, the scale of the dense weight block).
-It is the rank oracle of
-`verify --suite thm1` and `torsion` (`cohomology_dims`), and it gives the
-ranks of the cor3 joint kernels and the sec4 corners (`suites`).  Every sum,
-max or min over the sectors of a weight (or of a `RowStack` row) is `_per_row`.
-The sector blocks keep the checks of the dense route at the same tolerances:
-hermiticity, Reeb invariance of the Rumin space, the middle operator's target
-space, the half-Laplacian commutator, and exhaustion of every space by its
-sectors.  Every `verify` suite reads these stacks too (`suites`).  Tier-1
-compares every stack, and every suite report, with the dense `BlockContext`
-route.
+which `rows.solve_rows` solves over every weight together (`rumin_rows` keeps
+the Rumin solve); the half-Laplacian pair below the middle degree is its own
+quantity (`half_laplacians`).  `_eigh` diagonalizes a stack with one stacked
+`eigh` per group of equally large sectors (`_groups`, built once per pair of
+masks by `SectorStacks.groups`, the one source of sector groupings), on the
+valid blocks only, where the padding would add spurious zero eigenvalues; the
+stacks keep no eigensolve, and of the middle operator only its factored form,
+as `rumin_d(n)`.  `singular_values` is the one values-only SVD of the route, on
+the padded blocks, whose padding adds only zero singular values.  Every rank
+is decided by `SectorStacks.ranks`, which counts the values above tol * max(1,
+the largest on the weight) (`value_ranks`, the scale of the dense weight
+block).  It is the rank oracle of `verify --suite thm1` and `torsion`
+(`cohomology_dims`, per weight), and it gives the ranks of the cor3 joint
+kernels and the sec4 corners (`suites`).  Every sum, max or min over the
+sectors of a weight (or of a `RowStack` row) is `_per_row`.  The sector blocks
+keep the checks of the dense route at the same tolerances: hermiticity, Reeb
+invariance of the Rumin space, the middle operator's target space, the
+half-Laplacian commutator, and exhaustion of every space by its sectors; a NaN
+residual fails each, as it fails `VerificationReport.passed`.  Every `verify`
+suite reads these stacks too (`suites`).  Tier-1 compares every stack, and
+every suite report, with the dense `BlockContext` route.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import FrameStructure, field_ladder_coefficients, ladder_radicands
+from .model import FrameStructure, ParameterError, field_ladder_coefficients, ladder_radicands
 from .operators import (
     BlockContext,
     InternalConsistencyError,
@@ -201,9 +201,17 @@ def _gram(up: np.ndarray, down: np.ndarray) -> np.ndarray:
 
 def _hermitized(stack: np.ndarray, what: str) -> np.ndarray:
     """`operators.hermitize` of every block of a real stack."""
-    if max_abs(stack - _t(stack)) > HERMITIAN_TOL:
+    if not max_abs(stack - _t(stack)) <= HERMITIAN_TOL:
         raise InternalConsistencyError(f"{what} is not Hermitian within {HERMITIAN_TOL}")
     return 0.5 * (stack + _t(stack))
+
+
+def deformed_laplacian(up: np.ndarray, down: np.ndarray, t: float) -> np.ndarray:
+    """The hermitized Laplacian of the d_t stacks `up` and `down`; a t that overflows it is a bad parameter."""
+    lap = _gram(up, down)
+    if not np.isfinite(lap).all():
+        raise ParameterError(f"the deformed Laplacian at t = {t!r} overflows; choose a smaller t")
+    return _hermitized(lap, "deformed Laplacian")
 
 
 @dataclass(frozen=True)
@@ -212,7 +220,7 @@ class RowStack:
     dense pair of `spectral._reeb_sectors`), as one zero-padded (f, f, S) stack.  The sectors of
     row w are `starts[w]:starts[w + 1]`, by ascending tau; position i of sector s is in use where
     `valid[i, s]`, with basis index `index[i, s]` in its row.  `groups` is
-    `_groups(valid, valid)`, built unless given."""
+    `_groups(valid, valid)`."""
 
     stack: np.ndarray  # (f, f, S)
     owner: np.ndarray  # (S,) the row of each sector
@@ -220,11 +228,7 @@ class RowStack:
     valid: np.ndarray  # (f, S)
     index: np.ndarray  # (f, S)
     dims: np.ndarray  # (W,) the dimension of each row
-    groups: Optional[Sequence[tuple]] = None
-
-    def __post_init__(self):
-        if self.groups is None:
-            object.__setattr__(self, "groups", _groups(self.valid, self.valid))
+    groups: Sequence[tuple]
 
     @property
     def starts(self) -> np.ndarray:
@@ -265,7 +269,8 @@ class SectorStacks:
     every stack (`_plan`), the bidegree labels and the masks of `split_db`.  The layout (the
     spaces and the `groups` of each pair of masks), the embeddings and the stacks that more than
     one degree or reader needs (d_b, the Rumin differentials, the middle operator, the
-    half-Laplacian pair) are memoized per instance.  The first-order stacks and the Laplacians
+    half-Laplacian pair, the Rumin solve, the shared quantities of `suites`) are memoized per
+    instance, with no key naming a quotient's multiplicities.  The first-order stacks and the Laplacians
     are rebuilt on every call, which keeps the peak memory of `spectrum` and `torsion` low,
     until `keep_first_order` is called, as the `verify` suites do: then each is built once and kept.
     """
@@ -298,7 +303,7 @@ class SectorStacks:
         fib = self.fibers.space_fiber(k, flavor)
         w = np.real(np.sum(fib.conj() * ((1j * self.fibers._fiber("rot", k)) @ fib), axis=0))
         rho = np.rint(w).astype(int)
-        if max_abs(w - rho) > LEAK_TOL:
+        if not max_abs(w - rho) <= LEAK_TOL:
             raise InternalConsistencyError(f"a degree-{k} {flavor} fiber vector has no integer Reeb weight")
         return rho
 
@@ -342,7 +347,7 @@ class SectorStacks:
         for fib, factor in terms:
             keep = rho_out[:, None] - rho_in[None, :] == 2 * SHIFT[factor]
             leak = max_abs(fib[~keep])
-            if leak > LEAK_TOL:
+            if not leak <= LEAK_TOL:
                 raise InternalConsistencyError(f"a fiber (x) {factor} term leaves its Reeb sector ({leak:.3e})")
             coef = np.where(keep, phase_part(fib, phase, f"a fiber (x) {factor} term", LEAK_TOL), 0.0)
             if coef.any():  # a stack never holds -0.0, so adding a zero term changes no bit
@@ -371,7 +376,7 @@ class SectorStacks:
         weight = np.abs(self.fibers.space_fiber(k, flavor)) ** 2
         mass = np.array([self.fibers._bidegree_fiber_projector(k, *b) for b in bidegrees]) @ weight
         best = np.argmax(mass, axis=0)
-        if np.any(mass[best, np.arange(weight.shape[1])] < (1.0 - BIDEGREE_TOL) * np.sum(weight, axis=0)):
+        if not np.all(mass[best, np.arange(weight.shape[1])] >= (1.0 - BIDEGREE_TOL) * np.sum(weight, axis=0)):
             raise InternalConsistencyError(f"a degree-{k} basis column is not bidegree-homogeneous")
         return [f"theta^({i},{j})" if vert else f"({i},{j})" for i, j, vert in (bidegrees[b] for b in best)]
 
@@ -419,7 +424,7 @@ class SectorStacks:
         `BlockContext._compress_invariant`."""
         op = self._compress(stack, out, inn)
         resid = max_abs(_product(stack, self.embed(*inn)) - _product(self.embed(*out), op))
-        if resid > 1e-10:
+        if not resid <= 1e-10:
             raise InternalConsistencyError(f"{what} ({resid:.2e})")
         return op
 
@@ -458,7 +463,8 @@ class SectorStacks:
         return self.d(k) - self.d0(k) - self.dT(k)
 
     def dt(self, k: int, t: float) -> np.ndarray:
-        return self.d0(k) + t * self.db(k) + t * t * self.dT(k)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises in `deformed_laplacian`
+            return self.d0(k) + t * self.db(k) + t * t * self.dT(k)
 
     @_first_order_memo
     def horizontal_db(self, k: int) -> np.ndarray:
@@ -470,7 +476,7 @@ class SectorStacks:
         """The (1,0) or (0,1) part of d_b on horizontal k-forms, as `BlockContext.del_full`."""
         keep, leaks = self._split_masks(k, anti)
         db = self.db(k)
-        if max_abs(db[leaks]) > 1e-12:
+        if not max_abs(db[leaks]) <= 1e-12:
             raise StructuralError("d_b has bidegree components beyond (1,0)+(0,1); frame is not Sasakian")
         return np.where(keep[:, :, None], db, 0)
 
@@ -514,6 +520,15 @@ class SectorStacks:
         return _gram(self.rumin_del(k, anti), self.rumin_del(k - 1, anti))
 
     @_block_memo
+    def rumin_rows(self, k: int):
+        """The joint (Delta, i L_T) eigenspaces of the degree-k Rumin Laplacian on every weight, a
+        `rows.JointRows` with one row per weight: the `delta-rn` rows solved over every weight at
+        once by `rows.solve_rows`, as `spectrum` solves them; memoized by k."""
+        from .rows import solve_rows  # rows imports this module
+
+        return solve_rows(self.spectrum_rows("delta-rn", k))
+
+    @_block_memo
     def half_laplacians(self, k: int):
         """(Delta_del, Delta_delbar) on the degree-k Rumin space below the middle degree,
         hermitized, and their scale max(1, max |entry|) per weight, after checking that they
@@ -523,7 +538,7 @@ class SectorStacks:
         a, b = (_hermitized(self.half_laplacian(k, anti), "half Laplacian") for anti in (False, True))
         scale = np.maximum(1.0, np.maximum(self._weight_max(a), self._weight_max(b)))
         comm = self._weight_max(_product(a, b) - _product(b, a))
-        if np.any(comm > 1e-10 * scale):
+        if not np.all(comm <= 1e-10 * scale):
             what = f"half Laplacians do not commute (residual {comm.max():.3e}); cannot decompose"
             raise InternalConsistencyError(what)
         return a, b, scale
@@ -550,18 +565,18 @@ class SectorStacks:
         return self.value_ranks(singular_values(stack), tol)
 
     @_block_memo
-    def cohomology_dims(self, complex_name: str, multiplicity: Tuple[int, ...]) -> Tuple[int, ...]:
-        """dim H^k of the "rumin" or "de_rham" complex for every degree k: the sum over weights of
-        r (dim_k - rank d_k - rank d_{k-1}), with r = multiplicity[w] copies of weight weights[w].
-        A differential maps every Reeb sector into itself, so its rank on a weight is the sum of
-        the `ranks` of its sector blocks at tol 1e-8, the threshold of the dense weight block."""
+    def cohomology_dims(self, complex_name: str) -> np.ndarray:
+        """dim H^k of the "rumin" or "de_rham" complex on one copy of every weight's slot, one row
+        per degree k and one column per weight: dim_k - rank d_k - rank d_{k-1}.  A differential
+        maps every Reeb sector into itself, so its rank on a weight is the sum of the `ranks` of
+        its sector blocks at tol 1e-8, the threshold of the dense weight block."""
         flavor = "rumin" if complex_name == "rumin" else "full"
         ranks = np.zeros((self.Dmax + 2, self.weights.size), dtype=int)  # row k + 1: rank of d_k
         for k in range(self.Dmax):
             stack = self.rumin_d(k) if complex_name == "rumin" else self.d(k)
             ranks[k + 1] = self.per_weight(self.ranks(stack, 1e-8))
         dims = [self.space(k, flavor).dim * (self.weights + 1) - ranks[k + 1] - ranks[k] for k in range(self.Dmax + 1)]
-        return tuple(int(np.dot(multiplicity, d)) for d in dims)
+        return np.array(dims)
 
     @_first_order_memo
     def laplacian(self, op: str, k: int, t: float = 1.0) -> np.ndarray:
@@ -575,10 +590,10 @@ class SectorStacks:
             return _hermitized(above + below, "Rumin Laplacian")
         if op == "delta-b":
             return _hermitized(_gram(self.horizontal_db(k), self.horizontal_db(k - 1)), "horizontal Laplacian")
-        if op in ("delta-dr", "delta-t"):
-            diff = self.d if op == "delta-dr" else (lambda j: self.dt(j, t))
-            what = "Hodge-de Rham Laplacian" if op == "delta-dr" else "deformed Laplacian"
-            return _hermitized(_gram(diff(k), diff(k - 1)), what)
+        if op == "delta-dr":
+            return _hermitized(_gram(self.d(k), self.d(k - 1)), "Hodge-de Rham Laplacian")
+        if op == "delta-t":
+            return deformed_laplacian(self.dt(k, t), self.dt(k - 1, t), t)
         raise KeyError(op)
 
     def _check_reeb(self, k: int, flavor: str):
@@ -592,7 +607,7 @@ class SectorStacks:
         sp = self.space(k, flavor)
         tau = np.where(sp.valid, self.tau, 0)
         off = max_abs(lt + np.eye(sp.dim)[:, :, None] * tau[:, None, :])  # i L_T = i * i * (the stack)
-        if off > 1e-9:
+        if not off <= 1e-9:
             raise InternalConsistencyError(f"Reeb operator is not diagonal (off-diagonal {off:.3e})")
 
     # -- the spectrum table -----------------------------------------------------------

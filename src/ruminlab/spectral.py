@@ -16,9 +16,9 @@ sharing one Reeb eigenvalue).  Every route lays the sectors out as one
 zero-padded stack, a `sectors.RowStack`, and `rows.solve_rows` diagonalizes
 the sectors of every row with one stacked `eigh` per sector size and clusters
 Delta on every row in one pass.  The Rumin Laplacian reaches it on one route:
-`Assembly.rumin_rows(k)`, memoized by degree alone, solves the `delta-rn` rows
-of `sectors.SectorStacks` for every weight at once, the one solve of degree
-k <= n in a run, which `torsion` and the thm1 and sec4 suites read.  The
+`SectorStacks.rumin_rows(k)` of `Assembly.sector_stacks`, memoized by degree
+alone, solves the `delta-rn` rows for every weight at once, the one solve of
+degree k <= n in a run, which `torsion` and the thm1 and sec4 suites read.  The
 half-Laplacian pair below the middle degree (`SectorStacks.half_laplacians`)
 is not part of it; its Rayleigh quotients on the sector eigenvectors give
 (lambda10, lambda01) (`JointRows.half_pairs`).  `q_decomposition` reads the
@@ -34,9 +34,9 @@ Reeb sectors at once; `cli.run_suite` calls the same `verify_*` functions, whose
 bound, which `--tol` overrides, and whose fixed bounds are the constants below
 (`ANGLE_TOL`, `LAW_ZERO_TOL`, `COMPLEX_T_SAMPLES`, `KERNEL_RELATIVE_TOL`).  So
 the library and the command line share one route, and the quantities that
-several suites read are memoized with the assembly or its stacks.  No suite
-builds a block context.  The rank oracle (`rumin_cohomology_dims`,
-`de_rham_cohomology_dims`) reads the singular values of the same stacks.  The
+several suites read are memoized with the stacks, which hold every memo entry
+of a run.  No suite builds a block context.  The rank oracle weights the
+per-weight dimensions of the same stacks with the multiplicities.  The
 dense block contexts (`Assembly.contexts`) serve `harmonic_bases` and the
 tests, whose dense per-block suite bodies (`tests/dense_reference.py`) are the
 reference for the sector route.
@@ -94,7 +94,7 @@ class Assembly:
     access to `contexts`, which `verify`, `torsion` and `spectrum` never make.
     The contexts and the sector stacks read the fiber tables of the model's
     frame, which live for the whole process (`operators.frame_tables`); the
-    assembly keeps only what depends on its weights.
+    assembly keeps only what depends on its weights, and no memo.
     """
 
     def __init__(self, model: ModelManifold, max_weight: int):
@@ -102,7 +102,6 @@ class Assembly:
             raise ParameterError("max_weight must be >= 0")
         self.model = model
         self.max_weight = max_weight
-        self._cache: Dict = {}  # the memo of `rumin_rows` and of the suite quantities that read it
         counts = [model.multiplicity(m) for m in range(max_weight + 1)]
         self.weights: List[int] = [m for m, r in enumerate(counts) if r]
         self.multiplicity: Tuple[int, ...] = tuple(r for r in counts if r)
@@ -130,15 +129,6 @@ class Assembly:
         from .sectors import SectorStacks  # imported on first use, so `import ruminlab.cli` stays cheap
 
         return SectorStacks(self.model.frame, self.weights)
-
-    @_block_memo
-    def rumin_rows(self, k: int):
-        """The joint (Delta, i L_T) eigenspaces of the degree-k Rumin Laplacian on every weight, a
-        `rows.JointRows` with one row per weight: the `delta-rn` rows of `sector_stacks`, solved
-        over every weight at once by `rows.solve_rows`, as `spectrum` solves them; memoized by k."""
-        from .rows import solve_rows
-
-        return solve_rows(self.sector_stacks.spectrum_rows("delta-rn", k))
 
 
 def spectral_cutoff(model: ModelManifold, max_weight: int) -> float:
@@ -371,18 +361,18 @@ def _reeb_sectors(pairs: Sequence[Tuple[np.ndarray, np.ndarray]], tol: float):
     mean.  The sectors of a row run by ascending tau, and the positions of a
     sector by tau, then by basis index.
     """
-    from .sectors import RowStack
+    from .sectors import RowStack, _groups
 
     sectors, dims = [], []  # (row, a, tau, basis positions) of every sector, by row, then ascending tau
     for row, (a, b) in enumerate(pairs):
         tau = np.real(np.diag(b))
         off = max_abs(b - np.diag(np.diag(b)))
-        if off > tol:
+        if not off <= tol:
             raise InternalConsistencyError(f"Reeb operator is not diagonal (off-diagonal {off:.3e})")
         by_tau = np.argsort(tau, kind="stable")
         steps = np.flatnonzero(np.diff(tau[by_tau]) > tol * max(1.0, max_abs(tau))) + 1
         comm = max_abs(a * (tau[None, :] - tau[:, None]))  # entrywise [a, b]
-        if comm > 1e-9 * max(1.0, max_abs(a)):
+        if not comm <= 1e-9 * max(1.0, max_abs(a)):
             raise InternalConsistencyError(f"operator does not commute with the Reeb derivative ({comm:.3e})")
         sectors += [(row, a, tau, idx) for idx in np.split(by_tau, steps) if idx.size]
         dims.append(tau.size)
@@ -395,7 +385,7 @@ def _reeb_sectors(pairs: Sequence[Tuple[np.ndarray, np.ndarray]], tol: float):
         owner[s], means[s] = row, tau[idx].sum() / n
         valid[:n, s], index[:n, s] = True, idx
         stack[:n, :n, s] = a[np.ix_(idx, idx)]
-    return RowStack(stack, owner, means, valid, index, np.array(dims, dtype=int))
+    return RowStack(stack, owner, means, valid, index, np.array(dims, dtype=int), _groups(valid, valid))
 
 
 def _sequential_joint_eigenspaces(pairs: Sequence[Tuple[np.ndarray, np.ndarray]], tol: float):
@@ -414,11 +404,11 @@ def _sequential_joint_eigenspaces(pairs: Sequence[Tuple[np.ndarray, np.ndarray]]
 
 def q_decomposition(asm: Assembly, weight: int, k: int) -> Tuple[QComponent, ...]:
     """Simultaneous eigenspaces of the two half Laplacians on the degree-k Rumin space of the
-    weight block, from its row of `asm.rumin_rows(k)`: the joint (Delta, i L_T)
+    weight block, from its row of `asm.sector_stacks.rumin_rows(k)`: the joint (Delta, i L_T)
     components in their order, each with its (lambda10, lambda01) from the half-Laplacian
-    pair of the assembly's stacks and a dense basis in the block's Rumin-space coordinates."""
+    pair of the same stacks and a dense basis in the block's Rumin-space coordinates."""
     halves = asm.sector_stacks.half_laplacians(k)  # raises from the middle degree on
-    joint = asm.rumin_rows(k)
+    joint = asm.sector_stacks.rumin_rows(k)
     row = asm.weights.index(weight)
     lo, hi = joint.row_components(row)
     l10, l01 = joint.half_pairs(halves)
@@ -431,11 +421,11 @@ def q_decomposition(asm: Assembly, weight: int, k: int) -> Tuple[QComponent, ...
 
 def rumin_cohomology_dims(asm: Assembly) -> List[int]:
     """dim H^k from the ranks of the Rumin differentials on the Reeb sectors (independent oracle)."""
-    return list(asm.sector_stacks.cohomology_dims("rumin", asm.multiplicity))
+    return [int(np.dot(asm.multiplicity, d)) for d in asm.sector_stacks.cohomology_dims("rumin")]
 
 
 def de_rham_cohomology_dims(asm: Assembly) -> List[int]:
-    return list(asm.sector_stacks.cohomology_dims("de_rham", asm.multiplicity))
+    return [int(np.dot(asm.multiplicity, d)) for d in asm.sector_stacks.cohomology_dims("de_rham")]
 
 
 @_block_memo

@@ -31,20 +31,20 @@ unused.  Each relative cut takes its scale from the largest eigenvalue or
 singular value over the weight's sectors, the scale of the dense weight block;
 `_svd_basis` counts its singular values with `SectorStacks.value_ranks`, as
 `ranks` does.  Each Laplacian is solved once per run, by its reader: the Rumin
-Laplacian of degree k <= n by `Assembly.rumin_rows(k)`, every other one by
+Laplacian of degree k <= n by `SectorStacks.rumin_rows(k)`, every other one by
 `_kernel`, which keeps only its kernel (the de Rham kernels, shared by thm1,
 cor2 and cor3: `_harmonic`).
 
 The sec4 components are the joint (Delta, i L_T) eigenspaces of
-`Assembly.rumin_rows(n - 1)`, as `torsion` solves them, each with its sector
+`SectorStacks.rumin_rows(n - 1)`, as `torsion` solves them, each with its sector
 (`JointRows.sector`), split by the pair `SectorStacks.half_laplacians` that
 sec4's half-Laplacian families read; thm1 reads the solve alone.  For n = 1
 (the only frames with function blocks) the degree-0 Rumin space has one fiber
 vector, so every component is one sector vector and each bi-positive W corner
 is that vector or none: the per-vector sec4 families take all corners at once.
 
-Quantities that several suites read are memoized with `_block_memo`, with
-the stacks or the assembly, next to the first-order stacks and Laplacians
+Quantities that several suites read are memoized with `_block_memo` in the
+memo of the stacks, next to the first-order stacks and Laplacians
 that `SectorStacks` keeps once `spectral._run_suite` has called
 `keep_first_order`, so `verify --suite all` builds each once; a value read
 once (a lifted fiber table, the Rumin square root, a Rumin kernel, the Kahler
@@ -67,7 +67,7 @@ import numpy as np
 
 from .model import block_label
 from .operators import InternalConsistencyError, _block_memo
-from .sectors import SectorStacks, _eigh, _gather, _gram, _hermitized, _product, _scatter, _t, singular_values
+from .sectors import SectorStacks, _eigh, _gather, _hermitized, _product, _scatter, _t, deformed_laplacian, singular_values
 from .spectral import ANGLE_TOL, COMPLEX_T_SAMPLES, KERNEL_RELATIVE_TOL, LAW_ZERO_TOL, Assembly, VerificationReport
 
 # -- subspaces on the sectors -------------------------------------------------------
@@ -162,12 +162,11 @@ def _fiber(stacks: SectorStacks, name: str, k: int, k_out: int, imag: bool = Fal
     return stacks._stack(name, k, (k_out, "imag" if imag else "real") if name == "jact" else k_out)
 
 
-def _kernel(asm: Assembly, op: str, k: int) -> SectorBasis:
+def _kernel(stacks: SectorStacks, op: str, k: int) -> SectorBasis:
     """The kernel of the degree-k Laplacian `op` on every sector, cut as `spectral._harmonic_basis`
-    cuts it; for delta-rn in k <= n from the eigenpairs of `Assembly.rumin_rows(k)`."""
-    stacks = asm.sector_stacks
+    cuts it; for delta-rn in k <= n from the eigenpairs of `SectorStacks.rumin_rows(k)`."""
     if op == "delta-rn" and k <= stacks.n:
-        joint = asm.rumin_rows(k)
+        joint = stacks.rumin_rows(k)
         w, q, used = joint.values, joint.vectors, joint.used
     else:
         valid = stacks.space(k, "rumin" if op == "delta-rn" else "full").valid
@@ -178,9 +177,9 @@ def _kernel(asm: Assembly, op: str, k: int) -> SectorBasis:
 
 
 @_block_memo
-def _harmonic(asm: Assembly, k: int) -> SectorBasis:
+def _harmonic(stacks: SectorStacks, k: int) -> SectorBasis:
     """The de Rham harmonic kernel of degree k (`_kernel`), which thm1, cor2 and cor3 read."""
-    return _kernel(asm, "delta-dr", k)
+    return _kernel(stacks, "delta-dr", k)
 
 
 @_block_memo
@@ -200,26 +199,26 @@ def _horizontal_reeb(stacks: SectorStacks, k: int) -> np.ndarray:
     return stacks._compress(stacks.lie_reeb(k), (k, "horizontal"), (k, "horizontal"))
 
 
-def _sqrt_rumin_laplacian(asm: Assembly, k: int) -> np.ndarray:
+def _sqrt_rumin_laplacian(stacks: SectorStacks, k: int) -> np.ndarray:
     """The psd square root of the degree-k Rumin Laplacian (k < n), as `operators.sqrtm_psd`, from
-    the eigenpairs of `Assembly.rumin_rows(k)`; read once per run, so not kept."""
-    stacks, joint = asm.sector_stacks, asm.rumin_rows(k)
+    the eigenpairs of `SectorStacks.rumin_rows(k)`; read once per run, so not kept."""
+    joint = stacks.rumin_rows(k)
     w, q = joint.values, joint.vectors
     low, high = stacks.per_weight(w, np.minimum), stacks._weight_max(w)
-    if np.any(low < -1e-10 * np.maximum(1.0, high)):
+    if not np.all(low >= -1e-10 * np.maximum(1.0, high)):
         raise InternalConsistencyError("matrix is not positive semidefinite")
     return _product(q * np.sqrt(np.clip(w, 0.0, None))[None], _t(q))
 
 
 @_block_memo
-def _low_components(asm: Assembly):
+def _low_components(stacks: SectorStacks):
     """The joint (Delta, i L_T) components of the degree-(n-1) Rumin rows, weight by weight in the
     order of `q_decomposition`: (weight index, sector, lambda10, lambda01) arrays.  Each component
     must be one sector vector."""
-    joint = asm.rumin_rows(asm.n - 1)
+    joint = stacks.rumin_rows(stacks.n - 1)
     if np.any(joint.count != 1):
         raise InternalConsistencyError("a degree-(n-1) joint eigenspace is not one sector vector")
-    return (joint.owner, joint.sector, *joint.half_pairs(asm.sector_stacks.half_laplacians(asm.n - 1)))
+    return (joint.owner, joint.sector, *joint.half_pairs(stacks.half_laplacians(stacks.n - 1)))
 
 
 # -- the suites ----------------------------------------------------------------------
@@ -308,7 +307,7 @@ def check_kernel_coincidence(asm: Assembly, report: VerificationReport, dims: Co
     wmax = stacks._weight_max
     r = np.array(asm.multiplicity, dtype=int)
     for k in range(stacks.Dmax + 1):
-        ker_dr, ker_rn = _harmonic(asm, k), _kernel(asm, "delta-rn", k)
+        ker_dr, ker_rn = _harmonic(stacks, k), _kernel(stacks, "delta-rn", k)
         dim_dr, dim_rn = r * stacks.per_weight(ker_dr.used), r * stacks.per_weight(ker_rn.used)
         dims["kernel", "rumin", k] += int(dim_rn.sum())
         dims["kernel", "de_rham", k] += int(dim_dr.sum())
@@ -337,7 +336,7 @@ def check_primitivity(asm: Assembly, report: VerificationReport, tol: float):
     n = stacks.n
     r = np.array(asm.multiplicity, dtype=float)
     for k in range(stacks.Dmax + 1):
-        ker = _harmonic(asm, k)
+        ker = _harmonic(stacks, k)
         harmonic = stacks.per_weight(ker.used) > 0
         if not harmonic.any():
             continue
@@ -367,9 +366,9 @@ def check_deformation_family(asm: Assembly, report: VerificationReport, t_sample
     # d_t(j) is a factor of degrees j and j+1, so build it once; dt[j + 1] is d_t(j)
     dts = [[stacks.dt(j, t) for j in range(-1, top + 1)] for t in t_samples]
     for k in range(top + 1):
-        ker = _harmonic(asm, k)
+        ker = _harmonic(stacks, k)
         dim = stacks.per_weight(ker.used)
-        laps = [_hermitized(_gram(dt[k + 1], dt[k]), "deformed Laplacian") for dt in dts]
+        laps = [deformed_laplacian(dt[k + 1], dt[k], t) for t, dt in zip(t_samples, dts)]
         if dim.any():
             phi = ker.vectors
             rows = []
@@ -418,7 +417,7 @@ def check_sasakian_identities(asm: Assembly, report: VerificationReport, tol: fl
         _add(report, f"graded_rumin_halves[{{lbl}}]k={k}", stacks, wmax(anti), tol)
     for k in range(0, n):
         lap10, lap01, _ = stacks.half_laplacians(k)
-        root = _sqrt_rumin_laplacian(asm, k)
+        root = _sqrt_rumin_laplacian(stacks, k)
         ilt = -stacks.lie_reeb_rumin(k)  # i L_T
         _add(report, f"sqrt_splits[{{lbl}}]k={k}", stacks, wmax(root - lap10 - lap01), tol)
         _add(report, f"reeb_is_half_difference[{{lbl}}]k={k}", stacks, wmax(ilt - (lap01 - lap10)), tol)
@@ -439,7 +438,7 @@ def check_eigenvalue_identity(asm: Assembly, report: VerificationReport, tol_rel
     stacks = asm.sector_stacks
     n = stacks.n
     labels = _labels(stacks)
-    owner, sector, l10, l01 = _low_components(asm)
+    owner, sector, l10, l01 = _low_components(stacks)
     lam = (l10 + l01) ** 2
     # law below the middle degree: each component is one sector vector, on which Delta is its entry
     lap_low = stacks.laplacian("delta-rn", n - 1)[0, 0, sector]
@@ -566,7 +565,7 @@ def check_middle_degree(asm: Assembly, report: VerificationReport, tol: float):
         resid = np.max(np.abs(_product(lap_mid, vec) - nu2[None] * vec), axis=0) / np.maximum(1.0, nu2)
         _add(report, "reeb_slices_square[{lbl}]", stacks, stacks._weight_max(np.where(used, resid, 0.0)), tol, has)
     # one-sided kernels of the half Laplacians below the middle degree; each component is one sector vector
-    owner, sector, l10, l01 = _low_components(asm)
+    owner, sector, l10, l01 = _low_components(stacks)
     lap_low, lt_low = stacks.laplacian("delta-rn", n - 1), stacks.lie_reeb_rumin(n - 1)
     values = np.abs((lap_low - _product(lt_low, lt_low))[0, 0, sector])
     worst = np.zeros(stacks.weights.size)

@@ -17,9 +17,9 @@ alongside the literal per-degree comparison, which it reports honestly.
 Each piece needs only Delta and the Reeb value tau of a joint (Delta, i L_T)
 eigenspace, and its dimension.  `reeb_decomposition` takes them from the route
 of `rumin spectrum --op delta-rn`: per degree k <= n it reads
-`Assembly.rumin_rows`, the Rumin Laplacian of every weight cut into Reeb
-sectors and solved together, as sec4 does, so its slices are that table's
-rows, and it builds no block context.  Its clusters and zero tests read the
+`SectorStacks.rumin_rows` of the assembly's stacks, the Rumin Laplacian of
+every weight cut into Reeb sectors and solved together, as sec4 does, so its
+slices are that table's rows, and it builds no block context.  Its clusters and zero tests read the
 fixed `PAIR_TOL` and `RELATIVE_PAIR_TOL`.  The pieces, box checks and
 per-degree comparisons of every block are computed on the columns of those
 rows at once, and the slices are held as columns too (`TorsionReport.columns`,
@@ -226,7 +226,7 @@ def reeb_decomposition(asm: Assembly, s_grid: Sequence[float] = (2.0, 3.0, 4.0))
     labels = [block_label(m) for m in asm.weights]
     for k in range(n + 1):
         halves = asm.sector_stacks.half_laplacians(k) if k < n else None
-        _add_reeb_slices(report, labels, asm.multiplicity, k, asm.rumin_rows(k), halves)
+        _add_reeb_slices(report, labels, asm.multiplicity, k, asm.sector_stacks.rumin_rows(k), halves)
     close_reeb_report(report)
     return report
 

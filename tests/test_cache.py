@@ -222,13 +222,13 @@ def test_memo_key_fills_in_keywords_and_defaults(s3):
 
 
 def test_assembly_rows_are_memoized_and_read_only():
-    """`Assembly.rumin_rows` solves each degree once, keyed by the degree alone, and every array of
-    the solved rows is read-only; `q_decomposition` hands out tuples, not shared lists."""
+    """`SectorStacks.rumin_rows` solves each degree once, keyed by the degree alone, and every array
+    of the solved rows is read-only; `q_decomposition` hands out tuples, not shared lists."""
     asm = Assembly(lens_space(3, character=1), 4)
-    joint = asm.rumin_rows(0)
-    assert joint is asm.rumin_rows(0) is asm.rumin_rows(k=0)
+    joint = asm.sector_stacks.rumin_rows(0)
+    assert joint is asm.sector_stacks.rumin_rows(0) is asm.sector_stacks.rumin_rows(k=0)
     with pytest.raises(TypeError):
-        asm.rumin_rows(0, 1e-10)
+        asm.sector_stacks.rumin_rows(0, 1e-10)
     assert joint.rows.dims.size == len(asm.weights) and set(joint.owner.tolist()) == set(range(len(asm.weights)))
     halves = asm.sector_stacks.half_laplacians(0)
     assert halves is asm.sector_stacks.half_laplacians(0)  # kept in the stacks' memo
@@ -237,10 +237,10 @@ def test_assembly_rows_are_memoized_and_read_only():
     r = joint.rows
     layout = (r.stack, r.owner, r.tau, r.valid, r.index, r.dims, *halves)
     assert not any(array.flags.writeable for array in (*columns, *layout))
-    assert asm.rumin_rows(1).rows.dims.size == len(asm.weights)
+    assert asm.sector_stacks.rumin_rows(1).rows.dims.size == len(asm.weights)
     with pytest.raises(ValueError):
         asm.sector_stacks.half_laplacians(1)  # the middle degree has no pair
-    assert [args for name, args in asm._cache if name == "Assembly.rumin_rows"] == [(0,), (1,)]
+    assert [args for name, args in asm.sector_stacks._cache if name == "SectorStacks.rumin_rows"] == [(0,), (1,)]
     comps = spectral.q_decomposition(asm, asm.weights[-1], 0)
     assert isinstance(comps, tuple) and comps
     [again] = dense_reference.low_degree_components(asm, asm.contexts[-1])
@@ -272,7 +272,7 @@ def _assert_one_pair_per_low_degree(asm, builds):
 def test_one_rumin_solve_per_degree_across_commands_on_one_assembly(monkeypatch):
     """`verify --suite all`, the Reeb decomposition of `torsion` and `q_decomposition` of every
     weight, run in turn on one assembly, solve the Rumin rows of each degree k <= n once between
-    them: they all read the one memo entry of `Assembly.rumin_rows(k)`.  They build the
+    them: they all read the one memo entry of `SectorStacks.rumin_rows(k)`.  They build the
     half-Laplacian pair below the middle degree once too, sec4 included."""
     solves = []
     solve = rows.solve_rows
@@ -289,9 +289,27 @@ def test_one_rumin_solve_per_degree_across_commands_on_one_assembly(monkeypatch)
     for m in asm.weights:
         spectral.q_decomposition(asm, m, 0)
     assert len(solves) == asm.n + 1 == 2
-    memo = sorted(args for name, args in asm._cache if name == "Assembly.rumin_rows")
+    memo = sorted(args for name, args in asm.sector_stacks._cache if name == "SectorStacks.rumin_rows")
     assert memo == [(k,) for k in range(asm.n + 1)]
     _assert_one_pair_per_low_degree(asm, builds)
+
+
+def test_every_memo_entry_of_a_run_sits_with_the_sector_stacks():
+    """The assembly holds the quotient's data and its stacks, and no memo: `verify --suite all`,
+    the Reeb decomposition and `q_decomposition` of every weight leave every memo entry with the
+    stacks, none keyed by the quotient's multiplicities, so dropping the stacks drops the run."""
+    assert not [name for name, value in vars(Assembly).items() if hasattr(value, "__wrapped__")]
+    asm = Assembly(lens_space(3, character=1), 6)
+    assert cli.run_suite(asm, "all", cli.RunConfig()).passed
+    torsion.reeb_decomposition(asm)
+    for m in asm.weights:
+        spectral.q_decomposition(asm, m, 0)
+    assert set(vars(asm)) == {"model", "max_weight", "weights", "multiplicity", "sector_stacks"}
+    keys = list(asm.sector_stacks._cache)
+    assert {"SectorStacks.rumin_rows", "SectorStacks.cohomology_dims", "_harmonic", "_low_components"} <= {
+        name for name, _ in keys
+    }
+    assert not [key for key in keys if asm.multiplicity in key[1]]
 
 
 def test_q_decomposition_of_every_weight_builds_one_half_laplacian_pair(monkeypatch):
@@ -311,7 +329,8 @@ def test_kernel_coincidence_alone_builds_no_half_laplacian(monkeypatch):
     asm = Assembly(su2_model(), 8)
     assert cli.run_suite(asm, "thm1", cli.RunConfig()).passed
     assert not builds, dict(builds)
-    assert [name for name, _ in asm._cache].count("Assembly.rumin_rows") == asm.n + 1  # thm1 did solve them
+    solved = [name for name, _ in asm.sector_stacks._cache].count("SectorStacks.rumin_rows")
+    assert solved == asm.n + 1  # thm1 did solve them
 
 
 def test_assembly_builds_block_contexts_on_first_access():
@@ -397,8 +416,8 @@ def test_broadcast_and_mask_assembly_equal_dense_reference(model):
 def test_verify_all_computes_each_shared_quantity_once(capsys, monkeypatch):
     """One `verify --suite all` computes each shared sector quantity once per run.
 
-    The spies sit on the computations behind the memos of the sector stacks
-    and the assembly: the Reeb-sector solve (keyed by its exact input), the
+    The spies sit on the computations behind the memo of the sector stacks:
+    the Reeb-sector solve (keyed by its exact input), the
     sector rank oracle, which ranks each complex once for thm1 and the torsion
     checks together, and the suite quantities that several suites read: the
     Laplacians, the de Rham harmonic kernels and the sec4 components.  The
@@ -407,7 +426,7 @@ def test_verify_all_computes_each_shared_quantity_once(capsys, monkeypatch):
     built once.  Each Laplacian is built once per (op, k) and solved by one
     `sectors._eigh` on the sectors, by the code that reads it: the Rumin
     Laplacian of degree k <= n by its joint eigenspaces over every weight
-    (`Assembly.rumin_rows`), which the Rumin kernels of thm1, the square root
+    (`SectorStacks.rumin_rows`), which the Rumin kernels of thm1, the square root
     and components of sec4 and the torsion checks read (two solves in all, on
     lens(3, 1) and on s3), and every other one by the kernel that thm1 (and
     for de Rham, cor2 and cor3) reads.  The first-order stacks (d, d0, dT,
@@ -452,17 +471,17 @@ def test_verify_all_computes_each_shared_quantity_once(capsys, monkeypatch):
     for module in (sectors, rows, suites):
         monkeypatch.setattr(module, "_eigh", sector_eigh)
     memos = {
-        "sector rank": (SectorStacks.cohomology_dims, lambda stacks, complex_name, multiplicity: complex_name),
+        "sector rank": (SectorStacks.cohomology_dims, lambda stacks, complex_name: complex_name),
         "Laplacian": (SectorStacks.laplacian, lambda stacks, op, k, t: (op, k, t), build_laplacian),
-        "harmonic kernel": (suites._harmonic, lambda asm, k: k),
-        "sec4 components": (suites._low_components, lambda asm: ()),
+        "harmonic kernel": (suites._harmonic, lambda stacks, k: k),
+        "sec4 components": (suites._low_components, lambda stacks: ()),
     }
     for name in FIRST_ORDER:
         memos[name] = (getattr(SectorStacks, name), lambda stacks, *args: args)
     for kind, (memo, key, *fn) in memos.items():
         monkeypatch.setattr(memo, "__wrapped__", spy(kind, fn[0] if fn else memo.__wrapped__, key))
     unkept = {
-        "Rumin square root": ("_sqrt_rumin_laplacian", lambda asm, k: k),
+        "Rumin square root": ("_sqrt_rumin_laplacian", lambda stacks, k: k),
         "lifted fiber table": ("_fiber", lambda stacks, name, k, k_out, imag=False: (name, k, k_out, imag)),
     }
     for kind, (name, key) in unkept.items():

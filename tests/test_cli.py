@@ -393,6 +393,23 @@ def test_non_finite_or_empty_inputs_exit_2(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectrum", "--op", "delta-t", "--t-samples", "1e100"),
+        ("spectrum", "--op", "delta-t", "--t-samples", "1e154"),
+        ("verify", "--suite", "cor3", "--t-samples", "1e77"),
+    ],
+    ids=["spectrum-1e100", "spectrum-1e154", "cor3-1e77"],
+)
+def test_a_t_that_overflows_the_deformed_laplacian_exits_2(capsys, argv):
+    """A finite t whose deformed Laplacian overflows is a bad parameter: no `inf` rows, no failed
+    eigensolve, and no exit 1, which means a failed check."""
+    code, out, err = run_cli(capsys, *argv, "--model", "s3", "--max-weight", "3")
+    assert (code, out) == (2, "")
+    assert err == f"error: the deformed Laplacian at t = {float(argv[-1])!r} overflows; choose a smaller t\n"
+
+
+@pytest.mark.parametrize(
     "argv, flag",
     [
         (("verify", "--suite", "all", "--t-samples", "1,1.0,2"), "t-samples"),
@@ -438,6 +455,30 @@ def test_unwritable_out_path_exits_2(tmp_path, capsys, command):
     assert code == 2 and out == ""
     assert err == f"error: cannot write {target}: No such file or directory\n"
     assert not target.parent.exists()
+
+
+MODULE_SET_SCRIPT = """
+import contextlib, io, json, sys
+import ruminlab.cli
+imported = sorted(name for name in sys.modules if name.split(".")[0] == "ruminlab")
+runs = [f"spectrum --op {op}" for op in ("delta-rn", "delta-dr", "delta-t", "delta-b")] + ["verify --suite all", "torsion"]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [ruminlab.cli.main(f"{run} --model lens --p 3 --character 1 --max-weight 3".split()) for run in runs]
+print(json.dumps([imported, codes, sorted({"numpy.random", "numpy.ma"} & set(sys.modules))]))
+"""
+
+
+def test_import_and_runs_load_no_extra_module():
+    """In a fresh process, `import ruminlab.cli` loads the 8 modules below and no sector, row or
+    suite module, and no command loads `numpy.random` (about 6 MB of peak RSS) or `numpy.ma`: the
+    import time and the peak memory of every run depend on it."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC_DIR), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", MODULE_SET_SCRIPT], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    imported, codes, numpy_extras = json.loads(proc.stdout)
+    names = ("cli", "exterior", "model", "operators", "spectral", "torsion", "util")
+    assert imported == ["ruminlab", *(f"ruminlab.{name}" for name in names)]
+    assert codes == [0] * 6 and numpy_extras == []
 
 
 def test_run_config_validation():

@@ -18,7 +18,7 @@ import dense_reference
 from ruminlab import cli, util
 from ruminlab.model import su2_model
 from ruminlab.rows import CLUSTER_TOL, cluster_starts, round_sig_values, run_means, solve_rows, spectrum_columns
-from ruminlab.sectors import RowStack
+from ruminlab.sectors import RowStack, _groups
 from ruminlab.spectral import Assembly, SpectrumTable
 from ruminlab.torsion import PIECES, reeb_decomposition
 
@@ -74,7 +74,8 @@ def test_solve_rows_clusters_every_row_as_cluster_values():
     stack[0, 0] = np.concatenate(rows)
     valid = np.zeros((2, owner.size), dtype=bool)
     valid[0] = True
-    joint = solve_rows(RowStack(stack, owner, tau, valid, np.vstack([index, index]), np.array([r.size for r in rows])))
+    dims = np.array([r.size for r in rows])
+    joint = solve_rows(RowStack(stack, owner, tau, valid, np.vstack([index, index]), dims, _groups(valid, valid)))
     assert np.array_equal(joint.sector, joint.order) and np.array_equal(owner[joint.sector], joint.owner)
     for row, r in enumerate(rows):
         lo, hi = joint.row_components(row)
@@ -240,6 +241,15 @@ def test_round_sig_values_equals_round_sig_of_each_numpy_float():
     expected = [util.round_sig(x) for x in values]  # iterating an array gives np.float64
     assert round_sig_values(values).tolist() == expected
     assert any(util.round_sig(x) != util.round_sig(float(x)) for x in values)  # the rounding differs from Python's
+
+
+def test_round_sig_values_takes_the_exponent_of_round_sig_at_every_decade_edge():
+    """The one `np.log10` over the array gives the decimal exponent that `math.log10` gives
+    `util.round_sig` on each side of every power of ten, where a one-ulp error would move it."""
+    powers = 10.0 ** np.arange(-20, 25)
+    edges = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+    values = np.concatenate([edges, -edges])
+    assert round_sig_values(values).tolist() == [util.round_sig(x) for x in values]
 
 
 def test_dense_reference_rounds_half_pairs_as_the_library():

@@ -15,7 +15,7 @@ from dense_reference import (
     operator_pair,
     spectrum_degrees,
 )
-from ruminlab import cli, operators, suites
+from ruminlab import cli, operators, sectors, suites
 from ruminlab.model import lens_space, su2_block, su2_model
 from ruminlab.operators import BlockContext, InternalConsistencyError, max_abs
 from ruminlab.rows import solve_rows
@@ -467,3 +467,28 @@ def test_end_laplacians_are_their_one_sided_sums(model, op):
             square = _product(square, square)
         want = _hermitized(zero + square, "one-sided sum")
         assert np.array_equal(stacks.laplacian(op, k, T), want), (op, k)
+
+
+def _with_nan(stack: np.ndarray) -> np.ndarray:
+    """A copy of a stack with one NaN entry."""
+    out = np.array(stack)
+    out[0, 0, 0] = np.nan
+    return out
+
+
+def test_a_nan_entry_fails_every_stack_guard(monkeypatch):
+    """A guard of the form `residual > bound` passes a NaN residual, so each guard passes only
+    `residual <= bound`, the rule of `VerificationReport.passed`: one NaN entry raises."""
+    stacks = SectorStacks(su2_model().frame, [0, 1, 2])
+    with pytest.raises(InternalConsistencyError, match="not Hermitian"):
+        _hermitized(_with_nan(stacks.laplacian("delta-rn", 0)), "Rumin Laplacian")
+    lt, half = stacks.lie_reeb(1), stacks.half_laplacian(0, False)
+    with pytest.raises(InternalConsistencyError, match="leaves the Rumin space"):
+        stacks._compress_invariant(_with_nan(lt), (1, "rumin"), (1, "rumin"), "L_T leaves the Rumin space")
+    monkeypatch.setattr(SectorStacks, "lie_reeb", lambda stacks, k: _with_nan(lt))
+    with pytest.raises(InternalConsistencyError, match="not diagonal"):
+        stacks._check_reeb(1, "full")
+    monkeypatch.setattr(sectors, "_hermitized", lambda stack, what: stack)  # to reach the commutator guard
+    monkeypatch.setattr(SectorStacks, "half_laplacian", lambda stacks, k, anti: _with_nan(half) if anti else half)
+    with pytest.raises(InternalConsistencyError, match="do not commute"):
+        stacks.half_laplacians(0)

@@ -227,10 +227,10 @@ def test_a_missing_component_fails_the_middle_law_multiplicity(monkeypatch):
     multiplicity, counted over the 4 copies of the slot, and every other weight is unchanged."""
     asm = Assembly(su2_model(), 4)
     want = _law_checks(asm)
-    owner, sector, l10, l01 = suites._low_components(asm)
+    owner, sector, l10, l01 = suites._low_components(asm.sector_stacks)
     [drop] = np.flatnonzero((owner == 3) & (l10 == 3) & (l01 == 4))
     keep = np.arange(owner.size) != drop
-    monkeypatch.setattr(suites, "_low_components", lambda asm: (owner[keep], sector[keep], l10[keep], l01[keep]))
+    monkeypatch.setattr(suites, "_low_components", lambda stacks: (owner[keep], sector[keep], l10[keep], l01[keep]))
     got = _law_checks(Assembly(su2_model(), 4))
     del want["law_middle_values[m3]"]
     want["law_middle_multiplicity[m3]"] = [8.0, 0.0, "predicted=16 actual=24"]
