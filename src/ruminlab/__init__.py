@@ -22,7 +22,6 @@ from .model import (
     ParameterError,
     lens_space,
     su2_model,
-    volume,
 )
 from .operators import (
     BlockContext,
@@ -30,7 +29,6 @@ from .operators import (
     GradedSpace,
     InternalConsistencyError,
     StructuralError,
-    adjoint,
 )
 from .spectral import (
     Assembly,
@@ -58,7 +56,6 @@ from .torsion import (
     TorsionReport,
     kappa_weights,
     reeb_decomposition,
-    torsion_estimate,
 )
 
 __version__ = "0.1.0"

@@ -18,6 +18,7 @@ from typing import List, Optional
 from . import torsion as torsion_mod
 from .model import ModelManifold, ParameterError, lens_space, su2_model
 from .spectral import (
+    DEFORMATION_T_SAMPLES,
     Assembly,
     SpectrumTable,
     VerificationReport,
@@ -56,8 +57,8 @@ class RunConfig:
     op: str = "delta-rn"
     degree: Optional[int] = None
     suite: str = "all"
-    t_samples: List[float] = field(default_factory=lambda: [0.1, 1.0, 10.0])
-    s_grid: List[float] = field(default_factory=lambda: [2.0, 3.0, 4.0])
+    t_samples: List[float] = field(default_factory=lambda: list(DEFORMATION_T_SAMPLES))
+    s_grid: List[float] = field(default_factory=lambda: list(torsion_mod.S_GRID))
     tol: Optional[float] = None
     format: Optional[str] = None  # csv or json; None picks the command's default
     out: Optional[str] = None

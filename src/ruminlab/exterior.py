@@ -124,9 +124,6 @@ class PointwiseForm:
 
     __mul__ = __rmul__
 
-    def __neg__(self) -> "PointwiseForm":
-        return (-1) * self
-
     def conjugate(self) -> "PointwiseForm":
         """Complex conjugation (swaps eps and epsbar factors, conjugates coefficients)."""
         out = {}

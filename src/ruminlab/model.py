@@ -334,7 +334,3 @@ def lens_space(p: int, character: int = 0) -> ModelManifold:
     if not 0 <= character < p:
         raise ParameterError(f"character {character} invalid for p={p}")
     return ModelManifold(frame=su2_frame(), p=p, character=character, name="s3" if p == 1 else "lens")
-
-
-def volume(model: ModelManifold) -> float:
-    return model.volume

@@ -232,14 +232,6 @@ class BlockOperator:
             raise InternalConsistencyError("composition spaces do not match")
         return BlockOperator(other.source, self.target, self.matrix @ other.matrix)
 
-    def __add__(self, other: "BlockOperator") -> "BlockOperator":
-        if (self.source.key, self.target.key) != (other.source.key, other.target.key):
-            raise InternalConsistencyError("sum spaces do not match")
-        return BlockOperator(self.source, self.target, self.matrix + other.matrix)
-
-    def __sub__(self, other: "BlockOperator") -> "BlockOperator":
-        return self + BlockOperator(other.source, other.target, -other.matrix)
-
     def __rmul__(self, c) -> "BlockOperator":
         return BlockOperator(self.source, self.target, c * self.matrix)
 
@@ -256,10 +248,6 @@ class BlockOperator:
             },
             sort_keys=True,
         )
-
-
-def adjoint(op: BlockOperator) -> BlockOperator:
-    return op.adjoint()
 
 
 def _null_basis(m: np.ndarray, tol: float = 1e-10) -> np.ndarray:

@@ -81,6 +81,7 @@ KERNEL_RELATIVE_TOL = 1e-9  # a Laplacian eigenvalue is zero within this share o
 ANGLE_TOL = 1e-8  # thm1: largest principal-angle sine between the two harmonic spaces
 LAW_ZERO_TOL = 1e-10  # sec4 eigenvalue law: a half-Laplacian value or image norm is zero at most this
 COMPLEX_T_SAMPLES = (0.0, 0.37, 1.0, 2.0)  # the deformation parameters t of the d_t.d_t checks
+DEFORMATION_T_SAMPLES = (0.1, 1.0, 10.0)  # the default t of the deformed-kernel checks (cor3), also `--t-samples`
 
 
 # -- assemblies ---------------------------------------------------------------
@@ -511,7 +512,7 @@ def verify_primitivity(asm: Assembly, tol: float = 1e-10) -> VerificationReport:
     return _run_suite(asm, "primitivity", {"tol": tol}, "check_primitivity", tol)
 
 
-def verify_deformation_family(asm: Assembly, t_samples=(0.1, 1.0, 10.0), tol: float = 1e-10) -> VerificationReport:
+def verify_deformation_family(asm: Assembly, t_samples=DEFORMATION_T_SAMPLES, tol: float = 1e-10) -> VerificationReport:
     """Harmonic forms are killed piecewise and exhaust every deformed kernel."""
     if any(t <= 0 for t in t_samples):
         raise ValueError("t samples must be positive")

@@ -69,10 +69,7 @@ PAIR_TOL = 1e-9
 # weights; distinct eigenvalues are integers, so they never merge.  The bound
 # is PAIR_TOL itself up to |Delta| = 1e4, which covers every weight <= 12.
 RELATIVE_PAIR_TOL = 1e-13
-ESTIMATE_CAVEAT = (
-    "partial sums only: the derivative at s = 0 requires analytic continuation "
-    "and is not computed"
-)
+S_GRID = (2.0, 3.0, 4.0)  # the default exponents s of the partial sums, also `--s-grid`
 
 
 def kappa_weights(n: int) -> List[int]:
@@ -201,7 +198,7 @@ class TorsionReport:
         return "".join(util.write_rows(order, fields))
 
 
-def reeb_decomposition(asm: Assembly, s_grid: Sequence[float] = (2.0, 3.0, 4.0)) -> TorsionReport:
+def reeb_decomposition(asm: Assembly, s_grid: Sequence[float] = S_GRID) -> TorsionReport:
     """Split every low-degree spectrum along the half-Laplacian pair and compare.
 
     Produces: the per-degree comparison of the positive spectrum against the
@@ -338,11 +335,3 @@ def close_reeb_report(report: TorsionReport):
         report.kappa_from_spectrum[float(s)] = lhs
         report.kappa_from_reeb[float(s)] = rhs
         checks.add(f"kappa_two_routes_s={util.fmt_float(s)}", abs(lhs - rhs), 1e-9)
-
-
-def torsion_estimate(asm: Assembly, s_grid: Sequence[float] = (2.0, 3.0, 4.0)) -> TorsionReport:
-    """Partial torsion-function values on a grid; estimate only, never a torsion value."""
-    report = reeb_decomposition(asm, s_grid=s_grid)
-    report.estimate_only = True
-    report.caveat = ESTIMATE_CAVEAT
-    return report

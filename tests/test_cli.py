@@ -116,6 +116,23 @@ def test_verify_thm5_twisted_lens(capsys):
     assert json.loads(out)["passed"] is True
 
 
+@pytest.mark.parametrize(
+    "model",
+    [("--model", "s3"), ("--model", "lens", "--p", "3", "--character", "1"),
+     ("--model", "lens", "--p", "5", "--character", "2")],
+    ids=["s3", "lens3-1", "lens5-2"],
+)
+def test_cor3_passes_at_the_ends_of_its_trusted_range(capsys, model):
+    """cor3 holds at t = 0.01 and t = 100 at M=12.  Outside that range its kernel cut (1e-9 of
+    the largest entry on the weight) fails falsely: at t = 1e-3 on every model, where eigenvalues
+    of order t^4 fall under it, and from about t = 180 on s3, where eigenvalues of order 1 do.
+    A fix of the cut must keep both ends passing."""
+    argv = ("verify", "--suite", "cor3", "--t-samples", "0.01,100", "--max-weight", "12", *model)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["passed"] is True
+
+
 def test_verify_impossible_tolerance_lists_residuals(capsys):
     code, _, err = run_cli(
         capsys,

@@ -21,7 +21,6 @@ from ruminlab.model import (
     su2_frame,
     su2_model,
     su2_weight_actions,
-    volume,
 )
 
 
@@ -177,9 +176,9 @@ def test_blocks_rejects_negative_weight(s3):
 
 def test_volume_values():
     s3 = su2_model()
-    assert volume(s3) == pytest.approx(4 * math.pi**2)
-    assert volume(lens_space(2)) == pytest.approx(2 * math.pi**2)
-    assert volume(lens_space(3, character=1)) == pytest.approx(4 * math.pi**2 / 3)
+    assert s3.volume == pytest.approx(4 * math.pi**2)
+    assert lens_space(2).volume == pytest.approx(2 * math.pi**2)
+    assert lens_space(3, character=1).volume == pytest.approx(4 * math.pi**2 / 3)
 
 
 def test_constant_function_norm_is_volume():

@@ -15,7 +15,6 @@ from ruminlab.operators import (
     BlockOperator,
     InternalConsistencyError,
     StructuralError,
-    adjoint,
     hermitize,
     max_abs,
     rescale_coefficient,
@@ -174,7 +173,7 @@ def test_non_sasakian_frame_rejected_at_validation(s3):
 def test_adjoint_involution(s3_contexts):
     ctx = s3_contexts[1]
     op = ctx.op("d", 1)
-    assert max_abs(adjoint(adjoint(op)).matrix - op.matrix) == 0.0
+    assert max_abs(op.adjoint().adjoint().matrix - op.matrix) == 0.0
 
 
 def test_reeb_derivative_is_skew(s3_contexts):
@@ -227,7 +226,7 @@ def test_middle_operator_closes_complex(s3_contexts):
 def test_middle_operator_adjoint_involution(s3_contexts):
     ctx = s3_contexts[1]
     dmid = ctx.middle_operator()
-    assert max_abs(adjoint(adjoint(dmid)).matrix - dmid.matrix) == 0.0
+    assert max_abs(dmid.adjoint().adjoint().matrix - dmid.matrix) == 0.0
 
 
 # -- Rumin complex -------------------------------------------------------------------

@@ -17,7 +17,6 @@ from ruminlab.rows import spectrum_columns
 from ruminlab.sectors import SectorStacks
 from ruminlab.spectral import Assembly
 from ruminlab.torsion import (
-    ESTIMATE_CAVEAT,
     PAIR_TOL,
     PIECES,
     TorsionReport,
@@ -26,7 +25,6 @@ from ruminlab.torsion import (
     kappa_weights,
     reeb_decomposition,
     slice_columns,
-    torsion_estimate,
 )
 
 MODELS = [su2_model()] + [lens_space(p, character=l) for p in range(2, 6) for l in range(p)]
@@ -207,15 +205,6 @@ def test_pairs_csv_schema(s3_reeb):
     assert len(rows) > 4
     pieces = {r[3] for r in rows[1:]}
     assert pieces <= {"harmonic", "reeb_plus", "reeb_minus", "bi_positive"}
-
-
-def test_torsion_estimate_flags_partiality(s3_asm_small):
-    rep = torsion_estimate(s3_asm_small, s_grid=(2.0, 3.0))
-    assert rep.estimate_only
-    assert rep.caveat == ESTIMATE_CAVEAT
-    assert set(rep.kappa_from_spectrum) == {2.0, 3.0}
-    for v in rep.kappa_from_spectrum.values():
-        assert np.isfinite(v)
 
 
 def _closed_form_kappa(model, max_weight, s):
